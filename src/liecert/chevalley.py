@@ -130,7 +130,6 @@ class DistinguishedBasis:
 
     psi: tuple[Root, ...]
     torus_ambient: tuple[Vec, ...]
-    roots_ambient: tuple[Vec, ...]
     beta_of_h: MatQ  # (i, j) -> beta_i(h_j), size m x l
     dual_torus_local: tuple[Vec, ...] | None  # (h_i, h_j') = delta_ij, local coords
     gram: MatQ | None  # (beta_i, beta_j) through the restricted form
@@ -422,7 +421,6 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,
-        roots_ambient=roots_ambient,
         beta_of_h=beta_of_h,
         dual_torus_local=dual_torus_local,
         gram=gram,

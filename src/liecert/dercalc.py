@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
-from .exact import MatQ, Rat, kernel_basis, rref, solve
+from .exact import Echelon, MatQ, Rat, kernel_basis, solve
 from .qgraded import is_closed, is_minimal, spans_q
 
 __all__ = [
@@ -85,116 +85,79 @@ class AidVerdict:
         return self.status == "inner"
 
 
-def _apply(mat: MatQ, v: Vec) -> Vec:
-    return mat.mul_vec(v)
-
-
 def leibniz_violation(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
     """First basis pair where D[x,y] != [Dx,y] + [x,Dy], else None."""
     for i in range(g.dim):
         bi = g.basis_vector(i)
-        dbi = _apply(d, bi)
+        dbi = d.mul_vec(bi)
         for j in range(i + 1, g.dim):
             bj = g.basis_vector(j)
-            lhs = _apply(d, g.bracket(bi, bj))
-            rhs = tuple(a + b for a, b in zip(g.bracket(dbi, bj), g.bracket(bi, _apply(d, bj))))
+            lhs = d.mul_vec(g.bracket(bi, bj))
+            rhs = tuple(a + b for a, b in zip(g.bracket(dbi, bj), g.bracket(bi, d.mul_vec(bj))))
             if lhs != rhs:
                 return (i, j)
     return None
 
 
-def _unknown(r: int, c: int, dim: int) -> int:
-    return r * dim + c
+def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
+    """Coordinates of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` as sparse
+    rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one row per
+    output coordinate; ``left`` and ``right`` select the last two terms."""
+    dim = g.dim
+    rows: list[dict[int, Rat]] = [{} for _ in range(dim)]
+
+    def add(r: int, unknown: int, c: Rat) -> None:
+        rows[r][unknown] = rows[r].get(unknown, 0) + c
+
+    for k, c in g.bracket_basis(i, j):
+        for r in range(dim):
+            add(r, r * dim + k, c)
+    for s in range(dim):
+        # D b_i = sum_s D[s][i] b_s, and likewise for b_j
+        if left:
+            for r, c in g.bracket_basis(s, j):
+                add(r, s * dim + i, -c)
+        if right:
+            for r, c in g.bracket_basis(i, s):
+                add(r, s * dim + j, -c)
+    return rows
 
 
 def derivation_space(g: LieAlgebra) -> DerivationBasis:
     """All derivations as the kernel of the Leibniz system in dim^2 unknowns."""
     dim = g.dim
-    rows: list[list[Rat]] = []
+    leibniz = Echelon()
     for i in range(dim):
         for j in range(i + 1, dim):
-            sij = g.bracket_basis(i, j)
-            for r in range(dim):
-                row = [Fraction(0)] * (dim * dim)
-                for k, c in sij:
-                    row[_unknown(r, k, dim)] += c
-                # -[D b_i, b_j]: D b_i = sum_s D[s][i] b_s
-                for s in range(dim):
-                    for k, c in g.bracket_basis(s, j):
-                        if k == r:
-                            row[_unknown(s, i, dim)] -= c
-                # -[b_i, D b_j]
-                for s in range(dim):
-                    for k, c in g.bracket_basis(i, s):
-                        if k == r:
-                            row[_unknown(s, j, dim)] -= c
-                if any(row):
-                    rows.append(row)
-    if rows:
-        der_vecs = kernel_basis(MatQ.from_rows(rows))
-    else:
-        der_vecs = [tuple(Fraction(1 if t == u else 0) for t in range(dim * dim)) for u in range(dim * dim)]
-    der = tuple(MatQ(dim, dim, v) for v in der_vecs)
+            for row in _leibniz_rows(g, i, j, left=True, right=True):
+                leibniz.add(row)
+    der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
 
-    # inner derivations: greedy maximal independent subset of the ad images
-    inn: list[MatQ] = []
-    stacked: list[list[Rat]] = []
-    rank = 0
-    for i in range(dim):
-        m = g.ad(g.basis_vector(i))
-        cand = stacked + [list(m.entries)]
-        r = rref(MatQ.from_rows(cand)).rank
-        if r > rank:
-            inn.append(m)
-            stacked = cand
-            rank = r
-    # extend by derivation basis vectors to span Der, deterministically
-    comp: list[MatQ] = []
-    for m in der:
-        cand = stacked + [list(m.entries)]
-        r = rref(MatQ.from_rows(cand)).rank
-        if r > rank:
-            comp.append(m)
-            stacked = cand
-            rank = r
+    # inner derivations: greedy maximal independent subset of the ad images,
+    # then extended by derivation basis vectors to span Der, deterministically
+    span = Echelon()
+    inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(dict(enumerate(m.entries)))]
+    comp = [m for m in der if span.add(dict(enumerate(m.entries)))]
     return DerivationBasis(algebra=g, der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
 
 
 def centroid_space(g: LieAlgebra) -> CentroidBasis:
     """Maps commuting with all brackets: phi[x,y] = [phi x, y] = [x, phi y]."""
     dim = g.dim
-    rows: list[list[Rat]] = []
+    system = Echelon()
     # i == j is not vacuous here: [phi(x), x] must vanish for every x
     for i in range(dim):
         for j in range(i, dim):
-            sij = g.bracket_basis(i, j)
-            for side in ("left", "right"):
-                for r in range(dim):
-                    row = [Fraction(0)] * (dim * dim)
-                    for k, c in sij:
-                        row[_unknown(r, k, dim)] += c
-                    if side == "left":
-                        for s in range(dim):
-                            for k, c in g.bracket_basis(s, j):
-                                if k == r:
-                                    row[_unknown(s, i, dim)] -= c
-                    else:
-                        for s in range(dim):
-                            for k, c in g.bracket_basis(i, s):
-                                if k == r:
-                                    row[_unknown(s, j, dim)] -= c
-                    if any(row):
-                        rows.append(row)
-    vecs = kernel_basis(MatQ.from_rows(rows)) if rows else []
+            for left in (True, False):
+                for row in _leibniz_rows(g, i, j, left=left, right=not left):
+                    system.add(row)
+    vecs = system.kernel(dim * dim) if system.rank else []
     basis = tuple(MatQ(dim, dim, v) for v in vecs)
     for a in basis:
         for b in basis:
-            assert a.mul(b) == b.mul(a), "centroid elements must commute"
+            if a.mul(b) != b.mul(a):
+                raise AssertionError("centroid elements must commute")
     return CentroidBasis(algebra=g, basis=basis)
-
-
-def ad_matrix(g: LieAlgebra, z: Vec) -> MatQ:
-    return g.ad(z)
 
 
 def _torus_kernel_vector(info: DistinguishedBasis, i: int, psi_row: Vec) -> Vec | None:
@@ -234,7 +197,8 @@ def aid_precondition(
         c = psi_row[j0] / beta_row[j0]
         if any(psi_row[j] != c * beta_row[j] for j in range(l)):
             witness = _torus_kernel_vector(info, i, psi_row)
-            assert witness is not None
+            if witness is None:
+                raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
         scalars.append(c)
     return True, {"scalars": tuple(scalars)}
@@ -254,14 +218,13 @@ def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, M
     z = tuple(Fraction(0) for _ in range(l)) + tuple(scalars)
     adz = g.ad(z)
     dt = MatQ(g.dim, g.dim, tuple(a + b for a, b in zip(d.entries, adz.entries)))
-    for j in range(l):
-        assert not any(dt.at(r, j) for r in range(g.dim)), "reduction failed to kill the torus"
+    if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
+        raise AssertionError("reduction failed to kill the torus")
     a: list[Rat] = []
     for i in range(m):
         col = [dt.at(r, l + i) for r in range(g.dim)]
-        for r in range(g.dim):
-            if r != l + i:
-                assert col[r] == 0, "reduced derivation is not diagonal on the root vectors"
+        if any(col[r] for r in range(g.dim) if r != l + i):
+            raise AssertionError("reduced derivation is not diagonal on the root vectors")
         a.append(col[l + i])
     return z, dt, tuple(a)
 
@@ -287,7 +250,8 @@ def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdi
             data={"system": system, "rhs": a, "fails_at": x, "reduction_z": z},
         )
     witness = tuple(hh - zz for hh, zz in zip(tuple(h) + (Fraction(0),) * m, z))
-    assert g.ad(witness) == d, "inner witness does not reproduce the derivation"
+    if g.ad(witness) != d:
+        raise AssertionError("inner witness does not reproduce the derivation")
     return AidVerdict(status="inner", witness=witness, data={"reduction_z": z, "scalars": a, "torus_part": h})
 
 
@@ -303,11 +267,7 @@ def aid_falsify_random(
         x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(g.dim))
         if not any(x):
             continue
-        adx = g.ad(x)
-        target = d.mul_vec(x)
-        base_rank = rref(adx).rank
-        aug = MatQ.from_rows([list(adx.row(r)) + [target[r]] for r in range(g.dim)])
-        if rref(aug).rank > base_rank:
+        if solve(g.ad(x), d.mul_vec(x)) is None:
             return x
     return None
 
@@ -406,7 +366,8 @@ def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) 
     inner = feasible and viol is None
     if inner:
         witness = tuple(z) + (Fraction(0),) * m
-        assert g.ad(witness) == d
+        if g.ad(witness) != d:
+            raise AssertionError("inner witness does not reproduce the diagonal map")
     else:
         witness = None
     return {
@@ -438,7 +399,6 @@ def diagonal_toral_algebra(beta_rows) -> tuple[LieAlgebra, DistinguishedBasis]:
     info = DistinguishedBasis(
         psi=tuple(tuple(int(x) for x in row) for row in beta_rows),  # weights stand in for roots
         torus_ambient=tuple(g.basis_vector(j) for j in range(l)),
-        roots_ambient=tuple(g.basis_vector(l + i) for i in range(m)),
         beta_of_h=MatQ.from_rows([[Fraction(x) for x in row] for row in beta_rows]),
         dual_torus_local=None,
         gram=None,

@@ -1,10 +1,12 @@
 """Exact rational and integer linear algebra.
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
-no floating point anywhere.  The routines fix deterministic conventions
-(pivot choice, free variables zeroed in pivot order, sign normalisation in
-the Smith form) so that downstream certificates are reproducible
-byte-for-byte.
+no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
+sits behind ``rref``, ``kernel_basis``, ``solve`` and ``solve_sparse``; their
+results are read off the unique reduced row echelon form, with free
+variables zeroed, so they do not depend on elimination order.  The Smith
+form fixes its own sign normalisation.  Downstream certificates are
+therefore reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "MatQ",
     "MatZ",
     "RrefResult",
+    "Echelon",
     "rref",
     "kernel_basis",
     "solve",
@@ -41,10 +44,6 @@ def rat_to_str(x: Rat | int) -> str:
 def rat_from_str(s: str) -> Rat:
     # Fraction normalises to lowest terms with positive denominator.
     return Fraction(s)
-
-
-def _as_rat_tuple(values: Sequence[Rat | int]) -> tuple[Rat, ...]:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,8 @@ class MatQ:
     def row(self, i: int) -> tuple[Rat, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Rat, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list[list[Rat]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "MatQ":
-        return MatQ(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def mul(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
@@ -113,8 +106,8 @@ class MatQ:
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        vv = _as_rat_tuple(v)
-        return tuple(sum((a * b for a, b in zip(self.row(i), vv) if a and b), Fraction(0)) for i in range(self.rows))
+        # entries are Fractions, so products with int coordinates are Fractions too
+        return tuple(sum((a * b for a, b in zip(self.row(i), v) if a and b), Fraction(0)) for i in range(self.rows))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -192,48 +185,81 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
-def rref(m: MatQ) -> RrefResult:
-    """Unique reduced row-echelon form, with rank and pivot columns.
+class Echelon:
+    """Sparse row echelon form over Q, grown one row at a time: ``rows`` maps
+    each leading (smallest) column to its ``{column: value}`` row, scaled so
+    the leading entry is 1.  This is the module's only elimination routine."""
 
-    Pivot selection is deterministic: leftmost column, topmost nonzero row.
-    """
-    rows = m.to_rows()
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [y - f * x for x, y in zip(rows[r], rows[i])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(MatQ.from_rows(rows) if nr else m, r, tuple(pivots))
+    def __init__(self):
+        self.rows: dict[int, dict[int, Rat]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: dict[int, Rat | int]) -> bool:
+        """Reduce ``row`` and keep what is left; False if it was dependent."""
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = min(row)
+            if c not in self.rows:
+                f = Fraction(row[c])
+                self.rows[c] = {cc: v / f for cc, v in row.items()}
+                return True
+            _subtract(row, row[c], self.rows[c])
+        return False
+
+    def reduced(self) -> dict[int, dict[int, Rat]]:
+        """The unique reduced row echelon form, keyed by pivot, ascending."""
+        red: dict[int, dict[int, Rat]] = {}
+        for c in sorted(self.rows, reverse=True):
+            row = dict(self.rows[c])
+            for p in [p for p in row if p != c and p in red]:
+                _subtract(row, row[p], red[p])
+            red[c] = row
+        return dict(sorted(red.items()))
+
+    def kernel(self, ncols: int) -> list[tuple[Rat, ...]]:
+        """Null space basis, one vector per free column, ascending."""
+        red = self.reduced()
+        return [
+            tuple(-red[c].get(fc, _ZERO) if c in red else (_ONE if c == fc else _ZERO) for c in range(ncols))
+            for fc in range(ncols)
+            if fc not in red
+        ]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _subtract(row: dict[int, Rat], f: Rat, prow: dict[int, Rat]) -> None:
+    """``row -= f * prow`` in place, dropping the entries that vanish."""
+    for c, v in prow.items():
+        nv = row.get(c, 0) - f * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+
+
+def _echelon(m: MatQ) -> Echelon:
+    ech = Echelon()
+    for i in range(m.rows):
+        ech.add(dict(enumerate(m.row(i))))
+    return ech
+
+
+def rref(m: MatQ) -> RrefResult:
+    """Unique reduced row-echelon form, with rank and pivot columns."""
+    red = _echelon(m).reduced()
+    flat = [row.get(j, _ZERO) for row in red.values() for j in range(m.cols)]
+    flat += [_ZERO] * ((m.rows - len(red)) * m.cols)
+    return RrefResult(MatQ(m.rows, m.cols, tuple(flat)), len(red), tuple(red))
 
 
 def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
     """Basis of the right null space, one vector per free column, ascending."""
-    res = rref(m)
-    pivset = set(res.pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis: list[tuple[Rat, ...]] = []
-    red = res.reduced
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(res.pivots):
-            v[pc] = -red.at(r, fc)
-        basis.append(tuple(v))
-    return basis
+    return _echelon(m).kernel(m.cols)
 
 
 def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
@@ -244,59 +270,27 @@ def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    bb = _as_rat_tuple(b)
-    aug = MatQ.from_rows([list(m.row(i)) + [bb[i]] for i in range(m.rows)]) if m.rows else MatQ.zeros(0, m.cols + 1)
-    res = rref(aug)
-    if m.cols in res.pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    red = res.reduced
-    for r, pc in enumerate(res.pivots):
-        x[pc] = red.at(r, m.cols)
-    return tuple(x)
+    return _solve((dict(enumerate(m.row(i))) for i in range(m.rows)), b, m.cols)
 
 
 def solve_sparse(rows: list[dict[int, Rat]], rhs: Sequence[Rat | int], ncols: int) -> tuple[Rat, ...] | None:
-    """Sparse companion to :func:`solve` for systems with few entries per row.
+    """:func:`solve` for ``{column: value}`` rows, with the same witness;
+    returns None at the first row that reduces to a nonzero constant."""
+    return _solve(rows, rhs, ncols)
 
-    Deterministic (fixed elimination order, non-pivot unknowns zeroed); the
-    witness it returns may differ from the dense solver's, but both satisfy
-    the system exactly.
-    """
-    pivots: dict[int, tuple[dict[int, Rat], Rat]] = {}
+
+def _solve(rows, rhs, ncols: int) -> tuple[Rat, ...] | None:
+    # shared by solve and solve_sparse, so that neither public entry point
+    # calls the other.  The right-hand side is column ncols, the last, so it
+    # leads a row only when that row is inconsistent.
+    ech = Echelon()
     for row, b in zip(rows, rhs):
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        b = Fraction(b)
-        while row:
-            c = min(row)
-            if c in pivots:
-                prow, pb = pivots[c]
-                f = row.pop(c)
-                for cc, v in prow.items():
-                    if cc == c:
-                        continue
-                    nv = row.get(cc, Fraction(0)) - f * v
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        row.pop(cc, None)
-                b -= f * pb
-            else:
-                f = row[c]
-                prow = {cc: v / f for cc, v in row.items()}
-                pivots[c] = (prow, b / f)
-                row = {}
-                b = Fraction(0)
-        if b != 0:
+        if ech.add({**row, ncols: b}) and ncols in ech.rows:
             return None
-    x = [Fraction(0)] * ncols
-    for c in sorted(pivots, reverse=True):
-        prow, pb = pivots[c]
-        acc = pb
-        for cc, v in prow.items():
-            if cc != c:
-                acc -= v * x[cc]
-        x[c] = acc
+    x = [_ZERO] * ncols
+    for c in sorted(ech.rows, reverse=True):
+        row = ech.rows[c]
+        x[c] = row.get(ncols, _ZERO) - sum((v * x[cc] for cc, v in row.items() if c < cc < ncols), _ZERO)
     return tuple(x)
 
 
@@ -388,5 +382,6 @@ def smith_normal_form(a: MatZ) -> tuple[MatZ, MatZ, MatZ]:
         t += 1
 
     um, dm, vm = MatZ.from_rows(u), MatZ.from_rows(m), MatZ.from_rows(v)
-    assert um.mul(a).mul(vm).entries == dm.entries
+    if um.mul(a).mul(vm).entries != dm.entries:
+        raise AssertionError("Smith normal form identity u * a * v = d fails")
     return um, dm, vm

@@ -1,7 +1,12 @@
 """Derivation spaces, centroids, and the almost-inner decision procedure."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +247,33 @@ def test_scalar_derivation_verdict_dichotomy():
     # additive scalars do give a derivation there, and it is inner
     v3 = scalar_derivation_verdict(g2, info2, [1, 2, 3])
     assert v3["is_derivation"] and v3["inner"]
+
+
+def test_verification_survives_python_O():
+    """The witness re-check is explicit code, not an assert that -O strips."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from liecert.chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+        from liecert.dercalc import aid_membership
+        from liecert.exact import MatQ
+        from liecert.rootsys import build_root_system
+
+        assert False, "asserts must be off for this check"
+        rs = build_root_system("B", 2)
+        g, info = extract_subalgebra(build_semisimple(rs), SubalgebraSpec(rs, ((1, 0), (2, 1))))
+        d = g.ad(g.basis_vector(0))
+        LieAlgebra.ad = lambda self, x: MatQ.zeros(self.dim, self.dim)
+        try:
+            aid_membership(g, info, d)
+        except AssertionError as exc:
+            print("raised:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "inner witness does not reproduce the derivation" in proc.stdout

@@ -6,7 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from liecert.dercalc import _leibniz_rows, diagonal_toral_algebra
 from liecert.exact import (
+    Echelon,
     MatQ,
     MatZ,
     kernel_basis,
@@ -136,6 +138,7 @@ def test_solve_random_consistent_systems():
 
 
 def test_solve_sparse_agrees_with_dense_on_feasibility():
+    """Not only the same feasibility verdict: the identical witness."""
     rng = random.Random(41)
     for _ in range(25):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
@@ -152,8 +155,7 @@ def test_solve_sparse_agrees_with_dense_on_feasibility():
             [[rows[i].get(j, Fraction(0)) for j in range(nc)] for i in range(nr)]
         )
         got = solve_sparse(rows, b, nc)
-        want = solve(dense, b)
-        assert (got is None) == (want is None)
+        assert got == solve(dense, b)
         if got is not None:
             assert dense.mul_vec(got) == tuple(b)
 
@@ -162,6 +164,72 @@ def test_solve_sparse_deterministic():
     rows = [{0: Fraction(1), 1: Fraction(1)}]
     assert solve_sparse(rows, [Fraction(1)], 3) == solve_sparse(rows, [Fraction(1)], 3)
     assert solve_sparse([{}], [Fraction(1)], 2) is None
+
+
+def test_echelon_add_rejects_dependent_row():
+    ech = Echelon()
+    assert ech.add({0: Fraction(1), 2: Fraction(2)})
+    assert ech.add({1: Fraction(3), 2: Fraction(-1)})
+    assert not ech.add({0: Fraction(2), 1: Fraction(-3), 2: Fraction(5)})  # 2*r0 - r1
+    assert not ech.add({})
+    assert ech.rank == 2
+    assert ech.rows == {0: {0: 1, 2: 2}, 1: {1: 1, 2: Fraction(-1, 3)}}
+
+
+def _sympy_systems(rng):
+    """Random rational systems: square, wide, tall, sparse, Leibniz-shaped,
+    and rank-deficient ones whose random right-hand sides are mostly
+    inconsistent."""
+    def dense(nr, nc, density):
+        return [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+
+    for nr, nc, density in [(4, 4, 0.9), (3, 9, 0.7), (8, 3, 0.8), (7, 14, 0.15), (10, 12, 0.3)]:
+        for _ in range(6):
+            yield dense(nr, nc, density)
+    for _ in range(6):
+        low = dense(3, 7, 0.8)
+        mix = [[sum(rng.randint(-2, 2) * r[j] for r in low) for j in range(7)] for _ in range(5)]
+        yield low + mix
+    for weights in ([[1, 0], [0, 1], [1, 1]], [[2, -1], [-1, 2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        g, _ = diagonal_toral_algebra(weights)
+        rows = [row for i in range(g.dim) for j in range(i + 1, g.dim) for row in _leibniz_rows(g, i, j, True, True)]
+        yield [[Fraction(row.get(c, 0)) for c in range(g.dim**2)] for row in rows]
+
+
+def test_rref_kernel_solve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    rng = random.Random(59)
+    feasible = infeasible = 0
+    for rows in _sympy_systems(rng):
+        m = MatQ.from_rows(rows)
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        red, pivots = sm.rref()
+        res = rref(m)
+        assert res.pivots == tuple(pivots) and res.rank == len(pivots)
+        assert res.reduced.entries == tuple(frac(x) for x in red)
+        assert kernel_basis(m) == [tuple(frac(x) for x in v) for v in sm.nullspace()]
+
+        b = [Fraction(rng.randint(-3, 3)) for _ in range(m.rows)]
+        aug, apiv = sm.row_join(sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in b])).rref()
+        if m.cols in apiv:
+            want = None
+            infeasible += 1
+        else:
+            x = [Fraction(0)] * m.cols
+            for r, c in enumerate(apiv):
+                x[c] = frac(aug[r, m.cols])
+            want = tuple(x)
+            feasible += 1
+        assert solve(m, b) == want
+        assert solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, m.cols) == want
+    assert feasible and infeasible
 
 
 def test_snf_unimodular_input():
