@@ -151,12 +151,15 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
             for left in (True, False):
                 for row in _leibniz_rows(g, i, j, left=left, right=not left):
                     system.add(row)
-    vecs = system.kernel(dim * dim) if system.rank else []
-    basis = tuple(MatQ(dim, dim, v) for v in vecs)
+    basis = tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim))
+    # for centroid elements a, b, [(ab - ba)x, y] = 0: ab - ba maps L into its center
     for a in basis:
         for b in basis:
-            if a.mul(b) != b.mul(a):
-                raise AssertionError("centroid elements must commute")
+            comm = [x - y for x, y in zip(a.mul(b).entries, b.mul(a).entries)]
+            for t in range(dim):
+                col = tuple(comm[s * dim + t] for s in range(dim))
+                if any(col) and any(any(g.bracket(col, g.basis_vector(j))) for j in range(dim)):
+                    raise AssertionError("a centroid commutator maps L outside its center")
     return CentroidBasis(algebra=g, basis=basis)
 
 

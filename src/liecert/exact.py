@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -28,6 +28,7 @@ __all__ = [
     "solve",
     "solve_sparse",
     "smith_normal_form",
+    "hermite_pivots",
     "rat_to_str",
     "rat_from_str",
 ]
@@ -292,6 +293,44 @@ def _solve(rows, rhs, ncols: int) -> tuple[Rat, ...] | None:
         row = ech.rows[c]
         x[c] = row.get(ncols, _ZERO) - sum((v * x[cc] for cc, v in row.items() if c < cc < ncols), _ZERO)
     return tuple(x)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``g = gcd(a, b) = s*a + t*b`` and ``g >= 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def hermite_pivots(vectors: Iterable[Sequence[int]], dim: int) -> list[int]:
+    """Pivot entries, in column order, of the row Hermite form of the lattice
+    that the integer vectors span in Z^dim.
+
+    Each vector is reduced against the pivot rows by unimodular extended-gcd
+    row operations, so the span never changes.  The vectors span Z^dim iff
+    there are ``dim`` pivots and every one is 1.
+    """
+    pivots: dict[int, list[int]] = {}
+    for vec in vectors:
+        v = list(vec)
+        for c in range(dim):
+            x = v[c]
+            if x == 0:
+                continue
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = v if x > 0 else [-y for y in v]
+                break
+            # [[s, t], [-b, a]] has determinant (s*p[c] + t*x) / g = 1
+            g, s, t = _xgcd(p[c], x)
+            a, b = p[c] // g, x // g
+            pivots[c] = [s * y + t * z for y, z in zip(p, v)]
+            v = [a * z - b * y for y, z in zip(p, v)]
+    return [pivots[c][c] for c in sorted(pivots)]
 
 
 def _snf_min_entry(rows: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:

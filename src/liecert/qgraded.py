@@ -5,8 +5,8 @@ A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 ``L`` is a subalgebra iff Psi is closed under root addition, and Q-graded iff
 additionally Psi spans the root lattice over Z (all Smith invariant factors 1
 at full rank).  Minimality means no proper subset is simultaneously closed and
-spanning; it is decided by exhaustive subset search, which is sound and
-complete at desk scale.
+spanning; ``is_minimal`` decides it by exhaustive subset search, and
+``enumerate_minimal`` walks only the closed subsets of the whole root system.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, closure_violation, extract_subalgebra
-from .exact import MatQ, MatZ, rref, smith_normal_form
+from .exact import MatQ, MatZ, hermite_pivots, rref, smith_normal_form
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -110,52 +110,87 @@ def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
     return True, None
 
 
+def _closed_masks(rs: RootSystem) -> list[int]:
+    """Bitmasks (bit k for ``rs.roots[k]``) of every closed subset of the roots.
+
+    Backtracks over the roots in index order.  Each root-sum triple
+    ``a + b = c`` is checked once, when the largest of its three indices is
+    decided, so only closed prefixes are ever extended.
+    """
+    roots = rs.roots
+    n = len(roots)
+    # leaving root k out needs no pair i + j = k (i, j < k) to be in;
+    # taking root k in needs s in whenever i is, for each i + k = s (i, s < k)
+    out_pairs: list[list[int]] = [[] for _ in range(n)]
+    in_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, a in enumerate(roots):
+        for j in range(i + 1, n):
+            s = rs.root_index.get(tuple(x + y for x, y in zip(a, roots[j])))
+            if s is None:
+                continue
+            if s > j:
+                out_pairs[s].append((1 << i) | (1 << j))
+            else:
+                in_pairs[j].append((1 << i, 1 << s))
+    found: list[int] = []
+
+    def walk(k: int, mask: int) -> None:
+        if k == n:
+            found.append(mask)
+            return
+        if all(mask & pair != pair for pair in out_pairs[k]):
+            walk(k + 1, mask)
+        if all(not mask & bi or mask & bs for bi, bs in in_pairs[k]):
+            walk(k + 1, mask | 1 << k)
+
+    walk(0, 0)
+    return found
+
+
 def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
     """All minimal Q-graded subsets, canonically ordered.
 
-    Scans subsets by increasing size; a closed spanning subset is minimal iff
-    it contains no previously found closed spanning subset.
+    Walks the closed subsets by increasing size.  A closed set that contains
+    a minimal set found earlier is not minimal; any other closed set is
+    minimal iff it spans the root lattice, since each of its closed spanning
+    proper subsets would contain a smaller minimal set.  ``cap`` bounds
+    ``2^|roots|``, the size of the search space.
     """
     n = len(rs.roots)
     if 1 << n > cap:
         raise EnumerationCapExceeded(
             f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead"
         )
-    roots = list(rs.roots)
-    idx = {r: i for i, r in enumerate(roots)}
-    # addition table over root indices: i + j -> index or None
-    add = [[None] * n for _ in range(n)]
-    for i, a in enumerate(roots):
-        for j, b in enumerate(roots):
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in idx:
-                add[i][j] = idx[s]
-
-    def closed_mask(mask: int, members: tuple[int, ...]) -> bool:
-        for i in members:
-            row = add[i]
-            for j in members:
-                t = row[j]
-                if t is not None and not (mask >> t) & 1:
-                    return False
-        return True
-
-    found_spanning: list[int] = []
-    minimal: list[SubalgebraSpec] = []
+    roots = rs.roots
     l = rs.rank
-    for size in range(l, n + 1):
-        for members in combinations(range(n), size):
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            if not closed_mask(mask, members):
-                continue
-            spec = SubalgebraSpec(rs, tuple(roots[i] for i in members))
-            if not spans_q(spec)[0]:
-                continue
-            if all((mask & prev) != prev for prev in found_spanning):
-                minimal.append(spec)
-            found_spanning.append(mask)
+    unit = [1] * l
+    candidates = sorted((m for m in _closed_masks(rs) if m.bit_count() >= l), key=int.bit_count)
+    # bit t of holders[k] is set iff the t-th minimal set found holds root k.
+    # OR-ing the holders of the roots a set lacks marks each found set that it
+    # does not contain; it contains none of them iff every bit gets marked.
+    holders = [0] * n
+    every = 0
+    minimal: list[SubalgebraSpec] = []
+    for mask in candidates:
+        blocked = 0
+        for k in range(n):
+            if not mask >> k & 1:
+                blocked |= holders[k]
+        if blocked != every:
+            continue
+        members = [k for k in range(n) if mask >> k & 1]
+        psi = tuple(roots[k] for k in members)
+        if hermite_pivots(psi, l) != unit:
+            continue
+        bit = 1 << len(minimal)
+        every |= bit
+        for k in members:
+            holders[k] |= bit
+        spec = SubalgebraSpec(rs, psi)
+        # printed sets keep their closure and Smith-form evidence
+        if closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]:
+            raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
+        minimal.append(spec)
     minimal.sort(key=lambda s: (len(s.psi), s.psi))
     return minimal
 

@@ -24,7 +24,7 @@ from liecert.dercalc import (
     scalar_derivation_verdict,
     verify_aid_eq_inn,
 )
-from liecert.exact import MatQ, rref
+from liecert.exact import Echelon, MatQ, rref
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 
@@ -108,6 +108,23 @@ def test_centroid_of_simple_b2_is_scalars():
     g = build_semisimple(rs)
     cent = centroid_space(g)
     assert len(cent.basis) == 1
+
+
+def test_centroid_of_abelian_algebra_is_all_of_end():
+    # every map commutes with the zero bracket; End(L) is not commutative,
+    # but each commutator maps L into its center, which is all of L
+    cent = centroid_space(abelian_algebra(2))
+    assert len(cent.basis) == 4
+
+
+def test_centroid_commutator_check_fires(b2_minimal, monkeypatch):
+    # E_00 E_01 - E_01 E_00 = E_01 sends b_1 to the torus element b_0, which
+    # is not central in the minimal subalgebra
+    g, _ = b2_minimal
+    units = [tuple(Fraction(int(k == c)) for k in range(g.dim * g.dim)) for c in (0, 1)]
+    monkeypatch.setattr(Echelon, "kernel", lambda self, ncols: units)
+    with pytest.raises(AssertionError, match="outside its center"):
+        centroid_space(g)
 
 
 def test_aid_precondition_inner_passes(b2_minimal):

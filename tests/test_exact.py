@@ -11,6 +11,7 @@ from liecert.exact import (
     Echelon,
     MatQ,
     MatZ,
+    hermite_pivots,
     kernel_basis,
     rat_from_str,
     rat_to_str,
@@ -273,6 +274,47 @@ def test_snf_random_properties():
             for j in range(nc):
                 if i != j:
                     assert d.at(i, j) == 0
+
+
+@pytest.mark.parametrize(
+    "vectors, pivots",
+    [
+        ([(0, 1), (2, 1)], [2, 1]),  # B2 beta, 2a+b: invariant factors (1, 2)
+        ([(1, 0), (2, 1)], [1, 1]),
+        ([(2, 4), (-3, -6)], [1]),  # rank one, gcd 1
+        ([(-2, 0), (0, 0)], [2]),
+        ([], []),
+    ],
+)
+def test_hermite_pivots_examples(vectors, pivots):
+    assert hermite_pivots(vectors, 2) == pivots
+
+
+def test_hermite_pivots_match_smith_form():
+    # random integer combinations of up to dim random base vectors, so rank
+    # deficiency and lattice index > 1 both occur
+    rng = random.Random(31)
+    seen = {"spans": 0, "deficient": 0, "index": 0}
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        base = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+        vecs = [
+            [sum(c * b[i] for c, b in zip(coef, base)) for i in range(dim)]
+            for coef in ([rng.randint(-2, 2) for _ in base] for _ in range(rng.randint(1, 6)))
+        ]
+        pivots = hermite_pivots(vecs, dim)
+        _, d, _ = smith_normal_form(MatZ.from_rows(vecs))
+        factors = [x for x in d.diagonal() if x]
+        assert len(pivots) == len(factors) and all(p > 0 for p in pivots)
+        spans = len(factors) == dim and all(x == 1 for x in factors)
+        assert (pivots == [1] * dim) == spans
+        if len(factors) == dim:
+            prod_p = prod_f = 1
+            for p, f in zip(pivots, factors):
+                prod_p, prod_f = prod_p * p, prod_f * f
+            assert prod_p == prod_f  # both are the index of the lattice in Z^dim
+        seen["spans" if spans else "deficient" if len(factors) < dim else "index"] += 1
+    assert all(seen.values()), seen
 
 
 def test_fraction_field_axioms_randomized():

@@ -1,10 +1,19 @@
 """Closure/span/minimality decisions and the minimal-subalgebra enumerator."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from liecert.chevalley import SubalgebraSpec, build_semisimple
+from liecert.chevalley import SubalgebraSpec, build_semisimple, closure_violation
+from liecert.exact import hermite_pivots
 from liecert.qgraded import (
     EnumerationCapExceeded,
+    _closed_masks,
     certify,
     enumerate_minimal,
     is_closed,
@@ -13,6 +22,11 @@ from liecert.qgraded import (
     verify_metabelian,
 )
 from liecert.rootsys import build_root_system
+
+# enumerate_minimal output of the former scan over all 2^|roots| subsets,
+# one "--psi"-style string per set, in output order
+FROZEN = json.loads((Path(__file__).parent / "golden" / "minimal_sets.json").read_text(encoding="utf-8"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 B2_MINIMAL = [
     {(1, 0), (2, 1)},       # alpha, 2a+b
@@ -161,3 +175,91 @@ def test_certify_bundle(b2rs):
     cert2 = certify(SubalgebraSpec(b2rs, ((1, 0), (0, 1))))
     assert not cert2.closed and cert2.minimal is None and cert2.metabelian is None
     assert not cert2.all_positive()
+
+
+def _psi(rs, mask):
+    return tuple(rs.roots[k] for k in range(len(rs.roots)) if mask >> k & 1)
+
+
+def _python(args, hashseed=None, optimize=False):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    env.pop("LIECERT_SEED", None)
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN))
+def test_enumerate_matches_frozen_lists(key):
+    rs = build_root_system(key[0], int(key[1:]))
+    got = [";".join(",".join(map(str, r)) for r in s.psi) for s in enumerate_minimal(rs)]
+    assert got == FROZEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN))
+def test_minimal_sets_have_rank_many_roots(key):
+    # a cross-check of the frozen output, not a rule the enumerator relies on
+    rank = int(key[1:])
+    assert all(len(text.split(";")) == rank for text in FROZEN[key])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_type_a_counts_are_twice_cayley(n):
+    # 2 (n+1)^(n-1): twice the number of labelled trees on n+1 vertices
+    assert len(enumerate_minimal(build_root_system("A", n))) == 2 * (n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_closed_walk_matches_subset_scan(family, rank):
+    rs = build_root_system(family, rank)
+    scan = [m for m in range(1 << len(rs.roots)) if closure_violation(rs, _psi(rs, m)) is None]
+    assert sorted(_closed_masks(rs)) == scan
+
+
+def test_closed_walk_counts():
+    assert len(_closed_masks(build_root_system("A", 4))) == 6942
+    assert len(_closed_masks(build_root_system("D", 4))) == 18291
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4)])
+def test_hermite_span_agrees_with_smith_on_closed_subsets(family, rank):
+    rs = build_root_system(family, rank)
+    verdicts = set()
+    for mask in _closed_masks(rs):
+        psi = _psi(rs, mask)
+        spans = hermite_pivots(psi, rank) == [1] * rank
+        assert spans == spans_q(SubalgebraSpec(rs, psi))[0], psi
+        verdicts.add(spans)
+    assert verdicts == {True, False}
+
+
+def test_minimal_output_ignores_hash_seed():
+    argv = ["-m", "liecert.cli", "minimal", "--family", "A", "--rank", "3"]
+    runs = [_python(argv, hashseed=seed) for seed in ("0", "1", "7")]
+    assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert json.loads(runs[0].stdout)["verdicts"]["count"] == 32
+
+
+def test_enumerate_recheck_survives_python_O():
+    """Each printed set is re-checked with the Smith form by explicit code."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import liecert.qgraded as q
+        from liecert.rootsys import build_root_system
+
+        assert False, "asserts must be off for this check"
+        q.spans_q = lambda spec: (False, ())
+        try:
+            q.enumerate_minimal(build_root_system("B", 2))
+        except AssertionError as exc:
+            print("raised:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    proc = _python(["-c", script], optimize=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Smith-form re-check" in proc.stdout
