@@ -13,7 +13,15 @@ the closed-form ansatz (torus correction at degree -j solved over a Gram
 submatrix, then per-root Laurent division); the general path is a windowed
 linear-feasibility search and is the correctness backstop, since the ansatz's
 divisibility step can genuinely fail.  Window-bounded negatives are reported
-as inconclusive, never as refutations.
+as inconclusive, never as refutations; an empty window, or an inner-match
+window that misses the degree of a term, is rejected as invalid input.
+
+The general path's equations are built straight from the structure table:
+for each component ``x_m t^m`` of X the sparse columns ``[x_m, b_k]`` and
+the form row ``(x_m, b_k)`` are computed once per call.
+Unknown ``b_k t^n`` then contributes ``[x_m, b_k]`` at degree ``m + n`` and
+``m (x_m, b_k)`` to the central equation when ``m + n = 0``.  Every solution
+is re-verified with ``affine_bracket`` before it is returned.
 """
 
 from __future__ import annotations
@@ -241,13 +249,14 @@ class AffineElement:
     def __post_init__(self):
         clean = {}
         for deg, vec in self.support.items():
-            vec = tuple(Fraction(v) for v in vec)
+            vec = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vec)
             if len(vec) != self.ctx.dim:
                 raise ValueError("component length does not match the algebra dimension")
             if any(vec):
                 clean[int(deg)] = vec
         object.__setattr__(self, "support", clean)
-        object.__setattr__(self, "central", Fraction(self.central))
+        if not isinstance(self.central, Fraction):
+            object.__setattr__(self, "central", Fraction(self.central))
 
     def component(self, degree: int) -> Vec:
         return self.support.get(degree, tuple(Fraction(0) for _ in range(self.ctx.dim)))
@@ -606,7 +615,8 @@ def loop_aid_reduce(ctx: LoopContext, tensor_terms) -> LoopAidResult:
     all_inner = True
     for term in tensor_terms:
         degs = term.f.degrees()
-        assert len(degs) == 1, "tensor terms from decomposition carry monomial weights"
+        if len(degs) != 1:
+            raise ValueError("tensor terms from decomposition carry monomial weights")
         deg = degs[0]
         verdict = aid_membership(g, info, term.matrix)
         verdicts.append((deg, verdict.status))
@@ -651,7 +661,8 @@ def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | No
     i = next(k for k, f in enumerate(fs) if not f.is_zero)
     x = ctx.basis_at(i, 1)
     z = op(x)
-    assert torus_component_obstruction(z)
+    if not torus_component_obstruction(z):
+        raise AssertionError("value at h_i (x) t has no torus component")
     return False, {"fails_at": x, "value": z, "index": i + 1}
 
 
@@ -670,6 +681,12 @@ def default_window(x: AffineElement, extra_degrees=()) -> tuple[int, int]:
     return lo - 2 * spread, hi + 2 * spread
 
 
+def _check_window(window: tuple[int, int]) -> None:
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]: the lower degree exceeds the upper")
+
+
 def bracket_match(
     ctx: LoopContext,
     pairs: list[tuple[AffineElement, AffineElement]],
@@ -680,40 +697,53 @@ def bracket_match(
     Exact windowed linear feasibility; a None is only "nothing inside this
     window".  The central coordinate of Y never matters and is left at zero.
     """
+    _check_window(window)
     lo, hi = window
-    unknowns = [(deg, k) for deg in range(lo, hi + 1) for k in range(ctx.dim)]
-    # sparse rows keyed by unknown index; one block of equations per pair
+    g, dim = ctx.algebra, ctx.dim
+    # unknown (deg, k) is column (deg - lo) * dim + k; one block of sparse
+    # equations per pair, keyed by output (degree, coordinate), plus the
+    # central equation.  The nonzero entries of ad(x_m) and of the form row
+    # of x_m are computed once per distinct component within this call.
+    memo: dict[Vec, tuple[list[tuple[int, int, Rat]], list[tuple[int, Rat]]]] = {}
     rows: list[dict[int, Rat]] = []
     rhs: list[Rat] = []
     for x, z in pairs:
         by_output: dict[tuple[int, int], dict[int, Rat]] = {}
         central_row: dict[int, Rat] = {}
-        for t, (deg, k) in enumerate(unknowns):
-            img = affine_bracket(x, ctx.basis_at(k, deg))
-            for d, vec in img.support.items():
-                for c, v in enumerate(vec):
-                    if v:
-                        by_output.setdefault((d, c), {})[t] = v
-            if img.central:
-                central_row[t] = img.central
+        for m, xv in x.support.items():
+            if xv not in memo:
+                ad = g.ad(xv)
+                memo[xv] = (
+                    [(k, c, ad.at(c, k)) for k in range(dim) for c in range(dim) if ad.at(c, k)],
+                    [(k, v) for k, v in enumerate(g.form.mul_vec(xv)) if v],
+                )
+            entries, form = memo[xv]
+            for deg in range(lo, hi + 1):
+                base = (deg - lo) * dim
+                for k, c, v in entries:
+                    by_output.setdefault((m + deg, c), {})[base + k] = v
+            if m and lo <= -m <= hi:
+                base = (-m - lo) * dim
+                for k, v in form:
+                    central_row[base + k] = m * v
         out_keys = set(by_output)
         for d, vec in z.support.items():
-            for c, v in enumerate(vec):
-                if v:
-                    out_keys.add((d, c))
-        for key in sorted(out_keys):
-            rows.append(by_output.get(key, {}))
-            rhs.append(z.component(key[0])[key[1]])
+            out_keys.update((d, c) for c, v in enumerate(vec) if v)
+        for d, c in sorted(out_keys):
+            rows.append(by_output.get((d, c), {}))
+            zv = z.support.get(d)
+            rhs.append(zv[c] if zv is not None else Fraction(0))
         rows.append(central_row)
         rhs.append(z.central)
-    sol = solve_sparse(rows, rhs, len(unknowns))
+    sol = solve_sparse(rows, rhs, (hi - lo + 1) * dim)
     if sol is None:
         return None
-    support: dict[int, list[Rat]] = {}
-    for (deg, k), v in zip(unknowns, sol):
-        if v:
-            support.setdefault(deg, [Fraction(0)] * ctx.dim)[k] = v
-    y = ctx.element({d: tuple(v) for d, v in support.items()})
+    support: dict[int, Vec] = {}
+    for deg in range(lo, hi + 1):
+        vec = sol[(deg - lo) * dim : (deg - lo + 1) * dim]
+        if any(vec):
+            support[deg] = vec
+    y = ctx.element(support)
     for x, z in pairs:
         if affine_bracket(x, y) != z:
             raise AssertionError("solver returned a non-witness")
@@ -748,6 +778,7 @@ def toral_center_witness(
     target = op(x)
     if window is None:
         window = default_window(x, extra_degrees=(-j,))
+    _check_window(window)
     if target.is_zero:
         return WitnessSearch("witnessed", ctx.zero(), window, general_path_used=False)
 
@@ -757,7 +788,8 @@ def toral_center_witness(
         fast_failure = y
         y = None
     if y is not None:
-        assert affine_bracket(x, y) == target, "ansatz produced a non-witness"
+        if affine_bracket(x, y) != target:
+            raise AssertionError("ansatz produced a non-witness")
         return WitnessSearch("witnessed", y, window, general_path_used=False)
 
     y = bracket_match(ctx, [(x, target)], window)
@@ -772,7 +804,8 @@ def _toral_witness_ansatz(ctx: LoopContext, i: int, j: int, x: AffineElement):
     Laurent division.  Returns Y, or a string describing the failing step."""
     l = ctx.l
     info = ctx.basis
-    assert info.dual_torus_local is not None and info.gram is not None
+    if info.dual_torus_local is None or info.gram is None:
+        raise ValueError("the witness ansatz needs the dual torus basis and the Gram matrix")
     gram = info.gram
     b = [LaurentPoly.from_dict({deg: vec[m] for deg, vec in x.support.items()}) for m in range(l)]
     c = [LaurentPoly.from_dict({deg: vec[l + p] for deg, vec in x.support.items()}) for p in range(l)]
@@ -834,6 +867,8 @@ def aid_obstruction_check(
     functional vanishes identically, so a nonzero central target is a
     certified obstruction.  Otherwise a windowed witness search runs.
     """
+    if window is not None:
+        _check_window(window)
     z = op(x)
     if z.is_zero:
         return ObstructionResult("witnessed", ctx.zero(), window)
@@ -875,14 +910,20 @@ def global_inner_match(
     (each probe forces another Y coordinate to vanish, and the central row
     then cannot be met); the zero combination returns Y = 0.  None is
     window-bounded: inconclusive-negative, not a proof for unseen degrees.
+    The window must contain the degree j of every nonzero term, or no probe
+    would see that term and a match would be vacuous.
     """
     if not ctx.square():
         raise ValueError("needs dim L = 2 dim [L,L]")
+    _check_window(window)
     terms = tuple(
         (Fraction(w), ToralToCenter(ctx, i, j)) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0
     )
-    op = OperatorSum(ctx, terms)
     lo, hi = window
+    for _, t in terms:
+        if not lo <= t.j <= hi:
+            raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")
+    op = OperatorSum(ctx, terms)
     l = ctx.l
     probes: list[AffineElement] = []
     for i in range(ctx.dim):

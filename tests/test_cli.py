@@ -221,6 +221,38 @@ def test_inner_match_command(tmp_path):
     assert code == 0 and doc["verdicts"]["status"] == "matched"
 
 
+B2_MIN = ["--family", "B", "--rank", "2", "--psi", "1,0;2,1"]
+
+
+def test_inner_match_rejects_vacuous_windows(tmp_path):
+    # window (1, -1) holds no probe and no unknown; (0, 0) holds no probe
+    # that sees a j = 1 term: either way "matched" would be vacuous
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [{"weight": "1", "kind": "dij", "i": 1, "j": 1}]}))
+    for window in ("-1", "0"):
+        code, doc, _ = invoke(["inner-match"] + B2_MIN + ["--op", str(op), "--window", window])
+        assert code == 2 and "error" in doc, window
+    op.write_text(json.dumps({"terms": []}))
+    code, doc, _ = invoke(["inner-match"] + B2_MIN + ["--op", str(op), "--window", "-1"])
+    assert code == 2 and "empty window" in doc["error"]
+
+
+def test_dij_witness_rejects_empty_window(tmp_path):
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"central": "0", "support": {"1": ["1", "0", "0", "0"]}}))
+    code, doc, _ = invoke(["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", str(x), "--window", "-3"])
+    assert code == 2 and "empty window [3, -3]" in doc["error"]
+
+
+def test_aid_check_rejects_empty_window(tmp_path):
+    x = tmp_path / "x.json"
+    op = tmp_path / "op.json"
+    x.write_text(json.dumps({"central": "0", "support": {"1": ["1", "0", "0", "0"]}}))
+    op.write_text(json.dumps({"terms": [{"weight": "1", "kind": "dij", "i": 1, "j": 1}]}))
+    code, doc, _ = invoke(["aid-check"] + B2_MIN + ["--op", str(op), "--x", str(x), "--window", "-1"])
+    assert code == 2 and "empty window" in doc["error"]
+
+
 def test_byte_determinism_and_json_flag(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

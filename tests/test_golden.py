@@ -8,6 +8,8 @@ outputs has to say why; regenerate deliberately with
 """
 
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ INPUTS = GOLDEN / "inputs"
 
 B2_MIN = ["--family", "B", "--rank", "2", "--psi", "1,0;2,1"]
 A4_CHAIN = ["--family", "A", "--rank", "4", "--psi", "1,0,0,0;1,1,0,0;1,1,1,0;1,1,1,1"]
+A3_CHAIN = ["--family", "A", "--rank", "3", "--psi", "1,0,0;1,1,0;1,1,1"]
 E6_BIPARTITE = [
     "--family", "E", "--rank", "6",
     "--psi", "1,0,0,0,0,0;0,-1,0,0,0,0;0,0,-1,0,0,0;0,0,0,1,0,0;0,0,0,0,-1,0;0,0,0,0,0,1",
@@ -40,10 +43,15 @@ CASES = {
         ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_division_fails.json", "--window", "2"],
         0,
     ),
+    "dij-witness-A3-chain-general": (
+        ["dij-witness"] + A3_CHAIN + ["--i", "1", "--j", "1", "--x", "x_a3_division_fails.json"],
+        0,
+    ),
     "aid-check-B2-witnessed": (["aid-check"] + B2_MIN + ["--op", "op_d11.json", "--x", "x_h1_deg1.json"], 0),
     "aid-check-B2-mixed": (["aid-check"] + B2_MIN + ["--op", "op_d11.json", "--x", "x_division_fails.json"], 0),
     "aid-check-B2-obstruction": (["aid-check"] + B2_MIN + ["--op", "op_d10.json", "--x", "x_h1_deg0.json"], 1),
     "inner-match-B2-window2": (["inner-match"] + B2_MIN + ["--op", "op_d11.json", "--window", "2"], 3),
+    "inner-match-A4-chain-window2": (["inner-match"] + A4_CHAIN + ["--op", "op_a4_mixed.json", "--window", "2"], 3),
     "selftest": (["selftest"], 0),
     "roots-invalid-type": (["roots", "--family", "Q", "--rank", "9"], 2),
     "dij-witness-degree-zero": (["dij-witness"] + B2_MIN + ["--i", "1", "--j", "0", "--x", "x_h1_deg0.json"], 2),
@@ -69,9 +77,35 @@ def test_golden(name, monkeypatch):
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-if __name__ == "__main__":
-    import os
+# witness searches keep per-call dicts keyed by Fraction tuples; their output
+# must not depend on the interpreter's hash seed
+HASH_SEED_CASES = [
+    "dij-witness-A3-chain-general",
+    "dij-witness-B2-general",
+    "inner-match-A4-chain-window2",
+    "inner-match-B2-window2",
+]
 
+
+@pytest.mark.parametrize("name", HASH_SEED_CASES)
+def test_witness_output_independent_of_hash_seed(name):
+    argv, code = CASES[name]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != SEED_ENV}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    for hash_seed in ("0", "1", "7"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecert.cli"] + _argv(argv),
+            env=dict(base, PYTHONHASHSEED=hash_seed),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == want, f"PYTHONHASHSEED={hash_seed}"
+
+
+if __name__ == "__main__":
     os.environ.pop(SEED_ENV, None)
     for name in sys.argv[1:] or sorted(CASES):
         code, text = _invoke(name)

@@ -1,13 +1,18 @@
 """Affinization bracket, operator calculus, and the witness solvers."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liecert.chevalley import SubalgebraSpec, build_semisimple
 from liecert.dercalc import derivation_space
-from liecert.exact import MatQ
+from liecert.exact import MatQ, solve_sparse
 from liecert.loopalg import (
     AffineElement,
     Inner,
@@ -17,6 +22,7 @@ from liecert.loopalg import (
     ToralToCenter,
     affine_bracket,
     aid_obstruction_check,
+    bracket_match,
     decompose_derivation,
     default_window,
     diagonal_derivative,
@@ -475,3 +481,139 @@ def test_default_window_covers_support(ctx):
     x = ctx.element({-1: ctx.algebra.basis_vector(0), 3: ctx.algebra.basis_vector(2)})
     lo, hi = default_window(x, extra_degrees=(-5,))
     assert lo <= -5 and hi >= 3
+
+
+def test_affine_element_coerces_ints_and_checks_length(ctx):
+    x = ctx.element({1: (1, 0, Fraction(1, 2), 0)}, 3)
+    assert x.support[1] == (Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
+    assert all(type(v) is Fraction for v in x.support[1]) and type(x.central) is Fraction
+    assert ctx.element({0: (0, 0, 0, 0)}).is_zero
+    with pytest.raises(ValueError, match="length"):
+        ctx.element({0: (1, 0, 0)})
+
+
+def test_empty_and_vacuous_windows_rejected(ctx):
+    x = ctx.basis_at(0, 1)
+    with pytest.raises(ValueError, match="empty window"):
+        bracket_match(ctx, [(x, ctx.central(1))], (1, -1))
+    with pytest.raises(ValueError, match="empty window"):
+        toral_center_witness(ctx, 1, 1, x, window=(3, -3))
+    with pytest.raises(ValueError, match="empty window"):
+        aid_obstruction_check(ctx, ToralToCenter(ctx, 1, 1), x, window=(1, -1))
+    with pytest.raises(ValueError, match="empty window"):
+        global_inner_match(ctx, {}, (1, -1))
+    with pytest.raises(ValueError, match="misses degree 1"):
+        global_inner_match(ctx, {(1, 1): 1}, (0, 0))
+    # a zero-weight term is no term, so nothing is left for the window to miss
+    assert global_inner_match(ctx, {(1, 1): 0}, (0, 0)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# bracket_match against rows built one affine bracket per unknown
+# ---------------------------------------------------------------------------
+
+
+def reference_match(c, pairs, window):
+    """The witness system built the slow way: one full ``affine_bracket``
+    of X with each basis unknown ``b_k t^n``, solved by ``solve_sparse``."""
+    lo, hi = window
+    unknowns = [(deg, k) for deg in range(lo, hi + 1) for k in range(c.dim)]
+    rows, rhs = [], []
+    for x, z in pairs:
+        by_output, central_row = {}, {}
+        for t, (deg, k) in enumerate(unknowns):
+            img = affine_bracket(x, c.basis_at(k, deg))
+            for d, vec in img.support.items():
+                for col, v in enumerate(vec):
+                    if v:
+                        by_output.setdefault((d, col), {})[t] = v
+            if img.central:
+                central_row[t] = img.central
+        keys = set(by_output) | {(d, col) for d, vec in z.support.items() for col, v in enumerate(vec) if v}
+        for d, col in sorted(keys):
+            rows.append(by_output.get((d, col), {}))
+            rhs.append(z.component(d)[col])
+        rows.append(central_row)
+        rhs.append(z.central)
+    sol = solve_sparse(rows, rhs, len(unknowns))
+    if sol is None:
+        return None
+    support = {}
+    for (deg, k), v in zip(unknowns, sol):
+        if v:
+            support.setdefault(deg, [0] * c.dim)[k] = v
+    return c.element({d: tuple(v) for d, v in support.items()})
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("B", 2, ((1, 0), (2, 1))),
+        ("A", 3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))),
+        ("A", 4, ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1))),
+    ],
+    ids=["B2", "A3-chain", "A4-chain"],
+)
+def chain_ctx(request):
+    family, rank, psi = request.param
+    rs = build_root_system(family, rank)
+    return loop_context(SubalgebraSpec(rs, psi), build_semisimple(rs))
+
+
+def test_bracket_match_rows_agree_with_reference(chain_ctx):
+    c = chain_ctx
+    rng = random.Random(404)
+    outcomes = {"solved": 0, "none": 0, "central": 0}
+    for case in range(12):
+        lo = rng.randint(-3, 0)
+        window = (lo, lo + rng.randint(0, 3))
+        pairs = []
+        y0 = rand_element(c, rng, span=2).loop_part()
+        y0 = c.element({d: v for d, v in y0.support.items() if window[0] <= d <= window[1]})
+        for _ in range(1 + case % 2):  # one pair, or two sharing a witness
+            degrees = rng.sample(range(-2, 3), 1 + case % 3)
+            if case % 4 == 0 and 0 not in degrees:
+                degrees[0] = 0
+            x = c.element({d: tuple(Fraction(rng.randint(-2, 2)) for _ in range(c.dim)) for d in degrees})
+            z = affine_bracket(x, y0)
+            if case % 3 == 1:  # usually infeasible: a central or loop perturbation
+                z = z + (c.central(1) if case % 2 else c.basis_at(rng.randrange(c.dim), rng.randint(-2, 2)))
+            pairs.append((x, z))
+        want = reference_match(c, pairs, window)
+        got = bracket_match(c, pairs, window)
+        if want is None:
+            assert got is None, f"case {case}"
+            outcomes["none"] += 1
+        else:
+            assert got == want and got.to_json() == want.to_json(), f"case {case}"
+            outcomes["solved"] += 1
+        outcomes["central"] += any(z.central != 0 for _, z in pairs)
+    assert all(outcomes.values()), outcomes
+
+
+def test_ansatz_recheck_survives_python_O():
+    """The ansatz witness is re-checked by explicit code, not an assert."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from liecert import loopalg
+        from liecert.chevalley import SubalgebraSpec, build_semisimple
+        from liecert.rootsys import build_root_system
+
+        assert False, "asserts must be off for this check"
+        rs = build_root_system("B", 2)
+        ctx = loopalg.loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))), build_semisimple(rs))
+        loopalg._toral_witness_ansatz = lambda ctx, i, j, x: ctx.zero()
+        try:
+            loopalg.toral_center_witness(ctx, 1, 1, ctx.basis_at(0, 1))
+        except AssertionError as exc:
+            print("raised:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ansatz produced a non-witness" in proc.stdout
