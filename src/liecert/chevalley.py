@@ -6,8 +6,9 @@ one root vector per root in canonical order.  Structure constants
 positive roots by (height, lex); for each non-simple positive root the pair
 summing to it with the smallest first member gets the positive sign, and every
 other constant is forced from those by the Jacobi identity.  The convention
-identifier below is stored in cache files so tables from different sign rules
-are never mixed.
+identifier below is printed in every certificate, so tables from different
+sign rules are never mixed.  The Killing form and every subalgebra table are
+read off the root data (the Q-grading) rather than found by dense algebra.
 
 Subalgebra extraction returns the subalgebra together with its distinguished
 basis data: for ``|Psi| = l`` the torus basis is chosen dual to Psi
@@ -18,13 +19,10 @@ delta_ij`` for the restricted Killing form, and the Gram matrix holds
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import MatQ, Rat, rat_from_str, rat_to_str, rref, solve
+from .exact import MatQ, Rat, rref, solve
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -173,10 +171,11 @@ def _sub(a: Root, b: Root) -> Root:
 
 
 def _positive_pair_constants(rs: RootSystem):
-    """Constants N_{a,b} for positive pairs, plus a lookup for arbitrary signs."""
+    """Lookup ``N_{x,y}`` for arbitrary signs, from a table of positive pairs."""
     pos = [r for r in rs.roots if height(r) > 0]  # already (height, lex)-sorted
     posset = set(pos)
     order = {r: k for k, r in enumerate(pos)}
+    norm = {r: rs.inner(r, r) for r in rs.roots}
     npos: dict[tuple[Root, Root], Rat] = {}
 
     def put(a: Root, b: Root, val: Rat) -> None:
@@ -195,8 +194,8 @@ def _positive_pair_constants(rs: RootSystem):
         d = _add(x, y)
         # cyclic relations for x + y - d = 0, normalised by root norms
         if height(d) > 0:
-            return -rs.inner(d, d) / rs.inner(x, x) * npos[(_neg(y), d)]
-        return rs.inner(d, d) / rs.inner(y, y) * npos[(_neg(d), x)]
+            return -norm[d] / norm[x] * npos[(_neg(y), d)]
+        return norm[d] / norm[y] * npos[(_neg(d), x)]
 
     for g in pos:
         if height(g) == 1:
@@ -212,7 +211,7 @@ def _positive_pair_constants(rs: RootSystem):
             continue
         a1, b1 = pairs[0]  # extraspecial: minimal first member
         put(a1, b1, Fraction(rs.string_down_length(b1, a1) + 1))
-        ngma1 = -npos[(a1, b1)] * rs.inner(b1, b1) / rs.inner(g, g)  # N_{g, -a1}
+        ngma1 = -npos[(a1, b1)] * norm[b1] / norm[g]  # N_{g, -a1}
         for a, b in pairs[1:]:
             t = Fraction(0)
             if _sub(a, a1) in rs.root_index:
@@ -221,12 +220,11 @@ def _positive_pair_constants(rs: RootSystem):
                 t += nlook(b, _neg(a1)) * nlook(_sub(b, a1), a)
             val = -t / ngma1
             expected = rs.string_down_length(b, a) + 1
-            assert val.denominator == 1 and abs(val) == expected, (
-                f"structure constant for {a}+{b}={g} came out {val}, |.| should be {expected}"
-            )
+            if val.denominator != 1 or abs(val) != expected:
+                raise AssertionError(f"structure constant for {a}+{b}={g} came out {val}, |.| should be {expected}")
             put(a, b, val)
 
-    return npos, nlook
+    return nlook
 
 
 def _coroot_vector(rs: RootSystem, alpha: Root) -> tuple[int, ...]:
@@ -235,64 +233,55 @@ def _coroot_vector(rs: RootSystem, alpha: Root) -> tuple[int, ...]:
     dalpha = rs.inner(alpha, alpha) / 2
     coeffs = []
     for i, a in enumerate(alpha):
-        c = Fraction(a) * d[i] / dalpha
-        assert c.denominator == 1
+        c = a * d[i] / dalpha
+        if c.denominator != 1:
+            raise AssertionError(f"coroot of {alpha} has the non-integral coordinate {c}")
         coeffs.append(int(c))
     return tuple(coeffs)
 
 
-def build_semisimple(rs: RootSystem, cache_dir: str | None = None) -> LieAlgebra:
+def build_semisimple(rs: RootSystem) -> LieAlgebra:
     """The semisimple Lie algebra of ``rs`` with Chevalley structure constants.
 
-    The Killing form is attached.  With ``cache_dir`` the structure table is
-    loaded from / stored to ``structure-{family}{rank}-{convention}.json``.
+    The Killing form is attached, read off the grading: ``(h_i, h_j)`` is
+    ``sum over roots a of a(h_i) a(h_j)``, ``(e_a, e_-a) = (h_a, h_a)/2`` by
+    invariance, and every other entry is 0.
     """
-    if cache_dir is not None:
-        cached = _cache_load(rs, cache_dir)
-        if cached is not None:
-            return cached
-    g = _build_semisimple_fresh(rs)
-    if cache_dir is not None:
-        _cache_store(g, cache_dir)
-    return g
-
-
-def _build_semisimple_fresh(rs: RootSystem) -> LieAlgebra:
     l = rs.rank
-    dim = l + len(rs.roots)
-    labels = tuple(f"h{i + 1}" for i in range(l)) + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
-    _, lookup = _positive_pair_constants(rs)
+    roots = rs.roots
+    dim = l + len(roots)
+    labels = tuple(f"h{i + 1}" for i in range(l)) + tuple("e" + repr(list(r)).replace(" ", "") for r in roots)
+    lookup = _positive_pair_constants(rs)
+    pairing = [[rs.pairing(r, i) for i in range(l)] for r in roots]
 
     structure: dict[tuple[int, int], SparseVec] = {}
 
-    def eidx(r: Root) -> int:
-        return l + rs.root_index[r]
-
     # [h_i, e_r] = <r, alpha_i> e_r
-    for r in rs.roots:
-        j = eidx(r)
-        for i in range(l):
-            c = rs.pairing(r, i)
+    for a, row in enumerate(pairing):
+        for i, c in enumerate(row):
             if c:
-                structure[(i, j)] = ((j, Fraction(c)),)
+                structure[(i, l + a)] = ((l + a, Fraction(c)),)
 
-    # root-root brackets
-    for r in rs.roots:
-        for s in rs.roots:
-            i, j = eidx(r), eidx(s)
-            if i >= j:
-                continue
+    # root-root brackets, each unordered pair once
+    coroots = [_coroot_vector(rs, r) for r in roots]
+    for a, r in enumerate(roots):
+        for b in range(a + 1, len(roots)):
+            s = roots[b]
             total = _add(r, s)
-            if all(x == 0 for x in total):
-                coroot = _coroot_vector(rs, r)
-                entry = tuple((k, Fraction(c)) for k, c in enumerate(coroot) if c)
-                structure[(i, j)] = entry
+            if not any(total):
+                structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
             elif total in rs.root_index:
-                n = lookup(r, s)
-                structure[(i, j)] = ((eidx(total), n),)
+                structure[(l + a, l + b)] = ((l + rs.root_index[total], lookup(r, s)),)
 
-    g = LieAlgebra(dim=dim, labels=labels, structure=structure, root_system=rs)
-    form = killing_form(g)
+    kh = [[sum(p[i] * p[j] for p in pairing) for j in range(l)] for i in range(l)]
+    entries = [Fraction(0)] * (dim * dim)
+    for i in range(l):
+        for j in range(l):
+            entries[i * dim + j] = Fraction(kh[i][j])
+    for a, h in enumerate(coroots):
+        hh = sum(h[i] * kh[i][j] * h[j] for i in range(l) for j in range(l))
+        entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = Fraction(hh, 2)
+    form = MatQ(dim, dim, tuple(entries))
     return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form, root_system=rs)
 
 
@@ -316,12 +305,28 @@ def killing_form(g: LieAlgebra) -> MatQ:
     return MatQ(dim, dim, tuple(entries))
 
 
+def _unit(j: int, n: int) -> list[Rat]:
+    return [Fraction(1 if i == j else 0) for i in range(n)]
+
+
+def _solve_checked(a: MatQ, b: list[Rat]) -> tuple[Rat, ...]:
+    sol = solve(a, b)
+    if sol is None:
+        raise AssertionError("a full-rank torus system has no solution")
+    return tuple(sol)
+
+
 def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     """Cut ``H + sum_{beta in Psi} L_beta`` out of the ambient algebra.
 
     Requires Psi closed under root addition.  The result carries the ambient
     Killing form restricted to the subalgebra.  When ``|Psi| = rank`` and Psi
     is a lattice basis, the torus basis is chosen dual to Psi.
+
+    Brackets and form are read off the Q-grading: ``[t, x_b] = beta_b(t) x_b``,
+    ``[x_a, x_b]`` is the ambient constant re-indexed through Psi (for
+    ``beta_a + beta_b = 0`` the coroot), and the form vanishes between the
+    torus and the root spaces.
     """
     rs = spec.system
     if g.root_system is None or g.root_system.roots != rs.roots or g.root_system.family != rs.family:
@@ -335,86 +340,67 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
 
     l, m = rs.rank, len(spec.psi)
     dim = l + m
-    amb = g.dim
 
     # beta_i(h_j) over the simple coroots
     pair_rows = [[Fraction(rs.pairing(beta, j)) for j in range(l)] for beta in spec.psi]
 
-    torus_local_on_coroots: list[Vec]
+    # torus[j]: coordinates of t_j over the simple coroots
+    torus: list[Vec] = [tuple(_unit(j, l)) for j in range(l)]
     torus_is_dual = False
     if m == l:
         mat = MatQ.from_rows(pair_rows)
         if rref(mat).rank == l:
-            cols = []
-            for j in range(l):
-                target = [Fraction(1 if i == j else 0) for i in range(l)]
-                sol = solve(mat, target)
-                assert sol is not None
-                cols.append(sol)
-            torus_local_on_coroots = [tuple(c) for c in cols]
+            torus = [_solve_checked(mat, _unit(j, l)) for j in range(l)]
             torus_is_dual = True
-    if not torus_is_dual:
-        torus_local_on_coroots = [tuple(Fraction(1 if k == j else 0) for k in range(l)) for j in range(l)]
-
-    def embed_torus(coeffs: Vec) -> Vec:
-        return tuple(coeffs[i] if i < l else Fraction(0) for i in range(amb))
-
-    torus_ambient = tuple(embed_torus(c) for c in torus_local_on_coroots)
-    roots_ambient = tuple(g.basis_vector(l + rs.root_index[beta]) for beta in spec.psi)
-    basis_vectors = list(torus_ambient) + list(roots_ambient)
-
-    # express ambient vectors in the subalgebra basis: solve B^T c = w
-    bt = MatQ.from_rows([[basis_vectors[j][i] for j in range(dim)] for i in range(amb)])
-
-    def express(w: Vec) -> Vec:
-        c = solve(bt, w)
-        if c is None:
-            raise AssertionError("bracket left the subalgebra; Psi closure check is broken")
-        return c
-
-    structure: dict[tuple[int, int], SparseVec] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            w = g.bracket(basis_vectors[i], basis_vectors[j])
-            if any(w):
-                coords = express(w)
-                entry = tuple((k, c) for k, c in enumerate(coords) if c)
-                if entry:
-                    structure[(i, j)] = entry
-
-    form_rows = [[g.form_value(basis_vectors[i], basis_vectors[j]) for j in range(dim)] for i in range(dim)]
-    form = MatQ.from_rows(form_rows)
+    torus_ambient = tuple(t + (Fraction(0),) * (g.dim - l) for t in torus)
 
     # beta_i evaluated on the chosen torus basis
-    beta_of_h_rows = [
-        [sum(pair_rows[i][k] * torus_local_on_coroots[j][k] for k in range(l)) for j in range(l)]
-        for i in range(m)
-    ]
+    beta_of_h_rows = [[sum(pair_rows[i][k] * torus[j][k] for k in range(l)) for j in range(l)] for i in range(m)]
     beta_of_h = MatQ.from_rows(beta_of_h_rows)
 
+    structure: dict[tuple[int, int], SparseVec] = {}
+    for j in range(l):
+        for b in range(m):
+            c = beta_of_h_rows[b][j]
+            if c:
+                structure[(j, l + b)] = ((l + b, c),)
+    ambient = [l + rs.root_index[beta] for beta in spec.psi]
+    local = {beta: l + b for b, beta in enumerate(spec.psi)}
+    for a in range(m):
+        for b in range(a + 1, m):
+            entry = g.bracket_basis(ambient[a], ambient[b])
+            total = _add(spec.psi[a], spec.psi[b])
+            if entry and any(total):
+                structure[(l + a, l + b)] = tuple((local[total], c) for _, c in entry)
+            elif entry:
+                # the coroot: Psi holds a and -a, so it is not a basis and the
+                # torus basis is the simple coroots, the ambient coordinates
+                structure[(l + a, l + b)] = entry
+
+    # restricted form: T^T K_H T on the torus, the ambient entries on the root spaces
+    torus_gram_rows = [
+        [
+            sum(ti[k] * g.form.at(k, k2) * tj[k2] for k in range(l) if ti[k] for k2 in range(l) if tj[k2])
+            for tj in torus
+        ]
+        for ti in torus
+    ]
+    zeros = [Fraction(0)] * m
+    form_rows = [row + zeros for row in torus_gram_rows]
+    form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
+    form = MatQ.from_rows(form_rows)
+
     # dual torus and Gram matrix need the form restricted to H to be invertible
-    torus_gram = MatQ.from_rows([row[:l] for row in form_rows[:l]])
+    torus_gram = MatQ.from_rows(torus_gram_rows)
     dual_torus_local: tuple[Vec, ...] | None = None
     gram: MatQ | None = None
     if rref(torus_gram).rank == l:
-        duals = []
-        for j in range(l):
-            target = [Fraction(1 if i == j else 0) for i in range(l)]
-            sol = solve(torus_gram, target)
-            assert sol is not None
-            duals.append(tuple(sol) + (Fraction(0),) * m)
-        dual_torus_local = tuple(duals)
+        dual_torus_local = tuple(_solve_checked(torus_gram, _unit(j, l)) + (Fraction(0),) * m for j in range(l))
         # t_beta solves (h_i, t) = beta(h_i); gram[a][b] = beta_a(t_beta_b)
-        tvecs = []
-        for b in range(m):
-            target = [beta_of_h.at(b, i) for i in range(l)]
-            sol = solve(torus_gram, target)
-            assert sol is not None
-            tvecs.append(sol)
-        gram_rows = [
-            [sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)
-        ]
-        gram = MatQ.from_rows(gram_rows)
+        tvecs = [_solve_checked(torus_gram, list(beta_of_h.row(b))) for b in range(m)]
+        gram = MatQ.from_rows(
+            [[sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)]
+        )
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
     sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=form, root_system=None)
@@ -427,83 +413,3 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
         torus_is_dual=torus_is_dual,
     )
     return sub, info
-
-
-# ---------------------------------------------------------------------------
-# structure-table cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(rs: RootSystem, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"structure-{rs.family}{rs.rank}-{CONVENTION}.json")
-
-
-def _serialize(g: LieAlgebra) -> dict:
-    rs = g.root_system
-    assert rs is not None and g.form is not None
-    brackets = {
-        f"{i},{j}": [[k, rat_to_str(c)] for k, c in entry] for (i, j), entry in sorted(g.structure.items())
-    }
-    return {
-        "schema": 1,
-        "convention": CONVENTION,
-        "family": rs.family,
-        "rank": rs.rank,
-        "dim": g.dim,
-        "labels": list(g.labels),
-        "brackets": brackets,
-        "form": g.form.to_json(),
-    }
-
-
-def _deserialize(obj: dict, rs: RootSystem) -> LieAlgebra:
-    structure: dict[tuple[int, int], SparseVec] = {}
-    for key, entry in obj["brackets"].items():
-        i, j = (int(x) for x in key.split(","))
-        structure[(i, j)] = tuple((int(k), rat_from_str(c)) for k, c in entry)
-    return LieAlgebra(
-        dim=int(obj["dim"]),
-        labels=tuple(obj["labels"]),
-        structure=structure,
-        form=MatQ.from_json(obj["form"]),
-        root_system=rs,
-    )
-
-
-def _cache_load(rs: RootSystem, cache_dir: str) -> LieAlgebra | None:
-    path = _cache_path(rs, cache_dir)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if (
-            obj.get("schema") == 1
-            and obj.get("convention") == CONVENTION
-            and obj.get("family") == rs.family
-            and obj.get("rank") == rs.rank
-        ):
-            return _deserialize(obj, rs)
-        return None
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        import sys
-
-        print(f"warning: ignoring corrupt structure cache {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _cache_store(g: LieAlgebra, cache_dir: str) -> None:
-    rs = g.root_system
-    assert rs is not None
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(rs, cache_dir)
-    payload = json.dumps(_serialize(g), sort_keys=True, indent=1) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".structure-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -17,12 +17,11 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .chevalley import CONVENTION, SubalgebraSpec, build_semisimple, extract_subalgebra
 from .dercalc import aid_membership, centroid_space, derivation_space, verify_aid_eq_inn
-from .exact import MatQ, rat_to_str
+from .exact import MatQ, rat_from_str, rat_to_str
 from .loopalg import (
     AffineElement,
     Inner,
@@ -66,13 +65,20 @@ def _spec_from_args(args) -> SubalgebraSpec:
 
 def _context_from_args(args):
     spec = _spec_from_args(args)
-    ambient = build_semisimple(spec.system, cache_dir=args.cache)
-    return spec, ambient
+    return spec, build_semisimple(spec.system)
+
+
+def _inputs(spec: SubalgebraSpec, **extra) -> dict:
+    """The ``inputs`` block of a document about the subalgebra of ``spec``."""
+    return {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi], **extra}
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _operator_from_json(ctx, obj) -> OperatorSum:
@@ -95,7 +101,7 @@ def _operator_from_json(ctx, obj) -> OperatorSum:
             op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in term["fs"]])
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
-        terms.append((Fraction(weight), op))
+        terms.append((rat_from_str(weight), op))
     return OperatorSum(ctx, tuple(terms))
 
 
@@ -145,7 +151,7 @@ def _cmd_certify(args, seed):
     cert = certify(spec, ambient)
     doc = _envelope(
         "certify",
-        {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi]},
+        _inputs(spec),
         cert.to_json(),
         seed,
     )
@@ -158,7 +164,7 @@ def _cmd_der(args, seed):
     basis = derivation_space(g)
     doc = _envelope(
         "der",
-        {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi]},
+        _inputs(spec),
         {
             "dim_l": g.dim,
             "dim_der": basis.dim_der,
@@ -175,7 +181,7 @@ def _cmd_der(args, seed):
 
 def _cmd_aid(args, seed):
     spec, ambient = _context_from_args(args)
-    inputs = {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi]}
+    inputs = _inputs(spec)
     if args.matrix:
         g, info = extract_subalgebra(ambient, spec)
         d = MatQ.from_json(_load_json(args.matrix))
@@ -199,7 +205,7 @@ def _cmd_centroid(args, seed):
     )
     doc = _envelope(
         "centroid",
-        {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi]},
+        _inputs(spec),
         {"dim": len(cent.basis), "diagonal": diagonal, "basis": [m.to_json() for m in cent.basis]},
         seed,
     )
@@ -214,7 +220,7 @@ def _cmd_affine_bracket(args, seed):
     out = affine_bracket(x, y)
     doc = _envelope(
         "affine-bracket",
-        {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi]},
+        _inputs(spec),
         {"bracket": out.to_json()},
         seed,
     )
@@ -237,14 +243,7 @@ def _cmd_dij_witness(args, seed):
         "general_path_used": res.general_path_used,
         "fast_path_failure": res.fast_path_failure,
     }
-    inputs = {
-        "family": spec.system.family,
-        "rank": spec.system.rank,
-        "psi": [list(r) for r in spec.psi],
-        "i": args.i,
-        "j": args.j,
-        "x": x.to_json(),
-    }
+    inputs = _inputs(spec, i=args.i, j=args.j, x=x.to_json())
     code = 0 if res.status == "witnessed" else 3
     return _envelope("dij-witness", inputs, verdicts, seed), code
 
@@ -270,12 +269,7 @@ def _cmd_aid_check(args, seed):
         "detail": res.detail,
         "flags": flags,
     }
-    inputs = {
-        "family": spec.system.family,
-        "rank": spec.system.rank,
-        "psi": [list(r) for r in spec.psi],
-        "x": x.to_json(),
-    }
+    inputs = _inputs(spec, x=x.to_json())
     code = {"witnessed": 0, "central-obstruction": 1, "no-witness-in-window": 3}[res.status]
     return _envelope("aid-check", inputs, verdicts, seed), code
 
@@ -288,7 +282,7 @@ def _cmd_inner_match(args, seed):
     for term in obj.get("terms", []):
         if term["kind"] != "dij":
             raise ValueError("inner-match expects a sum of dij terms")
-        coefficients[(int(term["i"]), int(term["j"]))] = term.get("weight", "1")
+        coefficients[(int(term["i"]), int(term["j"]))] = rat_from_str(term.get("weight", "1"))
     y = global_inner_match(ctx, coefficients, (-args.window, args.window))
     verdicts = {
         "status": "matched" if y is not None else "no-inner-match-in-window",
@@ -296,12 +290,7 @@ def _cmd_inner_match(args, seed):
         "window": [-args.window, args.window],
         "note": None if y is not None else "inconclusive-negative: bounded by the search window",
     }
-    inputs = {
-        "family": spec.system.family,
-        "rank": spec.system.rank,
-        "psi": [list(r) for r in spec.psi],
-        "coefficients": {f"{i},{j}": str(w) for (i, j), w in sorted(coefficients.items())},
-    }
+    inputs = _inputs(spec, coefficients={f"{i},{j}": rat_to_str(w) for (i, j), w in sorted(coefficients.items())})
     return _envelope("inner-match", inputs, verdicts, seed), 0 if y is not None else 3
 
 
@@ -334,63 +323,46 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liecert", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help=f"deterministic seed (default {DEFAULT_SEED}, or ${SEED_ENV})")
     parser.add_argument("--json", metavar="PATH", default=None, help="also write the output document to PATH")
-    parser.add_argument("--cache", metavar="DIR", default=None, help="structure-constant cache directory")
     parser.add_argument("--timings", action="store_true", help="include wall-clock timings in the document")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--family", required=True)
+    algebra.add_argument("--rank", type=int, required=True)
+    subset = argparse.ArgumentParser(add_help=False, parents=[algebra])
+    subset.add_argument("--psi", required=True, help='semicolon-separated coordinates, e.g. "1,0;2,1"')
+
+    def add(name, fn, parents=(), **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(handler=fn)
         return p
 
-    p = add("roots", _cmd_roots, help="construct a root system")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    add("roots", _cmd_roots, [algebra], help="construct a root system")
 
-    p = add("minimal", _cmd_minimal, help="enumerate the minimal Q-graded subalgebras")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p = add("minimal", _cmd_minimal, [algebra], help="enumerate the minimal Q-graded subalgebras")
     p.add_argument("--cap", type=int, default=1 << 24)
 
-    for name, fn, extra in [
-        ("certify", _cmd_certify, []),
-        ("der", _cmd_der, []),
-        ("aid", _cmd_aid, ["matrix"]),
-        ("centroid", _cmd_centroid, []),
-    ]:
-        p = add(name, fn, help=f"{name} for a root subset")
-        p.add_argument("--family", required=True)
-        p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--psi", required=True, help='semicolon-separated coordinates, e.g. "1,0;2,1"')
-        if "matrix" in extra:
+    for name, fn in [("certify", _cmd_certify), ("der", _cmd_der), ("aid", _cmd_aid), ("centroid", _cmd_centroid)]:
+        p = add(name, fn, [subset], help=f"{name} for a root subset")
+        if name == "aid":
             p.add_argument("--matrix", default=None, help="derivation matrix JSON file")
 
-    p = add("affine-bracket", _cmd_affine_bracket, help="bracket two affine elements")
-    for flag in ("--family", "--psi", "--x", "--y"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--rank", type=int, required=True)
+    p = add("affine-bracket", _cmd_affine_bracket, [subset], help="bracket two affine elements")
+    p.add_argument("--x", required=True)
+    p.add_argument("--y", required=True)
 
-    p = add("dij-witness", _cmd_dij_witness, help="bracket witness for a toral-to-center derivation")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--psi", required=True)
+    p = add("dij-witness", _cmd_dij_witness, [subset], help="bracket witness for a toral-to-center derivation")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--window", type=int, default=None)
 
-    p = add("aid-check", _cmd_aid_check, help="almost-inner check of an operator at an element")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--psi", required=True)
+    p = add("aid-check", _cmd_aid_check, [subset], help="almost-inner check of an operator at an element")
     p.add_argument("--op", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--window", type=int, default=None)
 
-    p = add("inner-match", _cmd_inner_match, help="search one inner match for a dij combination")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--psi", required=True)
+    p = add("inner-match", _cmd_inner_match, [subset], help="search one inner match for a dij combination")
     p.add_argument("--op", required=True)
     p.add_argument("--window", type=int, default=4)
 
@@ -400,11 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

@@ -44,7 +44,10 @@ def rat_to_str(x: Rat | int) -> str:
 
 def rat_from_str(s: str) -> Rat:
     # Fraction normalises to lowest terms with positive denominator.
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)

@@ -143,15 +143,11 @@ class RootSystem:
 
     def inner(self, beta: Root, gamma: Root) -> Rat:
         """Invariant inner product on the root lattice (fixed normalisation)."""
-        # (a_k, a_i) = C[k][i] * d_i
-        total = Fraction(0)
-        for k, b in enumerate(beta):
-            if not b:
-                continue
-            for i, g in enumerate(gamma):
-                if g:
-                    total += b * g * self.cartan[k][i] * self.symmetrizer[i]
-        return total
+        # (a_k, a_i) = C[k][i] * d_i, all integers: sum exactly, wrap once
+        cartan, d = self.cartan, self.symmetrizer
+        return Fraction(
+            sum(b * g * cartan[k][i] * d[i] for k, b in enumerate(beta) if b for i, g in enumerate(gamma) if g)
+        )
 
     def reflect(self, beta: Root, i: int) -> Root:
         """Simple reflection s_i(beta) = beta - <beta, alpha_i> alpha_i."""
@@ -185,7 +181,8 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
                 # symmetry of (a_i, a_j): C[i][j] d_j = C[j][i] d_i
                 d[j] = d[i] * cartan[j][i] / cartan[i][j]
                 todo.append(j)
-    assert all(x is not None for x in d), "Cartan graph must be connected"
+    if any(x is None for x in d):
+        raise AssertionError("Cartan graph must be connected")
     denom = 1
     for x in d:
         denom = denom * x.denominator // gcd(denom, x.denominator)

@@ -1,7 +1,12 @@
 """Chevalley construction: Jacobi scans, constant magnitudes, Killing form,
 subalgebra extraction with the distinguished basis."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,8 @@ from liecert.chevalley import (
     extract_subalgebra,
     killing_form,
 )
+from liecert.exact import MatQ, rref, solve
+from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 
 
@@ -259,44 +266,6 @@ def test_restricted_form_is_ambient_not_intrinsic(b2):
             assert sub.form.at(i, j) == g.form_value(info.torus_ambient[i], info.torus_ambient[j])
 
 
-def test_cache_round_trip(tmp_path, b2):
-    rs, _ = b2
-    d = str(tmp_path / "cache")
-    g1 = build_semisimple(rs, cache_dir=d)
-    path = tmp_path / "cache" / "structure-B2-extraspecial-positive-v1.json"
-    assert path.exists()
-    cold = path.read_bytes()
-    g2 = build_semisimple(rs, cache_dir=d)
-    warm = path.read_bytes()
-    assert cold == warm
-    assert g1.structure == g2.structure and g1.form == g2.form
-
-
-def test_cache_corruption_rebuilds(tmp_path, b2, capsys):
-    rs, _ = b2
-    d = str(tmp_path)
-    build_semisimple(rs, cache_dir=d)
-    path = tmp_path / "structure-B2-extraspecial-positive-v1.json"
-    path.write_text("{ not json")
-    g = build_semisimple(rs, cache_dir=d)
-    assert g.dim == 10
-    assert "corrupt" in capsys.readouterr().err
-
-
-def test_cache_convention_mismatch_rebuilds(tmp_path, b2):
-    import json
-
-    rs, _ = b2
-    d = str(tmp_path)
-    build_semisimple(rs, cache_dir=d)
-    path = tmp_path / "structure-B2-extraspecial-positive-v1.json"
-    obj = json.loads(path.read_text())
-    obj["convention"] = "other-signs"
-    path.write_text(json.dumps(obj))
-    g = build_semisimple(rs, cache_dir=d)  # loader ignores the stale table
-    assert g.dim == 10 and g.form is not None
-
-
 def test_spec_orders_psi_canonically():
     rs = build_root_system("B", 2)
     spec = SubalgebraSpec(rs, ((2, 1), (1, 0)))
@@ -321,3 +290,105 @@ def test_constant_magnitudes_all_types(family, rank):
             assert abs(img[l + rs.root_index[s]]) == rs.string_down_length(b, a) + 1
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)],
+)
+def test_closed_form_killing_equals_trace_form(family, rank):
+    g = build_semisimple(build_root_system(family, rank))
+    assert g.form == killing_form(g)
+
+
+def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
+    """Oracle: the subalgebra found by dense algebra, bracket by bracket.
+
+    Every bracket of basis vectors is computed in the ambient algebra and
+    expressed in the subalgebra basis by a dense solve; the form entries are
+    ambient form values.  Returns (structure, form, beta_of_h, dual, gram).
+    """
+    rs = spec.system
+    l, m = rs.rank, len(spec.psi)
+    dim, amb = l + m, g.dim
+    unit = [[Fraction(1 if i == j else 0) for i in range(l)] for j in range(l)]
+    pair_rows = [[Fraction(rs.pairing(beta, j)) for j in range(l)] for beta in spec.psi]
+    torus = [tuple(u) for u in unit]
+    if m == l and rref(MatQ.from_rows(pair_rows)).rank == l:
+        torus = [tuple(solve(MatQ.from_rows(pair_rows), u)) for u in unit]
+    basis = [tuple(t) + (Fraction(0),) * (amb - l) for t in torus]
+    basis += [g.basis_vector(l + rs.root_index[beta]) for beta in spec.psi]
+    bt = MatQ.from_rows([[basis[j][i] for j in range(dim)] for i in range(amb)])
+    structure = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = g.bracket(basis[i], basis[j])
+            if any(w):
+                coords = solve(bt, w)
+                assert coords is not None
+                entry = tuple((k, c) for k, c in enumerate(coords) if c)
+                if entry:
+                    structure[(i, j)] = entry
+    form_rows = [[g.form_value(basis[i], basis[j]) for j in range(dim)] for i in range(dim)]
+    beta_of_h = MatQ.from_rows(
+        [[sum(pair_rows[i][k] * torus[j][k] for k in range(l)) for j in range(l)] for i in range(m)]
+    )
+    torus_gram = MatQ.from_rows([row[:l] for row in form_rows[:l]])
+    dual = gram = None
+    if rref(torus_gram).rank == l:
+        dual = tuple(tuple(solve(torus_gram, u)) + (Fraction(0),) * m for u in unit)
+        tvecs = [solve(torus_gram, list(beta_of_h.row(b))) for b in range(m)]
+        gram = MatQ.from_rows(
+            [[sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)]
+        )
+    return structure, MatQ.from_rows(form_rows), beta_of_h, dual, gram
+
+
+def _differential_specs():
+    for family, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        specs = enumerate_minimal(rs)
+        specs.append(SubalgebraSpec(rs, rs.positive_roots))
+        if (family, rank) == ("B", 2):
+            specs.append(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
+        yield pytest.param(rs, specs, id=f"{family}{rank}")
+
+
+@pytest.mark.parametrize("rs,specs", list(_differential_specs()))
+def test_graded_extraction_matches_dense_reference(rs, specs):
+    g = build_semisimple(rs)
+    for spec in specs:
+        sub, info = extract_subalgebra(g, spec)
+        structure, form, beta_of_h, dual, gram = dense_extract_reference(g, spec)
+        assert list(sub.structure.items()) == list(structure.items()), spec.psi
+        assert sub.form == form, spec.psi
+        assert info.beta_of_h == beta_of_h, spec.psi
+        assert info.dual_torus_local == dual, spec.psi
+        assert info.gram == gram, spec.psi
+
+
+def test_constant_magnitude_check_survives_python_O():
+    """The Jacobi-derived constants are checked by explicit code, not an assert."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from liecert.chevalley import build_semisimple
+        from liecert.rootsys import RootSystem, build_root_system
+
+        assert False, "asserts must be off for this check"
+        rs = build_root_system("C", 3)
+        down = RootSystem.string_down_length
+        RootSystem.string_down_length = lambda self, b, a: down(self, b, a) + 1
+        try:
+            build_semisimple(rs)
+        except AssertionError as exc:
+            print("raised:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "structure constant for" in proc.stdout

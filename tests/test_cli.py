@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,19 +279,42 @@ def test_seed_flag_beats_environment(monkeypatch):
     assert doc["seed"] == 3
 
 
-def test_cache_flag(tmp_path):
-    cache = tmp_path / "cache"
-    code, _, _ = invoke(
-        ["--cache", str(cache), "certify", "--family", "B", "--rank", "2", "--psi", "1,0;2,1"]
-    )
-    assert code == 0
-    files = list(cache.glob("structure-B2-*.json"))
-    assert len(files) == 1
-    cold = files[0].read_bytes()
-    code, _, _ = invoke(
-        ["--cache", str(cache), "certify", "--family", "B", "--rank", "2", "--psi", "1,0;2,1"]
-    )
-    assert code == 0 and files[0].read_bytes() == cold
+def test_cache_flag_is_gone():
+    code, doc, _ = invoke(["--cache", "somewhere", "certify"] + B2_MIN)
+    assert code == 2 and doc is None
+
+
+def _cli_process(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "liecert.cli"] + argv, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "args,flag,payload",
+    [
+        # a weight with a zero denominator
+        (["inner-match"], "--op", {"terms": [{"kind": "dij", "i": 1, "j": 1, "weight": "1/0"}]}),
+        # a top-level document that is not an object
+        (["dij-witness", "--i", "1", "--j", "1"], "--x", [1, 2]),
+    ],
+)
+def test_malformed_input_files_exit_2_without_traceback(tmp_path, args, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    proc = _cli_process(args + B2_MIN + [flag, str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "error" in json.loads(proc.stdout)
+
+
+def test_rat_from_str_rejects_zero_denominator():
+    from liecert.exact import rat_from_str
+
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat_from_str("3/0")
 
 
 def test_selftest_subset():

@@ -27,6 +27,11 @@ E6_BIPARTITE = [
     "--family", "E", "--rank", "6",
     "--psi", "1,0,0,0,0,0;0,-1,0,0,0,0;0,0,-1,0,0,0;0,0,0,1,0,0;0,0,0,0,-1,0;0,0,0,0,0,1",
 ]
+E8_BIPARTITE = [
+    "--family", "E", "--rank", "8",
+    "--psi", "1,0,0,0,0,0,0,0;0,-1,0,0,0,0,0,0;0,0,-1,0,0,0,0,0;0,0,0,1,0,0,0,0;"
+    "0,0,0,0,-1,0,0,0;0,0,0,0,0,1,0,0;0,0,0,0,0,0,-1,0;0,0,0,0,0,0,0,1",
+]
 
 # name -> (argv, exit code); input file names are resolved under golden/inputs
 CASES = {
@@ -36,8 +41,10 @@ CASES = {
     "aid-A4-chain": (["aid"] + A4_CHAIN, 0),
     "centroid-A4-chain": (["centroid"] + A4_CHAIN, 0),
     "certify-E6-bipartite": (["certify"] + E6_BIPARTITE, 0),
+    "certify-E8-bipartite": (["certify"] + E8_BIPARTITE, 0),
     "certify-B2-not-closed": (["certify", "--family", "B", "--rank", "2", "--psi", "1,0;0,1"], 1),
     "der-B2-nonminimal": (["der", "--family", "B", "--rank", "2", "--psi", "1,0"], 0),
+    "der-B2-opposite-pair": (["der", "--family", "B", "--rank", "2", "--psi", "1,0;-1,0"], 0),
     "dij-witness-B2-ansatz": (["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_ansatz.json"], 0),
     "dij-witness-B2-general": (
         ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_division_fails.json", "--window", "2"],
@@ -87,8 +94,7 @@ HASH_SEED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name", HASH_SEED_CASES)
-def test_witness_output_independent_of_hash_seed(name):
+def _same_output_under_hash_seeds(name):
     argv, code = CASES[name]
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if k != SEED_ENV}
@@ -103,6 +109,17 @@ def test_witness_output_independent_of_hash_seed(name):
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == want, f"PYTHONHASHSEED={hash_seed}"
+
+
+@pytest.mark.parametrize("name", HASH_SEED_CASES)
+def test_witness_output_independent_of_hash_seed(name):
+    _same_output_under_hash_seeds(name)
+
+
+# the ambient form and the subalgebra tables are read off dicts keyed by roots
+@pytest.mark.parametrize("name", ["certify-E8-bipartite", "der-B2-opposite-pair"])
+def test_graded_output_independent_of_hash_seed(name):
+    _same_output_under_hash_seeds(name)
 
 
 if __name__ == "__main__":
