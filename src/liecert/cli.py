@@ -87,8 +87,11 @@ def _operator_from_json(ctx, obj) -> OperatorSum:
     Kinds: "dij" (fields i, j), "inner" (field y: affine element),
     "tensor" (fields matrix, f), "diagonal-derivative" (field fs).
     """
+    raw = obj.get("terms", [])
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
+        raise ValueError('"terms" must be a list of objects')
     terms = []
-    for term in obj.get("terms", []):
+    for term in raw:
         weight = term.get("weight", "1")
         kind = term["kind"]
         if kind == "dij":
@@ -277,12 +280,10 @@ def _cmd_aid_check(args, seed):
 def _cmd_inner_match(args, seed):
     spec, ambient = _context_from_args(args)
     ctx = loop_context(spec, ambient)
-    obj = _load_json(args.op)
-    coefficients = {}
-    for term in obj.get("terms", []):
-        if term["kind"] != "dij":
-            raise ValueError("inner-match expects a sum of dij terms")
-        coefficients[(int(term["i"]), int(term["j"]))] = rat_from_str(term.get("weight", "1"))
+    op = _operator_from_json(ctx, _load_json(args.op))
+    if not all(isinstance(t, ToralToCenter) for _, t in op.terms):
+        raise ValueError("inner-match expects a sum of dij terms")
+    coefficients = {(t.i, t.j): w for w, t in op.terms}
     y = global_inner_match(ctx, coefficients, (-args.window, args.window))
     verdicts = {
         "status": "matched" if y is not None else "no-inner-match-in-window",
@@ -295,11 +296,14 @@ def _cmd_inner_match(args, seed):
 
 
 def _cmd_selftest(args, seed):
-    from .selfcheck import run_criteria
+    from .selfcheck import CRITERIA, run_criteria
 
     wanted = None
     if args.criteria:
         wanted = {int(c) for c in args.criteria.split(",")}
+        unknown = sorted(wanted - {number for number, _, _ in CRITERIA})
+        if unknown:
+            raise ValueError(f"unknown criteria {unknown}: valid numbers are 1..{len(CRITERIA)}")
     results = run_criteria(wanted, seed=seed)
     verdicts = {
         "criteria": [

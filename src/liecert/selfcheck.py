@@ -285,12 +285,10 @@ def _random_laurent(rng: random.Random, span: int = 2) -> LaurentPoly:
     )
 
 
-def criterion_7(seed: int) -> tuple[bool, str]:
-    """Loop-operator decomposition on 100 seeded random operator sums."""
-    ctx = _b2_minimal_context()
+def loop_operator_cases(ctx, seed: int):
+    """Criterion 7's 100 seeded operator sums as ``(op, fs, with_derivative)``."""
     g = ctx.algebra
     rng = random.Random(seed)
-    checked_inner_witness = checked_derivative_refuted = 0
     for case in range(100):
         terms = []
         inner_parts = rng.randint(0, 2)
@@ -309,10 +307,17 @@ def criterion_7(seed: int) -> tuple[bool, str]:
         if with_derivative:
             fs = [_random_laurent(rng), _random_laurent(rng)]
             terms.append((Fraction(1), diagonal_derivative(ctx, fs)))
-        op = OperatorSum(ctx, tuple(terms))
-        ok, pair = leibniz_check(op, samples=6, seed=seed + case)
+        yield OperatorSum(ctx, tuple(terms)), fs, with_derivative
+
+
+def criterion_7(seed: int) -> tuple[bool, str]:
+    """Loop-operator decomposition on 100 seeded random operator sums."""
+    ctx = _b2_minimal_context()
+    checked_inner_witness = checked_derivative_refuted = 0
+    for case, (op, fs, with_derivative) in enumerate(loop_operator_cases(ctx, seed)):
+        ok, pair = leibniz_check(op)
         if not ok:
-            return False, f"case {case}: operator failed the Leibniz probe"
+            return False, f"case {case}: operator fails Leibniz at {pair[0].to_json()}, {pair[1].to_json()}"
         dec = decompose_derivation(op)
         for k in range(ctx.dim):
             if not dec.residual(ctx.basis_at(k, 0)).is_zero:

@@ -284,10 +284,16 @@ def test_cache_flag_is_gone():
     assert code == 2 and doc is None
 
 
-def _cli_process(argv):
+def _cli_process(argv, python_flags=()):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "liecert.cli"] + argv, env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "liecert.cli"] + argv, env=env, capture_output=True, text=True
+    )
+
+
+X_H1_DEG1 = str(Path(__file__).parent / "golden" / "inputs" / "x_h1_deg1.json")
+I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
 
 
 @pytest.mark.parametrize(
@@ -297,6 +303,13 @@ def _cli_process(argv):
         (["inner-match"], "--op", {"terms": [{"kind": "dij", "i": 1, "j": 1, "weight": "1/0"}]}),
         # a top-level document that is not an object
         (["dij-witness", "--i", "1", "--j", "1"], "--x", [1, 2]),
+        # operator terms that are not a list of objects
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [1]}),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": "dij"}),
+        (["inner-match"], "--op", {"terms": [1]}),
+        (["inner-match"], "--op", {"terms": {"kind": "dij", "i": 1, "j": 1}}),
+        # a tensor term whose matrix does not match the algebra
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": I2}]}),
     ],
 )
 def test_malformed_input_files_exit_2_without_traceback(tmp_path, args, flag, payload):
@@ -322,6 +335,22 @@ def test_selftest_subset():
     assert code == 0
     assert doc["verdicts"]["all_ok"]
     assert [c["number"] for c in doc["verdicts"]["criteria"]] == [1, 9]
+
+
+@pytest.mark.parametrize("criteria", ["99", "0", "1,11"])
+def test_selftest_rejects_unknown_criteria(criteria, capsys):
+    code, doc, _ = invoke(["selftest", "--criteria", criteria])
+    assert code == 2 and "error" in doc
+    assert "valid numbers are 1..10" in capsys.readouterr().err
+
+
+def test_criterion_7_under_python_O():
+    """The exact Leibniz decision raises explicitly, so -O changes nothing."""
+    golden = json.loads((Path(__file__).parent / "golden" / "selftest.out").read_text())
+    (want,) = [c for c in golden["verdicts"]["criteria"] if c["number"] == 7]
+    proc = _cli_process(["selftest", "--criteria", "7"], python_flags=["-O"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["criteria"] == [want]
 
 
 def test_timings_opt_in():

@@ -5,19 +5,22 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from liecert.chevalley import SubalgebraSpec, build_semisimple
-from liecert.dercalc import derivation_space
-from liecert.exact import MatQ, solve_sparse
+from liecert.dercalc import centroid_space, derivation_space
+from liecert.exact import Echelon, MatQ, solve_sparse
 from liecert.loopalg import (
     AffineElement,
     Inner,
     LaurentPoly,
+    LoopOperator,
     OperatorSum,
+    Symbol,
     TensorDerivation,
     ToralToCenter,
     affine_bracket,
@@ -36,6 +39,7 @@ from liecert.loopalg import (
     toral_center_witness,
 )
 from liecert.rootsys import build_root_system
+from liecert.selfcheck import loop_operator_cases
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,28 @@ def rand_element(ctx, rng, span=3):
     for deg in rng.sample(range(-span, span + 1), rng.randint(1, 3)):
         support[deg] = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ctx.dim))
     return ctx.element(support, rng.randint(-2, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class FromSymbol(LoopOperator):
+    """An operator given by nothing but its shift symbol."""
+
+    ctx: object
+    sym: Symbol
+
+    def symbol(self):
+        return self.sym
+
+
+def in_span(basis, m):
+    span = Echelon()
+    for b in basis:
+        span.add(dict(enumerate(b.entries)))
+    return not span.add(dict(enumerate(m.entries)))
+
+
+def centroid_like(ctx, m):
+    return in_span(centroid_space(ctx.algebra).basis, m)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +194,13 @@ def test_leibniz_inner_exact_including_central(ctx):
     rng = random.Random(3)
     for _ in range(3):
         op = Inner(rand_element(ctx, rng))
-        ok, _ = leibniz_check(op, samples=8, seed=5, include_central=True)
+        ok, _ = leibniz_check(op, include_central=True)
         assert ok
 
 
 def test_leibniz_toral_to_center_exact(ctx):
     for (i, j) in [(1, 1), (2, -2), (1, 0)]:
-        ok, _ = leibniz_check(ToralToCenter(ctx, i, j), samples=8, seed=6, include_central=True)
+        ok, _ = leibniz_check(ToralToCenter(ctx, i, j), include_central=True)
         assert ok
 
 
@@ -182,20 +208,47 @@ def test_leibniz_tensor_derivation(ctx):
     basis = derivation_space(ctx.algebra)
     f = LaurentPoly.from_dict({-1: 2, 1: 1})
     op = TensorDerivation(ctx, basis.der_basis[0], f)
-    ok, _ = leibniz_check(op, samples=8, seed=7)
+    ok, _ = leibniz_check(op)
     assert ok
     # a non-derivation matrix must be caught with a witness pair
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[0][2] = Fraction(1)
     bad = TensorDerivation(ctx, MatQ.from_rows(rows), LaurentPoly.one())
-    ok, pair = leibniz_check(bad, samples=8, seed=8)
+    ok, pair = leibniz_check(bad)
     assert not ok and pair is not None
 
 
 def test_diagonal_derivative_is_loop_derivation(ctx):
     op = diagonal_derivative(ctx, [LaurentPoly.from_dict({0: 1, 2: -1}), LaurentPoly.monomial(-1)])
-    ok, _ = leibniz_check(op, samples=8, seed=9)
+    ok, _ = leibniz_check(op)
     assert ok
+
+
+def test_leibniz_check_reads_the_symbol(ctx):
+    # a derivation part at shift 2 passes; the same matrix as a t-derivative
+    # part B_2 is outside the centroid and fails at (b_i t, b_j)
+    basis = derivation_space(ctx.algebra)
+    d = next(m for m in basis.der_basis if not centroid_like(ctx, m))
+    zero = MatQ.zeros(ctx.dim, ctx.dim)
+    assert leibniz_check(FromSymbol(ctx, Symbol({2: (d, zero)}, {}))) == (True, None)
+    ok, (x, y) = leibniz_check(FromSymbol(ctx, Symbol({2: (zero, d)}, {})))
+    assert not ok and x.degrees() == [1] and y.degrees() == [0]
+
+
+def test_symbols_of_the_operator_families(ctx):
+    g, zero = ctx.algebra, MatQ.zeros(ctx.dim, ctx.dim)
+    y = ctx.element({-1: (1, 0, 2, 0), 0: (0, 1, 0, 0)}, 5)
+    sym = Inner(y).symbol()
+    assert sym.loop == {-1: (g.ad(y.component(-1)), zero), 0: (g.ad(y.component(0)), zero)}
+    assert sym.central == {1: tuple(-u for u in g.form.mul_vec(y.component(-1)))}
+    assert ToralToCenter(ctx, 2, -3).symbol() == Symbol({}, {-3: g.basis_vector(1)})
+    f = LaurentPoly.from_dict({0: 2, 3: -1})
+    sym = diagonal_derivative(ctx, [f, LaurentPoly.zero()]).symbol()
+    assert sorted(sym.loop) == [-1, 2] and sym.central == {}
+    assert sym.loop[-1] == (zero, MatQ.from_rows([[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]))
+    # a sum cancels to the zero symbol
+    op = Inner(y)
+    assert OperatorSum(ctx, ((Fraction(1), op), (Fraction(-1), op))).symbol() == Symbol({}, {})
 
 
 def test_centroid_multiplier_axioms(ctx):
@@ -216,6 +269,16 @@ def test_centroid_multiplier_axioms(ctx):
         lhs = phi(affine_bracket(x, y))
         assert lhs.loop_equal(affine_bracket(phi(x), y))
         assert lhs.loop_equal(affine_bracket(x, phi(y)))
+
+
+def test_centroid_multiplier_is_a_diagonal_tensor_derivation(ctx):
+    sigma = centroid_multiplier(ctx, [2, Fraction(1, 3)], LaurentPoly.monomial(-1))
+    assert isinstance(sigma, TensorDerivation) and sigma.f == LaurentPoly.monomial(-1)
+    assert sigma.matrix == MatQ.from_rows(
+        [[2, 0, 0, 0], [0, Fraction(1, 3), 0, 0], [0, 0, 2, 0], [0, 0, 0, Fraction(1, 3)]]
+    )
+    with pytest.raises(ValueError, match="one coefficient per torus index"):
+        centroid_multiplier(ctx, [1, 2, 3], LaurentPoly.one())
 
 
 def test_centroid_multipliers_commute(ctx):
@@ -617,3 +680,120 @@ def test_ansatz_recheck_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ansatz produced a non-witness" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the exact Leibniz decision against the sampled check it replaced
+# ---------------------------------------------------------------------------
+
+
+def _probe_elements(ctx, span=3):
+    probes = [ctx.basis_at(k, j) for j in range(-span, span + 1) for k in range(ctx.dim)]
+    probes.append(ctx.central(1))
+    return probes
+
+
+def _random_element(ctx, rng, span=3):
+    support = {}
+    for deg in rng.sample(range(-span, span + 1), rng.randint(1, 3)):
+        support[deg] = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ctx.dim))
+    return ctx.element(support, rng.randint(-2, 2))
+
+
+def sampled_leibniz_check(op, samples=24, seed=2024, include_central=False):
+    """The Leibniz check as it was before the symbol: probes plus seeded
+    random pairs, kept as an oracle for the exact decision."""
+    ctx = op.ctx
+    rng = random.Random(seed)
+    probes = _probe_elements(ctx)
+    pairs = [(a, b) for i, a in enumerate(probes) for b in probes[i + 1 :: max(1, len(probes) // 8)]]
+    for _ in range(samples):
+        pairs.append((_random_element(ctx, rng), _random_element(ctx, rng)))
+    for x, y in pairs:
+        lhs = op(affine_bracket(x, y))
+        rhs = affine_bracket(op(x), y) + affine_bracket(x, op(y))
+        same = lhs == rhs if include_central else lhs.loop_equal(rhs)
+        if not same:
+            return False, (x, y)
+    return True, None
+
+
+def confirm_rejection(op, pair, include_central=False):
+    """The pair is two basis elements ``b_i t^m`` with a nonzero defect."""
+    for e in pair:
+        ((_, vec),) = e.support.items()
+        assert e.central == 0 and sorted(vec)[-1] == 1 and sum(map(abs, vec)) == 1
+    x, y = pair
+    defect = op(affine_bracket(x, y)) - affine_bracket(op(x), y) - affine_bracket(x, op(y))
+    assert defect.support or (include_central and defect.central)
+
+
+def non_derivations(ctx, seed, count=24):
+    """Seeded operators outside Der: an inner operator plus one symbol part,
+    either an ``A_s`` (an inner derivation with one entry moved) outside
+    Der(L) or a ``B_s`` (a centroid element with one entry moved) outside
+    the centroid, each checked against those spaces."""
+    g, rng = ctx.algebra, random.Random(seed)
+    der, cent = derivation_space(g).der_basis, centroid_space(g).basis
+    zero = MatQ.zeros(g.dim, g.dim)
+    ops = []
+    while len(ops) < count:
+        is_a = len(ops) % 2 == 0
+        if is_a:
+            base = g.ad(tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim)))
+        else:
+            weights = [rng.randint(-2, 2) for _ in cent]
+            entries = [sum(w * b.entries[k] for w, b in zip(weights, cent)) for k in range(g.dim**2)]
+            base = MatQ(g.dim, g.dim, tuple(entries))
+        entries = list(base.entries)
+        entries[rng.randrange(len(entries))] += rng.choice((-1, 1))
+        m = MatQ(g.dim, g.dim, tuple(Fraction(v) for v in entries))
+        if in_span(der if is_a else cent, m):
+            continue
+        s = rng.randint(-2, 2)
+        part = FromSymbol(ctx, Symbol({s: (m, zero) if is_a else (zero, m)}, {}))
+        inner = Inner(rand_element(ctx, rng))
+        ops.append(OperatorSum(ctx, ((Fraction(1), inner), (Fraction(rng.randint(1, 2)), part))))
+    return ops
+
+
+def test_exact_and_sampled_leibniz_accept_criterion_7_operators(ctx):
+    for case, (op, _, _) in enumerate(loop_operator_cases(ctx, 2024)):
+        assert leibniz_check(op) == (True, None), case
+        assert sampled_leibniz_check(op, samples=6, seed=2024 + case) == (True, None), case
+
+
+def test_exact_leibniz_rejects_what_the_sampler_rejects(ctx):
+    sampled = 0
+    for k, op in enumerate(non_derivations(ctx, 77)):
+        ok, pair = leibniz_check(op)
+        assert not ok, k
+        confirm_rejection(op, pair)
+        sampled += not sampled_leibniz_check(op, samples=6, seed=k)[0]
+    assert sampled > 0
+
+
+def test_exact_leibniz_decides_the_central_identity(ctx):
+    # a loop derivation that breaks the cocycle
+    op = diagonal_derivative(ctx, [LaurentPoly.one(), LaurentPoly.zero()])
+    assert leibniz_check(op) == (True, None)
+    assert sampled_leibniz_check(op, include_central=True) == (False, (ctx.basis_at(1, -2), ctx.basis_at(0, 3)))
+    ok, pair = leibniz_check(op, include_central=True)
+    assert not ok
+    confirm_rejection(op, pair, include_central=True)
+    # inner operators with one coordinate of some c_n moved onto a root
+    # vector: still loop derivations, no longer affine ones
+    rng = random.Random(31)
+    sampled = 0
+    for k in range(8):
+        sym = Inner(rand_element(ctx, rng)).symbol()
+        n = rng.randint(-3, 3)
+        row = list(sym.central.get(n, (Fraction(0),) * ctx.dim))
+        row[ctx.l + rng.randrange(ctx.m)] += rng.choice((-1, 1))
+        bad = FromSymbol(ctx, Symbol(sym.loop, {**sym.central, n: tuple(row)}))
+        assert leibniz_check(bad) == (True, None)
+        ok, pair = leibniz_check(bad, include_central=True)
+        assert not ok, k
+        confirm_rejection(bad, pair, include_central=True)
+        sampled += not sampled_leibniz_check(bad, samples=6, seed=k, include_central=True)[0]
+    assert sampled > 0
