@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .chevalley import CONVENTION, SubalgebraSpec, build_semisimple, extract_subalgebra
 from .dercalc import aid_membership, centroid_space, derivation_space, verify_aid_eq_inn
-from .exact import MatQ, rat_from_str, rat_to_str
+from .exact import MatQ, expect_json, rat_from_str, rat_to_str
 from .loopalg import (
     AffineElement,
     Inner,
@@ -75,10 +75,7 @@ def _inputs(spec: SubalgebraSpec, **extra) -> dict:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
+        return expect_json(json.load(fh), dict, path)
 
 
 def _operator_from_json(ctx, obj) -> OperatorSum:
@@ -95,13 +92,13 @@ def _operator_from_json(ctx, obj) -> OperatorSum:
         weight = term.get("weight", "1")
         kind = term["kind"]
         if kind == "dij":
-            op = ToralToCenter(ctx, int(term["i"]), int(term["j"]))
+            op = ToralToCenter(ctx, expect_json(term["i"], int, '"i"'), expect_json(term["j"], int, '"j"'))
         elif kind == "inner":
             op = Inner(AffineElement.from_json(ctx, term["y"]))
         elif kind == "tensor":
             op = TensorDerivation(ctx, MatQ.from_json(term["matrix"]), LaurentPoly.from_json(term["f"]))
         elif kind == "diagonal-derivative":
-            op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in term["fs"]])
+            op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in expect_json(term["fs"], list, '"fs"')])
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         terms.append((rat_from_str(weight), op))

@@ -31,6 +31,7 @@ __all__ = [
     "hermite_pivots",
     "rat_to_str",
     "rat_from_str",
+    "expect_json",
 ]
 
 
@@ -48,6 +49,18 @@ def rat_from_str(s: str) -> Rat:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    except TypeError:
+        raise ValueError(f"expected a rational, got {s!r}") from None
+
+
+_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+
+
+def expect_json(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind`` (dict, list or int), else ValueError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what}: expected a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,10 @@ class MatQ:
 
     @staticmethod
     def from_json(obj: dict) -> "MatQ":
-        return MatQ(int(obj["rows"]), int(obj["cols"]), tuple(rat_from_str(e) for e in obj["entries"]))
+        expect_json(obj, dict, "matrix")
+        rows, cols = (expect_json(obj[k], int, f"matrix {k}") for k in ("rows", "cols"))
+        entries = expect_json(obj["entries"], list, "matrix entries")
+        return MatQ(rows, cols, tuple(rat_from_str(e) for e in entries))
 
 
 @dataclass(frozen=True)

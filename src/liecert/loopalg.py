@@ -36,8 +36,8 @@ from functools import cached_property
 from itertools import product
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
-from .dercalc import aid_membership, leibniz_violation
-from .exact import MatQ, Rat, rat_from_str, rat_to_str, solve, solve_sparse
+from .dercalc import aid_membership, centroid_violation, leibniz_violation
+from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve, solve_sparse
 
 __all__ = [
     "LaurentPoly",
@@ -149,7 +149,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
-        return LaurentPoly.from_dict({int(k): rat_from_str(v) for k, v in obj.items()})
+        coeffs = expect_json(obj, dict, "Laurent polynomial")
+        return LaurentPoly.from_dict({int(k): rat_from_str(v) for k, v in coeffs.items()})
 
 
 def laurent_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
@@ -311,8 +312,9 @@ class AffineElement:
 
     @staticmethod
     def from_json(ctx: LoopContext, obj: dict) -> "AffineElement":
-        support = {int(k): tuple(rat_from_str(v) for v in vec) for k, vec in obj.get("support", {}).items()}
-        return AffineElement(ctx, support, rat_from_str(obj.get("central", "0")))
+        support = expect_json(expect_json(obj, dict, "affine element").get("support", {}), dict, "support")
+        vecs = {int(k): tuple(map(rat_from_str, expect_json(v, list, "component"))) for k, v in support.items()}
+        return AffineElement(ctx, vecs, rat_from_str(obj.get("central", "0")))
 
 
 def _same_ctx(a: AffineElement, b: AffineElement) -> None:
@@ -513,16 +515,6 @@ class OperatorSum(LoopOperator):
 # ---------------------------------------------------------------------------
 
 
-def _centroid_violation(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
-    """First basis pair with ``B[b_i, b_j] != [B b_i, b_j]``, else None (then
-    B is in the centroid: ``B[x,y] = [x, By]`` follows by antisymmetry)."""
-    basis = [g.basis_vector(i) for i in range(g.dim)]
-    for i, j in product(range(g.dim), repeat=2):
-        if b.mul_vec(g.bracket(basis[i], basis[j])) != g.bracket(b.mul_vec(basis[i]), basis[j]):
-            return i, j
-    return None
-
-
 def leibniz_check(
     op: LoopOperator, include_central: bool = False
 ) -> tuple[bool, tuple[AffineElement, AffineElement] | None]:
@@ -548,7 +540,7 @@ def leibniz_check(
         viol = leibniz_violation(g, a)
         if viol is not None:
             return False, (ctx.basis_at(viol[0], 0), ctx.basis_at(viol[1], 0))
-        viol = _centroid_violation(g, b)
+        viol = centroid_violation(g, b)
         if viol is not None:
             return False, (ctx.basis_at(viol[0], 1), ctx.basis_at(viol[1], 0))
     if include_central:

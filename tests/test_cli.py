@@ -294,6 +294,8 @@ def _cli_process(argv, python_flags=()):
 
 X_H1_DEG1 = str(Path(__file__).parent / "golden" / "inputs" / "x_h1_deg1.json")
 I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
+ZERO4 = {"rows": 4, "cols": 4, "entries": ["0"] * 16}
+BAD4 = {"rows": 4, "cols": 4, "entries": 5}
 
 
 @pytest.mark.parametrize(
@@ -310,6 +312,13 @@ I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
         (["inner-match"], "--op", {"terms": {"kind": "dij", "i": 1, "j": 1}}),
         # a tensor term whose matrix does not match the algebra
         (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": I2}]}),
+        # fields of the wrong JSON type inside a document
+        (["aid"], "--matrix", {"rows": 4, "cols": 4, "entries": 5}),
+        (["dij-witness", "--i", "1", "--j", "1"], "--x", {"support": 5}),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "diagonal-derivative", "fs": 5}]}),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "inner", "y": 5}]}),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": BAD4}]}),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": 7, "matrix": ZERO4}]}),
     ],
 )
 def test_malformed_input_files_exit_2_without_traceback(tmp_path, args, flag, payload):
@@ -321,6 +330,15 @@ def test_malformed_input_files_exit_2_without_traceback(tmp_path, args, flag, pa
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "error" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("matrix", [I2, {"rows": 4, "cols": 5, "entries": ["0"] * 20}])
+def test_aid_matrix_of_the_wrong_shape_exits_2(tmp_path, matrix):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(matrix))
+    proc = _cli_process(["aid"] + B2_MIN + ["--matrix", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["error: shape mismatch"]
 
 
 def test_rat_from_str_rejects_zero_denominator():

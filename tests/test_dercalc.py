@@ -6,10 +6,12 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from liecert import dercalc
 from liecert.chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
 from liecert.dercalc import (
     aid_falsify_random,
@@ -17,6 +19,7 @@ from liecert.dercalc import (
     aid_precondition,
     aid_reduce,
     centroid_space,
+    centroid_violation,
     derivation_space,
     diagonal_map,
     diagonal_toral_algebra,
@@ -143,7 +146,7 @@ def test_aid_precondition_failure_with_oracle(b2_minimal):
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[3][0] = Fraction(1)  # h_1 -> x_2
     d = MatQ.from_rows(rows)
-    ok, data = aid_precondition(g, info, d, check_derivation=False)
+    ok, data = aid_precondition(g, info, d)
     assert not ok
     h = tuple(data["witness_h"]) + (Fraction(0), Fraction(0))
     # oracle: D(h) is not in the column space of ad(h)
@@ -294,3 +297,121 @@ def test_verification_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "inner witness does not reproduce the derivation" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the sparse Leibniz evaluators against the dense re-evaluations they replaced
+# ---------------------------------------------------------------------------
+
+
+def dense_leibniz_violation(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
+    """First basis pair where D[x,y] != [Dx,y] + [x,Dy], else None."""
+    for i in range(g.dim):
+        bi = g.basis_vector(i)
+        dbi = d.mul_vec(bi)
+        for j in range(i + 1, g.dim):
+            bj = g.basis_vector(j)
+            lhs = d.mul_vec(g.bracket(bi, bj))
+            rhs = tuple(a + b for a, b in zip(g.bracket(dbi, bj), g.bracket(bi, d.mul_vec(bj))))
+            if lhs != rhs:
+                return (i, j)
+    return None
+
+
+def dense_centroid_violation(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
+    """First basis pair with ``B[b_i, b_j] != [B b_i, b_j]``, else None (then
+    B is in the centroid: ``B[x,y] = [x, By]`` follows by antisymmetry)."""
+    basis = [g.basis_vector(i) for i in range(g.dim)]
+    for i, j in product(range(g.dim), repeat=2):
+        if b.mul_vec(g.bracket(basis[i], basis[j])) != g.bracket(b.mul_vec(basis[i]), basis[j]):
+            return i, j
+    return None
+
+
+def _chain(rank):
+    return tuple(tuple(1 if k <= i else 0 for k in range(rank)) for i in range(rank))
+
+
+def _differential_algebras():
+    for family, rank, psi in [
+        ("B", 2, ((1, 0), (2, 1))),
+        ("A", 3, _chain(3)),
+        ("A", 4, _chain(4)),
+        ("G", 2, ((-3, -1), (-1, 0))),
+        ("A", 2, ((1, 0), (0, 1), (1, 1))),  # not minimal: [x_1, x_2] = x_3 is a third direction
+    ]:
+        rs = build_root_system(family, rank)
+        yield f"{family}{rank}", extract_subalgebra(build_semisimple(rs), SubalgebraSpec(rs, psi))[0]
+    yield "abelian2", abelian_algebra(2)
+    yield "toral", diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])[0]
+
+
+def _differential_matrices(g, rng):
+    """Der and centroid bases, one-entry perturbations of them, every matrix
+    unit, and seeded random matrices (dense and sparse)."""
+    n = g.dim * g.dim
+    spanned = list(derivation_space(g).der_basis) + list(centroid_space(g).basis)
+    yield from spanned
+    yield from (MatQ(g.dim, g.dim, tuple(Fraction(int(k == u)) for k in range(n))) for u in range(n))
+    for m in spanned:
+        for _ in range(3):
+            entries = list(m.entries)
+            entries[rng.randrange(n)] += rng.choice([-2, -1, 1, 2])
+            yield MatQ(g.dim, g.dim, tuple(entries))
+    for density in (1.0, 0.2):
+        for _ in range(6):
+            entries = [Fraction(rng.randint(-3, 3)) if rng.random() < density else Fraction(0) for _ in range(n)]
+            yield MatQ(g.dim, g.dim, tuple(entries))
+
+
+def test_sparse_evaluators_match_dense_oracles():
+    rng = random.Random(7)
+    outcomes = {"leibniz": set(), "centroid": set()}
+    for name, g in _differential_algebras():
+        for d in _differential_matrices(g, rng):
+            for key, new, old in [
+                ("leibniz", leibniz_violation, dense_leibniz_violation),
+                ("centroid", centroid_violation, dense_centroid_violation),
+            ]:
+                got = new(g, d)
+                assert got == old(g, d), (name, key, d)
+                outcomes[key].add(got is None)
+    # each evaluator met both clean and violating matrices
+    assert outcomes == {"leibniz": {True, False}, "centroid": {True, False}}
+
+
+def test_sparse_evaluators_touch_neither_mul_vec_nor_bracket(b2_minimal, monkeypatch):
+    g, _ = b2_minimal
+    bad = MatQ.from_rows([[Fraction(int(r == 3 and c == 0)) for c in range(4)] for r in range(4)])
+    ident = MatQ.identity(4)
+
+    def forbidden(*args):
+        raise AssertionError("dense evaluation")
+
+    monkeypatch.setattr(MatQ, "mul_vec", forbidden)
+    monkeypatch.setattr(LieAlgebra, "bracket", forbidden)
+    assert leibniz_violation(g, bad) is not None and centroid_violation(g, bad) is not None
+    assert centroid_violation(g, ident) is None
+
+
+@pytest.mark.parametrize("evaluator", [leibniz_violation, centroid_violation])
+def test_sparse_evaluators_reject_wrong_shapes(b2_minimal, evaluator):
+    g, _ = b2_minimal
+    for rows, cols in [(4, 3), (3, 4), (2, 2), (5, 5)]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            evaluator(g, MatQ.zeros(rows, cols))
+
+
+def test_aid_membership_checks_leibniz_once(b2_minimal, monkeypatch):
+    g, info = b2_minimal
+    calls = []
+    real = dercalc.leibniz_violation
+
+    def counting(g, d):
+        calls.append(d)
+        return real(g, d)
+
+    monkeypatch.setattr(dercalc, "leibniz_violation", counting)
+    d = g.ad(g.basis_vector(2))
+    verdict = aid_membership(g, info, d)
+    assert verdict.is_inner and calls == [d]
