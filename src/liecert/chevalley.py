@@ -11,10 +11,10 @@ sign rules are never mixed.  The Killing form and every subalgebra table are
 read off the root data (the Q-grading) rather than found by dense algebra.
 
 Subalgebra extraction returns the subalgebra together with its distinguished
-basis data: for ``|Psi| = l`` the torus basis is chosen dual to Psi
-(``beta_i(h_j) = delta_ij``), the dual torus satisfies ``(h_i, h_j') =
-delta_ij`` for the restricted Killing form, and the Gram matrix holds
-``(beta_i, beta_j)`` computed through the form.
+basis data: for an independent Psi with ``|Psi| = l`` the torus basis is
+chosen dual to Psi (``beta_i(h_j) = delta_ij``), the dual torus satisfies
+``(h_i, h_j') = delta_ij`` for the restricted Killing form, and the Gram
+matrix holds ``(beta_i, beta_j)``; all are closed forms in the root data.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import MatQ, Rat, rref, solve
+from .exact import MatQ, Rat, inverse
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -305,28 +305,22 @@ def killing_form(g: LieAlgebra) -> MatQ:
     return MatQ(dim, dim, tuple(entries))
 
 
-def _unit(j: int, n: int) -> list[Rat]:
-    return [Fraction(1 if i == j else 0) for i in range(n)]
-
-
-def _solve_checked(a: MatQ, b: list[Rat]) -> tuple[Rat, ...]:
-    sol = solve(a, b)
-    if sol is None:
-        raise AssertionError("a full-rank torus system has no solution")
-    return tuple(sol)
-
-
 def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     """Cut ``H + sum_{beta in Psi} L_beta`` out of the ambient algebra.
 
     Requires Psi closed under root addition.  The result carries the ambient
     Killing form restricted to the subalgebra.  When ``|Psi| = rank`` and Psi
-    is a lattice basis, the torus basis is chosen dual to Psi.
+    is linearly independent (it need not be a lattice basis), the torus basis
+    is chosen dual to Psi; otherwise it is the simple coroots.
 
-    Brackets and form are read off the Q-grading: ``[t, x_b] = beta_b(t) x_b``,
-    ``[x_a, x_b]`` is the ambient constant re-indexed through Psi (for
-    ``beta_a + beta_b = 0`` the coroot), and the form vanishes between the
-    torus and the root spaces.
+    Everything is read off the Q-grading, without a linear solve.
+    ``[t, x_b] = beta_b(t) x_b``, ``[x_a, x_b]`` is the ambient constant
+    re-indexed through Psi (for ``beta_a + beta_b = 0`` the coroot), and the
+    form vanishes between the torus and the root spaces.  The Gram matrix is
+    ``(beta_a, beta_b) = <beta_a, beta_b^vee> / (e_b, e_-b)``, because
+    ``(beta, beta) (h_beta, h_beta) = 4 = 2 (e_beta, e_-beta) (beta, beta)``.
+    On the dual torus the form is the inverse Gram matrix and the dual torus
+    is the Gram matrix; on the coroot torus both come from the ambient block.
     """
     rs = spec.system
     if g.root_system is None or g.root_system.roots != rs.roots or g.root_system.family != rs.family:
@@ -339,32 +333,39 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
         raise ValueError("ambient algebra must carry its Killing form")
 
     l, m = rs.rank, len(spec.psi)
-    dim = l + m
+    ambient = [l + rs.root_index[beta] for beta in spec.psi]
 
-    # beta_i(h_j) over the simple coroots
-    pair_rows = [[Fraction(rs.pairing(beta, j)) for j in range(l)] for beta in spec.psi]
+    # pair[a][k] = <beta_a, alpha_k^vee>
+    pair = [[Fraction(rs.pairing(beta, k)) for k in range(l)] for beta in spec.psi]
+    coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
+    e_pairs = [g.form.at(ia, l + rs.root_index[_neg(beta)]) for ia, beta in zip(ambient, spec.psi)]  # (e_b, e_-b)
+    gram = MatQ.from_rows(
+        [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
+    )
+    if not gram.is_symmetric():
+        raise AssertionError(f"closed-form Gram matrix of Psi = {spec.psi} is not symmetric")
 
-    # torus[j]: coordinates of t_j over the simple coroots
-    torus: list[Vec] = [tuple(_unit(j, l)) for j in range(l)]
-    torus_is_dual = False
-    if m == l:
-        mat = MatQ.from_rows(pair_rows)
-        if rref(mat).rank == l:
-            torus = [_solve_checked(mat, _unit(j, l)) for j in range(l)]
-            torus_is_dual = True
-    torus_ambient = tuple(t + (Fraction(0),) * (g.dim - l) for t in torus)
-
-    # beta_i evaluated on the chosen torus basis
-    beta_of_h_rows = [[sum(pair_rows[i][k] * torus[j][k] for k in range(l)) for j in range(l)] for i in range(m)]
-    beta_of_h = MatQ.from_rows(beta_of_h_rows)
+    pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
+    torus_is_dual = pair_inv is not None
+    # t_j = sum_k T[k][j] h_k with T = pair^-1 (the torus dual to Psi) or I (the simple coroots)
+    t = pair_inv if torus_is_dual else MatQ.identity(l)
+    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + (Fraction(0),) * (g.dim - l) for j in range(l))
+    if torus_is_dual:
+        # beta_a(t_j) = delta_aj, so the form on H is gram^-1 and the dual torus is gram
+        beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
+        if torus_block is None:
+            raise AssertionError(f"Gram matrix of the linearly independent Psi = {spec.psi} is singular")
+    else:
+        beta_of_h = MatQ.from_rows(pair)
+        torus_block = MatQ.from_rows([g.form.row(i)[:l] for i in range(l)])
+        dual = inverse(torus_block)
 
     structure: dict[tuple[int, int], SparseVec] = {}
     for j in range(l):
         for b in range(m):
-            c = beta_of_h_rows[b][j]
+            c = beta_of_h.at(b, j)
             if c:
                 structure[(j, l + b)] = ((l + b, c),)
-    ambient = [l + rs.root_index[beta] for beta in spec.psi]
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
     for a in range(m):
         for b in range(a + 1, m):
@@ -373,37 +374,19 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
             if entry and any(total):
                 structure[(l + a, l + b)] = tuple((local[total], c) for _, c in entry)
             elif entry:
-                # the coroot: Psi holds a and -a, so it is not a basis and the
-                # torus basis is the simple coroots, the ambient coordinates
+                # the coroot: Psi holds a and -a, so it is not independent and
+                # the torus basis is the simple coroots, the ambient coordinates
                 structure[(l + a, l + b)] = entry
 
-    # restricted form: T^T K_H T on the torus, the ambient entries on the root spaces
-    torus_gram_rows = [
-        [
-            sum(ti[k] * g.form.at(k, k2) * tj[k2] for k in range(l) if ti[k] for k2 in range(l) if tj[k2])
-            for tj in torus
-        ]
-        for ti in torus
-    ]
+    # the torus block on H, the ambient entries on the root spaces
     zeros = [Fraction(0)] * m
-    form_rows = [row + zeros for row in torus_gram_rows]
+    form_rows = [list(torus_block.row(i)) + zeros for i in range(l)]
     form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
     form = MatQ.from_rows(form_rows)
-
-    # dual torus and Gram matrix need the form restricted to H to be invertible
-    torus_gram = MatQ.from_rows(torus_gram_rows)
-    dual_torus_local: tuple[Vec, ...] | None = None
-    gram: MatQ | None = None
-    if rref(torus_gram).rank == l:
-        dual_torus_local = tuple(_solve_checked(torus_gram, _unit(j, l)) + (Fraction(0),) * m for j in range(l))
-        # t_beta solves (h_i, t) = beta(h_i); gram[a][b] = beta_a(t_beta_b)
-        tvecs = [_solve_checked(torus_gram, list(beta_of_h.row(b))) for b in range(m)]
-        gram = MatQ.from_rows(
-            [[sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)]
-        )
+    dual_torus_local = None if dual is None else tuple(dual.row(j) + tuple(zeros) for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=form, root_system=None)
+    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=form, root_system=None)
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,

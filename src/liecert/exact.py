@@ -2,10 +2,10 @@
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
-sits behind ``rref``, ``kernel_basis``, ``solve`` and ``solve_sparse``; their
-results are read off the unique reduced row echelon form, with free
-variables zeroed, so they do not depend on elimination order.  The Smith
-form fixes its own sign normalisation.  Downstream certificates are
+sits behind ``rref``, ``kernel_basis``, ``inverse``, ``solve`` and
+``solve_sparse``; their results are read off the unique reduced row echelon
+form, with free variables zeroed, so they do not depend on elimination order.
+The Smith form fixes its own sign normalisation.  Downstream certificates are
 therefore reproducible byte-for-byte.
 """
 
@@ -25,6 +25,7 @@ __all__ = [
     "Echelon",
     "rref",
     "kernel_basis",
+    "inverse",
     "solve",
     "solve_sparse",
     "smith_normal_form",
@@ -44,13 +45,13 @@ def rat_to_str(x: Rat | int) -> str:
 
 
 def rat_from_str(s: str) -> Rat:
-    # Fraction normalises to lowest terms with positive denominator.
+    # strings only: a JSON float would be read as its binary value, a boolean as 0 or 1
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational as a string, got {s!r}")
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    except TypeError:
-        raise ValueError(f"expected a rational, got {s!r}") from None
 
 
 _JSON_KINDS = {dict: "object", list: "array", int: "integer"}
@@ -190,13 +191,6 @@ class MatZ:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": [str(e) for e in self.entries]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "MatZ":
-        return MatZ(int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -280,6 +274,22 @@ def rref(m: MatQ) -> RrefResult:
 def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
     """Basis of the right null space, one vector per free column, ascending."""
     return _echelon(m).kernel(m.cols)
+
+
+def inverse(m: MatQ) -> MatQ | None:
+    """The inverse of a square matrix, or None when it is singular: ``[m | I]``
+    is reduced in one :class:`Echelon`, and m is invertible iff no pivot falls
+    in the right half, which then holds the inverse."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of a non-square matrix")
+    ech = Echelon()
+    for i in range(n):
+        ech.add({**dict(enumerate(m.row(i))), n + i: _ONE})
+    if any(c >= n for c in ech.rows):
+        return None
+    red = ech.reduced()
+    return MatQ(n, n, tuple(red[c].get(n + j, _ZERO) for c in range(n) for j in range(n)))
 
 
 def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:

@@ -797,11 +797,12 @@ def toral_center_witness(
 def _toral_witness_ansatz(ctx: LoopContext, i: int, j: int, x: AffineElement):
     """Closed-form attempt: torus correction at degree -j over the Gram
     submatrix indexed by the torus directions absent from X, then per-root
-    Laurent division.  Returns Y, or a string describing the failing step."""
+    Laurent division.  Returns Y, or a string describing the failing step.
+    It reads ``beta_k(t_m) = delta_km``, so it needs the torus dual to Psi."""
     l = ctx.l
     info = ctx.basis
-    if info.dual_torus_local is None or info.gram is None:
-        raise ValueError("the witness ansatz needs the dual torus basis and the Gram matrix")
+    if not info.torus_is_dual:
+        return "torus-not-dual"
     gram = info.gram
     b = [LaurentPoly.from_dict({deg: vec[m] for deg, vec in x.support.items()}) for m in range(l)]
     c = [LaurentPoly.from_dict({deg: vec[l + p] for deg, vec in x.support.items()}) for p in range(l)]

@@ -344,6 +344,20 @@ def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
     return structure, MatQ.from_rows(form_rows), beta_of_h, dual, gram
 
 
+def bipartite_psi(rs):
+    """+alpha_i on one colour class of the Dynkin diagram, -alpha_i on the other."""
+    l = rs.rank
+    sign = [1] + [0] * (l - 1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(l):
+            if j != i and rs.cartan[i][j] and not sign[j]:
+                sign[j] = -sign[i]
+                todo.append(j)
+    return tuple(tuple(sign[i] if k == i else 0 for k in range(l)) for i in range(l))
+
+
 def _differential_specs():
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
         rs = build_root_system(family, rank)
@@ -351,7 +365,13 @@ def _differential_specs():
         specs.append(SubalgebraSpec(rs, rs.positive_roots))
         if (family, rank) == ("B", 2):
             specs.append(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
+        if (family, rank) == ("A", 3):
+            # square but dependent: the torus is the simple coroots
+            specs.append(SubalgebraSpec(rs, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
         yield pytest.param(rs, specs, id=f"{family}{rank}")
+    for family, rank in [("B", 4), ("C", 4), ("D", 4), ("F", 4), ("E", 6)]:
+        rs = build_root_system(family, rank)
+        yield pytest.param(rs, [SubalgebraSpec(rs, bipartite_psi(rs))], id=f"{family}{rank}-bipartite")
 
 
 @pytest.mark.parametrize("rs,specs", list(_differential_specs()))

@@ -319,6 +319,9 @@ BAD4 = {"rows": 4, "cols": 4, "entries": 5}
         (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "inner", "y": 5}]}),
         (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": BAD4}]}),
         (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "tensor", "f": 7, "matrix": ZERO4}]}),
+        # rationals that are JSON numbers or booleans, not strings
+        (["inner-match", "--window", "2"], "--op", {"terms": [{"kind": "dij", "i": 1, "j": 1, "weight": 0.1}]}),
+        (["dij-witness", "--i", "1", "--j", "1"], "--x", {"support": {"1": [True, "0", "0", "0"]}}),
     ],
 )
 def test_malformed_input_files_exit_2_without_traceback(tmp_path, args, flag, payload):
@@ -362,13 +365,27 @@ def test_selftest_rejects_unknown_criteria(criteria, capsys):
     assert "valid numbers are 1..10" in capsys.readouterr().err
 
 
-def test_criterion_7_under_python_O():
-    """The exact Leibniz decision raises explicitly, so -O changes nothing."""
-    golden = json.loads((Path(__file__).parent / "golden" / "selftest.out").read_text())
-    (want,) = [c for c in golden["verdicts"]["criteria"] if c["number"] == 7]
-    proc = _cli_process(["selftest", "--criteria", "7"], python_flags=["-O"])
+def test_selftest_under_python_O(monkeypatch):
+    """Every check raises explicitly, so all ten criteria print the golden
+    document byte for byte under -O."""
+    monkeypatch.delenv("LIECERT_SEED", raising=False)
+    proc = _cli_process(["selftest"], python_flags=["-O"])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["verdicts"]["criteria"] == [want]
+    assert proc.stdout == (Path(__file__).parent / "golden" / "selftest.out").read_text(encoding="utf-8")
+
+
+def test_dij_witness_with_dependent_square_psi_takes_the_general_path(tmp_path):
+    # |Psi| = rank but beta_3 = beta_1 + beta_2, so the torus is the simple
+    # coroots and the closed-form ansatz, which assumes the dual torus, is skipped
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"central": "0", "support": {"2": ["1", "1", "1", "2", "-1", "0"]}}))
+    argv = ["dij-witness", "--family", "A", "--rank", "3", "--psi", "1,0,0;0,1,0;1,1,0"]
+    proc = _cli_process(argv + ["--i", "1", "--j", "2", "--window", "4", "--x", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(proc.stdout)["verdicts"]
+    assert verdicts["general_path_used"] is True
+    assert verdicts["fast_path_failure"] == "torus-not-dual"
+    assert verdicts["status"] == "witnessed"
 
 
 def test_timings_opt_in():

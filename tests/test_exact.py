@@ -12,6 +12,7 @@ from liecert.exact import (
     MatQ,
     MatZ,
     hermite_pivots,
+    inverse,
     kernel_basis,
     rat_from_str,
     rat_to_str,
@@ -179,25 +180,33 @@ def test_echelon_add_rejects_dependent_row():
 
 def _sympy_systems(rng):
     """Random rational systems: square, wide, tall, sparse, Leibniz-shaped,
-    and rank-deficient ones whose random right-hand sides are mostly
-    inconsistent."""
+    rank-deficient ones whose random right-hand sides are mostly
+    inconsistent, and singular square ones."""
     def dense(nr, nc, density):
         return [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0) for _ in range(nc)]
             for _ in range(nr)
         ]
 
+    def combination(low):
+        coeffs = [rng.randint(-2, 2) for _ in low]
+        return [sum(c * r[j] for c, r in zip(coeffs, low)) for j in range(len(low[0]))]
+
     for nr, nc, density in [(4, 4, 0.9), (3, 9, 0.7), (8, 3, 0.8), (7, 14, 0.15), (10, 12, 0.3)]:
         for _ in range(6):
             yield dense(nr, nc, density)
     for _ in range(6):
         low = dense(3, 7, 0.8)
-        mix = [[sum(rng.randint(-2, 2) * r[j] for r in low) for j in range(7)] for _ in range(5)]
-        yield low + mix
+        yield low + [combination(low) for _ in range(5)]
     for weights in ([[1, 0], [0, 1], [1, 1]], [[2, -1], [-1, 2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
         g, _ = diagonal_toral_algebra(weights)
         rows = [row for i in range(g.dim) for j in range(i + 1, g.dim) for row in _leibniz_rows(g, i, j, True, True)]
         yield [[Fraction(row.get(c, 0)) for c in range(g.dim**2)] for row in rows]
+    # singular square ones, so that inverse meets both outcomes
+    yield [[Fraction(0)]]
+    for n in (2, 4, 5):
+        low = dense(n - 1, n, 0.8)
+        yield low + [combination(low)]
 
 
 def test_rref_kernel_solve_match_sympy():
@@ -207,7 +216,7 @@ def test_rref_kernel_solve_match_sympy():
         return Fraction(int(x.p), int(x.q))
 
     rng = random.Random(59)
-    feasible = infeasible = 0
+    feasible = infeasible = singular = invertible = 0
     for rows in _sympy_systems(rng):
         m = MatQ.from_rows(rows)
         sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
@@ -230,7 +239,17 @@ def test_rref_kernel_solve_match_sympy():
             feasible += 1
         assert solve(m, b) == want
         assert solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, m.cols) == want
+
+        if m.rows == m.cols:
+            if sm.det() == 0:
+                want_inv = None
+                singular += 1
+            else:
+                want_inv = MatQ(m.rows, m.cols, tuple(frac(x) for x in sm.inv()))
+                invertible += 1
+            assert inverse(m) == want_inv
     assert feasible and infeasible
+    assert singular and invertible
 
 
 def test_snf_unimodular_input():
