@@ -10,11 +10,13 @@ identifier below is printed in every certificate, so tables from different
 sign rules are never mixed.  The Killing form and every subalgebra table are
 read off the root data (the Q-grading) rather than found by dense algebra.
 
-Subalgebra extraction returns the subalgebra together with its distinguished
-basis data: for an independent Psi with ``|Psi| = l`` the torus basis is
-chosen dual to Psi (``beta_i(h_j) = delta_ij``), the dual torus satisfies
-``(h_i, h_j') = delta_ij`` for the restricted Killing form, and the Gram
-matrix holds ``(beta_i, beta_j)``; all are closed forms in the root data.
+Subalgebra extraction reads ``H + sum_{beta in Psi} L_beta`` straight off
+the root data of Psi, without building the ambient algebra, and returns it
+with its distinguished basis data: for an independent Psi with
+``|Psi| = l`` the torus basis is chosen dual to Psi
+(``beta_i(h_j) = delta_ij``), the dual torus satisfies ``(h_i, h_j') =
+delta_ij`` for the restricted Killing form, and the Gram matrix holds
+``(beta_i, beta_j)``; all are closed forms in the root data.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class LieAlgebra:
     labels: tuple[str, ...]
     structure: dict[tuple[int, int], SparseVec] = field(repr=False)
     form: MatQ | None = None
-    root_system: RootSystem | None = None
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         if i == j:
@@ -240,12 +241,27 @@ def _coroot_vector(rs: RootSystem, alpha: Root) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _torus_form(rs: RootSystem) -> list[list[int]]:
+    """The Killing form on the simple coroots: ``(h_i, h_j)`` is the sum over
+    the roots a of ``a(h_i) a(h_j)`` (Humphreys, section 8.3), twice the sum
+    over the positive roots since a and -a give the same term."""
+    l = rs.rank
+    pairing = [[rs.pairing(r, i) for i in range(l)] for r in rs.positive_roots]
+    return [[2 * sum(p[i] * p[j] for p in pairing) for j in range(l)] for i in range(l)]
+
+
+def _opposite_pair_form(kh: list[list[int]], h: tuple[int, ...]) -> Rat:
+    """``(e_a, e_-a) = (h_a, h_a) / 2`` by invariance, for the coroot
+    coordinates h of a and the torus form kh."""
+    return Fraction(sum(x * kh[i][j] * y for i, x in enumerate(h) if x for j, y in enumerate(h) if y), 2)
+
+
 def build_semisimple(rs: RootSystem) -> LieAlgebra:
     """The semisimple Lie algebra of ``rs`` with Chevalley structure constants.
 
-    The Killing form is attached, read off the grading: ``(h_i, h_j)`` is
-    ``sum over roots a of a(h_i) a(h_j)``, ``(e_a, e_-a) = (h_a, h_a)/2`` by
-    invariance, and every other entry is 0.
+    The Killing form is attached, read off the grading: ``_torus_form`` on
+    the torus, ``(e_a, e_-a) = (h_a, h_a)/2`` on opposite root spaces, and
+    every other entry is 0.
     """
     l = rs.rank
     roots = rs.roots
@@ -273,16 +289,15 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
             elif total in rs.root_index:
                 structure[(l + a, l + b)] = ((l + rs.root_index[total], lookup(r, s)),)
 
-    kh = [[sum(p[i] * p[j] for p in pairing) for j in range(l)] for i in range(l)]
+    kh = _torus_form(rs)
     entries = [Fraction(0)] * (dim * dim)
     for i in range(l):
         for j in range(l):
             entries[i * dim + j] = Fraction(kh[i][j])
     for a, h in enumerate(coroots):
-        hh = sum(h[i] * kh[i][j] * h[j] for i in range(l) for j in range(l))
-        entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = Fraction(hh, 2)
+        entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = _opposite_pair_form(kh, h)
     form = MatQ(dim, dim, tuple(entries))
-    return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form, root_system=rs)
+    return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form)
 
 
 def killing_form(g: LieAlgebra) -> MatQ:
@@ -305,40 +320,39 @@ def killing_form(g: LieAlgebra) -> MatQ:
     return MatQ(dim, dim, tuple(entries))
 
 
-def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
-    """Cut ``H + sum_{beta in Psi} L_beta`` out of the ambient algebra.
+def extract_subalgebra(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
+    """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
-    Requires Psi closed under root addition.  The result carries the ambient
-    Killing form restricted to the subalgebra.  When ``|Psi| = rank`` and Psi
-    is linearly independent (it need not be a lattice basis), the torus basis
-    is chosen dual to Psi; otherwise it is the simple coroots.
+    Requires Psi closed under root addition.  Everything is read off the root
+    data of ``spec.system``: the tables are those of the subalgebra of
+    ``build_semisimple(spec.system)``, but no ambient algebra is built and
+    nothing is solved.  When ``|Psi| = rank`` and Psi is linearly independent
+    (it need not be a lattice basis), the torus basis is chosen dual to Psi;
+    otherwise it is the simple coroots.
 
-    Everything is read off the Q-grading, without a linear solve.
-    ``[t, x_b] = beta_b(t) x_b``, ``[x_a, x_b]`` is the ambient constant
-    re-indexed through Psi (for ``beta_a + beta_b = 0`` the coroot), and the
-    form vanishes between the torus and the root spaces.  The Gram matrix is
-    ``(beta_a, beta_b) = <beta_a, beta_b^vee> / (e_b, e_-b)``, because
-    ``(beta, beta) (h_beta, h_beta) = 4 = 2 (e_beta, e_-beta) (beta, beta)``.
-    On the dual torus the form is the inverse Gram matrix and the dual torus
-    is the Gram matrix; on the coroot torus both come from the ambient block.
+    ``[t, x_b] = beta_b(t) x_b``; ``[x_a, x_b]`` is ``N_{beta_a,beta_b}``
+    times the root vector of ``beta_a + beta_b`` when that lies in Psi, the
+    coroot ``h_{beta_a}`` when ``beta_a + beta_b = 0``, and 0 otherwise.  The
+    form vanishes between the torus and the root spaces and between root
+    spaces whose roots do not cancel; ``(e_b, e_-b) = (h_b, h_b)/2``.  The
+    Gram matrix is ``(beta_a, beta_b) = <beta_a, beta_b^vee> / (e_b, e_-b)``,
+    because ``(beta, beta) (h_beta, h_beta) = 4 = 2 (e_beta, e_-beta) (beta,
+    beta)``.  On the dual torus the form is the inverse Gram matrix and the
+    dual torus is the Gram matrix; on the coroot torus the form is
+    ``_torus_form`` and the dual torus its inverse.
     """
     rs = spec.system
-    if g.root_system is None or g.root_system.roots != rs.roots or g.root_system.family != rs.family:
-        raise ValueError("ambient algebra does not match the spec's root system")
     violation = closure_violation(rs, spec.psi)
     if violation is not None:
         a, b, s = violation
         raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
-    if g.form is None:
-        raise ValueError("ambient algebra must carry its Killing form")
 
     l, m = rs.rank, len(spec.psi)
-    ambient = [l + rs.root_index[beta] for beta in spec.psi]
-
+    kh = _torus_form(rs)
     # pair[a][k] = <beta_a, alpha_k^vee>
     pair = [[Fraction(rs.pairing(beta, k)) for k in range(l)] for beta in spec.psi]
     coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
-    e_pairs = [g.form.at(ia, l + rs.root_index[_neg(beta)]) for ia, beta in zip(ambient, spec.psi)]  # (e_b, e_-b)
+    e_pairs = [_opposite_pair_form(kh, h) for h in coroots]  # (e_b, e_-b)
     gram = MatQ.from_rows(
         [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
     )
@@ -347,9 +361,11 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
 
     pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
     torus_is_dual = pair_inv is not None
-    # t_j = sum_k T[k][j] h_k with T = pair^-1 (the torus dual to Psi) or I (the simple coroots)
+    # t_j = sum_k T[k][j] h_k with T = pair^-1 (the torus dual to Psi) or I
+    # (the simple coroots), padded to the ambient basis h_1..h_l, e_roots
     t = pair_inv if torus_is_dual else MatQ.identity(l)
-    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + (Fraction(0),) * (g.dim - l) for j in range(l))
+    pad = (Fraction(0),) * len(rs.roots)
+    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + pad for j in range(l))
     if torus_is_dual:
         # beta_a(t_j) = delta_aj, so the form on H is gram^-1 and the dual torus is gram
         beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
@@ -357,7 +373,7 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
             raise AssertionError(f"Gram matrix of the linearly independent Psi = {spec.psi} is singular")
     else:
         beta_of_h = MatQ.from_rows(pair)
-        torus_block = MatQ.from_rows([g.form.row(i)[:l] for i in range(l)])
+        torus_block = MatQ.from_rows(kh)
         dual = inverse(torus_block)
 
     structure: dict[tuple[int, int], SparseVec] = {}
@@ -367,26 +383,28 @@ def extract_subalgebra(g: LieAlgebra, spec: SubalgebraSpec) -> tuple[LieAlgebra,
             if c:
                 structure[(j, l + b)] = ((l + b, c),)
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
+    opposite = [[not any(_add(a, b)) for b in spec.psi] for a in spec.psi]
+    lookup = None  # the pair constants, built only when some sum lies in Psi
     for a in range(m):
         for b in range(a + 1, m):
-            entry = g.bracket_basis(ambient[a], ambient[b])
             total = _add(spec.psi[a], spec.psi[b])
-            if entry and any(total):
-                structure[(l + a, l + b)] = tuple((local[total], c) for _, c in entry)
-            elif entry:
+            if total in local:
+                if lookup is None:
+                    lookup = _positive_pair_constants(rs)
+                structure[(l + a, l + b)] = ((local[total], lookup(spec.psi[a], spec.psi[b])),)
+            elif opposite[a][b]:
                 # the coroot: Psi holds a and -a, so it is not independent and
-                # the torus basis is the simple coroots, the ambient coordinates
-                structure[(l + a, l + b)] = entry
+                # the torus basis is the simple coroots
+                structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
 
-    # the torus block on H, the ambient entries on the root spaces
     zeros = [Fraction(0)] * m
     form_rows = [list(torus_block.row(i)) + zeros for i in range(l)]
-    form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
+    form_rows += [[Fraction(0)] * l + [e_pairs[a] if opposite[a][b] else 0 for b in range(m)] for a in range(m)]
     form = MatQ.from_rows(form_rows)
     dual_torus_local = None if dual is None else tuple(dual.row(j) + tuple(zeros) for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=form, root_system=None)
+    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=form)
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .chevalley import CONVENTION, SubalgebraSpec, build_semisimple, extract_subalgebra
+from .chevalley import CONVENTION, SubalgebraSpec, extract_subalgebra
 from .dercalc import aid_membership, centroid_space, derivation_space, verify_aid_eq_inn
 from .exact import MatQ, expect_json, rat_from_str, rat_to_str
 from .loopalg import (
@@ -61,11 +61,6 @@ def parse_psi(text: str):
 def _spec_from_args(args) -> SubalgebraSpec:
     rs = build_root_system(args.family, args.rank)
     return SubalgebraSpec(rs, parse_psi(args.psi))
-
-
-def _context_from_args(args):
-    spec = _spec_from_args(args)
-    return spec, build_semisimple(spec.system)
 
 
 def _inputs(spec: SubalgebraSpec, **extra) -> dict:
@@ -147,8 +142,8 @@ def _cmd_minimal(args, seed):
 
 
 def _cmd_certify(args, seed):
-    spec, ambient = _context_from_args(args)
-    cert = certify(spec, ambient)
+    spec = _spec_from_args(args)
+    cert = certify(spec)
     doc = _envelope(
         "certify",
         _inputs(spec),
@@ -159,8 +154,8 @@ def _cmd_certify(args, seed):
 
 
 def _cmd_der(args, seed):
-    spec, ambient = _context_from_args(args)
-    g, info = extract_subalgebra(ambient, spec)
+    spec = _spec_from_args(args)
+    g, info = extract_subalgebra(spec)
     basis = derivation_space(g)
     doc = _envelope(
         "der",
@@ -180,10 +175,10 @@ def _cmd_der(args, seed):
 
 
 def _cmd_aid(args, seed):
-    spec, ambient = _context_from_args(args)
+    spec = _spec_from_args(args)
     inputs = _inputs(spec)
     if args.matrix:
-        g, info = extract_subalgebra(ambient, spec)
+        g, info = extract_subalgebra(spec)
         d = MatQ.from_json(_load_json(args.matrix))
         verdict = aid_membership(g, info, d)
         verdicts = {
@@ -192,13 +187,13 @@ def _cmd_aid(args, seed):
             "reason": verdict.reason,
         }
         return _envelope("aid", inputs, verdicts, seed), 0 if verdict.is_inner else 1
-    cert = verify_aid_eq_inn(spec, ambient, seed=seed)
+    cert = verify_aid_eq_inn(spec, seed=seed)
     return _envelope("aid", inputs, cert.to_json(), seed), 0 if cert.ok else 1
 
 
 def _cmd_centroid(args, seed):
-    spec, ambient = _context_from_args(args)
-    g, info = extract_subalgebra(ambient, spec)
+    spec = _spec_from_args(args)
+    g, info = extract_subalgebra(spec)
     cent = centroid_space(g)
     diagonal = all(
         all(m.at(r, c) == 0 for r in range(g.dim) for c in range(g.dim) if r != c) for m in cent.basis
@@ -213,8 +208,8 @@ def _cmd_centroid(args, seed):
 
 
 def _cmd_affine_bracket(args, seed):
-    spec, ambient = _context_from_args(args)
-    ctx = loop_context(spec, ambient)
+    spec = _spec_from_args(args)
+    ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
     y = AffineElement.from_json(ctx, _load_json(args.y))
     out = affine_bracket(x, y)
@@ -228,8 +223,8 @@ def _cmd_affine_bracket(args, seed):
 
 
 def _cmd_dij_witness(args, seed):
-    spec, ambient = _context_from_args(args)
-    ctx = loop_context(spec, ambient)
+    spec = _spec_from_args(args)
+    ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
     if args.j == 0:
         print("error: degree 0 is obstructed; use aid-check", file=sys.stderr)
@@ -249,8 +244,8 @@ def _cmd_dij_witness(args, seed):
 
 
 def _cmd_aid_check(args, seed):
-    spec, ambient = _context_from_args(args)
-    ctx = loop_context(spec, ambient)
+    spec = _spec_from_args(args)
+    ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
     op = _operator_from_json(ctx, _load_json(args.op))
     window = (-args.window, args.window) if args.window is not None else None
@@ -275,8 +270,8 @@ def _cmd_aid_check(args, seed):
 
 
 def _cmd_inner_match(args, seed):
-    spec, ambient = _context_from_args(args)
-    ctx = loop_context(spec, ambient)
+    spec = _spec_from_args(args)
+    ctx = loop_context(spec)
     op = _operator_from_json(ctx, _load_json(args.op))
     if not all(isinstance(t, ToralToCenter) for _, t in op.terms):
         raise ValueError("inner-match expects a sum of dij terms")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
 from .exact import Echelon, MatQ, Rat, kernel_basis, solve
 from .qgraded import is_closed, is_minimal, spans_q
 
@@ -226,16 +226,21 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
 def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, MatQ, tuple[Rat, ...]]:
     """Subtract an inner derivation so the result kills H and scales each x_i.
 
-    Expects a derivation (``aid_membership`` checks Leibniz before calling
-    it) and raises when the precondition or the reduction fails.  Returns
+    Expects a derivation (``aid_membership`` checks Leibniz before it
+    reduces) and raises when the precondition or the reduction fails.  Returns
     ``(z, Dt, a)`` with ``Dt = D + ad(z)``, ``Dt(H) = 0`` and
     ``Dt(x_i) = a_i x_i``; z is the closed form ``sum c_i x_i``.
     """
     ok, data = aid_precondition(g, info, d)
     if not ok:
         raise ValueError(f"almost-inner precondition fails: {data}")
+    return _reduce(g, info, d, data["scalars"])
+
+
+def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
+    """``aid_reduce`` past its precondition, whose scalars it takes."""
     l, m = info.l, info.m
-    z = (Fraction(0),) * l + data["scalars"]
+    z = (Fraction(0),) * l + scalars
     dt = MatQ(g.dim, g.dim, tuple(a + b for a, b in zip(d.entries, g.ad(z).entries)))
     if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
         raise AssertionError("reduction failed to kill the torus")
@@ -257,7 +262,7 @@ def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdi
     ok, data = aid_precondition(g, info, d)
     if not ok:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
-    z, dt, a = aid_reduce(g, info, d)
+    z, dt, a = _reduce(g, info, d, data["scalars"])
     h = solve(info.beta_of_h, list(a))
     if h is None:
         # the almost-inner condition fails at x = sum_i x_i
@@ -311,12 +316,7 @@ class AidEqInnCertificate:
         }
 
 
-def verify_aid_eq_inn(
-    spec: SubalgebraSpec,
-    ambient: LieAlgebra | None = None,
-    trials: int = 64,
-    seed: int = 2024,
-) -> AidEqInnCertificate:
+def verify_aid_eq_inn(spec: SubalgebraSpec, trials: int = 64, seed: int = 2024) -> AidEqInnCertificate:
     """Certificate that the almost-inner derivations are exactly the inner ones.
 
     Requires a minimal Q-graded spec.  What it proves is ``dim Der = dim Inn``
@@ -330,9 +330,7 @@ def verify_aid_eq_inn(
         raise ValueError("spec must be closed and Q-spanning")
     if not is_minimal(spec)[0]:
         raise ValueError("the procedure applies to minimal Q-graded subalgebras only")
-    if ambient is None:
-        ambient = build_semisimple(spec.system)
-    g, info = extract_subalgebra(ambient, spec)
+    g, info = extract_subalgebra(spec)
     basis = derivation_space(g)
     inner_verdicts = tuple(aid_membership(g, info, m) for m in basis.inn_basis)
     complement_verdicts = tuple(aid_membership(g, info, m) for m in basis.complement_basis)
@@ -405,7 +403,7 @@ def diagonal_toral_algebra(beta_rows) -> tuple[LieAlgebra, DistinguishedBasis]:
             if c:
                 structure[(j, l + i)] = ((l + i, c),)
     labels = tuple(f"h{j + 1}" for j in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    g = LieAlgebra(dim=dim, labels=labels, structure=structure, form=None, root_system=None)
+    g = LieAlgebra(dim=dim, labels=labels, structure=structure, form=None)
     info = DistinguishedBasis(
         psi=tuple(tuple(int(x) for x in row) for row in beta_rows),  # weights stand in for roots
         torus_ambient=tuple(g.basis_vector(j) for j in range(l)),

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
 from .dercalc import aid_membership, centroid_violation, leibniz_violation
 from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve, solve_sparse
 
@@ -238,10 +238,12 @@ class LoopContext:
 
 
 def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> LoopContext:
-    """Build the loop/affine context for a subalgebra spec."""
-    if ambient is None:
-        ambient = build_semisimple(spec.system)
-    g, info = extract_subalgebra(ambient, spec)
+    """Build the loop/affine context for a subalgebra spec.
+
+    ``ambient`` is ignored: the subalgebra is read off the root data.  It is
+    still accepted because the benchmark's checker passes one.
+    """
+    g, info = extract_subalgebra(spec)
     return LoopContext(algebra=g, basis=info)
 
 
@@ -890,11 +892,12 @@ def global_inner_match(
 ) -> AffineElement | None:
     """One Y matching a weighted sum of toral-to-center maps on every probe.
 
-    Probes are all ``h_i (x) t^j``, ``x_p (x) t^n`` and mixed sums with
-    distinct indices, over the window.  A nonzero combination admits no match
-    (each probe forces another Y coordinate to vanish, and the central row
-    then cannot be met); the zero combination returns Y = 0.  None is
-    window-bounded: inconclusive-negative, not a proof for unseen degrees.
+    Probes are the basis elements ``b_k (x) t^j`` over the window; both
+    sides are linear in the probe, so sums of probes would add no equation.
+    A nonzero combination admits no match (the probes force Y's coordinates
+    to vanish, and the central row then cannot be met); the zero combination
+    returns Y = 0.  None is window-bounded: inconclusive-negative, not a
+    proof for unseen degrees.
     The window must contain the degree j of every nonzero term, or no probe
     would see that term and a match would be vacuous.
     """
@@ -909,13 +912,6 @@ def global_inner_match(
         if not lo <= t.j <= hi:
             raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")
     op = OperatorSum(ctx, terms)
-    l = ctx.l
-    degrees = range(lo, hi + 1)
-    probes = [ctx.basis_at(i, j) for i in range(ctx.dim) for j in degrees]
-    probes += [
-        ctx.basis_at(i, j) + ctx.basis_at(l + p, n)
-        for i, p, j, n in product(range(l), range(l), degrees, degrees)
-        if p != i or l == 1
-    ]
+    probes = [ctx.basis_at(k, j) for k in range(ctx.dim) for j in range(lo, hi + 1)]
     pairs = [(p, op(p)) for p in probes]
     return bracket_match(ctx, pairs, window)

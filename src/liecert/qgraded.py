@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, closure_violation, extract_subalgebra
+from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
 from .exact import MatQ, MatZ, hermite_pivots, rref, smith_normal_form
 from .rootsys import Root, RootSystem
 
@@ -208,9 +208,7 @@ def derived_algebra_dim(g: LieAlgebra) -> int:
     return rref(MatQ.from_rows(rows)).rank
 
 
-def verify_metabelian(
-    spec: SubalgebraSpec, ambient: LieAlgebra | None = None
-) -> QGradedCertificate:
+def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
     """Check [L,L] = sum of the root spaces and that it is abelian.
 
     Precondition: spec closed and spanning.  The certificate records the
@@ -223,9 +221,7 @@ def verify_metabelian(
     if not spanning:
         raise ValueError("Psi does not span the root lattice")
     rs = spec.system
-    if ambient is None:
-        ambient = build_semisimple(rs)
-    sub, _ = extract_subalgebra(ambient, spec)
+    sub, _ = extract_subalgebra(spec)
     l, m = rs.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
 
@@ -254,29 +250,26 @@ def verify_metabelian(
     )
 
 
-def certify(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> QGradedCertificate:
+def certify(spec: SubalgebraSpec) -> QGradedCertificate:
     """Full certificate: closure, span, minimality, metabelian, dimensions.
 
-    Minimality and the metabelian check are only run once their
-    preconditions hold; the corresponding fields stay None otherwise.
+    For a closed spanning Psi this is ``verify_metabelian``'s certificate.
+    Otherwise minimality and the metabelian check are not run, and their
+    fields stay None.
     """
     closed, cw = is_closed(spec)
     spanning, factors = spans_q(spec)
-    minimal = counter = None
-    metabelian = witness = dims = None
     if closed and spanning:
-        cert = verify_metabelian(spec, ambient)
-        minimal, counter = cert.minimal, cert.minimal_counterexample
-        metabelian, witness, dims = cert.metabelian, cert.metabelian_witness, cert.dims
+        return verify_metabelian(spec)
     return QGradedCertificate(
         spec=spec,
         closed=closed,
         closure_witness=cw,
         spans=spanning,
         invariant_factors=factors,
-        minimal=minimal,
-        minimal_counterexample=counter,
-        metabelian=metabelian,
-        metabelian_witness=witness,
-        dims=dims,
+        minimal=None,
+        minimal_counterexample=None,
+        metabelian=None,
+        metabelian_witness=None,
+        dims=None,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+from .chevalley import SubalgebraSpec, extract_subalgebra
 from .dercalc import (
     aid_falsify_random,
     aid_membership,
@@ -62,11 +62,6 @@ def _system(family: str, rank: int) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _ambient(family: str, rank: int) -> LieAlgebra:
-    return build_semisimple(_system(family, rank))
-
-
-@lru_cache(maxsize=None)
 def _minimal(family: str, rank: int):
     return tuple(enumerate_minimal(_system(family, rank)))
 
@@ -74,7 +69,7 @@ def _minimal(family: str, rank: int):
 @lru_cache(maxsize=None)
 def _b2_minimal_context():
     rs = _system("B", 2)
-    return loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))), _ambient("B", 2))
+    return loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))))
 
 
 B2_REFERENCE_MINIMAL = [
@@ -145,7 +140,6 @@ def criterion_2(seed: int) -> tuple[bool, str]:
     ok = True
     for l in (3, 4):
         rs = _system("A", l)
-        ambient = _ambient("A", l)
         families = _reference_families(l)
         for idx, psi in enumerate(families, start=1):
             spec = SubalgebraSpec(rs, psi)
@@ -160,7 +154,7 @@ def criterion_2(seed: int) -> tuple[bool, str]:
                         f"({w[0]} + {w[1]} = {w[2]} escapes); recorded as a defect"
                     )
                 continue
-            cert = certify(spec, ambient)
+            cert = certify(spec)
             if not (cert.closed and cert.spans and cert.minimal):
                 ok = False
                 notes.append(f"A{l} family {idx} failed: {cert.to_json()}")
@@ -179,9 +173,8 @@ def criterion_3(seed: int) -> tuple[bool, str]:
     vanishing root-vector brackets."""
     total = 0
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
-        ambient = _ambient(family, rank)
         for spec in _minimal(family, rank):
-            cert = verify_metabelian(spec, ambient)
+            cert = verify_metabelian(spec)
             if not cert.metabelian or cert.metabelian_witness is not None:
                 return False, f"violation at {family}{rank} psi={spec.psi}"
             total += 1
@@ -193,9 +186,8 @@ def criterion_4(seed: int) -> tuple[bool, str]:
     A2, A3, B2, G2, with exact witnesses and random cross-falsification."""
     total = complement_dirs = falsified = 0
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
-        ambient = _ambient(family, rank)
         for spec in _minimal(family, rank):
-            cert = verify_aid_eq_inn(spec, ambient, trials=64, seed=seed)
+            cert = verify_aid_eq_inn(spec, trials=64, seed=seed)
             if not cert.ok:
                 return False, f"failed at {family}{rank} psi={spec.psi}"
             complement_dirs += len(cert.complement_verdicts)
@@ -217,7 +209,7 @@ def criterion_5(seed: int) -> tuple[bool, str]:
     # overweight (three positive roots of rank-2 type A): scalars (1, 0, 0)
     rs = _system("A", 2)
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1), (1, 1)))
-    g, info = extract_subalgebra(_ambient("A", 2), spec)
+    g, info = extract_subalgebra(spec)
     v = scalar_derivation_verdict(g, info, [1, 0, 0])
     if v["almost_inner"] or v["scalar_system_feasible"]:
         return False, f"overweight case not rejected: {v}"
@@ -241,9 +233,8 @@ def criterion_5(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     checked = 0
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
-        ambient = _ambient(family, rank)
         for spec2 in _minimal(family, rank):
-            g2, info2 = extract_subalgebra(ambient, spec2)
+            g2, info2 = extract_subalgebra(spec2)
             if info2.m != info2.l:
                 continue
             scalars = [Fraction(rng.randint(-4, 4)) for _ in range(info2.m)]
@@ -260,9 +251,8 @@ def criterion_6(seed: int) -> tuple[bool, str]:
     commuting."""
     checked = 0
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
-        ambient = _ambient(family, rank)
         for spec in _minimal(family, rank):
-            g, info = extract_subalgebra(ambient, spec)
+            g, info = extract_subalgebra(spec)
             if info.m != info.l:
                 continue
             cent = centroid_space(g)

@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 from liecert.chevalley import (
+    DistinguishedBasis,
     LieAlgebra,
     SubalgebraSpec,
+    _coroot_vector,
     build_semisimple,
     extract_subalgebra,
     killing_form,
 )
-from liecert.exact import MatQ, rref, solve
+from liecert.exact import MatQ, inverse, rref, solve
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 
@@ -182,7 +184,7 @@ def test_killing_invariance_random(b2):
 def test_extract_b2_minimal(b2):
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (2, 1)))
-    sub, info = extract_subalgebra(g, spec)
+    sub, info = extract_subalgebra(spec)
     assert sub.dim == 4
     assert info.torus_is_dual
     # [h_i, x_j] = delta_ij x_j and [x_1, x_2] = 0
@@ -216,7 +218,7 @@ def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
     # so with the short root of squared norm 1 the Gram of {a, 2a+b} is
     # [[1/6, 1/6], [1/6, 1/3]]
     rs, g = b2
-    _, info = extract_subalgebra(g, SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    _, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     assert info.gram.to_rows() == [
         [Fraction(1, 6), Fraction(1, 6)],
         [Fraction(1, 6), Fraction(1, 3)],
@@ -226,7 +228,7 @@ def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
 def test_extract_b2_positive_roots(b2):
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1), (1, 1), (2, 1)))
-    sub, info = extract_subalgebra(g, spec)
+    sub, info = extract_subalgebra(spec)
     assert sub.dim == 6
     assert not info.torus_is_dual  # |Psi| = 4 > 2
 
@@ -234,13 +236,13 @@ def test_extract_b2_positive_roots(b2):
 def test_extract_rejects_non_closed(b2):
     rs, g = b2
     with pytest.raises(ValueError, match=r"not closed"):
-        extract_subalgebra(g, SubalgebraSpec(rs, ((1, 0), (0, 1))))
+        extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (0, 1))))
 
 
 def test_extract_opposite_pair(b2):
     # {a, -a} is closed; the bracket of the root vectors lands in the torus
     rs, g = b2
-    sub, info = extract_subalgebra(g, SubalgebraSpec(rs, ((1, 0), (-1, 0))))
+    sub, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
     assert sub.dim == 4
     img = sub.bracket(sub.basis_vector(2), sub.basis_vector(3))
     assert any(img[:2]) and not any(img[2:])
@@ -249,7 +251,7 @@ def test_extract_opposite_pair(b2):
 
 def test_extracted_subalgebra_jacobi(b2):
     rs, g = b2
-    sub, _ = extract_subalgebra(g, SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    sub, _ = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     assert jacobi_violations(sub) == []
 
 
@@ -258,7 +260,7 @@ def test_restricted_form_is_ambient_not_intrinsic(b2):
     # subalgebra's own (degenerate, solvable) trace form
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (2, 1)))
-    sub, info = extract_subalgebra(g, spec)
+    sub, info = extract_subalgebra(spec)
     own = killing_form(sub)
     assert own != sub.form
     for i in range(2):
@@ -378,13 +380,97 @@ def _differential_specs():
 def test_graded_extraction_matches_dense_reference(rs, specs):
     g = build_semisimple(rs)
     for spec in specs:
-        sub, info = extract_subalgebra(g, spec)
+        sub, info = extract_subalgebra(spec)
         structure, form, beta_of_h, dual, gram = dense_extract_reference(g, spec)
         assert list(sub.structure.items()) == list(structure.items()), spec.psi
         assert sub.form == form, spec.psi
         assert info.beta_of_h == beta_of_h, spec.psi
         assert info.dual_torus_local == dual, spec.psi
         assert info.gram == gram, spec.psi
+
+
+def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
+    """Oracle: the subalgebra read out of the built ambient algebra ``g``.
+
+    The brackets of the root vectors are the ambient structure constants
+    re-indexed through Psi, the form entries are ambient form entries, and
+    the Gram matrix divides by the ambient ``(e_b, e_-b)``.  Returns
+    ``(sub, info)`` like ``extract_subalgebra``.
+    """
+    rs = spec.system
+    l, m = rs.rank, len(spec.psi)
+    ambient = [l + rs.root_index[beta] for beta in spec.psi]
+    pair = [[Fraction(rs.pairing(beta, k)) for k in range(l)] for beta in spec.psi]
+    coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
+    e_pairs = [g.form.at(ia, l + rs.root_index[tuple(-x for x in beta)]) for ia, beta in zip(ambient, spec.psi)]
+    gram = MatQ.from_rows(
+        [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
+    )
+    pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
+    torus_is_dual = pair_inv is not None
+    t = pair_inv if torus_is_dual else MatQ.identity(l)
+    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + (Fraction(0),) * (g.dim - l) for j in range(l))
+    if torus_is_dual:
+        beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
+    else:
+        beta_of_h = MatQ.from_rows(pair)
+        torus_block = MatQ.from_rows([g.form.row(i)[:l] for i in range(l)])
+        dual = inverse(torus_block)
+    structure = {}
+    for j in range(l):
+        for b in range(m):
+            if beta_of_h.at(b, j):
+                structure[(j, l + b)] = ((l + b, beta_of_h.at(b, j)),)
+    local = {beta: l + b for b, beta in enumerate(spec.psi)}
+    for a in range(m):
+        for b in range(a + 1, m):
+            entry = g.bracket_basis(ambient[a], ambient[b])
+            total = tuple(x + y for x, y in zip(spec.psi[a], spec.psi[b]))
+            if entry and any(total):
+                structure[(l + a, l + b)] = tuple((local[total], c) for _, c in entry)
+            elif entry:
+                structure[(l + a, l + b)] = entry
+    zeros = [Fraction(0)] * m
+    form_rows = [list(torus_block.row(i)) + zeros for i in range(l)]
+    form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
+    labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
+    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=MatQ.from_rows(form_rows))
+    info = DistinguishedBasis(
+        psi=spec.psi,
+        torus_ambient=torus_ambient,
+        beta_of_h=beta_of_h,
+        dual_torus_local=None if dual is None else tuple(dual.row(j) + tuple(zeros) for j in range(l)),
+        gram=gram,
+        torus_is_dual=torus_is_dual,
+    )
+    return sub, info
+
+
+def _ambient_reference_specs():
+    for family, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        specs = enumerate_minimal(rs) + [SubalgebraSpec(rs, rs.positive_roots)]
+        if (family, rank) == ("B", 2):
+            specs.append(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
+        if (family, rank) == ("A", 3):
+            specs.append(SubalgebraSpec(rs, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+        yield pytest.param(rs, specs, id=f"{family}{rank}")
+    for family, rank in [("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2), ("E", 6), ("E", 7), ("E", 8)]:
+        rs = build_root_system(family, rank)
+        yield pytest.param(rs, [SubalgebraSpec(rs, bipartite_psi(rs))], id=f"{family}{rank}-bipartite")
+
+
+@pytest.mark.parametrize("rs,specs", list(_ambient_reference_specs()))
+def test_extraction_matches_the_ambient_algebra(rs, specs):
+    g = build_semisimple(rs)
+    for spec in specs:
+        sub, info = extract_subalgebra(spec)
+        ref, ref_info = ambient_extract_reference(g, spec)
+        assert (sub.dim, sub.labels) == (ref.dim, ref.labels), spec.psi
+        assert list(sub.structure.items()) == list(ref.structure.items()), spec.psi
+        assert sub.form == ref.form, spec.psi
+        for name in ("psi", "torus_ambient", "beta_of_h", "dual_torus_local", "gram", "torus_is_dual"):
+            assert getattr(info, name) == getattr(ref_info, name), (name, spec.psi)
 
 
 def test_constant_magnitude_check_survives_python_O():

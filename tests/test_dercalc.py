@@ -35,8 +35,7 @@ from liecert.rootsys import build_root_system
 @pytest.fixture(scope="module")
 def b2_minimal():
     rs = build_root_system("B", 2)
-    ambient = build_semisimple(rs)
-    return extract_subalgebra(ambient, SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    return extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
 
 
 def abelian_algebra(n):
@@ -75,9 +74,8 @@ def test_b2_minimal_derivation_dim_and_permutation_oracle(b2_minimal):
 def test_inner_dim_equals_dim_for_enumerated_minimal():
     for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
-        ambient = build_semisimple(rs)
         for spec in enumerate_minimal(rs):
-            g, _ = extract_subalgebra(ambient, spec)
+            g, _ = extract_subalgebra(spec)
             basis = derivation_space(g)
             # center is zero since Psi spans the dual of the torus
             assert basis.dim_inn == g.dim
@@ -231,11 +229,23 @@ def test_falsify_never_fires_on_inner(b2_minimal):
     assert aid_falsify_random(g, MatQ.zeros(4, 4), trials=8, seed=1) is None
 
 
+def test_aid_membership_checks_the_precondition_once(b2_minimal, monkeypatch):
+    g, info = b2_minimal
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return aid_precondition(*args)
+
+    monkeypatch.setattr(dercalc, "aid_precondition", counting)
+    assert aid_membership(g, info, g.ad(g.basis_vector(3))).is_inner
+    assert len(calls) == 1
+
+
 def test_verify_aid_eq_inn_b2():
     rs = build_root_system("B", 2)
-    ambient = build_semisimple(rs)
     for spec in enumerate_minimal(rs):
-        cert = verify_aid_eq_inn(spec, ambient)
+        cert = verify_aid_eq_inn(spec)
         assert cert.ok
         assert cert.dim_der == cert.dim_inn == cert.dim_l
 
@@ -250,16 +260,14 @@ def test_verify_aid_eq_inn_rejects_non_minimal():
 def test_scalar_derivation_verdict_dichotomy():
     # square case: every diagonal derivation is inner
     rs = build_root_system("B", 2)
-    ambient = build_semisimple(rs)
-    g, info = extract_subalgebra(ambient, SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    g, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     v = scalar_derivation_verdict(g, info, [3, -2])
     assert v["is_derivation"] and v["scalar_system_feasible"] and v["inner"]
     # overweight case on the true A2 positive-root subalgebra: (1,0,0) fails
     # Leibniz (the derived algebra is not abelian) and the 3x2 system is
     # infeasible, so it is certifiably not an almost-inner derivation
     rs2 = build_root_system("A", 2)
-    amb2 = build_semisimple(rs2)
-    g2, info2 = extract_subalgebra(amb2, SubalgebraSpec(rs2, ((1, 0), (0, 1), (1, 1))))
+    g2, info2 = extract_subalgebra(SubalgebraSpec(rs2, ((1, 0), (0, 1), (1, 1))))
     v2 = scalar_derivation_verdict(g2, info2, [1, 0, 0])
     assert not v2["is_derivation"]
     assert not v2["scalar_system_feasible"]
@@ -274,14 +282,14 @@ def test_verification_survives_python_O():
     script = textwrap.dedent(
         """
         import sys
-        from liecert.chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+        from liecert.chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra
         from liecert.dercalc import aid_membership
         from liecert.exact import MatQ
         from liecert.rootsys import build_root_system
 
         assert False, "asserts must be off for this check"
         rs = build_root_system("B", 2)
-        g, info = extract_subalgebra(build_semisimple(rs), SubalgebraSpec(rs, ((1, 0), (2, 1))))
+        g, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
         d = g.ad(g.basis_vector(0))
         LieAlgebra.ad = lambda self, x: MatQ.zeros(self.dim, self.dim)
         try:
@@ -341,7 +349,7 @@ def _differential_algebras():
         ("A", 2, ((1, 0), (0, 1), (1, 1))),  # not minimal: [x_1, x_2] = x_3 is a third direction
     ]:
         rs = build_root_system(family, rank)
-        yield f"{family}{rank}", extract_subalgebra(build_semisimple(rs), SubalgebraSpec(rs, psi))[0]
+        yield f"{family}{rank}", extract_subalgebra(SubalgebraSpec(rs, psi))[0]
     yield "abelian2", abelian_algebra(2)
     yield "toral", diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])[0]
 

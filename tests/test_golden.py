@@ -1,20 +1,24 @@
 """Golden certificates: fixed CLI commands whose stdout and exit code are frozen.
 
-Each case runs ``liecert.cli.run`` in-process and compares the document byte
-for byte with ``tests/golden/<name>.out``.  A change that alters any of these
+Each case runs ``liecert.cli.run`` in-process, with ``build_semisimple``
+made to raise, and compares the document byte for byte with
+``tests/golden/<name>.out``.  A change that alters any of these
 outputs has to say why; regenerate deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import liecert
 from liecert.cli import SEED_ENV, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,9 +80,24 @@ def _invoke(name):
     return code, buf.getvalue()
 
 
+def _forbid_ambient_builds(monkeypatch):
+    """Make ``build_semisimple`` raise at every binding site in the package:
+    no command, ``selftest`` included, builds the ambient algebra."""
+
+    def refuse(rs):
+        raise AssertionError(f"built the ambient algebra of {rs.family}{rs.rank}")
+
+    for info in pkgutil.iter_modules(liecert.__path__, "liecert."):
+        importlib.import_module(info.name)
+    for name, module in list(sys.modules.items()):
+        if (name == "liecert" or name.startswith("liecert.")) and hasattr(module, "build_semisimple"):
+            monkeypatch.setattr(module, "build_semisimple", refuse)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
+    _forbid_ambient_builds(monkeypatch)
     code, text = _invoke(name)
     assert code == CASES[name][1]
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from liecert.chevalley import SubalgebraSpec, build_semisimple, closure_violation
+from liecert.chevalley import SubalgebraSpec, closure_violation
 from liecert.exact import hermite_pivots
 from liecert.qgraded import (
     EnumerationCapExceeded,
@@ -128,18 +128,16 @@ def test_enumeration_cap():
 
 
 def test_metabelian_on_enumerated(b2rs):
-    ambient = build_semisimple(b2rs)
     for spec in enumerate_minimal(b2rs):
-        cert = verify_metabelian(spec, ambient)
+        cert = verify_metabelian(spec)
         assert cert.metabelian and cert.metabelian_witness is None
         assert cert.dims == (2, 2, 4)
         assert cert.minimal
 
 
 def test_metabelian_fails_for_positive_roots(b2rs):
-    ambient = build_semisimple(b2rs)
     spec = SubalgebraSpec(b2rs, ((1, 0), (0, 1), (1, 1), (2, 1)))
-    cert = verify_metabelian(spec, ambient)
+    cert = verify_metabelian(spec)
     assert not cert.minimal
     assert not cert.metabelian
     a, b = cert.metabelian_witness
@@ -151,12 +149,11 @@ def test_metabelian_extends_to_rank_three_types():
     # metabelian too, and they all have exactly rank-many roots
     for family, rank in [("B", 3), ("C", 3)]:
         rs = build_root_system(family, rank)
-        ambient = build_semisimple(rs)
         specs = enumerate_minimal(rs)
         assert specs
         for spec in specs:
             assert len(spec.psi) == rank
-            assert verify_metabelian(spec, ambient).metabelian
+            assert verify_metabelian(spec).metabelian
 
 
 def test_metabelian_a1_full_system():
