@@ -320,15 +320,16 @@ def killing_form(g: LieAlgebra) -> MatQ:
     return MatQ(dim, dim, tuple(entries))
 
 
-def extract_subalgebra(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
+def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple[LieAlgebra, DistinguishedBasis]:
     """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
-    Requires Psi closed under root addition.  Everything is read off the root
-    data of ``spec.system``: the tables are those of the subalgebra of
-    ``build_semisimple(spec.system)``, but no ambient algebra is built and
-    nothing is solved.  When ``|Psi| = rank`` and Psi is linearly independent
-    (it need not be a lattice basis), the torus basis is chosen dual to Psi;
-    otherwise it is the simple coroots.
+    Requires Psi closed under root addition; ``check_closed=False`` skips
+    that check for a caller that has already decided it.  Everything is read
+    off the root data of ``spec.system``: the tables are those of the
+    subalgebra of ``build_semisimple(spec.system)``, but no ambient algebra is
+    built and nothing is solved.  When ``|Psi| = rank`` and Psi is linearly
+    independent (it need not be a lattice basis), the torus basis is chosen
+    dual to Psi; otherwise it is the simple coroots.
 
     ``[t, x_b] = beta_b(t) x_b``; ``[x_a, x_b]`` is ``N_{beta_a,beta_b}``
     times the root vector of ``beta_a + beta_b`` when that lies in Psi, the
@@ -342,7 +343,7 @@ def extract_subalgebra(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedB
     ``_torus_form`` and the dual torus its inverse.
     """
     rs = spec.system
-    violation = closure_violation(rs, spec.psi)
+    violation = closure_violation(rs, spec.psi) if check_closed else None
     if violation is not None:
         a, b, s = violation
         raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")

@@ -3,7 +3,9 @@
 One JSON document goes to standard output; diagnostics go to standard error.
 Exit codes: 0 a verified positive, 1 a checked property violated (or an
 expected-negative obstruction), 2 invalid input, 3 inconclusive (a
-window-bounded search came back empty).
+window-bounded search came back empty, or ``aid`` met derivations outside
+the inner ones), 4 internal error (any other exception, including a failed
+re-check; the document is then ``{"error": ...}``).
 
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
@@ -188,7 +190,9 @@ def _cmd_aid(args, seed):
         }
         return _envelope("aid", inputs, verdicts, seed), 0 if verdict.is_inner else 1
     cert = verify_aid_eq_inn(spec, seed=seed)
-    return _envelope("aid", inputs, cert.to_json(), seed), 0 if cert.ok else 1
+    # verdicts on single complement directions leave their combinations open
+    code = 0 if cert.ok else 3 if cert.complement_verdicts else 1
+    return _envelope("aid", inputs, cert.to_json(), seed), code
 
 
 def _cmd_centroid(args, seed):
@@ -388,6 +392,10 @@ def run(argv, out=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         doc, code = {"error": str(exc)}, 2
+    except Exception as exc:  # a crash must never read as exit 1, "violated"
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        doc, code = {"error": message}, 4
     if args.timings and isinstance(doc, dict) and "error" not in doc:
         doc["timings"] = {"wall_s": round(time.monotonic() - started, 3)}
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -19,7 +19,9 @@ cross-check only, never the verdict.
 ``verify_aid_eq_inn`` proves almost inner = inner from ``dim Der = dim Inn``,
 with every ad-basis element decided inner by an exact witness.  Its
 complement branch runs only when ``Der != Inn``, which none of the 460
-minimal subalgebras of A2-A4, B2, B3, C3 and G2 gives.
+minimal subalgebras of A2-A4, B2, B3, C3 and G2 gives; it decides each
+complement direction but proves nothing about their combinations, so its
+certificate is then inconclusive.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
 from .exact import Echelon, MatQ, Rat, kernel_basis, solve
-from .qgraded import is_closed, is_minimal, spans_q
+from .qgraded import is_minimal
 
 __all__ = [
     "DerivationBasis",
@@ -323,14 +325,15 @@ def verify_aid_eq_inn(spec: SubalgebraSpec, trials: int = 64, seed: int = 2024) 
     (the complement is empty, so every derivation is inner) and that every
     ad-basis element is decided inner with an exact witness.  Only when
     ``Der != Inn`` does the complement branch run: each complement basis
-    direction (not their combinations) must come back not almost inner,
-    cross-checked by seeded random falsification.
+    direction is decided, and cross-checked by seeded random falsification.
+    The almost-inner derivations form a subspace, so verdicts on single
+    directions leave their combinations open: a non-empty complement never
+    gives ``ok``, and the caller reports it as inconclusive.
     """
-    if not is_closed(spec)[0] or not spans_q(spec)[0]:
-        raise ValueError("spec must be closed and Q-spanning")
+    # is_minimal raises unless Psi is closed and spanning
     if not is_minimal(spec)[0]:
         raise ValueError("the procedure applies to minimal Q-graded subalgebras only")
-    g, info = extract_subalgebra(spec)
+    g, info = extract_subalgebra(spec, check_closed=False)
     basis = derivation_space(g)
     inner_verdicts = tuple(aid_membership(g, info, m) for m in basis.inn_basis)
     complement_verdicts = tuple(aid_membership(g, info, m) for m in basis.complement_basis)
@@ -338,7 +341,7 @@ def verify_aid_eq_inn(spec: SubalgebraSpec, trials: int = 64, seed: int = 2024) 
         v.status == "not-aid" and aid_falsify_random(g, m, trials, seed) is not None
         for m, v in zip(basis.complement_basis, complement_verdicts)
     )
-    ok = all(v.is_inner for v in inner_verdicts) and all(v.status == "not-aid" for v in complement_verdicts)
+    ok = all(v.is_inner for v in inner_verdicts) and not complement_verdicts
     return AidEqInnCertificate(
         spec=spec,
         dim_l=g.dim,

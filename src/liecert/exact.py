@@ -11,6 +11,7 @@ therefore reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "solve",
     "solve_sparse",
     "smith_normal_form",
+    "hermite_insert",
     "hermite_pivots",
     "rat_to_str",
     "rat_from_str",
@@ -165,7 +167,7 @@ class MatZ:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(int(v) for v in row)
+            flat.extend(map(int, row))
         return MatZ(r, c, tuple(flat))
 
     @staticmethod
@@ -181,12 +183,8 @@ class MatZ:
     def mul(self, other: "MatZ") -> "MatZ":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return MatZ.from_rows(out)
+        b_cols = list(zip(*other.to_rows())) or [()] * other.cols
+        return MatZ.from_rows([[sum(map(operator.mul, row, col)) for col in b_cols] for row in self.to_rows()])
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -335,30 +333,38 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
+def hermite_insert(pivots: dict[int, list[int]], vec: Sequence[int], dim: int) -> None:
+    """Reduce one integer vector into ``pivots``, the rows of a row Hermite
+    form keyed by pivot column, by unimodular extended-gcd row operations.
+
+    The rows then span the old lattice plus ``vec``.  Rows are replaced,
+    never changed in place, so a shallow copy of ``pivots`` keeps the old form.
+    """
+    v = list(vec)
+    for c in range(dim):
+        x = v[c]
+        if x == 0:
+            continue
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = v if x > 0 else [-y for y in v]
+            return
+        # [[s, t], [-b, a]] has determinant (s*p[c] + t*x) / g = 1
+        g, s, t = _xgcd(p[c], x)
+        a, b = p[c] // g, x // g
+        pivots[c] = [s * y + t * z for y, z in zip(p, v)]
+        v = [a * z - b * y for y, z in zip(p, v)]
+
+
 def hermite_pivots(vectors: Iterable[Sequence[int]], dim: int) -> list[int]:
     """Pivot entries, in column order, of the row Hermite form of the lattice
     that the integer vectors span in Z^dim.
 
-    Each vector is reduced against the pivot rows by unimodular extended-gcd
-    row operations, so the span never changes.  The vectors span Z^dim iff
-    there are ``dim`` pivots and every one is 1.
+    The vectors span Z^dim iff there are ``dim`` pivots and every one is 1.
     """
     pivots: dict[int, list[int]] = {}
     for vec in vectors:
-        v = list(vec)
-        for c in range(dim):
-            x = v[c]
-            if x == 0:
-                continue
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = v if x > 0 else [-y for y in v]
-                break
-            # [[s, t], [-b, a]] has determinant (s*p[c] + t*x) / g = 1
-            g, s, t = _xgcd(p[c], x)
-            a, b = p[c] // g, x // g
-            pivots[c] = [s * y + t * z for y, z in zip(p, v)]
-            v = [a * z - b * y for y, z in zip(p, v)]
+        hermite_insert(pivots, vec, dim)
     return [pivots[c][c] for c in sorted(pivots)]
 
 

@@ -6,7 +6,9 @@ A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 additionally Psi spans the root lattice over Z (all Smith invariant factors 1
 at full rank).  Minimality means no proper subset is simultaneously closed and
 spanning; ``is_minimal`` decides it by exhaustive subset search, and
-``enumerate_minimal`` walks only the closed subsets of the whole root system.
+``enumerate_minimal`` finds every minimal set in one pruned walk over the
+closed subsets of the whole root system.  ``certify`` decides closure and
+span once each.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
-from .exact import MatQ, MatZ, hermite_pivots, rref, smith_normal_form
+from .exact import MatQ, MatZ, hermite_insert, rref, smith_normal_form
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -88,73 +90,65 @@ def spans_q(spec: SubalgebraSpec) -> tuple[bool, tuple[int, ...]]:
     return (len(factors) == l and all(x == 1 for x in factors)), factors
 
 
-def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
-    """Exhaustively check that no proper subset of Psi is closed and spanning.
-
-    Precondition: the spec itself is closed and spanning.
-    """
+def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
+    """The invariant factors of a closed spanning Psi; ValueError otherwise."""
     closed, w = is_closed(spec)
     if not closed:
         raise ValueError(f"Psi is not closed: {w[0]} + {w[1]} = {w[2]} lies outside Psi")
-    spanning, _ = spans_q(spec)
+    spanning, factors = spans_q(spec)
     if not spanning:
         raise ValueError("Psi does not span the root lattice")
+    return factors
+
+
+def _smaller_qgraded(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
+    """A proper subset of Psi that is closed and spanning, by exhaustive
+    search, else None.  The caller has decided that Psi itself is both."""
     rs = spec.system
-    psi = spec.psi
-    l = rs.rank
-    for size in range(l, len(psi)):  # spanning needs at least rank elements
-        for subset in combinations(psi, size):
+    for size in range(rs.rank, len(spec.psi)):  # spanning needs at least rank elements
+        for subset in combinations(spec.psi, size):
             sub = SubalgebraSpec(rs, subset)
             if is_closed(sub)[0] and spans_q(sub)[0]:
-                return False, sub.psi
-    return True, None
+                return sub.psi
+    return None
 
 
-def _closed_masks(rs: RootSystem) -> list[int]:
-    """Bitmasks (bit k for ``rs.roots[k]``) of every closed subset of the roots.
+def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
+    """Exhaustively check that no proper subset of Psi is closed and spanning.
 
-    Backtracks over the roots in index order.  Each root-sum triple
-    ``a + b = c`` is checked once, when the largest of its three indices is
-    decided, so only closed prefixes are ever extended.
+    Precondition: the spec itself is closed and spanning (ValueError if not).
     """
-    roots = rs.roots
-    n = len(roots)
-    # leaving root k out needs no pair i + j = k (i, j < k) to be in;
-    # taking root k in needs s in whenever i is, for each i + k = s (i, s < k)
-    out_pairs: list[list[int]] = [[] for _ in range(n)]
-    in_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, a in enumerate(roots):
-        for j in range(i + 1, n):
-            s = rs.root_index.get(tuple(x + y for x, y in zip(a, roots[j])))
-            if s is None:
-                continue
-            if s > j:
-                out_pairs[s].append((1 << i) | (1 << j))
-            else:
-                in_pairs[j].append((1 << i, 1 << s))
-    found: list[int] = []
-
-    def walk(k: int, mask: int) -> None:
-        if k == n:
-            found.append(mask)
-            return
-        if all(mask & pair != pair for pair in out_pairs[k]):
-            walk(k + 1, mask)
-        if all(not mask & bi or mask & bs for bi, bs in in_pairs[k]):
-            walk(k + 1, mask | 1 << k)
-
-    walk(0, 0)
-    return found
+    _require_closed_spanning(spec)
+    counter = _smaller_qgraded(spec)
+    return counter is None, counter
 
 
 def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
     """All minimal Q-graded subsets, canonically ordered.
 
-    Walks the closed subsets by increasing size.  A closed set that contains
-    a minimal set found earlier is not minimal; any other closed set is
-    minimal iff it spans the root lattice, since each of its closed spanning
-    proper subsets would contain a smaller minimal set.  ``cap`` bounds
-    ``2^|roots|``, the size of the search space.
+    One depth-first walk over the closed subsets decides minimality as it
+    goes.  It backtracks over the roots in index order, trying "leave root k"
+    before "take root k", and checks each root-sum triple once, when the
+    largest of its three indices is decided, so only closed prefixes are
+    extended.  A closed set is reached after all of its closed proper
+    subsets: they first differ from it at a root the subset leaves.  Two
+    prunes keep the walk small; both drop only sets that cannot be minimal:
+
+    (a) Root k is never taken when the new prefix contains a minimal set
+        already found, since every set below it would contain one too.  Such
+        a prefix spans, so this saves the closure that (b) would take.  Only
+        found sets whose last root is k need a look: by this same rule, none
+        lies inside the prefix before root k.
+    (b) The prefix's Hermite pivots (``exact.hermite_insert``) are carried
+        down, one insertion per taken root.  Once a prefix P spans the root
+        lattice, every closed set below it contains C = closure(P), which is
+        closed and spanning, so C is the only candidate below P and the walk
+        stops there.  C lies below P iff it adds no root before the last one
+        taken; it is then minimal iff it contains no set found so far, as
+        each of its closed proper subsets is reached before P.
+
+    Every printed set is re-checked for closure and, by Smith normal form,
+    for span.  ``cap`` bounds ``2^|roots|``, the size of the search space.
     """
     n = len(rs.roots)
     if 1 << n > cap:
@@ -163,30 +157,88 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
         )
     roots = rs.roots
     l = rs.rank
-    unit = [1] * l
-    candidates = sorted((m for m in _closed_masks(rs) if m.bit_count() >= l), key=int.bit_count)
-    # bit t of holders[k] is set iff the t-th minimal set found holds root k.
-    # OR-ing the holders of the roots a set lacks marks each found set that it
-    # does not contain; it contains none of them iff every bit gets marked.
+    # leaving root k out needs no pair i + j = k (i, j < k) to be in;
+    # taking root k in needs s in whenever i is, for each i + k = s (i, s < k);
+    # sums[i] lists (bit j, bit s) for every root sum i + j = s
+    out_pairs: list[list[int]] = [[] for _ in range(n)]
+    in_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    sums: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, a in enumerate(roots):
+        for j in range(i + 1, n):
+            s = rs.root_index.get(tuple(x + y for x, y in zip(a, roots[j])))
+            if s is None:
+                continue
+            sums[i].append((1 << j, 1 << s))
+            sums[j].append((1 << i, 1 << s))
+            if s > j:
+                out_pairs[s].append((1 << i) | (1 << j))
+            else:
+                in_pairs[j].append((1 << i, 1 << s))
+    # bit t of holders[k] is set iff the t-th set found holds root k, and of
+    # tops[k] iff root k is its last root.  A set contains found set t iff
+    # no root it lacks has bit t in its holders.
     holders = [0] * n
-    every = 0
+    tops = [0] * n
+    found: list[int] = []
+
+    def closure(mask: int, low: int) -> int | None:
+        """closure(mask), or None once it adds a root of ``low``."""
+        todo = mask
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            for bj, bs in sums[bit.bit_length() - 1]:
+                if mask & bj and not mask & bs:
+                    if bs & low:
+                        return None
+                    mask |= bs
+                    todo |= bs
+        return mask
+
+    def walk(k: int, mask: int, lacked: int, pivots: dict[int, list[int]]) -> None:
+        # mask: the prefix over roots < k, which does not span; lacked: the
+        # holders of the roots < k outside it.  Sets found below this node
+        # hold none of those roots, so ``lacked`` stays exact down here.
+        if k == n:
+            return
+        for pair in out_pairs[k]:
+            if mask & pair == pair:
+                break
+        else:
+            walk(k + 1, mask, lacked | holders[k], pivots)
+        for bi, bs in in_pairs[k]:
+            if mask & bi and not mask & bs:
+                return
+        if tops[k] & ~lacked:
+            return  # (a): the prefix with root k holds a found set ending at k
+        taken = mask | 1 << k
+        grown = dict(pivots)
+        hermite_insert(grown, roots[k], l)
+        if len(grown) < l or any(row[c] != 1 for c, row in grown.items()):
+            walk(k + 1, taken, lacked, grown)
+            return
+        # (b): every closed set below holds c; c is one of them iff it adds
+        # no root before k, and minimal iff it holds no set found so far
+        c = closure(taken, ((2 << k) - 1) & ~taken)
+        if c is None:
+            return
+        blocked = lacked
+        for r in range(k + 1, n):
+            if not c >> r & 1:
+                blocked |= holders[r]
+        if blocked != (1 << len(found)) - 1:
+            return
+        bit = 1 << len(found)
+        for r in range(n):
+            if c >> r & 1:
+                holders[r] |= bit
+        tops[c.bit_length() - 1] |= bit
+        found.append(c)
+
+    walk(0, 0, 0, {})
     minimal: list[SubalgebraSpec] = []
-    for mask in candidates:
-        blocked = 0
-        for k in range(n):
-            if not mask >> k & 1:
-                blocked |= holders[k]
-        if blocked != every:
-            continue
-        members = [k for k in range(n) if mask >> k & 1]
-        psi = tuple(roots[k] for k in members)
-        if hermite_pivots(psi, l) != unit:
-            continue
-        bit = 1 << len(minimal)
-        every |= bit
-        for k in members:
-            holders[k] |= bit
-        spec = SubalgebraSpec(rs, psi)
+    for mask in found:
+        spec = SubalgebraSpec(rs, tuple(roots[k] for k in range(n) if mask >> k & 1))
         # printed sets keep their closure and Smith-form evidence
         if closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]:
             raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
@@ -211,17 +263,17 @@ def derived_algebra_dim(g: LieAlgebra) -> int:
 def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
     """Check [L,L] = sum of the root spaces and that it is abelian.
 
-    Precondition: spec closed and spanning.  The certificate records the
-    derived-algebra dimensions and, on failure, a nonzero bracket pair.
+    Precondition: spec closed and spanning (ValueError if not).  The
+    certificate records the derived-algebra dimensions and, on failure, a
+    nonzero bracket pair.
     """
-    closed, cw = is_closed(spec)
-    spanning, factors = spans_q(spec)
-    if not closed:
-        raise ValueError(f"Psi is not closed: {cw[0]} + {cw[1]} = {cw[2]} lies outside Psi")
-    if not spanning:
-        raise ValueError("Psi does not span the root lattice")
+    return _metabelian_certificate(spec, _require_closed_spanning(spec))
+
+
+def _metabelian_certificate(spec: SubalgebraSpec, factors: tuple[int, ...]) -> QGradedCertificate:
+    """``verify_metabelian`` once closure and span are decided."""
     rs = spec.system
-    sub, _ = extract_subalgebra(spec)
+    sub, _ = extract_subalgebra(spec, check_closed=False)
     l, m = rs.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
 
@@ -235,14 +287,14 @@ def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
             break
     abelian = witness is None and ddim == m
 
-    minimal, counter = is_minimal(spec)
+    counter = _smaller_qgraded(spec)
     return QGradedCertificate(
         spec=spec,
         closed=True,
         closure_witness=None,
         spans=True,
         invariant_factors=factors,
-        minimal=minimal,
+        minimal=counter is None,
         minimal_counterexample=counter,
         metabelian=abelian,
         metabelian_witness=witness,
@@ -253,14 +305,14 @@ def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
 def certify(spec: SubalgebraSpec) -> QGradedCertificate:
     """Full certificate: closure, span, minimality, metabelian, dimensions.
 
-    For a closed spanning Psi this is ``verify_metabelian``'s certificate.
-    Otherwise minimality and the metabelian check are not run, and their
-    fields stay None.
+    Closure and span are each decided once.  For a closed spanning Psi this
+    is ``verify_metabelian``'s certificate.  Otherwise minimality and the
+    metabelian check are not run, and their fields stay None.
     """
     closed, cw = is_closed(spec)
     spanning, factors = spans_q(spec)
     if closed and spanning:
-        return verify_metabelian(spec)
+        return _metabelian_certificate(spec, factors)
     return QGradedCertificate(
         spec=spec,
         closed=closed,

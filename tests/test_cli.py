@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -393,3 +394,105 @@ def test_timings_opt_in():
     assert "timings" not in doc
     _, doc, _ = invoke(["--timings", "minimal", "--family", "A", "--rank", "1"])
     assert "timings" in doc
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("command", ["certify", "aid"])
+def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
+    # |Psi| = rank, so the minimality search checks no proper subset
+    from liecert import chevalley, qgraded
+
+    counts = {}
+    for module, name in [
+        (chevalley, "closure_violation"),
+        (qgraded, "closure_violation"),
+        (qgraded, "smith_normal_form"),
+    ]:
+        _count_calls(monkeypatch, counts, module, name)
+    code, doc, _ = invoke([command] + B2_MIN)
+    assert code == 0
+    assert counts == {"closure_violation": 1, "smith_normal_form": 1}
+
+
+def test_aid_with_a_complement_is_inconclusive(monkeypatch):
+    # no minimal set has Der != Inn, so fake one complement direction and a
+    # not-aid verdict on it: a verdict on one direction leaves combinations open
+    from dataclasses import replace
+
+    from liecert import dercalc
+    from liecert.exact import MatQ
+
+    real_space, real_membership = dercalc.derivation_space, dercalc.aid_membership
+    fakes = []
+
+    def with_complement(g):
+        fakes.append(MatQ.identity(g.dim))
+        return replace(real_space(g), complement_basis=(fakes[-1],))
+
+    def membership(g, info, d):
+        if any(d is fake for fake in fakes):
+            return dercalc.AidVerdict(status="not-aid", reason="precondition")
+        return real_membership(g, info, d)
+
+    monkeypatch.setattr(dercalc, "derivation_space", with_complement)
+    monkeypatch.setattr(dercalc, "aid_membership", membership)
+    code, doc, _ = invoke(["aid"] + B2_MIN)
+    assert code == 3
+    verdicts = doc["verdicts"]
+    assert verdicts["complement_count"] == 1 and verdicts["complement_all_not_aid"]
+    assert verdicts["inner_all_inner"] and verdicts["ok"] is False
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    from liecert import cli
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_root_system", broken)
+    code, doc, _ = invoke(["roots", "--family", "B", "--rank", "2"])
+    assert code == 4
+    assert doc == {"error": "internal error: RuntimeError: boom"}
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_failed_recheck_exits_4_not_1(monkeypatch):
+    from liecert import qgraded
+
+    monkeypatch.setattr(qgraded, "spans_q", lambda spec: (False, ()))
+    code, doc, _ = invoke(["minimal", "--family", "B", "--rank", "2"])
+    assert code == 4
+    assert doc["error"].startswith("internal error: AssertionError: enumerated set")
+
+
+def test_unexpected_exception_exits_4_from_the_module_entry_point():
+    # runs liecert.cli as __main__, as `python -m liecert.cli` does, with a
+    # handler that raises
+    script = textwrap.dedent(
+        """
+        import runpy, sys
+        import liecert.rootsys
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        liecert.rootsys.build_root_system = broken
+        sys.argv = ["liecert", "roots", "--family", "B", "--rank", "2"]
+        runpy.run_module("liecert.cli", run_name="__main__", alter_sys=True)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: internal error: RuntimeError: boom\n"
+    assert json.loads(proc.stdout) == {"error": "internal error: RuntimeError: boom"}

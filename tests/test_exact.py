@@ -11,6 +11,7 @@ from liecert.exact import (
     Echelon,
     MatQ,
     MatZ,
+    hermite_insert,
     hermite_pivots,
     inverse,
     kernel_basis,
@@ -334,6 +335,19 @@ def test_hermite_pivots_match_smith_form():
             assert prod_p == prod_f  # both are the index of the lattice in Z^dim
         seen["spans" if spans else "deficient" if len(factors) < dim else "index"] += 1
     assert all(seen.values()), seen
+
+
+def test_hermite_insert_leaves_a_copied_form_alone():
+    # the enumerator carries one form per walk node and copies it per root taken
+    pivots = {}
+    for vec in [(2, 4), (0, 3)]:
+        hermite_insert(pivots, vec, 2)
+    before = {c: list(row) for c, row in pivots.items()}
+    grown = dict(pivots)
+    hermite_insert(grown, (1, 1), 2)
+    assert pivots == before
+    assert [grown[c][c] for c in sorted(grown)] == [1, 1]
+    assert [pivots[c][c] for c in sorted(pivots)] == hermite_pivots([(2, 4), (0, 3)], 2) == [2, 3]
 
 
 def test_fraction_field_axioms_randomized():

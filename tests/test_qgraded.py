@@ -13,7 +13,6 @@ from liecert.chevalley import SubalgebraSpec, closure_violation
 from liecert.exact import hermite_pivots
 from liecert.qgraded import (
     EnumerationCapExceeded,
-    _closed_masks,
     certify,
     enumerate_minimal,
     is_closed,
@@ -21,7 +20,7 @@ from liecert.qgraded import (
     spans_q,
     verify_metabelian,
 )
-from liecert.rootsys import build_root_system
+from liecert.rootsys import RootSystem, build_root_system
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
 # one "--psi"-style string per set, in output order
@@ -201,10 +200,75 @@ def test_minimal_sets_have_rank_many_roots(key):
     assert all(len(text.split(";")) == rank for text in FROZEN[key])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_type_a_counts_are_twice_cayley(n):
-    # 2 (n+1)^(n-1): twice the number of labelled trees on n+1 vertices
-    assert len(enumerate_minimal(build_root_system("A", n))) == 2 * (n + 1) ** (n - 1)
+    # 2 (n+1)^(n-1): twice the number of labelled trees on n+1 vertices;
+    # A5's 30 roots need a cap above the default 2^24
+    assert len(enumerate_minimal(build_root_system("A", n), cap=1 << 30)) == 2 * (n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("family, rank, count", [("B", 4, 1024), ("C", 4, 1216)])
+def test_rank_four_counts(family, rank, count):
+    # the counts of the reference enumerator below, which takes about three
+    # times as long
+    assert len(enumerate_minimal(build_root_system(family, rank), cap=1 << 32)) == count
+
+
+def _closed_masks(rs: RootSystem) -> list[int]:
+    """Bitmasks (bit k for ``rs.roots[k]``) of every closed subset of the roots.
+
+    Backtracks over the roots in index order.  Each root-sum triple
+    ``a + b = c`` is checked once, when the largest of its three indices is
+    decided, so only closed prefixes are ever extended.
+    """
+    roots = rs.roots
+    n = len(roots)
+    # leaving root k out needs no pair i + j = k (i, j < k) to be in;
+    # taking root k in needs s in whenever i is, for each i + k = s (i, s < k)
+    out_pairs: list[list[int]] = [[] for _ in range(n)]
+    in_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, a in enumerate(roots):
+        for j in range(i + 1, n):
+            s = rs.root_index.get(tuple(x + y for x, y in zip(a, roots[j])))
+            if s is None:
+                continue
+            if s > j:
+                out_pairs[s].append((1 << i) | (1 << j))
+            else:
+                in_pairs[j].append((1 << i, 1 << s))
+    found: list[int] = []
+
+    def walk(k: int, mask: int) -> None:
+        if k == n:
+            found.append(mask)
+            return
+        if all(mask & pair != pair for pair in out_pairs[k]):
+            walk(k + 1, mask)
+        if all(not mask & bi or mask & bs for bi, bs in in_pairs[k]):
+            walk(k + 1, mask | 1 << k)
+
+    walk(0, 0)
+    return found
+
+
+def _reference_minimal(rs: RootSystem) -> list[tuple]:
+    """The enumerator before the pruned walk: every closed set, by size; one
+    that contains no minimal set found earlier is minimal iff it spans."""
+    l = rs.rank
+    candidates = sorted((m for m in _closed_masks(rs) if m.bit_count() >= l), key=int.bit_count)
+    found: list[int] = []
+    for mask in candidates:
+        if any(m & mask == m for m in found):
+            continue
+        if hermite_pivots(_psi(rs, mask), l) == [1] * l:
+            found.append(mask)
+    return sorted((_psi(rs, m) for m in found), key=lambda psi: (len(psi), psi))
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN))
+def test_enumerate_matches_reference_walk(key):
+    rs = build_root_system(key[0], int(key[1:]))
+    assert [s.psi for s in enumerate_minimal(rs)] == _reference_minimal(rs)
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
