@@ -59,31 +59,38 @@ class LieAlgebra:
     structure: dict[tuple[int, int], SparseVec] = field(repr=False)
     form: MatQ | None = None
 
+    def __post_init__(self):
+        # the antisymmetric table, built once: _table[i][j] = [b_i, b_j]
+        table: list[dict[int, SparseVec]] = [{} for _ in range(self.dim)]
+        for (i, j), entry in self.structure.items():
+            table[i][j] = entry
+            table[j][i] = tuple((k, -c) for k, c in entry)
+        object.__setattr__(self, "_table", table)
+
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        if i == j:
-            return ()
-        if i < j:
-            return self.structure.get((i, j), ())
-        return tuple((k, -c) for k, c in self.structure.get((j, i), ()))
+        return self._table[i].get(j, ())
 
     def bracket(self, x: Vec, y: Vec) -> Vec:
         out = [Fraction(0)] * self.dim
-        xi = [(i, c) for i, c in enumerate(x) if c]
         yj = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in xi:
-            for j, b in yj:
-                if i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j):
-                    out[k] += a * b * c
+        for i, a in enumerate(x):
+            if a:
+                row = self._table[i]
+                for j, b in yj:
+                    for k, c in row.get(j, ()):
+                        out[k] += a * b * c
         return tuple(out)
 
     def ad(self, x: Vec) -> MatQ:
-        cols = []
-        for j in range(self.dim):
-            basis = tuple(Fraction(1 if k == j else 0) for k in range(self.dim))
-            cols.append(self.bracket(x, basis))
-        return MatQ(self.dim, self.dim, tuple(cols[j][i] for i in range(self.dim) for j in range(self.dim)))
+        """``ad(x)``, column j holding ``[x, b_j]``, summed over the table."""
+        dim = self.dim
+        out = [Fraction(0)] * (dim * dim)
+        for i, a in enumerate(x):
+            if a:
+                for j, entry in self._table[i].items():
+                    for k, c in entry:
+                        out[k * dim + j] += a * c
+        return MatQ(dim, dim, tuple(out))
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))

@@ -3,7 +3,9 @@
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
 sits behind ``rref``, ``kernel_basis``, ``inverse``, ``solve`` and
-``solve_sparse``; their results are read off the unique reduced row echelon
+``solve_sparse``.  It is fraction-free: an added row has its denominators
+cleared and is kept as a primitive integer row, and the ``Fraction``s of a
+result are made only when it is read out of the unique reduced row echelon
 form, with free variables zeroed, so they do not depend on elimination order.
 The Smith form fixes its own sign normalisation.  Downstream certificates are
 therefore reproducible byte-for-byte.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -40,7 +43,9 @@ __all__ = [
 
 def rat_to_str(x: Rat | int) -> str:
     """Serialize a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
-    x = Fraction(x)
+    # a float would print its binary value, a bool as 0 or 1
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -198,38 +203,72 @@ class RrefResult:
 
 
 class Echelon:
-    """Sparse row echelon form over Q, grown one row at a time: ``rows`` maps
-    each leading (smallest) column to its ``{column: value}`` row, scaled so
-    the leading entry is 1.  This is the module's only elimination routine."""
+    """Sparse row echelon form over Q, grown one row at a time and kept over
+    the integers: ``_rows`` maps each leading (smallest) column to a
+    primitive ``{column: int}`` row with a positive leading entry.  This is
+    the module's only elimination routine; it makes a ``Fraction`` only when
+    a result is read out."""
 
     def __init__(self):
-        self.rows: dict[int, dict[int, Rat]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict[int, dict[int, Rat]]:
+        """The rows scaled so that each leading entry is 1."""
+        return {c: {j: Fraction(v, row[c]) for j, v in row.items()} for c, row in self._rows.items()}
 
     def add(self, row: dict[int, Rat | int]) -> bool:
         """Reduce ``row`` and keep what is left; False if it was dependent."""
-        row = {c: v for c, v in row.items() if v}
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while row:
             c = min(row)
-            if c not in self.rows:
-                f = Fraction(row[c])
-                self.rows[c] = {cc: v / f for cc, v in row.items()}
+            prow = self._rows.get(c)
+            if prow is None:
+                g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+                self._rows[c] = {j: v // g for j, v in row.items()}
                 return True
-            _subtract(row, row[c], self.rows[c])
+            # row = s row - t prow with s / t = prow[c] / row[c] in lowest terms clears column c
+            g = gcd(row[c], prow[c])
+            s, t = prow[c] // g, row[c] // g
+            if s != 1:
+                row = {j: s * v for j, v in row.items()}
+            for j, v in prow.items():
+                v = row.get(j, 0) - t * v
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
         return False
+
+    def _back(self, keep=None) -> dict[int, tuple[int, dict[int, int]]]:
+        """The reduced row echelon form over the integers, by one
+        back-elimination from the last pivot up: for each pivot c, ascending,
+        ``(d, row)`` with ``row[j] / d`` the entry in column j of reduced row
+        c, for the non-pivot columns j (only those in ``keep``, if given)."""
+        red: dict[int, tuple[int, dict[int, int]]] = {}
+        for c in sorted(self._rows, reverse=True):
+            row = self._rows[c]
+            deps = [p for p in row if p in red]
+            # reduced row p is red[p][1] / red[p][0]: subtract over one common denominator
+            den = lcm(*(red[p][0] for p in deps))
+            out = {j: den * v for j, v in row.items() if j not in self._rows and (keep is None or j in keep)}
+            for p in deps:
+                dp, rp = red[p]
+                f = row[p] * (den // dp)
+                for j, w in rp.items():
+                    out[j] = out.get(j, 0) - f * w
+            g = gcd(den * row[c], *out.values())
+            red[c] = (den * row[c] // g, {j: v // g for j, v in out.items() if v})
+        return dict(sorted(red.items()))
 
     def reduced(self) -> dict[int, dict[int, Rat]]:
         """The unique reduced row echelon form, keyed by pivot, ascending."""
-        red: dict[int, dict[int, Rat]] = {}
-        for c in sorted(self.rows, reverse=True):
-            row = dict(self.rows[c])
-            for p in [p for p in row if p != c and p in red]:
-                _subtract(row, row[p], red[p])
-            red[c] = row
-        return dict(sorted(red.items()))
+        return {c: {c: _ONE, **{j: Fraction(v, d) for j, v in row.items()}} for c, (d, row) in self._back().items()}
 
     def kernel(self, ncols: int) -> list[tuple[Rat, ...]]:
         """Null space basis, one vector per free column, ascending."""
@@ -242,16 +281,6 @@ class Echelon:
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _subtract(row: dict[int, Rat], f: Rat, prow: dict[int, Rat]) -> None:
-    """``row -= f * prow`` in place, dropping the entries that vanish."""
-    for c, v in prow.items():
-        nv = row.get(c, 0) - f * v
-        if nv:
-            row[c] = nv
-        else:
-            del row[c]
 
 
 def _echelon(m: MatQ) -> Echelon:
@@ -284,7 +313,7 @@ def inverse(m: MatQ) -> MatQ | None:
     ech = Echelon()
     for i in range(n):
         ech.add({**dict(enumerate(m.row(i))), n + i: _ONE})
-    if any(c >= n for c in ech.rows):
+    if any(c >= n for c in ech._rows):
         return None
     red = ech.reduced()
     return MatQ(n, n, tuple(red[c].get(n + j, _ZERO) for c in range(n) for j in range(n)))
@@ -313,12 +342,11 @@ def _solve(rows, rhs, ncols: int) -> tuple[Rat, ...] | None:
     # leads a row only when that row is inconsistent.
     ech = Echelon()
     for row, b in zip(rows, rhs):
-        if ech.add({**row, ncols: b}) and ncols in ech.rows:
+        if ech.add({**row, ncols: b}) and ncols in ech._rows:
             return None
     x = [_ZERO] * ncols
-    for c in sorted(ech.rows, reverse=True):
-        row = ech.rows[c]
-        x[c] = row.get(ncols, _ZERO) - sum((v * x[cc] for cc, v in row.items() if c < cc < ncols), _ZERO)
+    for c, (d, row) in ech._back(keep={ncols}).items():
+        x[c] = Fraction(row[ncols], d) if ncols in row else _ZERO
     return tuple(x)
 
 

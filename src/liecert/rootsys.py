@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .exact import Rat
@@ -194,8 +195,13 @@ def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
+    """The root system of the simple type, built once per type (it is frozen)."""
+    return _build_root_system(family.upper(), rank)
+
+
+@lru_cache(maxsize=32)
+def _build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system, generating positives level by level."""
-    family = family.upper()
     if family not in FAMILIES or not _valid_rank(family, rank):
         raise ValueError(f"({family}, {rank}) is not a valid simple type")
     cartan = _cartan_matrix(family, rank)

@@ -42,7 +42,7 @@ from .loopalg import (
     toral_center_witness,
 )
 from .qgraded import certify, enumerate_minimal, is_closed, verify_metabelian
-from .rootsys import RootSystem, build_root_system
+from .rootsys import build_root_system
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
 
@@ -57,18 +57,13 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _system(family: str, rank: int) -> RootSystem:
-    return build_root_system(family, rank)
-
-
-@lru_cache(maxsize=None)
 def _minimal(family: str, rank: int):
-    return tuple(enumerate_minimal(_system(family, rank)))
+    return tuple(enumerate_minimal(build_root_system(family, rank)))
 
 
 @lru_cache(maxsize=None)
 def _b2_minimal_context():
-    rs = _system("B", 2)
+    rs = build_root_system("B", 2)
     return loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))))
 
 
@@ -139,7 +134,7 @@ def criterion_2(seed: int) -> tuple[bool, str]:
     notes = []
     ok = True
     for l in (3, 4):
-        rs = _system("A", l)
+        rs = build_root_system("A", l)
         families = _reference_families(l)
         for idx, psi in enumerate(families, start=1):
             spec = SubalgebraSpec(rs, psi)
@@ -207,7 +202,7 @@ def criterion_5(seed: int) -> tuple[bool, str]:
     """Scalar-derivation dichotomy between square and overweight cases."""
     notes = []
     # overweight (three positive roots of rank-2 type A): scalars (1, 0, 0)
-    rs = _system("A", 2)
+    rs = build_root_system("A", 2)
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1), (1, 1)))
     g, info = extract_subalgebra(spec)
     v = scalar_derivation_verdict(g, info, [1, 0, 0])

@@ -2,6 +2,7 @@
 subalgebra extraction with the distinguished basis."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -498,3 +499,70 @@ def test_constant_magnitude_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "structure constant for" in proc.stdout
+
+
+def _bracket_from_structure(g: LieAlgebra, x, y):
+    """Oracle: ``[x, y]`` read from ``structure`` (pairs ``i < j``) by antisymmetry."""
+    out = [Fraction(0)] * g.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b and i != j:
+                sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+                for k, c in g.structure.get(key, ()):
+                    out[k] += sign * a * b * c
+    return tuple(out)
+
+
+def _ad_by_columns(g: LieAlgebra, x):
+    """The column-by-column definition: column j of ad(x) is [x, e_j]."""
+    cols = [_bracket_from_structure(g, x, g.basis_vector(j)) for j in range(g.dim)]
+    return MatQ(g.dim, g.dim, tuple(cols[j][i] for i in range(g.dim) for j in range(g.dim)))
+
+
+# the subalgebras of the golden documents (tests/golden), E8 bipartite included
+GOLDEN_SUBALGEBRAS = [
+    ("A", 4, "1,0,0,0;1,1,0,0;1,1,1,0;1,1,1,1"),
+    ("A", 3, "1,0,0;1,1,0;1,1,1"),
+    ("B", 2, "1,0;2,1"),
+    ("B", 2, "1,0"),
+    ("B", 2, "1,0;-1,0"),
+    ("E", 6, "1,0,0,0,0,0;0,-1,0,0,0,0;0,0,-1,0,0,0;0,0,0,1,0,0;0,0,0,0,-1,0;0,0,0,0,0,1"),
+    (
+        "E",
+        8,
+        "1,0,0,0,0,0,0,0;0,-1,0,0,0,0,0,0;0,0,-1,0,0,0,0,0;0,0,0,1,0,0,0,0;"
+        "0,0,0,0,-1,0,0,0;0,0,0,0,0,1,0,0;0,0,0,0,0,0,-1,0;0,0,0,0,0,0,0,1",
+    ),
+]
+
+
+def _check_table(g: LieAlgebra, rng):
+    for i in range(g.dim):
+        assert g.bracket_basis(i, i) == ()
+        for j in range(g.dim):
+            assert g.bracket_basis(j, i) == tuple((k, -c) for k, c in g.bracket_basis(i, j))
+    xs = [g.basis_vector(i) for i in range(g.dim)]
+    xs += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(g.dim)) for _ in range(3)]
+    xs += [tuple(rng.choice([0, 0, 1, -2]) for _ in range(g.dim))]  # plain ints, mostly zero
+    for x in xs:
+        ad = g.ad(x)
+        assert ad == _ad_by_columns(g, x)
+        assert all(type(v) is Fraction for v in ad.entries)
+        y = xs[rng.randrange(len(xs))]
+        assert g.bracket(x, y) == _bracket_from_structure(g, x, y)
+
+
+@pytest.mark.parametrize(
+    "family,rank,psi",
+    GOLDEN_SUBALGEBRAS,
+    ids=["A4-chain", "A3-chain", "B2-minimal", "B2-nonminimal", "B2-opposite-pair", "E6-bipartite", "E8-bipartite"],
+)
+def test_ad_and_bracket_read_off_the_table(family, rank, psi):
+    rs = build_root_system(family, rank)
+    g, _ = extract_subalgebra(SubalgebraSpec(rs, tuple(tuple(map(int, r.split(","))) for r in psi.split(";"))))
+    _check_table(g, random.Random(97))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2)])
+def test_ambient_ad_and_bracket_read_off_the_table(family, rank):
+    _check_table(build_semisimple(build_root_system(family, rank)), random.Random(101))

@@ -62,6 +62,14 @@ def test_rat_serialization_round_trip():
     for s in ["3", "-1/2", "0", "7/3"]:
         assert rat_to_str(rat_from_str(s)) == s
     assert rat_to_str(Fraction(2, 4)) == "1/2"
+    assert rat_to_str(-7) == "-7"
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2", None])
+def test_rat_to_str_rejects_non_rationals(value):
+    # Fraction(0.1) would print its binary value, a bool would print as 0 or 1
+    with pytest.raises(TypeError):
+        rat_to_str(value)
 
 
 def test_rref_identity():

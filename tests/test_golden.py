@@ -65,6 +65,7 @@ CASES = {
     "inner-match-A4-chain-window2": (["inner-match"] + A4_CHAIN + ["--op", "op_a4_mixed.json", "--window", "2"], 3),
     "selftest": (["selftest"], 0),
     "roots-invalid-type": (["roots", "--family", "Q", "--rank", "9"], 2),
+    "roots-E8": (["roots", "--family", "E", "--rank", "8"], 0),
     "dij-witness-degree-zero": (["dij-witness"] + B2_MIN + ["--i", "1", "--j", "0", "--x", "x_h1_deg0.json"], 2),
 }
 

@@ -70,6 +70,16 @@ def test_invalid_types_rejected(family, rank):
         build_root_system(family, rank)
 
 
+def test_root_system_is_built_once_per_type():
+    rs = build_root_system("E", 8)
+    assert build_root_system("e", 8) is rs
+    assert build_root_system("E", 7) is not rs
+    with pytest.raises(ValueError):  # a refused type raises on every call
+        build_root_system("E", 9)
+    with pytest.raises(ValueError):
+        build_root_system("E", 9)
+
+
 def test_heights_b2():
     assert height((1, 0)) == 1
     assert height((2, 1)) == 3
