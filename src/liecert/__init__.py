@@ -17,7 +17,7 @@ from .chevalley import (
     extract_subalgebra,
     killing_form,
 )
-from .exact import MatQ, MatZ, Rat, kernel_basis, rref, smith_normal_form, solve
+from .exact import MatQ, Rat, invariant_factors, kernel_basis, rref, solve
 from .qgraded import QGradedCertificate, certify, enumerate_minimal, is_closed, is_minimal, spans_q, verify_metabelian
 from .rootsys import RootSystem, build_root_system, height, root_sum
 
@@ -26,11 +26,10 @@ __all__ = [
     "CONVENTION",
     "Rat",
     "MatQ",
-    "MatZ",
     "rref",
     "kernel_basis",
     "solve",
-    "smith_normal_form",
+    "invariant_factors",
     "RootSystem",
     "build_root_system",
     "height",

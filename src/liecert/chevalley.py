@@ -120,11 +120,6 @@ class SubalgebraSpec:
             seen.append(rr)
         object.__setattr__(self, "psi", tuple(sorted(seen, key=lambda r: (height(r), r))))
 
-    def psi_coordinate_matrix(self) -> list[list[int]]:
-        """Columns are the Psi coordinate vectors (rank x |Psi| integer matrix)."""
-        l = self.system.rank
-        return [[r[i] for r in self.psi] for i in range(l)]
-
 
 @dataclass(frozen=True, eq=False)
 class DistinguishedBasis:

@@ -7,16 +7,19 @@ sits behind ``rref``, ``kernel_basis``, ``inverse``, ``solve`` and
 cleared and is kept as a primitive integer row, and the ``Fraction``s of a
 result are made only when it is read out of the unique reduced row echelon
 form, with free variables zeroed, so they do not depend on elimination order.
-The Smith form fixes its own sign normalisation.  Downstream certificates are
-therefore reproducible byte-for-byte.
+Downstream certificates are therefore reproducible byte-for-byte.
+
+Lattices over Z have one engine of their own, ``hermite_insert``: the
+``minimal`` walk grows its Hermite pivots one root at a time, and
+``invariant_factors`` reads the Smith invariant factors off alternating
+Hermite passes.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -24,7 +27,6 @@ Rat = Fraction
 __all__ = [
     "Rat",
     "MatQ",
-    "MatZ",
     "RrefResult",
     "Echelon",
     "rref",
@@ -32,9 +34,9 @@ __all__ = [
     "inverse",
     "solve",
     "solve_sparse",
-    "smith_normal_form",
     "hermite_insert",
     "hermite_pivots",
+    "invariant_factors",
     "rat_to_str",
     "rat_from_str",
     "expect_json",
@@ -91,7 +93,7 @@ class MatQ:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(v) for v in row)
+            flat.extend(v if isinstance(v, Fraction) else Fraction(v) for v in row)
         return MatQ(r, c, tuple(flat))
 
     @staticmethod
@@ -148,51 +150,6 @@ class MatQ:
         rows, cols = (expect_json(obj[k], int, f"matrix {k}") for k in ("rows", "cols"))
         entries = expect_json(obj["entries"], list, "matrix entries")
         return MatQ(rows, cols, tuple(rat_from_str(e) for e in entries))
-
-
-@dataclass(frozen=True)
-class MatZ:
-    """Dense integer matrix, row-major, immutable."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows*cols")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise ValueError("MatZ entries must be ints")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "MatZ":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[int] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(map(int, row))
-        return MatZ(r, c, tuple(flat))
-
-    @staticmethod
-    def identity(n: int) -> "MatZ":
-        return MatZ(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def mul(self, other: "MatZ") -> "MatZ":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        b_cols = list(zip(*other.to_rows())) or [()] * other.cols
-        return MatZ.from_rows([[sum(map(operator.mul, row, col)) for col in b_cols] for row in self.to_rows()])
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
 @dataclass(frozen=True)
@@ -396,94 +353,66 @@ def hermite_pivots(vectors: Iterable[Sequence[int]], dim: int) -> list[int]:
     return [pivots[c][c] for c in sorted(pivots)]
 
 
-def _snf_min_entry(rows: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            v = rows[i][j]
-            if v != 0 and (best is None or abs(v) < abs(rows[best[0]][best[1]])):
-                best = (i, j)
-    return best
+def invariant_factors(vectors: Iterable[Sequence[int]], dim: int) -> tuple[int, ...]:
+    """The nonzero Smith invariant factors ``d_1 | d_2 | ...`` of the lattice
+    that the integer vectors span in Z^dim; ``()`` for the zero lattice.
 
+    Hermite passes alternate with transposes (Kannan and Bachem, SIAM J.
+    Comput. 8(4), 1979), with ``hermite_insert`` as the only elimination.  A
+    pass puts its rows into row Hermite form, then reduces every entry above
+    a pivot modulo that pivot, bottom row first and each row left to right;
+    once every column holds a pivot, this is the unique reduced form of the
+    lattice.  While some row has a nonzero off its pivot, the transposed form
+    is the next pass's input.  Each pass is unimodular on one side, so the
+    invariant factors never change; the last form has one nonzero per row,
+    and gcd/lcm pairs put its pivots into divisibility order.
 
-def smith_normal_form(a: MatZ) -> tuple[MatZ, MatZ, MatZ]:
-    """Smith normal form ``u * a * v = d`` with unimodular ``u``, ``v``.
+    Termination: let row s be the first row with a nonzero off its pivot p.
+    The rows above it are single entries that no later pass changes, as
+    every other row is zero in their columns.  The next pass's pivot in row s
+    is the gcd of row s, a divisor of p.  It equals p only when p divides all
+    of row s.  Then the transposed rows hold ``p e_s`` (the column of p) and
+    have every s-th coordinate in pZ.  A transposed form has full column
+    rank, so every column of the next form holds a pivot, and its reduced
+    row s is ``p e_s`` itself: the first row with a nonzero off its pivot
+    comes later.  So the pair ``(s, -p)`` grows with every pass, and as
+    p >= 1 the passes run out.  A pass where it does not grow raises
+    AssertionError rather than looping.  (Without the reduction,
+    ``[[1, 1], [0, 1]]`` comes back unchanged.)
 
-    ``d`` is diagonal with nonnegative entries and ``d_i | d_{i+1}``.
+    Also raises AssertionError, under ``python -O`` too, unless there are as
+    many factors as first-pass pivots (the rank), and their product divides
+    the product of those pivots, equal to it at full rank: there both are
+    the index of the lattice in Z^dim.
     """
-    nr, nc = a.rows, a.cols
-    m = a.to_rows()
-    u = MatZ.identity(nr).to_rows()
-    v = MatZ.identity(nc).to_rows()
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        # row_dst += k * row_src
-        m[dst] = [x + k * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in m:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        pos = _snf_min_entry(m, t, nr, nc)
-        if pos is None:
+    rows, width = list(vectors), dim
+    rank = index = progress = None
+    while True:
+        pivots: dict[int, list[int]] = {}
+        for vec in rows:
+            hermite_insert(pivots, vec, width)
+        cols = sorted(pivots)
+        form = [pivots[c] for c in cols]
+        for i in reversed(range(len(form))):
+            row = form[i]
+            for j in range(i + 1, len(form)):
+                q = row[cols[j]] // form[j][cols[j]]
+                if q:
+                    row = [x - q * y for x, y in zip(row, form[j])]
+            form[i] = row
+        diag = [row[c] for row, c in zip(form, cols)]
+        if rank is None:
+            rank, index = len(diag), prod(diag)
+        s = next((i for i, (row, c) in enumerate(zip(form, cols)) if any(row[c + 1 :])), None)
+        if s is None:
             break
-        while True:
-            pos = _snf_min_entry(m, t, nr, nc)
-            i, j = pos
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            pivot = m[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // pivot
-                    add_row(i, t, -q)
-                    if m[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // pivot
-                    add_col(j, t, -q)
-                    if m[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry; if not, fold the
-            # offending row in and restart the reduction of this corner
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    um, dm, vm = MatZ.from_rows(u), MatZ.from_rows(m), MatZ.from_rows(v)
-    if um.mul(a).mul(vm).entries != dm.entries:
-        raise AssertionError("Smith normal form identity u * a * v = d fails")
-    return um, dm, vm
+        if progress is not None and (s, -diag[s]) <= progress:
+            raise AssertionError("a Hermite pass made no progress towards the Smith form")
+        progress = (s, -diag[s])
+        rows, width = [list(col) for col in zip(*form)], len(form)
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    if len(diag) != rank or index % prod(diag) or (rank == dim and index != prod(diag)):
+        raise AssertionError("invariant factors disagree with the first Hermite pass")
+    return tuple(diag)

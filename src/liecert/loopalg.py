@@ -710,9 +710,8 @@ def bracket_match(
         central_row: dict[int, Rat] = {}
         for m, xv in x.support.items():
             if xv not in memo:
-                ad = g.ad(xv)
                 memo[xv] = (
-                    [(k, c, ad.at(c, k)) for k in range(dim) for c in range(dim) if ad.at(c, k)],
+                    [(i % dim, i // dim, v) for i, v in enumerate(g.ad(xv).entries) if v],
                     [(k, v) for k, v in enumerate(g.form.mul_vec(xv)) if v],
                 )
             entries, form = memo[xv]

@@ -3,12 +3,12 @@ enumeration, and the abelian-derived-algebra certificate.
 
 A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 ``L`` is a subalgebra iff Psi is closed under root addition, and Q-graded iff
-additionally Psi spans the root lattice over Z (all Smith invariant factors 1
-at full rank).  Minimality means no proper subset is simultaneously closed and
-spanning; ``is_minimal`` decides it by exhaustive subset search, and
-``enumerate_minimal`` finds every minimal set in one pruned walk over the
-closed subsets of the whole root system.  ``certify`` decides closure and
-span once each.
+additionally Psi spans the root lattice over Z: rank-many Smith invariant
+factors (``exact.invariant_factors``), all 1.  Minimality means no proper
+subset is simultaneously closed and spanning; ``is_minimal`` decides it by
+exhaustive subset search, and ``enumerate_minimal`` finds every minimal set
+in one pruned walk over the closed subsets of the whole root system.
+``certify`` decides closure and span once each.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
-from .exact import MatQ, MatZ, hermite_insert, rref, smith_normal_form
+from .exact import MatQ, hermite_insert, invariant_factors, rref
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -82,11 +82,7 @@ def is_closed(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, Root, Root] | Non
 def spans_q(spec: SubalgebraSpec) -> tuple[bool, tuple[int, ...]]:
     """True iff Psi spans the root lattice over Z, with the invariant factors."""
     l = spec.system.rank
-    if not spec.psi:
-        return False, ()
-    mat = MatZ.from_rows(spec.psi_coordinate_matrix())
-    _, d, _ = smith_normal_form(mat)
-    factors = tuple(x for x in d.diagonal() if x != 0)
+    factors = invariant_factors(spec.psi, l)
     return (len(factors) == l and all(x == 1 for x in factors)), factors
 
 
@@ -147,8 +143,9 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
         taken; it is then minimal iff it contains no set found so far, as
         each of its closed proper subsets is reached before P.
 
-    Every printed set is re-checked for closure and, by Smith normal form,
-    for span.  ``cap`` bounds ``2^|roots|``, the size of the search space.
+    Every printed set is re-checked for closure and, by its Smith invariant
+    factors (``exact.invariant_factors``), for span.  ``cap`` bounds
+    ``2^|roots|``, the size of the search space.
     """
     n = len(rs.roots)
     if 1 << n > cap:

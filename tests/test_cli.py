@@ -415,12 +415,12 @@ def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
     for module, name in [
         (chevalley, "closure_violation"),
         (qgraded, "closure_violation"),
-        (qgraded, "smith_normal_form"),
+        (qgraded, "invariant_factors"),
     ]:
         _count_calls(monkeypatch, counts, module, name)
     code, doc, _ = invoke([command] + B2_MIN)
     assert code == 0
-    assert counts == {"closure_violation": 1, "smith_normal_form": 1}
+    assert counts == {"closure_violation": 1, "invariant_factors": 1}
 
 
 def test_aid_with_a_complement_is_inconclusive(monkeypatch):

@@ -1,8 +1,10 @@
 """Exact linear algebra: golden cases plus independent oracles."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,18 +12,19 @@ from liecert.dercalc import _leibniz_rows, diagonal_toral_algebra
 from liecert.exact import (
     Echelon,
     MatQ,
-    MatZ,
     hermite_insert,
     hermite_pivots,
     inverse,
+    invariant_factors,
     kernel_basis,
     rat_from_str,
     rat_to_str,
     rref,
-    smith_normal_form,
     solve,
     solve_sparse,
 )
+from liecert.rootsys import build_root_system
+from snf_reference import MatZ, smith_normal_form
 
 
 def det_cofactor(rows):
@@ -356,6 +359,98 @@ def test_hermite_insert_leaves_a_copied_form_alone():
     assert pivots == before
     assert [grown[c][c] for c in sorted(grown)] == [1, 1]
     assert [pivots[c][c] for c in sorted(pivots)] == hermite_pivots([(2, 4), (0, 3)], 2) == [2, 3]
+
+
+def _reference_factors(vectors, dim):
+    if not vectors:
+        return ()
+    _, d, _ = smith_normal_form(MatZ.from_rows(vectors))
+    return tuple(x for x in d.diagonal() if x)
+
+
+@pytest.mark.parametrize(
+    "vectors, dim, factors",
+    [
+        ([(1, 1), (0, 1)], 2, (1, 1)),  # cycles unless entries above pivots are reduced
+        ([(1, 1), (1, 0)], 2, (1, 1)),
+        ([(0, 0, 0), (0, 0, 0)], 3, ()),
+        ([], 3, ()),
+        ([(0, 1), (2, 1)], 2, (1, 2)),  # B2 beta, 2a+b
+        ([(0, 0), (2, 4), (0, 0), (4, 2)], 2, (2, 6)),
+        ([(2, 4, 4)], 3, (2,)),
+        ([(2, 4, 4), (-2, -4, -4)], 3, (2,)),
+        ([(6, 0), (0, 4)], 2, (2, 12)),
+    ],
+)
+def test_invariant_factors_examples(vectors, dim, factors):
+    assert invariant_factors(vectors, dim) == factors
+    assert _reference_factors([list(v) for v in vectors], dim) == factors
+
+
+def _random_lattice(rng, max_dim, max_entry):
+    """Integer vectors whose span may be deficient in rank or of index > 1."""
+    nr, dim = rng.randint(1, max_dim), rng.randint(1, max_dim)
+    if rng.random() < 0.5:
+        return [[rng.randint(-max_entry, max_entry) for _ in range(dim)] for _ in range(nr)], dim
+    base = [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+    return [[sum(rng.randint(-3, 3) * b[i] for b in base) for i in range(dim)] for _ in range(nr)], dim
+
+
+def test_invariant_factors_match_reference_smith_form():
+    rng = random.Random(37)
+    seen = {"spans": 0, "deficient": 0, "index": 0}
+    for _ in range(300):
+        vectors, dim = _random_lattice(rng, 10, 50)
+        factors = invariant_factors(vectors, dim)
+        assert factors == _reference_factors(vectors, dim), vectors
+        spans = factors == (1,) * dim
+        seen["spans" if spans else "deficient" if len(factors) < dim else "index"] += 1
+    assert all(seen.values()), seen
+
+
+def test_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(41)
+    for _ in range(60):
+        vectors, dim = _random_lattice(rng, 6, 20)
+        want = tuple(int(x) for x in sympy_factors(sympy.Matrix(vectors), domain=sympy.ZZ) if x)
+        assert invariant_factors(vectors, dim) == want, vectors
+
+
+def test_invariant_factors_of_every_frozen_minimal_set():
+    # every printed set is a Z-basis of the root lattice; its rank-1 subsets are not
+    frozen = json.loads((Path(__file__).parent / "golden" / "minimal_sets.json").read_text(encoding="utf-8"))
+    for key, sets in frozen.items():
+        rs = build_root_system(key[0], int(key[1:]))
+        for text in sets:
+            psi = [tuple(map(int, r.split(","))) for r in text.split(";")]
+            assert invariant_factors(psi, rs.rank) == (1,) * rs.rank, (key, text)
+            assert invariant_factors(psi[:-1], rs.rank) == _reference_factors(psi[:-1], rs.rank)
+
+
+def test_invariant_factors_match_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def lattices(draw):
+        dim = draw(st.integers(1, 6))
+        vectors = draw(st.lists(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim), max_size=7))
+        # a repeated multiple makes rank deficiency common
+        if vectors and draw(st.booleans()):
+            k = draw(st.integers(-4, 4))
+            vectors.append([k * v for v in vectors[0]])
+        return vectors, dim
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(lattices())
+    def check(case):
+        vectors, dim = case
+        assert invariant_factors(vectors, dim) == _reference_factors(vectors, dim)
+
+    check()
 
 
 def test_fraction_field_axioms_randomized():

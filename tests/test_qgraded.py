@@ -295,6 +295,25 @@ def test_hermite_span_agrees_with_smith_on_closed_subsets(family, rank):
     assert verdicts == {True, False}
 
 
+def test_walk_that_claims_span_early_is_caught_by_the_recheck(monkeypatch):
+    # only the walk's binding is broken: a prefix one pivot short of rank
+    # "spans" with a unit row, while spans_q reads the true invariant factors
+    import liecert.qgraded as q
+
+    real = q.hermite_insert
+
+    def one_short(pivots, vec, dim):
+        real(pivots, vec, dim)
+        missing = [c for c in range(dim) if c not in pivots]
+        if len(missing) == 1:
+            pivots[missing[0]] = [int(i == missing[0]) for i in range(dim)]
+
+    monkeypatch.setattr(q, "hermite_insert", one_short)
+    for family, rank in [("B", 2), ("A", 3)]:
+        with pytest.raises(AssertionError, match="Smith-form re-check"):
+            enumerate_minimal(build_root_system(family, rank))
+
+
 def test_minimal_output_ignores_hash_seed():
     argv = ["-m", "liecert.cli", "minimal", "--family", "A", "--rank", "3"]
     runs = [_python(argv, hashseed=seed) for seed in ("0", "1", "7")]
