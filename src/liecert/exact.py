@@ -35,7 +35,6 @@ __all__ = [
     "solve",
     "solve_sparse",
     "hermite_insert",
-    "hermite_pivots",
     "invariant_factors",
     "rat_to_str",
     "rat_from_str",
@@ -339,18 +338,6 @@ def hermite_insert(pivots: dict[int, list[int]], vec: Sequence[int], dim: int) -
         a, b = p[c] // g, x // g
         pivots[c] = [s * y + t * z for y, z in zip(p, v)]
         v = [a * z - b * y for y, z in zip(p, v)]
-
-
-def hermite_pivots(vectors: Iterable[Sequence[int]], dim: int) -> list[int]:
-    """Pivot entries, in column order, of the row Hermite form of the lattice
-    that the integer vectors span in Z^dim.
-
-    The vectors span Z^dim iff there are ``dim`` pivots and every one is 1.
-    """
-    pivots: dict[int, list[int]] = {}
-    for vec in vectors:
-        hermite_insert(pivots, vec, dim)
-    return [pivots[c][c] for c in sorted(pivots)]
 
 
 def invariant_factors(vectors: Iterable[Sequence[int]], dim: int) -> tuple[int, ...]:

@@ -1,15 +1,20 @@
-"""Reference Smith normal form for the tests.
+"""Reference lattice routines for the tests.
 
-The textbook dense algorithm with both unimodular transforms, over its own
-integer matrix class.  It shares no code with ``liecert.exact``, whose
-``invariant_factors`` is checked against it.
+``smith_normal_form`` is the textbook dense algorithm with both unimodular
+transforms, over its own integer matrix class.  It shares no code with
+``liecert.exact``, whose ``invariant_factors`` and ``hermite_insert`` are
+checked against it.  ``hermite_pivots`` reads the pivots of the row Hermite
+form that ``hermite_insert`` builds; it is the span test of the reference
+enumerator in ``test_qgraded``.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from liecert.exact import hermite_insert
 
 
 @dataclass(frozen=True)
@@ -148,3 +153,23 @@ def smith_normal_form(a: MatZ) -> tuple[MatZ, MatZ, MatZ]:
     if um.mul(a).mul(vm).entries != dm.entries:
         raise AssertionError("Smith normal form identity u * a * v = d fails")
     return um, dm, vm
+
+
+def smith_factors(vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The nonzero diagonal of the reference Smith form; ``()`` for no vectors."""
+    if not vectors:
+        return ()
+    _, d, _ = smith_normal_form(MatZ.from_rows(vectors))
+    return tuple(x for x in d.diagonal() if x)
+
+
+def hermite_pivots(vectors: Iterable[Sequence[int]], dim: int) -> list[int]:
+    """Pivot entries, in column order, of the row Hermite form of the lattice
+    that the integer vectors span in Z^dim.
+
+    The vectors span Z^dim iff there are ``dim`` pivots and every one is 1.
+    """
+    pivots: dict[int, list[int]] = {}
+    for vec in vectors:
+        hermite_insert(pivots, vec, dim)
+    return [pivots[c][c] for c in sorted(pivots)]

@@ -13,7 +13,6 @@ from liecert.exact import (
     Echelon,
     MatQ,
     hermite_insert,
-    hermite_pivots,
     inverse,
     invariant_factors,
     kernel_basis,
@@ -24,7 +23,7 @@ from liecert.exact import (
     solve_sparse,
 )
 from liecert.rootsys import build_root_system
-from snf_reference import MatZ, smith_normal_form
+from snf_reference import MatZ, hermite_pivots, smith_factors, smith_normal_form
 
 
 def det_cofactor(rows):
@@ -361,13 +360,6 @@ def test_hermite_insert_leaves_a_copied_form_alone():
     assert [pivots[c][c] for c in sorted(pivots)] == hermite_pivots([(2, 4), (0, 3)], 2) == [2, 3]
 
 
-def _reference_factors(vectors, dim):
-    if not vectors:
-        return ()
-    _, d, _ = smith_normal_form(MatZ.from_rows(vectors))
-    return tuple(x for x in d.diagonal() if x)
-
-
 @pytest.mark.parametrize(
     "vectors, dim, factors",
     [
@@ -384,7 +376,7 @@ def _reference_factors(vectors, dim):
 )
 def test_invariant_factors_examples(vectors, dim, factors):
     assert invariant_factors(vectors, dim) == factors
-    assert _reference_factors([list(v) for v in vectors], dim) == factors
+    assert smith_factors([list(v) for v in vectors]) == factors
 
 
 def _random_lattice(rng, max_dim, max_entry):
@@ -402,7 +394,7 @@ def test_invariant_factors_match_reference_smith_form():
     for _ in range(300):
         vectors, dim = _random_lattice(rng, 10, 50)
         factors = invariant_factors(vectors, dim)
-        assert factors == _reference_factors(vectors, dim), vectors
+        assert factors == smith_factors(vectors), vectors
         spans = factors == (1,) * dim
         seen["spans" if spans else "deficient" if len(factors) < dim else "index"] += 1
     assert all(seen.values()), seen
@@ -420,14 +412,16 @@ def test_invariant_factors_match_sympy():
 
 
 def test_invariant_factors_of_every_frozen_minimal_set():
-    # every printed set is a Z-basis of the root lattice; its rank-1 subsets are not
+    # every printed set spans the root lattice over Z; each proper prefix
+    # gets the reference's factors
     frozen = json.loads((Path(__file__).parent / "golden" / "minimal_sets.json").read_text(encoding="utf-8"))
     for key, sets in frozen.items():
         rs = build_root_system(key[0], int(key[1:]))
         for text in sets:
             psi = [tuple(map(int, r.split(","))) for r in text.split(";")]
             assert invariant_factors(psi, rs.rank) == (1,) * rs.rank, (key, text)
-            assert invariant_factors(psi[:-1], rs.rank) == _reference_factors(psi[:-1], rs.rank)
+            for k in range(len(psi)):
+                assert invariant_factors(psi[:k], rs.rank) == smith_factors(psi[:k]), (key, text, k)
 
 
 def test_invariant_factors_match_reference_hypothesis():
@@ -448,7 +442,7 @@ def test_invariant_factors_match_reference_hypothesis():
     @hypothesis.given(lattices())
     def check(case):
         vectors, dim = case
-        assert invariant_factors(vectors, dim) == _reference_factors(vectors, dim)
+        assert invariant_factors(vectors, dim) == smith_factors(vectors)
 
     check()
 

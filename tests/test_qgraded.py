@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from liecert.chevalley import SubalgebraSpec, closure_violation
-from liecert.exact import hermite_pivots
 from liecert.qgraded import (
     EnumerationCapExceeded,
     certify,
@@ -21,6 +20,7 @@ from liecert.qgraded import (
     verify_metabelian,
 )
 from liecert.rootsys import RootSystem, build_root_system
+from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
 # one "--psi"-style string per set, in output order
@@ -289,8 +289,10 @@ def test_hermite_span_agrees_with_smith_on_closed_subsets(family, rank):
     verdicts = set()
     for mask in _closed_masks(rs):
         psi = _psi(rs, mask)
-        spans = hermite_pivots(psi, rank) == [1] * rank
-        assert spans == spans_q(SubalgebraSpec(rs, psi))[0], psi
+        factors = smith_factors(psi)
+        spans = factors == (1,) * rank
+        assert (hermite_pivots(psi, rank) == [1] * rank) == spans, psi
+        assert spans_q(SubalgebraSpec(rs, psi)) == (spans, factors), psi
         verdicts.add(spans)
     assert verdicts == {True, False}
 
