@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import MatQ, Rat, inverse
+from .exact import _ZERO, MatQ, Rat, inverse
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -84,7 +84,7 @@ class LieAlgebra:
     def ad(self, x: Vec) -> MatQ:
         """``ad(x)``, column j holding ``[x, b_j]``, summed over the table."""
         dim = self.dim
-        out = [Fraction(0)] * (dim * dim)
+        out = [_ZERO] * (dim * dim)
         for i, a in enumerate(x):
             if a:
                 for j, entry in self._table[i].items():

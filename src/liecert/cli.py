@@ -199,9 +199,8 @@ def _cmd_centroid(args, seed):
     spec = _spec_from_args(args)
     g, info = extract_subalgebra(spec)
     cent = centroid_space(g)
-    diagonal = all(
-        all(m.at(r, c) == 0 for r in range(g.dim) for c in range(g.dim) if r != c) for m in cent.basis
-    )
+    # entry u of a row-major dim x dim matrix is on the diagonal iff dim + 1 divides u
+    diagonal = not any(x for m in cent.basis for u, x in enumerate(m.entries) if u % (g.dim + 1))
     doc = _envelope(
         "centroid",
         _inputs(spec),

@@ -99,26 +99,32 @@ class AidVerdict:
         return self.status == "inner"
 
 
+def _nonzeros(m: MatQ) -> dict[int, Rat]:
+    return {u: x for u, x in enumerate(m.entries) if x}
+
+
 def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
     """Coordinates of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` as sparse
     rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one row per
     output coordinate; ``left`` and ``right`` select the last two terms."""
-    dim = g.dim
+    dim, table = g.dim, g._table
     rows: list[dict[int, Rat]] = [{} for _ in range(dim)]
 
     def add(r: int, unknown: int, c: Rat) -> None:
         rows[r][unknown] = rows[r].get(unknown, 0) + c
 
-    for k, c in g.bracket_basis(i, j):
+    for k, c in table[i].get(j, ()):
         for r in range(dim):
             add(r, r * dim + k, c)
-    for s in range(dim):
-        # D b_i = sum_s D[s][i] b_s, and likewise for b_j
-        if left:
-            for r, c in g.bracket_basis(s, j):
-                add(r, s * dim + i, -c)
-        if right:
-            for r, c in g.bracket_basis(i, s):
+    # D b_i = sum_s D[s][i] b_s, and likewise for b_j: only the s with a
+    # nonzero table entry count, and [b_s, b_j] = -[b_j, b_s]
+    if left:
+        for s, entry in table[j].items():
+            for r, c in entry:
+                add(r, s * dim + i, c)
+    if right:
+        for s, entry in table[i].items():
+            for r, c in entry:
                 add(r, s * dim + j, -c)
     return rows
 
@@ -127,13 +133,13 @@ def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, i
     """First pair whose ``left=True`` Leibniz rows do not vanish on ``d``."""
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
-    e = d.entries
-    live = {t for t in range(g.dim) if any(e[t :: g.dim])}  # the nonzero columns of D
+    nz = _nonzeros(d)
+    live = {u % g.dim for u in nz}  # the nonzero columns of D
     for i, j in pairs:
         if live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))]):
             continue  # the rows at (i, j) read only these columns of D
         for row in _leibniz_rows(g, i, j, left=True, right=right):
-            if sum(c * e[u] for u, c in row.items() if e[u]):
+            if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
     return None
 
@@ -149,15 +155,16 @@ def derivation_space(g: LieAlgebra) -> DerivationBasis:
     dim = g.dim
     leibniz = Echelon()
     for i, j in combinations(range(dim), 2):
-        for row in _leibniz_rows(g, i, j, left=True, right=True):
+        # most output coordinates get no term: skip their empty rows
+        for row in filter(None, _leibniz_rows(g, i, j, left=True, right=True)):
             leibniz.add(row)
     der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
 
     # inner derivations: greedy maximal independent subset of the ad images,
     # then extended by derivation basis vectors to span Der, deterministically
     span = Echelon()
-    inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(dict(enumerate(m.entries)))]
-    comp = [m for m in der if span.add(dict(enumerate(m.entries)))]
+    inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(_nonzeros(m))]
+    comp = [m for m in der if span.add(_nonzeros(m))]
     return DerivationBasis(algebra=g, der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
 
 
@@ -168,13 +175,16 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
     # i == j is not vacuous here: [phi(x), x] must vanish for every x
     for i, j in combinations_with_replacement(range(dim), 2):
         for left in (True, False):
-            for row in _leibniz_rows(g, i, j, left=left, right=not left):
+            for row in filter(None, _leibniz_rows(g, i, j, left=left, right=not left)):
                 system.add(row)
     basis = tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim))
     # for centroid elements a, b, [(ab - ba)x, y] = 0: ab - ba maps L into its center;
     # ba - ab = -(ab - ba) and a = b give nothing new, so unordered pairs suffice
     for a, b in combinations(basis, 2):
-        comm = [x - y for x, y in zip(a.mul(b).entries, b.mul(a).entries)]
+        ab, ba = a.mul(b), b.mul(a)
+        if ab == ba:
+            continue
+        comm = [x - y for x, y in zip(ab.entries, ba.entries)]
         for t in range(dim):
             col = tuple(comm[s * dim + t] for s in range(dim))
             if any(col) and any(any(g.bracket(col, g.basis_vector(j))) for j in range(dim)):
@@ -205,18 +215,20 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     c_i * beta_i(h).  On failure returns a concrete torus witness h with
     ``D(h)`` outside ``[h, L]`` and the offending component.
     """
-    l, m = info.l, info.m
+    l, m, dim = info.l, info.m, d.cols
+    e = d.entries
     # torus component of D(h_j) must vanish identically
     for j in range(l):
-        if any(d.at(r, j) for r in range(l)):
+        if any(e[j : l * dim : dim]):
             return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
     scalars: list[Rat] = []
     for i in range(m):
-        psi_row = tuple(d.at(l + i, j) for j in range(l))  # h_j -> x_i coefficient
+        psi_row = e[(l + i) * dim : (l + i) * dim + l]  # h_j -> x_i coefficient
         beta_row = info.beta_of_h.row(i)
         j0 = next(j for j in range(l) if beta_row[j] != 0)
         c = psi_row[j0] / beta_row[j0]
-        if any(psi_row[j] != c * beta_row[j] for j in range(l)):
+        # 0 = c * 0 holds for every c
+        if any(p != c * b for p, b in zip(psi_row, beta_row) if p or b):
             witness = _torus_kernel_vector(info, i, psi_row)
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
@@ -241,17 +253,18 @@ def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, M
 
 def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
     """``aid_reduce`` past its precondition, whose scalars it takes."""
-    l, m = info.l, info.m
+    l, dim = info.l, g.dim
     z = (Fraction(0),) * l + scalars
-    dt = MatQ(g.dim, g.dim, tuple(a + b for a, b in zip(d.entries, g.ad(z).entries)))
-    if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
+    entries = list(d.entries)
+    for u, x in _nonzeros(g.ad(z)).items():
+        entries[u] += x
+    dt = MatQ(dim, dim, tuple(entries))
+    live = [u for u, x in enumerate(entries) if x]
+    if any(u % dim < l for u in live):
         raise AssertionError("reduction failed to kill the torus")
-    a: list[Rat] = []
-    for i in range(m):
-        if any(dt.at(r, l + i) for r in range(g.dim) if r != l + i):
-            raise AssertionError("reduced derivation is not diagonal on the root vectors")
-        a.append(dt.at(l + i, l + i))
-    return z, dt, tuple(a)
+    if any(u % (dim + 1) for u in live):
+        raise AssertionError("reduced derivation is not diagonal on the root vectors")
+    return z, dt, tuple(entries[u * (dim + 1)] for u in range(l, dim))
 
 
 def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:

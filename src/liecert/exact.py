@@ -23,6 +23,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rat = Fraction
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 __all__ = [
     "Rat",
@@ -81,6 +82,8 @@ class MatQ:
     entries: tuple[Rat, ...]
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("negative matrix shape")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
 
@@ -97,11 +100,11 @@ class MatQ:
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        return MatQ(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "MatQ":
-        return MatQ(rows, cols, (Fraction(0),) * (rows * cols))
+        return MatQ(rows, cols, (_ZERO,) * (rows * cols))
 
     def at(self, i: int, j: int) -> Rat:
         return self.entries[i * self.cols + j]
@@ -115,19 +118,16 @@ class MatQ:
     def mul(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out: list[Rat] = []
-        orows = other.to_rows()
+        n = other.cols
+        # the nonzeros of other, by row; untouched entries stay the shared zero
+        nonzeros = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+        out = [_ZERO] * (self.rows * n)
         for i in range(self.rows):
-            ri = self.row(i)
-            acc = [Fraction(0)] * other.cols
-            for k, a in enumerate(ri):
+            for k, a in enumerate(self.row(i)):
                 if a:
-                    rk = orows[k]
-                    for j in range(other.cols):
-                        if rk[j]:
-                            acc[j] += a * rk[j]
-            out.extend(acc)
-        return MatQ(self.rows, other.cols, tuple(out))
+                    for j, b in nonzeros[k]:
+                        out[i * n + j] += a * b
+        return MatQ(self.rows, n, tuple(out))
 
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
         if len(v) != self.cols:
@@ -141,7 +141,8 @@ class MatQ:
         )
 
     def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": [rat_to_str(e) for e in self.entries]}
+        entries = ["0" if e is _ZERO else rat_to_str(e) for e in self.entries]  # the shared zero needs no check
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
     def from_json(obj: dict) -> "MatQ":
@@ -228,15 +229,13 @@ class Echelon:
 
     def kernel(self, ncols: int) -> list[tuple[Rat, ...]]:
         """Null space basis, one vector per free column, ascending."""
-        red = self.reduced()
-        return [
-            tuple(-red[c].get(fc, _ZERO) if c in red else (_ONE if c == fc else _ZERO) for c in range(ncols))
-            for fc in range(ncols)
-            if fc not in red
-        ]
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+        free = {fc: [_ZERO] * ncols for fc in range(ncols) if fc not in self._rows}
+        for c, (d, row) in self._back().items():
+            for fc, v in row.items():
+                free[fc][c] = Fraction(-v, d)
+        for fc, vec in free.items():
+            vec[fc] = _ONE
+        return [tuple(vec) for vec in free.values()]
 
 
 def _echelon(m: MatQ) -> Echelon:

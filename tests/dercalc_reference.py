@@ -1,0 +1,92 @@
+"""Reference almost-inner steps and matrix product for the tests.
+
+These are the dense versions that ``liecert.dercalc`` and ``liecert.exact``
+replaced: ``aid_precondition`` and ``reduce`` read D entry by entry with
+``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul`` is the row-by-row
+dense product.  ``aid_membership`` is the decision procedure wired to them;
+it shares ``leibniz_violation``, ``_torus_kernel_vector``, ``solve`` and
+``LieAlgebra.ad`` with the package, which other tests check on their own.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from liecert.chevalley import DistinguishedBasis, LieAlgebra
+from liecert.dercalc import AidVerdict, _torus_kernel_vector, leibniz_violation
+from liecert.exact import MatQ, Rat, solve
+
+
+def mul(left: MatQ, right: MatQ) -> MatQ:
+    if left.cols != right.rows:
+        raise ValueError("shape mismatch")
+    out: list[Rat] = []
+    orows = right.to_rows()
+    for i in range(left.rows):
+        ri = left.row(i)
+        acc = [Fraction(0)] * right.cols
+        for k, a in enumerate(ri):
+            if a:
+                rk = orows[k]
+                for j in range(right.cols):
+                    if rk[j]:
+                        acc[j] += a * rk[j]
+        out.extend(acc)
+    return MatQ(left.rows, right.cols, tuple(out))
+
+
+def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[bool, dict]:
+    l, m = info.l, info.m
+    # torus component of D(h_j) must vanish identically
+    for j in range(l):
+        if any(d.at(r, j) for r in range(l)):
+            return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
+    scalars: list[Rat] = []
+    for i in range(m):
+        psi_row = tuple(d.at(l + i, j) for j in range(l))  # h_j -> x_i coefficient
+        beta_row = info.beta_of_h.row(i)
+        j0 = next(j for j in range(l) if beta_row[j] != 0)
+        c = psi_row[j0] / beta_row[j0]
+        if any(psi_row[j] != c * beta_row[j] for j in range(l)):
+            witness = _torus_kernel_vector(info, i, psi_row)
+            if witness is None:
+                raise AssertionError("no torus element separates the functional from beta_i")
+            return False, {"witness_h": witness, "component": i}
+        scalars.append(c)
+    return True, {"scalars": tuple(scalars)}
+
+
+def reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
+    l, m = info.l, info.m
+    z = (Fraction(0),) * l + scalars
+    dt = MatQ(g.dim, g.dim, tuple(a + b for a, b in zip(d.entries, g.ad(z).entries)))
+    if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
+        raise AssertionError("reduction failed to kill the torus")
+    a: list[Rat] = []
+    for i in range(m):
+        if any(dt.at(r, l + i) for r in range(g.dim) if r != l + i):
+            raise AssertionError("reduced derivation is not diagonal on the root vectors")
+        a.append(dt.at(l + i, l + i))
+    return z, dt, tuple(a)
+
+
+def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
+    viol = leibniz_violation(g, d)
+    if viol is not None:
+        return AidVerdict(status="not-derivation", data={"pair": viol})
+    ok, data = aid_precondition(g, info, d)
+    if not ok:
+        return AidVerdict(status="not-aid", reason="precondition", data=data)
+    z, dt, a = reduce(g, info, d, data["scalars"])
+    h = solve(info.beta_of_h, list(a))
+    if h is None:
+        x = (Fraction(0),) * info.l + (Fraction(1),) * info.m
+        return AidVerdict(
+            status="not-aid",
+            reason="scalar-system",
+            data={"system": info.beta_of_h, "rhs": a, "fails_at": x, "reduction_z": z},
+        )
+    witness = tuple(hh - zz for hh, zz in zip(tuple(h) + (Fraction(0),) * info.m, z))
+    if g.ad(witness) != d:
+        raise AssertionError("inner witness does not reproduce the derivation")
+    return AidVerdict(status="inner", witness=witness, data={"reduction_z": z, "scalars": a, "torus_part": h})

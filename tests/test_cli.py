@@ -345,6 +345,14 @@ def test_aid_matrix_of_the_wrong_shape_exits_2(tmp_path, matrix):
     assert proc.stderr.splitlines() == ["error: shape mismatch"]
 
 
+def test_aid_matrix_of_a_negative_shape_exits_2(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"rows": -1, "cols": -1, "entries": ["5"]}))
+    proc = _cli_process(["aid"] + B2_MIN + ["--matrix", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["error: negative matrix shape"]
+
+
 def test_rat_from_str_rejects_zero_denominator():
     from liecert.exact import rat_from_str
 

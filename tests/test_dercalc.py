@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from liecert import dercalc
-from liecert.chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+from liecert.chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
 from liecert.dercalc import (
     aid_falsify_random,
     aid_membership,
@@ -30,6 +30,8 @@ from liecert.dercalc import (
 from liecert.exact import Echelon, MatQ, rref
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
+
+import dercalc_reference
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +342,8 @@ def _chain(rank):
     return tuple(tuple(1 if k <= i else 0 for k in range(rank)) for i in range(rank))
 
 
-def _differential_algebras():
+def _differential_cases():
+    """``(name, algebra, info)``; the abelian algebra is a torus with no roots."""
     for family, rank, psi in [
         ("B", 2, ((1, 0), (2, 1))),
         ("A", 3, _chain(3)),
@@ -349,9 +352,15 @@ def _differential_algebras():
         ("A", 2, ((1, 0), (0, 1), (1, 1))),  # not minimal: [x_1, x_2] = x_3 is a third direction
     ]:
         rs = build_root_system(family, rank)
-        yield f"{family}{rank}", extract_subalgebra(SubalgebraSpec(rs, psi))[0]
-    yield "abelian2", abelian_algebra(2)
-    yield "toral", diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])[0]
+        yield (f"{family}{rank}", *extract_subalgebra(SubalgebraSpec(rs, psi)))
+    g = abelian_algebra(2)
+    torus = (g.basis_vector(0), g.basis_vector(1))
+    yield "abelian2", g, DistinguishedBasis((), torus, MatQ(0, 2, ()), None, None, False)
+    yield ("toral", *diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]]))
+
+
+def _differential_algebras():
+    return ((name, g) for name, g, _ in _differential_cases())
 
 
 def _differential_matrices(g, rng):
@@ -423,3 +432,70 @@ def test_aid_membership_checks_leibniz_once(b2_minimal, monkeypatch):
     d = g.ad(g.basis_vector(2))
     verdict = aid_membership(g, info, d)
     assert verdict.is_inner and calls == [d]
+
+
+# ---------------------------------------------------------------------------
+# the sparse almost-inner steps and product against the dense ones they replaced
+# ---------------------------------------------------------------------------
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the message of the AssertionError it raises."""
+    try:
+        return f(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_aid_steps_and_products_match_dense_reference():
+    rng = random.Random(11)
+    statuses, reductions = set(), set()
+    for name, g, info in _differential_cases():
+        prev = MatQ.identity(g.dim)
+        for d in _differential_matrices(g, rng):
+            verdict = aid_membership(g, info, d)
+            assert verdict == dercalc_reference.aid_membership(g, info, d), (name, d)
+            statuses.add((verdict.status, verdict.reason))
+            pre = aid_precondition(g, info, d)
+            assert pre == dercalc_reference.aid_precondition(g, info, d), (name, d)
+            if pre[0]:
+                got = _outcome(dercalc._reduce, g, info, d, pre[1]["scalars"])
+                assert got == _outcome(dercalc_reference.reduce, g, info, d, pre[1]["scalars"]), (name, d)
+                reductions.add(isinstance(got, str))
+            for a, b in [(d, d), (d, prev), (prev, d)]:
+                assert a.mul(b) == dercalc_reference.mul(a, b), (name, a, b)
+            prev = d
+    # every verdict and both outcomes of the reduction occurred
+    assert statuses == {
+        ("inner", None),
+        ("not-aid", "precondition"),
+        ("not-aid", "scalar-system"),
+        ("not-derivation", None),
+    }
+    assert reductions == {True, False}
+
+
+def test_sparse_product_matches_dense_reference_on_rectangles():
+    rng = random.Random(3)
+
+    def draw(rows, cols, density):
+        return MatQ(rows, cols, tuple(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Fraction(0)
+            for _ in range(rows * cols)
+        ))
+
+    for rows, inner, cols in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1), (2, 5, 3), (4, 3, 6)]:
+        for density in (1.0, 0.3, 0.0):
+            a, b = draw(rows, inner, density), draw(inner, cols, density)
+            assert a.mul(b) == dercalc_reference.mul(a, b)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        MatQ.zeros(2, 3).mul(MatQ.zeros(2, 3))
+
+
+def test_equal_products_share_the_zero_entries():
+    # the centroid commutator check skips a pair when ab == ba; an untouched
+    # entry of a product is one shared object, so that test compares by identity
+    a = MatQ.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+    b = MatQ.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 5]])
+    ab, ba = a.mul(b), b.mul(a)
+    assert ab == ba and all(x is y for x, y in zip(ab.entries, ba.entries) if not x)

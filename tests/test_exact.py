@@ -466,6 +466,15 @@ def test_matq_json_round_trip():
     assert obj["entries"][0] == "1/2"
 
 
+@pytest.mark.parametrize("rows,cols,entries", [(-1, -1, ["5"]), (-2, -3, ["1"] * 6), (-2, 0, []), (0, -3, [])])
+def test_matq_rejects_negative_shapes(rows, cols, entries):
+    # (-1) * (-1) = 1 entry count would otherwise match
+    with pytest.raises(ValueError, match="negative matrix shape"):
+        MatQ.from_json({"rows": rows, "cols": cols, "entries": entries})
+    with pytest.raises(ValueError, match="negative matrix shape"):
+        MatQ(rows, cols, tuple(Fraction(e) for e in entries))
+
+
 def test_solve_rejects_bad_shape():
     with pytest.raises(ValueError):
         solve(MatQ.identity(2), [1, 2, 3])

@@ -44,6 +44,7 @@ CASES = {
     "der-A4-chain": (["der"] + A4_CHAIN, 0),
     "aid-A4-chain": (["aid"] + A4_CHAIN, 0),
     "centroid-A4-chain": (["centroid"] + A4_CHAIN, 0),
+    "centroid-B2-nonminimal": (["centroid", "--family", "B", "--rank", "2", "--psi", "1,0"], 0),
     "certify-E6-bipartite": (["certify"] + E6_BIPARTITE, 0),
     "certify-E8-bipartite": (["certify"] + E8_BIPARTITE, 0),
     "certify-B2-not-closed": (["certify", "--family", "B", "--rank", "2", "--psi", "1,0;0,1"], 1),
