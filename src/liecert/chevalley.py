@@ -352,8 +352,8 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
 
     l, m = rs.rank, len(spec.psi)
     kh = _torus_form(rs)
-    # pair[a][k] = <beta_a, alpha_k^vee>
-    pair = [[Fraction(rs.pairing(beta, k)) for k in range(l)] for beta in spec.psi]
+    # pair[a][k] = <beta_a, alpha_k^vee>, an integer
+    pair = [[rs.pairing(beta, k) for k in range(l)] for beta in spec.psi]
     coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
     e_pairs = [_opposite_pair_form(kh, h) for h in coroots]  # (e_b, e_-b)
     gram = MatQ.from_rows(

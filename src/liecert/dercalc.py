@@ -213,8 +213,11 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     This is a statement about any linear map D, so Leibniz is not checked.
     On success returns the scalars c_i with (x_i-coefficient of D(h)) =
     c_i * beta_i(h).  On failure returns a concrete torus witness h with
-    ``D(h)`` outside ``[h, L]`` and the offending component.
+    ``D(h)`` outside ``[h, L]`` and the offending component.  A D that is
+    not ``g.dim x g.dim`` raises ValueError.
     """
+    if (d.rows, d.cols) != (g.dim, g.dim):
+        raise ValueError("shape mismatch")
     l, m, dim = info.l, info.m, d.cols
     e = d.entries
     # torus component of D(h_j) must vanish identically

@@ -5,19 +5,18 @@ A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 ``L`` is a subalgebra iff Psi is closed under root addition, and Q-graded iff
 additionally Psi spans the root lattice over Z: rank-many Smith invariant
 factors (``exact.invariant_factors``), all 1.  Minimality means no proper
-subset is simultaneously closed and spanning; ``is_minimal`` decides it by
-exhaustive subset search, and ``enumerate_minimal`` finds every minimal set
-in one pruned walk over the closed subsets of the whole root system.
-``certify`` decides closure and span once each.
-"""
+subset is simultaneously closed and spanning.  One pruned walk over closed
+subsets decides it: ``enumerate_minimal`` runs it over the whole root system
+and finds every minimal set, and ``is_minimal`` and ``certify`` run it over
+Psi and stop at the first minimal set, which is Psi iff Psi is minimal.
+``certify`` decides closure and span once each."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
-from .exact import MatQ, hermite_insert, invariant_factors, rref
+from .exact import Echelon, hermite_insert, invariant_factors
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -97,38 +96,20 @@ def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
     return factors
 
 
-def _smaller_qgraded(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
-    """A proper subset of Psi that is closed and spanning, by exhaustive
-    search, else None.  The caller has decided that Psi itself is both."""
-    rs = spec.system
-    for size in range(rs.rank, len(spec.psi)):  # spanning needs at least rank elements
-        for subset in combinations(spec.psi, size):
-            sub = SubalgebraSpec(rs, subset)
-            if is_closed(sub)[0] and spans_q(sub)[0]:
-                return sub.psi
-    return None
-
-
-def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
-    """Exhaustively check that no proper subset of Psi is closed and spanning.
-
-    Precondition: the spec itself is closed and spanning (ValueError if not).
-    """
-    _require_closed_spanning(spec)
-    counter = _smaller_qgraded(spec)
-    return counter is None, counter
-
-
-def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
-    """All minimal Q-graded subsets, canonically ordered.
+def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool) -> list[tuple[Root, ...]]:
+    """The minimal sets among the closed spanning subsets of ``roots``, in
+    the order they are found; only the first if ``first``.  ``roots`` is the
+    root system or a closed Psi: a root sum of two of them is one of them.
 
     One depth-first walk over the closed subsets decides minimality as it
     goes.  It backtracks over the roots in index order, trying "leave root k"
     before "take root k", and checks each root-sum triple once, when the
     largest of its three indices is decided, so only closed prefixes are
     extended.  A closed set is reached after all of its closed proper
-    subsets: they first differ from it at a root the subset leaves.  Two
-    prunes keep the walk small; both drop only sets that cannot be minimal:
+    subsets: they first differ from it at a root the subset leaves.  So the
+    walk over a closed spanning Psi finds Psi first iff Psi is minimal.
+    Three prunes keep the walk small; each drops only sets that cannot be
+    minimal:
 
     (a) Root k is never taken when the new prefix contains a minimal set
         already found, since every set below it would contain one too.  Such
@@ -142,18 +123,12 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
         stops there.  C lies below P iff it adds no root before the last one
         taken; it is then minimal iff it contains no set found so far, as
         each of its closed proper subsets is reached before P.
-
-    Every printed set is re-checked for closure and, by its Smith invariant
-    factors (``exact.invariant_factors``), for span.  ``cap`` bounds
-    ``2^|roots|``, the size of the search space.
+    (c) A prefix cannot span once its pivots plus the roots still undecided
+        number fewer than the rank, so a rank-size Psi takes about 2 * rank
+        steps.
     """
-    n = len(rs.roots)
-    if 1 << n > cap:
-        raise EnumerationCapExceeded(
-            f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead"
-        )
-    roots = rs.roots
-    l = rs.rank
+    n, l = len(roots), rs.rank
+    index = {r: k for k, r in enumerate(roots)}
     # leaving root k out needs no pair i + j = k (i, j < k) to be in;
     # taking root k in needs s in whenever i is, for each i + k = s (i, s < k);
     # sums[i] lists (bit j, bit s) for every root sum i + j = s
@@ -162,7 +137,7 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
     sums: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, a in enumerate(roots):
         for j in range(i + 1, n):
-            s = rs.root_index.get(tuple(x + y for x, y in zip(a, roots[j])))
+            s = index.get(tuple(x + y for x, y in zip(a, roots[j])))
             if s is None:
                 continue
             sums[i].append((1 << j, 1 << s))
@@ -196,13 +171,15 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
         # mask: the prefix over roots < k, which does not span; lacked: the
         # holders of the roots < k outside it.  Sets found below this node
         # hold none of those roots, so ``lacked`` stays exact down here.
-        if k == n:
-            return
+        if k == n or len(pivots) + n - k < l:
+            return  # (c)
         for pair in out_pairs[k]:
             if mask & pair == pair:
                 break
         else:
             walk(k + 1, mask, lacked | holders[k], pivots)
+            if first and found:
+                return
         for bi, bs in in_pairs[k]:
             if mask & bi and not mask & bs:
                 return
@@ -233,28 +210,55 @@ def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec
         found.append(c)
 
     walk(0, 0, 0, {})
-    minimal: list[SubalgebraSpec] = []
-    for mask in found:
-        spec = SubalgebraSpec(rs, tuple(roots[k] for k in range(n) if mask >> k & 1))
-        # printed sets keep their closure and Smith-form evidence
-        if closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]:
-            raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
-        minimal.append(spec)
-    minimal.sort(key=lambda s: (len(s.psi), s.psi))
-    return minimal
+    return [tuple(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
+
+
+def _rechecked(rs: RootSystem, psi: tuple[Root, ...]) -> SubalgebraSpec:
+    """A set the walk found, re-checked for closure and, by its Smith
+    invariant factors (``exact.invariant_factors``), for span."""
+    spec = SubalgebraSpec(rs, psi)
+    if closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]:
+        raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
+    return spec
+
+
+def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
+    """The first minimal set of the walk over the closed spanning Psi if it
+    is a proper subset of Psi, else None."""
+    first = _minimal_sets(spec.system, spec.psi, first=True)
+    if len(first) != 1:
+        raise AssertionError(f"the walk over the closed spanning {spec.psi} found no minimal set")
+    return _rechecked(spec.system, first[0]).psi if len(first[0]) < len(spec.psi) else None
+
+
+def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
+    """True iff no proper subset of Psi is closed and spanning; else the
+    first minimal one that the walk over Psi finds.
+
+    Precondition: the spec itself is closed and spanning (ValueError if not).
+    """
+    _require_closed_spanning(spec)
+    counter = _smaller_minimal(spec)
+    return counter is None, counter
+
+
+def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
+    """All minimal Q-graded subsets, canonically ordered: the walk of
+    ``_minimal_sets`` over the whole root system.  ``cap`` bounds
+    ``2^|roots|``, the size of the search space."""
+    n = len(rs.roots)
+    if 1 << n > cap:
+        raise EnumerationCapExceeded(f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead")
+    minimal = [_rechecked(rs, psi) for psi in _minimal_sets(rs, rs.roots, first=False)]
+    return sorted(minimal, key=lambda s: (len(s.psi), s.psi))
 
 
 def derived_algebra_dim(g: LieAlgebra) -> int:
     """dim [L, L] from the structure constants."""
-    rows = []
-    for (i, j), entry in g.structure.items():
-        vec = [0] * g.dim
-        for k, c in entry:
-            vec[k] = c
-        rows.append(vec)
-    if not rows:
-        return 0
-    return rref(MatQ.from_rows(rows)).rank
+    span = Echelon()
+    for entry in g.structure.values():
+        span.add(dict(entry))
+    return span.rank
 
 
 def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
@@ -269,22 +273,14 @@ def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
 
 def _metabelian_certificate(spec: SubalgebraSpec, factors: tuple[int, ...]) -> QGradedCertificate:
     """``verify_metabelian`` once closure and span are decided."""
-    rs = spec.system
     sub, _ = extract_subalgebra(spec, check_closed=False)
-    l, m = rs.rank, len(spec.psi)
+    l, m = spec.system.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
-
-    witness = None
-    for a in range(m):
-        for b in range(a + 1, m):
-            if any(sub.bracket(sub.basis_vector(l + a), sub.basis_vector(l + b))):
-                witness = (spec.psi[a], spec.psi[b])
-                break
-        if witness:
-            break
+    nonzero = ((a, b) for a in range(m) for b in range(a + 1, m) if any(c for _, c in sub.bracket_basis(l + a, l + b)))
+    witness = next(((spec.psi[a], spec.psi[b]) for a, b in nonzero), None)
     abelian = witness is None and ddim == m
 
-    counter = _smaller_qgraded(spec)
+    counter = _smaller_minimal(spec)
     return QGradedCertificate(
         spec=spec,
         closed=True,

@@ -431,6 +431,27 @@ def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
     assert counts == {"closure_violation": 1, "invariant_factors": 1}
 
 
+def test_e8_positive_roots_are_decided_by_the_walk():
+    # the exhaustive subset search over C(120, 8) sets ran past 20 s on both
+    # commands; the walk over Psi stops at its first minimal set
+    from liecert.rootsys import build_root_system
+
+    def psi_arg(roots):
+        return ";".join(",".join(map(str, r)) for r in roots)
+
+    args = ["--family", "E", "--rank", "8", "--psi"]
+    code, doc, _ = invoke(["certify", *args, psi_arg(build_root_system("E", 8).positive_roots)])
+    assert code == 1
+    assert doc["verdicts"]["minimal"] is False
+    counter = doc["verdicts"]["minimal_counterexample"]
+    assert len(counter) == 8
+    code, doc, _ = invoke(["certify", *args, psi_arg(counter)])
+    assert doc["verdicts"]["minimal"] is True and doc["verdicts"]["minimal_counterexample"] is None
+    code, doc, _ = invoke(["aid", *args, psi_arg(build_root_system("E", 8).positive_roots)])
+    assert code == 2
+    assert doc == {"error": "the procedure applies to minimal Q-graded subalgebras only"}
+
+
 def test_aid_with_a_complement_is_inconclusive(monkeypatch):
     # no minimal set has Der != Inn, so fake one complement direction and a
     # not-aid verdict on it: a verdict on one direction leaves combinations open

@@ -419,6 +419,16 @@ def test_sparse_evaluators_reject_wrong_shapes(b2_minimal, evaluator):
             evaluator(g, MatQ.zeros(rows, cols))
 
 
+@pytest.mark.parametrize("step", [aid_precondition, aid_reduce])
+def test_aid_steps_reject_wrong_shapes(b2_minimal, step):
+    # a 5x5 or 4x3 D used to pass the precondition with zero scalars, and a
+    # 2x2 one raised IndexError
+    g, info = b2_minimal
+    for rows, cols in [(5, 5), (4, 3), (2, 2)]:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            step(g, info, MatQ.zeros(rows, cols))
+
+
 def test_aid_membership_checks_leibniz_once(b2_minimal, monkeypatch):
     g, info = b2_minimal
     calls = []

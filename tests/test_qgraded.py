@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from liecert.chevalley import SubalgebraSpec, closure_violation
+from liecert.chevalley import SubalgebraSpec, closure_violation, extract_subalgebra
+from liecert.exact import MatQ, rref
 from liecert.qgraded import (
     EnumerationCapExceeded,
     certify,
+    derived_algebra_dim,
     enumerate_minimal,
     is_closed,
     is_minimal,
@@ -20,6 +22,7 @@ from liecert.qgraded import (
     verify_metabelian,
 )
 from liecert.rootsys import RootSystem, build_root_system
+from qgraded_reference import smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
@@ -295,6 +298,49 @@ def test_hermite_span_agrees_with_smith_on_closed_subsets(family, rank):
         assert spans_q(SubalgebraSpec(rs, psi)) == (spans, factors), psi
         verdicts.add(spans)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)])
+def test_walk_over_psi_matches_exhaustive_search(family, rank):
+    # every closed spanning Psi: the same verdict as the reference search, and
+    # a counterexample that is a closed spanning proper subset, itself minimal
+    rs = build_root_system(family, rank)
+    verdicts = set()
+    for mask in _closed_masks(rs):
+        spec = SubalgebraSpec(rs, _psi(rs, mask))
+        if not spans_q(spec)[0]:
+            continue
+        minimal, counter = is_minimal(spec)
+        assert minimal == (smaller_qgraded(spec) is None), spec.psi
+        if counter is not None:
+            sub = SubalgebraSpec(rs, counter)
+            assert set(counter) < set(spec.psi), spec.psi
+            assert is_closed(sub)[0] and spans_q(sub)[0], spec.psi
+            assert smaller_qgraded(sub) is None, spec.psi
+        verdicts.add(minimal)
+    assert verdicts == {True, False}
+
+
+def test_counterexample_is_rechecked(monkeypatch, b2rs):
+    # a walk over Psi whose first set fails the re-check raises, as in the
+    # enumeration; Psi itself is decided before the walk and not re-checked
+    import liecert.qgraded as q
+
+    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first: [((1, 0), (0, 1))])
+    with pytest.raises(AssertionError, match="Smith-form re-check"):
+        is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
+    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first: [])
+    with pytest.raises(AssertionError, match="found no minimal set"):
+        is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
+
+
+def test_derived_algebra_dim_matches_dense_rank():
+    for family, rank in [("A", 1), ("B", 2), ("G", 2), ("A", 3)]:
+        rs = build_root_system(family, rank)
+        for psi in [rs.roots, rs.positive_roots, *(s.psi for s in enumerate_minimal(rs))]:
+            g, _ = extract_subalgebra(SubalgebraSpec(rs, psi))
+            rows = [[dict(entry).get(k, 0) for k in range(g.dim)] for entry in g.structure.values()]
+            assert derived_algebra_dim(g) == rref(MatQ.from_rows(rows)).rank, psi
 
 
 def test_walk_that_claims_span_early_is_caught_by_the_recheck(monkeypatch):
