@@ -9,7 +9,8 @@ subset is simultaneously closed and spanning.  One pruned walk over closed
 subsets decides it: ``enumerate_minimal`` runs it over the whole root system
 and finds every minimal set, and ``is_minimal`` and ``certify`` run it over
 Psi and stop at the first minimal set, which is Psi iff Psi is minimal.
-``certify`` decides closure and span once each."""
+``certify`` decides closure and span once each.
+"""
 
 from __future__ import annotations
 
