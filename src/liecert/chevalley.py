@@ -16,13 +16,16 @@ with its distinguished basis data: for an independent Psi with
 ``|Psi| = l`` the torus basis is chosen dual to Psi
 (``beta_i(h_j) = delta_ij``), the dual torus satisfies ``(h_i, h_j') =
 delta_ij`` for the restricted Killing form, and the Gram matrix holds
-``(beta_i, beta_j)``; all are closed forms in the root data.
+``(beta_i, beta_j)``; all are closed forms in the root data.  The ambient
+algebra is the same construction at Psi = Phi: ``build_semisimple`` only
+relabels it, so brackets and form are written in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import _ZERO, MatQ, Rat, inverse
 from .rootsys import Root, RootSystem, height
@@ -59,13 +62,14 @@ class LieAlgebra:
     structure: dict[tuple[int, int], SparseVec] = field(repr=False)
     form: MatQ | None = None
 
-    def __post_init__(self):
-        # the antisymmetric table, built once: _table[i][j] = [b_i, b_j]
+    @cached_property
+    def _table(self) -> list[dict[int, SparseVec]]:
+        # the antisymmetric table, built on first use: _table[i][j] = [b_i, b_j]
         table: list[dict[int, SparseVec]] = [{} for _ in range(self.dim)]
         for (i, j), entry in self.structure.items():
             table[i][j] = entry
             table[j][i] = tuple((k, -c) for k, c in entry)
-        object.__setattr__(self, "_table", table)
+        return table
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
@@ -259,47 +263,12 @@ def _opposite_pair_form(kh: list[list[int]], h: tuple[int, ...]) -> Rat:
 
 
 def build_semisimple(rs: RootSystem) -> LieAlgebra:
-    """The semisimple Lie algebra of ``rs`` with Chevalley structure constants.
-
-    The Killing form is attached, read off the grading: ``_torus_form`` on
-    the torus, ``(e_a, e_-a) = (h_a, h_a)/2`` on opposite root spaces, and
-    every other entry is 0.
-    """
-    l = rs.rank
-    roots = rs.roots
-    dim = l + len(roots)
-    labels = tuple(f"h{i + 1}" for i in range(l)) + tuple("e" + repr(list(r)).replace(" ", "") for r in roots)
-    lookup = _positive_pair_constants(rs)
-    pairing = [[rs.pairing(r, i) for i in range(l)] for r in roots]
-
-    structure: dict[tuple[int, int], SparseVec] = {}
-
-    # [h_i, e_r] = <r, alpha_i> e_r
-    for a, row in enumerate(pairing):
-        for i, c in enumerate(row):
-            if c:
-                structure[(i, l + a)] = ((l + a, Fraction(c)),)
-
-    # root-root brackets, each unordered pair once
-    coroots = [_coroot_vector(rs, r) for r in roots]
-    for a, r in enumerate(roots):
-        for b in range(a + 1, len(roots)):
-            s = roots[b]
-            total = _add(r, s)
-            if not any(total):
-                structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
-            elif total in rs.root_index:
-                structure[(l + a, l + b)] = ((l + rs.root_index[total], lookup(r, s)),)
-
-    kh = _torus_form(rs)
-    entries = [Fraction(0)] * (dim * dim)
-    for i in range(l):
-        for j in range(l):
-            entries[i * dim + j] = Fraction(kh[i][j])
-    for a, h in enumerate(coroots):
-        entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = _opposite_pair_form(kh, h)
-    form = MatQ(dim, dim, tuple(entries))
-    return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form)
+    """The semisimple Lie algebra of ``rs`` with Chevalley structure constants
+    and its Killing form: the extraction over all of Phi (whose torus is the
+    simple coroots), on the basis labelled ``h1..hl`` and ``e[root]``."""
+    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
+    labels = g.labels[: rs.rank] + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
+    return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form)
 
 
 def killing_form(g: LieAlgebra) -> MatQ:
@@ -327,9 +296,8 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
 
     Requires Psi closed under root addition; ``check_closed=False`` skips
     that check for a caller that has already decided it.  Everything is read
-    off the root data of ``spec.system``: the tables are those of the
-    subalgebra of ``build_semisimple(spec.system)``, but no ambient algebra is
-    built and nothing is solved.  When ``|Psi| = rank`` and Psi is linearly
+    off the root data of ``spec.system``; no ambient algebra is built and
+    nothing is solved.  When ``|Psi| = rank`` and Psi is linearly
     independent (it need not be a lattice basis), the torus basis is chosen
     dual to Psi; otherwise it is the simple coroots.
 
@@ -340,9 +308,10 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
     spaces whose roots do not cancel; ``(e_b, e_-b) = (h_b, h_b)/2``.  The
     Gram matrix is ``(beta_a, beta_b) = <beta_a, beta_b^vee> / (e_b, e_-b)``,
     because ``(beta, beta) (h_beta, h_beta) = 4 = 2 (e_beta, e_-beta) (beta,
-    beta)``.  On the dual torus the form is the inverse Gram matrix and the
-    dual torus is the Gram matrix; on the coroot torus the form is
-    ``_torus_form`` and the dual torus its inverse.
+    beta)``.  The Gram matrix is built only on the dual torus, where the form
+    is its inverse and the dual torus is the Gram matrix; on the coroot torus
+    ``gram`` is None, the form is ``_torus_form`` and the dual torus its
+    inverse.
     """
     rs = spec.system
     violation = closure_violation(rs, spec.psi) if check_closed else None
@@ -351,17 +320,11 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
         raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
 
     l, m = rs.rank, len(spec.psi)
+    dim = l + m
     kh = _torus_form(rs)
     # pair[a][k] = <beta_a, alpha_k^vee>, an integer
     pair = [[rs.pairing(beta, k) for k in range(l)] for beta in spec.psi]
     coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
-    e_pairs = [_opposite_pair_form(kh, h) for h in coroots]  # (e_b, e_-b)
-    gram = MatQ.from_rows(
-        [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
-    )
-    if not gram.is_symmetric():
-        raise AssertionError(f"closed-form Gram matrix of Psi = {spec.psi} is not symmetric")
-
     pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
     torus_is_dual = pair_inv is not None
     # t_j = sum_k T[k][j] h_k with T = pair^-1 (the torus dual to Psi) or I
@@ -369,7 +332,14 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
     t = pair_inv if torus_is_dual else MatQ.identity(l)
     pad = (Fraction(0),) * len(rs.roots)
     torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + pad for j in range(l))
+    gram = None
     if torus_is_dual:
+        e_pairs = [_opposite_pair_form(kh, h) for h in coroots]  # (e_b, e_-b)
+        gram = MatQ.from_rows(
+            [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
+        )
+        if not gram.is_symmetric():
+            raise AssertionError(f"closed-form Gram matrix of Psi = {spec.psi} is not symmetric")
         # beta_a(t_j) = delta_aj, so the form on H is gram^-1 and the dual torus is gram
         beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
         if torus_block is None:
@@ -386,7 +356,7 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
             if c:
                 structure[(j, l + b)] = ((l + b, c),)
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
-    opposite = [[not any(_add(a, b)) for b in spec.psi] for a in spec.psi]
+    opposite = [local.get(_neg(beta)) for beta in spec.psi]  # the local index of -beta, if in Psi
     lookup = None  # the pair constants, built only when some sum lies in Psi
     for a in range(m):
         for b in range(a + 1, m):
@@ -395,19 +365,22 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
                 if lookup is None:
                     lookup = _positive_pair_constants(rs)
                 structure[(l + a, l + b)] = ((local[total], lookup(spec.psi[a], spec.psi[b])),)
-            elif opposite[a][b]:
+            elif opposite[a] == l + b:
                 # the coroot: Psi holds a and -a, so it is not independent and
                 # the torus basis is the simple coroots
                 structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
 
-    zeros = [Fraction(0)] * m
-    form_rows = [list(torus_block.row(i)) + zeros for i in range(l)]
-    form_rows += [[Fraction(0)] * l + [e_pairs[a] if opposite[a][b] else 0 for b in range(m)] for a in range(m)]
-    form = MatQ.from_rows(form_rows)
-    dual_torus_local = None if dual is None else tuple(dual.row(j) + tuple(zeros) for j in range(l))
+    entries = [_ZERO] * (dim * dim)
+    for i in range(l):
+        entries[i * dim : i * dim + l] = torus_block.row(i)
+    for a, b in enumerate(opposite):
+        if b is not None:
+            entries[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])
+    zeros = (_ZERO,) * m
+    dual_torus_local = None if dual is None else tuple(dual.row(j) + zeros for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=form)
+    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, tuple(entries)))
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,

@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     algebra.add_argument("--family", required=True)
     algebra.add_argument("--rank", type=int, required=True)
     subset = argparse.ArgumentParser(add_help=False, parents=[algebra])
-    subset.add_argument("--psi", required=True, help='semicolon-separated coordinates, e.g. "1,0;2,1"')
+    subset.add_argument("--psi", required=True, help='semicolon-separated coordinates, e.g. "1,0;2,1"; --psi="-1,0" when it starts with -')
 
     def add(name, fn, parents=(), **kwargs):
         p = sub.add_parser(name, parents=list(parents), **kwargs)

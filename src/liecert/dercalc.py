@@ -27,6 +27,7 @@ certificate is then inconclusive.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -105,10 +106,10 @@ def _nonzeros(m: MatQ) -> dict[int, Rat]:
 
 def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
     """Coordinates of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` as sparse
-    rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one row per
-    output coordinate; ``left`` and ``right`` select the last two terms."""
+    rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one per output
+    coordinate that gets a term; ``left`` and ``right`` select the last two terms."""
     dim, table = g.dim, g._table
-    rows: list[dict[int, Rat]] = [{} for _ in range(dim)]
+    rows: defaultdict[int, dict[int, Rat]] = defaultdict(dict)
 
     def add(r: int, unknown: int, c: Rat) -> None:
         rows[r][unknown] = rows[r].get(unknown, 0) + c
@@ -126,7 +127,7 @@ def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> lis
         for s, entry in table[i].items():
             for r, c in entry:
                 add(r, s * dim + j, -c)
-    return rows
+    return [rows[r] for r in sorted(rows)]
 
 
 def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:
@@ -155,8 +156,7 @@ def derivation_space(g: LieAlgebra) -> DerivationBasis:
     dim = g.dim
     leibniz = Echelon()
     for i, j in combinations(range(dim), 2):
-        # most output coordinates get no term: skip their empty rows
-        for row in filter(None, _leibniz_rows(g, i, j, left=True, right=True)):
+        for row in _leibniz_rows(g, i, j, left=True, right=True):
             leibniz.add(row)
     der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
 
@@ -175,7 +175,7 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
     # i == j is not vacuous here: [phi(x), x] must vanish for every x
     for i, j in combinations_with_replacement(range(dim), 2):
         for left in (True, False):
-            for row in filter(None, _leibniz_rows(g, i, j, left=left, right=not left)):
+            for row in _leibniz_rows(g, i, j, left=left, right=not left):
                 system.add(row)
     basis = tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim))
     # for centroid elements a, b, [(ab - ba)x, y] = 0: ab - ba maps L into its center;

@@ -23,6 +23,7 @@ from liecert.chevalley import (
 from liecert.exact import MatQ, inverse, rref, solve
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
+from chevalley_reference import build_semisimple as reference_semisimple
 
 
 def jacobi_violations(g: LieAlgebra):
@@ -379,7 +380,7 @@ def _differential_specs():
 
 @pytest.mark.parametrize("rs,specs", list(_differential_specs()))
 def test_graded_extraction_matches_dense_reference(rs, specs):
-    g = build_semisimple(rs)
+    g = reference_semisimple(rs)
     for spec in specs:
         sub, info = extract_subalgebra(spec)
         structure, form, beta_of_h, dual, gram = dense_extract_reference(g, spec)
@@ -387,7 +388,7 @@ def test_graded_extraction_matches_dense_reference(rs, specs):
         assert sub.form == form, spec.psi
         assert info.beta_of_h == beta_of_h, spec.psi
         assert info.dual_torus_local == dual, spec.psi
-        assert info.gram == gram, spec.psi
+        assert info.gram == (gram if info.torus_is_dual else None), spec.psi
 
 
 def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
@@ -463,15 +464,34 @@ def _ambient_reference_specs():
 
 @pytest.mark.parametrize("rs,specs", list(_ambient_reference_specs()))
 def test_extraction_matches_the_ambient_algebra(rs, specs):
-    g = build_semisimple(rs)
+    g = reference_semisimple(rs)
     for spec in specs:
         sub, info = extract_subalgebra(spec)
         ref, ref_info = ambient_extract_reference(g, spec)
         assert (sub.dim, sub.labels) == (ref.dim, ref.labels), spec.psi
         assert list(sub.structure.items()) == list(ref.structure.items()), spec.psi
         assert sub.form == ref.form, spec.psi
-        for name in ("psi", "torus_ambient", "beta_of_h", "dual_torus_local", "gram", "torus_is_dual"):
+        for name in ("psi", "torus_ambient", "beta_of_h", "dual_torus_local", "torus_is_dual"):
             assert getattr(info, name) == getattr(ref_info, name), (name, spec.psi)
+        assert info.gram == (ref_info.gram if info.torus_is_dual else None), spec.psi
+
+
+AMBIENT_TYPES = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 7)]
+    + [("C", r) for r in range(3, 7)]
+    + [("D", r) for r in range(4, 7)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", AMBIENT_TYPES, ids=[f"{f}{r}" for f, r in AMBIENT_TYPES])
+def test_build_semisimple_matches_the_reference_builder(family, rank):
+    rs = build_root_system(family, rank)
+    g, ref = build_semisimple(rs), reference_semisimple(rs)
+    assert (g.dim, g.labels) == (ref.dim, ref.labels)
+    assert g.structure == ref.structure
+    assert g.form == ref.form
 
 
 def test_constant_magnitude_check_survives_python_O():

@@ -353,6 +353,20 @@ def test_aid_matrix_of_a_negative_shape_exits_2(tmp_path):
     assert proc.stderr.splitlines() == ["error: negative matrix shape"]
 
 
+def test_psi_starting_with_a_minus_sign_needs_the_equals_form():
+    b2 = ["certify", "--family", "B", "--rank", "2"]
+    proc = _cli_process(b2 + ["--psi=-1,0;-2,-1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"]["minimal"] is True
+    # argparse takes a separate "-1,0;..." for an option: a usage error, not a crash
+    proc = _cli_process(b2 + ["--psi", "-1,0;-2,-1"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error" in line] == [
+        "liecert certify: error: argument --psi: expected one argument"
+    ]
+
+
 def test_rat_from_str_rejects_zero_denominator():
     from liecert.exact import rat_from_str
 

@@ -411,6 +411,40 @@ def test_sparse_evaluators_touch_neither_mul_vec_nor_bracket(b2_minimal, monkeyp
     assert centroid_violation(g, ident) is None
 
 
+def dense_leibniz_rows(g, i, j, left, right):
+    """Oracle: coordinate r of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]``
+    at each matrix unit ``D = E_st``, through the dense bracket; the nonzero
+    rows in coordinate order."""
+    dim = g.dim
+    basis = [g.basis_vector(k) for k in range(dim)]
+    bij = g.bracket(basis[i], basis[j])
+    rows = [{} for _ in range(dim)]
+    for s, t in product(range(dim), repeat=2):
+        value = [bij[t] if r == s else Fraction(0) for r in range(dim)]
+        if left and t == i:
+            value = [v - w for v, w in zip(value, g.bracket(basis[s], basis[j]))]
+        if right and t == j:
+            value = [v - w for v, w in zip(value, g.bracket(basis[i], basis[s]))]
+        for r, v in enumerate(value):
+            if v:
+                rows[r][s * dim + t] = v
+    return [row for row in rows if row]
+
+
+def test_leibniz_rows_are_the_touched_coordinates_only():
+    b2, a3 = build_root_system("B", 2), build_root_system("A", 3)
+    algebras = [
+        extract_subalgebra(SubalgebraSpec(b2, psi))[0] for psi in (((1, 0), (2, 1)), ((1, 0), (-1, 0)), ((1, 0),))
+    ] + [extract_subalgebra(SubalgebraSpec(a3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))))[0]]
+    for g in algebras:
+        for i, j in product(range(g.dim), repeat=2):
+            for left, right in [(True, True), (True, False), (False, True)]:
+                rows = dercalc._leibniz_rows(g, i, j, left=left, right=right)
+                assert all(rows), (i, j, left, right)
+                live = [{u: c for u, c in row.items() if c} for row in rows]
+                assert [row for row in live if row] == dense_leibniz_rows(g, i, j, left, right), (i, j)
+
+
 @pytest.mark.parametrize("evaluator", [leibniz_violation, centroid_violation])
 def test_sparse_evaluators_reject_wrong_shapes(b2_minimal, evaluator):
     g, _ = b2_minimal
