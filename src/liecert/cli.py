@@ -1,11 +1,12 @@
 """Command-line front end emitting JSON certificates.
 
 One JSON document goes to standard output; diagnostics go to standard error.
-Exit codes: 0 a verified positive, 1 a checked property violated (or an
-expected-negative obstruction), 2 invalid input, 3 inconclusive (a
-window-bounded search came back empty, or ``aid`` met derivations outside
+Exit codes: 0 a verified positive, 1 a checked property violated (or a
+certified obstruction), 2 invalid input, 3 inconclusive (the window-bounded
+``inner-match`` search came back empty, or ``aid`` met derivations outside
 the inner ones), 4 internal error (any other exception, including a failed
-re-check; the document is then ``{"error": ...}``).
+re-check; the document is then ``{"error": ...}``).  ``dij-witness`` and
+``aid-check`` are decided exactly and never exit 3.
 
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
@@ -45,6 +46,10 @@ __all__ = ["main", "run"]
 
 DEFAULT_SEED = 2024
 SEED_ENV = "LIECERT_SEED"
+# value ranges refused before any work: a rank-r system has O(r^2) roots, and
+# inner-match builds dim (2W + 1) probes over as many unknowns
+MAX_RANK = 20
+MAX_WINDOW = 50
 
 
 def parse_psi(text: str):
@@ -60,9 +65,14 @@ def parse_psi(text: str):
     return tuple(out)
 
 
+def _root_system(args):
+    if args.rank > MAX_RANK:
+        raise ValueError(f"rank {args.rank} is out of range: at most {MAX_RANK}")
+    return build_root_system(args.family, args.rank)
+
+
 def _spec_from_args(args) -> SubalgebraSpec:
-    rs = build_root_system(args.family, args.rank)
-    return SubalgebraSpec(rs, parse_psi(args.psi))
+    return SubalgebraSpec(_root_system(args), parse_psi(args.psi))
 
 
 def _inputs(spec: SubalgebraSpec, **extra) -> dict:
@@ -123,12 +133,12 @@ def _envelope(command: str, inputs: dict, verdicts, seed: int, timings=None) -> 
 
 
 def _cmd_roots(args, seed):
-    rs = build_root_system(args.family, args.rank)
+    rs = _root_system(args)
     return rs.to_json(), 0
 
 
 def _cmd_minimal(args, seed):
-    rs = build_root_system(args.family, args.rank)
+    rs = _root_system(args)
     try:
         specs = enumerate_minimal(rs, cap=args.cap)
     except EnumerationCapExceeded as exc:
@@ -232,18 +242,16 @@ def _cmd_dij_witness(args, seed):
     if args.j == 0:
         print("error: degree 0 is obstructed; use aid-check", file=sys.stderr)
         return {"error": "degree 0 has no bracket witness; use aid-check"}, 2
-    window = (-args.window, args.window) if args.window is not None else None
-    res = toral_center_witness(ctx, args.i, args.j, x, window=window)
+    res = toral_center_witness(ctx, args.i, args.j, x)
     verdicts = {
         "status": res.status,
         "witness": res.y.to_json() if res.y is not None else None,
-        "window": list(res.window),
-        "general_path_used": res.general_path_used,
-        "fast_path_failure": res.fast_path_failure,
+        "detail": res.detail,
+        # the exact solver is the only path; the key stays for readers of the document
+        "general_path_used": False,
     }
     inputs = _inputs(spec, i=args.i, j=args.j, x=x.to_json())
-    code = 0 if res.status == "witnessed" else 3
-    return _envelope("dij-witness", inputs, verdicts, seed), code
+    return _envelope("dij-witness", inputs, verdicts, seed), 0 if res.y is not None else 1
 
 
 def _cmd_aid_check(args, seed):
@@ -251,8 +259,7 @@ def _cmd_aid_check(args, seed):
     ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
     op = _operator_from_json(ctx, _load_json(args.op))
-    window = (-args.window, args.window) if args.window is not None else None
-    res = aid_obstruction_check(ctx, op, x, window=window)
+    res = aid_obstruction_check(ctx, op, x)
     flags = []
     if res.status == "central-obstruction":
         flags.append(
@@ -263,16 +270,16 @@ def _cmd_aid_check(args, seed):
     verdicts = {
         "status": res.status,
         "witness": res.y.to_json() if res.y is not None else None,
-        "window": list(res.window) if res.window else None,
         "detail": res.detail,
         "flags": flags,
     }
     inputs = _inputs(spec, x=x.to_json())
-    code = {"witnessed": 0, "central-obstruction": 1, "no-witness-in-window": 3}[res.status]
-    return _envelope("aid-check", inputs, verdicts, seed), code
+    return _envelope("aid-check", inputs, verdicts, seed), 0 if res.y is not None else 1
 
 
 def _cmd_inner_match(args, seed):
+    if abs(args.window) > MAX_WINDOW:
+        raise ValueError(f"window {args.window} is out of range: |W| is at most {MAX_WINDOW}")
     spec = _spec_from_args(args)
     ctx = loop_context(spec)
     op = _operator_from_json(ctx, _load_json(args.op))
@@ -354,12 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--window", type=int, default=None)
 
     p = add("aid-check", _cmd_aid_check, [subset], help="almost-inner check of an operator at an element")
     p.add_argument("--op", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--window", type=int, default=None)
 
     p = add("inner-match", _cmd_inner_match, [subset], help="search one inner match for a dij combination")
     p.add_argument("--op", required=True)

@@ -12,20 +12,24 @@ D(v)(x)fg``, centroid multipliers among them, ``A_s = f_s D``; weighted
 t-derivatives a diagonal ``B_s``; toral-to-center maps one ``c_j``.  One
 ``apply`` evaluates every symbol, and the Leibniz identity is decided on it.
 
-Witness searches ask for Y with ``[X, Y] = Z`` exactly.  A fast path follows
-the closed-form ansatz (torus correction at degree -j solved over a Gram
-submatrix, then per-root Laurent division); the general path is a windowed
-linear-feasibility search and is the correctness backstop, since the ansatz's
-divisibility step can genuinely fail.  Window-bounded negatives are reported
-as inconclusive, never as refutations; an empty window, or an inner-match
-window that misses the degree of a term, is rejected as invalid input.
+Witness searches ask for Y with ``[X, Y] = Z`` exactly.  On the normal form
+of a minimal subalgebra (the torus dual to Psi and an abelian root block, so
+``[t_j, x_k] = delta_jk x_k`` and the form on H is ``P = gram^-1``) write X's
+coordinates as Laurent polynomials ``b_k, c_k`` (on ``t_k, x_k``) and Y's as
+``u_k, v_k``.  The x_k component of ``[X, Y]`` is ``b_k v_k - c_k u_k`` and
+its central part ``sum_k CT(t beta_k' u_k)`` with ``beta = P b``.  Extended
+Euclid in the principal ideal domain Q[t, 1/t] solves each root equation or
+names the root whose gcd does not divide the target; the central equation is
+then met along a kernel direction ``(b_k, c_k)``, or certified unreachable.
 
-The general path's equations are built straight from the structure table:
-for each component ``x_m t^m`` of X the sparse columns ``[x_m, b_k]`` and
-the form row ``(x_m, b_k)`` are computed once per call.
-Unknown ``b_k t^n`` then contributes ``[x_m, b_k]`` at degree ``m + n`` and
-``m (x_m, b_k)`` to the central equation when ``m + n = 0``.  Every solution
-is re-verified with ``affine_bracket`` before it is returned.
+``inner-match`` runs a windowed linear-feasibility search instead, built
+straight from the structure table: for each component ``x_m t^m`` of X the
+sparse columns ``[x_m, b_k]`` and the form row ``(x_m, b_k)`` are computed
+once per call.  Unknown ``b_k t^n`` then contributes ``[x_m, b_k]`` at
+degree ``m + n`` and ``m (x_m, b_k)`` to the central equation when
+``m + n = 0``.  An empty window, or one that misses the degree of a term, is
+invalid input.  Every witness of either solver is re-verified with
+``affine_bracket`` before it is returned.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from itertools import product
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
 from .dercalc import aid_membership, centroid_violation, leibniz_violation
-from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve, solve_sparse
+from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve_sparse
 
 __all__ = [
     "LaurentPoly",
@@ -62,7 +66,6 @@ __all__ = [
     "toral_center_witness",
     "aid_obstruction_check",
     "global_inner_match",
-    "default_window",
 ]
 
 Vec = tuple[Rat, ...]
@@ -153,33 +156,50 @@ class LaurentPoly:
         return LaurentPoly.from_dict({int(k): rat_from_str(v) for k, v in coeffs.items()})
 
 
+def _divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Long division from the top degree: ``num = q den + r`` with every
+    degree of r below the top degree of den (Euclidean division on
+    polynomials)."""
+    top, lead = den.coeffs[-1]
+    q: dict[int, Rat] = {}
+    r = dict(num.coeffs)
+    while r and max(r) >= top:
+        k = max(r)
+        c = r[k] / lead
+        q[k - top] = c
+        for d, v in den.coeffs:
+            j = k - top + d
+            r[j] = r.get(j, Fraction(0)) - c * v
+            if not r[j]:
+                del r[j]
+    return LaurentPoly.from_dict(q), LaurentPoly.from_dict(r)
+
+
+def _polynomial(p: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """``(q, e)`` with ``p = t^e q`` and q a polynomial with a nonzero constant term."""
+    e = p.coeffs[0][0] if p.coeffs else 0
+    return p.shift(-e), e
+
+
 def laurent_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Exact quotient in the Laurent ring, or None when it does not divide."""
     if den.is_zero:
         raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if num.is_zero:
-        return LaurentPoly.zero()
-    nlo, dlo = num.coeffs[0][0], den.coeffs[0][0]
-    n = {k - nlo: v for k, v in num.coeffs}  # ordinary polynomials now
-    d = {k - dlo: v for k, v in den.coeffs}
-    ndeg, ddeg = max(n), max(d)
-    if ndeg < ddeg:
-        return None
-    lead = d[ddeg]
-    q: dict[int, Rat] = {}
-    r = dict(n)
-    while r and max(r) >= ddeg:
-        top = max(r)
-        c = r[top] / lead
-        q[top - ddeg] = c
-        for k, v in d.items():
-            nk = top - ddeg + k
-            r[nk] = r.get(nk, Fraction(0)) - c * v
-            if r[nk] == 0:
-                del r[nk]
-    if r:
-        return None
-    return LaurentPoly.from_dict({k + nlo - dlo: v for k, v in q.items()})
+    (n, ne), (d, de) = _polynomial(num), _polynomial(den)
+    q, r = _divmod(n, d)
+    return q.shift(ne - de) if r.is_zero else None
+
+
+def _bezout(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """``(g, s, r)`` with ``s a + r b = g``, g the gcd made monic with a
+    nonzero constant term; a and b are not both zero."""
+    (p, ea), (q, eb) = _polynomial(a), _polynomial(b)
+    r0, r1, s0, s1, t0, t1 = p, q, LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.one()
+    while not r1.is_zero:
+        quo, rem = _divmod(r0, r1)
+        r0, r1, s0, s1, t0, t1 = r1, rem, s1, s0 - quo * s1, t1, t0 - quo * t1
+    inv = 1 / r0.coeffs[-1][1]
+    return r0.scale(inv), s0.scale(inv).shift(-ea), t0.scale(inv).shift(-eb)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +249,10 @@ class LoopContext:
     def square(self) -> bool:
         return self.l == self.m
 
-    def root_block_isotropic(self) -> bool:
-        """(x_a, x_b) = 0 for all root vectors; the witness solver relies on it."""
-        f = self.algebra.form
-        return all(
-            f.at(self.l + a, self.l + b) == 0 for a in range(self.m) for b in range(self.m)
-        )
+    def normal_form(self) -> bool:
+        """The torus is dual to Psi and no root sum lies in Psi, so the only
+        brackets are ``[t_k, x_k] = x_k`` and root vectors pair to zero."""
+        return self.basis.torus_is_dual and len(self.algebra.structure) == self.l
 
 
 def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> LoopContext:
@@ -669,16 +687,6 @@ def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | No
 # ---------------------------------------------------------------------------
 
 
-def default_window(x: AffineElement, extra_degrees=()) -> tuple[int, int]:
-    """[min - 2*spread, max + 2*spread] over the element support and targets."""
-    degs = list(x.support) + list(extra_degrees)
-    if not degs:
-        degs = [0]
-    lo, hi = min(degs), max(degs)
-    spread = max(1, (max(x.support) - min(x.support)) if x.support else 1)
-    return lo - 2 * spread, hi + 2 * spread
-
-
 def _check_window(window: tuple[int, int]) -> None:
     lo, hi = window
     if lo > hi:
@@ -748,140 +756,109 @@ def bracket_match(
 
 
 @dataclass(frozen=True)
-class WitnessSearch:
-    status: str  # "witnessed" | "no-witness-in-window"
+class WitnessResult:
+    status: str  # "witnessed" | "root-obstruction" | "central-obstruction"
     y: AffineElement | None
-    window: tuple[int, int]
-    general_path_used: bool
-    fast_path_failure: str | None = None
-
-
-def toral_center_witness(
-    ctx: LoopContext, i: int, j: int, x: AffineElement, window: tuple[int, int] | None = None
-) -> WitnessSearch:
-    """Find Y with ``[X, Y] = (coefficient of h_i (x) t^j in X) K``.
-
-    Requires ``j != 0`` (the degree-zero operator is obstructed; see
-    ``aid_obstruction_check``) and a square context.  The closed-form ansatz
-    is tried first; the windowed general search is the backstop.
-    """
-    if j == 0:
-        raise ValueError("degree 0 has no bracket witness; run aid_obstruction_check instead")
-    if not ctx.square():
-        raise ValueError("the witness construction needs dim L = 2 dim [L,L]")
-    if not ctx.root_block_isotropic():
-        raise ValueError("root vectors must pair to zero under the form")
-    op = ToralToCenter(ctx, i, j)
-    target = op(x)
-    if window is None:
-        window = default_window(x, extra_degrees=(-j,))
-    _check_window(window)
-    if target.is_zero:
-        return WitnessSearch("witnessed", ctx.zero(), window, general_path_used=False)
-
-    fast_failure = None
-    y = _toral_witness_ansatz(ctx, i, j, x)
-    if isinstance(y, str):
-        fast_failure = y
-        y = None
-    if y is not None:
-        if affine_bracket(x, y) != target:
-            raise AssertionError("ansatz produced a non-witness")
-        return WitnessSearch("witnessed", y, window, general_path_used=False)
-
-    y = bracket_match(ctx, [(x, target)], window)
-    if y is None:
-        return WitnessSearch("no-witness-in-window", None, window, True, fast_failure)
-    return WitnessSearch("witnessed", y, window, True, fast_failure)
-
-
-def _toral_witness_ansatz(ctx: LoopContext, i: int, j: int, x: AffineElement):
-    """Closed-form attempt: torus correction at degree -j over the Gram
-    submatrix indexed by the torus directions absent from X, then per-root
-    Laurent division.  Returns Y, or a string describing the failing step.
-    It reads ``beta_k(t_m) = delta_km``, so it needs the torus dual to Psi."""
-    l = ctx.l
-    info = ctx.basis
-    if not info.torus_is_dual:
-        return "torus-not-dual"
-    gram = info.gram
-    b = [LaurentPoly.from_dict({deg: vec[m] for deg, vec in x.support.items()}) for m in range(l)]
-    c = [LaurentPoly.from_dict({deg: vec[l + p] for deg, vec in x.support.items()}) for p in range(l)]
-    amask = [not b[m].is_zero for m in range(l)]
-    bset = [m for m in range(l) if not amask[m]]
-    jinv = Fraction(1, j)
-    d = {m: Fraction(0) for m in bset}
-    if bset:
-        sub = MatQ.from_rows([[gram.at(k, m) for m in bset] for k in bset])
-        rhs = [gram.at(k, i - 1) * jinv for k in bset]
-        sol = solve(sub, rhs)
-        if sol is None:
-            return "gram-submatrix-singular"
-        d = dict(zip(bset, sol))
-    # torus part of Y at degree -j, over the duals
-    torus = [Fraction(0)] * l
-    torus[i - 1] += jinv
-    for m, dm in d.items():
-        torus[m] -= dm
-    yvec = list(_combine(ctx.dim, zip(torus, info.dual_torus_local)))
-    support: dict[int, list[Rat]] = {-j: yvec}
-    # per-root division: b_k e_k = s_k t^{-j} c_k
-    for k in range(l):
-        s_k = jinv * gram.at(k, i - 1) - sum(d[m] * gram.at(k, m) for m in bset)
-        rhs_poly = c[k].scale(s_k).shift(-j)
-        if not amask[k]:
-            if not rhs_poly.is_zero:
-                return "inconsistent-off-support-root"
-            continue
-        e_k = laurent_div(rhs_poly, b[k])
-        if e_k is None:
-            return "laurent-division"
-        for deg, coeff in e_k.coeffs:
-            acc = support.setdefault(deg, [Fraction(0)] * ctx.dim)
-            acc[l + k] += coeff
-    return ctx.element({deg: tuple(v) for deg, v in support.items()})
-
-
-@dataclass(frozen=True)
-class ObstructionResult:
-    status: str  # "witnessed" | "central-obstruction" | "no-witness-in-window"
-    y: AffineElement | None
-    window: tuple[int, int] | None
     detail: dict | None = None
 
 
-def aid_obstruction_check(
-    ctx: LoopContext, op: LoopOperator, x: AffineElement, window: tuple[int, int] | None = None
-) -> ObstructionResult:
-    """Decide ``op(X) in [X, affinization]`` for sums of toral-to-center and
-    inner operators, exactly where possible.
+def _coordinate(x: AffineElement, k: int) -> LaurentPoly:
+    return LaurentPoly.from_dict({deg: vec[k] for deg, vec in x.support.items()})
 
-    The K-coefficient of any ``[X, Y]`` is ``sum_m m (x_m, y_{-m})``; when
-    every nonzero-degree component of X is form-orthogonal to all of L, that
-    functional vanishes identically, so a nonzero central target is a
-    certified obstruction.  Otherwise a windowed witness search runs.
-    """
-    if window is not None:
-        _check_window(window)
-    z = op(x)
-    if z.is_zero:
-        return ObstructionResult("witnessed", ctx.zero(), window)
+
+def _constant_term(p: LaurentPoly, q: LaurentPoly) -> Rat:
+    return sum((a * q.coeff(-m) for m, a in p.coeffs), Fraction(0))
+
+
+def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+    """Solve ``[X, Y] = Z`` root by root, then the central equation (see the
+    module docstring); Z has no torus loop component."""
+    l, form = ctx.l, ctx.algebra.form
+    b = [_coordinate(x, k) for k in range(l)]
+    c = [_coordinate(x, l + k) for k in range(l)]
+    u, v = [LaurentPoly.zero()] * l, [LaurentPoly.zero()] * l
+    for k in range(l):
+        zk = _coordinate(z, l + k)
+        if zk.is_zero:
+            continue
+        if b[k].is_zero and c[k].is_zero:
+            g, q = LaurentPoly.zero(), None
+        else:
+            g, s, r = _bezout(b[k], c[k])
+            q = laurent_div(zk, g)
+        if q is None:
+            return WitnessResult(
+                "root-obstruction",
+                None,
+                {
+                    "reason": "the gcd of the t_k and x_k coordinates of X does not divide the x_k component",
+                    "root": k + 1,
+                    "gcd": g.to_json(),
+                    "component": zk.to_json(),
+                },
+            )
+        u[k], v[k] = -(r * q), s * q
+    # t beta_k' with beta = P b, P the form on the torus
+    tdb = [bj.derivative().shift(1) for bj in b]
+    tb = [sum((tdb[j].scale(form.at(k, j)) for j in range(l)), LaurentPoly.zero()) for k in range(l)]
+    gap = z.central - sum((_constant_term(tb[k], u[k]) for k in range(l)), Fraction(0))
+    if gap:
+        for k in range(l):
+            # the kernel of root k's equation is spanned by (b_k, c_k), or is everything when both vanish
+            du, dv = (LaurentPoly.one(), LaurentPoly.zero()) if b[k].is_zero and c[k].is_zero else (b[k], c[k])
+            p = tb[k] * du
+            if not p.is_zero:
+                e, pe = p.coeffs[0]
+                w = LaurentPoly.monomial(-e, gap / pe)
+                u[k], v[k] = u[k] + w * du, v[k] + w * dv
+                break
+        else:
+            return WitnessResult(
+                "central-obstruction",
+                None,
+                {"reason": "no component of X at nonzero degree pairs with L under the form"},
+            )
+    support: dict[int, list[Rat]] = {}
+    for k in range(l):
+        for index, poly in ((k, u[k]), (l + k, v[k])):
+            for deg, a in poly.coeffs:
+                support.setdefault(deg, [Fraction(0)] * ctx.dim)[index] = a
+    return WitnessResult("witnessed", ctx.element({deg: tuple(vec) for deg, vec in support.items()}))
+
+
+def _exact_witness(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+    if not ctx.normal_form():
+        raise ValueError(
+            "the exact witness solver needs Psi in normal form: |Psi| = rank, "
+            "linearly independent, and no sum of two roots of Psi in Psi"
+        )
     if torus_component_obstruction(z):
         raise ValueError("target has a torus loop component; not in any bracket space")
-    pairing_dead = not any(any(ctx.algebra.form.mul_vec(vec)) for deg, vec in x.support.items() if deg)
-    if pairing_dead and z.central != 0:
-        return ObstructionResult(
-            "central-obstruction",
-            None,
-            None,
-            {"reason": "no component of X at nonzero degree pairs with L under the form"},
-        )
-    if window is None:
-        window = default_window(x, extra_degrees=tuple(z.degrees()) + tuple(-d for d in x.degrees()))
-    y = bracket_match(ctx, [(x, z)], window)
-    if y is None:
-        return ObstructionResult("no-witness-in-window", None, window)
-    return ObstructionResult("witnessed", y, window)
+    res = _normal_form_solve(ctx, x, z)
+    if res.y is not None and affine_bracket(x, res.y) != z:
+        raise AssertionError("exact solver returned a non-witness")
+    return res
+
+
+def toral_center_witness(ctx: LoopContext, i: int, j: int, x: AffineElement) -> WitnessResult:
+    """Find Y with ``[X, Y] = (coefficient of h_i (x) t^j in X) K``.
+
+    Requires ``j != 0`` (the degree-zero operator is obstructed; see
+    ``aid_obstruction_check``).  A witness always exists then: the form on H
+    is positive definite, so a nonzero torus part of X at degree j pairs
+    with some torus direction.
+    """
+    if j == 0:
+        raise ValueError("degree 0 has no bracket witness; run aid_obstruction_check instead")
+    return _exact_witness(ctx, x, ToralToCenter(ctx, i, j)(x))
+
+
+def aid_obstruction_check(ctx: LoopContext, op: LoopOperator, x: AffineElement) -> WitnessResult:
+    """Decide ``op(X) in [X, affinization]`` exactly: a witness Y, the root
+    whose gcd does not divide its component of ``op(X)``, or a central
+    obstruction (no component of X at nonzero degree pairs with L, so no
+    bracket against X reaches the center)."""
+    return _exact_witness(ctx, x, op(x))
 
 
 def global_inner_match(

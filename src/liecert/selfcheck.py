@@ -334,7 +334,7 @@ def criterion_8(seed: int) -> tuple[bool, str]:
     """Toral-to-center witnesses on the rank-2 type B minimal subalgebra."""
     ctx = _b2_minimal_context()
     rng = random.Random(seed)
-    solved = general = 0
+    solved = 0
     for i in (1, 2):
         for j in (-3, -2, -1, 1, 2, 3):
             for _ in range(50):
@@ -352,17 +352,17 @@ def criterion_8(seed: int) -> tuple[bool, str]:
                 if affine_bracket(x, res.y) != ToralToCenter(ctx, i, j)(x):
                     return False, "witness bracket mismatch"
                 solved += 1
-                general += res.general_path_used
-    # the multi-degree example where the closed-form ansatz fails divisibility
+    # t + t^2 on h_1 does not divide the unit x_1 part; the central equation
+    # is met along the kernel direction of root 1 instead
     x = ctx.element(
         {1: (Fraction(1), 0, 0, 0), 2: (Fraction(1), 0, 0, 0), 0: (0, 0, Fraction(1), 0)}
     )
     res = toral_center_witness(ctx, 1, 1, x)
-    if not (res.status == "witnessed" and res.general_path_used and res.fast_path_failure == "laurent-division"):
+    if res.status != "witnessed":
         return False, f"divisibility example mis-handled: {res}"
     if affine_bracket(x, res.y) != ctx.central(1):
         return False, "divisibility example witness is wrong"
-    return True, f"{solved} witnesses verified by direct bracket ({general} via the general path)"
+    return True, f"{solved} witnesses verified by direct bracket, and the divisibility example"
 
 
 def criterion_9(seed: int) -> tuple[bool, str]:
@@ -415,7 +415,7 @@ CRITERIA = [
     (5, "scalar-derivation dichotomy (square vs overweight)", criterion_5),
     (6, "centroids are diagonal of dimension = rank", criterion_6),
     (7, "loop-operator decomposition and loop-level almost-inner checks", criterion_7),
-    (8, "toral-to-center bracket witnesses (fast and general paths)", criterion_8),
+    (8, "toral-to-center bracket witnesses (exact Bezout solver)", criterion_8),
     (9, "degree-zero central obstruction", criterion_9),
     (10, "independence: no inner match for toral-to-center combinations", criterion_10),
 ]

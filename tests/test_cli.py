@@ -149,9 +149,9 @@ def test_dij_witness_degree_zero_rejected(tmp_path):
     assert code == 2
 
 
-def test_dij_witness_window_exhausted_exits_3(tmp_path):
-    # the ansatz fails Laurent division here, and a zero-width window at
-    # degree 0 cannot hold the degree -1 torus correction the target needs
+def test_dij_witness_former_window_exhausted_input_is_witnessed(tmp_path):
+    # t + t^2 on h_1 does not divide the unit x_1 part, which once sent this
+    # X to a window search; the exact solver witnesses it, with no window
     x = {
         "central": "0",
         "support": {"1": ["1", "0", "0", "0"], "2": ["1", "0", "0", "0"], "0": ["0", "0", "1", "0"]},
@@ -162,12 +162,12 @@ def test_dij_witness_window_exhausted_exits_3(tmp_path):
             "dij-witness",
             "--family", "B", "--rank", "2", "--psi", "1,0;2,1",
             "--i", "1", "--j", "1", "--x", str(tmp_path / "x.json"),
-            "--window", "0",
         ]
     )
-    assert code == 3
-    assert doc["verdicts"]["status"] == "no-witness-in-window"
-    assert doc["verdicts"]["fast_path_failure"] == "laurent-division"
+    assert code == 0
+    v = doc["verdicts"]
+    assert v["status"] == "witnessed" and v["detail"] is None and v["general_path_used"] is False
+    assert "window" not in v and "fast_path_failure" not in v
 
 
 def test_aid_check_central_obstruction(tmp_path):
@@ -243,10 +243,12 @@ def test_inner_match_rejects_vacuous_windows(tmp_path):
 
 
 def test_dij_witness_rejects_empty_window(tmp_path):
+    # the exact solver needs no window, so --window, empty or not, is an unknown option
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"central": "0", "support": {"1": ["1", "0", "0", "0"]}}))
-    code, doc, _ = invoke(["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", str(x), "--window", "-3"])
-    assert code == 2 and "empty window [3, -3]" in doc["error"]
+    for window in ("-3", "2"):
+        code, doc, _ = invoke(["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", str(x), "--window", window])
+        assert code == 2 and doc is None, window
 
 
 def test_aid_check_rejects_empty_window(tmp_path):
@@ -254,8 +256,37 @@ def test_aid_check_rejects_empty_window(tmp_path):
     op = tmp_path / "op.json"
     x.write_text(json.dumps({"central": "0", "support": {"1": ["1", "0", "0", "0"]}}))
     op.write_text(json.dumps({"terms": [{"weight": "1", "kind": "dij", "i": 1, "j": 1}]}))
-    code, doc, _ = invoke(["aid-check"] + B2_MIN + ["--op", str(op), "--x", str(x), "--window", "-1"])
-    assert code == 2 and "empty window" in doc["error"]
+    for window in ("-1", "2"):
+        code, doc, _ = invoke(["aid-check"] + B2_MIN + ["--op", str(op), "--x", str(x), "--window", window])
+        assert code == 2 and doc is None, window
+
+
+def test_aid_check_root_obstruction_names_the_root():
+    # X = (1 + t) x_1; the diagonal derivative with weight t on index 1 sends
+    # it to t x_1, and 1 + t does not divide t
+    proc = _cli_process(
+        ["aid-check"] + B2_MIN + ["--op", str(INPUTS / "op_diagonal_t.json"), "--x", str(INPUTS / "x_one_plus_t_x1.json")]
+    )
+    assert proc.returncode == 1, proc.stderr
+    v = json.loads(proc.stdout)["verdicts"]
+    assert v["status"] == "root-obstruction" and v["witness"] is None and v["flags"] == []
+    assert v["detail"]["root"] == 1 and v["detail"]["gcd"] == {"0": "1", "1": "1"}
+
+
+def test_rank_past_the_bound_exits_2():
+    for argv in (["roots"], ["minimal"], ["certify", "--psi", "1"]):
+        proc = _cli_process([argv[0], "--family", "A", "--rank", "21"] + argv[1:])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["error: rank 21 is out of range: at most 20"]
+
+
+@pytest.mark.parametrize("window", ["51", "-51"])
+def test_inner_match_window_past_the_bound_exits_2(tmp_path, window):
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [{"weight": "1", "kind": "dij", "i": 1, "j": 1}]}))
+    proc = _cli_process(["inner-match"] + B2_MIN + ["--op", str(op), "--window", window])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [f"error: window {window} is out of range: |W| is at most 50"]
 
 
 def test_byte_determinism_and_json_flag(tmp_path):
@@ -293,7 +324,8 @@ def _cli_process(argv, python_flags=()):
     )
 
 
-X_H1_DEG1 = str(Path(__file__).parent / "golden" / "inputs" / "x_h1_deg1.json")
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+X_H1_DEG1 = str(INPUTS / "x_h1_deg1.json")
 I2 = {"rows": 2, "cols": 2, "entries": ["1", "0", "0", "1"]}
 ZERO4 = {"rows": 4, "cols": 4, "entries": ["0"] * 16}
 BAD4 = {"rows": 4, "cols": 4, "entries": 5}
@@ -397,18 +429,18 @@ def test_selftest_under_python_O(monkeypatch):
     assert proc.stdout == (Path(__file__).parent / "golden" / "selftest.out").read_text(encoding="utf-8")
 
 
-def test_dij_witness_with_dependent_square_psi_takes_the_general_path(tmp_path):
+def test_dij_witness_with_dependent_square_psi_exits_2(tmp_path):
     # |Psi| = rank but beta_3 = beta_1 + beta_2, so the torus is the simple
-    # coroots and the closed-form ansatz, which assumes the dual torus, is skipped
+    # coroots and [x_1, x_2] is nonzero: no normal form, invalid input
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"central": "0", "support": {"2": ["1", "1", "1", "2", "-1", "0"]}}))
     argv = ["dij-witness", "--family", "A", "--rank", "3", "--psi", "1,0,0;0,1,0;1,1,0"]
-    proc = _cli_process(argv + ["--i", "1", "--j", "2", "--window", "4", "--x", str(path)])
-    assert proc.returncode == 0, proc.stderr
-    verdicts = json.loads(proc.stdout)["verdicts"]
-    assert verdicts["general_path_used"] is True
-    assert verdicts["fast_path_failure"] == "torus-not-dual"
-    assert verdicts["status"] == "witnessed"
+    proc = _cli_process(argv + ["--i", "1", "--j", "2", "--x", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "normal form" in lines[0], proc.stderr
+    assert "error" in json.loads(proc.stdout)
 
 
 def test_timings_opt_in():

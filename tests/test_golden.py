@@ -52,7 +52,7 @@ CASES = {
     "der-B2-opposite-pair": (["der", "--family", "B", "--rank", "2", "--psi", "1,0;-1,0"], 0),
     "dij-witness-B2-ansatz": (["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_ansatz.json"], 0),
     "dij-witness-B2-general": (
-        ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_division_fails.json", "--window", "2"],
+        ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_division_fails.json"],
         0,
     ),
     "dij-witness-A3-chain-general": (
@@ -62,6 +62,10 @@ CASES = {
     "aid-check-B2-witnessed": (["aid-check"] + B2_MIN + ["--op", "op_d11.json", "--x", "x_h1_deg1.json"], 0),
     "aid-check-B2-mixed": (["aid-check"] + B2_MIN + ["--op", "op_d11.json", "--x", "x_division_fails.json"], 0),
     "aid-check-B2-obstruction": (["aid-check"] + B2_MIN + ["--op", "op_d10.json", "--x", "x_h1_deg0.json"], 1),
+    "aid-check-B2-root-obstruction": (
+        ["aid-check"] + B2_MIN + ["--op", "op_diagonal_t.json", "--x", "x_one_plus_t_x1.json"],
+        1,
+    ),
     "inner-match-B2-window2": (["inner-match"] + B2_MIN + ["--op", "op_d11.json", "--window", "2"], 3),
     "inner-match-A4-chain-window2": (["inner-match"] + A4_CHAIN + ["--op", "op_a4_mixed.json", "--window", "2"], 3),
     "selftest": (["selftest"], 0),
@@ -105,8 +109,8 @@ def test_golden(name, monkeypatch):
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
-# witness searches keep per-call dicts keyed by Fraction tuples; their output
-# must not depend on the interpreter's hash seed
+# witness solvers keep per-call dicts (bracket_match's keyed by Fraction
+# tuples); their output must not depend on the interpreter's hash seed
 HASH_SEED_CASES = [
     "dij-witness-A3-chain-general",
     "dij-witness-B2-general",
