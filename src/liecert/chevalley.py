@@ -38,6 +38,7 @@ __all__ = [
     "build_semisimple",
     "killing_form",
     "extract_subalgebra",
+    "normal_form",
     "closure_violation",
 ]
 
@@ -390,3 +391,9 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
         torus_is_dual=torus_is_dual,
     )
     return sub, info
+
+
+def normal_form(g: LieAlgebra, info: DistinguishedBasis) -> bool:
+    """L is r_2^l: the torus is dual to Psi and no root sum lies in Psi, so
+    the only brackets are ``[t_k, x_k] = x_k``."""
+    return info.torus_is_dual and len(g.structure) == info.l

@@ -2,11 +2,10 @@
 
 One JSON document goes to standard output; diagnostics go to standard error.
 Exit codes: 0 a verified positive, 1 a checked property violated (or a
-certified obstruction), 2 invalid input, 3 inconclusive (the window-bounded
-``inner-match`` search came back empty, or ``aid`` met derivations outside
-the inner ones), 4 internal error (any other exception, including a failed
-re-check; the document is then ``{"error": ...}``).  ``dij-witness`` and
-``aid-check`` are decided exactly and never exit 3.
+certified obstruction), 2 invalid input, 3 inconclusive (only ``inner-match``,
+whose window-bounded search came back empty), 4 internal error (any other
+exception, including a failed re-check or a minimal set that is not r_2^l;
+the document is then ``{"error": ...}``).
 
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
@@ -199,10 +198,8 @@ def _cmd_aid(args, seed):
             "reason": verdict.reason,
         }
         return _envelope("aid", inputs, verdicts, seed), 0 if verdict.is_inner else 1
-    cert = verify_aid_eq_inn(spec, seed=seed)
-    # verdicts on single complement directions leave their combinations open
-    code = 0 if cert.ok else 3 if cert.complement_verdicts else 1
-    return _envelope("aid", inputs, cert.to_json(), seed), code
+    cert = verify_aid_eq_inn(spec)
+    return _envelope("aid", inputs, cert.to_json(), seed), 0 if cert.ok else 1
 
 
 def _cmd_centroid(args, seed):

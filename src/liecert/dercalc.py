@@ -16,12 +16,9 @@ derivation is ``ad`` of an explicit witness; unsolvable means the almost-inner
 condition already fails at ``sum x_i``.  Seeded random falsification is a
 cross-check only, never the verdict.
 
-``verify_aid_eq_inn`` proves almost inner = inner from ``dim Der = dim Inn``,
-with every ad-basis element decided inner by an exact witness.  Its
-complement branch runs only when ``Der != Inn``, which none of the 460
-minimal subalgebras of A2-A4, B2, B3, C3 and G2 gives; it decides each
-complement direction but proves nothing about their combinations, so its
-certificate is then inconclusive.
+``verify_aid_eq_inn`` proves almost inner = inner from ``Der = Inn`` on a
+minimal L, which is r_2^l (``chevalley.normal_form``), with every ad-basis
+element decided inner by an exact witness; anything else raises.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
+from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .exact import Echelon, MatQ, Rat, kernel_basis, solve
 from .qgraded import is_minimal
 
@@ -316,8 +313,6 @@ class AidEqInnCertificate:
     dim_der: int
     dim_inn: int
     inner_verdicts: tuple[AidVerdict, ...]
-    complement_verdicts: tuple[AidVerdict, ...]
-    falsified: int
     ok: bool
 
     def to_json(self) -> dict:
@@ -327,46 +322,32 @@ class AidEqInnCertificate:
             "dim_der": self.dim_der,
             "dim_inn": self.dim_inn,
             "inner_all_inner": all(v.is_inner for v in self.inner_verdicts),
-            "complement_all_not_aid": all(v.status == "not-aid" for v in self.complement_verdicts),
-            "complement_count": len(self.complement_verdicts),
-            "falsified_not_aid": self.falsified,
             "ok": self.ok,
         }
 
 
-def verify_aid_eq_inn(spec: SubalgebraSpec, trials: int = 64, seed: int = 2024) -> AidEqInnCertificate:
+def verify_aid_eq_inn(spec: SubalgebraSpec) -> AidEqInnCertificate:
     """Certificate that the almost-inner derivations are exactly the inner ones.
 
-    Requires a minimal Q-graded spec.  What it proves is ``dim Der = dim Inn``
-    (the complement is empty, so every derivation is inner) and that every
-    ad-basis element is decided inner with an exact witness.  Only when
-    ``Der != Inn`` does the complement branch run: each complement basis
-    direction is decided, and cross-checked by seeded random falsification.
-    The almost-inner derivations form a subspace, so verdicts on single
-    directions leave their combinations open: a non-empty complement never
-    gives ``ok``, and the caller reports it as inconclusive.
+    Requires a minimal Q-graded spec, whose L is r_2^l with ``Der = Inn``;
+    an L outside that normal form, or a non-empty complement, raises
+    AssertionError.  Each ad-basis element is decided inner with a witness.
     """
     # is_minimal raises unless Psi is closed and spanning
     if not is_minimal(spec)[0]:
         raise ValueError("the procedure applies to minimal Q-graded subalgebras only")
     g, info = extract_subalgebra(spec, check_closed=False)
     basis = derivation_space(g)
+    if not normal_form(g, info) or basis.complement_basis:
+        raise AssertionError(f"the minimal subalgebra of {spec.psi} is not r_2^l with Der = Inn")
     inner_verdicts = tuple(aid_membership(g, info, m) for m in basis.inn_basis)
-    complement_verdicts = tuple(aid_membership(g, info, m) for m in basis.complement_basis)
-    falsified = sum(
-        v.status == "not-aid" and aid_falsify_random(g, m, trials, seed) is not None
-        for m, v in zip(basis.complement_basis, complement_verdicts)
-    )
-    ok = all(v.is_inner for v in inner_verdicts) and not complement_verdicts
     return AidEqInnCertificate(
         spec=spec,
         dim_l=g.dim,
         dim_der=basis.dim_der,
         dim_inn=basis.dim_inn,
         inner_verdicts=inner_verdicts,
-        complement_verdicts=complement_verdicts,
-        falsified=falsified,
-        ok=ok,
+        ok=all(v.is_inner for v in inner_verdicts),
     )
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra
+from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import aid_membership, centroid_violation, leibniz_violation
 from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve_sparse
 
@@ -248,11 +248,6 @@ class LoopContext:
 
     def square(self) -> bool:
         return self.l == self.m
-
-    def normal_form(self) -> bool:
-        """The torus is dual to Psi and no root sum lies in Psi, so the only
-        brackets are ``[t_k, x_k] = x_k`` and root vectors pair to zero."""
-        return self.basis.torus_is_dual and len(self.algebra.structure) == self.l
 
 
 def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> LoopContext:
@@ -656,12 +651,12 @@ def loop_aid_reduce(ctx: LoopContext, tensor_terms) -> LoopAidResult:
     return LoopAidResult(witness=witness, component_verdicts=tuple(verdicts))
 
 
-def torus_component_obstruction(z: AffineElement) -> bool:
-    """True when the loop part of z has a nonzero torus component, which no
-    bracket value can have (every bracket lands in the span of the root
-    vectors tensor Laurent polynomials)."""
-    l = z.ctx.l
-    return any(any(vec[:l]) for vec in z.support.values())
+def torus_component_obstruction(z: AffineElement) -> tuple[int, int] | None:
+    """The lowest degree at which the loop part of z has a nonzero torus
+    component, and the first torus index there (0-based), else None.  No
+    bracket value has one: every bracket lands in the span of the root
+    vectors tensor Laurent polynomials."""
+    return next(((deg, k) for deg in z.degrees() for k in range(z.ctx.l) if z.support[deg][k]), None)
 
 
 def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | None]:
@@ -677,7 +672,7 @@ def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | No
         return True, None
     x = ctx.basis_at(torus[0], 1)
     z = op(x)
-    if not torus_component_obstruction(z):
+    if torus_component_obstruction(z) is None:
         raise AssertionError("value at h_i (x) t has no torus component")
     return False, {"fails_at": x, "value": z, "index": torus[0] + 1}
 
@@ -757,7 +752,7 @@ def bracket_match(
 
 @dataclass(frozen=True)
 class WitnessResult:
-    status: str  # "witnessed" | "root-obstruction" | "central-obstruction"
+    status: str  # "witnessed" | "root-obstruction" | "torus-obstruction" | "central-obstruction"
     y: AffineElement | None
     detail: dict | None = None
 
@@ -827,13 +822,15 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
 
 
 def _exact_witness(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
-    if not ctx.normal_form():
+    if not normal_form(ctx.algebra, ctx.basis):
         raise ValueError(
             "the exact witness solver needs Psi in normal form: |Psi| = rank, "
             "linearly independent, and no sum of two roots of Psi in Psi"
         )
-    if torus_component_obstruction(z):
-        raise ValueError("target has a torus loop component; not in any bracket space")
+    torus = torus_component_obstruction(z)
+    if torus is not None:
+        reason = "the target has a torus loop component, which no bracket has"
+        return WitnessResult("torus-obstruction", None, {"reason": reason, "degree": torus[0], "index": torus[1] + 1})
     res = _normal_form_solve(ctx, x, z)
     if res.y is not None and affine_bracket(x, res.y) != z:
         raise AssertionError("exact solver returned a non-witness")
@@ -855,7 +852,8 @@ def toral_center_witness(ctx: LoopContext, i: int, j: int, x: AffineElement) -> 
 
 def aid_obstruction_check(ctx: LoopContext, op: LoopOperator, x: AffineElement) -> WitnessResult:
     """Decide ``op(X) in [X, affinization]`` exactly: a witness Y, the root
-    whose gcd does not divide its component of ``op(X)``, or a central
+    whose gcd does not divide its component of ``op(X)``, a torus component
+    of ``op(X)`` (its lowest degree and torus index), or a central
     obstruction (no component of X at nonzero degree pairs with L, so no
     bracket against X reaches the center)."""
     return _exact_witness(ctx, x, op(x))

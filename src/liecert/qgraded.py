@@ -214,12 +214,16 @@ def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool) -> list[
     return [tuple(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
 
 
-def _rechecked(rs: RootSystem, psi: tuple[Root, ...]) -> SubalgebraSpec:
-    """A set the walk found, re-checked for closure and, by its Smith
-    invariant factors (``exact.invariant_factors``), for span."""
+def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False) -> SubalgebraSpec:
+    """A minimal set the walk found, re-checked for closure and span (by its
+    Smith invariant factors, ``exact.invariant_factors``) unless ``decided``,
+    and for rank-many roots: then it is a lattice basis, no two of its roots
+    sum into it, and L is r_2^l (``chevalley.normal_form``)."""
     spec = SubalgebraSpec(rs, psi)
-    if closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]:
+    if not decided and (closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]):
         raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
+    if len(spec.psi) != rs.rank:
+        raise AssertionError(f"minimal set {spec.psi} fails the rank re-check: {len(spec.psi)} roots, rank {rs.rank}")
     return spec
 
 
@@ -229,7 +233,9 @@ def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
     first = _minimal_sets(spec.system, spec.psi, first=True)
     if len(first) != 1:
         raise AssertionError(f"the walk over the closed spanning {spec.psi} found no minimal set")
-    return _rechecked(spec.system, first[0]).psi if len(first[0]) < len(spec.psi) else None
+    own = len(first[0]) == len(spec.psi)  # Psi itself, with closure and span decided
+    found = _rechecked(spec.system, first[0], decided=own).psi
+    return None if own else found
 
 
 def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:

@@ -498,33 +498,38 @@ def test_e8_positive_roots_are_decided_by_the_walk():
     assert doc == {"error": "the procedure applies to minimal Q-graded subalgebras only"}
 
 
-def test_aid_with_a_complement_is_inconclusive(monkeypatch):
-    # no minimal set has Der != Inn, so fake one complement direction and a
-    # not-aid verdict on it: a verdict on one direction leaves combinations open
+def test_aid_with_a_complement_exits_4(monkeypatch):
+    # every minimal set is r_2^l with Der = Inn, so a faked complement
+    # direction contradicts the theorem: an internal error, not a verdict
     from dataclasses import replace
 
     from liecert import dercalc
     from liecert.exact import MatQ
 
-    real_space, real_membership = dercalc.derivation_space, dercalc.aid_membership
-    fakes = []
+    real_space = dercalc.derivation_space
 
     def with_complement(g):
-        fakes.append(MatQ.identity(g.dim))
-        return replace(real_space(g), complement_basis=(fakes[-1],))
-
-    def membership(g, info, d):
-        if any(d is fake for fake in fakes):
-            return dercalc.AidVerdict(status="not-aid", reason="precondition")
-        return real_membership(g, info, d)
+        return replace(real_space(g), complement_basis=(MatQ.identity(g.dim),))
 
     monkeypatch.setattr(dercalc, "derivation_space", with_complement)
-    monkeypatch.setattr(dercalc, "aid_membership", membership)
     code, doc, _ = invoke(["aid"] + B2_MIN)
-    assert code == 3
-    verdicts = doc["verdicts"]
-    assert verdicts["complement_count"] == 1 and verdicts["complement_all_not_aid"]
-    assert verdicts["inner_all_inner"] and verdicts["ok"] is False
+    assert code == 4
+    assert list(doc) == ["error"] and "Der = Inn" in doc["error"]
+
+
+def test_non_basis_minimal_set_exits_4(monkeypatch, capsys):
+    # a closed spanning B2 set of four roots, passed off as the only minimal
+    # set: the rank re-check refuses it wherever a minimal set is produced
+    from liecert import qgraded
+
+    four = ((1, 0), (0, 1), (1, 1), (2, 1))
+    monkeypatch.setattr(qgraded, "_minimal_sets", lambda rs, roots, first: [four])
+    b2 = ["--family", "B", "--rank", "2"]
+    for argv in (["minimal", *b2], ["certify", *b2, "--psi", "1,0;0,1;1,1;2,1"]):
+        code, doc, _ = invoke(argv)
+        assert code == 4, argv
+        assert list(doc) == ["error"] and "rank re-check" in doc["error"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unexpected_exception_exits_4(monkeypatch, capsys):

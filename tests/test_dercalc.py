@@ -252,6 +252,14 @@ def test_verify_aid_eq_inn_b2():
         assert cert.dim_der == cert.dim_inn == cert.dim_l
 
 
+def test_verify_aid_eq_inn_raises_off_the_normal_form(monkeypatch):
+    # a minimal L outside r_2^l would contradict the rank re-check
+    spec = SubalgebraSpec(build_root_system("B", 2), ((1, 0), (2, 1)))
+    monkeypatch.setattr(dercalc, "normal_form", lambda g, info: False)
+    with pytest.raises(AssertionError, match="r_2"):
+        verify_aid_eq_inn(spec)
+
+
 def test_verify_aid_eq_inn_rejects_non_minimal():
     rs = build_root_system("B", 2)
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1), (1, 1), (2, 1)))

@@ -66,6 +66,10 @@ CASES = {
         ["aid-check"] + B2_MIN + ["--op", "op_diagonal_t.json", "--x", "x_one_plus_t_x1.json"],
         1,
     ),
+    "aid-check-B2-torus-obstruction": (
+        ["aid-check"] + B2_MIN + ["--op", "op_diagonal_t.json", "--x", "x_h1_deg1.json"],
+        1,
+    ),
     "inner-match-B2-window2": (["inner-match"] + B2_MIN + ["--op", "op_d11.json", "--window", "2"], 3),
     "inner-match-A4-chain-window2": (["inner-match"] + A4_CHAIN + ["--op", "op_a4_mixed.json", "--window", "2"], 3),
     "selftest": (["selftest"], 0),
@@ -107,6 +111,13 @@ def test_golden(name, monkeypatch):
     code, text = _invoke(name)
     assert code == CASES[name][1]
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_no_orphan_goldens():
+    # every frozen document and every input file belongs to a case
+    assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
+    named = {a for argv, _ in CASES.values() for a in argv if a.endswith(".json")}
+    assert {p.name for p in INPUTS.iterdir()} <= named
 
 
 # witness solvers keep per-call dicts (bracket_match's keyed by Fraction
