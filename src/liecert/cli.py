@@ -10,6 +10,9 @@ the document is then ``{"error": ...}``).
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
 default document.
+
+Each subcommand imports the layers it runs inside its handler, so a fresh
+process pays only for those: ``roots`` loads ``exact`` and ``rootsys`` alone.
 """
 
 from __future__ import annotations
@@ -21,24 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .chevalley import CONVENTION, SubalgebraSpec, extract_subalgebra
-from .dercalc import aid_membership, centroid_space, derivation_space, verify_aid_eq_inn
 from .exact import MatQ, expect_json, rat_from_str, rat_to_str
-from .loopalg import (
-    AffineElement,
-    Inner,
-    LaurentPoly,
-    OperatorSum,
-    TensorDerivation,
-    ToralToCenter,
-    affine_bracket,
-    aid_obstruction_check,
-    diagonal_derivative,
-    global_inner_match,
-    loop_context,
-    toral_center_witness,
-)
-from .qgraded import EnumerationCapExceeded, certify, enumerate_minimal
 from .rootsys import build_root_system
 
 __all__ = ["main", "run"]
@@ -70,11 +56,13 @@ def _root_system(args):
     return build_root_system(args.family, args.rank)
 
 
-def _spec_from_args(args) -> SubalgebraSpec:
+def _spec_from_args(args):
+    from .chevalley import SubalgebraSpec
+
     return SubalgebraSpec(_root_system(args), parse_psi(args.psi))
 
 
-def _inputs(spec: SubalgebraSpec, **extra) -> dict:
+def _inputs(spec, **extra) -> dict:
     """The ``inputs`` block of a document about the subalgebra of ``spec``."""
     return {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi], **extra}
 
@@ -84,12 +72,14 @@ def _load_json(path: str) -> dict:
         return expect_json(json.load(fh), dict, path)
 
 
-def _operator_from_json(ctx, obj) -> OperatorSum:
+def _operator_from_json(ctx, obj):
     """Operator schema: {"terms": [{"weight": "p/q", "kind": ..., ...}]}.
 
     Kinds: "dij" (fields i, j), "inner" (field y: affine element),
     "tensor" (fields matrix, f), "diagonal-derivative" (field fs).
     """
+    from .loopalg import AffineElement, Inner, LaurentPoly, OperatorSum, TensorDerivation, ToralToCenter, diagonal_derivative
+
     raw = obj.get("terms", [])
     if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
         raise ValueError('"terms" must be a list of objects')
@@ -112,6 +102,8 @@ def _operator_from_json(ctx, obj) -> OperatorSum:
 
 
 def _envelope(command: str, inputs: dict, verdicts, seed: int, timings=None) -> dict:
+    from .chevalley import CONVENTION
+
     doc = {
         "toolkit": "liecert",
         "toolkit_version": __version__,
@@ -137,6 +129,8 @@ def _cmd_roots(args, seed):
 
 
 def _cmd_minimal(args, seed):
+    from .qgraded import EnumerationCapExceeded, enumerate_minimal
+
     rs = _root_system(args)
     try:
         specs = enumerate_minimal(rs, cap=args.cap)
@@ -153,6 +147,8 @@ def _cmd_minimal(args, seed):
 
 
 def _cmd_certify(args, seed):
+    from .qgraded import certify
+
     spec = _spec_from_args(args)
     cert = certify(spec)
     doc = _envelope(
@@ -165,6 +161,9 @@ def _cmd_certify(args, seed):
 
 
 def _cmd_der(args, seed):
+    from .chevalley import extract_subalgebra
+    from .dercalc import derivation_space
+
     spec = _spec_from_args(args)
     g, info = extract_subalgebra(spec)
     basis = derivation_space(g)
@@ -186,6 +185,9 @@ def _cmd_der(args, seed):
 
 
 def _cmd_aid(args, seed):
+    from .chevalley import extract_subalgebra
+    from .dercalc import aid_membership, verify_aid_eq_inn
+
     spec = _spec_from_args(args)
     inputs = _inputs(spec)
     if args.matrix:
@@ -203,6 +205,9 @@ def _cmd_aid(args, seed):
 
 
 def _cmd_centroid(args, seed):
+    from .chevalley import extract_subalgebra
+    from .dercalc import centroid_space
+
     spec = _spec_from_args(args)
     g, info = extract_subalgebra(spec)
     cent = centroid_space(g)
@@ -218,6 +223,8 @@ def _cmd_centroid(args, seed):
 
 
 def _cmd_affine_bracket(args, seed):
+    from .loopalg import AffineElement, affine_bracket, loop_context
+
     spec = _spec_from_args(args)
     ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
@@ -233,12 +240,11 @@ def _cmd_affine_bracket(args, seed):
 
 
 def _cmd_dij_witness(args, seed):
+    from .loopalg import AffineElement, loop_context, toral_center_witness
+
     spec = _spec_from_args(args)
     ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
-    if args.j == 0:
-        print("error: degree 0 is obstructed; use aid-check", file=sys.stderr)
-        return {"error": "degree 0 has no bracket witness; use aid-check"}, 2
     res = toral_center_witness(ctx, args.i, args.j, x)
     verdicts = {
         "status": res.status,
@@ -252,6 +258,8 @@ def _cmd_dij_witness(args, seed):
 
 
 def _cmd_aid_check(args, seed):
+    from .loopalg import AffineElement, aid_obstruction_check, loop_context
+
     spec = _spec_from_args(args)
     ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
@@ -275,6 +283,8 @@ def _cmd_aid_check(args, seed):
 
 
 def _cmd_inner_match(args, seed):
+    from .loopalg import ToralToCenter, global_inner_match, loop_context
+
     if abs(args.window) > MAX_WINDOW:
         raise ValueError(f"window {args.window} is out of range: |W| is at most {MAX_WINDOW}")
     spec = _spec_from_args(args)

@@ -846,7 +846,7 @@ def toral_center_witness(ctx: LoopContext, i: int, j: int, x: AffineElement) -> 
     with some torus direction.
     """
     if j == 0:
-        raise ValueError("degree 0 has no bracket witness; run aid_obstruction_check instead")
+        raise ValueError("degree 0 has no bracket witness; use aid-check")
     return _exact_witness(ctx, x, ToralToCenter(ctx, i, j)(x))
 
 

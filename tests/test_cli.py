@@ -136,7 +136,7 @@ def test_dij_witness_command(tmp_path):
     assert doc["verdicts"]["witness"] is not None
 
 
-def test_dij_witness_degree_zero_rejected(tmp_path):
+def test_dij_witness_degree_zero_rejected(tmp_path, capsys):
     x = {"central": "0", "support": {"0": ["1", "0", "0", "0"]}}
     (tmp_path / "x.json").write_text(json.dumps(x))
     code, doc, _ = invoke(
@@ -147,6 +147,9 @@ def test_dij_witness_degree_zero_rejected(tmp_path):
         ]
     )
     assert code == 2
+    # one refusal, the solver's: the same line on stderr and in the document
+    assert doc == {"error": "degree 0 has no bracket witness; use aid-check"}
+    assert capsys.readouterr().err == "error: degree 0 has no bracket witness; use aid-check\n"
 
 
 def test_dij_witness_former_window_exhausted_input_is_witnessed(tmp_path):
