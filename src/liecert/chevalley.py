@@ -23,9 +23,11 @@ relabels it, so brackets and form are written in one place.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .exact import _ZERO, MatQ, Rat, inverse
 from .rootsys import Root, RootSystem, height
@@ -53,15 +55,21 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra given by exact structure constants.
 
     ``structure`` maps basis pairs ``(i, j)`` with ``i < j`` to the sparse
-    coordinates of ``[b_i, b_j]``; the bracket extends by antisymmetry.
-    ``form`` is an invariant symmetric bilinear form when present (for
-    subalgebras: the ambient Killing form restricted).
+    coordinates of ``[b_i, b_j]``; the bracket extends by antisymmetry.  It
+    is held as a read-only view of the mapping given, since an extracted
+    algebra is shared by every caller in the process.  ``form`` is an
+    invariant symmetric bilinear form when present (for subalgebras: the
+    ambient Killing form restricted).
     """
 
     dim: int
     labels: tuple[str, ...]
-    structure: dict[tuple[int, int], SparseVec] = field(repr=False)
+    structure: Mapping[tuple[int, int], SparseVec] = field(repr=False)
     form: MatQ | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.structure, MappingProxyType):
+            object.__setattr__(self, "structure", MappingProxyType(self.structure))
 
     @cached_property
     def _table(self) -> list[dict[int, SparseVec]]:
@@ -178,9 +186,11 @@ def _sub(a: Root, b: Root) -> Root:
     return tuple(x - y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=32)
 def _positive_pair_constants(rs: RootSystem):
-    """Lookup ``N_{x,y}`` for arbitrary signs, from a table of positive pairs."""
-    pos = [r for r in rs.roots if height(r) > 0]  # already (height, lex)-sorted
+    """Lookup ``N_{x,y}`` for arbitrary signs, from a table of positive pairs;
+    built once per root system, like the system itself."""
+    pos = rs.positive_roots  # already (height, lex)-sorted
     posset = set(pos)
     order = {r: k for k, r in enumerate(pos)}
     norm = {r: rs.inner(r, r) for r in rs.roots}
@@ -248,16 +258,18 @@ def _coroot_vector(rs: RootSystem, alpha: Root) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _torus_form(rs: RootSystem) -> list[list[int]]:
+@lru_cache(maxsize=32)
+def _torus_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """The Killing form on the simple coroots: ``(h_i, h_j)`` is the sum over
     the roots a of ``a(h_i) a(h_j)`` (Humphreys, section 8.3), twice the sum
-    over the positive roots since a and -a give the same term."""
+    over the positive roots since a and -a give the same term.  Built once
+    per root system."""
     l = rs.rank
     pairing = [[rs.pairing(r, i) for i in range(l)] for r in rs.positive_roots]
-    return [[2 * sum(p[i] * p[j] for p in pairing) for j in range(l)] for i in range(l)]
+    return tuple(tuple(2 * sum(p[i] * p[j] for p in pairing) for j in range(l)) for i in range(l))
 
 
-def _opposite_pair_form(kh: list[list[int]], h: tuple[int, ...]) -> Rat:
+def _opposite_pair_form(kh: tuple[tuple[int, ...], ...], h: tuple[int, ...]) -> Rat:
     """``(e_a, e_-a) = (h_a, h_a) / 2`` by invariance, for the coroot
     coordinates h of a and the torus form kh."""
     return Fraction(sum(x * kh[i][j] * y for i, x in enumerate(h) if x for j, y in enumerate(h) if y), 2)
@@ -296,11 +308,31 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
     """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
     Requires Psi closed under root addition; ``check_closed=False`` skips
-    that check for a caller that has already decided it.  Everything is read
-    off the root data of ``spec.system``; no ambient algebra is built and
-    nothing is solved.  When ``|Psi| = rank`` and Psi is linearly
-    independent (it need not be a lattice basis), the torus basis is chosen
-    dual to Psi; otherwise it is the simple coroots.
+    that check for a caller that has already decided it.  The check runs on
+    every call, so a Psi that is not closed raises every time.  The
+    construction itself is built once per process for each spec (equal
+    specs name the same system and the same sorted Psi) and kept in a memo
+    of at most 32 entries, least recently used first out; the returned
+    algebra and basis are shared and read-only.  The largest entry is the
+    extraction over all of Phi(E8), 4.4 MB under tracemalloc once its
+    bracket table is built, so the memo holds at most about 140 MB.
+    """
+    if check_closed:
+        violation = closure_violation(spec.system, spec.psi)
+        if violation is not None:
+            a, b, s = violation
+            raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
+    return _extract(spec)
+
+
+@lru_cache(maxsize=32)
+def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
+    """The construction behind :func:`extract_subalgebra`.
+
+    Everything is read off the root data of ``spec.system``; no ambient
+    algebra is built and nothing is solved.  When ``|Psi| = rank`` and Psi
+    is linearly independent (it need not be a lattice basis), the torus
+    basis is chosen dual to Psi; otherwise it is the simple coroots.
 
     ``[t, x_b] = beta_b(t) x_b``; ``[x_a, x_b]`` is ``N_{beta_a,beta_b}``
     times the root vector of ``beta_a + beta_b`` when that lies in Psi, the
@@ -315,11 +347,6 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
     inverse.
     """
     rs = spec.system
-    violation = closure_violation(rs, spec.psi) if check_closed else None
-    if violation is not None:
-        a, b, s = violation
-        raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
-
     l, m = rs.rank, len(spec.psi)
     dim = l + m
     kh = _torus_form(rs)

@@ -67,6 +67,18 @@ def _inputs(spec, **extra) -> dict:
     return {"family": spec.system.family, "rank": spec.system.rank, "psi": [list(r) for r in spec.psi], **extra}
 
 
+def _seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV)
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return expect_json(json.load(fh), dict, path)
@@ -394,13 +406,10 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, DEFAULT_SEED))
     started = time.monotonic()
     try:
-        doc, code = args.handler(args, seed)
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+        doc, code = args.handler(args, _seed(args))
+    except (ValueError, OSError, KeyError) as exc:  # OSError: an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         doc, code = {"error": str(exc)}, 2
     except Exception as exc:  # a crash must never read as exit 1, "violated"
@@ -410,10 +419,16 @@ def run(argv, out=None) -> int:
     if args.timings and isinstance(doc, dict) and "error" not in doc:
         doc["timings"] = {"wall_s": round(time.monotonic() - started, 3)}
     payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out.write(payload)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        # written before stdout, so an unwritable path sends only its error there
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            doc, code = {"error": str(exc)}, 2
+            payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out.write(payload)
     return code
 
 

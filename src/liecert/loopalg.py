@@ -84,8 +84,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(d: dict[int, Rat | int]) -> "LaurentPoly":
-        items = tuple(sorted((int(k), Fraction(v)) for k, v in d.items() if Fraction(v) != 0))
-        return LaurentPoly(items)
+        items = ((int(k), v if isinstance(v, Fraction) else Fraction(v)) for k, v in d.items())
+        return LaurentPoly(tuple(sorted(kv for kv in items if kv[1])))
 
     @staticmethod
     def zero() -> "LaurentPoly":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .exact import Rat
@@ -125,8 +125,9 @@ class RootSystem:
         l = self.rank
         return tuple(tuple(1 if i == j else 0 for j in range(l)) for i in range(l))
 
-    @property
+    @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
+        # filtered on first use, then kept: the system is built once per type
         return tuple(r for r in self.roots if height(r) > 0)
 
     def contains(self, r: Root) -> bool:

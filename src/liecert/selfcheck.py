@@ -61,7 +61,6 @@ def _minimal(family: str, rank: int):
     return tuple(enumerate_minimal(build_root_system(family, rank)))
 
 
-@lru_cache(maxsize=None)
 def _b2_minimal_context():
     rs = build_root_system("B", 2)
     return loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))))

@@ -241,6 +241,57 @@ def test_extract_rejects_non_closed(b2):
         extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (0, 1))))
 
 
+def test_extract_rejects_non_closed_on_every_call(b2):
+    # closure is checked outside the memo: a build made without the check
+    # (as callers that decided closure do) leaves nothing that skips it
+    rs, g = b2
+    spec = SubalgebraSpec(rs, ((1, 0), (0, 1)))
+    extract_subalgebra(spec, check_closed=False)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=r"not closed"):
+            extract_subalgebra(spec)
+
+
+def test_equal_specs_share_one_extraction(b2):
+    rs, g = b2
+    first = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    again = extract_subalgebra(SubalgebraSpec(rs, ((2, 1), (1, 0))))
+    assert again[0] is first[0] and again[1] is first[1]
+    other = extract_subalgebra(SubalgebraSpec(build_root_system("C", 3), ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    assert other[0] is not first[0]
+
+
+def test_shared_extraction_is_read_only(b2):
+    rs, g = b2
+    sub, _ = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    assert sub.structure == dict(sub.structure)
+    with pytest.raises(TypeError):
+        sub.structure[(0, 1)] = ()
+    with pytest.raises(TypeError):
+        del sub.structure[next(iter(sub.structure))]
+    with pytest.raises(AttributeError):
+        sub.structure = {}
+
+
+def test_memos_are_bounded():
+    from liecert import chevalley, rootsys
+
+    for memo in (chevalley._extract, chevalley._torus_form, chevalley._positive_pair_constants, rootsys._build_root_system):
+        assert memo.cache_info().maxsize == 32
+
+
+def test_per_type_data_is_built_on_first_use():
+    from liecert import chevalley
+    from liecert.rootsys import _build_root_system
+
+    rs = _build_root_system.__wrapped__("B", 3)  # a fresh system, outside the memo
+    assert "positive_roots" not in vars(rs)
+    assert rs.positive_roots is rs.positive_roots
+    assert rs.positive_roots == tuple(r for r in rs.roots if sum(r) > 0)
+    kh = chevalley._torus_form(rs)
+    assert chevalley._torus_form(rs) is kh and isinstance(kh, tuple) and all(isinstance(row, tuple) for row in kh)
+
+
 def test_extract_opposite_pair(b2):
     # {a, -a} is closed; the bracket of the root vectors lands in the torus
     rs, g = b2

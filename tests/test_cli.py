@@ -314,14 +314,42 @@ def test_seed_flag_beats_environment(monkeypatch):
     assert doc["seed"] == 3
 
 
+def test_non_integer_seed_in_the_environment_exits_2():
+    proc = _cli_process(["roots", "--family", "A", "--rank", "1"], env={"LIECERT_SEED": "abc"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == ["error: LIECERT_SEED='abc' is not an integer"]
+    assert json.loads(proc.stdout) == {"error": "LIECERT_SEED='abc' is not an integer"}
+
+
+def test_unreadable_input_path_exits_2(tmp_path):
+    # a directory where an input file is expected
+    proc = _cli_process(["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Is a directory" in lines[0], proc.stderr
+    assert list(json.loads(proc.stdout)) == ["error"]
+
+
+def test_unwritable_json_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    proc = _cli_process(["--json", str(target), "roots", "--family", "A", "--rank", "1"])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0], proc.stderr
+    # the error is the only document on stdout: the roots document is not printed
+    assert list(json.loads(proc.stdout)) == ["error"]
+    assert not target.parent.exists()
+
+
 def test_cache_flag_is_gone():
     code, doc, _ = invoke(["--cache", "somewhere", "certify"] + B2_MIN)
     assert code == 2 and doc is None
 
 
-def _cli_process(argv, python_flags=()):
+def _cli_process(argv, python_flags=(), env=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "liecert.cli"] + argv, env=env, capture_output=True, text=True
     )
@@ -478,6 +506,45 @@ def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
     code, doc, _ = invoke([command] + B2_MIN)
     assert code == 0
     assert counts == {"closure_violation": 1, "invariant_factors": 1}
+
+
+@pytest.fixture
+def cold_extraction():
+    """Empty the extraction and per-type memos around a test that counts
+    what they compute, so values left by earlier tests do not hide a call
+    and values built under the test's patches do not outlive it."""
+    from liecert import chevalley
+
+    memos = (chevalley._extract, chevalley._torus_form, chevalley._positive_pair_constants)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_torus_form_is_built_once_per_type(monkeypatch, cold_extraction):
+    # two B2 contexts, a dij-witness on one and an aid-check on the other:
+    # two extractions, one torus form
+    from functools import lru_cache
+
+    from liecert import chevalley
+
+    calls = []
+    body = chevalley._torus_form.__wrapped__
+
+    def counting_body(rs):
+        calls.append(f"{rs.family}{rs.rank}")
+        return body(rs)
+
+    monkeypatch.setattr(chevalley, "_torus_form", lru_cache(maxsize=32)(counting_body))
+    code, _, _ = invoke(["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", str(INPUTS / "x_ansatz.json")])
+    assert code == 0
+    other = ["--family", "B", "--rank", "2", "--psi", "0,1;1,1"]
+    code, _, _ = invoke(["aid-check"] + other + ["--op", str(INPUTS / "op_d11.json"), "--x", X_H1_DEG1])
+    assert code == 0
+    assert chevalley._extract.cache_info().misses == 2
+    assert calls == ["B2"]
 
 
 def test_e8_positive_roots_are_decided_by_the_walk():

@@ -113,6 +113,22 @@ def test_golden(name, monkeypatch):
     assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+def test_goldens_in_one_process_forward_then_reverse(monkeypatch):
+    # the extraction memo is shared by every command in a process, so no
+    # document may depend on which commands ran before it
+    from liecert import chevalley
+
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    _forbid_ambient_builds(monkeypatch)
+    chevalley._extract.cache_clear()
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        code, text = _invoke(name)
+        assert code == CASES[name][1], name
+        assert text == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+    assert chevalley._extract.cache_info().hits > 0
+
+
 def test_no_orphan_goldens():
     # every frozen document and every input file belongs to a case
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)

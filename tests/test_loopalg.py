@@ -95,6 +95,14 @@ def centroid_like(ctx, m):
 # ---------------------------------------------------------------------------
 
 
+def test_laurent_from_dict_converts_each_coefficient_once():
+    half = Fraction(1, 2)
+    f = LaurentPoly.from_dict({3: 2, -1: half, 0: Fraction(0), 1: 0})
+    assert f.coeffs == ((-1, half), (3, Fraction(2)))
+    assert f.coeffs[0][1] is half  # a Fraction is kept, not rebuilt
+    assert all(type(v) is Fraction for _, v in f.coeffs)
+
+
 def test_laurent_arithmetic():
     f = LaurentPoly.from_dict({-1: 1, 2: Fraction(1, 2)})
     g = LaurentPoly.monomial(1, 3)
