@@ -27,6 +27,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 from types import MappingProxyType
 
 from .exact import _ZERO, MatQ, Rat, inverse
@@ -59,13 +60,16 @@ class LieAlgebra:
     is held as a read-only view of the mapping given, since an extracted
     algebra is shared by every caller in the process.  ``form`` is an
     invariant symmetric bilinear form when present (for subalgebras: the
-    ambient Killing form restricted).
+    ambient Killing form restricted).  The first ``torus`` basis vectors
+    span a torus H that grades the algebra (see ``weights``); 0 means no
+    torus is known, and the grading is trivial.
     """
 
     dim: int
     labels: tuple[str, ...]
     structure: Mapping[tuple[int, int], SparseVec] = field(repr=False)
     form: MatQ | None = None
+    torus: int = 0
 
     def __post_init__(self):
         if not isinstance(self.structure, MappingProxyType):
@@ -79,6 +83,33 @@ class LieAlgebra:
             table[i][j] = entry
             table[j][i] = tuple((k, -c) for k, c in entry)
         return table
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Rat | int, ...], ...]:
+        """The H-weight of each basis vector: ``weights[k][j]`` is the
+        eigenvalue of the torus vector b_j on b_k, an int when it is integral
+        so that weight sums stay cheap.  Read off the bracket table, with
+        explicit checks that run under ``python -O`` too: the torus acts
+        diagonally on the basis, and every bracket is homogeneous,
+        ``[b_i, b_j]`` lying in weight ``weights[i] + weights[j]``.  Otherwise
+        ValueError.  Acting diagonally on itself makes the torus abelian:
+        ``[h_i, h_j] = c h_j`` and ``[h_j, h_i] = -c h_j`` force c = 0."""
+        l, table, labels = self.torus, self._table, self.labels
+        weights = []
+        for k in range(self.dim):
+            weight = []
+            for j in range(l):
+                entry = table[j].get(k, ())
+                if len(entry) > 1 or (entry and entry[0][0] != k):
+                    raise ValueError(f"the torus vector {labels[j]} does not act diagonally on {labels[k]}")
+                c = entry[0][1] if entry else 0
+                weight.append(c.numerator if c.denominator == 1 else c)
+            weights.append(tuple(weight))
+        for (i, j), entry in self.structure.items():
+            weight = tuple(map(add, weights[i], weights[j]))
+            if any(weights[k] != weight for k, _ in entry):
+                raise ValueError(f"[{labels[i]}, {labels[j]}] is not homogeneous for the torus")
+        return tuple(weights)
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
@@ -97,13 +128,14 @@ class LieAlgebra:
     def ad(self, x: Vec) -> MatQ:
         """``ad(x)``, column j holding ``[x, b_j]``, summed over the table."""
         dim = self.dim
-        out = [_ZERO] * (dim * dim)
+        out: dict[int, Rat] = {}
         for i, a in enumerate(x):
             if a:
                 for j, entry in self._table[i].items():
                     for k, c in entry:
-                        out[k * dim + j] += a * c
-        return MatQ(dim, dim, tuple(out))
+                        u = k * dim + j
+                        out[u] = out.get(u, 0) + a * c
+        return MatQ.sparse(dim, dim, out)
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
@@ -281,7 +313,7 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
     simple coroots), on the basis labelled ``h1..hl`` and ``e[root]``."""
     g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
     labels = g.labels[: rs.rank] + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
-    return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form)
+    return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form, torus=g.torus)
 
 
 def killing_form(g: LieAlgebra) -> MatQ:
@@ -408,7 +440,7 @@ def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     dual_torus_local = None if dual is None else tuple(dual.row(j) + zeros for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, tuple(entries)))
+    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, tuple(entries)), torus=l)
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,

@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .exact import MatQ, expect_json, rat_from_str, rat_to_str
+from .exact import MatQ, expect_json, json_field, rat_from_str, rat_to_str
 from .rootsys import build_root_system
 
 __all__ = ["main", "run"]
@@ -59,7 +59,9 @@ def _root_system(args):
 def _spec_from_args(args):
     from .chevalley import SubalgebraSpec
 
-    return SubalgebraSpec(_root_system(args), parse_psi(args.psi))
+    rs = _root_system(args)
+    named = {"all": rs.roots, "positive": rs.positive_roots}
+    return SubalgebraSpec(rs, named[args.psi] if args.psi in named else parse_psi(args.psi))
 
 
 def _inputs(spec, **extra) -> dict:
@@ -98,15 +100,19 @@ def _operator_from_json(ctx, obj):
     terms = []
     for term in raw:
         weight = term.get("weight", "1")
-        kind = term["kind"]
+        kind = json_field(term, "kind", "operator term")
+
+        def field(key):
+            return json_field(term, key, f"{kind} term")
+
         if kind == "dij":
-            op = ToralToCenter(ctx, expect_json(term["i"], int, '"i"'), expect_json(term["j"], int, '"j"'))
+            op = ToralToCenter(ctx, expect_json(field("i"), int, '"i"'), expect_json(field("j"), int, '"j"'))
         elif kind == "inner":
-            op = Inner(AffineElement.from_json(ctx, term["y"]))
+            op = Inner(AffineElement.from_json(ctx, field("y")))
         elif kind == "tensor":
-            op = TensorDerivation(ctx, MatQ.from_json(term["matrix"]), LaurentPoly.from_json(term["f"]))
+            op = TensorDerivation(ctx, MatQ.from_json(field("matrix")), LaurentPoly.from_json(field("f")))
         elif kind == "diagonal-derivative":
-            op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in expect_json(term["fs"], list, '"fs"')])
+            op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')])
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         terms.append((rat_from_str(weight), op))
@@ -224,7 +230,7 @@ def _cmd_centroid(args, seed):
     g, info = extract_subalgebra(spec)
     cent = centroid_space(g)
     # entry u of a row-major dim x dim matrix is on the diagonal iff dim + 1 divides u
-    diagonal = not any(x for m in cent.basis for u, x in enumerate(m.entries) if u % (g.dim + 1))
+    diagonal = not any(u % (g.dim + 1) for m in cent.basis for u in m.nonzeros)
     doc = _envelope(
         "centroid",
         _inputs(spec),
@@ -355,7 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
     algebra.add_argument("--family", required=True)
     algebra.add_argument("--rank", type=int, required=True)
     subset = argparse.ArgumentParser(add_help=False, parents=[algebra])
-    subset.add_argument("--psi", required=True, help='semicolon-separated coordinates, e.g. "1,0;2,1"; --psi="-1,0" when it starts with -')
+    subset.add_argument(
+        "--psi",
+        required=True,
+        help='semicolon-separated coordinates, e.g. "1,0;2,1" (--psi="-1,0" when it starts with -), '
+        '"all" for every root or "positive" for the positive roots',
+    )
 
     def add(name, fn, parents=(), **kwargs):
         p = sub.add_parser(name, parents=list(parents), **kwargs)
@@ -409,7 +420,7 @@ def run(argv, out=None) -> int:
     started = time.monotonic()
     try:
         doc, code = args.handler(args, _seed(args))
-    except (ValueError, OSError, KeyError) as exc:  # OSError: an input path that cannot be read
+    except (ValueError, OSError) as exc:  # OSError: an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         doc, code = {"error": str(exc)}, 2
     except Exception as exc:  # a crash must never read as exit 1, "violated"

@@ -5,6 +5,20 @@ The Leibniz identity has one encoding, ``_leibniz_rows``: the sparse rows of
 ``derivation_space`` and ``centroid_space`` solve them; ``leibniz_violation``
 and ``centroid_violation`` evaluate them at one matrix.
 
+The rows are built only where the torus weights match.  The torus H acts
+diagonally on the basis (``LieAlgebra.weights``), so the unknown ``D[s][t]``
+has weight ``wt(s) - wt(t)`` and the row of output coordinate r at the pair
+(i, j) reads only unknowns of weight ``wt(r) - wt(i) - wt(j)``: the system
+splits into one block per weight, and so does every derivation.  A
+derivation D of weight gamma != 0 is inner: for h in H and x of weight
+alpha, ``D[h, x] = [Dh, x] + [h, Dx]`` reads
+``alpha(h) Dx = [Dh, x] + (alpha + gamma)(h) Dx``, so for a torus basis
+vector h with ``gamma(h) != 0``, ``D = ad(-Dh / gamma(h))``.  Hence
+``Der = Inn + Der_0``, and only the weight-0 block is solved.  A centroid
+element C has weight 0, since ``[h, Cx] = C[h, x] = alpha(h) Cx``, so the
+centroid is the kernel of the weight-0 block.  An algebra with no torus has
+one weight, and its one block is the whole system.
+
 A derivation D of a minimal Q-graded subalgebra is almost inner iff
 ``D(x) in [x, L]`` for every single x.  The decision runs in three exact
 steps: (i) the torus precondition - ``D(h) in [h, L]`` for all torus h, which
@@ -28,9 +42,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import add, sub
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
-from .exact import Echelon, MatQ, Rat, kernel_basis, solve
+from .exact import _ZERO, Echelon, MatQ, Rat, kernel_basis, solve
 from .qgraded import is_minimal
 
 __all__ = [
@@ -97,14 +112,12 @@ class AidVerdict:
         return self.status == "inner"
 
 
-def _nonzeros(m: MatQ) -> dict[int, Rat]:
-    return {u: x for u, x in enumerate(m.entries) if x}
-
-
-def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
-    """Coordinates of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` as sparse
-    rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one per output
-    coordinate that gets a term; ``left`` and ``right`` select the last two terms."""
+def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool, coords) -> list[dict[int, Rat]]:
+    """Coordinates r in ``coords`` of ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]``
+    as sparse rows over the unknowns ``D[s][t]`` (column ``s * dim + t``), one
+    per coordinate that gets a term; ``left`` and ``right`` select the last two
+    terms.  Coordinate r reads only the unknowns of weight
+    ``wt(r) - wt(i) - wt(j)``, as every bracket is homogeneous."""
     dim, table = g.dim, g._table
     rows: defaultdict[int, dict[int, Rat]] = defaultdict(dict)
 
@@ -112,31 +125,71 @@ def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> lis
         rows[r][unknown] = rows[r].get(unknown, 0) + c
 
     for k, c in table[i].get(j, ()):
-        for r in range(dim):
+        for r in coords:
             add(r, r * dim + k, c)
     # D b_i = sum_s D[s][i] b_s, and likewise for b_j: only the s with a
     # nonzero table entry count, and [b_s, b_j] = -[b_j, b_s]
     if left:
         for s, entry in table[j].items():
             for r, c in entry:
-                add(r, s * dim + i, c)
+                if r in coords:
+                    add(r, s * dim + i, c)
     if right:
         for s, entry in table[i].items():
             for r, c in entry:
-                add(r, s * dim + j, -c)
+                if r in coords:
+                    add(r, s * dim + j, -c)
     return [rows[r] for r in sorted(rows)]
 
 
+def _weight_spaces(g: LieAlgebra) -> dict[tuple, list[int]]:
+    """The basis indices of each weight, ascending."""
+    spaces: defaultdict[tuple, list[int]] = defaultdict(list)
+    for k, w in enumerate(g.weights):
+        spaces[w].append(k)
+    return spaces
+
+
+def _graded_rows(g: LieAlgebra, pairs, sides, shifts):
+    """``(i, j, rows)`` for each pair with rows to give: the Leibniz rows of
+    each ``(left, right)`` in ``sides`` at the coordinates r whose weight
+    ``wt(r) - wt(i) - wt(j)`` is in ``shifts``.  They are all the rows that
+    read the weight components of D in ``shifts``."""
+    weights, spaces = g.weights, _weight_spaces(g)
+    for i, j in pairs:
+        base = tuple(map(add, weights[i], weights[j]))
+        coords = {r for shift in shifts for r in spaces.get(tuple(map(add, base, shift)), ())}
+        if coords:
+            yield i, j, [row for left, right in sides for row in _leibniz_rows(g, i, j, left, right, coords)]
+
+
+def _weight_zero_kernel(g: LieAlgebra, pairs, sides) -> tuple[MatQ, ...]:
+    """The weight-0 solutions of the Leibniz rows of ``sides`` at ``pairs``:
+    the kernel over the unknowns ``D[s][t]`` with ``wt(s) = wt(t)``, one
+    matrix per free column, ascending."""
+    dim = g.dim
+    unknowns = sorted(s * dim + t for space in _weight_spaces(g).values() for s in space for t in space)
+    column = {u: n for n, u in enumerate(unknowns)}
+    system = Echelon()
+    for _, _, rows in _graded_rows(g, pairs, sides, [(0,) * g.torus]):
+        for row in rows:
+            system.add({column[u]: c for u, c in row.items()})
+    return tuple(MatQ.sparse(dim, dim, dict(zip(unknowns, vec))) for vec in system.kernel(len(unknowns)))
+
+
 def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:
-    """First pair whose ``left=True`` Leibniz rows do not vanish on ``d``."""
+    """First pair whose ``left=True`` Leibniz rows do not vanish on ``d``.
+    Only the rows of D's own weights are evaluated: a row of any other
+    weight reads only unknowns that are zero in D."""
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
-    nz = _nonzeros(d)
-    live = {u % g.dim for u in nz}  # the nonzero columns of D
-    for i, j in pairs:
-        if live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))]):
-            continue  # the rows at (i, j) read only these columns of D
-        for row in _leibniz_rows(g, i, j, left=True, right=right):
+    dim, weights, nz = g.dim, g.weights, d.nonzeros
+    live = {u % dim for u in nz}  # the nonzero columns of D
+    shifts = {tuple(map(sub, weights[u // dim], weights[u % dim])) for u in nz}
+    # the rows at (i, j) read only these columns of D
+    pairs = ((i, j) for i, j in pairs if not live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))]))
+    for i, j, rows in _graded_rows(g, pairs, [(True, right)], shifts):
+        for row in rows:
             if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
     return None
@@ -149,32 +202,36 @@ def leibniz_violation(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
 
 
 def derivation_space(g: LieAlgebra) -> DerivationBasis:
-    """All derivations as the kernel of the Leibniz system in dim^2 unknowns."""
-    dim = g.dim
-    leibniz = Echelon()
-    for i, j in combinations(range(dim), 2):
-        for row in _leibniz_rows(g, i, j, left=True, right=True):
-            leibniz.add(row)
-    der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
+    """All derivations, ``Der = Inn + Der_0``: the weight-0 kernel of the
+    Leibniz system, plus the ad images of the basis vectors of nonzero weight.
+
+    The basis is the one the kernel of the whole system in dim^2 unknowns
+    has: one matrix per free column, ascending, with 1 there and 0 at the
+    other free columns.  The free columns are the trailing pivots of Der, so
+    one echelon pass over the reversed columns finds them."""
+    dim, n = g.dim, g.dim * g.dim
+    ads = [g.ad(g.basis_vector(i)) for i in range(dim)]
+    graded = [m for m, w in zip(ads, g.weights) if any(w)]
+    space = Echelon()
+    for m in (*_weight_zero_kernel(g, combinations(range(dim), 2), [(True, True)]), *graded):
+        space.add({n - 1 - u: x for u, x in m.nonzeros.items()})
+    der = [MatQ.sparse(dim, dim, {n - 1 - u: x for u, x in row.items()}) for row in reversed(space.reduced().values())]
 
     # inner derivations: greedy maximal independent subset of the ad images,
     # then extended by derivation basis vectors to span Der, deterministically
     span = Echelon()
-    inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(_nonzeros(m))]
-    comp = [m for m in der if span.add(_nonzeros(m))]
-    return DerivationBasis(algebra=g, der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
+    inn = [m for m in ads if span.add(m.nonzeros)]
+    comp = [m for m in der if span.add(m.nonzeros)]
+    return DerivationBasis(algebra=g, der_basis=tuple(der), inn_basis=tuple(inn), complement_basis=tuple(comp))
 
 
 def centroid_space(g: LieAlgebra) -> CentroidBasis:
-    """Maps commuting with all brackets: phi[x,y] = [phi x, y] = [x, phi y]."""
+    """Maps commuting with all brackets: phi[x,y] = [phi x, y] = [x, phi y].
+    They have weight 0: ``[h, phi x] = phi [h, x]`` keeps phi x in the weight
+    of x, so only the weight-0 block is solved."""
     dim = g.dim
-    system = Echelon()
     # i == j is not vacuous here: [phi(x), x] must vanish for every x
-    for i, j in combinations_with_replacement(range(dim), 2):
-        for left in (True, False):
-            for row in _leibniz_rows(g, i, j, left=left, right=not left):
-                system.add(row)
-    basis = tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim))
+    basis = _weight_zero_kernel(g, combinations_with_replacement(range(dim), 2), [(True, False), (False, True)])
     # for centroid elements a, b, [(ab - ba)x, y] = 0: ab - ba maps L into its center;
     # ba - ab = -(ab - ba) and a = b give nothing new, so unordered pairs suffice
     for a, b in combinations(basis, 2):
@@ -255,16 +312,16 @@ def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat
     """``aid_reduce`` past its precondition, whose scalars it takes."""
     l, dim = info.l, g.dim
     z = (Fraction(0),) * l + scalars
-    entries = list(d.entries)
-    for u, x in _nonzeros(g.ad(z)).items():
-        entries[u] += x
-    dt = MatQ(dim, dim, tuple(entries))
-    live = [u for u, x in enumerate(entries) if x]
+    entries = dict(d.nonzeros)
+    for u, x in g.ad(z).nonzeros.items():
+        entries[u] = entries.get(u, 0) + x
+    dt = MatQ.sparse(dim, dim, entries)
+    live = dt.nonzeros
     if any(u % dim < l for u in live):
         raise AssertionError("reduction failed to kill the torus")
     if any(u % (dim + 1) for u in live):
         raise AssertionError("reduced derivation is not diagonal on the root vectors")
-    return z, dt, tuple(entries[u * (dim + 1)] for u in range(l, dim))
+    return z, dt, tuple(live.get(u * (dim + 1), _ZERO) for u in range(l, dim))
 
 
 def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
@@ -403,7 +460,7 @@ def diagonal_toral_algebra(beta_rows) -> tuple[LieAlgebra, DistinguishedBasis]:
             if c:
                 structure[(j, l + i)] = ((l + i, c),)
     labels = tuple(f"h{j + 1}" for j in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    g = LieAlgebra(dim=dim, labels=labels, structure=structure, form=None)
+    g = LieAlgebra(dim=dim, labels=labels, structure=structure, form=None, torus=l)
     info = DistinguishedBasis(
         psi=tuple(tuple(int(x) for x in row) for row in beta_rows),  # weights stand in for roots
         torus_ambient=tuple(g.basis_vector(j) for j in range(l)),

@@ -17,9 +17,12 @@ Hermite passes.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -40,6 +43,7 @@ __all__ = [
     "rat_to_str",
     "rat_from_str",
     "expect_json",
+    "json_field",
 ]
 
 
@@ -73,6 +77,14 @@ def expect_json(value, kind: type, what: str):
     return value
 
 
+def json_field(obj: dict, key: str, what: str):
+    """The required field ``key`` of the JSON object ``obj``, else a
+    ValueError that names it (a bare KeyError would print only the key)."""
+    if key not in obj:
+        raise ValueError(f'{what}: missing field "{key}"')
+    return obj[key]
+
+
 @dataclass(frozen=True)
 class MatQ:
     """Dense rational matrix, row-major, immutable."""
@@ -103,6 +115,18 @@ class MatQ:
         return MatQ(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
     @staticmethod
+    def sparse(rows: int, cols: int, entries: Mapping[int, Rat]) -> "MatQ":
+        """The matrix with the given entries by row-major index and the shared
+        zero elsewhere; its ``nonzeros`` are known without a scan."""
+        live = {u: x for u, x in entries.items() if x}
+        flat = [_ZERO] * (rows * cols)
+        for u, x in live.items():
+            flat[u] = x
+        m = MatQ(rows, cols, tuple(flat))
+        m.__dict__["nonzeros"] = MappingProxyType(live)  # what the cached property would compute
+        return m
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "MatQ":
         return MatQ(rows, cols, (_ZERO,) * (rows * cols))
 
@@ -115,18 +139,25 @@ class MatQ:
     def to_rows(self) -> list[list[Rat]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    @cached_property
+    def nonzeros(self) -> Mapping[int, Rat]:
+        """The nonzero entries by row-major index, read once per matrix (the
+        shared zero is skipped by identity) and kept read-only."""
+        return MappingProxyType({u: x for u, x in enumerate(self.entries) if x is not _ZERO and x})
+
     def mul(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         n = other.cols
         # the nonzeros of other, by row; untouched entries stay the shared zero
-        nonzeros = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+        by_row: list[list[tuple[int, Rat]]] = [[] for _ in range(other.rows)]
+        for u, b in other.nonzeros.items():
+            by_row[u // n].append((u % n, b))
         out = [_ZERO] * (self.rows * n)
-        for i in range(self.rows):
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in nonzeros[k]:
-                        out[i * n + j] += a * b
+        for u, a in self.nonzeros.items():
+            i, k = divmod(u, self.cols)
+            for j, b in by_row[k]:
+                out[i * n + j] += a * b
         return MatQ(self.rows, n, tuple(out))
 
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
@@ -147,8 +178,8 @@ class MatQ:
     @staticmethod
     def from_json(obj: dict) -> "MatQ":
         expect_json(obj, dict, "matrix")
-        rows, cols = (expect_json(obj[k], int, f"matrix {k}") for k in ("rows", "cols"))
-        entries = expect_json(obj["entries"], list, "matrix entries")
+        rows, cols = (expect_json(json_field(obj, k, "matrix"), int, f"matrix {k}") for k in ("rows", "cols"))
+        entries = expect_json(json_field(obj, "entries", "matrix"), list, "matrix entries")
         return MatQ(rows, cols, tuple(rat_from_str(e) for e in entries))
 
 

@@ -1,20 +1,79 @@
-"""Reference almost-inner steps and matrix product for the tests.
+"""Reference derivation and centroid solves, almost-inner steps and matrix
+product for the tests.
 
-These are the dense versions that ``liecert.dercalc`` and ``liecert.exact``
-replaced: ``aid_precondition`` and ``reduce`` read D entry by entry with
-``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul`` is the row-by-row
-dense product.  ``aid_membership`` is the decision procedure wired to them;
-it shares ``leibniz_violation``, ``_torus_kernel_vector``, ``solve`` and
-``LieAlgebra.ad`` with the package, which other tests check on their own.
+These are the versions that ``liecert.dercalc`` and ``liecert.exact``
+replaced.  ``derivation_space`` and ``centroid_space`` solve the Leibniz
+system in all dim^2 unknowns of D, and ``leibniz_violation`` and
+``centroid_violation`` evaluate every row of a pair, whatever its weight;
+all four take the rows from the package's builder at every output
+coordinate, which ``test_leibniz_rows_are_the_touched_coordinates_only``
+checks against the dense bracket.  ``aid_precondition`` and ``reduce`` read D
+entry by entry with ``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul``
+is the row-by-row dense product.  ``aid_membership`` is the decision
+procedure wired to them; it shares ``leibniz_violation``,
+``_torus_kernel_vector``, ``solve`` and ``LieAlgebra.ad`` with the package,
+which other tests check on their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from liecert.chevalley import DistinguishedBasis, LieAlgebra
-from liecert.dercalc import AidVerdict, _torus_kernel_vector, leibniz_violation
-from liecert.exact import MatQ, Rat, solve
+from liecert.dercalc import AidVerdict, CentroidBasis, DerivationBasis, _leibniz_rows, _torus_kernel_vector, leibniz_violation
+from liecert.exact import Echelon, MatQ, Rat, solve
+
+
+def _rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
+    return _leibniz_rows(g, i, j, left, right, range(g.dim))
+
+
+def _nonzeros(m: MatQ) -> dict[int, Rat]:
+    return {u: x for u, x in enumerate(m.entries) if x}
+
+
+def derivation_space(g: LieAlgebra) -> DerivationBasis:
+    """All derivations as the kernel of the Leibniz system in dim^2 unknowns."""
+    dim = g.dim
+    leibniz = Echelon()
+    for i, j in combinations(range(dim), 2):
+        for row in _rows(g, i, j, left=True, right=True):
+            leibniz.add(row)
+    der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
+    span = Echelon()
+    inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(_nonzeros(m))]
+    comp = [m for m in der if span.add(_nonzeros(m))]
+    return DerivationBasis(algebra=g, der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
+
+
+def centroid_space(g: LieAlgebra) -> CentroidBasis:
+    """The kernel of both one-sided systems in dim^2 unknowns (the package's
+    commutator check is left out)."""
+    dim = g.dim
+    system = Echelon()
+    for i, j in combinations_with_replacement(range(dim), 2):
+        for left in (True, False):
+            for row in _rows(g, i, j, left=left, right=not left):
+                system.add(row)
+    return CentroidBasis(algebra=g, basis=tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim)))
+
+
+def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:
+    nz = _nonzeros(d)
+    for i, j in pairs:
+        for row in _rows(g, i, j, left=True, right=right):
+            if sum(c * nz[u] for u, c in row.items() if u in nz):
+                return i, j
+    return None
+
+
+def leibniz_violation_rows(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
+    return _first_violation(g, d, combinations(range(g.dim), 2), right=True)
+
+
+def centroid_violation_rows(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
+    return _first_violation(g, b, product(range(g.dim), repeat=2), right=False)
 
 
 def mul(left: MatQ, right: MatQ) -> MatQ:

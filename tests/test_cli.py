@@ -646,3 +646,58 @@ def test_unexpected_exception_exits_4_from_the_module_entry_point():
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr == "error: internal error: RuntimeError: boom\n"
     assert json.loads(proc.stdout) == {"error": "internal error: RuntimeError: boom"}
+
+
+@pytest.mark.parametrize(
+    "args,flag,payload,message",
+    [
+        (["inner-match"], "--op", {"terms": [{"weight": "1"}]}, 'operator term: missing field "kind"'),
+        (["inner-match"], "--op", {"terms": [{"kind": "dij", "i": 1}]}, 'dij term: missing field "j"'),
+        (["aid-check", "--x", X_H1_DEG1], "--op", {"terms": [{"kind": "inner"}]}, 'inner term: missing field "y"'),
+        (
+            ["aid-check", "--x", X_H1_DEG1],
+            "--op",
+            {"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": {"rows": 4, "cols": 4}}]},
+            'matrix: missing field "entries"',
+        ),
+        (["aid"], "--matrix", {"rows": 4, "entries": ["0"] * 16}, 'matrix: missing field "cols"'),
+    ],
+)
+def test_missing_required_field_exits_2_naming_it(tmp_path, capsys, args, flag, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, doc, _ = invoke(args + B2_MIN + [flag, str(path)])
+    assert code == 2 and doc == {"error": message}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_internal_key_error_exits_4_not_2(monkeypatch, capsys):
+    from liecert import cli
+
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "build_root_system", broken)
+    code, doc, _ = invoke(["roots", "--family", "B", "--rank", "2"])
+    assert code == 4
+    assert doc == {"error": "internal error: KeyError: 'lost'"}
+    assert capsys.readouterr().err == "error: internal error: KeyError: 'lost'\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "der", "centroid"])
+def test_psi_names_all_and_positive(command):
+    from liecert.rootsys import build_root_system
+
+    rs = build_root_system("B", 2)
+    for name, roots in [("all", rs.roots), ("positive", rs.positive_roots)]:
+        explicit = ";".join(",".join(map(str, r)) for r in roots)
+        named = invoke([command, "--family", "B", "--rank", "2", f"--psi={name}"])
+        assert named == invoke([command, "--family", "B", "--rank", "2", f"--psi={explicit}"]), name
+
+
+def test_borel_der_is_inner_through_the_cli():
+    code, doc, _ = invoke(["der", "--family", "G", "--rank", "2", "--psi=positive"])
+    assert code == 0
+    verdicts = doc["verdicts"]
+    assert verdicts["dim_l"] == verdicts["dim_der"] == verdicts["dim_inn"] == 8
+    assert verdicts["dim_complement"] == 0

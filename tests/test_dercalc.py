@@ -447,7 +447,7 @@ def test_leibniz_rows_are_the_touched_coordinates_only():
     for g in algebras:
         for i, j in product(range(g.dim), repeat=2):
             for left, right in [(True, True), (True, False), (False, True)]:
-                rows = dercalc._leibniz_rows(g, i, j, left=left, right=right)
+                rows = dercalc._leibniz_rows(g, i, j, left, right, range(g.dim))
                 assert all(rows), (i, j, left, right)
                 live = [{u: c for u, c in row.items() if c} for row in rows]
                 assert [row for row in live if row] == dense_leibniz_rows(g, i, j, left, right), (i, j)
@@ -551,3 +551,158 @@ def test_equal_products_share_the_zero_entries():
     b = MatQ.from_rows([[3, 0, 0], [0, 0, 0], [0, 0, 5]])
     ab, ba = a.mul(b), b.mul(a)
     assert ab == ba and all(x is y for x, y in zip(ab.entries, ba.entries) if not x)
+
+
+# ---------------------------------------------------------------------------
+# the weight-graded solves and evaluators against the full dim^2 oracle
+# ---------------------------------------------------------------------------
+
+RANK_AT_MOST_4 = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+]
+
+
+def _closed_sets(rs, rng, count):
+    """Seeded closed subsets: the closure of a few random roots under root addition."""
+    for _ in range(count):
+        psi = set(rng.sample(rs.roots, rng.randint(1, rs.rank + 1)))
+        while True:
+            sums = {tuple(map(sum, zip(a, b))) for a in psi for b in psi} & set(rs.roots)
+            if sums <= psi:
+                break
+            psi |= sums
+        yield tuple(psi)
+
+
+@pytest.mark.parametrize("family,rank", RANK_AT_MOST_4)
+def test_graded_solves_match_the_full_solve(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    for psi in [rs.roots, rs.positive_roots, *_closed_sets(rs, rng, 2)]:
+        g, _ = extract_subalgebra(SubalgebraSpec(rs, psi))
+        assert derivation_space(g) == dercalc_reference.derivation_space(g), psi
+        assert centroid_space(g) == dercalc_reference.centroid_space(g), psi
+
+
+def _mixed_weight_matrices(g, rng):
+    """Seeded sparse matrices: derivations, sums of derivations of different
+    weights, and such sums with a few entries moved, in one or mixed weights."""
+    n = g.dim * g.dim
+    ads = [g.ad(g.basis_vector(k)) for k in range(g.dim)]
+    for _ in range(12):
+        picks = rng.sample(ads, min(len(ads), rng.randint(1, 3)))
+        entries = [sum(m.entries[u] * rng.randint(1, 3) for m in picks) for u in range(n)]
+        yield MatQ(g.dim, g.dim, tuple(Fraction(x) for x in entries))
+        for _ in range(rng.randint(1, 3)):
+            entries[rng.randrange(n)] += rng.choice([-1, 1])
+        yield MatQ(g.dim, g.dim, tuple(Fraction(x) for x in entries))
+    for _ in range(6):
+        entries = [Fraction(0)] * n
+        for u in rng.sample(range(n), rng.randint(1, 4)):
+            entries[u] = Fraction(rng.randint(-3, 3))
+        yield MatQ(g.dim, g.dim, tuple(entries))
+
+
+def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
+    rng = random.Random(13)
+    outcomes = {"leibniz": set(), "centroid": set()}
+    cases = list(_differential_algebras())
+    for family, rank, psi in [("B", 3, "all"), ("G", 2, "positive"), ("A", 3, "all")]:
+        rs = build_root_system(family, rank)
+        cases.append((f"{family}{rank}-{psi}", extract_subalgebra(SubalgebraSpec(rs, rs.roots if psi == "all" else rs.positive_roots))[0]))
+    for name, g in cases:
+        for d in _mixed_weight_matrices(g, rng):
+            for key, graded, full in [
+                ("leibniz", leibniz_violation, dercalc_reference.leibniz_violation_rows),
+                ("centroid", centroid_violation, dercalc_reference.centroid_violation_rows),
+            ]:
+                got = graded(g, d)
+                assert got == full(g, d), (name, key, d)
+                outcomes[key].add(got is None)
+    assert outcomes == {"leibniz": {True, False}, "centroid": {True, False}}
+
+
+def _graded_algebra(structure, torus=1, dim=3):
+    return LieAlgebra(dim=dim, labels=tuple(f"b{i}" for i in range(dim)), structure=structure, form=None, torus=torus)
+
+
+def test_weights_are_the_torus_eigenvalues():
+    rs = build_root_system("B", 2)
+    g, info = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
+    assert g.weights[: g.torus] == ((0, 0), (0, 0))
+    for k, root in enumerate(info.psi):
+        assert g.weights[g.torus + k] == tuple(rs.pairing(root, j) for j in range(rs.rank))
+    # the tests' hand-built algebras carry the trivial grading
+    assert abelian_algebra(3).weights == ((), (), ())
+    toral, _ = diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
+    assert toral.weights == ((0, 0), (0, 0), (2, -1), (-1, 2), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "structure,torus,message",
+    [
+        # [x, y] = h, though x and y both have weight 1
+        ({(0, 1): ((1, Fraction(1)),), (0, 2): ((2, Fraction(1)),), (1, 2): ((0, Fraction(1)),)}, 1, "not homogeneous"),
+        # h sends x to y
+        ({(0, 1): ((2, Fraction(1)),)}, 1, "does not act diagonally"),
+        # h_1 scales h_2: a torus that is not abelian does not act diagonally on itself
+        ({(0, 1): ((1, Fraction(1)),)}, 2, "b1 does not act diagonally on b0"),
+    ],
+)
+def test_the_grading_check_raises(structure, torus, message):
+    g = _graded_algebra(structure, torus)
+    with pytest.raises(ValueError, match=message):
+        g.weights
+    with pytest.raises(ValueError, match=message):
+        derivation_space(g)
+
+
+def test_the_grading_check_survives_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from liecert.chevalley import LieAlgebra
+
+        assert False, "asserts must be off for this check"
+        structure = {(0, 1): ((1, Fraction(1)),), (0, 2): ((2, Fraction(1)),), (1, 2): ((0, Fraction(1)),)}
+        g = LieAlgebra(dim=3, labels=("h", "x", "y"), structure=structure, form=None, torus=1)
+        try:
+            g.weights
+        except ValueError as exc:
+            print("raised:", exc)
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "[x, y] is not homogeneous" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# classical facts
+# ---------------------------------------------------------------------------
+
+
+def test_e6_derivations_are_inner_and_its_centroid_is_the_scalars():
+    rs = build_root_system("E", 6)
+    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
+    basis = derivation_space(g)
+    assert basis.dim_der == basis.dim_inn == g.dim == 78
+    assert basis.complement_basis == ()
+    cent = centroid_space(g)
+    assert cent.basis == (MatQ.identity(78),)
+
+
+@pytest.mark.parametrize("family,rank", RANK_AT_MOST_4)
+def test_borel_derivations_are_inner(family, rank):
+    # a Borel subalgebra of a split simple Lie algebra has only inner
+    # derivations and no center (Tolpygo 1972)
+    rs = build_root_system(family, rank)
+    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.positive_roots))
+    basis = derivation_space(g)
+    assert basis.dim_der == basis.dim_inn == g.dim == rank + len(rs.positive_roots)

@@ -211,7 +211,7 @@ def _sympy_systems(rng):
         yield low + [combination(low) for _ in range(5)]
     for weights in ([[1, 0], [0, 1], [1, 1]], [[2, -1], [-1, 2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
         g, _ = diagonal_toral_algebra(weights)
-        rows = [row for i in range(g.dim) for j in range(i + 1, g.dim) for row in _leibniz_rows(g, i, j, True, True)]
+        rows = [row for i in range(g.dim) for j in range(i + 1, g.dim) for row in _leibniz_rows(g, i, j, True, True, range(g.dim))]
         yield [[Fraction(row.get(c, 0)) for c in range(g.dim**2)] for row in rows]
     # singular square ones, so that inverse meets both outcomes
     yield [[Fraction(0)]]
