@@ -24,13 +24,12 @@ relabels it, so brackets and form are written in one place.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .exact import _ZERO, MatQ, Rat, inverse
+from .exact import _ZERO, MatQ, Rat, _ReadOnly, _Value, inverse
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "SubalgebraSpec",
     "DistinguishedBasis",
     "build_semisimple",
-    "killing_form",
     "extract_subalgebra",
     "normal_form",
     "closure_violation",
@@ -51,8 +49,7 @@ Vec = tuple[Rat, ...]
 SparseVec = tuple[tuple[int, Rat], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class LieAlgebra:
+class LieAlgebra(_ReadOnly):
     """Finite-dimensional Lie algebra given by exact structure constants.
 
     ``structure`` maps basis pairs ``(i, j)`` with ``i < j`` to the sparse
@@ -65,15 +62,17 @@ class LieAlgebra:
     torus is known, and the grading is trivial.
     """
 
-    dim: int
-    labels: tuple[str, ...]
-    structure: Mapping[tuple[int, int], SparseVec] = field(repr=False)
-    form: MatQ | None = None
-    torus: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.structure, MappingProxyType):
-            object.__setattr__(self, "structure", MappingProxyType(self.structure))
+    def __init__(
+        self,
+        dim: int,
+        labels: tuple[str, ...],
+        structure: Mapping[tuple[int, int], SparseVec],
+        form: MatQ | None = None,
+        torus: int = 0,
+    ):
+        if not isinstance(structure, MappingProxyType):
+            structure = MappingProxyType(structure)
+        self.__dict__.update(dim=dim, labels=labels, structure=structure, form=form, torus=torus)
 
     @cached_property
     def _table(self) -> list[dict[int, SparseVec]]:
@@ -149,37 +148,44 @@ class LieAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    """A subset Psi of the roots, designating ``H + sum of L_beta``."""
+class SubalgebraSpec(_Value):
+    """A subset Psi of the roots, designating ``H + sum of L_beta``; Psi is
+    kept sorted by (height, lex), so specs with equal sets compare equal."""
 
-    system: RootSystem
-    psi: tuple[Root, ...]
-
-    def __post_init__(self):
+    def __init__(self, system: RootSystem, psi: tuple[Root, ...]):
         seen = []
-        for r in self.psi:
-            rr = self.system.check_root(r)
+        for r in psi:
+            rr = system.check_root(r)
             if rr in seen:
                 raise ValueError(f"duplicate root {rr} in Psi")
             seen.append(rr)
-        object.__setattr__(self, "psi", tuple(sorted(seen, key=lambda r: (height(r), r))))
+        self.__dict__.update(system=system, psi=tuple(sorted(seen, key=lambda r: (height(r), r))))
 
 
-@dataclass(frozen=True, eq=False)
-class DistinguishedBasis:
+class DistinguishedBasis(_ReadOnly):
     """Basis bookkeeping for an extracted subalgebra.
 
     Local coordinates refer to the subalgebra basis order
     ``(h_1..h_l, x_1..x_m)`` with ``x_i`` sitting over ``psi[i]``.
     """
 
-    psi: tuple[Root, ...]
-    torus_ambient: tuple[Vec, ...]
-    beta_of_h: MatQ  # (i, j) -> beta_i(h_j), size m x l
-    dual_torus_local: tuple[Vec, ...] | None  # (h_i, h_j') = delta_ij, local coords
-    gram: MatQ | None  # (beta_i, beta_j) through the restricted form
-    torus_is_dual: bool
+    def __init__(
+        self,
+        psi: tuple[Root, ...],
+        torus_ambient: tuple[Vec, ...],
+        beta_of_h: MatQ,  # (i, j) -> beta_i(h_j), size m x l
+        dual_torus_local: tuple[Vec, ...] | None,  # (h_i, h_j') = delta_ij, local coords
+        gram: MatQ | None,  # (beta_i, beta_j) through the restricted form
+        torus_is_dual: bool,
+    ):
+        self.__dict__.update(
+            psi=psi,
+            torus_ambient=torus_ambient,
+            beta_of_h=beta_of_h,
+            dual_torus_local=dual_torus_local,
+            gram=gram,
+            torus_is_dual=torus_is_dual,
+        )
 
     @property
     def l(self) -> int:
@@ -314,26 +320,6 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
     g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
     labels = g.labels[: rs.rank] + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
     return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form, torus=g.torus)
-
-
-def killing_form(g: LieAlgebra) -> MatQ:
-    """Trace form ``(x, y) = tr(ad x . ad y)`` computed from the constants."""
-    dim = g.dim
-    # sparse adjoint columns: ad_i[c] = [b_i, b_c]
-    ad = [[g.bracket_basis(i, c) for c in range(dim)] for i in range(dim)]
-    entries = [Fraction(0)] * (dim * dim)
-    for i in range(dim):
-        for j in range(i, dim):
-            tr = Fraction(0)
-            for c in range(dim):
-                # coordinate c of ad_i(ad_j(b_c))
-                for k, ckj in ad[j][c]:
-                    for k2, c2 in ad[i][k]:
-                        if k2 == c:
-                            tr += ckj * c2
-            entries[i * dim + j] = tr
-            entries[j * dim + i] = tr
-    return MatQ(dim, dim, tuple(entries))
 
 
 def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple[LieAlgebra, DistinguishedBasis]:

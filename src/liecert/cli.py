@@ -13,6 +13,10 @@ default document.
 
 Each subcommand imports the layers it runs inside its handler, so a fresh
 process pays only for those: ``roots`` loads ``exact`` and ``rootsys`` alone.
+Beyond the modules that Python's start-up already loads, every command adds
+only ``argparse``, ``json`` and ``fractions`` (with ``gettext``, ``locale``,
+``decimal`` and ``numbers``): the package's read-only classes are plain
+classes, so no class decorator pulls in ``inspect`` and its imports.
 """
 
 from __future__ import annotations

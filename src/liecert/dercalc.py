@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import add, sub
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
-from .exact import _ZERO, Echelon, MatQ, Rat, kernel_basis, solve
+from .exact import _ZERO, Echelon, MatQ, Rat, _Value, kernel_basis, solve
 from .qgraded import is_minimal
 
 __all__ = [
@@ -70,12 +69,17 @@ __all__ = [
 Vec = tuple[Rat, ...]
 
 
-@dataclass(frozen=True)
-class DerivationBasis:
-    algebra: LieAlgebra
-    der_basis: tuple[MatQ, ...]
-    inn_basis: tuple[MatQ, ...]
-    complement_basis: tuple[MatQ, ...]
+class DerivationBasis(_Value):
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        der_basis: tuple[MatQ, ...],
+        inn_basis: tuple[MatQ, ...],
+        complement_basis: tuple[MatQ, ...],
+    ):
+        self.__dict__.update(
+            algebra=algebra, der_basis=der_basis, inn_basis=inn_basis, complement_basis=complement_basis
+        )
 
     @property
     def dim_der(self) -> int:
@@ -86,14 +90,12 @@ class DerivationBasis:
         return len(self.inn_basis)
 
 
-@dataclass(frozen=True)
-class CentroidBasis:
-    algebra: LieAlgebra
-    basis: tuple[MatQ, ...]
+class CentroidBasis(_Value):
+    def __init__(self, algebra: LieAlgebra, basis: tuple[MatQ, ...]):
+        self.__dict__.update(algebra=algebra, basis=basis)
 
 
-@dataclass(frozen=True)
-class AidVerdict:
+class AidVerdict(_Value):
     """status: "inner" | "not-aid" | "not-derivation".
 
     For "inner", ``witness`` is z with D = ad(z) exactly.  For "not-aid",
@@ -102,10 +104,8 @@ class AidVerdict:
     ``sum x_i`` at which the almost-inner condition fails).
     """
 
-    status: str
-    witness: Vec | None = None
-    reason: str | None = None
-    data: dict | None = None
+    def __init__(self, status: str, witness: Vec | None = None, reason: str | None = None, data: dict | None = None):
+        self.__dict__.update(status=status, witness=witness, reason=reason, data=data)
 
     @property
     def is_inner(self) -> bool:
@@ -363,14 +363,19 @@ def aid_falsify_random(g: LieAlgebra, d: MatQ, trials: int = 64, seed: int = 202
     return None
 
 
-@dataclass(frozen=True)
-class AidEqInnCertificate:
-    spec: SubalgebraSpec
-    dim_l: int
-    dim_der: int
-    dim_inn: int
-    inner_verdicts: tuple[AidVerdict, ...]
-    ok: bool
+class AidEqInnCertificate(_Value):
+    def __init__(
+        self,
+        spec: SubalgebraSpec,
+        dim_l: int,
+        dim_der: int,
+        dim_inn: int,
+        inner_verdicts: tuple[AidVerdict, ...],
+        ok: bool,
+    ):
+        self.__dict__.update(
+            spec=spec, dim_l=dim_l, dim_der=dim_der, dim_inn=dim_inn, inner_verdicts=inner_verdicts, ok=ok
+        )
 
     def to_json(self) -> dict:
         return {

@@ -2,11 +2,11 @@
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
-sits behind ``rref``, ``kernel_basis``, ``inverse``, ``solve`` and
-``solve_sparse``.  It is fraction-free: an added row has its denominators
-cleared and is kept as a primitive integer row, and the ``Fraction``s of a
-result are made only when it is read out of the unique reduced row echelon
-form, with free variables zeroed, so they do not depend on elimination order.
+sits behind ``kernel_basis``, ``inverse``, ``solve`` and ``solve_sparse``.
+It is fraction-free: an added row has its denominators cleared and is kept
+as a primitive integer row, and the ``Fraction``s of a result are made only
+when it is read out of the unique reduced row echelon form, with free
+variables zeroed, so they do not depend on elimination order.
 Downstream certificates are therefore reproducible byte-for-byte.
 
 Lattices over Z have one engine of their own, ``hermite_insert``: the
@@ -17,13 +17,11 @@ Hermite passes.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 Rat = Fraction
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -31,9 +29,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 __all__ = [
     "Rat",
     "MatQ",
-    "RrefResult",
     "Echelon",
-    "rref",
     "kernel_basis",
     "inverse",
     "solve",
@@ -85,19 +81,54 @@ def json_field(obj: dict, key: str, what: str):
     return obj[key]
 
 
-@dataclass(frozen=True)
-class MatQ:
+class _ReadOnly:
+    """Base of the package's read-only classes.  ``__init__`` stores the
+    attributes through ``self.__dict__``; assigning or deleting one later
+    raises AttributeError.  ``cached_property`` writes to ``__dict__``
+    directly, so it still caches.  Instances compare and hash by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
+
+
+class _Value(_ReadOnly):
+    """A read-only record that compares and hashes by its fields, and equals
+    instances of its own class only.  Its fields are the parameters of its
+    ``__init__``, in order, and ``__init__`` stores each under its own name."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={self.__dict__[f]!r}' for f in self._fields)})"
+
+
+class MatQ(_Value):
     """Dense rational matrix, row-major, immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple[Rat, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Rat, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rat | int]]) -> "MatQ":
@@ -183,13 +214,6 @@ class MatQ:
         return MatQ(rows, cols, tuple(rat_from_str(e) for e in entries))
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: MatQ
-    rank: int
-    pivots: tuple[int, ...]
-
-
 class Echelon:
     """Sparse row echelon form over Q, grown one row at a time and kept over
     the integers: ``_rows`` maps each leading (smallest) column to a
@@ -269,24 +293,12 @@ class Echelon:
         return [tuple(vec) for vec in free.values()]
 
 
-def _echelon(m: MatQ) -> Echelon:
+def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
+    """Basis of the right null space, one vector per free column, ascending."""
     ech = Echelon()
     for i in range(m.rows):
         ech.add(dict(enumerate(m.row(i))))
-    return ech
-
-
-def rref(m: MatQ) -> RrefResult:
-    """Unique reduced row-echelon form, with rank and pivot columns."""
-    red = _echelon(m).reduced()
-    flat = [row.get(j, _ZERO) for row in red.values() for j in range(m.cols)]
-    flat += [_ZERO] * ((m.rows - len(red)) * m.cols)
-    return RrefResult(MatQ(m.rows, m.cols, tuple(flat)), len(red), tuple(red))
-
-
-def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
-    """Basis of the right null space, one vector per free column, ascending."""
-    return _echelon(m).kernel(m.cols)
+    return ech.kernel(m.cols)
 
 
 def inverse(m: MatQ) -> MatQ | None:

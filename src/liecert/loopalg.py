@@ -34,14 +34,13 @@ invalid input.  Every witness of either solver is re-verified with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import aid_membership, centroid_violation, leibniz_violation
-from .exact import MatQ, Rat, expect_json, rat_from_str, rat_to_str, solve_sparse
+from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, rat_from_str, rat_to_str, solve_sparse
 
 __all__ = [
     "LaurentPoly",
@@ -76,11 +75,11 @@ Vec = tuple[Rat, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Finitely supported map degree -> coefficient; t is invertible."""
 
-    coeffs: tuple[tuple[int, Rat], ...]  # sorted by degree, no zeros
+    def __init__(self, coeffs: tuple[tuple[int, Rat], ...]):  # sorted by degree, no zeros
+        self.__dict__["coeffs"] = coeffs
 
     @staticmethod
     def from_dict(d: dict[int, Rat | int]) -> "LaurentPoly":
@@ -207,20 +206,17 @@ def _bezout(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, L
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LoopContext:
+class LoopContext(_ReadOnly):
     """A minimal Q-graded subalgebra packaged for loop/affine computations.
 
     The basis order is ``(h_1..h_l, x_1..x_m)``; the restricted Killing form
     must be present for the affinization cocycle.
     """
 
-    algebra: LieAlgebra
-    basis: DistinguishedBasis
-
-    def __post_init__(self):
-        if self.algebra.form is None:
+    def __init__(self, algebra: LieAlgebra, basis: DistinguishedBasis):
+        if algebra.form is None:
             raise ValueError("affinization needs the restricted Killing form")
+        self.__dict__.update(algebra=algebra, basis=basis)
 
     @property
     def l(self) -> int:
@@ -260,25 +256,20 @@ def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> Loo
     return LoopContext(algebra=g, basis=info)
 
 
-@dataclass(frozen=True, eq=False)
-class AffineElement:
-    """Finitely supported element of ``L (x) F[t,1/t] + F K``."""
+class AffineElement(_ReadOnly):
+    """Finitely supported element of ``L (x) F[t,1/t] + F K``; ``support``
+    None means the empty map."""
 
-    ctx: LoopContext
-    support: dict[int, Vec] = field(default_factory=dict)
-    central: Rat = Fraction(0)
-
-    def __post_init__(self):
+    def __init__(self, ctx: LoopContext, support: dict[int, Vec] | None = None, central: Rat = Fraction(0)):
         clean = {}
-        for deg, vec in self.support.items():
+        for deg, vec in (support or {}).items():
             vec = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vec)
-            if len(vec) != self.ctx.dim:
+            if len(vec) != ctx.dim:
                 raise ValueError("component length does not match the algebra dimension")
             if any(vec):
                 clean[int(deg)] = vec
-        object.__setattr__(self, "support", clean)
-        if not isinstance(self.central, Fraction):
-            object.__setattr__(self, "central", Fraction(self.central))
+        central = central if isinstance(central, Fraction) else Fraction(central)
+        self.__dict__.update(ctx=ctx, support=clean, central=central)
 
     def component(self, degree: int) -> Vec:
         return self.support.get(degree, tuple(Fraction(0) for _ in range(self.ctx.dim)))
@@ -361,21 +352,18 @@ def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(_Value):
     """``b t^n -> sum_s (A_s + n B_s) b t^{n+s} + c_n(b) K`` and ``K -> 0``.
 
     ``loop`` maps a shift s to ``(A_s, B_s)`` and ``central`` a degree n to
     the coordinates of the functional ``c_n``; zero parts are dropped.
     """
 
-    loop: dict[int, tuple[MatQ, MatQ]]
-    central: dict[int, Vec]
-
-    def __post_init__(self):
-        loop = {s: ab for s, ab in sorted(self.loop.items()) if any(ab[0].entries) or any(ab[1].entries)}
-        object.__setattr__(self, "loop", loop)
-        object.__setattr__(self, "central", {n: c for n, c in sorted(self.central.items()) if any(c)})
+    def __init__(self, loop: dict[int, tuple[MatQ, MatQ]], central: dict[int, Vec]):
+        self.__dict__.update(
+            loop={s: ab for s, ab in sorted(loop.items()) if any(ab[0].entries) or any(ab[1].entries)},
+            central={n: c for n, c in sorted(central.items()) if any(c)},
+        )
 
 
 def _combine(size: int, weighted) -> Vec:
@@ -393,7 +381,7 @@ def _diagonal(entries) -> MatQ:
     return MatQ(n, n, tuple(Fraction(entries[i]) if i == j else Fraction(0) for i in range(n) for j in range(n)))
 
 
-class LoopOperator:
+class LoopOperator(_ReadOnly):
     """Linear operator on affine elements, given by its shift symbol."""
 
     ctx: LoopContext
@@ -420,11 +408,11 @@ class LoopOperator:
     __call__ = apply
 
 
-@dataclass(frozen=True, eq=False)
 class Inner(LoopOperator):
     """``X -> [y, X]``: ``A_s = ad(y_s)`` and ``c_n = -n (y_{-n}, .)``."""
 
-    y: AffineElement
+    def __init__(self, y: AffineElement):
+        self.__dict__["y"] = y
 
     @property
     def ctx(self) -> LoopContext:
@@ -438,7 +426,6 @@ class Inner(LoopOperator):
         )
 
 
-@dataclass(frozen=True, eq=False)
 class TensorDerivation(LoopOperator):
     """``v(x)g -> D(v)(x)(f g)`` for a matrix D on L: ``A_s = f_s D``.
 
@@ -446,13 +433,10 @@ class TensorDerivation(LoopOperator):
     cocycle, so affine-level identities hold only modulo the center.
     """
 
-    ctx: LoopContext
-    matrix: MatQ
-    f: LaurentPoly
-
-    def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.ctx.dim, self.ctx.dim):
-            raise ValueError(f"tensor matrix must be {self.ctx.dim} x {self.ctx.dim}")
+    def __init__(self, ctx: LoopContext, matrix: MatQ, f: LaurentPoly):
+        if (matrix.rows, matrix.cols) != (ctx.dim, ctx.dim):
+            raise ValueError(f"tensor matrix must be {ctx.dim} x {ctx.dim}")
+        self.__dict__.update(ctx=ctx, matrix=matrix, f=f)
 
     def symbol(self) -> Symbol:
         dim = self.ctx.dim
@@ -460,18 +444,15 @@ class TensorDerivation(LoopOperator):
         return Symbol({s: (a, MatQ.zeros(dim, dim)) for s, a in scaled.items()}, {})
 
 
-@dataclass(frozen=True, eq=False)
 class DiagonalDerivative(LoopOperator):
     """``h_i(x)t^j -> h_i(x) j t^{j-1} f_i`` and likewise on ``x_i``, so
     ``B_{d-1} = diag(f_{k mod l, d})``; kills ``L(x)1`` and K.  These are
     exactly the derivations of the loop algebra vanishing on ``L(x)1``."""
 
-    ctx: LoopContext
-    fs: tuple[LaurentPoly, ...]
-
-    def __post_init__(self):
-        if not self.ctx.square() or len(self.fs) != self.ctx.l:
+    def __init__(self, ctx: LoopContext, fs: tuple[LaurentPoly, ...]):
+        if not ctx.square() or len(fs) != ctx.l:
             raise ValueError("need one Laurent weight per torus index")
+        self.__dict__.update(ctx=ctx, fs=fs)
 
     def symbol(self) -> Symbol:
         dim, l = self.ctx.dim, self.ctx.l
@@ -480,35 +461,28 @@ class DiagonalDerivative(LoopOperator):
         return Symbol({s: (MatQ.zeros(dim, dim), b) for s, b in diag.items()}, {})
 
 
-@dataclass(frozen=True, eq=False)
 class ToralToCenter(LoopOperator):
     """Sends ``h_i (x) t^j`` to K and kills K, the root block, and every other
     toral mode: ``c_j`` is the ``h_i`` coordinate.  Indices are 1-based to
     match the CLI surface."""
 
-    ctx: LoopContext
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not (1 <= self.i <= self.ctx.l):
-            raise ValueError(f"torus index must be in 1..{self.ctx.l}")
+    def __init__(self, ctx: LoopContext, i: int, j: int):
+        if not (1 <= i <= ctx.l):
+            raise ValueError(f"torus index must be in 1..{ctx.l}")
+        self.__dict__.update(ctx=ctx, i=i, j=j)
 
     def symbol(self) -> Symbol:
         return Symbol({}, {self.j: self.ctx.algebra.basis_vector(self.i - 1)})
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorSum(LoopOperator):
     """Finite weighted sum; its symbol is the weighted sum of the symbols."""
 
-    ctx: LoopContext
-    terms: tuple[tuple[Rat, LoopOperator], ...]
-
-    def __post_init__(self):
-        for _, op in self.terms:
-            if op.ctx is not self.ctx:
+    def __init__(self, ctx: LoopContext, terms: tuple[tuple[Rat, LoopOperator], ...]):
+        for _, op in terms:
+            if op.ctx is not ctx:
                 raise ValueError("operator sum mixes algebras")
+        self.__dict__.update(ctx=ctx, terms=terms)
 
     def symbol(self) -> Symbol:
         dim, syms = self.ctx.dim, [(w, op._symbol) for w, op in self.terms]
@@ -583,10 +557,9 @@ def diagonal_derivative(ctx: LoopContext, fs) -> DiagonalDerivative:
     return DiagonalDerivative(ctx, tuple(fs))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    tensor_terms: tuple[TensorDerivation, ...]
-    residual: OperatorSum
+class Decomposition(_Value):
+    def __init__(self, tensor_terms: tuple[TensorDerivation, ...], residual: OperatorSum):
+        self.__dict__.update(tensor_terms=tensor_terms, residual=residual)
 
     def tensor_sum(self) -> OperatorSum:
         ctx = self.residual.ctx
@@ -617,10 +590,10 @@ def decompose_derivation(op: LoopOperator) -> Decomposition:
     return Decomposition(tensor_terms=tuple(terms), residual=residual)
 
 
-@dataclass(frozen=True)
-class LoopAidResult:
-    witness: AffineElement | None
-    component_verdicts: tuple[tuple[int, str], ...]  # (degree, status)
+class LoopAidResult(_Value):
+    def __init__(self, witness: AffineElement | None, component_verdicts: tuple[tuple[int, str], ...]):
+        # component_verdicts: (degree, status) pairs
+        self.__dict__.update(witness=witness, component_verdicts=component_verdicts)
 
     @property
     def all_inner(self) -> bool:
@@ -750,11 +723,11 @@ def bracket_match(
     return y
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    status: str  # "witnessed" | "root-obstruction" | "torus-obstruction" | "central-obstruction"
-    y: AffineElement | None
-    detail: dict | None = None
+class WitnessResult(_Value):
+    """status: "witnessed" | "root-obstruction" | "torus-obstruction" | "central-obstruction"."""
+
+    def __init__(self, status: str, y: AffineElement | None, detail: dict | None = None):
+        self.__dict__.update(status=status, y=y, detail=detail)
 
 
 def _coordinate(x: AffineElement, k: int) -> LaurentPoly:

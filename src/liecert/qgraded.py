@@ -14,10 +14,8 @@ Psi and stop at the first minimal set, which is Psi iff Psi is minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
-from .exact import Echelon, hermite_insert, invariant_factors
+from .exact import Echelon, _Value, hermite_insert, invariant_factors
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -36,18 +34,32 @@ class EnumerationCapExceeded(ValueError):
     """2^|roots| exceeds the enumeration cap; certify subsets individually."""
 
 
-@dataclass(frozen=True)
-class QGradedCertificate:
-    spec: SubalgebraSpec
-    closed: bool
-    closure_witness: tuple[Root, Root, Root] | None
-    spans: bool
-    invariant_factors: tuple[int, ...]
-    minimal: bool | None
-    minimal_counterexample: tuple[Root, ...] | None
-    metabelian: bool | None
-    metabelian_witness: tuple[Root, Root] | None
-    dims: tuple[int, int, int] | None  # (dim H, dim [L,L], dim L)
+class QGradedCertificate(_Value):
+    def __init__(
+        self,
+        spec: SubalgebraSpec,
+        closed: bool,
+        closure_witness: tuple[Root, Root, Root] | None,
+        spans: bool,
+        invariant_factors: tuple[int, ...],
+        minimal: bool | None,
+        minimal_counterexample: tuple[Root, ...] | None,
+        metabelian: bool | None,
+        metabelian_witness: tuple[Root, Root] | None,
+        dims: tuple[int, int, int] | None,  # (dim H, dim [L,L], dim L)
+    ):
+        self.__dict__.update(
+            spec=spec,
+            closed=closed,
+            closure_witness=closure_witness,
+            spans=spans,
+            invariant_factors=invariant_factors,
+            minimal=minimal,
+            minimal_counterexample=minimal_counterexample,
+            metabelian=metabelian,
+            metabelian_witness=metabelian_witness,
+            dims=dims,
+        )
 
     def all_positive(self) -> bool:
         return bool(self.closed and self.spans and self.minimal and self.metabelian)

@@ -16,12 +16,11 @@ negative root this is negative and equals ``-ht(-r)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .exact import Rat
+from .exact import Rat, _ReadOnly
 
 __all__ = ["RootSystem", "build_root_system", "height", "root_sum", "FAMILIES"]
 
@@ -111,14 +110,19 @@ def height(r: Root) -> int:
     return sum(r)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[Root, ...]
-    root_index: dict[Root, int] = field(repr=False)
-    symmetrizer: tuple[int, ...] = field(repr=False)  # d_i proportional to (a_i, a_i)/2
+class RootSystem(_ReadOnly):
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        roots: tuple[Root, ...],
+        root_index: dict[Root, int],
+        symmetrizer: tuple[int, ...],  # d_i proportional to (a_i, a_i)/2
+    ):
+        self.__dict__.update(
+            family=family, rank=rank, cartan=cartan, roots=roots, root_index=root_index, symmetrizer=symmetrizer
+        )
 
     @property
     def simple_roots(self) -> tuple[Root, ...]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +23,7 @@ from .dercalc import (
     scalar_derivation_verdict,
     verify_aid_eq_inn,
 )
+from .exact import _Value
 from .loopalg import (
     Inner,
     LaurentPoly,
@@ -47,13 +47,9 @@ from .rootsys import build_root_system
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+class CriterionResult(_Value):
+    def __init__(self, number: int, name: str, ok: bool, detail: str, seconds: float):
+        self.__dict__.update(number=number, name=name, ok=ok, detail=detail, seconds=seconds)
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,10 @@ grading.  It shares the pair constants, coroots and torus form with the
 package, which other tests check on their own (Jacobi scans, root-string
 magnitudes, the trace form), so the extraction tests compare against an
 ambient algebra that extraction did not build.
+
+``killing_form`` is the generic trace form ``tr(ad x . ad y)``, computed from
+any bracket table; the closed-form Killing form of the package is checked
+against it.
 """
 
 from __future__ import annotations
@@ -68,3 +72,23 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
         entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = _opposite_pair_form(kh, h)
     form = MatQ(dim, dim, tuple(entries))
     return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form)
+
+
+def killing_form(g: LieAlgebra) -> MatQ:
+    """Trace form ``(x, y) = tr(ad x . ad y)`` computed from the constants."""
+    dim = g.dim
+    # sparse adjoint columns: ad_i[c] = [b_i, b_c]
+    ad = [[g.bracket_basis(i, c) for c in range(dim)] for i in range(dim)]
+    entries = [Fraction(0)] * (dim * dim)
+    for i in range(dim):
+        for j in range(i, dim):
+            tr = Fraction(0)
+            for c in range(dim):
+                # coordinate c of ad_i(ad_j(b_c))
+                for k, ckj in ad[j][c]:
+                    for k2, c2 in ad[i][k]:
+                        if k2 == c:
+                            tr += ckj * c2
+            entries[i * dim + j] = tr
+            entries[j * dim + i] = tr
+    return MatQ(dim, dim, tuple(entries))

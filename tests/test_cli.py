@@ -571,15 +571,14 @@ def test_e8_positive_roots_are_decided_by_the_walk():
 def test_aid_with_a_complement_exits_4(monkeypatch):
     # every minimal set is r_2^l with Der = Inn, so a faked complement
     # direction contradicts the theorem: an internal error, not a verdict
-    from dataclasses import replace
-
     from liecert import dercalc
     from liecert.exact import MatQ
 
     real_space = dercalc.derivation_space
 
     def with_complement(g):
-        return replace(real_space(g), complement_basis=(MatQ.identity(g.dim),))
+        real = real_space(g)
+        return dercalc.DerivationBasis(g, real.der_basis, real.inn_basis, (MatQ.identity(g.dim),))
 
     monkeypatch.setattr(dercalc, "derivation_space", with_complement)
     code, doc, _ = invoke(["aid"] + B2_MIN)

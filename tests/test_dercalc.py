@@ -27,11 +27,12 @@ from liecert.dercalc import (
     scalar_derivation_verdict,
     verify_aid_eq_inn,
 )
-from liecert.exact import Echelon, MatQ, rref
+from liecert.exact import Echelon, MatQ
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 
 import dercalc_reference
+from exact_reference import rref
 
 
 @pytest.fixture(scope="module")

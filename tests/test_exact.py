@@ -18,11 +18,11 @@ from liecert.exact import (
     kernel_basis,
     rat_from_str,
     rat_to_str,
-    rref,
     solve,
     solve_sparse,
 )
 from liecert.rootsys import build_root_system
+from exact_reference import rref
 from snf_reference import MatZ, hermite_pivots, smith_factors, smith_normal_form
 
 

@@ -13,7 +13,8 @@ from math import gcd
 
 import pytest
 
-from liecert.exact import Echelon, MatQ, inverse, kernel_basis, rref, solve, solve_sparse
+from liecert.exact import Echelon, MatQ, inverse, kernel_basis, solve, solve_sparse
+from exact_reference import rref
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 

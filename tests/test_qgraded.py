@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from liecert.chevalley import SubalgebraSpec, closure_violation, extract_subalgebra
-from liecert.exact import MatQ, rref
+from liecert.exact import MatQ
 from liecert.qgraded import (
     EnumerationCapExceeded,
     certify,
@@ -22,6 +22,7 @@ from liecert.qgraded import (
     verify_metabelian,
 )
 from liecert.rootsys import RootSystem, build_root_system
+from exact_reference import rref
 from qgraded_reference import smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
