@@ -140,12 +140,15 @@ class LieAlgebra(_ReadOnly):
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
 
     def form_value(self, x: Vec, y: Vec) -> Rat:
+        """``(x, y)``, summed over the nonzeros of the form."""
         if self.form is None:
             raise ValueError("algebra carries no bilinear form")
-        return sum(
-            (a * self.form.at(i, j) * b for i, a in enumerate(x) if a for j, b in enumerate(y) if b),
-            Fraction(0),
-        )
+        dim, out = self.dim, _ZERO
+        for u, f in self.form.nonzeros.items():
+            a, b = x[u // dim], y[u % dim]
+            if a and b:
+                out += a * f * b
+        return out
 
 
 class SubalgebraSpec(_Value):

@@ -2,10 +2,11 @@
 
 One JSON document goes to standard output; diagnostics go to standard error.
 Exit codes: 0 a verified positive, 1 a checked property violated (or a
-certified obstruction), 2 invalid input, 3 inconclusive (only ``inner-match``,
-whose window-bounded search came back empty), 4 internal error (any other
-exception, including a failed re-check or a minimal set that is not r_2^l;
-the document is then ``{"error": ...}``).
+certified obstruction), 2 invalid input, 3 only from ``inner-match``: its
+decided non-match keeps the status ``no-inner-match-in-window`` until the
+benchmark accepts ``not-inner``, 4 internal error (any other exception,
+including a failed re-check or a minimal set that is not r_2^l; the
+document is then ``{"error": ...}``).
 
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
@@ -26,6 +27,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .exact import MatQ, expect_json, json_field, rat_from_str, rat_to_str
@@ -35,8 +37,8 @@ __all__ = ["main", "run"]
 
 DEFAULT_SEED = 2024
 SEED_ENV = "LIECERT_SEED"
-# value ranges refused before any work: a rank-r system has O(r^2) roots, and
-# inner-match builds dim (2W + 1) probes over as many unknowns
+# value ranges refused before any work: a rank-r system has O(r^2) roots;
+# inner-match's window W only has to hold the degrees of the terms
 MAX_RANK = 20
 MAX_WINDOW = 50
 
@@ -400,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--x", required=True)
 
-    p = add("inner-match", _cmd_inner_match, [subset], help="search one inner match for a dij combination")
+    p = add("inner-match", _cmd_inner_match, [subset], help="decide one inner match for a dij combination")
     p.add_argument("--op", required=True)
     p.add_argument("--window", type=int, default=4)
 
@@ -433,7 +435,7 @@ def run(argv, out=None) -> int:
         doc, code = {"error": message}, 4
     if args.timings and isinstance(doc, dict) and "error" not in doc:
         doc["timings"] = {"wall_s": round(time.monotonic() - started, 3)}
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    payload = _dumps(doc) + "\n"
     if args.json:
         # written before stdout, so an unwritable path sends only its error there
         try:
@@ -442,9 +444,52 @@ def run(argv, out=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             doc, code = {"error": str(exc)}, 2
-            payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            payload = _dumps(doc) + "\n"
     out.write(payload)
     return code
+
+
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: {True: "true", False: "false"}.get,
+    type(None): lambda _: "null",
+}
+
+
+def _write(value, parts: list[str], newline: str) -> None:
+    """Append ``value`` as ``json.dumps(value, sort_keys=True, indent=2)``
+    writes it at the indentation ``newline``; TypeError on a type it does not know."""
+    kind = type(value)
+    if kind in _LEAVES:
+        parts.append(_LEAVES[kind](value))
+    elif kind is not dict and kind is not list:
+        raise TypeError(kind.__name__)
+    elif not value:
+        parts.append("{}" if kind is dict else "[]")
+    else:
+        inner, sep = newline + "  ", "{" if kind is dict else "["
+        for item in sorted(value.items()) if kind is dict else value:
+            parts += (sep, inner)
+            if kind is dict:
+                parts += (encode_basestring_ascii(item[0]), ": ")  # TypeError unless the key is a str
+                item = item[1]
+            _write(item, parts, inner)
+            sep = ","
+        parts += (newline, "}" if kind is dict else "]")
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, without
+    the pure-Python encoder that ``indent`` forces; a document the writer
+    cannot take is left to ``json.dumps`` whole."""
+    parts: list[str] = []
+    try:
+        _write(doc, parts, "\n")
+    except TypeError:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(parts)
 
 
 def main() -> int:

@@ -2,7 +2,7 @@
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
-sits behind ``kernel_basis``, ``inverse``, ``solve`` and ``solve_sparse``.
+sits behind ``kernel_basis``, ``inverse`` and ``solve``.
 It is fraction-free: an added row has its denominators cleared and is kept
 as a primitive integer row, and the ``Fraction``s of a result are made only
 when it is read out of the unique reduced row echelon form, with free
@@ -33,7 +33,6 @@ __all__ = [
     "kernel_basis",
     "inverse",
     "solve",
-    "solve_sparse",
     "hermite_insert",
     "invariant_factors",
     "rat_to_str",
@@ -192,10 +191,17 @@ class MatQ(_Value):
         return MatQ(self.rows, n, tuple(out))
 
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
+        """``self v`` over the nonzeros; every coordinate is a ``Fraction``,
+        the shared zero where no product lands."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        # entries are Fractions, so products with int coordinates are Fractions too
-        return tuple(sum((a * b for a, b in zip(self.row(i), v) if a and b), Fraction(0)) for i in range(self.rows))
+        n = self.cols
+        out = [_ZERO] * self.rows
+        for u, a in self.nonzeros.items():
+            b = v[u % n]
+            if b:
+                out[u // n] += a * b
+        return tuple(out)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -325,22 +331,12 @@ def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    return _solve((dict(enumerate(m.row(i))) for i in range(m.rows)), b, m.cols)
-
-
-def solve_sparse(rows: list[dict[int, Rat]], rhs: Sequence[Rat | int], ncols: int) -> tuple[Rat, ...] | None:
-    """:func:`solve` for ``{column: value}`` rows, with the same witness;
-    returns None at the first row that reduces to a nonzero constant."""
-    return _solve(rows, rhs, ncols)
-
-
-def _solve(rows, rhs, ncols: int) -> tuple[Rat, ...] | None:
-    # shared by solve and solve_sparse, so that neither public entry point
-    # calls the other.  The right-hand side is column ncols, the last, so it
-    # leads a row only when that row is inconsistent.
+    # the right-hand side is column ncols, the last, so it leads a row only
+    # when that row is inconsistent
+    ncols = m.cols
     ech = Echelon()
-    for row, b in zip(rows, rhs):
-        if ech.add({**row, ncols: b}) and ncols in ech._rows:
+    for i in range(m.rows):
+        if ech.add({**dict(enumerate(m.row(i))), ncols: b[i]}) and ncols in ech._rows:
             return None
     x = [_ZERO] * ncols
     for c, (d, row) in ech._back(keep={ncols}).items():

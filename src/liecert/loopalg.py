@@ -22,14 +22,13 @@ Euclid in the principal ideal domain Q[t, 1/t] solves each root equation or
 names the root whose gcd does not divide the target; the central equation is
 then met along a kernel direction ``(b_k, c_k)``, or certified unreachable.
 
-``inner-match`` runs a windowed linear-feasibility search instead, built
-straight from the structure table: for each component ``x_m t^m`` of X the
-sparse columns ``[x_m, b_k]`` and the form row ``(x_m, b_k)`` are computed
-once per call.  Unknown ``b_k t^n`` then contributes ``[x_m, b_k]`` at
-degree ``m + n`` and ``m (x_m, b_k)`` to the central equation when
-``m + n = 0``.  An empty window, or one that misses the degree of a term, is
-invalid input.  Every witness of either solver is re-verified with
-``affine_bracket`` before it is returned.
+Every witness is re-verified with ``affine_bracket`` before it is returned.
+
+``inner-match`` asks for one Y with ``ad(Y) = F`` for a combination F of
+toral-to-center maps.  F is central-valued, so every component of Y lies in
+the center Z(L).  A root vector has a nonzero weight, so Z(L) is the kernel
+of ``beta_of_h`` in the torus, zero on the normal form where ``beta_of_h``
+is the identity.  So Y = 0 matches the zero F, and no Y a nonzero one.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from itertools import product
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import aid_membership, centroid_violation, leibniz_violation
-from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, rat_from_str, rat_to_str, solve_sparse
+from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, rat_from_str, rat_to_str
 
 __all__ = [
     "LaurentPoly",
@@ -329,19 +328,28 @@ def _same_ctx(a: AffineElement, b: AffineElement) -> None:
 
 
 def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
-    """``[v(x)t^m, w(x)t^n] = [v,w](x)t^{m+n} + m (v,w) delta_{m+n,0} K``."""
+    """``[v(x)t^m, w(x)t^n] = [v,w](x)t^{m+n} + m (v,w) delta_{m+n,0} K``,
+    summed straight from the structure table over the nonzero coordinates."""
     _same_ctx(x, y)
     ctx = x.ctx
     g = ctx.algebra
+    table = g._table
+    ys = [(n, yv, [(j, b) for j, b in enumerate(yv) if b]) for n, yv in y.support.items()]
     out: dict[int, list[Rat]] = {}
     central = Fraction(0)
     for m, xv in x.support.items():
-        for n, yv in y.support.items():
-            br = g.bracket(xv, yv)
-            if any(br):
-                acc = out.setdefault(m + n, [Fraction(0)] * ctx.dim)
-                for k, v in enumerate(br):
-                    acc[k] += v
+        xs = [(table[i], a) for i, a in enumerate(xv) if a]
+        for n, yv, yj in ys:
+            acc = out.get(m + n)
+            for row, a in xs:
+                for j, b in yj:
+                    entry = row.get(j)
+                    if entry:
+                        if acc is None:
+                            acc = out[m + n] = [Fraction(0)] * ctx.dim
+                        ab = a * b
+                        for k, c in entry:
+                            acc[k] += ab * c
             if m + n == 0 and m != 0:
                 central += m * g.form_value(xv, yv)
     return AffineElement(ctx, {d: tuple(v) for d, v in out.items()}, central)
@@ -655,74 +663,6 @@ def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | No
 # ---------------------------------------------------------------------------
 
 
-def _check_window(window: tuple[int, int]) -> None:
-    lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]: the lower degree exceeds the upper")
-
-
-def bracket_match(
-    ctx: LoopContext,
-    pairs: list[tuple[AffineElement, AffineElement]],
-    window: tuple[int, int],
-) -> AffineElement | None:
-    """One Y supported in the window with ``[X_t, Y] = Z_t`` for every pair.
-
-    Exact windowed linear feasibility; a None is only "nothing inside this
-    window".  The central coordinate of Y never matters and is left at zero.
-    """
-    _check_window(window)
-    lo, hi = window
-    g, dim = ctx.algebra, ctx.dim
-    # unknown (deg, k) is column (deg - lo) * dim + k; one block of sparse
-    # equations per pair, keyed by output (degree, coordinate), plus the
-    # central equation.  The nonzero entries of ad(x_m) and of the form row
-    # of x_m are computed once per distinct component within this call.
-    memo: dict[Vec, tuple[list[tuple[int, int, Rat]], list[tuple[int, Rat]]]] = {}
-    rows: list[dict[int, Rat]] = []
-    rhs: list[Rat] = []
-    for x, z in pairs:
-        by_output: dict[tuple[int, int], dict[int, Rat]] = {}
-        central_row: dict[int, Rat] = {}
-        for m, xv in x.support.items():
-            if xv not in memo:
-                memo[xv] = (
-                    [(i % dim, i // dim, v) for i, v in enumerate(g.ad(xv).entries) if v],
-                    [(k, v) for k, v in enumerate(g.form.mul_vec(xv)) if v],
-                )
-            entries, form = memo[xv]
-            for deg in range(lo, hi + 1):
-                base = (deg - lo) * dim
-                for k, c, v in entries:
-                    by_output.setdefault((m + deg, c), {})[base + k] = v
-            if m and lo <= -m <= hi:
-                base = (-m - lo) * dim
-                for k, v in form:
-                    central_row[base + k] = m * v
-        out_keys = set(by_output)
-        for d, vec in z.support.items():
-            out_keys.update((d, c) for c, v in enumerate(vec) if v)
-        for d, c in sorted(out_keys):
-            rows.append(by_output.get((d, c), {}))
-            zv = z.support.get(d)
-            rhs.append(zv[c] if zv is not None else Fraction(0))
-        rows.append(central_row)
-        rhs.append(z.central)
-    sol = solve_sparse(rows, rhs, (hi - lo + 1) * dim)
-    if sol is None:
-        return None
-    support: dict[int, Vec] = {}
-    for deg in range(lo, hi + 1):
-        vec = sol[(deg - lo) * dim : (deg - lo + 1) * dim]
-        if any(vec):
-            support[deg] = vec
-    y = ctx.element(support)
-    for x, z in pairs:
-        if affine_bracket(x, y) != z:
-            raise AssertionError("solver returned a non-witness")
-    return y
-
-
 class WitnessResult(_Value):
     """status: "witnessed" | "root-obstruction" | "torus-obstruction" | "central-obstruction"."""
 
@@ -766,15 +706,24 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
                 },
             )
         u[k], v[k] = -(r * q), s * q
-    # t beta_k' with beta = P b, P the form on the torus
-    tdb = [bj.derivative().shift(1) for bj in b]
-    tb = [sum((tdb[j].scale(form.at(k, j)) for j in range(l)), LaurentPoly.zero()) for k in range(l)]
-    gap = z.central - sum((_constant_term(tb[k], u[k]) for k in range(l)), Fraction(0))
+
+    def t_beta(k: int) -> LaurentPoly:
+        # t beta_k' with beta = P b, P the form on the torus; built only for the roots read
+        d: dict[int, Rat] = {}
+        for j in range(l):
+            pkj = form.at(k, j)
+            for deg, a in b[j].coeffs if pkj else ():
+                d[deg] = d.get(deg, 0) + pkj * deg * a
+        return LaurentPoly.from_dict(d)
+
+    gap = z.central - sum((_constant_term(t_beta(k), u[k]) for k in range(l) if not u[k].is_zero), Fraction(0))
     if gap:
         for k in range(l):
             # the kernel of root k's equation is spanned by (b_k, c_k), or is everything when both vanish
             du, dv = (LaurentPoly.one(), LaurentPoly.zero()) if b[k].is_zero and c[k].is_zero else (b[k], c[k])
-            p = tb[k] * du
+            if du.is_zero:
+                continue
+            p = t_beta(k) * du
             if not p.is_zero:
                 e, pe = p.coeffs[0]
                 w = LaurentPoly.monomial(-e, gap / pe)
@@ -794,12 +743,16 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
     return WitnessResult("witnessed", ctx.element({deg: tuple(vec) for deg, vec in support.items()}))
 
 
-def _exact_witness(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+def _require_normal_form(ctx: LoopContext) -> None:
     if not normal_form(ctx.algebra, ctx.basis):
         raise ValueError(
             "the exact witness solver needs Psi in normal form: |Psi| = rank, "
             "linearly independent, and no sum of two roots of Psi in Psi"
         )
+
+
+def _exact_witness(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+    _require_normal_form(ctx)
     torus = torus_component_obstruction(z)
     if torus is not None:
         reason = "the target has a torus loop component, which no bracket has"
@@ -837,28 +790,25 @@ def global_inner_match(
     coefficients: dict[tuple[int, int], Rat | int],
     window: tuple[int, int],
 ) -> AffineElement | None:
-    """One Y matching a weighted sum of toral-to-center maps on every probe.
-
-    Probes are the basis elements ``b_k (x) t^j`` over the window; both
-    sides are linear in the probe, so sums of probes would add no equation.
-    A nonzero combination admits no match (the probes force Y's coordinates
-    to vanish, and the central row then cannot be met); the zero combination
-    returns Y = 0.  None is window-bounded: inconclusive-negative, not a
-    proof for unseen degrees.
-    The window must contain the degree j of every nonzero term, or no probe
-    would see that term and a match would be vacuous.
+    """One Y with ``ad(Y)`` equal to a weighted sum F of toral-to-center maps,
+    decided without a search (see the module docstring): Y = 0 for the zero
+    combination, and None for a nonzero one.  The window must not be empty
+    and must hold the degree j of every nonzero term, or the CLI's
+    ``--window`` would name degrees that miss a term.  Psi outside the
+    normal form is invalid input.
     """
     if not ctx.square():
         raise ValueError("needs dim L = 2 dim [L,L]")
-    _check_window(window)
-    terms = tuple(
-        (Fraction(w), ToralToCenter(ctx, i, j)) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0
-    )
     lo, hi = window
-    for _, t in terms:
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]: the lower degree exceeds the upper")
+    terms = [ToralToCenter(ctx, i, j) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0]
+    for t in terms:
         if not lo <= t.j <= hi:
             raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")
-    op = OperatorSum(ctx, terms)
-    probes = [ctx.basis_at(k, j) for k in range(ctx.dim) for j in range(lo, hi + 1)]
-    pairs = [(p, op(p)) for p in probes]
-    return bracket_match(ctx, pairs, window)
+    _require_normal_form(ctx)
+    if not terms:
+        return ctx.element({})
+    if ctx.basis.beta_of_h != MatQ.identity(ctx.l):  # explicit, so that it runs under python -O
+        raise AssertionError("the torus weights of Psi do not have rank l, so Z(L) is not zero")
+    return None

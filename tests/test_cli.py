@@ -245,6 +245,15 @@ def test_inner_match_rejects_vacuous_windows(tmp_path):
     assert code == 2 and "empty window" in doc["error"]
 
 
+def test_inner_match_outside_the_normal_form_exits_2(tmp_path):
+    # Psi = {a, -a} is square but does not span, so Z(L) is not zero; the
+    # windowed search matched d_{2,1} there with a Y in Z(L) (x) t^-1
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [{"weight": "1", "kind": "dij", "i": 2, "j": 1}]}))
+    code, doc, _ = invoke(["inner-match", "--family", "B", "--rank", "2", "--psi=1,0;-1,0", "--op", str(op)])
+    assert code == 2 and "needs Psi in normal form" in doc["error"]
+
+
 def test_dij_witness_rejects_empty_window(tmp_path):
     # the exact solver needs no window, so --window, empty or not, is an unknown option
     x = tmp_path / "x.json"
@@ -700,3 +709,38 @@ def test_borel_der_is_inner_through_the_cli():
     verdicts = doc["verdicts"]
     assert verdicts["dim_l"] == verdicts["dim_der"] == verdicts["dim_inn"] == 8
     assert verdicts["dim_complement"] == 0
+
+
+def test_document_writer_matches_json_dumps():
+    # every document is written as json.dumps(doc, sort_keys=True, indent=2)
+    # would write it, byte for byte; a float goes through json.dumps, and a
+    # type or key that the writer does not know sends the whole document there
+    import random
+    from fractions import Fraction
+
+    from liecert.cli import _dumps
+
+    rng = random.Random(5)
+    leaves = ["", "a", "\u00e9\n\"\\", "x\u2028", 0, -7, 10**40, True, False, None, 0.125, -0.0, 1e300, float("inf")]
+
+    def document(depth):
+        r = rng.random()
+        if depth > 3 or r < 0.3:
+            return rng.choice(leaves)
+        if r < 0.65:
+            return {rng.choice(["k", "B", "a", "\u00fc", ""]) + str(rng.randint(0, 9)): document(depth + 1) for _ in range(rng.randint(0, 4))}
+        return [document(depth + 1) for _ in range(rng.randint(0, 4))]
+
+    for _ in range(500):
+        doc = document(0)
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
+    for doc in ({"a": (1, [2])}, {2: "b", 1: "a"}, {"a": {"b": [1, (2,)]}}):
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dumps({"a": Fraction(1)})
+
+
+def test_timings_document_is_json_dumps_output():
+    code, doc, text = invoke(["--timings", "roots", "--family", "A", "--rank", "1"])
+    assert code == 0 and type(doc["timings"]["wall_s"]) is float
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -19,10 +19,9 @@ from liecert.exact import (
     rat_from_str,
     rat_to_str,
     solve,
-    solve_sparse,
 )
 from liecert.rootsys import build_root_system
-from exact_reference import rref
+from exact_reference import rref, solve_sparse
 from snf_reference import MatZ, hermite_pivots, smith_factors, smith_normal_form
 
 

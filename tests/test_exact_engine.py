@@ -13,8 +13,8 @@ from math import gcd
 
 import pytest
 
-from liecert.exact import Echelon, MatQ, inverse, kernel_basis, solve, solve_sparse
-from exact_reference import rref
+from liecert.exact import Echelon, MatQ, inverse, kernel_basis, solve
+from exact_reference import rref, solve_sparse
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 

@@ -136,8 +136,9 @@ def test_no_orphan_goldens():
     assert {p.name for p in INPUTS.iterdir()} <= named
 
 
-# witness solvers keep per-call dicts (bracket_match's keyed by Fraction
-# tuples); their output must not depend on the interpreter's hash seed
+# the witness solver keeps per-call dicts keyed by degree, and inner-match
+# its coefficients keyed by (i, j); no document may depend on the
+# interpreter's hash seed
 HASH_SEED_CASES = [
     "dij-witness-A3-chain-general",
     "dij-witness-B2-general",

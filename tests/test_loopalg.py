@@ -1,5 +1,6 @@
 """Affinization bracket, operator calculus, and the witness solvers."""
 
+import io
 import json
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from liecert.chevalley import SubalgebraSpec, build_semisimple
 from liecert.dercalc import centroid_space, derivation_space
-from liecert.exact import Echelon, MatQ, solve_sparse
+from liecert.exact import Echelon, MatQ
 from liecert import chevalley, loopalg
 from liecert.loopalg import (
     AffineElement,
@@ -28,7 +29,6 @@ from liecert.loopalg import (
     ToralToCenter,
     affine_bracket,
     aid_obstruction_check,
-    bracket_match,
     decompose_derivation,
     diagonal_derivative,
     diagonal_derivative_aid_check,
@@ -42,6 +42,9 @@ from liecert.loopalg import (
 )
 from liecert.rootsys import build_root_system
 from liecert.selfcheck import loop_operator_cases
+from exact_reference import solve_sparse
+from loopalg_reference import bracket_match
+import loopalg_reference
 
 
 @pytest.fixture(scope="module")
@@ -828,21 +831,119 @@ def _inner_match_cases():
             yield (family, rank, psi), coeffs, window
 
 
+def _minimal_set_inner_match_cases():
+    # seeded combinations on every minimal set of A3, B3 and C3: one zero,
+    # one with zero weights only, and nonzero ones
+    frozen = json.loads((Path(__file__).parent / "golden" / "minimal_sets.json").read_text(encoding="utf-8"))
+    rng = random.Random(2206)
+    for key in ("A3", "B3", "C3"):
+        for n, text in enumerate(frozen[key]):
+            psi = tuple(tuple(map(int, r.split(","))) for r in text.split(";"))
+            lo = -rng.randint(0, 1)
+            window = (lo, lo + rng.randint(0, 2))
+            coeffs = {}
+            for _ in range(rng.randint(1, 3)):
+                coeffs[(rng.randint(1, 3), rng.randint(*window))] = rng.choice([-2, -1, 1, 3])
+            if n % 8 == 0:
+                coeffs = {} if n % 16 == 0 else {k: 0 for k in coeffs}
+            yield (key[0], 3, psi), coeffs, window
+
+
 def test_global_inner_match_agrees_with_mixed_probes():
+    # the decided answer against the windowed oracle and, on the cases of
+    # the earlier probe family, against the mixed probes too
     contexts = {}
-    outcomes = {"matched": 0, "none": 0}
-    for (family, rank, psi), coeffs, window in _inner_match_cases():
+    outcomes = {"matched": 0, "none": 0, "mixed": 0}
+    cases = [(case, True) for case in _inner_match_cases()]
+    cases += [(case, False) for case in _minimal_set_inner_match_cases()]
+    for ((family, rank, psi), coeffs, window), mixed in cases:
         if (family, psi) not in contexts:
             contexts[(family, psi)] = loop_context(SubalgebraSpec(build_root_system(family, rank), psi))
         c = contexts[(family, psi)]
-        got, want = global_inner_match(c, coeffs, window), mixed_probe_inner_match(c, coeffs, window)
-        if want is None:
-            assert got is None, (family, coeffs, window)
-            outcomes["none"] += 1
-        else:
-            assert got == want and got.to_json() == want.to_json(), (family, coeffs, window)
-            outcomes["matched"] += 1
+        got = global_inner_match(c, coeffs, window)
+        wants = [loopalg_reference.global_inner_match(c, coeffs, window)]
+        if mixed:
+            wants.append(mixed_probe_inner_match(c, coeffs, window))
+            outcomes["mixed"] += 1
+        for want in wants:
+            if want is None:
+                assert got is None, (family, psi, coeffs, window)
+            else:
+                assert got == want and got.to_json() == want.to_json(), (family, psi, coeffs, window)
+        outcomes["none" if got is None else "matched"] += 1
+        assert (got is None) == any(Fraction(w) for w in coeffs.values())
     assert all(outcomes.values()), outcomes
+    assert len(contexts) == 5 + 32 + 72 + 80, len(contexts)
+
+
+def test_inner_match_builds_no_echelon(monkeypatch):
+    # the decision eliminates nothing; the subalgebras are extracted (and
+    # memoized) first, since extraction inverts the pairing matrix
+    from liecert import exact
+    from liecert.cli import run
+
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    b2 = ["--family", "B", "--rank", "2", "--psi", "1,0;2,1"]
+    a4 = ["--family", "A", "--rank", "4", "--psi", "1,0,0,0;1,1,0,0;1,1,1,0;1,1,1,1"]
+    cases = {
+        "inner-match-B2-window2": ["inner-match", *b2, "--op", str(inputs / "op_d11.json"), "--window", "2"],
+        "inner-match-A4-chain-window2": ["inner-match", *a4, "--op", str(inputs / "op_a4_mixed.json"), "--window", "2"],
+    }
+    for argv in cases.values():
+        run(argv, out=io.StringIO())
+
+    class Refused:
+        def __init__(self):
+            raise AssertionError("inner-match built an Echelon")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liecert") and hasattr(module, "Echelon"):
+            monkeypatch.setattr(module, "Echelon", Refused)
+    with pytest.raises(AssertionError, match="built an Echelon"):
+        exact.inverse(MatQ.identity(2))  # the patch is live
+    for name, argv in cases.items():
+        buf = io.StringIO()
+        assert run(argv, out=buf) == 3
+        assert buf.getvalue() == (Path(__file__).parent / "golden" / f"{name}.out").read_text(encoding="utf-8")
+    c = loop_context(SubalgebraSpec(build_root_system("B", 2), ((1, 0), (2, 1))))
+    assert global_inner_match(c, {(1, 1): 1, (2, -3): 2}, (-3, 3)) is None
+    assert global_inner_match(c, {}, (0, 0)).is_zero
+
+
+def test_global_inner_match_refuses_psi_outside_the_normal_form():
+    # square, but Psi = {a, -a} does not span, so Z(L) is not zero; the
+    # existing window errors still come first
+    c = loop_context(SubalgebraSpec(build_root_system("B", 2), ((1, 0), (-1, 0))))
+    assert c.square() and not chevalley.normal_form(c.algebra, c.basis)
+    with pytest.raises(ValueError, match="empty window"):
+        global_inner_match(c, {(2, 1): 1}, (1, -1))
+    with pytest.raises(ValueError, match="misses degree 1"):
+        global_inner_match(c, {(2, 1): 1}, (0, 0))
+    for coeffs in ({(2, 1): 1}, {}):
+        with pytest.raises(ValueError, match="needs Psi in normal form"):
+            global_inner_match(c, coeffs, (-2, 2))
+    # the windowed oracle matches d_{2,1} there, with Y in Z(L) (x) t^-1
+    y = loopalg_reference.global_inner_match(c, {(2, 1): 1}, (-2, 2))
+    assert y is not None and y.degrees() == [-1]
+    assert not any(c.algebra.ad(y.component(-1)).entries)  # Y lies in Z(L)
+
+
+def test_global_inner_match_checks_that_the_center_is_zero():
+    # a basis that passes the normal-form test but whose torus weights have
+    # rank 1: the decision refuses to read "no match" off a nonzero center
+    from liecert.chevalley import DistinguishedBasis
+    from liecert.loopalg import LoopContext
+
+    c = loop_context(SubalgebraSpec(build_root_system("B", 2), ((1, 0), (2, 1))))
+    b = c.basis
+    bad = DistinguishedBasis(
+        b.psi, b.torus_ambient, MatQ.from_rows([[1, 0], [0, 0]]), b.dual_torus_local, b.gram, b.torus_is_dual
+    )
+    fake = LoopContext(c.algebra, bad)
+    assert chevalley.normal_form(fake.algebra, fake.basis)
+    assert global_inner_match(fake, {}, (-1, 1)).is_zero
+    with pytest.raises(AssertionError, match="Z\\(L\\) is not zero"):
+        global_inner_match(fake, {(1, 1): 1}, (-1, 1))
 
 
 def test_exact_witness_recheck_survives_python_O():
