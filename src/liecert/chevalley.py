@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .exact import _ZERO, MatQ, Rat, _ReadOnly, _Value, inverse
+from .exact import _ZERO, MatQ, Rat, Solver, _ReadOnly, _Value, inverse
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -109,6 +109,22 @@ class LieAlgebra(_ReadOnly):
             if any(weights[k] != weight for k, _ in entry):
                 raise ValueError(f"[{labels[i]}, {labels[j]}] is not homogeneous for the torus")
         return tuple(weights)
+
+    @cached_property
+    def _pairs_by_column(self) -> tuple[tuple[int, ...], ...]:
+        """For each basis column c, the pairs ``i <= j`` whose Leibniz rows
+        read column c of a map D (c is i, j or in the support of
+        ``[b_i, b_j]``), each as ``i * dim + j``, ascending.  Built on first
+        use and kept with the algebra; a pair is listed under i, j and its
+        bracket's support, so a few entries per pair (256 on the A8 chain)."""
+        dim, table = self.dim, self._table
+        index: list[list[int]] = [[] for _ in range(dim)]
+        for i in range(dim):
+            row = table[i]
+            for j in range(i, dim):
+                for c in {i, j}.union(k for k, _ in row.get(j, ())):
+                    index[c].append(i * dim + j)
+        return tuple(map(tuple, index))
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
@@ -197,6 +213,13 @@ class DistinguishedBasis(_ReadOnly):
     @property
     def m(self) -> int:
         return len(self.psi)
+
+    @cached_property
+    def torus_solver(self) -> Solver:
+        """``beta_of_h`` factored once: ``torus_solver.solve(a)`` is the torus
+        vector h with ``beta_i(h) = a_i`` that ``solve(beta_of_h, a)`` gives,
+        or None."""
+        return Solver(self.beta_of_h)
 
 
 def closure_violation(rs: RootSystem, psi: tuple[Root, ...]) -> tuple[Root, Root, Root] | None:

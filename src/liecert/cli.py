@@ -468,6 +468,10 @@ def _write(value, parts: list[str], newline: str) -> None:
         raise TypeError(kind.__name__)
     elif not value:
         parts.append("{}" if kind is dict else "[]")
+    elif kind is list and type(value[0]) is str and all(type(item) is str for item in value):
+        # matrix entries and element coordinates: one join, no call per item
+        inner = newline + "  "
+        parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)), newline, "]")
     else:
         inner, sep = newline + "  ", "{" if kind is dict else "["
         for item in sorted(value.items()) if kind is dict else value:

@@ -3,7 +3,9 @@
 The Leibniz identity has one encoding, ``_leibniz_rows``: the sparse rows of
 ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` over the unknowns of D.
 ``derivation_space`` and ``centroid_space`` solve them; ``leibniz_violation``
-and ``centroid_violation`` evaluate them at one matrix.
+and ``centroid_violation`` evaluate them at one matrix, at the pairs whose
+rows read a nonzero column of it (``LieAlgebra._pairs_by_column``, built once
+per algebra).
 
 The rows are built only where the torus weights match.  The torus H acts
 diagonally on the basis (``LieAlgebra.weights``), so the unknown ``D[s][t]``
@@ -32,7 +34,9 @@ cross-check only, never the verdict.
 
 ``verify_aid_eq_inn`` proves almost inner = inner from ``Der = Inn`` on a
 minimal L, which is r_2^l (``chevalley.normal_form``), with every ad-basis
-element decided inner by an exact witness; anything else raises.
+element decided inner by an exact witness; anything else raises.  Step (iii)
+uses ``DistinguishedBasis.torus_solver``, ``beta_of_h`` factored once per
+basis.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from operator import add, sub
 
 from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
@@ -122,7 +126,8 @@ def _leibniz_rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool, coords
     rows: defaultdict[int, dict[int, Rat]] = defaultdict(dict)
 
     def add(r: int, unknown: int, c: Rat) -> None:
-        rows[r][unknown] = rows[r].get(unknown, 0) + c
+        row = rows[r]
+        row[unknown] = row[unknown] + c if unknown in row else c
 
     for k, c in table[i].get(j, ()):
         for r in coords:
@@ -177,18 +182,29 @@ def _weight_zero_kernel(g: LieAlgebra, pairs, sides) -> tuple[MatQ, ...]:
     return tuple(MatQ.sparse(dim, dim, dict(zip(unknowns, vec))) for vec in system.kernel(len(unknowns)))
 
 
-def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:
-    """First pair whose ``left=True`` Leibniz rows do not vanish on ``d``.
-    Only the rows of D's own weights are evaluated: a row of any other
-    weight reads only unknowns that are zero in D."""
+def _touched_pairs(g: LieAlgebra, d: MatQ, ordered: bool):
+    """The pairs whose Leibniz rows read a nonzero column of D, from
+    ``LieAlgebra._pairs_by_column``: ``i < j`` in ``combinations`` order, or
+    with ``ordered`` every ``(i, j)`` in ``product`` order."""
+    dim, index = g.dim, g._pairs_by_column
+    touched = set().union(*(index[c] for c in {u % dim for u in d.nonzeros}))  # i * dim + j with i <= j
+    if ordered:
+        touched.update([(p % dim) * dim + p // dim for p in touched])
+    else:
+        touched.difference_update(range(0, dim * dim, dim + 1))  # the pairs i == j
+    return (divmod(p, dim) for p in sorted(touched))
+
+
+def _first_violation(g: LieAlgebra, d: MatQ, ordered: bool, right: bool) -> tuple[int, int] | None:
+    """First pair (of ``_touched_pairs``) whose ``left=True`` Leibniz rows do
+    not vanish on ``d``; a pair it leaves out reads only zero columns of D.
+    Only the rows of D's own weights are evaluated: a row of any other weight
+    reads only unknowns that are zero in D."""
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
     dim, weights, nz = g.dim, g.weights, d.nonzeros
-    live = {u % dim for u in nz}  # the nonzero columns of D
     shifts = {tuple(map(sub, weights[u // dim], weights[u % dim])) for u in nz}
-    # the rows at (i, j) read only these columns of D
-    pairs = ((i, j) for i, j in pairs if not live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))]))
-    for i, j, rows in _graded_rows(g, pairs, [(True, right)], shifts):
+    for i, j, rows in _graded_rows(g, _touched_pairs(g, d, ordered), [(True, right)], shifts):
         for row in rows:
             if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
@@ -198,7 +214,7 @@ def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, i
 def leibniz_violation(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
     """First basis pair ``i < j`` where D[x,y] != [Dx,y] + [x,Dy], else None:
     the rows ``derivation_space`` solves, evaluated at D."""
-    return _first_violation(g, d, combinations(range(g.dim), 2), right=True)
+    return _first_violation(g, d, ordered=False, right=True)
 
 
 def derivation_space(g: LieAlgebra) -> DerivationBasis:
@@ -250,7 +266,7 @@ def centroid_violation(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
     """First ordered basis pair with ``B[b_i, b_j] != [B b_i, b_j]``, else None
     (then B is in the centroid: ``B[x,y] = [x, By]`` follows by antisymmetry).
     These are ``centroid_space``'s ``left=True, right=False`` rows."""
-    return _first_violation(g, b, product(range(g.dim), repeat=2), right=False)
+    return _first_violation(g, b, ordered=True, right=False)
 
 
 def _torus_kernel_vector(info: DistinguishedBasis, i: int, psi_row: Vec) -> Vec | None:
@@ -272,25 +288,33 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     """
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
-    l, m, dim = info.l, info.m, d.cols
-    e = d.entries
+    l, dim = info.l, g.dim
+    # the nonzeros of D in the torus columns: D(h_j) = sum_r D[r][j] b_r
+    torus, psi = set(), defaultdict(dict)
+    for u, x in d.nonzeros.items():
+        r, j = divmod(u, dim)
+        if j < l:
+            if r < l:
+                torus.add(j)
+            else:
+                psi[r - l][j] = x  # h_j -> x_i coefficient
     # torus component of D(h_j) must vanish identically
-    for j in range(l):
-        if any(e[j : l * dim : dim]):
-            return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
-    scalars: list[Rat] = []
-    for i in range(m):
-        psi_row = e[(l + i) * dim : (l + i) * dim + l]  # h_j -> x_i coefficient
-        beta_row = info.beta_of_h.row(i)
-        j0 = next(j for j in range(l) if beta_row[j] != 0)
-        c = psi_row[j0] / beta_row[j0]
-        # 0 = c * 0 holds for every c
-        if any(p != c * b for p, b in zip(psi_row, beta_row) if p or b):
-            witness = _torus_kernel_vector(info, i, psi_row)
+    if torus:
+        j = min(torus)
+        return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
+    scalars = [_ZERO] * info.m  # c_i = 0 where the functional is zero
+    for i in sorted(psi):
+        row = psi[i]
+        beta_row = {j: b for j, b in enumerate(info.beta_of_h.row(i)) if b}
+        j0 = min(beta_row, default=None)
+        c = row[j0] / beta_row[j0] if j0 in row else _ZERO
+        # the functional is c beta_i: no support off beta_i's, c beta_i on it
+        if row.keys() - beta_row.keys() or any(row.get(j, _ZERO) != c * b for j, b in beta_row.items()):
+            witness = _torus_kernel_vector(info, i, tuple(row.get(j, _ZERO) for j in range(l)))
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
-        scalars.append(c)
+        scalars[i] = c
     return True, {"scalars": tuple(scalars)}
 
 
@@ -305,37 +329,45 @@ def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, M
     ok, data = aid_precondition(g, info, d)
     if not ok:
         raise ValueError(f"almost-inner precondition fails: {data}")
-    return _reduce(g, info, d, data["scalars"])
+    z, live, a = _reduce(g, info, d, data["scalars"])
+    return z, MatQ.sparse(g.dim, g.dim, live), a
 
 
 def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
-    """``aid_reduce`` past its precondition, whose scalars it takes."""
-    l, dim = info.l, g.dim
-    z = (Fraction(0),) * l + scalars
+    """``aid_reduce`` past its precondition, whose scalars it takes; Dt is
+    returned as its nonzeros by row-major index."""
+    l, dim, table = info.l, g.dim, g._table
+    z = (_ZERO,) * l + scalars
+    # Dt = D + ad(z), and ad(z) = sum_i c_i ad(x_i) has column j holding c_i [x_i, b_j]
     entries = dict(d.nonzeros)
-    for u, x in g.ad(z).nonzeros.items():
-        entries[u] = entries.get(u, 0) + x
-    dt = MatQ.sparse(dim, dim, entries)
-    live = dt.nonzeros
+    for i, c in enumerate(scalars, l):
+        if c:
+            for j, entry in table[i].items():
+                for k, x in entry:
+                    u = k * dim + j
+                    entries[u] = entries.get(u, 0) + c * x
+    live = {u: x for u, x in entries.items() if x}
     if any(u % dim < l for u in live):
         raise AssertionError("reduction failed to kill the torus")
     if any(u % (dim + 1) for u in live):
         raise AssertionError("reduced derivation is not diagonal on the root vectors")
-    return z, dt, tuple(live.get(u * (dim + 1), _ZERO) for u in range(l, dim))
+    return z, live, tuple(live.get(u * (dim + 1), _ZERO) for u in range(l, dim))
 
 
 def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
     """Exact decision procedure for almost-inner membership on a minimal L.
 
-    The one place on this path that checks Leibniz, once per candidate."""
+    The one place on this path that checks Leibniz, once per candidate; the
+    scalar system is solved by ``info.torus_solver``, factored once per basis."""
     viol = leibniz_violation(g, d)
     if viol is not None:
         return AidVerdict(status="not-derivation", data={"pair": viol})
     ok, data = aid_precondition(g, info, d)
     if not ok:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
-    z, dt, a = _reduce(g, info, d, data["scalars"])
-    h = solve(info.beta_of_h, list(a))
+    scalars = data["scalars"]
+    z, _, a = _reduce(g, info, d, scalars)
+    h = info.torus_solver.solve(a)
     if h is None:
         # the almost-inner condition fails at x = sum_i x_i
         x = (Fraction(0),) * info.l + (Fraction(1),) * info.m
@@ -344,7 +376,8 @@ def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdi
             reason="scalar-system",
             data={"system": info.beta_of_h, "rhs": a, "fails_at": x, "reduction_z": z},
         )
-    witness = tuple(hh - zz for hh, zz in zip(tuple(h) + (Fraction(0),) * info.m, z))
+    # h - z, as h lives on the torus and z = sum_i c_i x_i off it
+    witness = h + tuple(-c for c in scalars)
     if g.ad(witness) != d:
         raise AssertionError("inner witness does not reproduce the derivation")
     return AidVerdict(status="inner", witness=witness, data={"reduction_z": z, "scalars": a, "torus_part": h})
@@ -434,7 +467,7 @@ def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) 
     """
     d = diagonal_map(g, info, scalars)
     viol = leibniz_violation(g, d)
-    z = solve(info.beta_of_h, [Fraction(a) for a in scalars])
+    z = info.torus_solver.solve([Fraction(a) for a in scalars])
     feasible = z is not None
     witness = tuple(z) + (Fraction(0),) * info.m if feasible and viol is None else None
     if witness is not None and g.ad(witness) != d:

@@ -2,7 +2,7 @@
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
-sits behind ``kernel_basis``, ``inverse`` and ``solve``.
+sits behind ``kernel_basis``, ``inverse``, ``solve`` and :class:`Solver`.
 It is fraction-free: an added row has its denominators cleared and is kept
 as a primitive integer row, and the ``Fraction``s of a result are made only
 when it is read out of the unique reduced row echelon form, with free
@@ -33,6 +33,7 @@ __all__ = [
     "kernel_basis",
     "inverse",
     "solve",
+    "Solver",
     "hermite_insert",
     "invariant_factors",
     "rat_to_str",
@@ -56,6 +57,10 @@ def rat_from_str(s: str) -> Rat:
     # strings only: a JSON float would be read as its binary value, a boolean as 0 or 1
     if not isinstance(s, str):
         raise ValueError(f"expected a rational as a string, got {s!r}")
+    # an ASCII integer skips the regular expression that Fraction(str) parses by
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(s))
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -241,8 +246,9 @@ class Echelon:
 
     def add(self, row: dict[int, Rat | int]) -> bool:
         """Reduce ``row`` and keep what is left; False if it was dependent."""
-        den = lcm(*(v.denominator for v in row.values()))
-        row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        live = [(c, v) for c, v in row.items() if v]
+        den = lcm(*(v.denominator for _, v in live))
+        row = {c: v.numerator * (den // v.denominator) for c, v in live}
         while row:
             c = min(row)
             prow = self._rows.get(c)
@@ -263,18 +269,18 @@ class Echelon:
                     del row[j]
         return False
 
-    def _back(self, keep=None) -> dict[int, tuple[int, dict[int, int]]]:
+    def _back(self) -> dict[int, tuple[int, dict[int, int]]]:
         """The reduced row echelon form over the integers, by one
         back-elimination from the last pivot up: for each pivot c, ascending,
         ``(d, row)`` with ``row[j] / d`` the entry in column j of reduced row
-        c, for the non-pivot columns j (only those in ``keep``, if given)."""
+        c, for the non-pivot columns j."""
         red: dict[int, tuple[int, dict[int, int]]] = {}
         for c in sorted(self._rows, reverse=True):
             row = self._rows[c]
             deps = [p for p in row if p in red]
             # reduced row p is red[p][1] / red[p][0]: subtract over one common denominator
             den = lcm(*(red[p][0] for p in deps))
-            out = {j: den * v for j, v in row.items() if j not in self._rows and (keep is None or j in keep)}
+            out = {j: den * v for j, v in row.items() if j not in self._rows}
             for p in deps:
                 dp, rp = red[p]
                 f = row[p] * (den // dp)
@@ -327,21 +333,48 @@ def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
     """One exact solution of ``m x = b``, or None when inconsistent.
 
     Deterministic: free variables are set to zero, so repeated runs (and
-    reorderings of untouched data) give the identical witness vector.
+    reorderings of untouched data) give the identical witness vector.  A
+    caller with many right-hand sides keeps the :class:`Solver` of m.
     """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    # the right-hand side is column ncols, the last, so it leads a row only
-    # when that row is inconsistent
-    ncols = m.cols
-    ech = Echelon()
-    for i in range(m.rows):
-        if ech.add({**dict(enumerate(m.row(i))), ncols: b[i]}) and ncols in ech._rows:
+    return Solver(m).solve(b)
+
+
+class Solver(_ReadOnly):
+    """``m x = b`` for one matrix m and any number of right-hand sides b.
+
+    ``[m | I]`` is reduced once.  Its rows with a pivot c in m are
+    ``[R_c | E_c]``, where R is the reduced row echelon form of m and E the
+    row operations that give it; its other rows are ``[0 | y]`` with
+    ``y m = 0``, and they span the left null space.  So ``m x = b`` is
+    consistent iff ``y . b = 0`` for each such y, and then ``[R | E b]`` is
+    the unique reduced form of ``[m | b]``: ``solve`` returns
+    ``x[c] = E_c . b`` at each pivot c and zero elsewhere."""
+
+    def __init__(self, m: MatQ):
+        rows, cols = m.rows, m.cols
+        ech = Echelon()
+        for i in range(rows):
+            ech.add({**dict(enumerate(m.row(i))), cols + i: _ONE})
+        # each reduced row as the pairs (i, coefficient of b_i) of its right half
+        red = {c: tuple((j - cols, v) for j, v in row.items() if j >= cols) for c, row in ech.reduced().items()}
+        self.__dict__.update(
+            rows=rows,
+            cols=cols,
+            pivots=tuple((c, e) for c, e in red.items() if c < cols),
+            checks=tuple(y for c, y in red.items() if c >= cols),
+        )
+
+    def solve(self, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
+        """One solution of ``m x = b`` with the free variables zero, or None
+        when it is inconsistent."""
+        if len(b) != self.rows:
+            raise ValueError("right-hand side length mismatch")
+        if any(sum(v * b[i] for i, v in y if b[i]) for y in self.checks):
             return None
-    x = [_ZERO] * ncols
-    for c, (d, row) in ech._back(keep={ncols}).items():
-        x[c] = Fraction(row[ncols], d) if ncols in row else _ZERO
-    return tuple(x)
+        x = [_ZERO] * self.cols
+        for c, e in self.pivots:
+            x[c] = sum((v * b[i] for i, v in e if b[i]), _ZERO)
+        return tuple(x)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -7,7 +7,8 @@ system in all dim^2 unknowns of D, and ``leibniz_violation`` and
 ``centroid_violation`` evaluate every row of a pair, whatever its weight;
 all four take the rows from the package's builder at every output
 coordinate, which ``test_leibniz_rows_are_the_touched_coordinates_only``
-checks against the dense bracket.  ``aid_precondition`` and ``reduce`` read D
+checks against the dense bracket; ``touched_pairs`` is the pair filter that
+``LieAlgebra._pairs_by_column`` replaced.  ``aid_precondition`` and ``reduce`` read D
 entry by entry with ``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul``
 is the row-by-row dense product.  ``aid_membership`` is the decision
 procedure wired to them; it shares ``leibniz_violation``,
@@ -66,6 +67,14 @@ def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, i
             if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
     return None
+
+
+def touched_pairs(g: LieAlgebra, d: MatQ, pairs) -> list[tuple[int, int]]:
+    """The pairs of ``pairs`` whose rows read a nonzero column of D: i, j or a
+    coordinate of ``[b_i, b_j]``; the filter ``_first_violation`` applied to
+    every pair before the column index replaced it."""
+    live = {u % d.cols for u in _nonzeros(d)}
+    return [(i, j) for i, j in pairs if not live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))])]
 
 
 def leibniz_violation_rows(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:

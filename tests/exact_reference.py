@@ -5,9 +5,11 @@ columns off ``liecert.exact.Echelon``.  No command needs the dense form, so
 it lives here, where tests use it for ranks and as the engine's read-out
 against sympy and the ``Fraction`` reference engine.
 
-``solve_sparse`` is ``liecert.exact.solve`` for ``{column: value}`` rows.
-Its only caller in the package was the windowed ``inner-match`` search, now
-the oracle in ``loopalg_reference``.
+``solve_sparse`` is ``liecert.exact.solve`` for ``{column: value}`` rows, as
+it was before ``exact.Solver``: the right-hand side is one more column of the
+elimination.  Its only caller in the package was the windowed ``inner-match``
+search, now the oracle in ``loopalg_reference``; on the rows of a ``MatQ`` it
+is the oracle for ``Solver`` and ``solve``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,6 @@ def solve_sparse(rows: list[dict[int, Rat]], rhs: Sequence[Rat | int], ncols: in
         if ech.add({**row, ncols: b}) and ncols in ech._rows:
             return None
     x = [_ZERO] * ncols
-    for c, (d, row) in ech._back(keep={ncols}).items():
+    for c, (d, row) in ech._back().items():
         x[c] = Fraction(row[ncols], d) if ncols in row else _ZERO
     return tuple(x)

@@ -736,8 +736,26 @@ def test_document_writer_matches_json_dumps():
         assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
     for doc in ({"a": (1, [2])}, {2: "b", 1: "a"}, {"a": {"b": [1, (2,)]}}):
         assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    # lists of strings are written with one join: a one-item list, a list that
+    # mixes str and int either way round, escapes, and real documents
+    a8 = "--psi=" + ";".join(",".join("1" if k <= n else "0" for k in range(8)) for n in range(8))
+    _, der_a8, _ = invoke(["der", "--family", "A", "--rank", "8", a8])
+    _, minimal_a4, _ = invoke(["minimal", "--family", "A", "--rank", "4"])
+    assert der_a8["verdicts"]["dim_der"] == 16 and minimal_a4["verdicts"]["count"] == 250
+    for doc in (
+        der_a8,
+        minimal_a4,
+        {"e": ["7/3"]},
+        {"e": ["1", 2, "3"]},
+        {"e": [1, "2"]},
+        {"e": [["a", "b"], ["c"], []]},
+        {"e": ["\"q\"", "back\\slash", "tab\t", "é", "\U0001f600", "\x00", ""]},
+    ):
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
     with pytest.raises(TypeError):
         _dumps({"a": Fraction(1)})
+    with pytest.raises(TypeError):
+        _dumps({"a": ["1", Fraction(1)]})
 
 
 def test_timings_document_is_json_dumps_output():

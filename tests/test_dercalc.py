@@ -6,7 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -243,6 +243,47 @@ def test_aid_membership_checks_the_precondition_once(b2_minimal, monkeypatch):
     monkeypatch.setattr(dercalc, "aid_precondition", counting)
     assert aid_membership(g, info, g.ad(g.basis_vector(3))).is_inner
     assert len(calls) == 1
+
+
+def test_verify_aid_eq_inn_builds_the_pair_index_and_torus_solver_once(monkeypatch):
+    # the pair index belongs to the algebra and the factored beta_of_h to the
+    # basis; every candidate reads them, and so does a second run on the memo
+    from functools import cached_property
+
+    from liecert import chevalley
+
+    built = {"index": 0, "solver": 0, "candidates": 0}
+    real_index = LieAlgebra.__dict__["_pairs_by_column"].func
+
+    def index(self):
+        built["index"] += 1
+        return real_index(self)
+
+    counted = cached_property(index)
+    counted.__set_name__(LieAlgebra, "_pairs_by_column")
+    monkeypatch.setattr(LieAlgebra, "_pairs_by_column", counted)
+
+    class CountingSolver(chevalley.Solver):
+        def __init__(self, m):
+            built["solver"] += 1
+            super().__init__(m)
+
+    monkeypatch.setattr(chevalley, "Solver", CountingSolver)
+    real_membership = dercalc.aid_membership
+
+    def membership(*args):
+        built["candidates"] += 1
+        return real_membership(*args)
+
+    monkeypatch.setattr(dercalc, "aid_membership", membership)
+    chevalley._extract.cache_clear()  # a fresh algebra and basis
+    chain = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1))
+    spec = SubalgebraSpec(build_root_system("A", 4), chain)
+    assert verify_aid_eq_inn(spec).ok
+    assert built == {"index": 1, "solver": 1, "candidates": 8}
+    assert verify_aid_eq_inn(spec).ok
+    assert built == {"index": 1, "solver": 1, "candidates": 16}
+    chevalley._extract.cache_clear()  # leave no counting solver in the memo
 
 
 def test_verify_aid_eq_inn_b2():
@@ -512,7 +553,7 @@ def test_aid_steps_and_products_match_dense_reference():
             pre = aid_precondition(g, info, d)
             assert pre == dercalc_reference.aid_precondition(g, info, d), (name, d)
             if pre[0]:
-                got = _outcome(dercalc._reduce, g, info, d, pre[1]["scalars"])
+                got = _outcome(aid_reduce, g, info, d)
                 assert got == _outcome(dercalc_reference.reduce, g, info, d, pre[1]["scalars"]), (name, d)
                 reductions.add(isinstance(got, str))
             for a, b in [(d, d), (d, prev), (prev, d)]:
@@ -605,14 +646,17 @@ def _mixed_weight_matrices(g, rng):
         yield MatQ(g.dim, g.dim, tuple(entries))
 
 
+def _evaluator_algebras():
+    yield from _differential_algebras()
+    for family, rank, psi in [("B", 3, "all"), ("G", 2, "positive"), ("A", 3, "all")]:
+        rs = build_root_system(family, rank)
+        yield f"{family}{rank}-{psi}", extract_subalgebra(SubalgebraSpec(rs, rs.roots if psi == "all" else rs.positive_roots))[0]
+
+
 def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
     rng = random.Random(13)
     outcomes = {"leibniz": set(), "centroid": set()}
-    cases = list(_differential_algebras())
-    for family, rank, psi in [("B", 3, "all"), ("G", 2, "positive"), ("A", 3, "all")]:
-        rs = build_root_system(family, rank)
-        cases.append((f"{family}{rank}-{psi}", extract_subalgebra(SubalgebraSpec(rs, rs.roots if psi == "all" else rs.positive_roots))[0]))
-    for name, g in cases:
+    for name, g in _evaluator_algebras():
         for d in _mixed_weight_matrices(g, rng):
             for key, graded, full in [
                 ("leibniz", leibniz_violation, dercalc_reference.leibniz_violation_rows),
@@ -622,6 +666,20 @@ def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
                 assert got == full(g, d), (name, key, d)
                 outcomes[key].add(got is None)
     assert outcomes == {"leibniz": {True, False}, "centroid": {True, False}}
+
+
+def test_pair_index_gives_the_pairs_of_the_filter():
+    # the column index yields exactly the pairs that the per-pair filter keeps,
+    # in combinations order for Leibniz and product order for the centroid
+    # (one column at a time, through a matrix unit, and then many at once)
+    rng = random.Random(13)
+    for name, g in _evaluator_algebras():
+        units = [MatQ.sparse(g.dim, g.dim, {c: Fraction(1)}) for c in range(g.dim)]
+        for d in [*units, *_mixed_weight_matrices(g, rng)]:
+            for ordered, pairs in [(False, combinations(range(g.dim), 2)), (True, product(range(g.dim), repeat=2))]:
+                got = list(dercalc._touched_pairs(g, d, ordered))
+                assert got == dercalc_reference.touched_pairs(g, d, pairs), (name, ordered, d)
+        assert all(list(col) == sorted(set(col)) for col in g._pairs_by_column)
 
 
 def _graded_algebra(structure, torus=1, dim=3):

@@ -12,6 +12,7 @@ from liecert.dercalc import _leibniz_rows, diagonal_toral_algebra
 from liecert.exact import (
     Echelon,
     MatQ,
+    Solver,
     hermite_insert,
     inverse,
     invariant_factors,
@@ -64,6 +65,33 @@ def test_rat_serialization_round_trip():
         assert rat_to_str(rat_from_str(s)) == s
     assert rat_to_str(Fraction(2, 4)) == "1/2"
     assert rat_to_str(-7) == "-7"
+
+
+def _fraction_or_value_error(f, s):
+    """``f(s)``, or ValueError for any string Fraction refuses (a zero
+    denominator included, which rat_from_str reports as ValueError)."""
+    try:
+        return f(s)
+    except (ValueError, ZeroDivisionError):
+        return ValueError
+
+
+def test_rat_from_str_is_fraction_of_the_string_hypothesis():
+    # the integer fast path accepts the strings Fraction(s) accepts and gives
+    # the same Fraction; every other string still goes through Fraction(s)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    signed = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-", "+", "--", " ", "-0"]), st.text("0123456789", max_size=30))
+    edge = st.sampled_from(["", "-", "0", "-0", "007", "1_000", " 3 ", "3/0", "1/2", "-7/3", "1e3", "1.5", "\u0663", "\uff13", "nan", "inf"])
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.one_of(st.text(max_size=12), signed, edge))
+    def check(s):
+        got = _fraction_or_value_error(rat_from_str, s)
+        assert got == _fraction_or_value_error(Fraction, s), s
+        assert got is ValueError or type(got) is Fraction
+
+    check()
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2", None])
@@ -477,3 +505,72 @@ def test_matq_rejects_negative_shapes(rows, cols, entries):
 def test_solve_rejects_bad_shape():
     with pytest.raises(ValueError):
         solve(MatQ.identity(2), [1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# Solver: one factorization, many right-hand sides, against the elimination
+# of [m | b] that solve ran before it
+# ---------------------------------------------------------------------------
+
+
+def _augmented_solve(m, b):
+    return solve_sparse([dict(enumerate(m.row(i))) for i in range(m.rows)], b, m.cols)
+
+
+def _solver_cases():
+    """Each minimal set's ``beta_of_h`` (the identity on a dual torus), the
+    dependent square A3 set, and non-square closed sets: the positive roots of
+    A2 and of B2, and all of Phi(B2)."""
+    from liecert.chevalley import SubalgebraSpec, extract_subalgebra
+    from liecert.qgraded import enumerate_minimal
+
+    for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+        rs = build_root_system(family, rank)
+        for spec in enumerate_minimal(rs):
+            yield f"{family}{rank} {spec.psi}", extract_subalgebra(spec)[1].beta_of_h
+    a3 = build_root_system("A", 3)
+    yield "A3 dependent", extract_subalgebra(SubalgebraSpec(a3, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))[1].beta_of_h
+    for family, rank in [("A", 2), ("B", 2)]:
+        rs = build_root_system(family, rank)
+        yield f"{family}{rank} positive", extract_subalgebra(SubalgebraSpec(rs, rs.positive_roots))[1].beta_of_h
+    b2 = build_root_system("B", 2)
+    yield "B2 all", extract_subalgebra(SubalgebraSpec(b2, b2.roots))[1].beta_of_h
+
+
+def test_solver_matches_solve_on_torus_systems():
+    rng = random.Random(23)
+    outcomes = set()
+    names = []
+    for name, m in _solver_cases():
+        names.append(name)
+        solver = Solver(m)
+        # seeded right-hand sides: images m h, which are feasible, and free draws,
+        # which are infeasible wherever m has more rows than rank
+        for _ in range(12):
+            h = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.cols)]
+            for rhs in (m.mul_vec(h), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rows)], [0] * m.rows):
+                got = solver.solve(rhs)
+                assert got == _augmented_solve(m, rhs) == solve(m, rhs), (name, rhs)
+                assert got is None or all(type(x) is Fraction for x in got)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+    assert "A3 dependent" in names and "B2 positive" in names
+
+
+def test_solver_matches_solve_on_random_systems():
+    rng = random.Random(31)
+    for rows, cols in [(0, 2), (2, 0), (1, 1), (3, 3), (4, 2), (2, 4), (5, 5)]:
+        for density in (1.0, 0.4, 0.0):
+            m = MatQ(rows, cols, tuple(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else Fraction(0)
+                for _ in range(rows * cols)
+            ))
+            if rows >= 2 and cols and rng.random() < 0.5:  # a repeated row: dependent
+                m = MatQ(rows, cols, m.entries[:cols] + m.entries[:cols] + m.entries[2 * cols :])
+            solver = Solver(m)
+            for _ in range(6):
+                rhs = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
+                for b in (rhs, m.mul_vec([rng.randint(-2, 2) for _ in range(cols)])):
+                    assert solver.solve(b) == _augmented_solve(m, b) == solve(m, b), (m, b)
+    with pytest.raises(ValueError, match="length mismatch"):
+        Solver(MatQ.identity(2)).solve([1])
