@@ -150,7 +150,7 @@ class LieAlgebra(_ReadOnly):
                     for k, c in entry:
                         u = k * dim + j
                         out[u] = out.get(u, 0) + a * c
-        return MatQ.sparse(dim, dim, out)
+        return MatQ(dim, dim, out)
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
@@ -442,17 +442,16 @@ def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
                 # the torus basis is the simple coroots
                 structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
 
-    entries = [_ZERO] * (dim * dim)
-    for i in range(l):
-        entries[i * dim : i * dim + l] = torus_block.row(i)
+    # entry (i, j) of the l x l torus block is entry i * dim + j of the form
+    form = {u // l * dim + u % l: x for u, x in torus_block.nonzeros.items()}
     for a, b in enumerate(opposite):
         if b is not None:
-            entries[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])
+            form[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])
     zeros = (_ZERO,) * m
-    dual_torus_local = None if dual is None else tuple(dual.row(j) + zeros for j in range(l))
+    dual_torus_local = None if dual is None else tuple(tuple(dual.at(j, k) for k in range(l)) + zeros for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, tuple(entries)), torus=l)
+    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, form), torus=l)
     info = DistinguishedBasis(
         psi=spec.psi,
         torus_ambient=torus_ambient,

@@ -179,7 +179,7 @@ def _weight_zero_kernel(g: LieAlgebra, pairs, sides) -> tuple[MatQ, ...]:
     for _, _, rows in _graded_rows(g, pairs, sides, [(0,) * g.torus]):
         for row in rows:
             system.add({column[u]: c for u, c in row.items()})
-    return tuple(MatQ.sparse(dim, dim, dict(zip(unknowns, vec))) for vec in system.kernel(len(unknowns)))
+    return tuple(MatQ(dim, dim, dict(zip(unknowns, vec))) for vec in system.kernel(len(unknowns)))
 
 
 def _touched_pairs(g: LieAlgebra, d: MatQ, ordered: bool):
@@ -231,7 +231,7 @@ def derivation_space(g: LieAlgebra) -> DerivationBasis:
     space = Echelon()
     for m in (*_weight_zero_kernel(g, combinations(range(dim), 2), [(True, True)]), *graded):
         space.add({n - 1 - u: x for u, x in m.nonzeros.items()})
-    der = [MatQ.sparse(dim, dim, {n - 1 - u: x for u, x in row.items()}) for row in reversed(space.reduced().values())]
+    der = [MatQ(dim, dim, {n - 1 - u: x for u, x in row.items()}) for row in reversed(space.reduced().values())]
 
     # inner derivations: greedy maximal independent subset of the ad images,
     # then extended by derivation basis vectors to span Der, deterministically
@@ -254,11 +254,13 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
         ab, ba = a.mul(b), b.mul(a)
         if ab == ba:
             continue
-        comm = [x - y for x, y in zip(ab.entries, ba.entries)]
-        for t in range(dim):
-            col = tuple(comm[s * dim + t] for s in range(dim))
-            if any(col) and any(any(g.bracket(col, g.basis_vector(j))) for j in range(dim)):
-                raise AssertionError("a centroid commutator maps L outside its center")
+        # column t of ab - ba, for the columns where ab or ba has a nonzero
+        cols: defaultdict[int, list[Rat]] = defaultdict(lambda: [_ZERO] * dim)
+        for u in ab.nonzeros.keys() | ba.nonzeros.keys():
+            s, t = divmod(u, dim)
+            cols[t][s] = ab.at(s, t) - ba.at(s, t)
+        if any(g.ad(col).nonzeros for col in cols.values()):
+            raise AssertionError("a centroid commutator maps L outside its center")
     return CentroidBasis(algebra=g, basis=basis)
 
 
@@ -269,9 +271,10 @@ def centroid_violation(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
     return _first_violation(g, b, ordered=True, right=False)
 
 
-def _torus_kernel_vector(info: DistinguishedBasis, i: int, psi_row: Vec) -> Vec | None:
-    """A torus vector in ker(beta_i) where the functional psi_row is nonzero."""
-    for v in kernel_basis(MatQ(1, info.l, info.beta_of_h.row(i))):
+def _torus_kernel_vector(info: DistinguishedBasis, beta_row: dict[int, Rat], psi_row: Vec) -> Vec | None:
+    """A torus vector in ker(beta_i), given by the nonzeros of its row of
+    ``beta_of_h``, where the functional psi_row is nonzero."""
+    for v in kernel_basis(MatQ(1, info.l, beta_row)):
         if sum(p * x for p, x in zip(psi_row, v)) != 0:
             return v
     return None
@@ -303,14 +306,14 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
         j = min(torus)
         return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
     scalars = [_ZERO] * info.m  # c_i = 0 where the functional is zero
+    beta_rows = info.beta_of_h.row_dicts()
     for i in sorted(psi):
-        row = psi[i]
-        beta_row = {j: b for j, b in enumerate(info.beta_of_h.row(i)) if b}
+        row, beta_row = psi[i], beta_rows[i]
         j0 = min(beta_row, default=None)
         c = row[j0] / beta_row[j0] if j0 in row else _ZERO
         # the functional is c beta_i: no support off beta_i's, c beta_i on it
         if row.keys() - beta_row.keys() or any(row.get(j, _ZERO) != c * b for j, b in beta_row.items()):
-            witness = _torus_kernel_vector(info, i, tuple(row.get(j, _ZERO) for j in range(l)))
+            witness = _torus_kernel_vector(info, beta_row, tuple(row.get(j, _ZERO) for j in range(l)))
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
@@ -329,13 +332,11 @@ def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, M
     ok, data = aid_precondition(g, info, d)
     if not ok:
         raise ValueError(f"almost-inner precondition fails: {data}")
-    z, live, a = _reduce(g, info, d, data["scalars"])
-    return z, MatQ.sparse(g.dim, g.dim, live), a
+    return _reduce(g, info, d, data["scalars"])
 
 
 def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
-    """``aid_reduce`` past its precondition, whose scalars it takes; Dt is
-    returned as its nonzeros by row-major index."""
+    """``aid_reduce`` past its precondition, whose scalars it takes."""
     l, dim, table = info.l, g.dim, g._table
     z = (_ZERO,) * l + scalars
     # Dt = D + ad(z), and ad(z) = sum_i c_i ad(x_i) has column j holding c_i [x_i, b_j]
@@ -346,12 +347,12 @@ def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat
                 for k, x in entry:
                     u = k * dim + j
                     entries[u] = entries.get(u, 0) + c * x
-    live = {u: x for u, x in entries.items() if x}
-    if any(u % dim < l for u in live):
+    dt = MatQ(dim, dim, entries)
+    if any(u % dim < l for u in dt.nonzeros):
         raise AssertionError("reduction failed to kill the torus")
-    if any(u % (dim + 1) for u in live):
+    if any(u % (dim + 1) for u in dt.nonzeros):
         raise AssertionError("reduced derivation is not diagonal on the root vectors")
-    return z, live, tuple(live.get(u * (dim + 1), _ZERO) for u in range(l, dim))
+    return z, dt, tuple(dt.at(u, u) for u in range(l, dim))
 
 
 def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
@@ -451,10 +452,7 @@ def diagonal_map(g: LieAlgebra, info: DistinguishedBasis, scalars) -> MatQ:
     scalars are additive across the closed sums in Psi)."""
     if len(scalars) != info.m:
         raise ValueError("need one scalar per root in Psi")
-    rows = [[Fraction(0)] * g.dim for _ in range(g.dim)]
-    for i, a in enumerate(scalars):
-        rows[info.l + i][info.l + i] = Fraction(a)
-    return MatQ.from_rows(rows)
+    return MatQ(g.dim, g.dim, {(info.l + i) * (g.dim + 1): Fraction(a) for i, a in enumerate(scalars)})
 
 
 def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) -> dict:

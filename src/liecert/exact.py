@@ -1,8 +1,10 @@
 """Exact rational and integer linear algebra.
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
-no floating point anywhere.  One sparse elimination engine, :class:`Echelon`,
-sits behind ``kernel_basis``, ``inverse``, ``solve`` and :class:`Solver`.
+no floating point anywhere.  A matrix, :class:`MatQ`, holds only its
+nonzero entries, by row-major index.  One sparse elimination engine,
+:class:`Echelon`, sits behind ``kernel_basis``, ``inverse``, ``solve`` and
+:class:`Solver`.
 It is fraction-free: an added row has its denominators cleared and is kept
 as a primitive integer row, and the ``Fraction``s of a result are made only
 when it is read out of the unique reduced row echelon form, with free
@@ -17,9 +19,9 @@ Hermite passes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from types import MappingProxyType
 
@@ -125,79 +127,64 @@ class _Value(_ReadOnly):
 
 
 class MatQ(_Value):
-    """Dense rational matrix, row-major, immutable."""
+    """Sparse rational matrix, immutable: ``nonzeros`` maps the row-major
+    index ``i * cols + j`` of each nonzero entry to its value, and every
+    other entry is zero.  The constructor drops zero values and raises
+    ValueError for an index outside ``0 .. rows*cols-1``.  Matrices compare
+    and hash by their shape and their nonzeros."""
 
-    def __init__(self, rows: int, cols: int, entries: tuple[Rat, ...]):
+    def __init__(self, rows: int, cols: int, nonzeros: Mapping[int, Rat]):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match rows*cols")
-        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+        if nonzeros and (min(nonzeros) < 0 or max(nonzeros) >= rows * cols):
+            raise ValueError("matrix index out of range")
+        live = {u: x for u, x in nonzeros.items() if x}
+        self.__dict__.update(rows=rows, cols=cols, nonzeros=MappingProxyType(live))
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, frozenset(self.nonzeros.items())))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rat | int]]) -> "MatQ":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat: list[Rat] = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(v if isinstance(v, Fraction) else Fraction(v) for v in row)
-        return MatQ(r, c, tuple(flat))
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        cells = ((i * c + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        return MatQ(len(rows), c, {u: v if isinstance(v, Fraction) else Fraction(v) for u, v in cells})
 
     @staticmethod
     def identity(n: int) -> "MatQ":
-        return MatQ(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def sparse(rows: int, cols: int, entries: Mapping[int, Rat]) -> "MatQ":
-        """The matrix with the given entries by row-major index and the shared
-        zero elsewhere; its ``nonzeros`` are known without a scan."""
-        live = {u: x for u, x in entries.items() if x}
-        flat = [_ZERO] * (rows * cols)
-        for u, x in live.items():
-            flat[u] = x
-        m = MatQ(rows, cols, tuple(flat))
-        m.__dict__["nonzeros"] = MappingProxyType(live)  # what the cached property would compute
-        return m
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "MatQ":
-        return MatQ(rows, cols, (_ZERO,) * (rows * cols))
+        return MatQ(n, n, {i * (n + 1): _ONE for i in range(n)})
 
     def at(self, i: int, j: int) -> Rat:
-        return self.entries[i * self.cols + j]
+        return self.nonzeros.get(i * self.cols + j, _ZERO)
 
-    def row(self, i: int) -> tuple[Rat, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Rat]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @cached_property
-    def nonzeros(self) -> Mapping[int, Rat]:
-        """The nonzero entries by row-major index, read once per matrix (the
-        shared zero is skipped by identity) and kept read-only."""
-        return MappingProxyType({u: x for u, x in enumerate(self.entries) if x is not _ZERO and x})
+    def row_dicts(self) -> list[dict[int, Rat]]:
+        """The nonzeros as one new ``{column: value}`` dict per row."""
+        out: list[dict[int, Rat]] = [{} for _ in range(self.rows)]
+        for u, x in self.nonzeros.items():
+            i, j = divmod(u, self.cols)
+            out[i][j] = x
+        return out
 
     def mul(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        n = other.cols
-        # the nonzeros of other, by row; untouched entries stay the shared zero
-        by_row: list[list[tuple[int, Rat]]] = [[] for _ in range(other.rows)]
-        for u, b in other.nonzeros.items():
-            by_row[u // n].append((u % n, b))
-        out = [_ZERO] * (self.rows * n)
+        n, onz = other.cols, other.nonzeros
+        # the keys ascend, so row k of other is keys[start[k] : start[k + 1]]
+        keys = sorted(onz)
+        start = [bisect_left(keys, k * n) for k in range(other.rows + 1)]
+        out: dict[int, Rat] = {}
         for u, a in self.nonzeros.items():
             i, k = divmod(u, self.cols)
-            for j, b in by_row[k]:
-                out[i * n + j] += a * b
-        return MatQ(self.rows, n, tuple(out))
+            shift = (i - k) * n  # entry (k, j) of other lands on entry (i, j)
+            for w in keys[start[k] : start[k + 1]]:
+                v = w + shift
+                out[v] = out.get(v, 0) + a * onz[w]
+        return MatQ(self.rows, n, out)
 
     def mul_vec(self, v: Sequence[Rat | int]) -> tuple[Rat, ...]:
-        """``self v`` over the nonzeros; every coordinate is a ``Fraction``,
-        the shared zero where no product lands."""
+        """``self v`` over the nonzeros; every coordinate is a ``Fraction``."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         n = self.cols
@@ -209,12 +196,14 @@ class MatQ(_Value):
         return tuple(out)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i)
-        )
+        n, nz = self.cols, self.nonzeros
+        return self.rows == n and all(nz.get(u % n * n + u // n) == x for u, x in nz.items())
 
     def to_json(self) -> dict:
-        entries = ["0" if e is _ZERO else rat_to_str(e) for e in self.entries]  # the shared zero needs no check
+        """The JSON matrix: ``rows``, ``cols`` and every entry, row-major."""
+        entries = ["0"] * (self.rows * self.cols)
+        for u, x in self.nonzeros.items():
+            entries[u] = rat_to_str(x)
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @staticmethod
@@ -222,7 +211,11 @@ class MatQ(_Value):
         expect_json(obj, dict, "matrix")
         rows, cols = (expect_json(json_field(obj, k, "matrix"), int, f"matrix {k}") for k in ("rows", "cols"))
         entries = expect_json(json_field(obj, "entries", "matrix"), list, "matrix entries")
-        return MatQ(rows, cols, tuple(rat_from_str(e) for e in entries))
+        nonzeros = {u: x for u, x in enumerate(map(rat_from_str, entries)) if x}
+        # a negative shape is the constructor's error, whatever the count
+        if len(entries) != rows * cols and rows >= 0 and cols >= 0:
+            raise ValueError("entry count does not match rows*cols")
+        return MatQ(rows, cols, nonzeros)
 
 
 class Echelon:
@@ -308,8 +301,8 @@ class Echelon:
 def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
     """Basis of the right null space, one vector per free column, ascending."""
     ech = Echelon()
-    for i in range(m.rows):
-        ech.add(dict(enumerate(m.row(i))))
+    for row in m.row_dicts():
+        ech.add(row)
     return ech.kernel(m.cols)
 
 
@@ -321,12 +314,11 @@ def inverse(m: MatQ) -> MatQ | None:
     if m.cols != n:
         raise ValueError("inverse of a non-square matrix")
     ech = Echelon()
-    for i in range(n):
-        ech.add({**dict(enumerate(m.row(i))), n + i: _ONE})
+    for i, row in enumerate(m.row_dicts()):
+        ech.add({**row, n + i: _ONE})
     if any(c >= n for c in ech._rows):
         return None
-    red = ech.reduced()
-    return MatQ(n, n, tuple(red[c].get(n + j, _ZERO) for c in range(n) for j in range(n)))
+    return MatQ(n, n, {c * n + j - n: x for c, row in ech.reduced().items() for j, x in row.items() if j >= n})
 
 
 def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
@@ -353,8 +345,8 @@ class Solver(_ReadOnly):
     def __init__(self, m: MatQ):
         rows, cols = m.rows, m.cols
         ech = Echelon()
-        for i in range(rows):
-            ech.add({**dict(enumerate(m.row(i))), cols + i: _ONE})
+        for i, row in enumerate(m.row_dicts()):
+            ech.add({**row, cols + i: _ONE})
         # each reduced row as the pairs (i, coefficient of b_i) of its right half
         red = {c: tuple((j - cols, v) for j, v in row.items() if j >= cols) for c, row in ech.reduced().items()}
         self.__dict__.update(

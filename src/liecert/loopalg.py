@@ -369,7 +369,7 @@ class Symbol(_Value):
 
     def __init__(self, loop: dict[int, tuple[MatQ, MatQ]], central: dict[int, Vec]):
         self.__dict__.update(
-            loop={s: ab for s, ab in sorted(loop.items()) if any(ab[0].entries) or any(ab[1].entries)},
+            loop={s: ab for s, ab in sorted(loop.items()) if ab[0].nonzeros or ab[1].nonzeros},
             central={n: c for n, c in sorted(central.items()) if any(c)},
         )
 
@@ -386,7 +386,7 @@ def _combine(size: int, weighted) -> Vec:
 
 def _diagonal(entries) -> MatQ:
     n = len(entries)
-    return MatQ(n, n, tuple(Fraction(entries[i]) if i == j else Fraction(0) for i in range(n) for j in range(n)))
+    return MatQ(n, n, {i * (n + 1): Fraction(x) for i, x in enumerate(entries)})
 
 
 class LoopOperator(_ReadOnly):
@@ -427,7 +427,7 @@ class Inner(LoopOperator):
         return self.y.ctx
 
     def symbol(self) -> Symbol:
-        g, zero = self.ctx.algebra, MatQ.zeros(self.ctx.dim, self.ctx.dim)
+        g, zero = self.ctx.algebra, MatQ(self.ctx.dim, self.ctx.dim, {})
         return Symbol(
             {s: (g.ad(v), zero) for s, v in self.y.support.items()},
             {-s: tuple(s * u for u in g.form.mul_vec(v)) for s, v in self.y.support.items()},
@@ -448,8 +448,8 @@ class TensorDerivation(LoopOperator):
 
     def symbol(self) -> Symbol:
         dim = self.ctx.dim
-        scaled = {s: MatQ(dim, dim, tuple(c * v for v in self.matrix.entries)) for s, c in self.f.coeffs}
-        return Symbol({s: (a, MatQ.zeros(dim, dim)) for s, a in scaled.items()}, {})
+        zero, nz = MatQ(dim, dim, {}), self.matrix.nonzeros
+        return Symbol({s: (MatQ(dim, dim, {u: c * v for u, v in nz.items()}), zero) for s, c in self.f.coeffs}, {})
 
 
 class DiagonalDerivative(LoopOperator):
@@ -466,7 +466,7 @@ class DiagonalDerivative(LoopOperator):
         dim, l = self.ctx.dim, self.ctx.l
         shifts = {d - 1 for f in self.fs for d in f.degrees()}
         diag = {s: _diagonal([self.fs[k % l].coeff(s + 1) for k in range(dim)]) for s in shifts}
-        return Symbol({s: (MatQ.zeros(dim, dim), b) for s, b in diag.items()}, {})
+        return Symbol({s: (MatQ(dim, dim, {}), b) for s, b in diag.items()}, {})
 
 
 class ToralToCenter(LoopOperator):
@@ -496,7 +496,11 @@ class OperatorSum(LoopOperator):
         dim, syms = self.ctx.dim, [(w, op._symbol) for w, op in self.terms]
 
         def mat(s: int, side: int) -> MatQ:
-            return MatQ(dim, dim, _combine(dim * dim, [(w, y.loop[s][side].entries) for w, y in syms if s in y.loop]))
+            out: dict[int, Rat] = {}
+            for w, y in syms:
+                for u, v in y.loop[s][side].nonzeros.items() if s in y.loop else ():
+                    out[u] = out.get(u, 0) + w * v
+            return MatQ(dim, dim, out)
 
         def row(n: int) -> Vec:
             return _combine(dim, [(w, y.central[n]) for w, y in syms if n in y.central])
@@ -586,14 +590,14 @@ def decompose_derivation(op: LoopOperator) -> Decomposition:
         raise ValueError("operator emits a central part on L(x)1; not a loop derivation")
     terms = []
     for s, (a, _) in op._symbol.loop.items():
-        if not any(a.entries):
+        if not a.nonzeros:
             continue
         viol = leibniz_violation(ctx.algebra, a)
         if viol is not None:
             raise ValueError(f"degree-{s} component is not a derivation of L (pair {viol})")
         terms.append(TensorDerivation(ctx, a, LaurentPoly.monomial(s)))
     residual = OperatorSum(ctx, ((Fraction(1), op),) + tuple((Fraction(-1), t) for t in terms))
-    if any(any(a.entries) for a, _ in residual._symbol.loop.values()) or 0 in residual._symbol.central:
+    if any(a.nonzeros for a, _ in residual._symbol.loop.values()) or 0 in residual._symbol.central:
         raise AssertionError("residual fails to kill L(x)1")
     return Decomposition(tensor_terms=tuple(terms), residual=residual)
 

@@ -234,11 +234,9 @@ def criterion_6(seed: int) -> tuple[bool, str]:
             cent = centroid_space(g)
             if len(cent.basis) != info.l:
                 return False, f"dim Cent = {len(cent.basis)} != {info.l} at {family}{rank} {spec.psi}"
-            for phi in cent.basis:
-                for r in range(g.dim):
-                    for c in range(g.dim):
-                        if r != c and phi.at(r, c) != 0:
-                            return False, f"non-diagonal centroid element at {family}{rank} {spec.psi}"
+            # entry u of a row-major dim x dim matrix is on the diagonal iff dim + 1 divides u
+            if any(u % (g.dim + 1) for phi in cent.basis for u in phi.nonzeros):
+                return False, f"non-diagonal centroid element at {family}{rank} {spec.psi}"
             for a in cent.basis:
                 for b in cent.basis:
                     if a.mul(b) != b.mul(a):

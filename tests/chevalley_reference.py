@@ -70,7 +70,7 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
             entries[i * dim + j] = Fraction(kh[i][j])
     for a, h in enumerate(coroots):
         entries[(l + a) * dim + l + rs.root_index[_neg(roots[a])]] = _opposite_pair_form(kh, h)
-    form = MatQ(dim, dim, tuple(entries))
+    form = MatQ(dim, dim, dict(enumerate(entries)))
     return LieAlgebra(dim=dim, labels=labels, structure=structure, form=form)
 
 
@@ -91,4 +91,4 @@ def killing_form(g: LieAlgebra) -> MatQ:
                             tr += ckj * c2
             entries[i * dim + j] = tr
             entries[j * dim + i] = tr
-    return MatQ(dim, dim, tuple(entries))
+    return MatQ(dim, dim, dict(enumerate(entries)))

@@ -24,6 +24,7 @@ from itertools import combinations, combinations_with_replacement, product
 from liecert.chevalley import DistinguishedBasis, LieAlgebra
 from liecert.dercalc import AidVerdict, CentroidBasis, DerivationBasis, _leibniz_rows, _torus_kernel_vector, leibniz_violation
 from liecert.exact import Echelon, MatQ, Rat, solve
+from exact_reference import dense
 
 
 def _rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
@@ -31,7 +32,7 @@ def _rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[i
 
 
 def _nonzeros(m: MatQ) -> dict[int, Rat]:
-    return {u: x for u, x in enumerate(m.entries) if x}
+    return {u: x for u, x in enumerate(dense(m).entries) if x}
 
 
 def derivation_space(g: LieAlgebra) -> DerivationBasis:
@@ -41,7 +42,7 @@ def derivation_space(g: LieAlgebra) -> DerivationBasis:
     for i, j in combinations(range(dim), 2):
         for row in _rows(g, i, j, left=True, right=True):
             leibniz.add(row)
-    der = tuple(MatQ(dim, dim, v) for v in leibniz.kernel(dim * dim))
+    der = tuple(MatQ(dim, dim, dict(enumerate(v))) for v in leibniz.kernel(dim * dim))
     span = Echelon()
     inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(_nonzeros(m))]
     comp = [m for m in der if span.add(_nonzeros(m))]
@@ -57,7 +58,7 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
         for left in (True, False):
             for row in _rows(g, i, j, left=left, right=not left):
                 system.add(row)
-    return CentroidBasis(algebra=g, basis=tuple(MatQ(dim, dim, v) for v in system.kernel(dim * dim)))
+    return CentroidBasis(algebra=g, basis=tuple(MatQ(dim, dim, dict(enumerate(v))) for v in system.kernel(dim * dim)))
 
 
 def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:
@@ -89,9 +90,9 @@ def mul(left: MatQ, right: MatQ) -> MatQ:
     if left.cols != right.rows:
         raise ValueError("shape mismatch")
     out: list[Rat] = []
-    orows = right.to_rows()
+    orows = dense(right).to_rows()
     for i in range(left.rows):
-        ri = left.row(i)
+        ri = dense(left).row(i)
         acc = [Fraction(0)] * right.cols
         for k, a in enumerate(ri):
             if a:
@@ -100,7 +101,7 @@ def mul(left: MatQ, right: MatQ) -> MatQ:
                     if rk[j]:
                         acc[j] += a * rk[j]
         out.extend(acc)
-    return MatQ(left.rows, right.cols, tuple(out))
+    return MatQ(left.rows, right.cols, dict(enumerate(out)))
 
 
 def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[bool, dict]:
@@ -112,11 +113,11 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     scalars: list[Rat] = []
     for i in range(m):
         psi_row = tuple(d.at(l + i, j) for j in range(l))  # h_j -> x_i coefficient
-        beta_row = info.beta_of_h.row(i)
+        beta_row = dense(info.beta_of_h).row(i)
         j0 = next(j for j in range(l) if beta_row[j] != 0)
         c = psi_row[j0] / beta_row[j0]
         if any(psi_row[j] != c * beta_row[j] for j in range(l)):
-            witness = _torus_kernel_vector(info, i, psi_row)
+            witness = _torus_kernel_vector(info, dict(enumerate(beta_row)), psi_row)
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
@@ -127,7 +128,7 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
 def reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
     l, m = info.l, info.m
     z = (Fraction(0),) * l + scalars
-    dt = MatQ(g.dim, g.dim, tuple(a + b for a, b in zip(d.entries, g.ad(z).entries)))
+    dt = MatQ(g.dim, g.dim, dict(enumerate(a + b for a, b in zip(dense(d).entries, dense(g.ad(z)).entries))))
     if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
         raise AssertionError("reduction failed to kill the torus")
     a: list[Rat] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from exact_reference import solve_sparse
+from exact_reference import dense, solve_sparse
 from liecert.loopalg import (
     AffineElement,
     LaurentPoly,
@@ -67,7 +67,7 @@ def bracket_match(
         for m, xv in x.support.items():
             if xv not in memo:
                 memo[xv] = (
-                    [(i % dim, i // dim, v) for i, v in enumerate(g.ad(xv).entries) if v],
+                    [(i % dim, i // dim, v) for i, v in enumerate(dense(g.ad(xv)).entries) if v],
                     [(k, v) for k, v in enumerate(g.form.mul_vec(xv)) if v],
                 )
             entries, form = memo[xv]

@@ -24,7 +24,7 @@ from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 from chevalley_reference import build_semisimple as reference_semisimple
 from chevalley_reference import killing_form
-from exact_reference import rref
+from exact_reference import dense, rref
 
 
 def jacobi_violations(g: LieAlgebra):
@@ -50,8 +50,8 @@ def jacobi_violations(g: LieAlgebra):
 
 def naive_trace_form_entry(g: LieAlgebra, i, j):
     """Oracle: dense trace of ad(b_i) ad(b_j) via full matrix products."""
-    a = g.ad(g.basis_vector(i)).to_rows()
-    b = g.ad(g.basis_vector(j)).to_rows()
+    a = dense(g.ad(g.basis_vector(i))).to_rows()
+    b = dense(g.ad(g.basis_vector(j))).to_rows()
     return sum(a[r][k] * b[k][r] for r in range(g.dim) for k in range(g.dim))
 
 
@@ -218,7 +218,7 @@ def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
     # [[1/6, 1/6], [1/6, 1/3]]
     rs, g = b2
     _, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
-    assert info.gram.to_rows() == [
+    assert dense(info.gram).to_rows() == [
         [Fraction(1, 6), Fraction(1, 6)],
         [Fraction(1, 6), Fraction(1, 3)],
     ]
@@ -389,7 +389,7 @@ def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
     dual = gram = None
     if rref(torus_gram).rank == l:
         dual = tuple(tuple(solve(torus_gram, u)) + (Fraction(0),) * m for u in unit)
-        tvecs = [solve(torus_gram, list(beta_of_h.row(b))) for b in range(m)]
+        tvecs = [solve(torus_gram, list(dense(beta_of_h).row(b))) for b in range(m)]
         gram = MatQ.from_rows(
             [[sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)]
         )
@@ -464,7 +464,7 @@ def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
         beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
     else:
         beta_of_h = MatQ.from_rows(pair)
-        torus_block = MatQ.from_rows([g.form.row(i)[:l] for i in range(l)])
+        torus_block = MatQ.from_rows([dense(g.form).row(i)[:l] for i in range(l)])
         dual = inverse(torus_block)
     structure = {}
     for j in range(l):
@@ -481,7 +481,7 @@ def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
             elif entry:
                 structure[(l + a, l + b)] = entry
     zeros = [Fraction(0)] * m
-    form_rows = [list(torus_block.row(i)) + zeros for i in range(l)]
+    form_rows = [list(dense(torus_block).row(i)) + zeros for i in range(l)]
     form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
     sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=MatQ.from_rows(form_rows))
@@ -489,7 +489,7 @@ def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
         psi=spec.psi,
         torus_ambient=torus_ambient,
         beta_of_h=beta_of_h,
-        dual_torus_local=None if dual is None else tuple(dual.row(j) + tuple(zeros) for j in range(l)),
+        dual_torus_local=None if dual is None else tuple(dense(dual).row(j) + tuple(zeros) for j in range(l)),
         gram=gram,
         torus_is_dual=torus_is_dual,
     )
@@ -584,7 +584,7 @@ def _bracket_from_structure(g: LieAlgebra, x, y):
 def _ad_by_columns(g: LieAlgebra, x):
     """The column-by-column definition: column j of ad(x) is [x, e_j]."""
     cols = [_bracket_from_structure(g, x, g.basis_vector(j)) for j in range(g.dim)]
-    return MatQ(g.dim, g.dim, tuple(cols[j][i] for i in range(g.dim) for j in range(g.dim)))
+    return MatQ(g.dim, g.dim, dict(enumerate(cols[j][i] for i in range(g.dim) for j in range(g.dim))))
 
 
 # the subalgebras of the golden documents (tests/golden), E8 bipartite included
@@ -615,7 +615,7 @@ def _check_table(g: LieAlgebra, rng):
     for x in xs:
         ad = g.ad(x)
         assert ad == _ad_by_columns(g, x)
-        assert all(type(v) is Fraction for v in ad.entries)
+        assert all(type(v) is Fraction for v in dense(ad).entries)
         y = xs[rng.randrange(len(xs))]
         assert g.bracket(x, y) == _bracket_from_structure(g, x, y)
 

@@ -22,7 +22,7 @@ from liecert.exact import (
     solve,
 )
 from liecert.rootsys import build_root_system
-from exact_reference import rref, solve_sparse
+from exact_reference import dense, rref, solve_sparse
 from snf_reference import MatZ, hermite_pivots, smith_factors, smith_normal_form
 
 
@@ -44,7 +44,7 @@ def det_cofactor(rows):
 
 def rank_by_minors(m: MatQ) -> int:
     """Rank oracle: largest k with some nonzero k x k minor."""
-    rows = m.to_rows()
+    rows = dense(m).to_rows()
     for k in range(min(m.rows, m.cols), 0, -1):
         for ri in combinations(range(m.rows), k):
             for ci in combinations(range(m.cols), k):
@@ -257,11 +257,11 @@ def test_rref_kernel_solve_match_sympy():
     feasible = infeasible = singular = invertible = 0
     for rows in _sympy_systems(rng):
         m = MatQ.from_rows(rows)
-        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in dense(m).entries])
         red, pivots = sm.rref()
         res = rref(m)
         assert res.pivots == tuple(pivots) and res.rank == len(pivots)
-        assert res.reduced.entries == tuple(frac(x) for x in red)
+        assert dense(res.reduced).entries == tuple(frac(x) for x in red)
         assert kernel_basis(m) == [tuple(frac(x) for x in v) for v in sm.nullspace()]
 
         b = [Fraction(rng.randint(-3, 3)) for _ in range(m.rows)]
@@ -283,7 +283,7 @@ def test_rref_kernel_solve_match_sympy():
                 want_inv = None
                 singular += 1
             else:
-                want_inv = MatQ(m.rows, m.cols, tuple(frac(x) for x in sm.inv()))
+                want_inv = MatQ(m.rows, m.cols, dict(enumerate(frac(x) for x in sm.inv())))
                 invertible += 1
             assert inverse(m) == want_inv
     assert feasible and infeasible
@@ -499,7 +499,7 @@ def test_matq_rejects_negative_shapes(rows, cols, entries):
     with pytest.raises(ValueError, match="negative matrix shape"):
         MatQ.from_json({"rows": rows, "cols": cols, "entries": entries})
     with pytest.raises(ValueError, match="negative matrix shape"):
-        MatQ(rows, cols, tuple(Fraction(e) for e in entries))
+        MatQ(rows, cols, dict(enumerate(Fraction(e) for e in entries)))
 
 
 def test_solve_rejects_bad_shape():
@@ -514,7 +514,7 @@ def test_solve_rejects_bad_shape():
 
 
 def _augmented_solve(m, b):
-    return solve_sparse([dict(enumerate(m.row(i))) for i in range(m.rows)], b, m.cols)
+    return solve_sparse([dict(enumerate(dense(m).row(i))) for i in range(m.rows)], b, m.cols)
 
 
 def _solver_cases():
@@ -561,12 +561,14 @@ def test_solver_matches_solve_on_random_systems():
     rng = random.Random(31)
     for rows, cols in [(0, 2), (2, 0), (1, 1), (3, 3), (4, 2), (2, 4), (5, 5)]:
         for density in (1.0, 0.4, 0.0):
-            m = MatQ(rows, cols, tuple(
+            m = MatQ(rows, cols, dict(enumerate(
                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else Fraction(0)
                 for _ in range(rows * cols)
-            ))
+            )))
             if rows >= 2 and cols and rng.random() < 0.5:  # a repeated row: dependent
-                m = MatQ(rows, cols, m.entries[:cols] + m.entries[:cols] + m.entries[2 * cols :])
+                m = MatQ(rows, cols, dict(enumerate(
+                    dense(m).entries[:cols] + dense(m).entries[:cols] + dense(m).entries[2 * cols :]
+                )))
             solver = Solver(m)
             for _ in range(6):
                 rhs = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]

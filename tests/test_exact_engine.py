@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 from liecert.exact import Echelon, MatQ, inverse, kernel_basis, solve
-from exact_reference import rref, solve_sparse
+from exact_reference import dense, rref, solve_sparse
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -66,7 +66,7 @@ def _subtract(row, f, prow):
 def _reference_echelon(m):
     ech = FractionEchelon()
     for i in range(m.rows):
-        ech.add(dict(enumerate(m.row(i))))
+        ech.add(dict(enumerate(dense(m).row(i))))
     return ech
 
 
@@ -74,18 +74,18 @@ def ref_rref(m):
     red = _reference_echelon(m).reduced()
     flat = [row.get(j, _ZERO) for row in red.values() for j in range(m.cols)]
     flat += [_ZERO] * ((m.rows - len(red)) * m.cols)
-    return MatQ(m.rows, m.cols, tuple(flat)), tuple(red)
+    return MatQ(m.rows, m.cols, dict(enumerate(flat))), tuple(red)
 
 
 def ref_inverse(m):
     n = m.rows
     ech = FractionEchelon()
     for i in range(n):
-        ech.add({**dict(enumerate(m.row(i))), n + i: _ONE})
+        ech.add({**dict(enumerate(dense(m).row(i))), n + i: _ONE})
     if any(c >= n for c in ech.rows):
         return None
     red = ech.reduced()
-    return MatQ(n, n, tuple(red[c].get(n + j, _ZERO) for c in range(n) for j in range(n)))
+    return MatQ(n, n, dict(enumerate(red[c].get(n + j, _ZERO) for c in range(n) for j in range(n))))
 
 
 def ref_solve(rows, rhs, ncols):
@@ -144,7 +144,7 @@ def _check_against_reference(rng, rows):
     res = rref(m)
     want, pivots = ref_rref(m)
     assert (res.reduced, res.pivots, res.rank) == (want, pivots, len(pivots))
-    assert _all_fractions(res.reduced.entries)
+    assert _all_fractions(dense(res.reduced).entries)
 
     basis = kernel_basis(m)
     assert basis == _reference_echelon(m).kernel(m.cols)
@@ -167,7 +167,7 @@ def _check_against_reference(rng, rows):
         inv = inverse(m)
         assert inv == ref_inverse(m)
         if inv is not None:
-            assert _all_fractions(inv.entries) and m.mul(inv) == MatQ.identity(m.rows)
+            assert _all_fractions(dense(inv).entries) and m.mul(inv) == MatQ.identity(m.rows)
     return outcomes[0], inv
 
 
@@ -189,7 +189,7 @@ def test_engine_matches_sympy_on_large_entries():
         return Fraction(int(x.p), int(x.q))
 
     def sym(m):
-        return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+        return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in dense(m).entries])
 
     rng = random.Random(73)
     checked = infeasible = 0
@@ -199,11 +199,11 @@ def test_engine_matches_sympy_on_large_entries():
             continue
         sm = sym(m)
         red, pivots = sm.rref()
-        assert rref(m).reduced.entries == tuple(frac(x) for x in red)
+        assert dense(rref(m).reduced).entries == tuple(frac(x) for x in red)
         assert rref(m).pivots == tuple(pivots)
         assert kernel_basis(m) == [tuple(frac(x) for x in v) for v in sm.nullspace()]
         if m.rows == m.cols:
-            assert inverse(m) == (None if sm.det() == 0 else MatQ(m.rows, m.cols, tuple(frac(x) for x in sm.inv())))
+            assert inverse(m) == (None if sm.det() == 0 else MatQ(m.rows, m.cols, dict(enumerate(frac(x) for x in sm.inv()))))
 
         b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m.rows)]
         aug, apiv = sm.row_join(sym(MatQ.from_rows([[v] for v in b]))).rref()

@@ -121,13 +121,13 @@ def test_mul_vec_against_the_dense_product():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         entries = [_coordinate(rng) for _ in range(rows * cols)]
         for m in (MatQ.from_rows([entries[i * cols : (i + 1) * cols] for i in range(rows)]),
-                  MatQ.sparse(rows, cols, {u: Fraction(v) for u, v in enumerate(entries) if v})):
+                  MatQ(rows, cols, {u: Fraction(v) for u, v in enumerate(entries) if v})):
             v = _vector(rng, cols)
             got = m.mul_vec(v)
             assert got == dense_mul_vec(m, v) and len(got) == rows
             assert _all_fractions(got)
     # an all-zero product is the shared zero in every coordinate
-    assert MatQ.zeros(2, 3).mul_vec((1, 2, 3)) == (0, 0) and _all_fractions(MatQ.zeros(2, 3).mul_vec((1, 2, 3)))
+    assert MatQ(2, 3, {}).mul_vec((1, 2, 3)) == (0, 0) and _all_fractions(MatQ(2, 3, {}).mul_vec((1, 2, 3)))
     with pytest.raises(ValueError, match="shape"):
         MatQ.identity(2).mul_vec((1,))
 

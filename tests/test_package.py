@@ -185,11 +185,26 @@ def test_values_compare_by_value():
     from liecert.exact import MatQ
     from liecert.loopalg import LaurentPoly, Symbol
 
-    m = MatQ(2, 2, (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+    m = MatQ(2, 2, dict(enumerate((Fraction(1), Fraction(0), Fraction(0), Fraction(1)))))
     assert m == MatQ.identity(2) and hash(m) == hash(MatQ.identity(2))
-    assert m != MatQ.zeros(2, 2) and m != (2, 2, m.entries)
+    assert m != MatQ(2, 2, {}) and m != (2, 2, m.nonzeros)
+    # explicit zeros are dropped: a dict with zeros, rows and JSON give one value
+    half = Fraction(1, 2)
+    with_zeros = MatQ(2, 3, {0: half, 1: Fraction(0), 4: Fraction(-3), 5: 0})
+    from_rows = MatQ.from_rows([[half, 0, 0], [0, -3, 0]])
+    from_json = MatQ.from_json({"rows": 2, "cols": 3, "entries": ["1/2", "0", "0", "0", "-3", "0"]})
+    assert with_zeros == from_rows == from_json and dict(with_zeros.nonzeros) == {0: half, 4: -3}
+    assert hash(with_zeros) == hash(from_rows) == hash(from_json)
+    assert with_zeros != MatQ(3, 2, {0: half, 4: Fraction(-3)}) and len({with_zeros, from_rows, from_json}) == 1
+    for bad in ({-1: half}, {6: half}, {6: Fraction(0)}, {0: half, 100: half}):
+        with pytest.raises(ValueError, match="out of range"):
+            MatQ(2, 3, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        MatQ(0, 3, {0: half})
+    with pytest.raises(TypeError):
+        with_zeros.nonzeros[0] = Fraction(1)  # read-only
     assert LaurentPoly.from_dict({1: 2, 3: 0}) == LaurentPoly.monomial(1, 2) != LaurentPoly.monomial(1, 3)
-    zero = MatQ.zeros(2, 2)
+    zero = MatQ(2, 2, {})
     # zero parts are dropped, so both symbols hold only the shift-0 part
     assert Symbol({0: (m, zero), 1: (zero, zero)}, {2: (0, 0)}) == Symbol({0: (m, zero)}, {})
     assert repr(LaurentPoly.one()) == "LaurentPoly(coeffs=((0, Fraction(1, 1)),))"
@@ -213,11 +228,8 @@ def test_structures_compare_by_identity(b2):
 
 def test_cached_properties_still_cache(b2):
     from liecert.chevalley import LieAlgebra
-    from liecert.exact import MatQ
     from liecert.rootsys import _build_root_system
 
-    m = MatQ.identity(3)
-    assert "nonzeros" not in vars(m) and m.nonzeros is m.nonzeros and "nonzeros" in vars(m)
     g = LieAlgebra(2, ("h", "x"), {(0, 1): ((1, Fraction(1)),)}, torus=1)
     assert g._table is g._table and "_table" in vars(g)
     rs = _build_root_system.__wrapped__("A", 2)
