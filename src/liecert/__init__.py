@@ -20,7 +20,6 @@ _EXPORTS = {
         "CONVENTION",
         "LieAlgebra",
         "SubalgebraSpec",
-        "DistinguishedBasis",
         "build_semisimple",
         "extract_subalgebra",
     ),

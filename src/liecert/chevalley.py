@@ -11,14 +11,15 @@ sign rules are never mixed.  The Killing form and every subalgebra table are
 read off the root data (the Q-grading) rather than found by dense algebra.
 
 Subalgebra extraction reads ``H + sum_{beta in Psi} L_beta`` straight off
-the root data of Psi, without building the ambient algebra, and returns it
-with its distinguished basis data: for an independent Psi with
-``|Psi| = l`` the torus basis is chosen dual to Psi
-(``beta_i(h_j) = delta_ij``), the dual torus satisfies ``(h_i, h_j') =
-delta_ij`` for the restricted Killing form, and the Gram matrix holds
-``(beta_i, beta_j)``; all are closed forms in the root data.  The ambient
-algebra is the same construction at Psi = Phi: ``build_semisimple`` only
-relabels it, so brackets and form are written in one place.
+the root data of Psi, without building the ambient algebra, and returns one
+``LieAlgebra``: for an independent Psi with ``|Psi| = l`` the torus basis is
+chosen dual to Psi (``beta_i(h_j) = delta_ij``), and the form on it is the
+inverse of the Gram matrix ``(beta_i, beta_j)``, a closed form in the root
+data.  Everything a decision needs about the torus is in the bracket table:
+``LieAlgebra.weights`` reads the weight ``beta_i(h_j)`` of each root vector
+off it, and ``normal_form`` compares it with the table of r_2^l.  The
+ambient algebra is the same construction at Psi = Phi: ``build_semisimple``
+only relabels it, so brackets and form are written in one place.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "CONVENTION",
     "LieAlgebra",
     "SubalgebraSpec",
-    "DistinguishedBasis",
     "build_semisimple",
     "extract_subalgebra",
     "normal_form",
@@ -126,6 +126,15 @@ class LieAlgebra(_ReadOnly):
                     index[c].append(i * dim + j)
         return tuple(map(tuple, index))
 
+    @cached_property
+    def torus_solver(self) -> Solver:
+        """The weights of the basis vectors past the torus, the
+        ``(dim - torus) x torus`` matrix ``beta_i(h_j)``, factored once:
+        ``torus_solver.solve(a)`` is the torus vector h with
+        ``beta_i(h) = a_i`` that ``solve`` gives on that matrix, or None."""
+        rows = self.weights[self.torus :]
+        return Solver(MatQ.from_rows(rows) if rows else MatQ(0, self.torus, {}))
+
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
 
@@ -179,47 +188,6 @@ class SubalgebraSpec(_Value):
                 raise ValueError(f"duplicate root {rr} in Psi")
             seen.append(rr)
         self.__dict__.update(system=system, psi=tuple(sorted(seen, key=lambda r: (height(r), r))))
-
-
-class DistinguishedBasis(_ReadOnly):
-    """Basis bookkeeping for an extracted subalgebra.
-
-    Local coordinates refer to the subalgebra basis order
-    ``(h_1..h_l, x_1..x_m)`` with ``x_i`` sitting over ``psi[i]``.
-    """
-
-    def __init__(
-        self,
-        psi: tuple[Root, ...],
-        torus_ambient: tuple[Vec, ...],
-        beta_of_h: MatQ,  # (i, j) -> beta_i(h_j), size m x l
-        dual_torus_local: tuple[Vec, ...] | None,  # (h_i, h_j') = delta_ij, local coords
-        gram: MatQ | None,  # (beta_i, beta_j) through the restricted form
-        torus_is_dual: bool,
-    ):
-        self.__dict__.update(
-            psi=psi,
-            torus_ambient=torus_ambient,
-            beta_of_h=beta_of_h,
-            dual_torus_local=dual_torus_local,
-            gram=gram,
-            torus_is_dual=torus_is_dual,
-        )
-
-    @property
-    def l(self) -> int:
-        return len(self.torus_ambient)
-
-    @property
-    def m(self) -> int:
-        return len(self.psi)
-
-    @cached_property
-    def torus_solver(self) -> Solver:
-        """``beta_of_h`` factored once: ``torus_solver.solve(a)`` is the torus
-        vector h with ``beta_i(h) = a_i`` that ``solve(beta_of_h, a)`` gives,
-        or None."""
-        return Solver(self.beta_of_h)
 
 
 def closure_violation(rs: RootSystem, psi: tuple[Root, ...]) -> tuple[Root, Root, Root] | None:
@@ -343,12 +311,12 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
     """The semisimple Lie algebra of ``rs`` with Chevalley structure constants
     and its Killing form: the extraction over all of Phi (whose torus is the
     simple coroots), on the basis labelled ``h1..hl`` and ``e[root]``."""
-    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
+    g = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
     labels = g.labels[: rs.rank] + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
     return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form, torus=g.torus)
 
 
-def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple[LieAlgebra, DistinguishedBasis]:
+def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAlgebra:
     """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
     Requires Psi closed under root addition; ``check_closed=False`` skips
@@ -357,8 +325,8 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
     construction itself is built once per process for each spec (equal
     specs name the same system and the same sorted Psi) and kept in a memo
     of at most 32 entries, least recently used first out; the returned
-    algebra and basis are shared and read-only.  The largest entry is the
-    extraction over all of Phi(E8), 4.4 MB under tracemalloc once its
+    algebra is shared and read-only.  The largest entry is the
+    extraction over all of Phi(E8), 4.3 MB under tracemalloc once its
     bracket table is built, so the memo holds at most about 140 MB.
     """
     if check_closed:
@@ -370,7 +338,7 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> tuple
 
 
 @lru_cache(maxsize=32)
-def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
+def _extract(spec: SubalgebraSpec) -> LieAlgebra:
     """The construction behind :func:`extract_subalgebra`.
 
     Everything is read off the root data of ``spec.system``; no ambient
@@ -386,9 +354,7 @@ def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     Gram matrix is ``(beta_a, beta_b) = <beta_a, beta_b^vee> / (e_b, e_-b)``,
     because ``(beta, beta) (h_beta, h_beta) = 4 = 2 (e_beta, e_-beta) (beta,
     beta)``.  The Gram matrix is built only on the dual torus, where the form
-    is its inverse and the dual torus is the Gram matrix; on the coroot torus
-    ``gram`` is None, the form is ``_torus_form`` and the dual torus its
-    inverse.
+    on H is its inverse; on the coroot torus the form on H is ``_torus_form``.
     """
     rs = spec.system
     l, m = rs.rank, len(spec.psi)
@@ -397,36 +363,28 @@ def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     # pair[a][k] = <beta_a, alpha_k^vee>, an integer
     pair = [[rs.pairing(beta, k) for k in range(l)] for beta in spec.psi]
     coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
-    pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
-    torus_is_dual = pair_inv is not None
-    # t_j = sum_k T[k][j] h_k with T = pair^-1 (the torus dual to Psi) or I
-    # (the simple coroots), padded to the ambient basis h_1..h_l, e_roots
-    t = pair_inv if torus_is_dual else MatQ.identity(l)
-    pad = (Fraction(0),) * len(rs.roots)
-    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + pad for j in range(l))
-    gram = None
-    if torus_is_dual:
+    structure: dict[tuple[int, int], SparseVec] = {}
+    if m == l and inverse(MatQ.from_rows(pair)) is not None:
+        # the torus dual to Psi, t_j = sum_k (pair^-1)[k][j] h_k: beta_a(t_j) = delta_aj
         e_pairs = [_opposite_pair_form(kh, h) for h in coroots]  # (e_b, e_-b)
         gram = MatQ.from_rows(
             [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
         )
         if not gram.is_symmetric():
             raise AssertionError(f"closed-form Gram matrix of Psi = {spec.psi} is not symmetric")
-        # beta_a(t_j) = delta_aj, so the form on H is gram^-1 and the dual torus is gram
-        beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
+        # the form on H is gram^-1
+        torus_block = inverse(gram)
         if torus_block is None:
             raise AssertionError(f"Gram matrix of the linearly independent Psi = {spec.psi} is singular")
+        for j in range(l):
+            structure[(j, l + j)] = ((l + j, Fraction(1)),)
     else:
-        beta_of_h = MatQ.from_rows(pair)
+        # the simple coroots: beta_b(h_j) = <beta_b, alpha_j^vee>
         torus_block = MatQ.from_rows(kh)
-        dual = inverse(torus_block)
-
-    structure: dict[tuple[int, int], SparseVec] = {}
-    for j in range(l):
-        for b in range(m):
-            c = beta_of_h.at(b, j)
-            if c:
-                structure[(j, l + b)] = ((l + b, c),)
+        for j in range(l):
+            for b, row in enumerate(pair):
+                if row[j]:
+                    structure[(j, l + b)] = ((l + b, Fraction(row[j])),)
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
     opposite = [local.get(_neg(beta)) for beta in spec.psi]  # the local index of -beta, if in Psi
     lookup = None  # the pair constants, built only when some sum lies in Psi
@@ -447,23 +405,18 @@ def _extract(spec: SubalgebraSpec) -> tuple[LieAlgebra, DistinguishedBasis]:
     for a, b in enumerate(opposite):
         if b is not None:
             form[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])
-    zeros = (_ZERO,) * m
-    dual_torus_local = None if dual is None else tuple(tuple(dual.at(j, k) for k in range(l)) + zeros for j in range(l))
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, form), torus=l)
-    info = DistinguishedBasis(
-        psi=spec.psi,
-        torus_ambient=torus_ambient,
-        beta_of_h=beta_of_h,
-        dual_torus_local=dual_torus_local,
-        gram=gram,
-        torus_is_dual=torus_is_dual,
+    return LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, form), torus=l)
+
+
+def normal_form(g: LieAlgebra) -> bool:
+    """L is r_2^l: ``dim L = 2l`` for the torus size l, and the only
+    brackets are ``[t_k, x_k] = x_k``.  On an extraction this says the torus
+    is dual to Psi and no root sum lies in Psi."""
+    l, structure = g.torus, g.structure
+    return (
+        g.dim == 2 * l
+        and len(structure) == l
+        and all(structure.get((k, l + k)) == ((l + k, 1),) for k in range(l))
     )
-    return sub, info
-
-
-def normal_form(g: LieAlgebra, info: DistinguishedBasis) -> bool:
-    """L is r_2^l: the torus is dual to Psi and no root sum lies in Psi, so
-    the only brackets are ``[t_k, x_k] = x_k``."""
-    return info.torus_is_dual and len(g.structure) == info.l

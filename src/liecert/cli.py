@@ -189,7 +189,7 @@ def _cmd_der(args, seed):
     from .dercalc import derivation_space
 
     spec = _spec_from_args(args)
-    g, info = extract_subalgebra(spec)
+    g = extract_subalgebra(spec)
     basis = derivation_space(g)
     doc = _envelope(
         "der",
@@ -215,9 +215,9 @@ def _cmd_aid(args, seed):
     spec = _spec_from_args(args)
     inputs = _inputs(spec)
     if args.matrix:
-        g, info = extract_subalgebra(spec)
+        g = extract_subalgebra(spec)
         d = MatQ.from_json(_load_json(args.matrix))
-        verdict = aid_membership(g, info, d)
+        verdict = aid_membership(g, d)
         verdicts = {
             "status": verdict.status,
             "witness": [rat_to_str(v) for v in verdict.witness] if verdict.witness else None,
@@ -233,7 +233,7 @@ def _cmd_centroid(args, seed):
     from .dercalc import centroid_space
 
     spec = _spec_from_args(args)
-    g, info = extract_subalgebra(spec)
+    g = extract_subalgebra(spec)
     cent = centroid_space(g)
     # entry u of a row-major dim x dim matrix is on the diagonal iff dim + 1 divides u
     diagonal = not any(u % (g.dim + 1) for m in cent.basis for u in m.nonzeros)

@@ -32,11 +32,14 @@ derivation is ``ad`` of an explicit witness; unsolvable means the almost-inner
 condition already fails at ``sum x_i``.  Seeded random falsification is a
 cross-check only, never the verdict.
 
+Every step reads the torus off the algebra: H is its first ``g.torus``
+basis vectors, and ``beta_i(h_j)`` is ``g.weights[g.torus + i][j]``.  Step
+(iii) uses ``LieAlgebra.torus_solver``, those weights factored once per
+algebra.
+
 ``verify_aid_eq_inn`` proves almost inner = inner from ``Der = Inn`` on a
 minimal L, which is r_2^l (``chevalley.normal_form``), with every ad-basis
-element decided inner by an exact witness; anything else raises.  Step (iii)
-uses ``DistinguishedBasis.torus_solver``, ``beta_of_h`` factored once per
-basis.
+element decided inner by an exact witness; anything else raises.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, sub
 
-from .chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
+from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .exact import _ZERO, Echelon, MatQ, Rat, _Value, kernel_basis, solve
 from .qgraded import is_minimal
 
@@ -271,16 +274,16 @@ def centroid_violation(g: LieAlgebra, b: MatQ) -> tuple[int, int] | None:
     return _first_violation(g, b, ordered=True, right=False)
 
 
-def _torus_kernel_vector(info: DistinguishedBasis, beta_row: dict[int, Rat], psi_row: Vec) -> Vec | None:
-    """A torus vector in ker(beta_i), given by the nonzeros of its row of
-    ``beta_of_h``, where the functional psi_row is nonzero."""
-    for v in kernel_basis(MatQ(1, info.l, beta_row)):
+def _torus_kernel_vector(beta_row: dict[int, Rat], psi_row: Vec) -> Vec | None:
+    """A torus vector in ker(beta_i), given by the nonzeros of beta_i's
+    weight, where the functional psi_row on the torus is nonzero."""
+    for v in kernel_basis(MatQ(1, len(psi_row), beta_row)):
         if sum(p * x for p, x in zip(psi_row, v)) != 0:
             return v
     return None
 
 
-def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[bool, dict]:
+def aid_precondition(g: LieAlgebra, d: MatQ) -> tuple[bool, dict]:
     """Decide ``D(h) in [h, L]`` for every torus element h, exactly.
 
     This is a statement about any linear map D, so Leibniz is not checked.
@@ -291,7 +294,7 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     """
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
-    l, dim = info.l, g.dim
+    l, dim, weights = g.torus, g.dim, g.weights
     # the nonzeros of D in the torus columns: D(h_j) = sum_r D[r][j] b_r
     torus, psi = set(), defaultdict(dict)
     for u, x in d.nonzeros.items():
@@ -305,15 +308,15 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     if torus:
         j = min(torus)
         return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
-    scalars = [_ZERO] * info.m  # c_i = 0 where the functional is zero
-    beta_rows = info.beta_of_h.row_dicts()
+    scalars = [_ZERO] * (dim - l)  # c_i = 0 where the functional is zero
     for i in sorted(psi):
-        row, beta_row = psi[i], beta_rows[i]
+        row = psi[i]
+        beta_row = {j: b for j, b in enumerate(weights[l + i]) if b}  # beta_i(h_j), by its nonzeros
         j0 = min(beta_row, default=None)
-        c = row[j0] / beta_row[j0] if j0 in row else _ZERO
+        c = Fraction(row[j0], beta_row[j0]) if j0 in row else _ZERO
         # the functional is c beta_i: no support off beta_i's, c beta_i on it
         if row.keys() - beta_row.keys() or any(row.get(j, _ZERO) != c * b for j, b in beta_row.items()):
-            witness = _torus_kernel_vector(info, beta_row, tuple(row.get(j, _ZERO) for j in range(l)))
+            witness = _torus_kernel_vector(beta_row, tuple(row.get(j, _ZERO) for j in range(l)))
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
@@ -321,7 +324,7 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     return True, {"scalars": tuple(scalars)}
 
 
-def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, MatQ, tuple[Rat, ...]]:
+def aid_reduce(g: LieAlgebra, d: MatQ) -> tuple[Vec, MatQ, tuple[Rat, ...]]:
     """Subtract an inner derivation so the result kills H and scales each x_i.
 
     Expects a derivation (``aid_membership`` checks Leibniz before it
@@ -329,15 +332,15 @@ def aid_reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[Vec, M
     ``(z, Dt, a)`` with ``Dt = D + ad(z)``, ``Dt(H) = 0`` and
     ``Dt(x_i) = a_i x_i``; z is the closed form ``sum c_i x_i``.
     """
-    ok, data = aid_precondition(g, info, d)
+    ok, data = aid_precondition(g, d)
     if not ok:
         raise ValueError(f"almost-inner precondition fails: {data}")
-    return _reduce(g, info, d, data["scalars"])
+    return _reduce(g, d, data["scalars"])
 
 
-def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
+def _reduce(g: LieAlgebra, d: MatQ, scalars: tuple[Rat, ...]):
     """``aid_reduce`` past its precondition, whose scalars it takes."""
-    l, dim, table = info.l, g.dim, g._table
+    l, dim, table = g.torus, g.dim, g._table
     z = (_ZERO,) * l + scalars
     # Dt = D + ad(z), and ad(z) = sum_i c_i ad(x_i) has column j holding c_i [x_i, b_j]
     entries = dict(d.nonzeros)
@@ -355,27 +358,28 @@ def _reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat
     return z, dt, tuple(dt.at(u, u) for u in range(l, dim))
 
 
-def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
+def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
     """Exact decision procedure for almost-inner membership on a minimal L.
 
     The one place on this path that checks Leibniz, once per candidate; the
-    scalar system is solved by ``info.torus_solver``, factored once per basis."""
+    scalar system is solved by ``g.torus_solver``, factored once per algebra."""
     viol = leibniz_violation(g, d)
     if viol is not None:
         return AidVerdict(status="not-derivation", data={"pair": viol})
-    ok, data = aid_precondition(g, info, d)
+    ok, data = aid_precondition(g, d)
     if not ok:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
     scalars = data["scalars"]
-    z, _, a = _reduce(g, info, d, scalars)
-    h = info.torus_solver.solve(a)
+    z, _, a = _reduce(g, d, scalars)
+    h = g.torus_solver.solve(a)
     if h is None:
         # the almost-inner condition fails at x = sum_i x_i
-        x = (Fraction(0),) * info.l + (Fraction(1),) * info.m
+        l = g.torus
+        x = (Fraction(0),) * l + (Fraction(1),) * (g.dim - l)
         return AidVerdict(
             status="not-aid",
             reason="scalar-system",
-            data={"system": info.beta_of_h, "rhs": a, "fails_at": x, "reduction_z": z},
+            data={"system": MatQ.from_rows(g.weights[l:]), "rhs": a, "fails_at": x, "reduction_z": z},
         )
     # h - z, as h lives on the torus and z = sum_i c_i x_i off it
     witness = h + tuple(-c for c in scalars)
@@ -432,11 +436,11 @@ def verify_aid_eq_inn(spec: SubalgebraSpec) -> AidEqInnCertificate:
     # is_minimal raises unless Psi is closed and spanning
     if not is_minimal(spec)[0]:
         raise ValueError("the procedure applies to minimal Q-graded subalgebras only")
-    g, info = extract_subalgebra(spec, check_closed=False)
+    g = extract_subalgebra(spec, check_closed=False)
     basis = derivation_space(g)
-    if not normal_form(g, info) or basis.complement_basis:
+    if not normal_form(g) or basis.complement_basis:
         raise AssertionError(f"the minimal subalgebra of {spec.psi} is not r_2^l with Der = Inn")
-    inner_verdicts = tuple(aid_membership(g, info, m) for m in basis.inn_basis)
+    inner_verdicts = tuple(aid_membership(g, m) for m in basis.inn_basis)
     return AidEqInnCertificate(
         spec=spec,
         dim_l=g.dim,
@@ -447,15 +451,16 @@ def verify_aid_eq_inn(spec: SubalgebraSpec) -> AidEqInnCertificate:
     )
 
 
-def diagonal_map(g: LieAlgebra, info: DistinguishedBasis, scalars) -> MatQ:
+def diagonal_map(g: LieAlgebra, scalars) -> MatQ:
     """The map killing H and scaling x_i by scalars[i] (a derivation iff the
     scalars are additive across the closed sums in Psi)."""
-    if len(scalars) != info.m:
+    l = g.torus
+    if len(scalars) != g.dim - l:
         raise ValueError("need one scalar per root in Psi")
-    return MatQ(g.dim, g.dim, {(info.l + i) * (g.dim + 1): Fraction(a) for i, a in enumerate(scalars)})
+    return MatQ(g.dim, g.dim, {(l + i) * (g.dim + 1): Fraction(a) for i, a in enumerate(scalars)})
 
 
-def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) -> dict:
+def scalar_derivation_verdict(g: LieAlgebra, scalars) -> dict:
     """Dichotomy certificate for a candidate diagonal map.
 
     Reports whether the map is a derivation (with a witness pair when not),
@@ -463,11 +468,11 @@ def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) 
     and the combined verdict: it is an almost-inner derivation iff both hold,
     in which case it is inner via the solved z.
     """
-    d = diagonal_map(g, info, scalars)
+    d = diagonal_map(g, scalars)
     viol = leibniz_violation(g, d)
-    z = info.torus_solver.solve([Fraction(a) for a in scalars])
+    z = g.torus_solver.solve([Fraction(a) for a in scalars])
     feasible = z is not None
-    witness = tuple(z) + (Fraction(0),) * info.m if feasible and viol is None else None
+    witness = tuple(z) + (Fraction(0),) * (g.dim - g.torus) if feasible and viol is None else None
     if witness is not None and g.ad(witness) != d:
         raise AssertionError("inner witness does not reproduce the diagonal map")
     inner = witness is not None
@@ -481,14 +486,13 @@ def scalar_derivation_verdict(g: LieAlgebra, info: DistinguishedBasis, scalars) 
     }
 
 
-def diagonal_toral_algebra(beta_rows) -> tuple[LieAlgebra, DistinguishedBasis]:
+def diagonal_toral_algebra(beta_rows) -> LieAlgebra:
     """The solvable model ``[h_j, x_i] = beta_i(h_j) x_i`` with abelian span of
     the x_i.  Every minimal Q-graded subalgebra with ``|Psi| = rank`` is of
     this shape; with more weight rows than torus dimensions it realises the
     ``dim [L,L] > dim H`` situation exactly."""
     m = len(beta_rows)
     l = len(beta_rows[0])
-    dim = l + m
     structure = {}
     for i in range(m):
         for j in range(l):
@@ -496,13 +500,4 @@ def diagonal_toral_algebra(beta_rows) -> tuple[LieAlgebra, DistinguishedBasis]:
             if c:
                 structure[(j, l + i)] = ((l + i, c),)
     labels = tuple(f"h{j + 1}" for j in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    g = LieAlgebra(dim=dim, labels=labels, structure=structure, form=None, torus=l)
-    info = DistinguishedBasis(
-        psi=tuple(tuple(int(x) for x in row) for row in beta_rows),  # weights stand in for roots
-        torus_ambient=tuple(g.basis_vector(j) for j in range(l)),
-        beta_of_h=MatQ.from_rows([[Fraction(x) for x in row] for row in beta_rows]),
-        dual_torus_local=None,
-        gram=None,
-        torus_is_dual=False,
-    )
-    return g, info
+    return LieAlgebra(dim=l + m, labels=labels, structure=structure, form=None, torus=l)

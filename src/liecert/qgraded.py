@@ -230,7 +230,8 @@ def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False) -> 
     """A minimal set the walk found, re-checked for closure and span (by its
     Smith invariant factors, ``exact.invariant_factors``) unless ``decided``,
     and for rank-many roots: then it is a lattice basis, no two of its roots
-    sum into it, and L is r_2^l (``chevalley.normal_form``)."""
+    sum into it, and L is r_2^l, which ``chevalley.normal_form`` reads off
+    the bracket table of the extraction."""
     spec = SubalgebraSpec(rs, psi)
     if not decided and (closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]):
         raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
@@ -292,7 +293,7 @@ def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
 
 def _metabelian_certificate(spec: SubalgebraSpec, factors: tuple[int, ...]) -> QGradedCertificate:
     """``verify_metabelian`` once closure and span are decided."""
-    sub, _ = extract_subalgebra(spec, check_closed=False)
+    sub = extract_subalgebra(spec, check_closed=False)
     l, m = spec.system.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
     nonzero = ((a, b) for a in range(m) for b in range(a + 1, m) if any(c for _, c in sub.bracket_basis(l + a, l + b)))

@@ -11,14 +11,23 @@ ambient algebra that extraction did not build.
 ``killing_form`` is the generic trace form ``tr(ad x . ad y)``, computed from
 any bracket table; the closed-form Killing form of the package is checked
 against it.
+
+``torus_reference`` is the torus bookkeeping that extraction once returned
+beside its algebra, read out of an ambient algebra: the torus embedding, the
+weights ``beta_i(h_j)``, the Gram matrix and the dual torus.
+``is_normal_form`` is the r_2^l predicate as it was decided from that
+bookkeeping.  The extraction tests check the package's algebra against both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from types import SimpleNamespace
 
 from liecert.chevalley import (
     LieAlgebra,
+    SubalgebraSpec,
     _add,
     _coroot_vector,
     _neg,
@@ -26,7 +35,7 @@ from liecert.chevalley import (
     _positive_pair_constants,
     _torus_form,
 )
-from liecert.exact import MatQ
+from liecert.exact import MatQ, inverse
 from liecert.rootsys import RootSystem
 
 
@@ -92,3 +101,60 @@ def killing_form(g: LieAlgebra) -> MatQ:
             entries[i * dim + j] = tr
             entries[j * dim + i] = tr
     return MatQ(dim, dim, dict(enumerate(entries)))
+
+
+def _pairing(spec: SubalgebraSpec) -> MatQ:
+    """``<beta_a, alpha_k^vee>``, one row per root of Psi."""
+    rs = spec.system
+    return MatQ.from_rows([[rs.pairing(beta, k) for k in range(rs.rank)] for beta in spec.psi])
+
+
+def is_normal_form(spec: SubalgebraSpec) -> bool:
+    """L is r_2^l: ``|Psi| = rank``, the pairing matrix is invertible (so the
+    torus is chosen dual to Psi), and no two roots of Psi sum into Psi."""
+    members = set(spec.psi)
+    return (
+        len(spec.psi) == spec.system.rank
+        and inverse(_pairing(spec)) is not None
+        and not any(tuple(x + y for x, y in zip(a, b)) in members for a, b in combinations(spec.psi, 2))
+    )
+
+
+def torus_reference(g: LieAlgebra, spec: SubalgebraSpec) -> SimpleNamespace:
+    """The torus of the extraction of ``spec``, read out of its ambient
+    algebra ``g`` (basis ``h_1..h_l, e_roots``).
+
+    ``torus_is_dual``: the torus is chosen dual to Psi (``|Psi| = l`` and an
+    invertible pairing matrix), else it is the simple coroots.
+    ``torus_ambient``: the torus vectors in ambient coordinates.
+    ``beta_of_h``: the m x l matrix ``beta_i(h_j)``.  ``torus_block``: the
+    ambient form on the torus.  ``gram``: ``(beta_a, beta_b)``, dividing by
+    the ambient ``(e_b, e_-b)``.  ``dual_torus``: the torus vectors h' with
+    ``(h_i, h_j') = delta_ij``, in the subalgebra's coordinates.
+    """
+    rs = spec.system
+    l, m = rs.rank, len(spec.psi)
+    pair = _pairing(spec)
+    coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
+    e_pairs = [g.form.at(l + rs.root_index[beta], l + rs.root_index[_neg(beta)]) for beta in spec.psi]
+    gram = MatQ.from_rows(
+        [
+            [sum(c * pair.at(a, k) for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)]
+            for a in range(m)
+        ]
+    )
+    pair_inv = inverse(pair) if m == l else None
+    t = pair_inv if pair_inv is not None else MatQ.identity(l)
+    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + (Fraction(0),) * (g.dim - l) for j in range(l))
+    torus_block = MatQ.from_rows([[g.form_value(x, y) for y in torus_ambient] for x in torus_ambient])
+    beta_of_h = pair.mul(t)
+    dual = inverse(torus_block)
+    dual_torus = tuple(tuple(dual.at(j, k) for k in range(l)) + (Fraction(0),) * m for j in range(l))
+    return SimpleNamespace(
+        torus_is_dual=pair_inv is not None,
+        torus_ambient=torus_ambient,
+        beta_of_h=beta_of_h,
+        torus_block=torus_block,
+        gram=gram,
+        dual_torus=dual_torus,
+    )

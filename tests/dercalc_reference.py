@@ -12,8 +12,9 @@ checks against the dense bracket; ``touched_pairs`` is the pair filter that
 entry by entry with ``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul``
 is the row-by-row dense product.  ``aid_membership`` is the decision
 procedure wired to them; it shares ``leibniz_violation``,
-``_torus_kernel_vector``, ``solve`` and ``LieAlgebra.ad`` with the package,
-which other tests check on their own.
+``_torus_kernel_vector``, ``solve``, ``LieAlgebra.ad`` and
+``LieAlgebra.weights`` (as ``beta_of_h``) with the package, which other
+tests check on their own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from liecert.chevalley import DistinguishedBasis, LieAlgebra
+from liecert.chevalley import LieAlgebra
 from liecert.dercalc import AidVerdict, CentroidBasis, DerivationBasis, _leibniz_rows, _torus_kernel_vector, leibniz_violation
 from liecert.exact import Echelon, MatQ, Rat, solve
 from exact_reference import dense
@@ -104,8 +105,14 @@ def mul(left: MatQ, right: MatQ) -> MatQ:
     return MatQ(left.rows, right.cols, dict(enumerate(out)))
 
 
-def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[bool, dict]:
-    l, m = info.l, info.m
+def beta_of_h(g: LieAlgebra) -> MatQ:
+    """The m x l matrix ``beta_i(h_j)`` of the root weights."""
+    l = g.torus
+    return MatQ(g.dim - l, l, {i * l + j: Fraction(w) for i, row in enumerate(g.weights[l:]) for j, w in enumerate(row)})
+
+
+def aid_precondition(g: LieAlgebra, d: MatQ) -> tuple[bool, dict]:
+    l, m = g.torus, g.dim - g.torus
     # torus component of D(h_j) must vanish identically
     for j in range(l):
         if any(d.at(r, j) for r in range(l)):
@@ -113,11 +120,11 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     scalars: list[Rat] = []
     for i in range(m):
         psi_row = tuple(d.at(l + i, j) for j in range(l))  # h_j -> x_i coefficient
-        beta_row = dense(info.beta_of_h).row(i)
+        beta_row = dense(beta_of_h(g)).row(i)
         j0 = next(j for j in range(l) if beta_row[j] != 0)
         c = psi_row[j0] / beta_row[j0]
         if any(psi_row[j] != c * beta_row[j] for j in range(l)):
-            witness = _torus_kernel_vector(info, dict(enumerate(beta_row)), psi_row)
+            witness = _torus_kernel_vector(dict(enumerate(beta_row)), psi_row)
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
@@ -125,8 +132,8 @@ def aid_precondition(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> tuple[
     return True, {"scalars": tuple(scalars)}
 
 
-def reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat, ...]):
-    l, m = info.l, info.m
+def reduce(g: LieAlgebra, d: MatQ, scalars: tuple[Rat, ...]):
+    l, m = g.torus, g.dim - g.torus
     z = (Fraction(0),) * l + scalars
     dt = MatQ(g.dim, g.dim, dict(enumerate(a + b for a, b in zip(dense(d).entries, dense(g.ad(z)).entries))))
     if any(dt.at(r, j) for j in range(l) for r in range(g.dim)):
@@ -139,23 +146,24 @@ def reduce(g: LieAlgebra, info: DistinguishedBasis, d: MatQ, scalars: tuple[Rat,
     return z, dt, tuple(a)
 
 
-def aid_membership(g: LieAlgebra, info: DistinguishedBasis, d: MatQ) -> AidVerdict:
+def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
     viol = leibniz_violation(g, d)
     if viol is not None:
         return AidVerdict(status="not-derivation", data={"pair": viol})
-    ok, data = aid_precondition(g, info, d)
+    ok, data = aid_precondition(g, d)
     if not ok:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
-    z, dt, a = reduce(g, info, d, data["scalars"])
-    h = solve(info.beta_of_h, list(a))
+    z, dt, a = reduce(g, d, data["scalars"])
+    l, m = g.torus, g.dim - g.torus
+    h = solve(beta_of_h(g), list(a))
     if h is None:
-        x = (Fraction(0),) * info.l + (Fraction(1),) * info.m
+        x = (Fraction(0),) * l + (Fraction(1),) * m
         return AidVerdict(
             status="not-aid",
             reason="scalar-system",
-            data={"system": info.beta_of_h, "rhs": a, "fails_at": x, "reduction_z": z},
+            data={"system": beta_of_h(g), "rhs": a, "fails_at": x, "reduction_z": z},
         )
-    witness = tuple(hh - zz for hh, zz in zip(tuple(h) + (Fraction(0),) * info.m, z))
+    witness = tuple(hh - zz for hh, zz in zip(tuple(h) + (Fraction(0),) * m, z))
     if g.ad(witness) != d:
         raise AssertionError("inner witness does not reproduce the derivation")
     return AidVerdict(status="inner", witness=witness, data={"reduction_z": z, "scalars": a, "torus_part": h})

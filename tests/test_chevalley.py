@@ -1,5 +1,5 @@
 """Chevalley construction: Jacobi scans, constant magnitudes, Killing form,
-subalgebra extraction with the distinguished basis."""
+subalgebra extraction and the torus weights read off its table."""
 
 import os
 import random
@@ -12,18 +12,17 @@ from pathlib import Path
 import pytest
 
 from liecert.chevalley import (
-    DistinguishedBasis,
     LieAlgebra,
     SubalgebraSpec,
-    _coroot_vector,
     build_semisimple,
     extract_subalgebra,
+    normal_form,
 )
 from liecert.exact import MatQ, inverse, solve
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 from chevalley_reference import build_semisimple as reference_semisimple
-from chevalley_reference import killing_form
+from chevalley_reference import is_normal_form, killing_form, torus_reference
 from exact_reference import dense, rref
 
 
@@ -185,9 +184,9 @@ def test_killing_invariance_random(b2):
 def test_extract_b2_minimal(b2):
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (2, 1)))
-    sub, info = extract_subalgebra(spec)
+    sub = extract_subalgebra(spec)
     assert sub.dim == 4
-    assert info.torus_is_dual
+    assert normal_form(sub)
     # [h_i, x_j] = delta_ij x_j and [x_1, x_2] = 0
     for i in range(2):
         for j in range(2):
@@ -201,14 +200,15 @@ def test_extract_b2_minimal(b2):
     for i in range(2, 4):
         for j in range(2, 4):
             assert sub.form.at(i, j) == 0
-    # distinguished-basis identities
+    # the torus is dual to Psi, and the reference dual torus pairs with it to delta_ij
+    torus = torus_reference(g, spec)
     for i in range(2):
         for j in range(2):
-            assert info.beta_of_h.at(i, j) == (1 if i == j else 0)
+            assert sub.weights[2 + i][j] == (1 if i == j else 0)
             hi = sub.basis_vector(i)
-            assert sub.form_value(hi, info.dual_torus_local[j]) == (1 if i == j else 0)
-    assert info.gram.is_symmetric()
-    assert rref(info.gram).rank == 2
+            assert sub.form_value(hi, torus.dual_torus[j]) == (1 if i == j else 0)
+    assert torus.gram.is_symmetric()
+    assert rref(torus.gram).rank == 2
 
 
 def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
@@ -217,8 +217,8 @@ def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
     # so with the short root of squared norm 1 the Gram of {a, 2a+b} is
     # [[1/6, 1/6], [1/6, 1/3]]
     rs, g = b2
-    _, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
-    assert dense(info.gram).to_rows() == [
+    torus = torus_reference(g, SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    assert dense(torus.gram).to_rows() == [
         [Fraction(1, 6), Fraction(1, 6)],
         [Fraction(1, 6), Fraction(1, 3)],
     ]
@@ -227,9 +227,9 @@ def test_b2_minimal_gram_matches_dual_coxeter_normalisation(b2):
 def test_extract_b2_positive_roots(b2):
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1), (1, 1), (2, 1)))
-    sub, info = extract_subalgebra(spec)
+    sub = extract_subalgebra(spec)
     assert sub.dim == 6
-    assert not info.torus_is_dual  # |Psi| = 4 > 2
+    assert sub.torus == 2 and not normal_form(sub)  # |Psi| = 4 > 2
 
 
 def test_extract_rejects_non_closed(b2):
@@ -253,14 +253,14 @@ def test_equal_specs_share_one_extraction(b2):
     rs, g = b2
     first = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     again = extract_subalgebra(SubalgebraSpec(rs, ((2, 1), (1, 0))))
-    assert again[0] is first[0] and again[1] is first[1]
+    assert again is first
     other = extract_subalgebra(SubalgebraSpec(build_root_system("C", 3), ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
-    assert other[0] is not first[0]
+    assert other is not first
 
 
 def test_shared_extraction_is_read_only(b2):
     rs, g = b2
-    sub, _ = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    sub = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     assert sub.structure == dict(sub.structure)
     with pytest.raises(TypeError):
         sub.structure[(0, 1)] = ()
@@ -292,7 +292,7 @@ def test_per_type_data_is_built_on_first_use():
 def test_extract_opposite_pair(b2):
     # {a, -a} is closed; the bracket of the root vectors lands in the torus
     rs, g = b2
-    sub, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
+    sub = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
     assert sub.dim == 4
     img = sub.bracket(sub.basis_vector(2), sub.basis_vector(3))
     assert any(img[:2]) and not any(img[2:])
@@ -301,7 +301,7 @@ def test_extract_opposite_pair(b2):
 
 def test_extracted_subalgebra_jacobi(b2):
     rs, g = b2
-    sub, _ = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    sub = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
     assert jacobi_violations(sub) == []
 
 
@@ -310,12 +310,13 @@ def test_restricted_form_is_ambient_not_intrinsic(b2):
     # subalgebra's own (degenerate, solvable) trace form
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (2, 1)))
-    sub, info = extract_subalgebra(spec)
+    sub = extract_subalgebra(spec)
     own = killing_form(sub)
     assert own != sub.form
+    embedding = torus_reference(g, spec).torus_ambient
     for i in range(2):
         for j in range(2):
-            assert sub.form.at(i, j) == g.form_value(info.torus_ambient[i], info.torus_ambient[j])
+            assert sub.form.at(i, j) == g.form_value(embedding[i], embedding[j])
 
 
 def test_spec_orders_psi_canonically():
@@ -426,51 +427,51 @@ def _differential_specs():
         yield pytest.param(rs, [SubalgebraSpec(rs, bipartite_psi(rs))], id=f"{family}{rank}-bipartite")
 
 
+def check_torus(sub: LieAlgebra, spec: SubalgebraSpec, beta_of_h: MatQ, dual, gram, torus_is_dual: bool):
+    """The torus facts the algebra alone carries, against a reference: its
+    root weights are ``beta_of_h``, ``normal_form`` is the r_2^l predicate
+    of Psi, the reference dual torus pairs with H to delta_ij, and on a
+    torus dual to Psi the form on H is the inverse of the Gram matrix."""
+    l = sub.torus
+    assert l == spec.system.rank, spec.psi
+    assert MatQ.from_rows(sub.weights[l:]) == beta_of_h, spec.psi
+    assert normal_form(sub) == is_normal_form(spec), spec.psi
+    for i in range(l):
+        for j in range(l):
+            assert sub.form_value(sub.basis_vector(i), dual[j]) == (1 if i == j else 0), spec.psi
+    if torus_is_dual:
+        block = MatQ.from_rows([[sub.form.at(i, j) for j in range(l)] for i in range(l)])
+        assert block == inverse(gram), spec.psi
+
+
 @pytest.mark.parametrize("rs,specs", list(_differential_specs()))
 def test_graded_extraction_matches_dense_reference(rs, specs):
     g = reference_semisimple(rs)
     for spec in specs:
-        sub, info = extract_subalgebra(spec)
+        sub = extract_subalgebra(spec)
         structure, form, beta_of_h, dual, gram = dense_extract_reference(g, spec)
         assert list(sub.structure.items()) == list(structure.items()), spec.psi
         assert sub.form == form, spec.psi
-        assert info.beta_of_h == beta_of_h, spec.psi
-        assert info.dual_torus_local == dual, spec.psi
-        assert info.gram == (gram if info.torus_is_dual else None), spec.psi
+        check_torus(sub, spec, beta_of_h, dual, gram, torus_reference(g, spec).torus_is_dual)
 
 
-def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
+def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec) -> LieAlgebra:
     """Oracle: the subalgebra read out of the built ambient algebra ``g``.
 
     The brackets of the root vectors are the ambient structure constants
     re-indexed through Psi, the form entries are ambient form entries, and
-    the Gram matrix divides by the ambient ``(e_b, e_-b)``.  Returns
-    ``(sub, info)`` like ``extract_subalgebra``.
+    the torus is ``torus_reference``'s, with its form read off the ambient
+    form on the torus vectors.
     """
     rs = spec.system
     l, m = rs.rank, len(spec.psi)
     ambient = [l + rs.root_index[beta] for beta in spec.psi]
-    pair = [[Fraction(rs.pairing(beta, k)) for k in range(l)] for beta in spec.psi]
-    coroots = [_coroot_vector(rs, beta) for beta in spec.psi]
-    e_pairs = [g.form.at(ia, l + rs.root_index[tuple(-x for x in beta)]) for ia, beta in zip(ambient, spec.psi)]
-    gram = MatQ.from_rows(
-        [[sum(c * row[k] for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)] for row in pair]
-    )
-    pair_inv = inverse(MatQ.from_rows(pair)) if m == l else None
-    torus_is_dual = pair_inv is not None
-    t = pair_inv if torus_is_dual else MatQ.identity(l)
-    torus_ambient = tuple(tuple(t.at(k, j) for k in range(l)) + (Fraction(0),) * (g.dim - l) for j in range(l))
-    if torus_is_dual:
-        beta_of_h, torus_block, dual = MatQ.identity(l), inverse(gram), gram
-    else:
-        beta_of_h = MatQ.from_rows(pair)
-        torus_block = MatQ.from_rows([dense(g.form).row(i)[:l] for i in range(l)])
-        dual = inverse(torus_block)
+    torus = torus_reference(g, spec)
     structure = {}
     for j in range(l):
         for b in range(m):
-            if beta_of_h.at(b, j):
-                structure[(j, l + b)] = ((l + b, beta_of_h.at(b, j)),)
+            if torus.beta_of_h.at(b, j):
+                structure[(j, l + b)] = ((l + b, torus.beta_of_h.at(b, j)),)
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
     for a in range(m):
         for b in range(a + 1, m):
@@ -481,19 +482,10 @@ def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
             elif entry:
                 structure[(l + a, l + b)] = entry
     zeros = [Fraction(0)] * m
-    form_rows = [list(dense(torus_block).row(i)) + zeros for i in range(l)]
+    form_rows = [list(dense(torus.torus_block).row(i)) + zeros for i in range(l)]
     form_rows += [[Fraction(0)] * l + [g.form.at(ia, ib) for ib in ambient] for ia in ambient]
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
-    sub = LieAlgebra(dim=l + m, labels=labels, structure=structure, form=MatQ.from_rows(form_rows))
-    info = DistinguishedBasis(
-        psi=spec.psi,
-        torus_ambient=torus_ambient,
-        beta_of_h=beta_of_h,
-        dual_torus_local=None if dual is None else tuple(dense(dual).row(j) + tuple(zeros) for j in range(l)),
-        gram=gram,
-        torus_is_dual=torus_is_dual,
-    )
-    return sub, info
+    return LieAlgebra(dim=l + m, labels=labels, structure=structure, form=MatQ.from_rows(form_rows))
 
 
 def _ambient_reference_specs():
@@ -514,14 +506,12 @@ def _ambient_reference_specs():
 def test_extraction_matches_the_ambient_algebra(rs, specs):
     g = reference_semisimple(rs)
     for spec in specs:
-        sub, info = extract_subalgebra(spec)
-        ref, ref_info = ambient_extract_reference(g, spec)
+        sub = extract_subalgebra(spec)
+        ref, torus = ambient_extract_reference(g, spec), torus_reference(g, spec)
         assert (sub.dim, sub.labels) == (ref.dim, ref.labels), spec.psi
         assert list(sub.structure.items()) == list(ref.structure.items()), spec.psi
         assert sub.form == ref.form, spec.psi
-        for name in ("psi", "torus_ambient", "beta_of_h", "dual_torus_local", "torus_is_dual"):
-            assert getattr(info, name) == getattr(ref_info, name), (name, spec.psi)
-        assert info.gram == (ref_info.gram if info.torus_is_dual else None), spec.psi
+        check_torus(sub, spec, torus.beta_of_h, torus.dual_torus, torus.gram, torus.torus_is_dual)
 
 
 AMBIENT_TYPES = (
@@ -627,7 +617,7 @@ def _check_table(g: LieAlgebra, rng):
 )
 def test_ad_and_bracket_read_off_the_table(family, rank, psi):
     rs = build_root_system(family, rank)
-    g, _ = extract_subalgebra(SubalgebraSpec(rs, tuple(tuple(map(int, r.split(","))) for r in psi.split(";"))))
+    g = extract_subalgebra(SubalgebraSpec(rs, tuple(tuple(map(int, r.split(","))) for r in psi.split(";"))))
     _check_table(g, random.Random(97))
 
 

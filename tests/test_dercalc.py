@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from liecert import dercalc
-from liecert.chevalley import DistinguishedBasis, LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
+from liecert.chevalley import LieAlgebra, SubalgebraSpec, build_semisimple, extract_subalgebra
 from liecert.dercalc import (
     aid_falsify_random,
     aid_membership,
@@ -53,7 +53,7 @@ def test_abelian_derivations_are_everything():
 
 
 def test_b2_minimal_derivation_dim_and_permutation_oracle(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     basis = derivation_space(g)
     for d in basis.der_basis:
         assert leibniz_violation(g, d) is None
@@ -78,7 +78,7 @@ def test_inner_dim_equals_dim_for_enumerated_minimal():
     for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
         for spec in enumerate_minimal(rs):
-            g, _ = extract_subalgebra(spec)
+            g = extract_subalgebra(spec)
             basis = derivation_space(g)
             # center is zero since Psi spans the dual of the torus
             assert basis.dim_inn == g.dim
@@ -86,7 +86,7 @@ def test_inner_dim_equals_dim_for_enumerated_minimal():
 
 
 def test_centroid_contains_identity(b2_minimal):
-    g, _ = b2_minimal
+    g = b2_minimal
     cent = centroid_space(g)
     ident = MatQ.identity(g.dim)
     stacked = [list(dense(m).entries) for m in cent.basis]
@@ -95,16 +95,16 @@ def test_centroid_contains_identity(b2_minimal):
 
 
 def test_centroid_minimal_is_diagonal_with_paired_eigenvalues(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     cent = centroid_space(g)
-    assert len(cent.basis) == info.l
+    assert len(cent.basis) == g.torus
     for phi in cent.basis:
         for r in range(g.dim):
             for c in range(g.dim):
                 if r != c:
                     assert phi.at(r, c) == 0
-        for i in range(info.l):
-            assert phi.at(i, i) == phi.at(info.l + i, info.l + i)
+        for i in range(g.torus):
+            assert phi.at(i, i) == phi.at(g.torus + i, g.torus + i)
 
 
 def test_centroid_of_simple_b2_is_scalars():
@@ -124,7 +124,7 @@ def test_centroid_of_abelian_algebra_is_all_of_end():
 def test_centroid_commutator_check_fires(b2_minimal, monkeypatch):
     # E_00 E_01 - E_01 E_00 = E_01 sends b_1 to the torus element b_0, which
     # is not central in the minimal subalgebra
-    g, _ = b2_minimal
+    g = b2_minimal
     units = [tuple(Fraction(int(k == c)) for k in range(g.dim * g.dim)) for c in (0, 1)]
     monkeypatch.setattr(Echelon, "kernel", lambda self, ncols: units)
     with pytest.raises(AssertionError, match="outside its center"):
@@ -132,22 +132,22 @@ def test_centroid_commutator_check_fires(b2_minimal, monkeypatch):
 
 
 def test_aid_precondition_inner_passes(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     for z in [g.basis_vector(k) for k in range(g.dim)]:
-        ok, data = aid_precondition(g, info, g.ad(z))
+        ok, data = aid_precondition(g, g.ad(z))
         assert ok
-    ok, data = aid_precondition(g, info, MatQ(4, 4, {}))
+    ok, data = aid_precondition(g, MatQ(4, 4, {}))
     assert ok and data["scalars"] == (0, 0)
 
 
 def test_aid_precondition_failure_with_oracle(b2_minimal):
     # h_1 -> x_2 is not a derivation here, so bypass the Leibniz gate to
     # exercise the membership logic, and confirm with a direct rank oracle
-    g, info = b2_minimal
+    g = b2_minimal
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[3][0] = Fraction(1)  # h_1 -> x_2
     d = MatQ.from_rows(rows)
-    ok, data = aid_precondition(g, info, d)
+    ok, data = aid_precondition(g, d)
     assert not ok
     h = tuple(data["witness_h"]) + (Fraction(0), Fraction(0))
     # oracle: D(h) is not in the column space of ad(h)
@@ -158,51 +158,51 @@ def test_aid_precondition_failure_with_oracle(b2_minimal):
 
 
 def test_aid_reduce_examples(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     h = (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
-    z, dt, a = aid_reduce(g, info, g.ad(h))
+    z, dt, a = aid_reduce(g, g.ad(h))
     assert z == (0, 0, 0, 0)
-    assert a == (info.beta_of_h.at(0, 0) * 1 + info.beta_of_h.at(0, 1) * 2, 2)
+    assert a == (g.weights[2][0] * 1 + g.weights[2][1] * 2, 2)
     x1 = g.basis_vector(2)
-    z, dt, a = aid_reduce(g, info, g.ad(x1))
+    z, dt, a = aid_reduce(g, g.ad(x1))
     assert z == tuple(-v for v in x1)
     assert a == (0, 0) and not any(dense(dt).entries)
 
 
 def test_aid_reduce_random_inner(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     rng = random.Random(31)
     for _ in range(10):
         w = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
-        z, dt, a = aid_reduce(g, info, g.ad(w))
-        for j in range(info.l):
+        z, dt, a = aid_reduce(g, g.ad(w))
+        for j in range(g.torus):
             assert not any(dt.at(r, j) for r in range(4))
 
 
 def test_aid_membership_inner(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     basis = derivation_space(g)
     for m in basis.inn_basis:
-        verdict = aid_membership(g, info, m)
+        verdict = aid_membership(g, m)
         assert verdict.is_inner
         assert g.ad(verdict.witness) == m
 
 
 def test_aid_membership_diagonal_square_case(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     rng = random.Random(37)
     for _ in range(10):
         scalars = [Fraction(rng.randint(-4, 4)) for _ in range(2)]
-        d = diagonal_map(g, info, scalars)
-        verdict = aid_membership(g, info, d)
+        d = diagonal_map(g, scalars)
+        verdict = aid_membership(g, d)
         assert verdict.is_inner
 
 
 def test_aid_membership_not_derivation(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[3][0] = Fraction(1)
-    verdict = aid_membership(g, info, MatQ.from_rows(rows))
+    verdict = aid_membership(g, MatQ.from_rows(rows))
     assert verdict.status == "not-derivation"
 
 
@@ -210,10 +210,10 @@ def test_overweight_diagonal_derivation_not_almost_inner():
     # an abelian model with three weights on a two-dimensional torus: a
     # diagonal derivation with scalars outside the weight image is not
     # almost inner, certified by the infeasible 3x2 scalar system
-    g, info = diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
-    d = diagonal_map(g, info, [1, 0, 0])
+    g = diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
+    d = diagonal_map(g, [1, 0, 0])
     assert leibniz_violation(g, d) is None
-    verdict = aid_membership(g, info, d)
+    verdict = aid_membership(g, d)
     assert verdict.status == "not-aid" and verdict.reason == "scalar-system"
     # the recorded failure element is sum x_i; cross-check by falsification
     x = verdict.data["fails_at"]
@@ -225,7 +225,7 @@ def test_overweight_diagonal_derivation_not_almost_inner():
 
 
 def test_falsify_never_fires_on_inner(b2_minimal):
-    g, info = b2_minimal
+    g = b2_minimal
     basis = derivation_space(g)
     for m in basis.inn_basis:
         assert aid_falsify_random(g, m, trials=16, seed=2024) is None
@@ -233,7 +233,7 @@ def test_falsify_never_fires_on_inner(b2_minimal):
 
 
 def test_aid_membership_checks_the_precondition_once(b2_minimal, monkeypatch):
-    g, info = b2_minimal
+    g = b2_minimal
     calls = []
 
     def counting(*args):
@@ -241,13 +241,13 @@ def test_aid_membership_checks_the_precondition_once(b2_minimal, monkeypatch):
         return aid_precondition(*args)
 
     monkeypatch.setattr(dercalc, "aid_precondition", counting)
-    assert aid_membership(g, info, g.ad(g.basis_vector(3))).is_inner
+    assert aid_membership(g, g.ad(g.basis_vector(3))).is_inner
     assert len(calls) == 1
 
 
 def test_verify_aid_eq_inn_builds_the_pair_index_and_torus_solver_once(monkeypatch):
-    # the pair index belongs to the algebra and the factored beta_of_h to the
-    # basis; every candidate reads them, and so does a second run on the memo
+    # the pair index and the factored root weights belong to the algebra;
+    # every candidate reads them, and so does a second run on the memo
     from functools import cached_property
 
     from liecert import chevalley
@@ -276,7 +276,7 @@ def test_verify_aid_eq_inn_builds_the_pair_index_and_torus_solver_once(monkeypat
         return real_membership(*args)
 
     monkeypatch.setattr(dercalc, "aid_membership", membership)
-    chevalley._extract.cache_clear()  # a fresh algebra and basis
+    chevalley._extract.cache_clear()  # a fresh algebra
     chain = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1))
     spec = SubalgebraSpec(build_root_system("A", 4), chain)
     assert verify_aid_eq_inn(spec).ok
@@ -297,7 +297,7 @@ def test_verify_aid_eq_inn_b2():
 def test_verify_aid_eq_inn_raises_off_the_normal_form(monkeypatch):
     # a minimal L outside r_2^l would contradict the rank re-check
     spec = SubalgebraSpec(build_root_system("B", 2), ((1, 0), (2, 1)))
-    monkeypatch.setattr(dercalc, "normal_form", lambda g, info: False)
+    monkeypatch.setattr(dercalc, "normal_form", lambda g: False)
     with pytest.raises(AssertionError, match="r_2"):
         verify_aid_eq_inn(spec)
 
@@ -312,20 +312,20 @@ def test_verify_aid_eq_inn_rejects_non_minimal():
 def test_scalar_derivation_verdict_dichotomy():
     # square case: every diagonal derivation is inner
     rs = build_root_system("B", 2)
-    g, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
-    v = scalar_derivation_verdict(g, info, [3, -2])
+    g = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    v = scalar_derivation_verdict(g, [3, -2])
     assert v["is_derivation"] and v["scalar_system_feasible"] and v["inner"]
     # overweight case on the true A2 positive-root subalgebra: (1,0,0) fails
     # Leibniz (the derived algebra is not abelian) and the 3x2 system is
     # infeasible, so it is certifiably not an almost-inner derivation
     rs2 = build_root_system("A", 2)
-    g2, info2 = extract_subalgebra(SubalgebraSpec(rs2, ((1, 0), (0, 1), (1, 1))))
-    v2 = scalar_derivation_verdict(g2, info2, [1, 0, 0])
+    g2 = extract_subalgebra(SubalgebraSpec(rs2, ((1, 0), (0, 1), (1, 1))))
+    v2 = scalar_derivation_verdict(g2, [1, 0, 0])
     assert not v2["is_derivation"]
     assert not v2["scalar_system_feasible"]
     assert not v2["almost_inner"]
     # additive scalars do give a derivation there, and it is inner
-    v3 = scalar_derivation_verdict(g2, info2, [1, 2, 3])
+    v3 = scalar_derivation_verdict(g2, [1, 2, 3])
     assert v3["is_derivation"] and v3["inner"]
 
 
@@ -341,11 +341,11 @@ def test_verification_survives_python_O():
 
         assert False, "asserts must be off for this check"
         rs = build_root_system("B", 2)
-        g, info = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+        g = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
         d = g.ad(g.basis_vector(0))
         LieAlgebra.ad = lambda self, x: MatQ(self.dim, self.dim, {})
         try:
-            aid_membership(g, info, d)
+            aid_membership(g, d)
         except AssertionError as exc:
             print("raised:", exc)
             sys.exit(0)
@@ -392,8 +392,8 @@ def _chain(rank):
     return tuple(tuple(1 if k <= i else 0 for k in range(rank)) for i in range(rank))
 
 
-def _differential_cases():
-    """``(name, algebra, info)``; the abelian algebra is a torus with no roots."""
+def _differential_algebras():
+    """``(name, algebra)``; the abelian algebra is a torus with no roots."""
     for family, rank, psi in [
         ("B", 2, ((1, 0), (2, 1))),
         ("A", 3, _chain(3)),
@@ -402,15 +402,9 @@ def _differential_cases():
         ("A", 2, ((1, 0), (0, 1), (1, 1))),  # not minimal: [x_1, x_2] = x_3 is a third direction
     ]:
         rs = build_root_system(family, rank)
-        yield (f"{family}{rank}", *extract_subalgebra(SubalgebraSpec(rs, psi)))
-    g = abelian_algebra(2)
-    torus = (g.basis_vector(0), g.basis_vector(1))
-    yield "abelian2", g, DistinguishedBasis((), torus, MatQ(0, 2, {}), None, None, False)
-    yield ("toral", *diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]]))
-
-
-def _differential_algebras():
-    return ((name, g) for name, g, _ in _differential_cases())
+        yield f"{family}{rank}", extract_subalgebra(SubalgebraSpec(rs, psi))
+    yield "abelian2", LieAlgebra(dim=2, labels=("b0", "b1"), structure={}, form=None, torus=2)
+    yield "toral", diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
 
 
 def _differential_matrices(g, rng):
@@ -448,7 +442,7 @@ def test_sparse_evaluators_match_dense_oracles():
 
 
 def test_sparse_evaluators_touch_neither_mul_vec_nor_bracket(b2_minimal, monkeypatch):
-    g, _ = b2_minimal
+    g = b2_minimal
     bad = MatQ.from_rows([[Fraction(int(r == 3 and c == 0)) for c in range(4)] for r in range(4)])
     ident = MatQ.identity(4)
 
@@ -484,8 +478,8 @@ def dense_leibniz_rows(g, i, j, left, right):
 def test_leibniz_rows_are_the_touched_coordinates_only():
     b2, a3 = build_root_system("B", 2), build_root_system("A", 3)
     algebras = [
-        extract_subalgebra(SubalgebraSpec(b2, psi))[0] for psi in (((1, 0), (2, 1)), ((1, 0), (-1, 0)), ((1, 0),))
-    ] + [extract_subalgebra(SubalgebraSpec(a3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))))[0]]
+        extract_subalgebra(SubalgebraSpec(b2, psi)) for psi in (((1, 0), (2, 1)), ((1, 0), (-1, 0)), ((1, 0),))
+    ] + [extract_subalgebra(SubalgebraSpec(a3, ((1, 0, 0), (1, 1, 0), (1, 1, 1))))]
     for g in algebras:
         for i, j in product(range(g.dim), repeat=2):
             for left, right in [(True, True), (True, False), (False, True)]:
@@ -497,7 +491,7 @@ def test_leibniz_rows_are_the_touched_coordinates_only():
 
 @pytest.mark.parametrize("evaluator", [leibniz_violation, centroid_violation])
 def test_sparse_evaluators_reject_wrong_shapes(b2_minimal, evaluator):
-    g, _ = b2_minimal
+    g = b2_minimal
     for rows, cols in [(4, 3), (3, 4), (2, 2), (5, 5)]:
         with pytest.raises(ValueError, match="shape mismatch"):
             evaluator(g, MatQ(rows, cols, {}))
@@ -507,14 +501,14 @@ def test_sparse_evaluators_reject_wrong_shapes(b2_minimal, evaluator):
 def test_aid_steps_reject_wrong_shapes(b2_minimal, step):
     # a 5x5 or 4x3 D used to pass the precondition with zero scalars, and a
     # 2x2 one raised IndexError
-    g, info = b2_minimal
+    g = b2_minimal
     for rows, cols in [(5, 5), (4, 3), (2, 2)]:
         with pytest.raises(ValueError, match="shape mismatch"):
-            step(g, info, MatQ(rows, cols, {}))
+            step(g, MatQ(rows, cols, {}))
 
 
 def test_aid_membership_checks_leibniz_once(b2_minimal, monkeypatch):
-    g, info = b2_minimal
+    g = b2_minimal
     calls = []
     real = dercalc.leibniz_violation
 
@@ -524,7 +518,7 @@ def test_aid_membership_checks_leibniz_once(b2_minimal, monkeypatch):
 
     monkeypatch.setattr(dercalc, "leibniz_violation", counting)
     d = g.ad(g.basis_vector(2))
-    verdict = aid_membership(g, info, d)
+    verdict = aid_membership(g, d)
     assert verdict.is_inner and calls == [d]
 
 
@@ -544,17 +538,17 @@ def _outcome(f, *args):
 def test_aid_steps_and_products_match_dense_reference():
     rng = random.Random(11)
     statuses, reductions = set(), set()
-    for name, g, info in _differential_cases():
+    for name, g in _differential_algebras():
         prev = MatQ.identity(g.dim)
         for d in _differential_matrices(g, rng):
-            verdict = aid_membership(g, info, d)
-            assert verdict == dercalc_reference.aid_membership(g, info, d), (name, d)
+            verdict = aid_membership(g, d)
+            assert verdict == dercalc_reference.aid_membership(g, d), (name, d)
             statuses.add((verdict.status, verdict.reason))
-            pre = aid_precondition(g, info, d)
-            assert pre == dercalc_reference.aid_precondition(g, info, d), (name, d)
+            pre = aid_precondition(g, d)
+            assert pre == dercalc_reference.aid_precondition(g, d), (name, d)
             if pre[0]:
-                got = _outcome(aid_reduce, g, info, d)
-                assert got == _outcome(dercalc_reference.reduce, g, info, d, pre[1]["scalars"]), (name, d)
+                got = _outcome(aid_reduce, g, d)
+                assert got == _outcome(dercalc_reference.reduce, g, d, pre[1]["scalars"]), (name, d)
                 reductions.add(isinstance(got, str))
             for a, b in [(d, d), (d, prev), (prev, d)]:
                 assert a.mul(b) == dercalc_reference.mul(a, b), (name, a, b)
@@ -621,7 +615,7 @@ def test_graded_solves_match_the_full_solve(family, rank):
     rs = build_root_system(family, rank)
     rng = random.Random(f"{family}{rank}")
     for psi in [rs.roots, rs.positive_roots, *_closed_sets(rs, rng, 2)]:
-        g, _ = extract_subalgebra(SubalgebraSpec(rs, psi))
+        g = extract_subalgebra(SubalgebraSpec(rs, psi))
         assert derivation_space(g) == dercalc_reference.derivation_space(g), psi
         assert centroid_space(g) == dercalc_reference.centroid_space(g), psi
 
@@ -649,7 +643,7 @@ def _evaluator_algebras():
     yield from _differential_algebras()
     for family, rank, psi in [("B", 3, "all"), ("G", 2, "positive"), ("A", 3, "all")]:
         rs = build_root_system(family, rank)
-        yield f"{family}{rank}-{psi}", extract_subalgebra(SubalgebraSpec(rs, rs.roots if psi == "all" else rs.positive_roots))[0]
+        yield f"{family}{rank}-{psi}", extract_subalgebra(SubalgebraSpec(rs, rs.roots if psi == "all" else rs.positive_roots))
 
 
 def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
@@ -687,13 +681,13 @@ def _graded_algebra(structure, torus=1, dim=3):
 
 def test_weights_are_the_torus_eigenvalues():
     rs = build_root_system("B", 2)
-    g, info = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
+    g = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
     assert g.weights[: g.torus] == ((0, 0), (0, 0))
-    for k, root in enumerate(info.psi):
+    for k, root in enumerate(SubalgebraSpec(rs, rs.roots).psi):
         assert g.weights[g.torus + k] == tuple(rs.pairing(root, j) for j in range(rs.rank))
     # the tests' hand-built algebras carry the trivial grading
     assert abelian_algebra(3).weights == ((), (), ())
-    toral, _ = diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
+    toral = diagonal_toral_algebra([[2, -1], [-1, 2], [1, 1]])
     assert toral.weights == ((0, 0), (0, 0), (2, -1), (-1, 2), (1, 1))
 
 
@@ -748,7 +742,7 @@ def test_the_grading_check_survives_python_O():
 
 def test_e6_derivations_are_inner_and_its_centroid_is_the_scalars():
     rs = build_root_system("E", 6)
-    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
+    g = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
     basis = derivation_space(g)
     assert basis.dim_der == basis.dim_inn == g.dim == 78
     assert basis.complement_basis == ()
@@ -761,6 +755,6 @@ def test_borel_derivations_are_inner(family, rank):
     # a Borel subalgebra of a split simple Lie algebra has only inner
     # derivations and no center (Tolpygo 1972)
     rs = build_root_system(family, rank)
-    g, _ = extract_subalgebra(SubalgebraSpec(rs, rs.positive_roots))
+    g = extract_subalgebra(SubalgebraSpec(rs, rs.positive_roots))
     basis = derivation_space(g)
     assert basis.dim_der == basis.dim_inn == g.dim == rank + len(rs.positive_roots)

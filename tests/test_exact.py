@@ -237,7 +237,7 @@ def _sympy_systems(rng):
         low = dense(3, 7, 0.8)
         yield low + [combination(low) for _ in range(5)]
     for weights in ([[1, 0], [0, 1], [1, 1]], [[2, -1], [-1, 2]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
-        g, _ = diagonal_toral_algebra(weights)
+        g = diagonal_toral_algebra(weights)
         rows = [row for i in range(g.dim) for j in range(i + 1, g.dim) for row in _leibniz_rows(g, i, j, True, True, range(g.dim))]
         yield [[Fraction(row.get(c, 0)) for c in range(g.dim**2)] for row in rows]
     # singular square ones, so that inverse meets both outcomes
@@ -518,23 +518,27 @@ def _augmented_solve(m, b):
 
 
 def _solver_cases():
-    """Each minimal set's ``beta_of_h`` (the identity on a dual torus), the
-    dependent square A3 set, and non-square closed sets: the positive roots of
-    A2 and of B2, and all of Phi(B2)."""
+    """Each minimal set's root weights ``beta_i(h_j)`` (the identity on a dual
+    torus), the dependent square A3 set, and non-square closed sets: the
+    positive roots of A2 and of B2, and all of Phi(B2)."""
     from liecert.chevalley import SubalgebraSpec, extract_subalgebra
     from liecert.qgraded import enumerate_minimal
+
+    def beta_of_h(spec):
+        g = extract_subalgebra(spec)
+        return MatQ.from_rows(g.weights[g.torus :])
 
     for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         rs = build_root_system(family, rank)
         for spec in enumerate_minimal(rs):
-            yield f"{family}{rank} {spec.psi}", extract_subalgebra(spec)[1].beta_of_h
+            yield f"{family}{rank} {spec.psi}", beta_of_h(spec)
     a3 = build_root_system("A", 3)
-    yield "A3 dependent", extract_subalgebra(SubalgebraSpec(a3, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))[1].beta_of_h
+    yield "A3 dependent", beta_of_h(SubalgebraSpec(a3, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
     for family, rank in [("A", 2), ("B", 2)]:
         rs = build_root_system(family, rank)
-        yield f"{family}{rank} positive", extract_subalgebra(SubalgebraSpec(rs, rs.positive_roots))[1].beta_of_h
+        yield f"{family}{rank} positive", beta_of_h(SubalgebraSpec(rs, rs.positive_roots))
     b2 = build_root_system("B", 2)
-    yield "B2 all", extract_subalgebra(SubalgebraSpec(b2, b2.roots))[1].beta_of_h
+    yield "B2 all", beta_of_h(SubalgebraSpec(b2, b2.roots))
 
 
 def test_solver_matches_solve_on_torus_systems():

@@ -43,6 +43,12 @@ CASES = {
     "certify-A4-chain": (["certify"] + A4_CHAIN, 0),
     "der-A4-chain": (["der"] + A4_CHAIN, 0),
     "aid-A4-chain": (["aid"] + A4_CHAIN, 0),
+    "aid-A4-chain-matrix": (["aid"] + A4_CHAIN + ["--matrix", "d_a4_chain_inner.json"], 0),
+    "aid-B2-nonminimal-precondition": (
+        ["aid", "--family", "B", "--rank", "2", "--psi", "1,0", "--matrix", "d_b2_nonminimal_outer.json"],
+        1,
+    ),
+    "affine-bracket-B2": (["affine-bracket"] + B2_MIN + ["--x", "x_division_fails.json", "--y", "y_b2_mixed.json"], 0),
     "centroid-A4-chain": (["centroid"] + A4_CHAIN, 0),
     "centroid-B2-nonminimal": (["centroid", "--family", "B", "--rank", "2", "--psi", "1,0"], 0),
     "certify-E6-bipartite": (["certify"] + E6_BIPARTITE, 0),

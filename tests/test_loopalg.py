@@ -45,6 +45,7 @@ from liecert.selfcheck import loop_operator_cases
 from exact_reference import dense, solve_sparse
 from loopalg_reference import bracket_match
 import loopalg_reference
+from chevalley_reference import torus_reference
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +139,10 @@ def test_laurent_division():
 
 
 def test_bracket_torus_against_dual_gives_central(ctx):
+    rs = build_root_system("B", 2)
+    dual = torus_reference(build_semisimple(rs), SubalgebraSpec(rs, ((1, 0), (2, 1)))).dual_torus
     h1 = ctx.basis_at(0, 1)
-    h1p = ctx.element({-1: ctx.basis.dual_torus_local[0]})
+    h1p = ctx.element({-1: dual[0]})
     out = affine_bracket(h1, h1p)
     assert out.support == {} and out.central == 1
 
@@ -600,7 +603,7 @@ def test_root_obstruction_names_the_root(ctx):
 def test_non_normal_psi_is_invalid_input():
     # |Psi| = rank but 1,0,0 + 0,1,0 = 1,1,0 lies in Psi: no normal form
     c = loop_context(SubalgebraSpec(build_root_system("A", 3), ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
-    assert not chevalley.normal_form(c.algebra, c.basis)
+    assert not chevalley.normal_form(c.algebra)
     with pytest.raises(ValueError, match="normal form"):
         toral_center_witness(c, 1, 2, c.basis_at(0, 2))
     with pytest.raises(ValueError, match="normal form"):
@@ -642,7 +645,7 @@ def test_root_block_isotropic_across_minimal_subalgebras():
         rs = build_root_system(key[0], int(key[1:]))
         for text in sets:
             c = loop_context(SubalgebraSpec(rs, tuple(tuple(map(int, r.split(","))) for r in text.split(";"))))
-            assert chevalley.normal_form(c.algebra, c.basis), (key, text)
+            assert chevalley.normal_form(c.algebra), (key, text)
             assert all(c.algebra.form.at(c.l + a, c.l + b) == 0 for a in range(c.m) for b in range(c.m))
             assert c.algebra.structure == {(k, c.l + k): ((c.l + k, 1),) for k in range(c.l)}
             res = toral_center_witness(c, 1, -1, c.basis_at(0, -1) + c.basis_at(c.l, 1))
@@ -763,8 +766,7 @@ def test_loop_context_ignores_a_passed_ambient_algebra():
         got, want = loop_context(spec, build_semisimple(rs)), loop_context(spec)
         assert list(got.algebra.structure.items()) == list(want.algebra.structure.items())
         assert got.algebra.form == want.algebra.form
-        assert got.basis.torus_ambient == want.basis.torus_ambient
-        assert got.basis.gram == want.basis.gram
+        assert (got.l, got.m) == (want.l, want.m)
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +916,7 @@ def test_global_inner_match_refuses_psi_outside_the_normal_form():
     # square, but Psi = {a, -a} does not span, so Z(L) is not zero; the
     # existing window errors still come first
     c = loop_context(SubalgebraSpec(build_root_system("B", 2), ((1, 0), (-1, 0))))
-    assert c.square() and not chevalley.normal_form(c.algebra, c.basis)
+    assert c.square() and not chevalley.normal_form(c.algebra)
     with pytest.raises(ValueError, match="empty window"):
         global_inner_match(c, {(2, 1): 1}, (1, -1))
     with pytest.raises(ValueError, match="misses degree 1"):
@@ -928,22 +930,29 @@ def test_global_inner_match_refuses_psi_outside_the_normal_form():
     assert not any(dense(c.algebra.ad(y.component(-1))).entries)  # Y lies in Z(L)
 
 
-def test_global_inner_match_checks_that_the_center_is_zero():
-    # a basis that passes the normal-form test but whose torus weights have
-    # rank 1: the decision refuses to read "no match" off a nonzero center
-    from liecert.chevalley import DistinguishedBasis
+def test_a_nonzero_center_is_refused_as_outside_the_normal_form():
+    # a square algebra with a nonzero center: t_2 is central, and t_1 acts
+    # on both root vectors; it is not r_2^2, so every decision that reads
+    # "no match" off Z(L) = 0 refuses it as invalid input (CLI exit 2)
+    from liecert.chevalley import LieAlgebra
     from liecert.loopalg import LoopContext
 
-    c = loop_context(SubalgebraSpec(build_root_system("B", 2), ((1, 0), (2, 1))))
-    b = c.basis
-    bad = DistinguishedBasis(
-        b.psi, b.torus_ambient, MatQ.from_rows([[1, 0], [0, 0]]), b.dual_torus_local, b.gram, b.torus_is_dual
+    one = Fraction(1)
+    g = LieAlgebra(
+        dim=4,
+        labels=("t1", "t2", "x1", "x2"),
+        structure={(0, 2): ((2, one),), (0, 3): ((3, one),)},
+        form=MatQ.identity(4),
+        torus=2,
     )
-    fake = LoopContext(c.algebra, bad)
-    assert chevalley.normal_form(fake.algebra, fake.basis)
-    assert global_inner_match(fake, {}, (-1, 1)).is_zero
-    with pytest.raises(AssertionError, match="Z\\(L\\) is not zero"):
-        global_inner_match(fake, {(1, 1): 1}, (-1, 1))
+    assert g.weights[2:] == ((1, 0), (1, 0))
+    c = LoopContext(g)
+    assert c.square() and not chevalley.normal_form(g)
+    for coeffs in ({}, {(2, 1): 1}):
+        with pytest.raises(ValueError, match="needs Psi in normal form"):
+            global_inner_match(c, coeffs, (-1, 1))
+    with pytest.raises(ValueError, match="needs Psi in normal form"):
+        toral_center_witness(c, 2, 1, c.basis_at(1, 1))
 
 
 def test_exact_witness_recheck_survives_python_O():

@@ -40,7 +40,7 @@ PUBLIC = [
     "__version__",
     "Rat", "MatQ", "kernel_basis", "solve", "invariant_factors",
     "RootSystem", "build_root_system", "height", "root_sum",
-    "CONVENTION", "LieAlgebra", "SubalgebraSpec", "DistinguishedBasis",
+    "CONVENTION", "LieAlgebra", "SubalgebraSpec",
     "build_semisimple", "extract_subalgebra",
     "QGradedCertificate", "is_closed", "spans_q", "is_minimal", "enumerate_minimal", "verify_metabelian", "certify",
 ]
@@ -146,7 +146,7 @@ def _instances(b2):
     op = ToralToCenter(ctx, 1, 1)
     decomposition = decompose_derivation(op)
     return [
-        MatQ.identity(2), rs, spec, ctx.algebra, ctx.basis, certify(spec),
+        MatQ.identity(2), rs, spec, ctx.algebra, certify(spec),
         derivation_space(ctx.algebra), centroid_space(ctx.algebra), AidVerdict("inner"), verify_aid_eq_inn(spec),
         one, ctx, x, op._symbol, op, Inner(x), centroid_multiplier(ctx, (1, 1), one),
         diagonal_derivative(ctx, (one, one)), decomposition.residual, decomposition,
@@ -156,7 +156,7 @@ def _instances(b2):
 
 def test_attributes_cannot_be_assigned_or_deleted(b2):
     instances = _instances(b2)
-    assert len({type(obj) for obj in instances}) == len(instances) == 23
+    assert len({type(obj) for obj in instances}) == len(instances) == 22
     for obj in instances:
         name = next(iter(vars(obj)))
         with pytest.raises(AttributeError, match="read-only"):
@@ -219,7 +219,7 @@ def test_structures_compare_by_identity(b2):
     fields = ("family", "rank", "cartan", "roots", "root_index", "symmetrizer")
     assert RootSystem(*(getattr(rs, f) for f in fields)) != rs
     assert LieAlgebra(1, ("a",), {}) != LieAlgebra(1, ("a",), {})
-    same = LoopContext(algebra=ctx.algebra, basis=ctx.basis)
+    same = LoopContext(algebra=ctx.algebra)
     assert same != ctx and same == same
     assert ctx.basis_at(0, 1) == ctx.basis_at(0, 1)  # AffineElement keeps its own value equality
     with pytest.raises(TypeError):
@@ -245,7 +245,7 @@ def test_keyword_constructors_and_defaults(b2):
     assert (verdict.status, verdict.witness, verdict.reason, verdict.data) == ("not-aid", None, None, None)
     assert AidVerdict(status="inner", reason="r") == AidVerdict("inner", None, "r", None)
     assert repr(verdict) == "AidVerdict(status='not-aid', witness=None, reason=None, data=None)"
-    assert LoopContext(algebra=ctx.algebra, basis=ctx.basis).dim == ctx.dim
+    assert LoopContext(algebra=ctx.algebra).dim == ctx.dim
     empty = AffineElement(ctx=ctx)
     assert empty.support == {} and empty.central == 0 and isinstance(empty.central, Fraction)
     assert AffineElement(ctx, None, 2).central == Fraction(2)

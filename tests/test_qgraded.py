@@ -339,7 +339,7 @@ def test_derived_algebra_dim_matches_dense_rank():
     for family, rank in [("A", 1), ("B", 2), ("G", 2), ("A", 3)]:
         rs = build_root_system(family, rank)
         for psi in [rs.roots, rs.positive_roots, *(s.psi for s in enumerate_minimal(rs))]:
-            g, _ = extract_subalgebra(SubalgebraSpec(rs, psi))
+            g = extract_subalgebra(SubalgebraSpec(rs, psi))
             rows = [[dict(entry).get(k, 0) for k in range(g.dim)] for entry in g.structure.values()]
             assert derived_algebra_dim(g) == rref(MatQ.from_rows(rows)).rank, psi
 
