@@ -325,9 +325,9 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAl
     construction itself is built once per process for each spec (equal
     specs name the same system and the same sorted Psi) and kept in a memo
     of at most 32 entries, least recently used first out; the returned
-    algebra is shared and read-only.  The largest entry is the
-    extraction over all of Phi(E8), 4.3 MB under tracemalloc once its
-    bracket table is built, so the memo holds at most about 140 MB.
+    algebra is shared and read-only.  The largest entry, the extraction
+    over all of Phi(E8), holds about 12 MB under tracemalloc with all that
+    is kept on it, so the memo holds at most about 380 MB.
     """
     if check_closed:
         violation = closure_violation(spec.system, spec.psi)

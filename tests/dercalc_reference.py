@@ -47,7 +47,7 @@ def derivation_space(g: LieAlgebra) -> DerivationBasis:
     span = Echelon()
     inn = [m for m in (g.ad(g.basis_vector(i)) for i in range(dim)) if span.add(_nonzeros(m))]
     comp = [m for m in der if span.add(_nonzeros(m))]
-    return DerivationBasis(algebra=g, der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
+    return DerivationBasis(der_basis=der, inn_basis=tuple(inn), complement_basis=tuple(comp))
 
 
 def centroid_space(g: LieAlgebra) -> CentroidBasis:
@@ -59,7 +59,7 @@ def centroid_space(g: LieAlgebra) -> CentroidBasis:
         for left in (True, False):
             for row in _rows(g, i, j, left=left, right=not left):
                 system.add(row)
-    return CentroidBasis(algebra=g, basis=tuple(MatQ(dim, dim, dict(enumerate(v))) for v in system.kernel(dim * dim)))
+    return CentroidBasis(basis=tuple(MatQ(dim, dim, dict(enumerate(v))) for v in system.kernel(dim * dim)))
 
 
 def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, int] | None:

@@ -587,12 +587,15 @@ def test_aid_with_a_complement_exits_4(monkeypatch):
 
     def with_complement(g):
         real = real_space(g)
-        return dercalc.DerivationBasis(g, real.der_basis, real.inn_basis, (MatQ.identity(g.dim),))
+        return dercalc.DerivationBasis(real.der_basis, real.inn_basis, (MatQ.identity(g.dim),))
 
-    monkeypatch.setattr(dercalc, "derivation_space", with_complement)
-    code, doc, _ = invoke(["aid"] + B2_MIN)
+    assert invoke(["aid"] + B2_MIN)[0] == 0  # Der is kept on the algebra
+    with monkeypatch.context() as patch:
+        patch.setattr(dercalc, "derivation_space", with_complement)
+        code, doc, _ = invoke(["aid"] + B2_MIN)
     assert code == 4
     assert list(doc) == ["error"] and "Der = Inn" in doc["error"]
+    assert invoke(["aid"] + B2_MIN)[0] == 0  # the faked complement was not kept
 
 
 def test_non_basis_minimal_set_exits_4(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Derivation spaces, centroids, and the almost-inner decision procedure."""
 
+import io
 import os
 import random
 import subprocess
@@ -39,6 +40,11 @@ from exact_reference import dense, rref
 def b2_minimal():
     rs = build_root_system("B", 2)
     return extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+
+
+def fresh(g):
+    """A new algebra with the data of g and nothing solved on it yet."""
+    return LieAlgebra(dim=g.dim, labels=g.labels, structure=g.structure, form=g.form, torus=g.torus)
 
 
 def abelian_algebra(n):
@@ -123,8 +129,9 @@ def test_centroid_of_abelian_algebra_is_all_of_end():
 
 def test_centroid_commutator_check_fires(b2_minimal, monkeypatch):
     # E_00 E_01 - E_01 E_00 = E_01 sends b_1 to the torus element b_0, which
-    # is not central in the minimal subalgebra
-    g = b2_minimal
+    # is not central in the minimal subalgebra; a fresh algebra, so that the
+    # centroid kept on the shared one is not read back instead of solved
+    g = fresh(b2_minimal)
     units = [tuple(Fraction(int(k == c)) for k in range(g.dim * g.dim)) for c in (0, 1)]
     monkeypatch.setattr(Echelon, "kernel", lambda self, ncols: units)
     with pytest.raises(AssertionError, match="outside its center"):
@@ -245,18 +252,23 @@ def test_aid_membership_checks_the_precondition_once(b2_minimal, monkeypatch):
     assert len(calls) == 1
 
 
-def test_verify_aid_eq_inn_builds_the_pair_index_and_torus_solver_once(monkeypatch):
-    # the pair index and the factored root weights belong to the algebra;
-    # every candidate reads them, and so does a second run on the memo
+A4_CHAIN = ["--family", "A", "--rank", "4", "--psi", "1,0,0,0;1,1,0,0;1,1,1,0;1,1,1,1"]
+
+
+def test_each_algebra_solves_der_and_its_centroid_once(monkeypatch):
+    # Der and the centroid are kept on the algebra, and aid decides from Der
+    # alone: no candidate is checked, so neither the pair index nor the
+    # factored root weights are built
     from functools import cached_property
 
     from liecert import chevalley
+    from liecert.cli import run
 
-    built = {"index": 0, "solver": 0, "candidates": 0}
+    counts = {"solves": 0, "candidates": 0, "index": 0, "solver": 0}
     real_index = LieAlgebra.__dict__["_pairs_by_column"].func
 
     def index(self):
-        built["index"] += 1
+        counts["index"] += 1
         return real_index(self)
 
     counted = cached_property(index)
@@ -265,25 +277,53 @@ def test_verify_aid_eq_inn_builds_the_pair_index_and_torus_solver_once(monkeypat
 
     class CountingSolver(chevalley.Solver):
         def __init__(self, m):
-            built["solver"] += 1
+            counts["solver"] += 1
             super().__init__(m)
 
     monkeypatch.setattr(chevalley, "Solver", CountingSolver)
-    real_membership = dercalc.aid_membership
 
-    def membership(*args):
-        built["candidates"] += 1
-        return real_membership(*args)
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(dercalc, "aid_membership", membership)
+        monkeypatch.setattr(dercalc, real.__name__, call)
+
+    counting("candidates", dercalc.aid_membership)
+    counting("solves", dercalc._weight_zero_kernel)
     chevalley._extract.cache_clear()  # a fresh algebra
-    chain = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1))
-    spec = SubalgebraSpec(build_root_system("A", 4), chain)
-    assert verify_aid_eq_inn(spec).ok
-    assert built == {"index": 1, "solver": 1, "candidates": 8}
-    assert verify_aid_eq_inn(spec).ok
-    assert built == {"index": 1, "solver": 1, "candidates": 16}
-    chevalley._extract.cache_clear()  # leave no counting solver in the memo
+    for command in ("der", "aid", "aid"):
+        assert run([command, *A4_CHAIN], out=io.StringIO()) == 0
+    assert counts == {"solves": 1, "candidates": 0, "index": 0, "solver": 0}
+    for _ in range(2):
+        assert run(["centroid", *A4_CHAIN], out=io.StringIO()) == 0
+    assert counts == {"solves": 2, "candidates": 0, "index": 0, "solver": 0}
+    chevalley._extract.cache_clear()  # leave nothing built under the patches in the memo
+
+
+def test_kept_spaces_equal_the_full_solve_on_a_fresh_algebra():
+    rs = build_root_system("B", 3)
+    for psi in (rs.roots, rs.positive_roots, *_closed_sets(rs, random.Random("kept"), 2)):
+        g = extract_subalgebra(SubalgebraSpec(rs, psi))
+        for space in (derivation_space, centroid_space):
+            kept = space(g)
+            assert space(g) is kept  # the second call reads the kept space back
+            assert kept == getattr(dercalc_reference, space.__name__)(fresh(g)), (space.__name__, psi)
+
+
+def test_der_aid_and_centroid_print_the_same_bytes_twice():
+    from liecert import chevalley
+    from liecert.cli import run
+
+    chevalley._extract.cache_clear()  # the first run solves, the second reads back
+    golden = Path(__file__).parent / "golden"
+    for command in ("der", "aid", "centroid"):
+        outputs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            assert run([command, *A4_CHAIN], out=buf) == 0
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1] == (golden / f"{command}-A4-chain.out").read_text(encoding="utf-8")
 
 
 def test_verify_aid_eq_inn_b2():
@@ -706,8 +746,10 @@ def test_the_grading_check_raises(structure, torus, message):
     g = _graded_algebra(structure, torus)
     with pytest.raises(ValueError, match=message):
         g.weights
-    with pytest.raises(ValueError, match=message):
-        derivation_space(g)
+    # a solve that raises keeps nothing, so a second call raises again
+    for space in (derivation_space, derivation_space, centroid_space, centroid_space):
+        with pytest.raises(ValueError, match=message):
+            space(g)
 
 
 def test_the_grading_check_survives_python_O():
