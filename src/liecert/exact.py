@@ -12,7 +12,7 @@ variables zeroed, so they do not depend on elimination order.
 Downstream certificates are therefore reproducible byte-for-byte.
 
 Lattices over Z have one engine of their own, ``hermite_insert``: the
-``minimal`` walk grows its Hermite pivots one root at a time, and
+minimality walk and enumeration grow Hermite pivots one root at a time, and
 ``invariant_factors`` reads the Smith invariant factors off alternating
 Hermite passes.
 """

@@ -5,11 +5,12 @@ A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 ``L`` is a subalgebra iff Psi is closed under root addition, and Q-graded iff
 additionally Psi spans the root lattice over Z: rank-many Smith invariant
 factors (``exact.invariant_factors``), all 1.  Minimality means no proper
-subset is simultaneously closed and spanning.  One pruned walk over closed
-subsets decides it: ``enumerate_minimal`` runs it over the whole root system
-and finds every minimal set, and ``is_minimal`` and ``certify`` run it over
-Psi and stop at the first minimal set, which is Psi iff Psi is minimal.
-``certify`` decides closure and span once each.
+subset is simultaneously closed and spanning.  ``is_minimal`` and ``certify``
+decide it by one pruned walk over the closed subsets of Psi, which stops at
+the first minimal set: Psi iff Psi is minimal.  ``certify`` decides closure
+and span once each.  ``enumerate_minimal`` lists the minimal sets as the
+unimodular root bases of ``_unimodular_bases``, a characterization whose
+converse half the walk does not assume.
 """
 
 from __future__ import annotations
@@ -109,34 +110,26 @@ def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
     return factors
 
 
-def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool) -> list[tuple[Root, ...]]:
-    """The minimal sets among the closed spanning subsets of ``roots``, in
-    the order they are found; only the first if ``first``.  ``roots`` is the
-    root system or a closed Psi: a root sum of two of them is one of them.
+def _first_minimal(rs: RootSystem, roots: tuple[Root, ...]) -> tuple[Root, ...] | None:
+    """The first minimal set of the walk over ``roots``, a closed spanning
+    Psi (a root sum of two of them is one of them), or None if it finds none.
 
-    One depth-first walk over the closed subsets decides minimality as it
-    goes.  It backtracks over the roots in index order, trying "leave root k"
-    before "take root k", and checks each root-sum triple once, when the
-    largest of its three indices is decided, so only closed prefixes are
-    extended.  A closed set is reached after all of its closed proper
-    subsets: they first differ from it at a root the subset leaves.  So the
-    walk over a closed spanning Psi finds Psi first iff Psi is minimal.
-    Three prunes keep the walk small; each drops only sets that cannot be
-    minimal:
+    One depth-first walk over the closed subsets backtracks over the roots
+    in index order, trying "leave root k" before "take root k", and checks
+    each root-sum triple once, when the largest of its three indices is
+    decided, so only closed prefixes are extended.  A closed set is reached
+    after all of its closed proper subsets: they first differ from it at a
+    root the subset leaves.  So the first closed spanning set reached is
+    minimal, and it is Psi iff Psi is minimal.  Two prunes keep the walk
+    small; each drops only sets that cannot come first:
 
-    (a) Root k is never taken when the new prefix contains a minimal set
-        already found, since every set below it would contain one too.  Such
-        a prefix spans, so this saves the closure that (b) would take.  Only
-        found sets whose last root is k need a look: by this same rule, none
-        lies inside the prefix before root k.
-    (b) The prefix's Hermite pivots (``exact.hermite_insert``) are carried
+    (a) The prefix's Hermite pivots (``exact.hermite_insert``) are carried
         down, one insertion per taken root.  Once a prefix P spans the root
         lattice, every closed set below it contains C = closure(P), which is
         closed and spanning, so C is the only candidate below P and the walk
         stops there.  C lies below P iff it adds no root before the last one
-        taken; it is then minimal iff it contains no set found so far, as
-        each of its closed proper subsets is reached before P.
-    (c) A prefix cannot span once its pivots plus the roots still undecided
+        taken, and each of its closed proper subsets is reached before P.
+    (b) A prefix cannot span once its pivots plus the roots still undecided
         number fewer than the rank, so a rank-size Psi takes about 2 * rank
         steps.
     """
@@ -159,12 +152,6 @@ def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool) -> list[
                 out_pairs[s].append((1 << i) | (1 << j))
             else:
                 in_pairs[j].append((1 << i, 1 << s))
-    # bit t of holders[k] is set iff the t-th set found holds root k, and of
-    # tops[k] iff root k is its last root.  A set contains found set t iff
-    # no root it lacks has bit t in its holders.
-    holders = [0] * n
-    tops = [0] * n
-    found: list[int] = []
 
     def closure(mask: int, low: int) -> int | None:
         """closure(mask), or None once it adds a root of ``low``."""
@@ -180,58 +167,79 @@ def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool) -> list[
                     todo |= bs
         return mask
 
-    def walk(k: int, mask: int, lacked: int, pivots: dict[int, list[int]]) -> None:
-        # mask: the prefix over roots < k, which does not span; lacked: the
-        # holders of the roots < k outside it.  Sets found below this node
-        # hold none of those roots, so ``lacked`` stays exact down here.
+    def walk(k: int, mask: int, pivots: dict[int, list[int]]) -> int | None:
+        # mask: the prefix over roots < k, which does not span
         if k == n or len(pivots) + n - k < l:
-            return  # (c)
-        for pair in out_pairs[k]:
-            if mask & pair == pair:
-                break
-        else:
-            walk(k + 1, mask, lacked | holders[k], pivots)
-            if first and found:
-                return
-        for bi, bs in in_pairs[k]:
-            if mask & bi and not mask & bs:
-                return
-        if tops[k] & ~lacked:
-            return  # (a): the prefix with root k holds a found set ending at k
+            return None  # (b)
+        leave = all(mask & pair != pair for pair in out_pairs[k])
+        if leave and (found := walk(k + 1, mask, pivots)) is not None:
+            return found
+        if any(mask & bi and not mask & bs for bi, bs in in_pairs[k]):
+            return None
         taken = mask | 1 << k
         grown = dict(pivots)
         hermite_insert(grown, roots[k], l)
         if len(grown) < l or any(row[c] != 1 for c, row in grown.items()):
-            walk(k + 1, taken, lacked, grown)
-            return
-        # (b): every closed set below holds c; c is one of them iff it adds
-        # no root before k, and minimal iff it holds no set found so far
-        c = closure(taken, ((2 << k) - 1) & ~taken)
-        if c is None:
-            return
-        blocked = lacked
-        for r in range(k + 1, n):
-            if not c >> r & 1:
-                blocked |= holders[r]
-        if blocked != (1 << len(found)) - 1:
-            return
-        bit = 1 << len(found)
-        for r in range(n):
-            if c >> r & 1:
-                holders[r] |= bit
-        tops[c.bit_length() - 1] |= bit
-        found.append(c)
+            return walk(k + 1, taken, grown)
+        return closure(taken, ((2 << k) - 1) & ~taken)  # (a)
 
-    walk(0, 0, 0, {})
-    return [tuple(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
+    mask = walk(0, 0, {})
+    return None if mask is None else tuple(roots[k] for k in range(n) if mask >> k & 1)
+
+
+def _unimodular_bases(rs: RootSystem) -> list[tuple[Root, ...]]:
+    """Every set of rank-many roots that is a Z-basis of the root lattice and
+    has no two roots summing to a root or to zero: exactly the minimal sets.
+
+    Every such set is minimal: it is closed, since no sum of two of its roots
+    is a root; it spans; and a proper subset has fewer than rank vectors, so
+    none spans.  The converse rests on the paper's section 2, where [L, L] is
+    abelian and holds every root vector, so no two roots of a minimal Psi sum
+    to a root or to zero, and on "rank-many roots", which is not proved here:
+    the tests compare this list with the walk over the whole root system on
+    every type that the default cap of ``enumerate_minimal`` admits.
+
+    Backtracks over ``rs.roots`` in index order, choosing each next root
+    among the later roots that pair with every chosen one (a bitmask), and
+    carries the chosen roots' Hermite pivots (``exact.hermite_insert``): a
+    root that does not raise their rank is dropped.  A set of full rank is
+    kept iff all its pivots are 1.
+    """
+    roots, l, n = rs.roots, rs.rank, len(rs.roots)
+    # bit j of later[i] (j > i): roots i and j sum to neither a root nor zero
+    later = [0] * n
+    for i, a in enumerate(roots):
+        for j in range(i + 1, n):
+            s = tuple(x + y for x, y in zip(a, roots[j]))
+            if any(s) and s not in rs.root_index:
+                later[i] |= 1 << j
+    found: list[tuple[Root, ...]] = []
+
+    def grow(chosen: tuple[Root, ...], free: int, pivots: dict[int, list[int]]) -> None:
+        if len(pivots) == l:
+            if all(row[c] == 1 for c, row in pivots.items()):
+                found.append(chosen)
+            return
+        while free.bit_count() + len(pivots) >= l:
+            bit = free & -free
+            free ^= bit
+            k = bit.bit_length() - 1
+            grown = dict(pivots)
+            hermite_insert(grown, roots[k], l)
+            if len(grown) > len(pivots):
+                grow(chosen + (roots[k],), free & later[k], grown)
+
+    grow((), (1 << n) - 1, {})
+    return found
 
 
 def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False) -> SubalgebraSpec:
-    """A minimal set the walk found, re-checked for closure and span (by its
-    Smith invariant factors, ``exact.invariant_factors``) unless ``decided``,
-    and for rank-many roots: then it is a lattice basis, no two of its roots
-    sum into it, and L is r_2^l, which ``chevalley.normal_form`` reads off
-    the bracket table of the extraction."""
+    """A minimal set the enumeration or the walk found, re-checked for
+    closure and span (by its Smith invariant factors,
+    ``exact.invariant_factors``) unless ``decided``, and for rank-many roots:
+    then it is a lattice basis, no two of its roots sum into it, and L is
+    r_2^l, which ``chevalley.normal_form`` reads off the bracket table of the
+    extraction."""
     spec = SubalgebraSpec(rs, psi)
     if not decided and (closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]):
         raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
@@ -243,11 +251,11 @@ def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False) -> 
 def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
     """The first minimal set of the walk over the closed spanning Psi if it
     is a proper subset of Psi, else None."""
-    first = _minimal_sets(spec.system, spec.psi, first=True)
-    if len(first) != 1:
+    first = _first_minimal(spec.system, spec.psi)
+    if first is None:
         raise AssertionError(f"the walk over the closed spanning {spec.psi} found no minimal set")
-    own = len(first[0]) == len(spec.psi)  # Psi itself, with closure and span decided
-    found = _rechecked(spec.system, first[0], decided=own).psi
+    own = len(first) == len(spec.psi)  # Psi itself, with closure and span decided
+    found = _rechecked(spec.system, first, decided=own).psi
     return None if own else found
 
 
@@ -263,13 +271,14 @@ def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
 
 
 def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
-    """All minimal Q-graded subsets, canonically ordered: the walk of
-    ``_minimal_sets`` over the whole root system.  ``cap`` bounds
-    ``2^|roots|``, the size of the search space."""
+    """All minimal Q-graded subsets, canonically ordered: the unimodular root
+    bases, each re-checked by ``_rechecked``.  ``cap`` still bounds
+    ``2^|roots|``; its default admits only the types whose list the tests
+    compare with the walk."""
     n = len(rs.roots)
     if 1 << n > cap:
         raise EnumerationCapExceeded(f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead")
-    minimal = [_rechecked(rs, psi) for psi in _minimal_sets(rs, rs.roots, first=False)]
+    minimal = [_rechecked(rs, psi) for psi in _unimodular_bases(rs)]
     return sorted(minimal, key=lambda s: (len(s.psi), s.psi))
 
 

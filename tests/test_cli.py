@@ -604,7 +604,8 @@ def test_non_basis_minimal_set_exits_4(monkeypatch, capsys):
     from liecert import qgraded
 
     four = ((1, 0), (0, 1), (1, 1), (2, 1))
-    monkeypatch.setattr(qgraded, "_minimal_sets", lambda rs, roots, first: [four])
+    monkeypatch.setattr(qgraded, "_unimodular_bases", lambda rs: [four])
+    monkeypatch.setattr(qgraded, "_first_minimal", lambda rs, roots: four)
     b2 = ["--family", "B", "--rank", "2"]
     for argv in (["minimal", *b2], ["certify", *b2, "--psi", "1,0;0,1;1,1;2,1"]):
         code, doc, _ = invoke(argv)

@@ -23,7 +23,7 @@ from liecert.qgraded import (
 )
 from liecert.rootsys import RootSystem, build_root_system
 from exact_reference import rref
-from qgraded_reference import smaller_qgraded
+from qgraded_reference import minimal_sets_walk, smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
@@ -275,6 +275,33 @@ def test_enumerate_matches_reference_walk(key):
     assert [s.psi for s in enumerate_minimal(rs)] == _reference_minimal(rs)
 
 
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2"]
+
+
+@pytest.mark.parametrize("key", ORACLE_TYPES)
+def test_unimodular_bases_match_the_full_walk(key):
+    # the enumerator relies on "minimal => a unimodular root basis with no two
+    # roots summing to a root or zero"; the walk decides minimality from
+    # closure and span alone.  This covers every type the default cap admits,
+    # and A5, B4 and C4 beyond it.
+    rs = build_root_system(key[0], int(key[1:]))
+    walk = sorted((SubalgebraSpec(rs, psi).psi for psi in minimal_sets_walk(rs, rs.roots)), key=lambda p: (len(p), p))
+    assert [s.psi for s in enumerate_minimal(rs, cap=1 << 32)] == walk
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_first_found_walk_matches_the_full_walk(family, rank):
+    # on every closed spanning Psi, the walk of is_minimal and certify stops
+    # at the first set of the full walk over Psi
+    import liecert.qgraded as q
+
+    rs = build_root_system(family, rank)
+    for mask in _closed_masks(rs):
+        psi = _psi(rs, mask)
+        if spans_q(SubalgebraSpec(rs, psi))[0]:
+            assert q._first_minimal(rs, psi) == minimal_sets_walk(rs, psi)[0], psi
+
+
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
 def test_closed_walk_matches_subset_scan(family, rank):
     rs = build_root_system(family, rank)
@@ -327,10 +354,10 @@ def test_counterexample_is_rechecked(monkeypatch, b2rs):
     # enumeration; Psi itself is decided before the walk and not re-checked
     import liecert.qgraded as q
 
-    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first: [((1, 0), (0, 1))])
+    monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: ((1, 0), (0, 1)))
     with pytest.raises(AssertionError, match="Smith-form re-check"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
-    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first: [])
+    monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: None)
     with pytest.raises(AssertionError, match="found no minimal set"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
 
@@ -345,8 +372,9 @@ def test_derived_algebra_dim_matches_dense_rank():
 
 
 def test_walk_that_claims_span_early_is_caught_by_the_recheck(monkeypatch):
-    # only the walk's binding is broken: a prefix one pivot short of rank
-    # "spans" with a unit row, while spans_q reads the true invariant factors
+    # only qgraded's binding is broken: the enumerator takes a set one pivot
+    # short of rank for a full-rank one with a unit row, while spans_q reads
+    # the true invariant factors
     import liecert.qgraded as q
 
     real = q.hermite_insert
