@@ -14,7 +14,7 @@ Downstream certificates are therefore reproducible byte-for-byte.
 Lattices over Z have one engine of their own, ``hermite_insert``: the
 minimality walk and enumeration grow Hermite pivots one root at a time, and
 ``invariant_factors`` reads the Smith invariant factors off alternating
-Hermite passes.
+Hermite passes.  ``int_det`` (Bareiss) re-checks enumerated sets without it.
 """
 
 from __future__ import annotations
@@ -401,6 +401,30 @@ def hermite_insert(pivots: dict[int, list[int]], vec: Sequence[int], dim: int) -
         a, b = p[c] // g, x // g
         pivots[c] = [s * y + t * z for y, z in zip(p, v)]
         v = [a * z - b * y for y, z in zip(p, v)]
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968): exact divisions, a row swap per zero pivot."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("int_det needs a square matrix")
+    for k in range(n):
+        p = k
+        while p < n and not m[p][k]:
+            p += 1
+        if p == n:
+            return 0
+        m[k], m[p], sign = m[p], m[k], sign if p == k else -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            if f or pivot != prev:  # else the step leaves the row as it is
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def invariant_factors(vectors: Iterable[Sequence[int]], dim: int) -> tuple[int, ...]:

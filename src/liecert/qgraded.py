@@ -10,13 +10,16 @@ decide it by one pruned walk over the closed subsets of Psi, which stops at
 the first minimal set: Psi iff Psi is minimal.  ``certify`` decides closure
 and span once each.  ``enumerate_minimal`` lists the minimal sets as the
 unimodular root bases of ``_unimodular_bases``, a characterization whose
-converse half the walk does not assume.
+converse half the walk does not assume.  ``_rechecked`` re-checks every set they
+find: rank, closure, span by ``det = +-1`` (``exact.int_det``, not their engine).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
-from .exact import Echelon, _Value, hermite_insert, invariant_factors
+from .exact import Echelon, _Value, hermite_insert, int_det, invariant_factors
 from .rootsys import Root, RootSystem
 
 __all__ = [
@@ -205,13 +208,13 @@ def _unimodular_bases(rs: RootSystem) -> list[tuple[Root, ...]]:
     root that does not raise their rank is dropped.  A set of full rank is
     kept iff all its pivots are 1.
     """
-    roots, l, n = rs.roots, rs.rank, len(rs.roots)
+    roots, l, n, sums = rs.roots, rs.rank, len(rs.roots), _root_sums(rs)
     # bit j of later[i] (j > i): roots i and j sum to neither a root nor zero
     later = [0] * n
     for i, a in enumerate(roots):
+        neg = rs.root_index[tuple(-x for x in a)]
         for j in range(i + 1, n):
-            s = tuple(x + y for x, y in zip(a, roots[j]))
-            if any(s) and s not in rs.root_index:
+            if sums[i][j] is None and j != neg:
                 later[i] |= 1 << j
     found: list[tuple[Root, ...]] = []
 
@@ -233,18 +236,31 @@ def _unimodular_bases(rs: RootSystem) -> list[tuple[Root, ...]]:
     return found
 
 
-def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False) -> SubalgebraSpec:
+@lru_cache(maxsize=32)
+def _root_sums(rs: RootSystem) -> tuple[tuple[int | None, ...], ...]:
+    """``sums[i][j]``: the index of root i + root j if that is a root, else None.
+    Built once per root system, only by ``minimal``: on E8 it outcosts ``certify``."""
+    return tuple(tuple(rs.root_index.get(tuple(x + y for x, y in zip(a, b))) for b in rs.roots) for a in rs.roots)
+
+
+def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False, sums: tuple | None = None) -> SubalgebraSpec:
     """A minimal set the enumeration or the walk found, re-checked for
-    closure and span (by its Smith invariant factors,
-    ``exact.invariant_factors``) unless ``decided``, and for rank-many roots:
+    rank-many roots and, unless ``decided``, for closure (from the root sums
+    ``sums`` of ``_root_sums`` if given, else by ``closure_violation``) and
+    for span by ``det = +-1`` (``exact.int_det``, not the enumerator's engine):
     then it is a lattice basis, no two of its roots sum into it, and L is
-    r_2^l, which ``chevalley.normal_form`` reads off the bracket table of the
-    extraction."""
+    r_2^l, which ``chevalley.normal_form`` reads off the extraction."""
     spec = SubalgebraSpec(rs, psi)
-    if not decided and (closure_violation(rs, spec.psi) is not None or not spans_q(spec)[0]):
-        raise AssertionError(f"enumerated set {spec.psi} fails the closure or Smith-form re-check")
     if len(spec.psi) != rs.rank:
         raise AssertionError(f"minimal set {spec.psi} fails the rank re-check: {len(spec.psi)} roots, rank {rs.rank}")
+    if not decided:
+        if sums is None:
+            closed = closure_violation(rs, spec.psi) is None
+        else:
+            ids = [rs.root_index[r] for r in spec.psi]
+            closed = all(sums[i][j] is None or sums[i][j] in ids for i in ids for j in ids)
+        if not closed or int_det(spec.psi) not in (1, -1):
+            raise AssertionError(f"enumerated set {spec.psi} fails the closure or determinant re-check")
     return spec
 
 
@@ -272,13 +288,13 @@ def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
 
 def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
     """All minimal Q-graded subsets, canonically ordered: the unimodular root
-    bases, each re-checked by ``_rechecked``.  ``cap`` still bounds
-    ``2^|roots|``; its default admits only the types whose list the tests
-    compare with the walk."""
+    bases, each re-checked by ``_rechecked`` with the sums of ``_root_sums``.
+    ``cap`` bounds ``2^|roots|``; its default admits only oracle-tested types."""
     n = len(rs.roots)
     if 1 << n > cap:
         raise EnumerationCapExceeded(f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead")
-    minimal = [_rechecked(rs, psi) for psi in _unimodular_bases(rs)]
+    sums = _root_sums(rs)
+    minimal = [_rechecked(rs, psi, sums=sums) for psi in _unimodular_bases(rs)]
     return sorted(minimal, key=lambda s: (len(s.psi), s.psi))
 
 

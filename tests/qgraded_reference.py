@@ -12,14 +12,22 @@ decides minimality from closure and span alone, so it is the oracle for the
 characterization that the enumerator relies on: a minimal set is a Z-basis of
 the root lattice made of rank-many roots, no two of which sum to a root or
 to zero.
+
+``first_minimal_without_low`` and ``closed_spanning_sample`` look for a Psi on
+which the "C adds no root before k" test of ``qgraded._first_minimal`` changes
+the set the walk returns.
 """
 
 from __future__ import annotations
 
+import inspect
+import random
+import textwrap
 from itertools import combinations
 
 from liecert.chevalley import SubalgebraSpec
 from liecert.exact import hermite_insert
+import liecert.qgraded as qgraded
 from liecert.qgraded import is_closed, spans_q
 from liecert.rootsys import Root, RootSystem
 
@@ -149,3 +157,49 @@ def minimal_sets_walk(rs: RootSystem, roots: tuple[Root, ...]) -> list[tuple[Roo
 
     walk(0, 0, 0, {})
     return [tuple(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
+
+
+def first_minimal_without_low():
+    """``qgraded._first_minimal`` with prune (a) taking the closure with
+    ``low = 0``, so it never refuses a closure that adds a root before the
+    last one taken.  Built from the function's own source, so the two differ
+    in that one argument alone."""
+    old = "closure(taken, ((2 << k) - 1) & ~taken)"
+    source = textwrap.dedent(inspect.getsource(qgraded._first_minimal))
+    assert source.count(old) == 1, "the prune (a) call has changed"
+    namespace = dict(vars(qgraded))
+    exec(source.replace(old, "closure(taken, 0)"), namespace)
+    return namespace["_first_minimal"]
+
+
+def _closure(rs: RootSystem, roots) -> set[Root]:
+    found, todo = set(roots), list(roots)
+    while todo:
+        a = todo.pop()
+        for b in list(found):
+            c = tuple(x + y for x, y in zip(a, b))
+            if c in rs.root_index and c not in found:
+                found.add(c)
+                todo.append(c)
+    return found
+
+
+def closed_spanning_sample(rs: RootSystem, seed: int, tries: int) -> list[tuple[Root, ...]]:
+    """Distinct closed spanning Psi, each the closure of a seeded random pick,
+    in turn: rank to rank + 4 roots; part of the roots positive on a random
+    functional; part of the positive roots with up to three more roots."""
+    rng, seen = random.Random(seed), {}
+    for t in range(tries):
+        if t % 3 == 0:
+            pick = rng.sample(rs.roots, rng.randint(rs.rank, rs.rank + 4))
+        elif t % 3 == 1:
+            w = [rng.uniform(-1, 1) for _ in range(rs.rank)]
+            half = [r for r in rs.roots if sum(a * b for a, b in zip(r, w)) > 0]
+            pick = rng.sample(half, rng.randint(rs.rank, len(half)))
+        else:
+            pos = rs.positive_roots
+            pick = rng.sample(pos, rng.randint(1, len(pos))) + rng.sample(rs.roots, rng.randint(0, 3))
+        psi = SubalgebraSpec(rs, tuple(_closure(rs, pick))).psi
+        if psi not in seen and spans_q(SubalgebraSpec(rs, psi))[0]:
+            seen[psi] = None
+    return list(seen)

@@ -517,6 +517,28 @@ def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
     assert counts == {"closure_violation": 1, "invariant_factors": 1}
 
 
+E8_BIPARTITE = [
+    "--family", "E", "--rank", "8",
+    "--psi", "1,0,0,0,0,0,0,0;0,-1,0,0,0,0,0,0;0,0,-1,0,0,0,0,0;0,0,0,1,0,0,0,0;"
+    "0,0,0,0,-1,0,0,0;0,0,0,0,0,1,0,0;0,0,0,0,0,0,-1,0;0,0,0,0,0,0,0,1",
+]
+
+
+def test_only_minimal_builds_the_root_sum_memo():
+    # the whole-system sums cost more than a certify on E8; the walk's own
+    # re-check looks its few pairs up instead (B2's positive roots are not
+    # minimal, so their counterexample is re-checked in full)
+    from liecert import qgraded
+
+    qgraded._root_sums.cache_clear()
+    b2_positive = ["--family", "B", "--rank", "2", "--psi", "1,0;0,1;1,1;2,1"]
+    for argv, code in ((["certify", *E8_BIPARTITE], 0), (["aid", *E8_BIPARTITE], 0), (["certify", *b2_positive], 1)):
+        assert invoke(argv)[0] == code, argv
+        assert qgraded._root_sums.cache_info().currsize == 0, argv
+    assert invoke(["minimal", "--family", "B", "--rank", "2"])[0] == 0
+    assert qgraded._root_sums.cache_info().currsize == 1
+
+
 @pytest.fixture
 def cold_extraction():
     """Empty the extraction and per-type memos around a test that counts
@@ -630,7 +652,7 @@ def test_unexpected_exception_exits_4(monkeypatch, capsys):
 def test_failed_recheck_exits_4_not_1(monkeypatch):
     from liecert import qgraded
 
-    monkeypatch.setattr(qgraded, "spans_q", lambda spec: (False, ()))
+    monkeypatch.setattr(qgraded, "int_det", lambda rows: 0)
     code, doc, _ = invoke(["minimal", "--family", "B", "--rank", "2"])
     assert code == 4
     assert doc["error"].startswith("internal error: AssertionError: enumerated set")

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from liecert.exact import (
     MatQ,
     Solver,
     hermite_insert,
+    int_det,
     inverse,
     invariant_factors,
     kernel_basis,
@@ -436,6 +438,54 @@ def test_invariant_factors_match_sympy():
         vectors, dim = _random_lattice(rng, 6, 20)
         want = tuple(int(x) for x in sympy_factors(sympy.Matrix(vectors), domain=sympy.ZZ) if x)
         assert invariant_factors(vectors, dim) == want, vectors
+
+
+def _random_square(rng, max_dim):
+    """A square integer matrix up to ``max_dim``: dense, sparse, below full
+    rank (a product through fewer columns), or with a zero top-left entry."""
+    n, kind = rng.randint(1, max_dim), rng.choice(["dense", "sparse", "deficient", "zero-lead"])
+    if kind == "deficient":
+        r = rng.randint(0, n - 1)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if r else [0] * n for row in left]
+    m = [[rng.randint(-9, 9) if kind != "sparse" or rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(n)]
+    if kind == "zero-lead":
+        m[0][0] = 0
+    return m
+
+
+def test_int_det_matches_the_invariant_factors():
+    # |det| is the index of the lattice the rows span, the product of the
+    # Smith factors at full rank, and 0 below it
+    rng = random.Random(43)
+    seen = {"full": 0, "singular": 0, "row swap": 0}
+    for _ in range(400):
+        m = _random_square(rng, 8)
+        n, factors = len(m), invariant_factors(m, len(m))
+        full = len(factors) == n
+        assert abs(int_det(m)) == (prod(factors) if full else 0), m
+        seen["full" if full else "singular"] += 1
+        seen["row swap"] += full and m[0][0] == 0
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+def test_int_det_examples():
+    assert int_det([]) == 1
+    assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([[0, 1], [2, 1]]) == -2  # B2 beta, 2a+b
+    assert int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert int_det([[1, 2], [2, 4]]) == 0
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+
+
+def test_int_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for _ in range(150):
+        m = _random_square(rng, 8)
+        assert int_det(m) == int(sympy.Matrix(m).det()), m
 
 
 def test_invariant_factors_of_every_frozen_minimal_set():

@@ -21,9 +21,9 @@ from liecert.qgraded import (
     spans_q,
     verify_metabelian,
 )
-from liecert.rootsys import RootSystem, build_root_system
+from liecert.rootsys import RootSystem, build_root_system, root_sum
 from exact_reference import rref
-from qgraded_reference import minimal_sets_walk, smaller_qgraded
+from qgraded_reference import closed_spanning_sample, first_minimal_without_low, minimal_sets_walk, smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
@@ -302,6 +302,19 @@ def test_first_found_walk_matches_the_full_walk(family, rank):
             assert q._first_minimal(rs, psi) == minimal_sets_walk(rs, psi)[0], psi
 
 
+@pytest.mark.parametrize("family, rank", [("D", 4), ("B", 4), ("F", 4)])
+def test_first_minimal_low_test_never_changes_the_set(family, rank):
+    # prune (a) refuses a closure that adds a root before the last one taken;
+    # on these samples, dropping that test returns the same set every time
+    import liecert.qgraded as q
+
+    rs, without_low = build_root_system(family, rank), first_minimal_without_low()
+    sample = closed_spanning_sample(rs, seed=11, tries=600)
+    assert len(sample) > 200
+    for psi in sample:
+        assert q._first_minimal(rs, psi) == without_low(rs, psi), psi
+
+
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
 def test_closed_walk_matches_subset_scan(family, rank):
     rs = build_root_system(family, rank)
@@ -355,11 +368,42 @@ def test_counterexample_is_rechecked(monkeypatch, b2rs):
     import liecert.qgraded as q
 
     monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: ((1, 0), (0, 1)))
-    with pytest.raises(AssertionError, match="Smith-form re-check"):
+    with pytest.raises(AssertionError, match="closure or determinant re-check"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
     monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: None)
     with pytest.raises(AssertionError, match="found no minimal set"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        (((1, 0), (0, 1)), "closure or determinant"),  # (1,1) is a root outside
+        (((0, 1), (2, 1)), "closure or determinant"),  # closed, det -2
+        (((1, 0),), "rank"),  # one root short
+    ],
+    ids=["not-closed", "det-2", "one-short"],
+)
+@pytest.mark.parametrize("memo", [True, False], ids=["root-sums", "pairwise"])
+def test_recheck_refuses_sets_that_are_not_minimal(b2rs, psi, message, memo):
+    import liecert.qgraded as q
+
+    sums = q._root_sums(b2rs) if memo else None
+    with pytest.raises(AssertionError, match=f"{message} re-check"):
+        q._rechecked(b2rs, psi, sums=sums)
+    assert q._rechecked(b2rs, ((1, 0), (2, 1)), sums=sums).psi == ((1, 0), (2, 1))
+
+
+@pytest.mark.parametrize("key", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "E6"])
+def test_root_sums_agree_with_root_sum(key):
+    import liecert.qgraded as q
+
+    rs = build_root_system(key[0], int(key[1:]))
+    sums = q._root_sums(rs)
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            s = root_sum(rs, a, b)
+            assert sums[i][j] == (None if s is None else rs.root_index[s]), (a, b)
 
 
 def test_derived_algebra_dim_matches_dense_rank():
@@ -373,8 +417,8 @@ def test_derived_algebra_dim_matches_dense_rank():
 
 def test_walk_that_claims_span_early_is_caught_by_the_recheck(monkeypatch):
     # only qgraded's binding is broken: the enumerator takes a set one pivot
-    # short of rank for a full-rank one with a unit row, while spans_q reads
-    # the true invariant factors
+    # short of rank for a full-rank one with a unit row; the re-check counts
+    # its roots before it takes a determinant
     import liecert.qgraded as q
 
     real = q.hermite_insert
@@ -387,7 +431,7 @@ def test_walk_that_claims_span_early_is_caught_by_the_recheck(monkeypatch):
 
     monkeypatch.setattr(q, "hermite_insert", one_short)
     for family, rank in [("B", 2), ("A", 3)]:
-        with pytest.raises(AssertionError, match="Smith-form re-check"):
+        with pytest.raises(AssertionError, match="rank re-check"):
             enumerate_minimal(build_root_system(family, rank))
 
 
@@ -400,7 +444,7 @@ def test_minimal_output_ignores_hash_seed():
 
 
 def test_enumerate_recheck_survives_python_O():
-    """Each printed set is re-checked with the Smith form by explicit code."""
+    """Each printed set is re-checked by its determinant in explicit code."""
     script = textwrap.dedent(
         """
         import sys
@@ -408,7 +452,7 @@ def test_enumerate_recheck_survives_python_O():
         from liecert.rootsys import build_root_system
 
         assert False, "asserts must be off for this check"
-        q.spans_q = lambda spec: (False, ())
+        q.int_det = lambda rows: 0
         try:
             q.enumerate_minimal(build_root_system("B", 2))
         except AssertionError as exc:
@@ -419,4 +463,4 @@ def test_enumerate_recheck_survives_python_O():
     )
     proc = _python(["-c", script], optimize=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "Smith-form re-check" in proc.stdout
+    assert "closure or determinant re-check" in proc.stdout
