@@ -177,17 +177,18 @@ class LieAlgebra(_ReadOnly):
 
 
 class SubalgebraSpec(_Value):
-    """A subset Psi of the roots, designating ``H + sum of L_beta``; Psi is
-    kept sorted by (height, lex), so specs with equal sets compare equal."""
+    """A subset Psi of the roots, designating ``H + sum of L_beta``; Psi is kept
+    in root-index order, (height, lex), so specs with equal sets compare equal."""
 
     def __init__(self, system: RootSystem, psi: tuple[Root, ...]):
-        seen = []
+        index, seen = system.root_index, set()
         for r in psi:
-            rr = system.check_root(r)
-            if rr in seen:
-                raise ValueError(f"duplicate root {rr} in Psi")
-            seen.append(rr)
-        self.__dict__.update(system=system, psi=tuple(sorted(seen, key=lambda r: (height(r), r))))
+            k = index.get(tuple(r))
+            k = index[system.check_root(r)] if k is None else k  # a miss: int coordinates, or ValueError
+            if k in seen:
+                raise ValueError(f"duplicate root {system.roots[k]} in Psi")
+            seen.add(k)
+        self.__dict__.update(system=system, psi=tuple(system.roots[k] for k in sorted(seen)))
 
 
 def closure_violation(rs: RootSystem, psi: tuple[Root, ...]) -> tuple[Root, Root, Root] | None:

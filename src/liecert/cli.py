@@ -15,19 +15,20 @@ default document.
 Each subcommand imports the layers it runs inside its handler, so a fresh
 process pays only for those: ``roots`` loads ``exact`` and ``rootsys`` alone.
 Beyond the modules that Python's start-up already loads, every command adds
-only ``argparse``, ``json`` and ``fractions`` (with ``gettext``, ``locale``,
-``decimal`` and ``numbers``): the package's read-only classes are plain
+only ``json`` and ``fractions`` (with ``decimal`` and ``numbers``): argv is read
+off one command table, not by ``argparse``, and the read-only classes are plain
 classes, so no class decorator pulls in ``inspect`` and its imports.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .exact import MatQ, expect_json, json_field, rat_from_str, rat_to_str
@@ -352,77 +353,103 @@ def _cmd_selftest(args, seed):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and parser
 # ---------------------------------------------------------------------------
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="liecert", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, help=f"deterministic seed (default {DEFAULT_SEED}, or ${SEED_ENV})")
-    parser.add_argument("--json", metavar="PATH", default=None, help="also write the output document to PATH")
-    parser.add_argument("--timings", action="store_true", help="include wall-clock timings in the document")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    algebra = argparse.ArgumentParser(add_help=False)
-    algebra.add_argument("--family", required=True)
-    algebra.add_argument("--rank", type=int, required=True)
-    subset = argparse.ArgumentParser(add_help=False, parents=[algebra])
-    subset.add_argument(
-        "--psi",
-        required=True,
-        help='semicolon-separated coordinates, e.g. "1,0;2,1" (--psi="-1,0" when it starts with -), '
-        '"all" for every root or "positive" for the positive roots',
-    )
-
-    def add(name, fn, parents=(), **kwargs):
-        p = sub.add_parser(name, parents=list(parents), **kwargs)
-        p.set_defaults(handler=fn)
-        return p
-
-    add("roots", _cmd_roots, [algebra], help="construct a root system")
-
-    p = add("minimal", _cmd_minimal, [algebra], help="enumerate the minimal Q-graded subalgebras")
-    p.add_argument("--cap", type=int, default=1 << 24)
-
-    for name, fn in [("certify", _cmd_certify), ("der", _cmd_der), ("aid", _cmd_aid), ("centroid", _cmd_centroid)]:
-        p = add(name, fn, [subset], help=f"{name} for a root subset")
-        if name == "aid":
-            p.add_argument("--matrix", default=None, help="derivation matrix JSON file")
-
-    p = add("affine-bracket", _cmd_affine_bracket, [subset], help="bracket two affine elements")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = add("dij-witness", _cmd_dij_witness, [subset], help="bracket witness for a toral-to-center derivation")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--x", required=True)
-
-    p = add("aid-check", _cmd_aid_check, [subset], help="almost-inner check of an operator at an element")
-    p.add_argument("--op", required=True)
-    p.add_argument("--x", required=True)
-
-    p = add("inner-match", _cmd_inner_match, [subset], help="decide one inner match for a dij combination")
-    p.add_argument("--op", required=True)
-    p.add_argument("--window", type=int, default=4)
-
-    p = add("selftest", _cmd_selftest, help="run the acceptance criteria")
-    p.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default all)")
-
-    return parser
+# option string -> (type, default, required); a type of None marks a flag
+_STR, _INT, _HELP = (str, None, True), (int, None, True), {"-h": (None, None, False), "--help": (None, None, False)}
+_GLOBAL = {**_HELP, "--seed": (int, None, False), "--json": (str, None, False), "--timings": (None, None, False)}
+_ALGEBRA = {**_HELP, "--family": _STR, "--rank": _INT}
+_SUBSET = {**_ALGEBRA, "--psi": _STR}
+# command -> (handler, one-line help, options)
+_COMMANDS = {
+    "roots": (_cmd_roots, "construct a root system", _ALGEBRA),
+    "minimal": (_cmd_minimal, "enumerate the minimal Q-graded subalgebras", {**_ALGEBRA, "--cap": (int, 1 << 24, False)}),
+    "certify": (_cmd_certify, "certify for a root subset", _SUBSET),
+    "der": (_cmd_der, "der for a root subset", _SUBSET),
+    "aid": (_cmd_aid, "aid for a root subset", {**_SUBSET, "--matrix": (str, None, False)}),
+    "centroid": (_cmd_centroid, "centroid for a root subset", _SUBSET),
+    "affine-bracket": (_cmd_affine_bracket, "bracket two affine elements", {**_SUBSET, "--x": _STR, "--y": _STR}),
+    "dij-witness": (_cmd_dij_witness, "witness for a toral-to-center derivation", {**_SUBSET, "--i": _INT, "--j": _INT, "--x": _STR}),
+    "aid-check": (_cmd_aid_check, "almost-inner check of an operator at an element", {**_SUBSET, "--op": _STR, "--x": _STR}),
+    "inner-match": (_cmd_inner_match, "decide one inner match of dij terms", {**_SUBSET, "--op": _STR, "--window": (int, 4, False)}),
+    "selftest": (_cmd_selftest, "run the acceptance criteria", {**_HELP, "--criteria": (str, None, False)}),
+}
+_SEED_NOTE = f"--seed defaults to ${SEED_ENV}, else {DEFAULT_SEED}; --json also writes the document to a file"
+_PSI_NOTE = '--psi: "1,0;2,1" lists roots in simple-root coordinates (--psi="-1,0" when it starts with -); or all, positive'
 
 
-# built once per process: parse_args leaves the parser unchanged
-_PARSER = _build_parser()
+def _is_option(token: str, options: dict) -> bool:
+    """argparse's reading: a token that starts with "-" is a value only when it
+    is "-", a negative number or holds a space, and does not name an option."""
+    named = token.partition("=")[0] in options
+    return token[:1] == "-" and token != "-" and (named or not (re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token))
+
+
+def _parse(argv):
+    """The namespace that ``run`` and the handlers read, or the help text for
+    ``-h``/``--help``; ValueError with the error line for an argv it refuses."""
+    args, command, prog, options, unknown = SimpleNamespace(seed=None, json=None, timings=False), None, "liecert", _GLOBAL, []
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        spec = options.get(name)
+        if token == "--":  # every later token is read as a positional
+            unknown += [token, *tokens]
+        elif spec is None and (command is not None or _is_option(token, options)):
+            unknown.append(token)
+        elif spec is None and token not in _COMMANDS:
+            raise ValueError(f"liecert: error: argument command: invalid choice: {token!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+        elif spec is None:
+            command = args.command = token
+            prog, (args.handler, _, options) = f"liecert {token}", _COMMANDS[token]
+            vars(args).update((option[2:], default) for option, (kind, default, _) in options.items() if kind is not None)
+        elif spec[0] is None and eq:
+            raise ValueError(f"{prog}: error: argument {name}: ignored explicit argument {value!r}")
+        elif name == "--timings":
+            args.timings = True
+        elif spec[0] is None:  # -h or --help
+            return _help(command)
+        else:
+            value = value if eq else next(tokens, None)
+            if value is None or not eq and _is_option(value, options):
+                raise ValueError(f"{prog}: error: argument {name}: expected one argument")
+            try:
+                setattr(args, name[2:], spec[0](value))
+            except ValueError:
+                raise ValueError(f"{prog}: error: argument {name}: invalid int value: {value!r}") from None
+    missing = ["command"] if command is None else [o for o, spec in options.items() if spec[2] and getattr(args, o[2:]) is None]
+    if missing:
+        raise ValueError(f"{prog}: error: the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise ValueError(f"liecert: error: unrecognized arguments: {' '.join(unknown)}")
+    return args
+
+
+def _help(command) -> str:
+    """Usage of ``liecert`` or of one command, read off the command table."""
+    _, about, options = _COMMANDS[command] if command else (None, _SEED_NOTE, _GLOBAL)
+    words = [f"usage: liecert {command}" if command else "usage: liecert"]
+    for option, (kind, default, required) in options.items():
+        if option not in _HELP:
+            value = "" if kind is None else f"={default}" if default is not None else f" {kind.__name__.upper()}"
+            words.append(option + value if required else f"[{option}{value}]")
+    if command is None:
+        rows = [f"  {name:<15} {text}" for name, (_, text, _) in _COMMANDS.items()]
+        return "\n".join([" ".join(words) + " COMMAND ...", about, *rows, ""])
+    return "\n".join([" ".join(words), about, *[_PSI_NOTE] * ("--psi" in options), ""])
 
 
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        args = _parse(argv)
+    except ValueError as exc:  # a refused argv: its error line and no document
+        print(exc, file=sys.stderr)
+        return 2
+    if isinstance(args, str):  # -h or --help
+        out.write(args)
+        return 0
     started = time.monotonic()
     try:
         doc, code = args.handler(args, _seed(args))

@@ -325,6 +325,14 @@ def test_spec_orders_psi_canonically():
     assert spec.psi == ((1, 0), (2, 1))
     with pytest.raises(ValueError, match="duplicate"):
         SubalgebraSpec(rs, ((1, 0), (1, 0)))
+    # lists and non-int coordinates are read as the canonical root tuples
+    spec = SubalgebraSpec(rs, [[0, -1], [1.0, 0], (-2, -1)])
+    assert spec.psi == ((-2, -1), (0, -1), (1, 0)) and all(type(x) is int for r in spec.psi for x in r)
+    assert [rs.root_index[r] for r in spec.psi] == sorted(rs.root_index[r] for r in spec.psi)
+    with pytest.raises(ValueError, match=r"^duplicate root \(1, 0\) in Psi$"):
+        SubalgebraSpec(rs, [[1, 0], (1.0, 0)])
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not a root of B2$"):
+        SubalgebraSpec(rs, [(1, 0), (1.0, 2)])
 
 
 @pytest.mark.parametrize("family,rank", [("F", 4), ("D", 4), ("C", 3), ("B", 3)])

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON shapes, determinism."""
 
+import contextlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from liecert.cli import parse_psi, run
+from liecert.cli import _parse, parse_psi, run
 
 
 def invoke(argv):
@@ -788,3 +789,140 @@ def test_timings_document_is_json_dumps_output():
     code, doc, text = invoke(["--timings", "roots", "--family", "A", "--rank", "1"])
     assert code == 0 and type(doc["timings"]["wall_s"]) is float
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the command table's parser against the argparse front end it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle():
+    """The replaced argparse tree, with prefix abbreviations turned off: the
+    one change to the command-line language."""
+    import argparse
+
+    from cli_reference import _build_parser
+
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, *commands.choices.values()):
+        p.allow_abbrev = False
+    return parser
+
+
+ORACLE = _oracle()
+
+
+def _outcome(argv):
+    """``_parse`` and the oracle on ``argv``: each "help", "refused" or the
+    parsed attributes."""
+    try:
+        ours = _parse(argv)
+        ours = "help" if isinstance(ours, str) else vars(ours)
+    except ValueError:
+        ours = "refused"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            theirs = vars(ORACLE.parse_args(argv))
+    except SystemExit as exc:
+        theirs = "help" if exc.code == 0 else "refused"
+    return ours, theirs
+
+
+A1 = ["--family", "A", "--rank", "1"]
+B2 = ["--family", "B", "--rank", "2"]
+# argv and how it is read; "--" and single-dash clusters such as "-hx" are
+# refused here, while argparse's reading of them differs between Python versions
+EDGE_CASES = [
+    (["frobnicate"], "refused"),
+    (["roots", *A1, "--bogus", "1"], "refused"),
+    (["roots", "--family", "A", "--rank"], "refused"),
+    (["certify", *B2], "refused"),
+    (["roots", "--family", "A", "--rank", "x"], "refused"),
+    (["certify", *B2, "--psi", "-1,0"], "refused"),
+    (["dij-witness", *B2, "--psi", "1,0;2,1", "--i", "1", "--j", "-1", "--x", "x.json"], "accepted"),
+    (["affine-bracket", *B2, "--psi", "1,0;2,1", "--x=a=b", "--y", "y.json"], "accepted"),
+    (["roots", *A1, "--family", "B", "--rank=2"], "accepted"),
+    (["roots", *A1, "--seed", "3"], "refused"),
+    (["--timings=1", "roots", *A1], "refused"),
+    (["roots", *A1, "--"], "refused"),
+    (["roots", "--", *A1], "refused"),
+    (["--seed=-3", "--json", "-", "certify", *B2, "--psi", "-1, 0"], "accepted"),
+    (["certify", *B2, "--psi", "1", "--bogus", "--help"], "help"),
+    (["roots", "--rank", "x", "--help"], "refused"),
+]
+
+
+def _argv_cases():
+    from test_golden import CASES
+    from test_package import BOUNDARY
+
+    cases = [pytest.param(argv, id=f"golden-{name}") for name, (argv, _) in CASES.items()]
+    cases += [pytest.param(argv, id=f"boundary-{argv[0]}") for argv, _, _ in BOUNDARY]
+    return cases + [pytest.param(argv, id=f"edge-{k}") for k, (argv, _) in enumerate(EDGE_CASES)]
+
+
+@pytest.mark.parametrize("argv", _argv_cases())
+def test_parse_agrees_with_the_argparse_oracle(argv):
+    ours, theirs = _outcome(argv)
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("argv, reading", EDGE_CASES, ids=[f"edge-{k}" for k in range(len(EDGE_CASES))])
+def test_edge_cases_are_read_as_pinned(argv, reading):
+    ours, _ = _outcome(argv)
+    assert (ours if isinstance(ours, str) else "accepted") == reading
+
+
+def test_parse_agrees_with_the_argparse_oracle_on_drawn_argv():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from liecert.cli import _COMMANDS
+
+    options = ["--seed", "--json", "--timings", "--help", "--family", "--rank", "--psi", "--cap", "--matrix"]
+    options += ["--x", "--y", "--i", "--j", "--op", "--window", "--criteria", "--bogus"]
+    values = ["B", "2", "0", "-1", "x", "1,0;2,1", "-1,0", "-1, 0", "-.5", "-", "", "all", "a=b", "--psi=1"]
+    token = st.one_of(
+        st.sampled_from(options + values + list(_COMMANDS) + ["-h", "frobnicate"]),
+        st.builds("{}={}".format, st.sampled_from(options), st.sampled_from(values)),
+    )
+
+    @st.composite
+    def argvs(draw):
+        # a well-formed command line with drawn tokens inserted, so that both
+        # accepted and refused argv are drawn often
+        command = draw(st.sampled_from(list(_COMMANDS)))
+        argv = [command]
+        for option, (kind, _, required) in _COMMANDS[command][2].items():
+            if required:
+                argv += [option, draw(st.sampled_from(["3", "-2"] if kind is int else ["B", "1,0"]))]
+        for extra in draw(st.lists(token, max_size=4)):
+            argv.insert(draw(st.integers(0, len(argv))), extra)
+        return argv
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.one_of(st.lists(token, max_size=8), argvs()))
+    def check(argv):
+        ours, theirs = _outcome(argv)
+        assert ours == theirs
+
+    check()
+
+
+def test_option_abbreviations_exit_2(capsys):
+    assert run(["roots", "--fam", "A", "--rank", "1"], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "liecert roots: error: the following arguments are required: --family\n"
+    assert run(["--se", "3", "roots", *A1], out=io.StringIO()) == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["-h", "minimal"], ["aid", *B2, "-h"]])
+def test_help_goes_to_out(argv, capsys):
+    buf = io.StringIO()
+    assert run(argv, out=buf) == 0
+    assert capsys.readouterr() == ("", "")
+    text = buf.getvalue()
+    assert text.startswith("usage: liecert") and text.endswith("\n")
+    if argv[0] in ("--help", "-h"):
+        assert all(f"\n  {command} " in text for command in ("roots", "minimal", "certify", "dij-witness", "selftest"))
+    else:
+        assert text.startswith(f"usage: liecert {argv[0]} --family STR --rank INT --psi STR")

@@ -90,7 +90,7 @@ BOUNDARY = [
 
 
 # standard modules that no command needs; each is slow to import
-UNUSED_STDLIB = ("dataclasses", "inspect", "typing")
+UNUSED_STDLIB = ("argparse", "dataclasses", "gettext", "inspect", "locale", "typing")
 
 
 @pytest.mark.parametrize("argv, code, modules", BOUNDARY, ids=[argv[0] for argv, _, _ in BOUNDARY])

@@ -61,6 +61,15 @@ def test_root_counts_and_invariants(family, rank):
     assert sum(1 for r in rs.roots if height(r) == 1) == rank
 
 
+def test_roots_are_listed_in_height_then_lex_order():
+    # SubalgebraSpec orders Psi by root index and relies on this order
+    classical = [(family, rank) for family, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for rank in range(low, 9)]
+    for family, rank in classical + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        assert list(rs.roots) == sorted(rs.roots, key=lambda r: (height(r), r)), (family, rank)
+        assert all(rs.root_index[r] == k for k, r in enumerate(rs.roots))
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("H", 2)],
