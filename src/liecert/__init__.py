@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exact": ("Rat", "MatQ", "kernel_basis", "solve", "invariant_factors"),
+    "exact": ("Rat", "MatQ", "kernel_basis", "invariant_factors"),
     "rootsys": ("RootSystem", "build_root_system", "height", "root_sum"),
     "chevalley": (
         "CONVENTION",

@@ -131,23 +131,12 @@ class LieAlgebra(_ReadOnly):
         """The weights of the basis vectors past the torus, the
         ``(dim - torus) x torus`` matrix ``beta_i(h_j)``, factored once:
         ``torus_solver.solve(a)`` is the torus vector h with
-        ``beta_i(h) = a_i`` that ``solve`` gives on that matrix, or None."""
+        ``beta_i(h) = a_i`` with the free variables zero, or None."""
         rows = self.weights[self.torus :]
         return Solver(MatQ.from_rows(rows) if rows else MatQ(0, self.torus, {}))
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
-
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
-        yj = [(j, c) for j, c in enumerate(y) if c]
-        for i, a in enumerate(x):
-            if a:
-                row = self._table[i]
-                for j, b in yj:
-                    for k, c in row.get(j, ()):
-                        out[k] += a * b * c
-        return tuple(out)
 
     def ad(self, x: Vec) -> MatQ:
         """``ad(x)``, column j holding ``[x, b_j]``, summed over the table."""

@@ -99,7 +99,7 @@ def _operator_from_json(ctx, obj):
     Kinds: "dij" (fields i, j), "inner" (field y: affine element),
     "tensor" (fields matrix, f), "diagonal-derivative" (field fs).
     """
-    from .loopalg import AffineElement, Inner, LaurentPoly, OperatorSum, TensorDerivation, ToralToCenter, diagonal_derivative
+    from .loopalg import AffineElement, DiagonalDerivative, Inner, LaurentPoly, OperatorSum, TensorDerivation, ToralToCenter
 
     raw = obj.get("terms", [])
     if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
@@ -119,7 +119,7 @@ def _operator_from_json(ctx, obj):
         elif kind == "tensor":
             op = TensorDerivation(ctx, MatQ.from_json(field("matrix")), LaurentPoly.from_json(field("f")))
         elif kind == "diagonal-derivative":
-            op = diagonal_derivative(ctx, [LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')])
+            op = DiagonalDerivative(ctx, tuple(LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')))
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
         terms.append((rat_from_str(weight), op))

@@ -3,7 +3,7 @@
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
 no floating point anywhere.  A matrix, :class:`MatQ`, holds only its
 nonzero entries, by row-major index.  One sparse elimination engine,
-:class:`Echelon`, sits behind ``kernel_basis``, ``inverse``, ``solve`` and
+:class:`Echelon`, sits behind ``kernel_basis``, ``inverse`` and
 :class:`Solver`.
 It is fraction-free: an added row has its denominators cleared and is kept
 as a primitive integer row, and the ``Fraction``s of a result are made only
@@ -34,7 +34,6 @@ __all__ = [
     "Echelon",
     "kernel_basis",
     "inverse",
-    "solve",
     "Solver",
     "hermite_insert",
     "invariant_factors",
@@ -319,16 +318,6 @@ def inverse(m: MatQ) -> MatQ | None:
     if any(c >= n for c in ech._rows):
         return None
     return MatQ(n, n, {c * n + j - n: x for c, row in ech.reduced().items() for j, x in row.items() if j >= n})
-
-
-def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
-    """One exact solution of ``m x = b``, or None when inconsistent.
-
-    Deterministic: free variables are set to zero, so repeated runs (and
-    reorderings of untouched data) give the identical witness vector.  A
-    caller with many right-hand sides keeps the :class:`Solver` of m.
-    """
-    return Solver(m).solve(b)
 
 
 class Solver(_ReadOnly):

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import product
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
-from .dercalc import aid_membership, centroid_violation, leibniz_violation
+from .dercalc import centroid_violation, leibniz_violation
 from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, rat_from_str, rat_to_str
 
 __all__ = [
@@ -57,11 +57,7 @@ __all__ = [
     "OperatorSum",
     "affine_bracket",
     "leibniz_check",
-    "centroid_multiplier",
-    "diagonal_derivative",
     "decompose_derivation",
-    "loop_aid_reduce",
-    "diagonal_derivative_aid_check",
     "toral_center_witness",
     "aid_obstruction_check",
     "global_inner_match",
@@ -554,22 +550,6 @@ def leibniz_check(
     return True, None
 
 
-def centroid_multiplier(ctx: LoopContext, coeffs, f: LaurentPoly) -> TensorDerivation:
-    """Centroid element ``h_i(x)g -> c_i h_i(x)(f g)`` (likewise on x_i) of
-    the loop algebra: the tensor derivation of a diagonal centroid matrix.
-    Coordinates are over the diagonal centroid basis, so the context must be
-    square (one root vector per torus direction)."""
-    coeffs = tuple(Fraction(c) for c in coeffs)
-    if not ctx.square() or len(coeffs) != ctx.l:
-        raise ValueError("centroid multipliers need one coefficient per torus index")
-    return TensorDerivation(ctx, _diagonal([coeffs[k % ctx.l] for k in range(ctx.dim)]), f)
-
-
-def diagonal_derivative(ctx: LoopContext, fs) -> DiagonalDerivative:
-    """The derivation killing ``L(x)1`` with weight ``f_i`` on index i."""
-    return DiagonalDerivative(ctx, tuple(fs))
-
-
 class Decomposition(_Value):
     def __init__(self, tensor_terms: tuple[TensorDerivation, ...], residual: OperatorSum):
         self.__dict__.update(tensor_terms=tensor_terms, residual=residual)
@@ -603,64 +583,12 @@ def decompose_derivation(op: LoopOperator) -> Decomposition:
     return Decomposition(tensor_terms=tuple(terms), residual=residual)
 
 
-class LoopAidResult(_Value):
-    def __init__(self, witness: AffineElement | None, component_verdicts: tuple[tuple[int, str], ...]):
-        # component_verdicts: (degree, status) pairs
-        self.__dict__.update(witness=witness, component_verdicts=component_verdicts)
-
-    @property
-    def all_inner(self) -> bool:
-        return self.witness is not None
-
-
-def loop_aid_reduce(ctx: LoopContext, tensor_terms) -> LoopAidResult:
-    """Inner witness for a sum of tensor derivations, when every degree
-    component is an inner derivation of L; None as soon as one is not almost
-    inner (the almost-inner condition at ``x (x) 1`` localises per degree)."""
-    g = ctx.algebra
-    verdicts = []
-    parts: dict[int, list[tuple[Rat, Vec]]] = {}
-    for term in tensor_terms:
-        degs = term.f.degrees()
-        if len(degs) != 1:
-            raise ValueError("tensor terms from decomposition carry monomial weights")
-        verdict = aid_membership(g, term.matrix)
-        verdicts.append((degs[0], verdict.status))
-        if verdict.is_inner:
-            parts.setdefault(degs[0], []).append((term.f.coeff(degs[0]), verdict.witness))
-    if any(status != "inner" for _, status in verdicts):
-        return LoopAidResult(witness=None, component_verdicts=tuple(verdicts))
-    witness = ctx.element({deg: _combine(ctx.dim, p) for deg, p in parts.items()})
-    d = OperatorSum(ctx, tuple((Fraction(1), t) for t in tensor_terms))
-    if Inner(witness)._symbol.loop != d._symbol.loop:
-        raise AssertionError("inner witness disagrees with the tensor sum")
-    return LoopAidResult(witness=witness, component_verdicts=tuple(verdicts))
-
-
 def torus_component_obstruction(z: AffineElement) -> tuple[int, int] | None:
     """The lowest degree at which the loop part of z has a nonzero torus
     component, and the first torus index there (0-based), else None.  No
     bracket value has one: every bracket lands in the span of the root
     vectors tensor Laurent polynomials."""
     return next(((deg, k) for deg in z.degrees() for k in range(z.ctx.l) if z.support[deg][k]), None)
-
-
-def diagonal_derivative_aid_check(ctx: LoopContext, fs) -> tuple[bool, dict | None]:
-    """A weighted-t-derivative operator is almost inner only when it is zero.
-
-    At the first torus index i where some ``B_s`` is nonzero, the value at
-    ``h_i (x) t`` is ``sum_s B_s h_i t^{1+s} = h_i (x) f_i``, whose torus
-    component certifies non-membership in every bracket space.
-    """
-    op = DiagonalDerivative(ctx, tuple(fs))
-    torus = [k for k in range(ctx.l) if any(b.at(k, k) for _, b in op._symbol.loop.values())]
-    if not torus:
-        return True, None
-    x = ctx.basis_at(torus[0], 1)
-    z = op(x)
-    if torus_component_obstruction(z) is None:
-        raise AssertionError("value at h_i (x) t has no torus component")
-    return False, {"fails_at": x, "value": z, "index": torus[0] + 1}
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,14 @@ class RootSystem(_ReadOnly):
         return tuple(r) in self.root_index
 
     def check_root(self, r: Root) -> Root:
-        r = tuple(int(x) for x in r)
-        if r not in self.root_index:
-            raise ValueError(f"{r} is not a root of {self.family}{self.rank}")
-        return r
+        """r as a tuple of ints; ValueError unless it is a root (``1.0`` reads
+        as 1, and a non-integral coordinate is refused, not truncated)."""
+        key = tuple(int(x) for x in r)
+        if key != tuple(r):
+            raise ValueError(f"{tuple(r)} has a non-integral coordinate")
+        if key not in self.root_index:
+            raise ValueError(f"{key} is not a root of {self.family}{self.rank}")
+        return key
 
     def pairing(self, beta: Root, i: int) -> int:
         """``<beta, alpha_i> = 2(beta, a_i)/(a_i, a_i)`` from the Cartan matrix."""

@@ -8,6 +8,10 @@ package, which other tests check on their own (Jacobi scans, root-string
 magnitudes, the trace form), so the extraction tests compare against an
 ambient algebra that extraction did not build.
 
+``bracket`` is ``[x, y]`` read from ``structure`` (pairs ``i < j``) by
+antisymmetry, past the package's table; ``LieAlgebra.ad`` is checked against
+it, and the Jacobi scans and dense oracles bracket with it.
+
 ``killing_form`` is the generic trace form ``tr(ad x . ad y)``, computed from
 any bracket table; the closed-form Killing form of the package is checked
 against it.
@@ -37,6 +41,19 @@ from liecert.chevalley import (
 )
 from liecert.exact import MatQ, inverse
 from liecert.rootsys import RootSystem
+
+
+def bracket(g: LieAlgebra, x, y) -> tuple:
+    """``[x, y]`` read from ``structure`` (pairs ``i < j``) by antisymmetry."""
+    out = [Fraction(0)] * g.dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        for j, b in ys if a else ():
+            if i != j:
+                sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+                for k, c in g.structure.get(key, ()):
+                    out[k] += sign * a * b * c
+    return tuple(out)
 
 
 def build_semisimple(rs: RootSystem) -> LieAlgebra:

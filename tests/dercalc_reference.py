@@ -12,7 +12,7 @@ checks against the dense bracket; ``touched_pairs`` is the pair filter that
 entry by entry with ``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul``
 is the row-by-row dense product.  ``aid_membership`` is the decision
 procedure wired to them; it shares ``leibniz_violation``,
-``_torus_kernel_vector``, ``solve``, ``LieAlgebra.ad`` and
+``_torus_kernel_vector``, ``Solver``, ``LieAlgebra.ad`` and
 ``LieAlgebra.weights`` (as ``beta_of_h``) with the package, which other
 tests check on their own.
 """
@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from liecert.chevalley import LieAlgebra
 from liecert.dercalc import AidVerdict, CentroidBasis, DerivationBasis, _leibniz_rows, _torus_kernel_vector, leibniz_violation
-from liecert.exact import Echelon, MatQ, Rat, solve
+from liecert.exact import Echelon, MatQ, Rat, Solver
 from exact_reference import dense
 
 
@@ -155,7 +155,7 @@ def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
     z, dt, a = reduce(g, d, data["scalars"])
     l, m = g.torus, g.dim - g.torus
-    h = solve(beta_of_h(g), list(a))
+    h = Solver(beta_of_h(g)).solve(list(a))
     if h is None:
         x = (Fraction(0),) * l + (Fraction(1),) * m
         return AidVerdict(

@@ -105,6 +105,19 @@ def test_aid_with_matrix_file(tmp_path):
     assert code == 1 and doc["verdicts"]["status"] == "not-derivation"
 
 
+def test_aid_matrix_exits_4_where_the_scalar_system_point_does_not_refute(tmp_path):
+    # the scalar system of this complement derivation is infeasible, but the
+    # root vectors of Psi do not commute and D(x) lies in [x, L] at x = sum x_i,
+    # so no refutation is printed; the re-check runs under python -O too
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps({"rows": 7, "cols": 7, "entries": ["1" if u in (16, 24) else "0" for u in range(49)]}))
+    argv = ["aid", "--family", "G", "--rank", "2", "--psi=-3,-2;-3,-1;-2,-1;0,-1;0,1", "--matrix", str(p)]
+    code, doc, _ = invoke(argv)
+    assert code == 4 and "lies in [x, L]" in doc["error"]
+    proc = _cli_process(argv, python_flags=("-O",))
+    assert proc.returncode == 4 and json.loads(proc.stdout) == doc, proc.stderr
+
+
 def test_affine_bracket_command(tmp_path):
     x = {"central": "0", "support": {"1": ["1", "0", "0", "0"]}}
     y = {"central": "0", "support": {"-1": ["0", "1", "0", "0"]}}

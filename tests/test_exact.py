@@ -21,7 +21,6 @@ from liecert.exact import (
     kernel_basis,
     rat_from_str,
     rat_to_str,
-    solve,
 )
 from liecert.rootsys import build_root_system
 from exact_reference import dense, rref, solve_sparse
@@ -157,15 +156,15 @@ def test_kernel_vectors_annihilate():
 
 def test_solve_identity():
     m = MatQ.identity(3)
-    assert solve(m, [1, 2, 3]) == (1, 2, 3)
+    assert Solver(m).solve([1, 2, 3]) == (1, 2, 3)
 
 
 def test_solve_free_variable_zeroed():
-    assert solve(MatQ.from_rows([[1, 1]]), [1]) == (1, 0)
+    assert Solver(MatQ.from_rows([[1, 1]])).solve([1]) == (1, 0)
 
 
 def test_solve_inconsistent():
-    assert solve(MatQ.from_rows([[1], [1]]), [0, 1]) is None
+    assert Solver(MatQ.from_rows([[1], [1]])).solve([0, 1]) is None
 
 
 def test_solve_random_consistent_systems():
@@ -174,7 +173,7 @@ def test_solve_random_consistent_systems():
         m = random_matq(rng, 4, 5, -3, 3)
         xtrue = [Fraction(rng.randint(-3, 3)) for _ in range(5)]
         b = m.mul_vec(xtrue)
-        x = solve(m, b)
+        x = Solver(m).solve(b)
         assert x is not None
         assert m.mul_vec(x) == b
 
@@ -197,7 +196,7 @@ def test_solve_sparse_agrees_with_dense_on_feasibility():
             [[rows[i].get(j, Fraction(0)) for j in range(nc)] for i in range(nr)]
         )
         got = solve_sparse(rows, b, nc)
-        assert got == solve(dense, b)
+        assert got == Solver(dense).solve(b)
         if got is not None:
             assert dense.mul_vec(got) == tuple(b)
 
@@ -277,7 +276,7 @@ def test_rref_kernel_solve_match_sympy():
                 x[c] = frac(aug[r, m.cols])
             want = tuple(x)
             feasible += 1
-        assert solve(m, b) == want
+        assert Solver(m).solve(b) == want
         assert solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, m.cols) == want
 
         if m.rows == m.cols:
@@ -554,12 +553,12 @@ def test_matq_rejects_negative_shapes(rows, cols, entries):
 
 def test_solve_rejects_bad_shape():
     with pytest.raises(ValueError):
-        solve(MatQ.identity(2), [1, 2, 3])
+        Solver(MatQ.identity(2)).solve([1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
 # Solver: one factorization, many right-hand sides, against the elimination
-# of [m | b] that solve ran before it
+# of [m | b] (``_augmented_solve``)
 # ---------------------------------------------------------------------------
 
 
@@ -604,7 +603,7 @@ def test_solver_matches_solve_on_torus_systems():
             h = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.cols)]
             for rhs in (m.mul_vec(h), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rows)], [0] * m.rows):
                 got = solver.solve(rhs)
-                assert got == _augmented_solve(m, rhs) == solve(m, rhs), (name, rhs)
+                assert got == _augmented_solve(m, rhs), (name, rhs)
                 assert got is None or all(type(x) is Fraction for x in got)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -627,6 +626,6 @@ def test_solver_matches_solve_on_random_systems():
             for _ in range(6):
                 rhs = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
                 for b in (rhs, m.mul_vec([rng.randint(-2, 2) for _ in range(cols)])):
-                    assert solver.solve(b) == _augmented_solve(m, b) == solve(m, b), (m, b)
+                    assert solver.solve(b) == _augmented_solve(m, b), (m, b)
     with pytest.raises(ValueError, match="length mismatch"):
         Solver(MatQ.identity(2)).solve([1])

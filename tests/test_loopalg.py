@@ -20,6 +20,7 @@ from liecert.exact import Echelon, MatQ
 from liecert import chevalley, loopalg
 from liecert.loopalg import (
     AffineElement,
+    DiagonalDerivative,
     Inner,
     LaurentPoly,
     LoopOperator,
@@ -30,18 +31,14 @@ from liecert.loopalg import (
     affine_bracket,
     aid_obstruction_check,
     decompose_derivation,
-    diagonal_derivative,
-    diagonal_derivative_aid_check,
-    centroid_multiplier,
     global_inner_match,
     laurent_div,
     leibniz_check,
-    loop_aid_reduce,
     loop_context,
     toral_center_witness,
 )
 from liecert.rootsys import build_root_system
-from liecert.selfcheck import loop_operator_cases
+from liecert.selfcheck import loop_operator_cases, tensor_witness
 from exact_reference import dense, solve_sparse
 from loopalg_reference import bracket_match
 import loopalg_reference
@@ -196,12 +193,12 @@ def test_toral_to_center_action(ctx):
 
 def test_diagonal_derivative_action(ctx):
     one = LaurentPoly.one()
-    op = diagonal_derivative(ctx, [one, one])
+    op = DiagonalDerivative(ctx, (one, one))
     assert op(ctx.basis_at(0, 0)).is_zero  # j = 0 annihilated
     img = op(ctx.basis_at(0, 2))
     assert img == ctx.element({1: (Fraction(2), 0, 0, 0)})
     f1 = LaurentPoly.from_dict({0: 1, 1: 1})
-    op2 = diagonal_derivative(ctx, [f1, LaurentPoly.zero()])
+    op2 = DiagonalDerivative(ctx, (f1, LaurentPoly.zero()))
     img2 = op2(ctx.basis_at(2, 3))  # x_1 (x) t^3
     assert img2 == ctx.element({2: (0, 0, Fraction(3), 0), 3: (0, 0, Fraction(3), 0)})
 
@@ -235,7 +232,7 @@ def test_leibniz_tensor_derivation(ctx):
 
 
 def test_diagonal_derivative_is_loop_derivation(ctx):
-    op = diagonal_derivative(ctx, [LaurentPoly.from_dict({0: 1, 2: -1}), LaurentPoly.monomial(-1)])
+    op = DiagonalDerivative(ctx, (LaurentPoly.from_dict({0: 1, 2: -1}), LaurentPoly.monomial(-1)))
     ok, _ = leibniz_check(op)
     assert ok
 
@@ -259,12 +256,23 @@ def test_symbols_of_the_operator_families(ctx):
     assert sym.central == {1: tuple(-u for u in g.form.mul_vec(y.component(-1)))}
     assert ToralToCenter(ctx, 2, -3).symbol() == Symbol({}, {-3: g.basis_vector(1)})
     f = LaurentPoly.from_dict({0: 2, 3: -1})
-    sym = diagonal_derivative(ctx, [f, LaurentPoly.zero()]).symbol()
+    sym = DiagonalDerivative(ctx, (f, LaurentPoly.zero())).symbol()
     assert sorted(sym.loop) == [-1, 2] and sym.central == {}
     assert sym.loop[-1] == (zero, MatQ.from_rows([[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]))
     # a sum cancels to the zero symbol
     op = Inner(y)
     assert OperatorSum(ctx, ((Fraction(1), op), (Fraction(-1), op))).symbol() == Symbol({}, {})
+
+
+def centroid_multiplier(ctx, coeffs, f):
+    """``h_i(x)g -> c_i h_i(x)(f g)`` (likewise on x_i): the tensor derivation
+    of the centroid element ``sum_i c_i C_i`` of L, over the basis C of
+    ``centroid_space``."""
+    entries = {}
+    for c, m in zip(coeffs, centroid_space(ctx.algebra).basis, strict=True):
+        for u, v in m.nonzeros.items():
+            entries[u] = entries.get(u, 0) + Fraction(c) * v
+    return TensorDerivation(ctx, MatQ(ctx.dim, ctx.dim, {u: v for u, v in entries.items() if v}), f)
 
 
 def test_centroid_multiplier_axioms(ctx):
@@ -293,8 +301,6 @@ def test_centroid_multiplier_is_a_diagonal_tensor_derivation(ctx):
     assert sigma.matrix == MatQ.from_rows(
         [[2, 0, 0, 0], [0, Fraction(1, 3), 0, 0], [0, 0, 2, 0], [0, 0, 0, Fraction(1, 3)]]
     )
-    with pytest.raises(ValueError, match="one coefficient per torus index"):
-        centroid_multiplier(ctx, [1, 2, 3], LaurentPoly.one())
 
 
 def test_centroid_multipliers_commute(ctx):
@@ -311,7 +317,7 @@ def test_centroid_multipliers_commute(ctx):
 
 
 def test_diagonal_derivative_kills_l_tensor_one(ctx):
-    op = diagonal_derivative(ctx, [LaurentPoly.from_dict({1: 2}), LaurentPoly.one()])
+    op = DiagonalDerivative(ctx, (LaurentPoly.from_dict({1: 2}), LaurentPoly.one()))
     for k in range(ctx.dim):
         assert op(ctx.basis_at(k, 0)).is_zero
 
@@ -344,7 +350,7 @@ def test_decompose_inner_loop_element(ctx):
 
 
 def test_decompose_diagonal_derivative_residual(ctx):
-    op = diagonal_derivative(ctx, [LaurentPoly.one(), LaurentPoly.monomial(2)])
+    op = DiagonalDerivative(ctx, (LaurentPoly.one(), LaurentPoly.monomial(2)))
     dec = decompose_derivation(op)
     assert dec.tensor_terms == ()
     rng = random.Random(11)
@@ -354,48 +360,47 @@ def test_decompose_diagonal_derivative_residual(ctx):
 
 
 def test_loop_aid_reduce_inner_components(ctx):
+    # the tensor-term check of selftest criterion 7: one aid_membership
+    # witness per term, and Inner(Y) equals the tensor sum
     g = ctx.algebra
     rng = random.Random(12)
     terms = []
-    for deg in (-1, 0, 2):
+    for f in (LaurentPoly.monomial(-1), LaurentPoly.monomial(0, 3), LaurentPoly.from_dict({0: 1, 2: -2})):
         w = tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim))
-        terms.append(TensorDerivation(ctx, g.ad(w), LaurentPoly.monomial(deg)))
-    res = loop_aid_reduce(ctx, terms)
-    assert res.all_inner
-    inner = Inner(res.witness)
+        terms.append(TensorDerivation(ctx, g.ad(w), f))
+    y = tensor_witness(ctx, terms)
     d = OperatorSum(ctx, tuple((Fraction(1), t) for t in terms))
+    assert Inner(y)._symbol.loop == d._symbol.loop
     for _ in range(5):
         x = rand_element(ctx, rng)
-        assert inner(x).loop_equal(d(x))
+        assert Inner(y)(x).loop_equal(d(x))
 
 
 def test_loop_aid_reduce_zero(ctx):
-    res = loop_aid_reduce(ctx, [])
-    assert res.all_inner and res.witness.is_zero
+    assert tensor_witness(ctx, []).is_zero
 
 
 def test_loop_aid_reduce_rejects_non_inner_component(ctx):
     # a tensor term whose matrix is not even a derivation of L cannot get an
-    # inner witness; the per-degree verdicts record why
+    # inner witness
     rows = [[Fraction(0)] * 4 for _ in range(4)]
     rows[3][0] = Fraction(1)  # h_1 -> x_2 breaks Leibniz on (h_1, h_2)
     bad = TensorDerivation(ctx, MatQ.from_rows(rows), LaurentPoly.monomial(1))
     good = TensorDerivation(ctx, ctx.algebra.ad(ctx.algebra.basis_vector(2)), LaurentPoly.monomial(0))
-    res = loop_aid_reduce(ctx, [good, bad])
-    assert not res.all_inner and res.witness is None
-    assert (1, "not-derivation") in res.component_verdicts
-    assert (0, "inner") in res.component_verdicts
+    assert tensor_witness(ctx, [good]) is not None
+    assert tensor_witness(ctx, [good, bad]) is None
 
 
 def test_diagonal_derivative_aid_check(ctx):
-    ok, _ = diagonal_derivative_aid_check(ctx, [LaurentPoly.zero(), LaurentPoly.zero()])
-    assert ok
-    ok, data = diagonal_derivative_aid_check(ctx, [LaurentPoly.one(), LaurentPoly.zero()])
-    assert not ok
-    # exact obstruction: the value at h_1 (x) t has a torus loop component
-    assert data["value"].support and any(data["value"].component(0)[: ctx.l])
-    ok, _ = diagonal_derivative_aid_check(ctx, [LaurentPoly.zero(), LaurentPoly.monomial(4)])
-    assert not ok
+    # at the first torus index k with f_k != 0, the value at h_k (x) t is
+    # h_k (x) f_k, whose torus component no bracket has
+    for fs, k in [((LaurentPoly.one(), LaurentPoly.zero()), 0), ((LaurentPoly.zero(), LaurentPoly.monomial(4)), 1)]:
+        res = aid_obstruction_check(ctx, DiagonalDerivative(ctx, fs), ctx.basis_at(k, 1))
+        assert res.status == "torus-obstruction" and res.y is None
+        assert res.detail["index"] == k + 1
+    zero = DiagonalDerivative(ctx, (LaurentPoly.zero(), LaurentPoly.zero()))
+    res = aid_obstruction_check(ctx, zero, ctx.basis_at(0, 1))
+    assert res.status == "witnessed" and res.y.is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +564,7 @@ def _differential_query(c, rng, kind):
         matrix = MatQ.from_rows([[diag[r] if r == q else 0 for q in range(c.dim)] for r in range(c.dim)])
         op = TensorDerivation(c, matrix, LaurentPoly.from_dict({d: rng.choice([-1, 1, 2]) for d in rng.sample(range(-1, 2), 2)}))
     else:
-        op = diagonal_derivative(c, [LaurentPoly.from_dict({rng.randint(-1, 2): rng.randint(1, 2)}) for _ in range(l)])
+        op = DiagonalDerivative(c, tuple(LaurentPoly.from_dict({rng.randint(-1, 2): rng.randint(1, 2)}) for _ in range(l)))
     return x, op
 
 
@@ -592,7 +597,7 @@ def test_root_obstruction_names_the_root(ctx):
     # X = (1 + t) x_1 and the derivation h_i t^j -> j t^j h_i with weight t
     # on index 1: the value is t x_1, and 1 + t does not divide t
     x = ctx.element({0: (0, 0, 1, 0), 1: (0, 0, 1, 0)})
-    op = diagonal_derivative(ctx, [LaurentPoly.monomial(1), LaurentPoly.zero()])
+    op = DiagonalDerivative(ctx, (LaurentPoly.monomial(1), LaurentPoly.zero()))
     res = aid_obstruction_check(ctx, op, x)
     assert res.status == "root-obstruction" and res.y is None
     assert res.detail["root"] == 1
@@ -1076,7 +1081,7 @@ def test_exact_leibniz_rejects_what_the_sampler_rejects(ctx):
 
 def test_exact_leibniz_decides_the_central_identity(ctx):
     # a loop derivation that breaks the cocycle
-    op = diagonal_derivative(ctx, [LaurentPoly.one(), LaurentPoly.zero()])
+    op = DiagonalDerivative(ctx, (LaurentPoly.one(), LaurentPoly.zero()))
     assert leibniz_check(op) == (True, None)
     assert sampled_leibniz_check(op, include_central=True) == (False, (ctx.basis_at(1, -2), ctx.basis_at(0, 3)))
     ok, pair = leibniz_check(op, include_central=True)

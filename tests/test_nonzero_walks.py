@@ -18,6 +18,7 @@ import pytest
 from liecert.chevalley import SubalgebraSpec, extract_subalgebra
 from liecert.exact import _ZERO, MatQ
 from liecert.loopalg import (
+    DiagonalDerivative,
     Inner,
     LaurentPoly,
     OperatorSum,
@@ -25,7 +26,6 @@ from liecert.loopalg import (
     ToralToCenter,
     _normal_form_solve,
     affine_bracket,
-    diagonal_derivative,
     loop_context,
 )
 from liecert.rootsys import build_root_system
@@ -167,7 +167,7 @@ def test_apply_against_the_dense_symbol(ctx):
             Inner(_element(ctx, rng)),
             ToralToCenter(ctx, rng.randint(1, l), rng.randint(-2, 2)),
             TensorDerivation(ctx, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 2)})),
-            diagonal_derivative(ctx, [LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l)]),
+            DiagonalDerivative(ctx, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
         ]
         ops.append(OperatorSum(ctx, tuple((Fraction(rng.randint(-2, 2), 2), op) for op in ops)))
         for op in ops:

@@ -120,6 +120,21 @@ def test_root_sum_rejects_non_roots():
         root_sum(rs, (5, 5), (1, 0))
 
 
+def test_non_integral_coordinates_are_refused_not_truncated():
+    from liecert.chevalley import SubalgebraSpec
+
+    rs = build_root_system("B", 2)
+    assert rs.check_root((1.0, 0)) == (1, 0)
+    for call in (
+        lambda: rs.check_root((1.5, 0)),
+        lambda: SubalgebraSpec(rs, [(1.5, 0.9), (2, 1)]),
+        lambda: root_sum(rs, (1.5, 0), (1, 1.7)),
+        lambda: root_sum(rs, (1, 0), (1, 1.7)),
+    ):
+        with pytest.raises(ValueError, match="non-integral coordinate"):
+            call()
+
+
 def test_inner_product_symmetry_and_norm_ratio():
     rs = build_root_system("G", 2)
     a1, a2 = rs.simple_roots
