@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .exact import _ZERO, MatQ, Rat, Solver, _ReadOnly, _Value, inverse
+from .exact import MatQ, Rat, Solver, _ReadOnly, _Value, inverse
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -151,18 +151,18 @@ class LieAlgebra(_ReadOnly):
         return MatQ(dim, dim, out)
 
     def basis_vector(self, i: int) -> Vec:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return tuple(int(k == i) for k in range(self.dim))
 
     def form_value(self, x: Vec, y: Vec) -> Rat:
         """``(x, y)``, summed over the nonzeros of the form."""
         if self.form is None:
             raise ValueError("algebra carries no bilinear form")
-        dim, out = self.dim, _ZERO
+        dim, out = self.dim, 0
         for u, f in self.form.nonzeros.items():
             a, b = x[u // dim], y[u % dim]
             if a and b:
                 out += a * f * b
-        return out
+        return Fraction(out)
 
 
 class SubalgebraSpec(_Value):
@@ -310,9 +310,9 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAl
     """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
     Requires Psi closed under root addition; ``check_closed=False`` skips
-    that check for a caller that has already decided it.  The check runs on
-    every call, so a Psi that is not closed raises every time.  The
-    construction itself is built once per process for each spec (equal
+    that check for a caller that has already decided it.  Closure is decided
+    once per spec (``_closure``), but a Psi that is not closed raises on every
+    call.  The construction itself is built once per process for each spec (equal
     specs name the same system and the same sorted Psi) and kept in a memo
     of at most 32 entries, least recently used first out; the returned
     algebra is shared and read-only.  The largest entry, the extraction
@@ -320,11 +320,17 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAl
     is kept on it, so the memo holds at most about 380 MB.
     """
     if check_closed:
-        violation = closure_violation(spec.system, spec.psi)
+        violation = _closure(spec)
         if violation is not None:
             a, b, s = violation
             raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
     return _extract(spec)
+
+
+@lru_cache(maxsize=32)
+def _closure(spec: SubalgebraSpec) -> tuple[Root, Root, Root] | None:
+    """``closure_violation`` of the spec, decided once per spec, like ``_extract``."""
+    return closure_violation(spec.system, spec.psi)
 
 
 @lru_cache(maxsize=32)
@@ -367,7 +373,7 @@ def _extract(spec: SubalgebraSpec) -> LieAlgebra:
         if torus_block is None:
             raise AssertionError(f"Gram matrix of the linearly independent Psi = {spec.psi} is singular")
         for j in range(l):
-            structure[(j, l + j)] = ((l + j, Fraction(1)),)
+            structure[(j, l + j)] = ((l + j, 1),)
     else:
         # the simple coroots: beta_b(h_j) = <beta_b, alpha_j^vee>
         torus_block = MatQ.from_rows(kh)
@@ -390,8 +396,8 @@ def _extract(spec: SubalgebraSpec) -> LieAlgebra:
                 # the torus basis is the simple coroots
                 structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
 
-    # entry (i, j) of the l x l torus block is entry i * dim + j of the form
-    form = {u // l * dim + u % l: x for u, x in torus_block.nonzeros.items()}
+    # entry (i, j) of the l x l torus block is entry i * dim + j of the form, an int when integral
+    form = {u // l * dim + u % l: x.numerator if x.denominator == 1 else x for u, x in torus_block.nonzeros.items()}
     for a, b in enumerate(opposite):
         if b is not None:
             form[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])

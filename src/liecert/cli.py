@@ -149,8 +149,7 @@ def _envelope(command: str, inputs: dict, verdicts, seed: int, timings=None) -> 
 
 
 def _cmd_roots(args, seed):
-    rs = _root_system(args)
-    return rs.to_json(), 0
+    return _root_system(args).to_json(), 0
 
 
 def _cmd_minimal(args, seed):
@@ -176,13 +175,7 @@ def _cmd_certify(args, seed):
 
     spec = _spec_from_args(args)
     cert = certify(spec)
-    doc = _envelope(
-        "certify",
-        _inputs(spec),
-        cert.to_json(),
-        seed,
-    )
-    return doc, 0 if cert.all_positive() else 1
+    return _envelope("certify", _inputs(spec), cert.to_json(), seed), 0 if cert.all_positive() else 1
 
 
 def _cmd_der(args, seed):
@@ -254,14 +247,7 @@ def _cmd_affine_bracket(args, seed):
     ctx = loop_context(spec)
     x = AffineElement.from_json(ctx, _load_json(args.x))
     y = AffineElement.from_json(ctx, _load_json(args.y))
-    out = affine_bracket(x, y)
-    doc = _envelope(
-        "affine-bracket",
-        _inputs(spec),
-        {"bracket": out.to_json()},
-        seed,
-    )
-    return doc, 0
+    return _envelope("affine-bracket", _inputs(spec), {"bracket": affine_bracket(x, y).to_json()}, seed), 0
 
 
 def _cmd_dij_witness(args, seed):
@@ -495,12 +481,16 @@ def _write(value, parts: list[str], newline: str) -> None:
         raise TypeError(kind.__name__)
     elif not value:
         parts.append("{}" if kind is dict else "[]")
-    elif kind is list and type(value[0]) is str and all(type(item) is str for item in value):
-        # matrix entries and element coordinates: one join, no call per item
-        inner = newline + "  "
-        parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)), newline, "]")
     else:
         inner, sep = newline + "  ", "{" if kind is dict else "["
+        if kind is list and type(value[0]) is str:
+            # matrix entries and element coordinates: one join, no call per item;
+            # an item that is not a str raises TypeError, and the loop below writes the list
+            try:
+                parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)), newline, "]")
+                return
+            except TypeError:
+                pass
         for item in sorted(value.items()) if kind is dict else value:
             parts += (sep, inner)
             if kind is dict:

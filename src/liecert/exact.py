@@ -1,9 +1,10 @@
 """Exact rational and integer linear algebra.
 
 Everything runs over arbitrary-precision integers and ``fractions.Fraction``;
-no floating point anywhere.  A matrix, :class:`MatQ`, holds only its
-nonzero entries, by row-major index.  One sparse elimination engine,
-:class:`Echelon`, sits behind ``kernel_basis``, ``inverse`` and
+no floating point anywhere.  A scalar is an int or a Fraction, never a float
+or a bool; integral inputs and constants stay ints.  A matrix, :class:`MatQ`,
+holds only its nonzero entries, by row-major index.  One sparse elimination
+engine, :class:`Echelon`, sits behind ``kernel_basis``, ``inverse`` and
 :class:`Solver`.
 It is fraction-free: an added row has its denominators cleared and is kept
 as a primitive integer row, and the ``Fraction``s of a result are made only
@@ -39,6 +40,7 @@ __all__ = [
     "invariant_factors",
     "rat_to_str",
     "rat_from_str",
+    "quotient",
     "expect_json",
     "json_field",
 ]
@@ -54,18 +56,28 @@ def rat_to_str(x: Rat | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rat_from_str(s: str) -> Rat:
+def rat_from_str(s: str) -> Rat | int:
+    """The rational that ``Fraction(s)`` reads, as an int when it is integral."""
     # strings only: a JSON float would be read as its binary value, a boolean as 0 or 1
     if not isinstance(s, str):
         raise ValueError(f"expected a rational as a string, got {s!r}")
     # an ASCII integer skips the regular expression that Fraction(str) parses by
     digits = s[1:] if s[:1] == "-" else s
     if digits.isascii() and digits.isdigit():
-        return Fraction(int(s))
+        return int(s)
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    return x.numerator if x.denominator == 1 else x
+
+
+def quotient(a: Rat | int, b: Rat | int) -> Rat | int:
+    """``a / b`` exactly: an int when it is integral, else a Fraction, never a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 _JSON_KINDS = {dict: "object", list: "array", int: "integer"}

@@ -24,6 +24,9 @@ then met along a kernel direction ``(b_k, c_k)``, or certified unreachable.
 
 Every witness is re-verified with ``affine_bracket`` before it is returned.
 
+Scalars are ints or Fractions, never floats or bools: integral inputs and
+constants stay ints, and every division goes through ``exact.quotient``.
+
 ``inner-match`` asks for one Y with ``ad(Y) = F`` for a combination F of
 toral-to-center maps.  F is central-valued, so every component of Y lies in
 the center Z(L).  A root vector has a nonzero weight, so Z(L) is the set of
@@ -35,12 +38,12 @@ Y = 0 matches the zero F, and no Y a nonzero one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import centroid_violation, leibniz_violation
-from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, rat_from_str, rat_to_str
+from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, quotient, rat_from_str, rat_to_str
 
 __all__ = [
     "LaurentPoly",
@@ -64,6 +67,7 @@ __all__ = [
 ]
 
 Vec = tuple[Rat, ...]
+_SCALARS = (int, Fraction)  # kept as given; anything else goes through Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +83,8 @@ class LaurentPoly(_Value):
 
     @staticmethod
     def from_dict(d: dict[int, Rat | int]) -> "LaurentPoly":
-        items = ((int(k), v if isinstance(v, Fraction) else Fraction(v)) for k, v in d.items())
-        return LaurentPoly(tuple(sorted(kv for kv in items if kv[1])))
+        items = ((int(k), v if type(v) in _SCALARS else Fraction(v)) for k, v in d.items() if v)
+        return LaurentPoly(tuple(sorted(items)))
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -88,12 +92,11 @@ class LaurentPoly(_Value):
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly(((0, Fraction(1)),))
+        return LaurentPoly(((0, 1),))
 
     @staticmethod
     def monomial(degree: int, coeff: Rat | int = 1) -> "LaurentPoly":
-        c = Fraction(coeff)
-        return LaurentPoly(((degree, c),) if c else ())
+        return LaurentPoly.from_dict({degree: coeff})
 
     def to_dict(self) -> dict[int, Rat]:
         return dict(self.coeffs)
@@ -105,7 +108,7 @@ class LaurentPoly(_Value):
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         d = self.to_dict()
         for k, v in other.coeffs:
-            d[k] = d.get(k, Fraction(0)) + v
+            d[k] = d[k] + v if k in d else v
         return LaurentPoly.from_dict(d)
 
     def __neg__(self) -> "LaurentPoly":
@@ -118,11 +121,12 @@ class LaurentPoly(_Value):
         d: dict[int, Rat] = {}
         for k1, v1 in self.coeffs:
             for k2, v2 in other.coeffs:
-                d[k1 + k2] = d.get(k1 + k2, Fraction(0)) + v1 * v2
+                k, v = k1 + k2, v1 * v2
+                d[k] = d[k] + v if k in d else v
         return LaurentPoly.from_dict(d)
 
     def scale(self, c: Rat | int) -> "LaurentPoly":
-        c = Fraction(c)
+        c = c if type(c) in _SCALARS else Fraction(c)
         if not c:
             return LaurentPoly.zero()
         return LaurentPoly(tuple((k, c * v) for k, v in self.coeffs))
@@ -137,7 +141,7 @@ class LaurentPoly(_Value):
         for k, v in self.coeffs:
             if k == degree:
                 return v
-        return Fraction(0)
+        return 0
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.coeffs)
@@ -148,7 +152,19 @@ class LaurentPoly(_Value):
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         coeffs = expect_json(obj, dict, "Laurent polynomial")
-        return LaurentPoly.from_dict({int(k): rat_from_str(v) for k, v in coeffs.items()})
+        return LaurentPoly.from_dict(_by_degree(coeffs, rat_from_str, "Laurent polynomial"))
+
+
+def _by_degree(obj: dict, read, what: str) -> dict:
+    """``{int(k): read(v)}`` over a JSON object keyed by degree; ValueError
+    when two keys name one degree, as "1" and "01" do."""
+    out = {int(k): read(v) for k, v in obj.items()}
+    if len(out) < len(obj):
+        first: dict[int, str] = {}
+        for k in obj:
+            if first.setdefault(int(k), k) != k:
+                raise ValueError(f'{what}: degree {int(k)} is named twice, as "{first[int(k)]}" and "{k}"')
+    return out
 
 
 def _divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -160,11 +176,11 @@ def _divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     r = dict(num.coeffs)
     while r and max(r) >= top:
         k = max(r)
-        c = r[k] / lead
+        c = quotient(r[k], lead)
         q[k - top] = c
         for d, v in den.coeffs:
             j = k - top + d
-            r[j] = r.get(j, Fraction(0)) - c * v
+            r[j] = r[j] - c * v if j in r else -c * v
             if not r[j]:
                 del r[j]
     return LaurentPoly.from_dict(q), LaurentPoly.from_dict(r)
@@ -193,7 +209,7 @@ def _bezout(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, L
     while not r1.is_zero:
         quo, rem = _divmod(r0, r1)
         r0, r1, s0, s1, t0, t1 = r1, rem, s1, s0 - quo * s1, t1, t0 - quo * t1
-    inv = 1 / r0.coeffs[-1][1]
+    inv = quotient(1, r0.coeffs[-1][1])
     return r0.scale(inv), s0.scale(inv).shift(-ea), t0.scale(inv).shift(-eb)
 
 
@@ -228,16 +244,16 @@ class LoopContext(_ReadOnly):
         return self.algebra.dim
 
     def zero(self) -> "AffineElement":
-        return AffineElement(self, {}, Fraction(0))
+        return AffineElement(self)
 
     def element(self, support: dict[int, Vec], central: Rat | int = 0) -> "AffineElement":
-        return AffineElement(self, support, Fraction(central))
+        return AffineElement(self, support, central)
 
     def basis_at(self, index: int, degree: int) -> "AffineElement":
         return self.element({degree: self.algebra.basis_vector(index)})
 
     def central(self, c: Rat | int = 1) -> "AffineElement":
-        return AffineElement(self, {}, Fraction(c))
+        return AffineElement(self, {}, c)
 
     def square(self) -> bool:
         return self.l == self.m
@@ -256,19 +272,19 @@ class AffineElement(_ReadOnly):
     """Finitely supported element of ``L (x) F[t,1/t] + F K``; ``support``
     None means the empty map."""
 
-    def __init__(self, ctx: LoopContext, support: dict[int, Vec] | None = None, central: Rat = Fraction(0)):
+    def __init__(self, ctx: LoopContext, support: dict[int, Vec] | None = None, central: Rat | int = 0):
         clean = {}
         for deg, vec in (support or {}).items():
-            vec = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vec)
+            vec = tuple(v if type(v) in _SCALARS else Fraction(v) for v in vec)
             if len(vec) != ctx.dim:
                 raise ValueError("component length does not match the algebra dimension")
             if any(vec):
                 clean[int(deg)] = vec
-        central = central if isinstance(central, Fraction) else Fraction(central)
+        central = central if type(central) in _SCALARS else Fraction(central)
         self.__dict__.update(ctx=ctx, support=clean, central=central)
 
     def component(self, degree: int) -> Vec:
-        return self.support.get(degree, tuple(Fraction(0) for _ in range(self.ctx.dim)))
+        return self.support.get(degree, (0,) * self.ctx.dim)
 
     def degrees(self) -> list[int]:
         return sorted(self.support)
@@ -278,7 +294,7 @@ class AffineElement(_ReadOnly):
         return not self.support and self.central == 0
 
     def loop_part(self) -> "AffineElement":
-        return AffineElement(self.ctx, dict(self.support), Fraction(0))
+        return AffineElement(self.ctx, dict(self.support))
 
     def loop_equal(self, other: "AffineElement") -> bool:
         return self.support == other.support
@@ -296,7 +312,7 @@ class AffineElement(_ReadOnly):
         return self + other.scale(-1)
 
     def scale(self, c: Rat | int) -> "AffineElement":
-        c = Fraction(c)
+        c = c if type(c) in _SCALARS else Fraction(c)
         return AffineElement(
             self.ctx, {deg: tuple(c * v for v in vec) for deg, vec in self.support.items()}, c * self.central
         )
@@ -315,7 +331,7 @@ class AffineElement(_ReadOnly):
     @staticmethod
     def from_json(ctx: LoopContext, obj: dict) -> "AffineElement":
         support = expect_json(expect_json(obj, dict, "affine element").get("support", {}), dict, "support")
-        vecs = {int(k): tuple(map(rat_from_str, expect_json(v, list, "component"))) for k, v in support.items()}
+        vecs = _by_degree(support, lambda v: tuple(map(rat_from_str, expect_json(v, list, "component"))), "support")
         return AffineElement(ctx, vecs, rat_from_str(obj.get("central", "0")))
 
 
@@ -333,7 +349,7 @@ def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
     table = g._table
     ys = [(n, yv, [(j, b) for j, b in enumerate(yv) if b]) for n, yv in y.support.items()]
     out: dict[int, list[Rat]] = {}
-    central = Fraction(0)
+    central = 0
     for m, xv in x.support.items():
         xs = [(table[i], a) for i, a in enumerate(xv) if a]
         for n, yv, yj in ys:
@@ -343,7 +359,7 @@ def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
                     entry = row.get(j)
                     if entry:
                         if acc is None:
-                            acc = out[m + n] = [Fraction(0)] * ctx.dim
+                            acc = out[m + n] = [0] * ctx.dim
                         ab = a * b
                         for k, c in entry:
                             acc[k] += ab * c
@@ -373,17 +389,12 @@ class Symbol(_Value):
 
 def _combine(size: int, weighted) -> Vec:
     """``sum w * v`` over ``(w, v)`` pairs of length-``size`` vectors."""
-    out = [Fraction(0)] * size
+    out = [0] * size
     for w, vec in weighted:
         for k, v in enumerate(vec):
             if v and w:
                 out[k] += w * v
     return tuple(out)
-
-
-def _diagonal(entries) -> MatQ:
-    n = len(entries)
-    return MatQ(n, n, {i * (n + 1): Fraction(x) for i, x in enumerate(entries)})
 
 
 class LoopOperator(_ReadOnly):
@@ -403,11 +414,11 @@ class LoopOperator(_ReadOnly):
             raise ValueError("element and operator live over different algebras")
         sym = self._symbol
         parts: dict[int, list[tuple[int, Vec]]] = {}
-        central = Fraction(0)
+        central = 0
         for n, vec in x.support.items():
             for s, (a, b) in sym.loop.items():
                 parts.setdefault(n + s, []).extend([(1, a.mul_vec(vec)), (n, b.mul_vec(vec))])
-            central += sum((u * v for u, v in zip(sym.central.get(n, ()), vec)), Fraction(0))
+            central += sum(u * v for u, v in zip(sym.central.get(n, ()), vec) if u and v)
         return AffineElement(self.ctx, {d: _combine(self.ctx.dim, p) for d, p in parts.items()}, central)
 
     __call__ = apply
@@ -462,7 +473,7 @@ class DiagonalDerivative(LoopOperator):
     def symbol(self) -> Symbol:
         dim, l = self.ctx.dim, self.ctx.l
         shifts = {d - 1 for f in self.fs for d in f.degrees()}
-        diag = {s: _diagonal([self.fs[k % l].coeff(s + 1) for k in range(dim)]) for s in shifts}
+        diag = {s: MatQ(dim, dim, {k * (dim + 1): self.fs[k % l].coeff(s + 1) for k in range(dim)}) for s in shifts}
         return Symbol({s: (MatQ(dim, dim, {}), b) for s, b in diag.items()}, {})
 
 
@@ -556,7 +567,7 @@ class Decomposition(_Value):
 
     def tensor_sum(self) -> OperatorSum:
         ctx = self.residual.ctx
-        return OperatorSum(ctx, tuple((Fraction(1), t) for t in self.tensor_terms))
+        return OperatorSum(ctx, tuple((1, t) for t in self.tensor_terms))
 
 
 def decompose_derivation(op: LoopOperator) -> Decomposition:
@@ -577,7 +588,7 @@ def decompose_derivation(op: LoopOperator) -> Decomposition:
         if viol is not None:
             raise ValueError(f"degree-{s} component is not a derivation of L (pair {viol})")
         terms.append(TensorDerivation(ctx, a, LaurentPoly.monomial(s)))
-    residual = OperatorSum(ctx, ((Fraction(1), op),) + tuple((Fraction(-1), t) for t in terms))
+    residual = OperatorSum(ctx, ((1, op),) + tuple((-1, t) for t in terms))
     if any(a.nonzeros for a, _ in residual._symbol.loop.values()) or 0 in residual._symbol.central:
         raise AssertionError("residual fails to kill L(x)1")
     return Decomposition(tensor_terms=tuple(terms), residual=residual)
@@ -603,23 +614,27 @@ class WitnessResult(_Value):
         self.__dict__.update(status=status, y=y, detail=detail)
 
 
-def _coordinate(x: AffineElement, k: int) -> LaurentPoly:
-    return LaurentPoly.from_dict({deg: vec[k] for deg, vec in x.support.items()})
+def _coordinates(x: AffineElement) -> list[LaurentPoly]:
+    """The coordinate polynomials of x, one per basis vector, read in one pass over its support."""
+    degrees = x.degrees()
+    columns = zip(*map(x.support.get, degrees))  # coordinate k at each degree, for each k
+    return [LaurentPoly.from_dict(dict(zip(degrees, col))) for col in columns] or [LaurentPoly.zero()] * x.ctx.dim
 
 
 def _constant_term(p: LaurentPoly, q: LaurentPoly) -> Rat:
-    return sum((a * q.coeff(-m) for m, a in p.coeffs), Fraction(0))
+    qd = q.to_dict()
+    return sum(a * qd[-m] for m, a in p.coeffs if -m in qd)
 
 
 def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
     """Solve ``[X, Y] = Z`` root by root, then the central equation (see the
     module docstring); Z has no torus loop component."""
     l, form = ctx.l, ctx.algebra.form
-    b = [_coordinate(x, k) for k in range(l)]
-    c = [_coordinate(x, l + k) for k in range(l)]
+    xs, zs = _coordinates(x), _coordinates(z)
+    b, c = xs[:l], xs[l:]
     u, v = [LaurentPoly.zero()] * l, [LaurentPoly.zero()] * l
     for k in range(l):
-        zk = _coordinate(z, l + k)
+        zk = zs[l + k]
         if zk.is_zero:
             continue
         if b[k].is_zero and c[k].is_zero:
@@ -628,28 +643,23 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
             g, s, r = _bezout(b[k], c[k])
             q = laurent_div(zk, g)
         if q is None:
-            return WitnessResult(
-                "root-obstruction",
-                None,
-                {
-                    "reason": "the gcd of the t_k and x_k coordinates of X does not divide the x_k component",
-                    "root": k + 1,
-                    "gcd": g.to_json(),
-                    "component": zk.to_json(),
-                },
-            )
+            reason = "the gcd of the t_k and x_k coordinates of X does not divide the x_k component"
+            detail = {"reason": reason, "root": k + 1, "gcd": g.to_json(), "component": zk.to_json()}
+            return WitnessResult("root-obstruction", None, detail)
         u[k], v[k] = -(r * q), s * q
 
+    @cache
     def t_beta(k: int) -> LaurentPoly:
-        # t beta_k' with beta = P b, P the form on the torus; built only for the roots read
+        # t beta_k' with beta = P b, P the form on the torus; built once, and only for the roots read
         d: dict[int, Rat] = {}
         for j in range(l):
             pkj = form.at(k, j)
             for deg, a in b[j].coeffs if pkj else ():
-                d[deg] = d.get(deg, 0) + pkj * deg * a
+                w = pkj * deg * a
+                d[deg] = d[deg] + w if deg in d else w
         return LaurentPoly.from_dict(d)
 
-    gap = z.central - sum((_constant_term(t_beta(k), u[k]) for k in range(l) if not u[k].is_zero), Fraction(0))
+    gap = z.central - sum(_constant_term(t_beta(k), u[k]) for k in range(l) if not u[k].is_zero)
     if gap:
         for k in range(l):
             # the kernel of root k's equation is spanned by (b_k, c_k), or is everything when both vanish
@@ -659,20 +669,17 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
             p = t_beta(k) * du
             if not p.is_zero:
                 e, pe = p.coeffs[0]
-                w = LaurentPoly.monomial(-e, gap / pe)
+                w = LaurentPoly.monomial(-e, quotient(gap, pe))
                 u[k], v[k] = u[k] + w * du, v[k] + w * dv
                 break
         else:
-            return WitnessResult(
-                "central-obstruction",
-                None,
-                {"reason": "no component of X at nonzero degree pairs with L under the form"},
-            )
+            reason = "no component of X at nonzero degree pairs with L under the form"
+            return WitnessResult("central-obstruction", None, {"reason": reason})
     support: dict[int, list[Rat]] = {}
     for k in range(l):
         for index, poly in ((k, u[k]), (l + k, v[k])):
             for deg, a in poly.coeffs:
-                support.setdefault(deg, [Fraction(0)] * ctx.dim)[index] = a
+                support.setdefault(deg, [0] * ctx.dim)[index] = a
     return WitnessResult("witnessed", ctx.element({deg: tuple(vec) for deg, vec in support.items()}))
 
 
@@ -735,7 +742,7 @@ def global_inner_match(
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]: the lower degree exceeds the upper")
-    terms = [ToralToCenter(ctx, i, j) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0]
+    terms = [ToralToCenter(ctx, i, j) for (i, j), w in sorted(coefficients.items()) if w]
     for t in terms:
         if not lo <= t.j <= hi:
             raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chevalley import LieAlgebra, SubalgebraSpec, closure_violation, extract_subalgebra
+from .chevalley import LieAlgebra, SubalgebraSpec, _closure, closure_violation, extract_subalgebra
 from .exact import Echelon, _Value, hermite_insert, int_det, invariant_factors
 from .rootsys import Root, RootSystem
 
@@ -91,7 +91,7 @@ class QGradedCertificate(_Value):
 
 def is_closed(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, Root, Root] | None]:
     """True iff Psi is closed under root addition; else a violating triple."""
-    w = closure_violation(spec.system, spec.psi)
+    w = _closure(spec)
     return (w is None), w
 
 

@@ -25,12 +25,16 @@ from liecert.loopalg import (
     WitnessResult,
     _bezout,
     _constant_term,
-    _coordinate,
     affine_bracket,
     laurent_div,
 )
 
 Vec = tuple[Fraction, ...]
+
+
+def _coordinate(x: AffineElement, k: int) -> LaurentPoly:
+    """The k-th coordinate of x as a Laurent polynomial in t."""
+    return LaurentPoly.from_dict({deg: vec[k] for deg, vec in x.support.items()})
 
 
 def _check_window(window: tuple[int, int]) -> None:

@@ -590,7 +590,7 @@ GOLDEN_SUBALGEBRAS = [
 ]
 
 
-def _check_table(g: LieAlgebra, rng):
+def _check_table(g: LieAlgebra, rng, scalars=(Fraction,)):
     for i in range(g.dim):
         assert g.bracket_basis(i, i) == ()
         for j in range(g.dim):
@@ -601,7 +601,7 @@ def _check_table(g: LieAlgebra, rng):
     for x in xs:
         ad = g.ad(x)
         assert ad == _ad_by_columns(g, x)
-        assert all(type(v) is Fraction for v in dense(ad).entries)
+        assert all(type(v) in scalars for v in dense(ad).entries)
         y = xs[rng.randrange(len(xs))]
         assert ad.mul_vec(y) == bracket(g, x, y)
 
@@ -614,9 +614,34 @@ def _check_table(g: LieAlgebra, rng):
 def test_ad_and_bracket_read_off_the_table(family, rank, psi):
     rs = build_root_system(family, rank)
     g = extract_subalgebra(SubalgebraSpec(rs, tuple(tuple(map(int, r.split(","))) for r in psi.split(";"))))
-    _check_table(g, random.Random(97))
+    # the dual-torus constant [t_j, x_j] = 1 and the basis vectors are ints, so ad(t_j) has int entries
+    _check_table(g, random.Random(97), scalars=(int, Fraction))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2)])
 def test_ambient_ad_and_bracket_read_off_the_table(family, rank):
     _check_table(build_semisimple(build_root_system(family, rank)), random.Random(101))
+
+
+def test_closure_is_decided_once_per_spec(monkeypatch):
+    # extract_subalgebra and qgraded.is_closed share one memo of closure_violation
+    from liecert import chevalley, qgraded
+
+    calls = []
+    real = chevalley.closure_violation
+    monkeypatch.setattr(chevalley, "closure_violation", lambda rs, psi: calls.append(psi) or real(rs, psi))
+    chevalley._closure.cache_clear()
+    rs = build_root_system("B", 2)
+    for psi in [((1, 0), (2, 1)), ((2, 1), (1, 0)), ((1, 0), (2, 1))]:  # equal specs
+        spec = SubalgebraSpec(rs, psi)
+        assert extract_subalgebra(spec).dim == 4
+        assert qgraded.is_closed(spec) == (True, None)
+    assert calls == [((1, 0), (2, 1))]
+    # a Psi that is not closed still raises on every call, with the same message
+    spec = SubalgebraSpec(rs, ((1, 0), (0, 1)))
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            extract_subalgebra(spec)
+        assert str(exc.value) == "Psi is not closed under root addition: (0, 1) + (1, 0) = (1, 1) is a root outside Psi"
+        assert qgraded.is_closed(spec) == (False, ((0, 1), (1, 0), (1, 1)))
+    assert len(calls) == 2

@@ -519,6 +519,7 @@ def test_closure_and_span_are_decided_once_per_command(monkeypatch, command):
     # |Psi| = rank, so the minimality search checks no proper subset
     from liecert import chevalley, qgraded
 
+    chevalley._closure.cache_clear()  # closure is decided once per spec, so a warm memo would count 0
     counts = {}
     for module, name in [
         (chevalley, "closure_violation"),
@@ -719,6 +720,35 @@ def test_missing_required_field_exits_2_naming_it(tmp_path, capsys, args, flag, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+TENSOR_F_TWICE = {"terms": [{"kind": "tensor", "f": {"1": "1", "01": "2"}, "matrix": ZERO4}]}
+INNER_Y_TWICE = {"terms": [{"kind": "inner", "y": {"support": {"01": ["1"] * 4, "1": ["0"] * 4}}}]}
+FS_TWICE = {"terms": [{"kind": "diagonal-derivative", "fs": [{"0": "1"}, {"1": "1", "01": "0"}]}]}
+
+
+@pytest.mark.parametrize(
+    "args,flag,payload,message",
+    [
+        (
+            ["dij-witness", "--i", "1", "--j", "1"],
+            "--x",
+            {"support": {"1": ["1", "0", "0", "0"], "01": ["0"] * 4}},
+            'support: degree 1 is named twice, as "1" and "01"',
+        ),
+        # a tensor term's f map, an inner term's y and a diagonal derivative's weights
+        (["aid-check", "--x", X_H1_DEG1], "--op", TENSOR_F_TWICE, 'Laurent polynomial: degree 1 is named twice, as "1" and "01"'),
+        (["aid-check", "--x", X_H1_DEG1], "--op", INNER_Y_TWICE, 'support: degree 1 is named twice, as "01" and "1"'),
+        (["aid-check", "--x", X_H1_DEG1], "--op", FS_TWICE, 'Laurent polynomial: degree 1 is named twice, as "1" and "01"'),
+    ],
+)
+def test_degree_named_twice_exits_2_naming_it(tmp_path, capsys, args, flag, payload, message):
+    # int("01") == int("1"): both keys name degree 1, and the reader refuses the pair rather than keep one
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, doc, _ = invoke(args + B2_MIN + [flag, str(path)])
+    assert code == 2 and doc == {"error": message}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_key_error_exits_4_not_2(monkeypatch, capsys):
     from liecert import cli
 
@@ -788,14 +818,21 @@ def test_document_writer_matches_json_dumps():
         {"e": ["7/3"]},
         {"e": ["1", 2, "3"]},
         {"e": [1, "2"]},
+        # a list that starts with a str but holds another item, in the middle or at the end
+        {"e": ["a", None, "b"]},
+        {"e": ["a", "b", 3]},
+        {"e": ["a", "b", 0.5]},
+        {"e": ["a", ["b", "c"], {"k": "v"}]},
+        {"e": ["a", True]},
         {"e": [["a", "b"], ["c"], []]},
         {"e": ["\"q\"", "back\\slash", "tab\t", "é", "\U0001f600", "\x00", ""]},
     ):
         assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
     with pytest.raises(TypeError):
         _dumps({"a": Fraction(1)})
-    with pytest.raises(TypeError):
-        _dumps({"a": ["1", Fraction(1)]})
+    for bad in (["1", Fraction(1)], ["1", Fraction(1), "2"], [Fraction(1), "1"]):
+        with pytest.raises(TypeError):
+            _dumps({"a": bad})
 
 
 def test_timings_document_is_json_dumps_output():

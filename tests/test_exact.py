@@ -79,18 +79,19 @@ def _fraction_or_value_error(f, s):
 
 def test_rat_from_str_is_fraction_of_the_string_hypothesis():
     # the integer fast path accepts the strings Fraction(s) accepts and gives
-    # the same Fraction; every other string still goes through Fraction(s)
+    # the same value; every other string still goes through Fraction(s), and
+    # the value is an int exactly when it is integral
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     signed = st.builds(lambda sign, digits: sign + digits, st.sampled_from(["", "-", "+", "--", " ", "-0"]), st.text("0123456789", max_size=30))
-    edge = st.sampled_from(["", "-", "0", "-0", "007", "1_000", " 3 ", "3/0", "1/2", "-7/3", "1e3", "1.5", "\u0663", "\uff13", "nan", "inf"])
+    edge = st.sampled_from(["", "-", "0", "-0", "007", "1_000", " 3 ", "3/0", "1/2", "-7/3", "+5", "4/2", "-6/3", "2/4", "1e3", "1.5", "\u0663", "\uff13", "nan", "inf"])
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(st.one_of(st.text(max_size=12), signed, edge))
     def check(s):
         got = _fraction_or_value_error(rat_from_str, s)
         assert got == _fraction_or_value_error(Fraction, s), s
-        assert got is ValueError or type(got) is Fraction
+        assert got is ValueError or type(got) is (int if got.denominator == 1 else Fraction)
 
     check()
 

@@ -82,6 +82,11 @@ CASES = {
     "roots-invalid-type": (["roots", "--family", "Q", "--rank", "9"], 2),
     "roots-E8": (["roots", "--family", "E", "--rank", "8"], 0),
     "dij-witness-degree-zero": (["dij-witness"] + B2_MIN + ["--i", "1", "--j", "0", "--x", "x_h1_deg0.json"], 2),
+    # "1" and "01" name one degree: refused, not read as the later key
+    "dij-witness-duplicate-degree": (
+        ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_duplicate_degree.json"],
+        2,
+    ),
 }
 
 

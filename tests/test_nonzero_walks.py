@@ -4,12 +4,17 @@
 the matrix, ``affine_bracket`` walks the structure table over the nonzero
 coordinates, and ``LoopOperator.apply`` reads the symbol through
 ``mul_vec``.  Each is compared with a dense double loop over every index, on
-int and ``Fraction`` inputs and on vectors holding the shared zero, and
-every coordinate that comes back must be a ``Fraction``.  The per-root
-solver builds its central term only for the roots it reads; it is compared
-with the solver that builds it for every root up front.
+int and ``Fraction`` inputs and on vectors holding the shared zero.  Every
+coordinate that ``mul_vec`` and ``form_value`` give back must be a
+``Fraction``; the loop layer keeps integral scalars as ints, so its
+coordinates must be ints or ``Fraction``s, never bools or floats.  The
+per-root solver builds its central term only for the roots it reads; it is
+compared with the solver that builds it for every root up front, and the
+witness searches on ints with the reference solver on an all-``Fraction``
+copy of the input.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,9 +29,14 @@ from liecert.loopalg import (
     OperatorSum,
     TensorDerivation,
     ToralToCenter,
+    _bezout,
+    _coordinates,
     _normal_form_solve,
     affine_bracket,
+    aid_obstruction_check,
     loop_context,
+    toral_center_witness,
+    torus_component_obstruction,
 )
 from liecert.rootsys import build_root_system
 from loopalg_reference import normal_form_solve
@@ -44,10 +54,14 @@ CONTEXTS = {
 }
 
 
+def ctx_of(name):
+    family, rank, psi = CONTEXTS[name]
+    return loop_context(SubalgebraSpec(build_root_system(family, rank), psi))
+
+
 @pytest.fixture(scope="module", params=sorted(CONTEXTS))
 def ctx(request):
-    family, rank, psi = CONTEXTS[request.param]
-    return loop_context(SubalgebraSpec(build_root_system(family, rank), psi))
+    return ctx_of(request.param)
 
 
 def _coordinate(rng):
@@ -62,6 +76,9 @@ def _coordinate(rng):
 
 def _vector(rng, n):
     return tuple(_coordinate(rng) for _ in range(n))
+
+
+SCALARS = (int, Fraction)  # the loop layer's scalars: never a bool or a float
 
 
 def _all_fractions(vec):
@@ -153,7 +170,7 @@ def test_affine_bracket_against_the_dense_bracket(ctx):
         x, y = _element(ctx, rng), _element(ctx, rng)
         got, want = affine_bracket(x, y), dense_affine_bracket(x, y)
         assert got == want and got.to_json() == want.to_json()
-        assert type(got.central) is Fraction and all(_all_fractions(v) for v in got.support.values())
+        assert type(got.central) in SCALARS and all(type(a) in SCALARS for v in got.support.values() for a in v)
 
 
 def test_apply_against_the_dense_symbol(ctx):
@@ -173,7 +190,7 @@ def test_apply_against_the_dense_symbol(ctx):
         for op in ops:
             got, want = op(x), dense_apply(op, x)
             assert got == want and got.to_json() == want.to_json()
-            assert type(got.central) is Fraction and all(_all_fractions(v) for v in got.support.values())
+            assert type(got.central) in SCALARS and all(type(a) in SCALARS for v in got.support.values() for a in v)
 
 
 def test_normal_form_solve_against_the_eager_central_term(ctx):
@@ -202,3 +219,67 @@ def test_normal_form_solve_against_the_eager_central_term(ctx):
             assert affine_bracket(x, got.y) == z
         statuses.add(got.status)
     assert "witnessed" in statuses and len(statuses) >= 2, statuses
+
+
+def _result_json(res) -> str:
+    return json.dumps({"status": res.status, "y": None if res.y is None else res.y.to_json(), "detail": res.detail})
+
+
+def _element_scalars(x):
+    yield x.central
+    for vec in x.support.values():
+        yield from vec
+
+
+def test_witness_searches_on_ints_against_the_all_fraction_reference_hypothesis():
+    # X with int and p/q coordinates on 1-3 degrees: toral_center_witness and
+    # aid_obstruction_check (dij, inner and tensor terms) write the bytes that
+    # the reference solver writes on an all-Fraction copy of X, and every
+    # scalar of X, Y, Z and of the Bezout cofactors is an int or a Fraction
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    contexts = {name: ctx_of(name) for name in ("B2", "A3-chain", "A4-chain")}
+    scalar = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    sparse = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+        l, dim = ctx.l, ctx.dim
+        vector = st.lists(scalar, min_size=dim, max_size=dim).map(tuple)
+        # degree 0 alone as well: no bracket against such an X reaches the center
+        degrees = data.draw(st.one_of(st.just([0]), st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)))
+        x = ctx.element({d: data.draw(vector) for d in degrees})
+        kind = data.draw(st.sampled_from(["witness", "dij", "inner", "tensor"]))
+        i = data.draw(st.integers(1, l))
+        if kind == "witness":
+            op = ToralToCenter(ctx, i, data.draw(st.sampled_from([-2, -1, 1, 2])))
+            got = toral_center_witness(ctx, op.i, op.j, x)
+        else:
+            if kind == "dij":
+                op = ToralToCenter(ctx, i, data.draw(st.sampled_from(degrees)))
+            elif kind == "inner":
+                op = Inner(ctx.element({data.draw(st.integers(-2, 2)): data.draw(vector)}))
+            else:
+                # any matrix, so that the obstructions are drawn too; one into the root block has no torus part
+                f = LaurentPoly.from_dict({data.draw(st.integers(-1, 1)): data.draw(scalar)})
+                rows = data.draw(st.lists(st.lists(sparse, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+                if data.draw(st.booleans()):
+                    rows[:l] = [[0] * dim] * l
+                op = TensorDerivation(ctx, MatQ.from_rows(rows), f)
+            got = aid_obstruction_check(ctx, op, x)
+        z = op(x)
+        if got.status == "torus-obstruction":
+            assert torus_component_obstruction(z) is not None
+        else:
+            xf = ctx.element({d: tuple(map(Fraction, v)) for d, v in x.support.items()}, Fraction(x.central))
+            assert _result_json(got) == _result_json(normal_form_solve(ctx, xf, op(xf)))
+        scalars = [*_element_scalars(x), *_element_scalars(z), *(_element_scalars(got.y) if got.y else ())]
+        coords = _coordinates(x)
+        for b, c in zip(coords[:l], coords[l:]):
+            if not (b.is_zero and c.is_zero):
+                scalars += [a for p in _bezout(b, c) for _, a in p.coeffs]
+        assert all(type(a) in SCALARS for a in scalars), {type(a) for a in scalars}
+
+    check()

@@ -1,6 +1,7 @@
 """The package's public names, the layers that each command imports, and the
 contract of its read-only classes."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -206,7 +207,7 @@ def test_values_compare_by_value():
     zero = MatQ(2, 2, {})
     # zero parts are dropped, so both symbols hold only the shift-0 part
     assert Symbol({0: (m, zero), 1: (zero, zero)}, {2: (0, 0)}) == Symbol({0: (m, zero)}, {})
-    assert repr(LaurentPoly.one()) == "LaurentPoly(coeffs=((0, Fraction(1, 1)),))"
+    assert repr(LaurentPoly.one()) == "LaurentPoly(coeffs=((0, 1),))"
 
 
 def test_structures_compare_by_identity(b2):
@@ -246,6 +247,43 @@ def test_keyword_constructors_and_defaults(b2):
     assert repr(verdict) == "AidVerdict(status='not-aid', witness=None, reason=None, data=None)"
     assert LoopContext(algebra=ctx.algebra).dim == ctx.dim
     empty = AffineElement(ctx=ctx)
-    assert empty.support == {} and empty.central == 0 and isinstance(empty.central, Fraction)
+    assert empty.support == {} and empty.central == 0 and type(empty.central) is int
     assert AffineElement(ctx, None, 2).central == Fraction(2)
     assert WitnessResult(status="witnessed", y=None).detail is None
+
+
+# Every true division in the package, with the operand that makes it a
+# Fraction division, so that no float can arise.  Any other division of
+# scalars goes through exact.quotient (an int when the quotient is integral,
+# else a Fraction); a new "/" fails here until it is listed or replaced.
+FRACTION_DIVISIONS = {
+    ("chevalley.py", "-norm[d] / norm[x]"): "root norms are RootSystem.inner values, Fractions",
+    ("chevalley.py", "norm[d] / norm[y]"): "root norms are RootSystem.inner values, Fractions",
+    ("chevalley.py", "-npos[a1, b1] * norm[b1] / norm[g]"): "npos holds Fractions, and norm[g] is one",
+    ("chevalley.py", "-t / ngma1"): "t starts as Fraction(0), and ngma1 is a Fraction",
+    ("chevalley.py", "rs.inner(alpha, alpha) / 2"): "RootSystem.inner returns a Fraction",
+    ("chevalley.py", "a * d[i] / dalpha"): "dalpha is RootSystem.inner / 2, a Fraction",
+    ("chevalley.py", "sum((c * row[k] for k, c in enumerate(hb) if c)) / eb"): "(e_b, e_-b) from _opposite_pair_form, a Fraction",
+    ("rootsys.py", "d[i] * cartan[j][i] / cartan[i][j]"): "the symmetrizer walk starts from d[0] = Fraction(1)",
+}
+
+
+def test_every_division_is_a_fraction_division_or_a_quotient():
+    found = set()
+    for path in sorted(Path(liecert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.add((path.name, ast.unparse(node)))
+    assert found == set(FRACTION_DIVISIONS)
+
+
+def test_quotient_is_exact():
+    from liecert.exact import quotient
+
+    cases = [(6, 3, 2, int), (-7, 2, Fraction(-7, 2), Fraction), (Fraction(3, 2), Fraction(1, 2), 3, int), (1, Fraction(3), Fraction(1, 3), Fraction)]
+    for a, b, q, kind in cases:
+        assert quotient(a, b) == q and type(quotient(a, b)) is kind
+    with pytest.raises(TypeError):
+        quotient(1.0, 2)
+    with pytest.raises(ZeroDivisionError):
+        quotient(1, 0)
