@@ -89,8 +89,19 @@ def _seed(args) -> int:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in ``path``; ValueError on a key that one object
+    repeats, which ``json.load`` would read as its last value."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValueError(f"{path}: key {json.dumps(twice)} appears twice in one object")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
-        return expect_json(json.load(fh), dict, path)
+        return expect_json(json.load(fh, object_pairs_hook=unique), dict, path)
 
 
 def _operator_from_json(ctx, obj):

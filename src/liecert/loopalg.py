@@ -26,6 +26,7 @@ Every witness is re-verified with ``affine_bracket`` before it is returned.
 
 Scalars are ints or Fractions, never floats or bools: integral inputs and
 constants stay ints, and every division goes through ``exact.quotient``.
+``LaurentPoly`` and ``AffineElement`` raise TypeError on any other scalar.
 
 ``inner-match`` asks for one Y with ``ad(Y) = F`` for a combination F of
 toral-to-center maps.  F is central-valued, so every component of Y lies in
@@ -67,7 +68,15 @@ __all__ = [
 ]
 
 Vec = tuple[Rat, ...]
-_SCALARS = (int, Fraction)  # kept as given; anything else goes through Fraction
+_SCALARS = (int, Fraction)
+
+
+def _scalar(v: Rat | int) -> Rat | int:
+    """``v`` as given if it is an int or a Fraction; TypeError for anything
+    else, a float or a bool among them, since a float is not exact."""
+    if type(v) in _SCALARS:
+        return v
+    raise TypeError(f"scalar {v!r} is a {type(v).__name__}, not an int or a Fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +92,12 @@ class LaurentPoly(_Value):
 
     @staticmethod
     def from_dict(d: dict[int, Rat | int]) -> "LaurentPoly":
-        items = ((int(k), v if type(v) in _SCALARS else Fraction(v)) for k, v in d.items() if v)
-        return LaurentPoly(tuple(sorted(items)))
+        return LaurentPoly._of({int(k): _scalar(v) for k, v in d.items()})
+
+    @staticmethod
+    def _of(d: dict[int, Rat]) -> "LaurentPoly":
+        """``from_dict`` for a map whose values are ints or Fractions already."""
+        return LaurentPoly(tuple(sorted((k, v) for k, v in d.items() if v)))
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -109,7 +122,7 @@ class LaurentPoly(_Value):
         d = self.to_dict()
         for k, v in other.coeffs:
             d[k] = d[k] + v if k in d else v
-        return LaurentPoly.from_dict(d)
+        return LaurentPoly._of(d)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((k, -v) for k, v in self.coeffs))
@@ -123,10 +136,10 @@ class LaurentPoly(_Value):
             for k2, v2 in other.coeffs:
                 k, v = k1 + k2, v1 * v2
                 d[k] = d[k] + v if k in d else v
-        return LaurentPoly.from_dict(d)
+        return LaurentPoly._of(d)
 
     def scale(self, c: Rat | int) -> "LaurentPoly":
-        c = c if type(c) in _SCALARS else Fraction(c)
+        c = _scalar(c)
         if not c:
             return LaurentPoly.zero()
         return LaurentPoly(tuple((k, c * v) for k, v in self.coeffs))
@@ -135,7 +148,7 @@ class LaurentPoly(_Value):
         return LaurentPoly(tuple((k + n, v) for k, v in self.coeffs))
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly.from_dict({k - 1: k * v for k, v in self.coeffs if k})
+        return LaurentPoly._of({k - 1: k * v for k, v in self.coeffs})
 
     def coeff(self, degree: int) -> Rat:
         for k, v in self.coeffs:
@@ -183,7 +196,7 @@ def _divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
             r[j] = r[j] - c * v if j in r else -c * v
             if not r[j]:
                 del r[j]
-    return LaurentPoly.from_dict(q), LaurentPoly.from_dict(r)
+    return LaurentPoly._of(q), LaurentPoly._of(r)
 
 
 def _polynomial(p: LaurentPoly) -> tuple[LaurentPoly, int]:
@@ -275,12 +288,12 @@ class AffineElement(_ReadOnly):
     def __init__(self, ctx: LoopContext, support: dict[int, Vec] | None = None, central: Rat | int = 0):
         clean = {}
         for deg, vec in (support or {}).items():
-            vec = tuple(v if type(v) in _SCALARS else Fraction(v) for v in vec)
+            vec = tuple(map(_scalar, vec))
             if len(vec) != ctx.dim:
                 raise ValueError("component length does not match the algebra dimension")
             if any(vec):
                 clean[int(deg)] = vec
-        central = central if type(central) in _SCALARS else Fraction(central)
+        central = _scalar(central)
         self.__dict__.update(ctx=ctx, support=clean, central=central)
 
     def component(self, degree: int) -> Vec:
@@ -312,7 +325,7 @@ class AffineElement(_ReadOnly):
         return self + other.scale(-1)
 
     def scale(self, c: Rat | int) -> "AffineElement":
-        c = c if type(c) in _SCALARS else Fraction(c)
+        c = _scalar(c)
         return AffineElement(
             self.ctx, {deg: tuple(c * v for v in vec) for deg, vec in self.support.items()}, c * self.central
         )
@@ -618,7 +631,7 @@ def _coordinates(x: AffineElement) -> list[LaurentPoly]:
     """The coordinate polynomials of x, one per basis vector, read in one pass over its support."""
     degrees = x.degrees()
     columns = zip(*map(x.support.get, degrees))  # coordinate k at each degree, for each k
-    return [LaurentPoly.from_dict(dict(zip(degrees, col))) for col in columns] or [LaurentPoly.zero()] * x.ctx.dim
+    return [LaurentPoly._of(dict(zip(degrees, col))) for col in columns] or [LaurentPoly.zero()] * x.ctx.dim
 
 
 def _constant_term(p: LaurentPoly, q: LaurentPoly) -> Rat:
@@ -657,7 +670,7 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
             for deg, a in b[j].coeffs if pkj else ():
                 w = pkj * deg * a
                 d[deg] = d[deg] + w if deg in d else w
-        return LaurentPoly.from_dict(d)
+        return LaurentPoly._of(d)
 
     gap = z.central - sum(_constant_term(t_beta(k), u[k]) for k in range(l) if not u[k].is_zero)
     if gap:

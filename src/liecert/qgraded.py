@@ -5,13 +5,15 @@ A subset Psi of the roots designates ``L = H + sum_{beta in Psi} L_beta``.
 ``L`` is a subalgebra iff Psi is closed under root addition, and Q-graded iff
 additionally Psi spans the root lattice over Z: rank-many Smith invariant
 factors (``exact.invariant_factors``), all 1.  Minimality means no proper
-subset is simultaneously closed and spanning.  ``is_minimal`` and ``certify``
-decide it by one pruned walk over the closed subsets of Psi, which stops at
-the first minimal set: Psi iff Psi is minimal.  ``certify`` decides closure
-and span once each.  ``enumerate_minimal`` lists the minimal sets as the
-unimodular root bases of ``_unimodular_bases``, a characterization whose
-converse half the walk does not assume.  ``_rechecked`` re-checks every set they
-find: rank, closure, span by ``det = +-1`` (``exact.int_det``, not their engine).
+subset is simultaneously closed and spanning.  By the paper's section 2, no
+two roots of a minimal set sum to a root or to zero, so one search over such
+sets, ``_minimal_sets``, decides minimality everywhere: ``is_minimal`` and
+``certify`` run it over Psi and stop at its first set, Psi iff Psi is
+minimal; ``enumerate_minimal`` runs it over the whole root system.  It looks
+at sets of every size, so it does not assume that a minimal set has
+rank-many roots.  ``certify`` decides closure and span once each.
+``_rechecked`` re-checks every set the search finds, by other code: rank-many
+roots, closure, and span by ``det = +-1`` (``exact.int_det``).
 """
 
 from __future__ import annotations
@@ -113,127 +115,74 @@ def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
     return factors
 
 
-def _first_minimal(rs: RootSystem, roots: tuple[Root, ...]) -> tuple[Root, ...] | None:
-    """The first minimal set of the walk over ``roots``, a closed spanning
-    Psi (a root sum of two of them is one of them), or None if it finds none.
+def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False) -> list[tuple[Root, ...]]:
+    """The minimal sets among the subsets of ``roots`` (the root system or
+    a closed Psi) in the order found; with ``first``, only the first.
 
-    One depth-first walk over the closed subsets backtracks over the roots
-    in index order, trying "leave root k" before "take root k", and checks
-    each root-sum triple once, when the largest of its three indices is
-    decided, so only closed prefixes are extended.  A closed set is reached
-    after all of its closed proper subsets: they first differ from it at a
-    root the subset leaves.  So the first closed spanning set reached is
-    minimal, and it is Psi iff Psi is minimal.  Two prunes keep the walk
-    small; each drops only sets that cannot come first:
-
-    (a) The prefix's Hermite pivots (``exact.hermite_insert``) are carried
-        down, one insertion per taken root.  Once a prefix P spans the root
-        lattice, every closed set below it contains C = closure(P), which is
-        closed and spanning, so C is the only candidate below P and the walk
-        stops there.  C lies below P iff it adds no root before the last one
-        taken, and each of its closed proper subsets is reached before P.
-    (b) A prefix cannot span once its pivots plus the roots still undecided
-        number fewer than the rank, so a rank-size Psi takes about 2 * rank
-        steps.
+    No two roots of a minimal set sum to a root or to zero (section 2), so
+    each of its subsets is closed: minimal means it spans the root lattice
+    over Z and no proper subset does.  The search grows sets in index order,
+    taking the next root from a bitmask of the later roots that sum with no
+    chosen root to a root or to zero, in descending index order.  It carries
+    the chosen roots' Hermite pivots (``exact.hermite_insert``) and drops a
+    root that leaves their lattice unchanged: the same rank and pivots.  That
+    is exact, as each root of a minimal set lies outside the lattice of the
+    others, and each kept root raises the rank or at least halves the index.
+    A set that spans is not extended; it is kept if it has rank-many roots or
+    if no set with one root fewer spans.  Sets that do not contain each other
+    come in decreasing lexicographic order of their ascending index lists, so
+    the first is the one that a walk over the closed subsets, trying "leave
+    root k" first, finds first.
     """
-    n, l = len(roots), rs.rank
-    index = {r: k for k, r in enumerate(roots)}
-    # leaving root k out needs no pair i + j = k (i, j < k) to be in;
-    # taking root k in needs s in whenever i is, for each i + k = s (i, s < k);
-    # sums[i] lists (bit j, bit s) for every root sum i + j = s
-    out_pairs: list[list[int]] = [[] for _ in range(n)]
-    in_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    sums: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, a in enumerate(roots):
-        for j in range(i + 1, n):
-            s = index.get(tuple(x + y for x, y in zip(a, roots[j])))
-            if s is None:
-                continue
-            sums[i].append((1 << j, 1 << s))
-            sums[j].append((1 << i, 1 << s))
-            if s > j:
-                out_pairs[s].append((1 << i) | (1 << j))
-            else:
-                in_pairs[j].append((1 << i, 1 << s))
-
-    def closure(mask: int, low: int) -> int | None:
-        """closure(mask), or None once it adds a root of ``low``."""
-        todo = mask
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            for bj, bs in sums[bit.bit_length() - 1]:
-                if mask & bj and not mask & bs:
-                    if bs & low:
-                        return None
-                    mask |= bs
-                    todo |= bs
-        return mask
-
-    def walk(k: int, mask: int, pivots: dict[int, list[int]]) -> int | None:
-        # mask: the prefix over roots < k, which does not span
-        if k == n or len(pivots) + n - k < l:
-            return None  # (b)
-        leave = all(mask & pair != pair for pair in out_pairs[k])
-        if leave and (found := walk(k + 1, mask, pivots)) is not None:
-            return found
-        if any(mask & bi and not mask & bs for bi, bs in in_pairs[k]):
-            return None
-        taken = mask | 1 << k
-        grown = dict(pivots)
-        hermite_insert(grown, roots[k], l)
-        if len(grown) < l or any(row[c] != 1 for c, row in grown.items()):
-            return walk(k + 1, taken, grown)
-        return closure(taken, ((2 << k) - 1) & ~taken)  # (a)
-
-    mask = walk(0, 0, {})
-    return None if mask is None else tuple(roots[k] for k in range(n) if mask >> k & 1)
-
-
-def _unimodular_bases(rs: RootSystem) -> list[tuple[Root, ...]]:
-    """Every set of rank-many roots that is a Z-basis of the root lattice and
-    has no two roots summing to a root or to zero: exactly the minimal sets.
-
-    Every such set is minimal: it is closed, since no sum of two of its roots
-    is a root; it spans; and a proper subset has fewer than rank vectors, so
-    none spans.  The converse rests on the paper's section 2, where [L, L] is
-    abelian and holds every root vector, so no two roots of a minimal Psi sum
-    to a root or to zero, and on "rank-many roots", which is not proved here:
-    the tests compare this list with the walk over the whole root system on
-    every type that the default cap of ``enumerate_minimal`` admits.
-
-    Backtracks over ``rs.roots`` in index order, choosing each next root
-    among the later roots that pair with every chosen one (a bitmask), and
-    carries the chosen roots' Hermite pivots (``exact.hermite_insert``): a
-    root that does not raise their rank is dropped.  A set of full rank is
-    kept iff all its pivots are 1.
-    """
-    roots, l, n, sums = rs.roots, rs.rank, len(rs.roots), _root_sums(rs)
-    # bit j of later[i] (j > i): roots i and j sum to neither a root nor zero
-    later = [0] * n
-    for i, a in enumerate(roots):
-        neg = rs.root_index[tuple(-x for x in a)]
-        for j in range(i + 1, n):
-            if sums[i][j] is None and j != neg:
-                later[i] |= 1 << j
+    n, l, later = len(roots), rs.rank, _apart(rs, roots)
     found: list[tuple[Root, ...]] = []
 
-    def grow(chosen: tuple[Root, ...], free: int, pivots: dict[int, list[int]]) -> None:
-        if len(pivots) == l:
-            if all(row[c] == 1 for c, row in pivots.items()):
+    def grow(chosen: tuple[Root, ...], free: int, forms: tuple[dict[int, list[int]], ...]) -> bool:
+        pivots = forms[-1]  # forms[i]: the Hermite pivots of chosen[:i]
+        rank = len(pivots)
+        if rank == l and all(row[c] == 1 for c, row in pivots.items()):
+            if rank == len(chosen) or not any(_spans(forms[k], chosen[k + 1 :], l) for k in range(len(chosen) - 1)):
                 found.append(chosen)
-            return
-        while free.bit_count() + len(pivots) >= l:
-            bit = free & -free
-            free ^= bit
-            k = bit.bit_length() - 1
+                return first
+            return False
+        todo = free
+        while todo:
+            k = todo.bit_length() - 1
+            todo ^= 1 << k
+            rest = free & later[k]
+            if rank + rest.bit_count() < l - 1:
+                continue  # too few roots left to reach full rank
             grown = dict(pivots)
             hermite_insert(grown, roots[k], l)
-            if len(grown) > len(pivots):
-                grow(chosen + (roots[k],), free & later[k], grown)
+            # the same rank: each pivot of grown divides the old one
+            if len(grown) == rank and all(grown[c][c] == row[c] for c, row in pivots.items()):
+                continue
+            if grow(chosen + (roots[k],), rest, forms + (grown,)):
+                return True
+        return False
 
-    grow((), (1 << n) - 1, {})
+    grow((), (1 << n) - 1, ({},))
     return found
+
+
+@lru_cache(maxsize=32)
+def _apart(rs: RootSystem, roots: tuple[Root, ...]) -> tuple[int, ...]:
+    """Bit j of ``later[i]`` (j > i): roots i and j sum to neither a root nor zero."""
+    later = [0] * len(roots)
+    for i, a in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            s = tuple(x + y for x, y in zip(a, roots[j]))
+            if any(s) and s not in rs.root_index:
+                later[i] |= 1 << j
+    return tuple(later)
+
+
+def _spans(pivots: dict[int, list[int]], roots: tuple[Root, ...], l: int) -> bool:
+    """True iff ``roots`` and the lattice of ``pivots`` span Z^l: l pivots, all 1."""
+    pivots = dict(pivots)
+    for r in roots:
+        hermite_insert(pivots, r, l)
+    return len(pivots) == l and all(row[c] == 1 for c, row in pivots.items())
 
 
 @lru_cache(maxsize=32)
@@ -244,10 +193,10 @@ def _root_sums(rs: RootSystem) -> tuple[tuple[int | None, ...], ...]:
 
 
 def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False, sums: tuple | None = None) -> SubalgebraSpec:
-    """A minimal set the enumeration or the walk found, re-checked for
-    rank-many roots and, unless ``decided``, for closure (from the root sums
+    """A minimal set the search found, re-checked for rank-many roots (a step
+    the search does not assume) and, unless ``decided``, for closure (from
     ``sums`` of ``_root_sums`` if given, else by ``closure_violation``) and
-    for span by ``det = +-1`` (``exact.int_det``, not the enumerator's engine):
+    for span by ``det = +-1`` (``exact.int_det``, not the search's pivots):
     then it is a lattice basis, no two of its roots sum into it, and L is
     r_2^l, which ``chevalley.normal_form`` reads off the extraction."""
     spec = SubalgebraSpec(rs, psi)
@@ -265,19 +214,19 @@ def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False, sum
 
 
 def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
-    """The first minimal set of the walk over the closed spanning Psi if it
-    is a proper subset of Psi, else None."""
-    first = _first_minimal(spec.system, spec.psi)
-    if first is None:
-        raise AssertionError(f"the walk over the closed spanning {spec.psi} found no minimal set")
-    own = len(first) == len(spec.psi)  # Psi itself, with closure and span decided
-    found = _rechecked(spec.system, first, decided=own).psi
-    return None if own else found
+    """The first minimal set of the search over the closed spanning Psi if
+    it is a proper subset of Psi, else None."""
+    found = _minimal_sets(spec.system, spec.psi, first=True)
+    if not found:
+        raise AssertionError(f"the search over the closed spanning {spec.psi} found no minimal set")
+    own = len(found[0]) == len(spec.psi)  # Psi itself, with closure and span decided
+    counter = _rechecked(spec.system, found[0], decided=own).psi
+    return None if own else counter
 
 
 def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
     """True iff no proper subset of Psi is closed and spanning; else the
-    first minimal one that the walk over Psi finds.
+    first minimal one that the search over Psi finds.
 
     Precondition: the spec itself is closed and spanning (ValueError if not).
     """
@@ -287,14 +236,15 @@ def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
 
 
 def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
-    """All minimal Q-graded subsets, canonically ordered: the unimodular root
-    bases, each re-checked by ``_rechecked`` with the sums of ``_root_sums``.
-    ``cap`` bounds ``2^|roots|``; its default admits only oracle-tested types."""
+    """All minimal Q-graded subsets, canonically ordered: the search over the
+    whole root system, each set re-checked by ``_rechecked`` with the sums of
+    ``_root_sums``.  The search is exact on every type, so ``cap``, a bound
+    on ``2^|roots|``, only bounds the cost; its default is unchanged."""
     n = len(rs.roots)
     if 1 << n > cap:
         raise EnumerationCapExceeded(f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead")
     sums = _root_sums(rs)
-    minimal = [_rechecked(rs, psi, sums=sums) for psi in _unimodular_bases(rs)]
+    minimal = [_rechecked(rs, psi, sums=sums) for psi in _minimal_sets(rs, rs.roots)]
     return sorted(minimal, key=lambda s: (len(s.psi), s.psi))
 
 

@@ -7,27 +7,21 @@ only the closure and span tests with the walk, which is checked against it
 in ``test_qgraded``.
 
 ``minimal_sets_walk`` is the pruned walk over closed subsets that
-``enumerate_minimal`` ran before it enumerated unimodular root bases.  It
-decides minimality from closure and span alone, so it is the oracle for the
-characterization that the enumerator relies on: a minimal set is a Z-basis of
-the root lattice made of rank-many roots, no two of which sum to a root or
-to zero.
+``enumerate_minimal`` ran before ``qgraded._minimal_sets``.  It decides
+minimality from closure and span alone, so it is the oracle for the search,
+which looks only at sets of pairwise non-summing roots: for every minimal set
+of a root system, and for the first one over a closed spanning Psi.
 
-``first_minimal_without_low`` and ``closed_spanning_sample`` look for a Psi on
-which the "C adds no root before k" test of ``qgraded._first_minimal`` changes
-the set the walk returns.
+``closed_spanning_sample`` draws closed spanning Psi to compare the two on.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 from itertools import combinations
 
 from liecert.chevalley import SubalgebraSpec
 from liecert.exact import hermite_insert
-import liecert.qgraded as qgraded
 from liecert.qgraded import is_closed, spans_q
 from liecert.rootsys import Root, RootSystem
 
@@ -157,19 +151,6 @@ def minimal_sets_walk(rs: RootSystem, roots: tuple[Root, ...]) -> list[tuple[Roo
 
     walk(0, 0, 0, {})
     return [tuple(roots[k] for k in range(n) if mask >> k & 1) for mask in found]
-
-
-def first_minimal_without_low():
-    """``qgraded._first_minimal`` with prune (a) taking the closure with
-    ``low = 0``, so it never refuses a closure that adds a root before the
-    last one taken.  Built from the function's own source, so the two differ
-    in that one argument alone."""
-    old = "closure(taken, ((2 << k) - 1) & ~taken)"
-    source = textwrap.dedent(inspect.getsource(qgraded._first_minimal))
-    assert source.count(old) == 1, "the prune (a) call has changed"
-    namespace = dict(vars(qgraded))
-    exec(source.replace(old, "closure(taken, 0)"), namespace)
-    return namespace["_first_minimal"]
 
 
 def _closure(rs: RootSystem, roots) -> set[Root]:

@@ -641,8 +641,7 @@ def test_non_basis_minimal_set_exits_4(monkeypatch, capsys):
     from liecert import qgraded
 
     four = ((1, 0), (0, 1), (1, 1), (2, 1))
-    monkeypatch.setattr(qgraded, "_unimodular_bases", lambda rs: [four])
-    monkeypatch.setattr(qgraded, "_first_minimal", lambda rs, roots: four)
+    monkeypatch.setattr(qgraded, "_minimal_sets", lambda rs, roots, first=False: [four])
     b2 = ["--family", "B", "--rank", "2"]
     for argv in (["minimal", *b2], ["certify", *b2, "--psi", "1,0;0,1;1,1;2,1"]):
         code, doc, _ = invoke(argv)
@@ -745,6 +744,28 @@ def test_degree_named_twice_exits_2_naming_it(tmp_path, capsys, args, flag, payl
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, doc, _ = invoke(args + B2_MIN + [flag, str(path)])
+    assert code == 2 and doc == {"error": message}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+ZERO4_TEXT = ", ".join(['"0"'] * 16)
+
+
+@pytest.mark.parametrize(
+    "args,flag,text,key",
+    [
+        (["dij-witness", "--i", "1", "--j", "1"], "--x", '{"support": {"1": ["1", "0", "0", "0"], "1": ["0", "0", "0", "0"]}}', "1"),
+        (["aid-check", "--x", X_H1_DEG1], "--op", '{"terms": [{"kind": "dij", "i": 1, "j": 1, "i": 2}]}', "i"),
+        (["aid"], "--matrix", '{"rows": 4, "cols": 4, "entries": [' + ZERO4_TEXT + '], "cols": 2}', "cols"),
+    ],
+    ids=["element", "operator", "matrix"],
+)
+def test_repeated_key_exits_2_naming_it_and_the_file(tmp_path, capsys, args, flag, text, key):
+    # json.load keeps the last of two equal keys; the reader refuses the pair instead
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, doc, _ = invoke(args + B2_MIN + [flag, str(path)])
+    message = f'{path}: key "{key}" appears twice in one object'
     assert code == 2 and doc == {"error": message}
     assert capsys.readouterr().err == f"error: {message}\n"
 

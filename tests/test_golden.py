@@ -1,8 +1,9 @@
 """Golden certificates: fixed CLI commands whose stdout and exit code are frozen.
 
-Each case runs ``liecert.cli.run`` in-process, with ``build_semisimple``
-made to raise, and compares the document byte for byte with
-``tests/golden/<name>.out``.  A change that alters any of these
+Each case runs ``liecert.cli.run`` in-process from ``tests/golden/inputs``,
+so an input file is named as given on every checkout, with
+``build_semisimple`` made to raise, and compares the document byte for byte
+with ``tests/golden/<name>.out``.  A change that alters any of these
 outputs has to say why; regenerate deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -37,7 +38,7 @@ E8_BIPARTITE = [
     "0,0,0,0,-1,0,0,0;0,0,0,0,0,1,0,0;0,0,0,0,0,0,-1,0;0,0,0,0,0,0,0,1",
 ]
 
-# name -> (argv, exit code); input file names are resolved under golden/inputs
+# name -> (argv, exit code); input file names are relative to golden/inputs
 CASES = {
     "minimal-B2": (["minimal", "--family", "B", "--rank", "2"], 0),
     "certify-A4-chain": (["certify"] + A4_CHAIN, 0),
@@ -87,17 +88,18 @@ CASES = {
         ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_duplicate_degree.json"],
         2,
     ),
+    # one object names the key "1" twice: refused, not read as the later value
+    "dij-witness-repeated-key": (
+        ["dij-witness"] + B2_MIN + ["--i", "1", "--j", "1", "--x", "x_repeated_key.json"],
+        2,
+    ),
 }
-
-
-def _argv(argv):
-    return [str(INPUTS / a) if a.endswith(".json") else a for a in argv]
 
 
 def _invoke(name):
     argv, _ = CASES[name]
     buf = io.StringIO()
-    code = run(_argv(argv), out=buf)
+    code = run(argv, out=buf)
     return code, buf.getvalue()
 
 
@@ -118,6 +120,7 @@ def _forbid_ambient_builds(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.chdir(INPUTS)
     _forbid_ambient_builds(monkeypatch)
     code, text = _invoke(name)
     assert code == CASES[name][1]
@@ -130,6 +133,7 @@ def test_goldens_in_one_process_forward_then_reverse(monkeypatch):
     from liecert import chevalley
 
     monkeypatch.delenv(SEED_ENV, raising=False)
+    monkeypatch.chdir(INPUTS)
     _forbid_ambient_builds(monkeypatch)
     chevalley._extract.cache_clear()
     names = sorted(CASES)
@@ -166,7 +170,8 @@ def _same_output_under_hash_seeds(name):
     want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     for hash_seed in ("0", "1", "7"):
         proc = subprocess.run(
-            [sys.executable, "-m", "liecert.cli"] + _argv(argv),
+            [sys.executable, "-m", "liecert.cli"] + argv,
+            cwd=INPUTS,
             env=dict(base, PYTHONHASHSEED=hash_seed),
             capture_output=True,
             text=True,
@@ -188,6 +193,7 @@ def test_graded_output_independent_of_hash_seed(name):
 
 if __name__ == "__main__":
     os.environ.pop(SEED_ENV, None)
+    os.chdir(INPUTS)
     for name in sys.argv[1:] or sorted(CASES):
         code, text = _invoke(name)
         if code != CASES[name][1]:

@@ -1103,3 +1103,35 @@ def test_exact_leibniz_decides_the_central_identity(ctx):
         confirm_rejection(bad, pair, include_central=True)
         sampled += not sampled_leibniz_check(bad, samples=6, seed=k, include_central=True)[0]
     assert sampled > 0
+
+
+SCALAR_SITES = {
+    "from_dict": lambda ctx, v: LaurentPoly.from_dict({1: v}),
+    "monomial": lambda ctx, v: LaurentPoly.monomial(1, v),
+    "poly-scale": lambda ctx, v: LaurentPoly.one().scale(v),
+    "vector": lambda ctx, v: ctx.element({0: (v, 0, 0, 0)}),
+    "central": lambda ctx, v: ctx.element({}, v),
+    "element-scale": lambda ctx, v: ctx.basis_at(0, 1).scale(v),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, 2.0, True, False], ids=["0.1", "0.0", "2.0", "True", "False"])
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_floats_and_bools_are_refused_as_scalars(ctx, site, bad):
+    # a float is not exact (0.1 would read as 3602879701896397/36028797018963968),
+    # and a zero float or False is refused too, not dropped as a zero
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        SCALAR_SITES[site](ctx, bad)
+
+
+def _nonzero_scalars(value):
+    if isinstance(value, LaurentPoly):
+        return [c for _, c in value.coeffs]
+    return [c for vec in value.support.values() for c in vec if c] + [value.central] * bool(value.central)
+
+
+@pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+def test_ints_and_fractions_are_kept_as_given(ctx, site):
+    for good in (3, Fraction(1, 2)):
+        scalars = _nonzero_scalars(SCALAR_SITES[site](ctx, good))
+        assert scalars == [good] and type(scalars[0]) is type(good), site

@@ -23,7 +23,7 @@ from liecert.qgraded import (
 )
 from liecert.rootsys import RootSystem, build_root_system, root_sum
 from exact_reference import rref
-from qgraded_reference import closed_spanning_sample, first_minimal_without_low, minimal_sets_walk, smaller_qgraded
+from qgraded_reference import closed_spanning_sample, minimal_sets_walk, smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
@@ -280,18 +280,19 @@ ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4"
 
 @pytest.mark.parametrize("key", ORACLE_TYPES)
 def test_unimodular_bases_match_the_full_walk(key):
-    # the enumerator relies on "minimal => a unimodular root basis with no two
-    # roots summing to a root or zero"; the walk decides minimality from
-    # closure and span alone.  This covers every type the default cap admits,
-    # and A5, B4 and C4 beyond it.
+    # the search relies on section 2 alone ("no two roots of a minimal set sum
+    # to a root or zero"); the walk decides minimality from closure and span
+    # alone.  Every set found is a unimodular root basis, or the rank
+    # re-check raises.  This covers every type the default cap admits, and
+    # A5, B4 and C4 beyond it.
     rs = build_root_system(key[0], int(key[1:]))
     walk = sorted((SubalgebraSpec(rs, psi).psi for psi in minimal_sets_walk(rs, rs.roots)), key=lambda p: (len(p), p))
     assert [s.psi for s in enumerate_minimal(rs, cap=1 << 32)] == walk
 
 
-@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4)])
 def test_first_found_walk_matches_the_full_walk(family, rank):
-    # on every closed spanning Psi, the walk of is_minimal and certify stops
+    # on every closed spanning Psi, the search of is_minimal and certify stops
     # at the first set of the full walk over Psi
     import liecert.qgraded as q
 
@@ -299,20 +300,19 @@ def test_first_found_walk_matches_the_full_walk(family, rank):
     for mask in _closed_masks(rs):
         psi = _psi(rs, mask)
         if spans_q(SubalgebraSpec(rs, psi))[0]:
-            assert q._first_minimal(rs, psi) == minimal_sets_walk(rs, psi)[0], psi
+            assert q._minimal_sets(rs, psi, first=True) == [minimal_sets_walk(rs, psi)[0]], psi
 
 
-@pytest.mark.parametrize("family, rank", [("D", 4), ("B", 4), ("F", 4)])
-def test_first_minimal_low_test_never_changes_the_set(family, rank):
-    # prune (a) refuses a closure that adds a root before the last one taken;
-    # on these samples, dropping that test returns the same set every time
+def test_first_found_matches_the_walk_on_a_d4_sample():
+    # a seeded sample of D4's closed spanning Psi; CI runs the same
+    # comparison on the seed-11 samples of B4 and F4
     import liecert.qgraded as q
 
-    rs, without_low = build_root_system(family, rank), first_minimal_without_low()
+    rs = build_root_system("D", 4)
     sample = closed_spanning_sample(rs, seed=11, tries=600)
     assert len(sample) > 200
     for psi in sample:
-        assert q._first_minimal(rs, psi) == without_low(rs, psi), psi
+        assert q._minimal_sets(rs, psi, first=True) == [minimal_sets_walk(rs, psi)[0]], psi
 
 
 @pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
@@ -363,14 +363,14 @@ def test_walk_over_psi_matches_exhaustive_search(family, rank):
 
 
 def test_counterexample_is_rechecked(monkeypatch, b2rs):
-    # a walk over Psi whose first set fails the re-check raises, as in the
-    # enumeration; Psi itself is decided before the walk and not re-checked
+    # a search over Psi whose first set fails the re-check raises, as in the
+    # enumeration; Psi itself is decided before the search and not re-checked
     import liecert.qgraded as q
 
-    monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: ((1, 0), (0, 1)))
+    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first=False: [((1, 0), (0, 1))])
     with pytest.raises(AssertionError, match="closure or determinant re-check"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
-    monkeypatch.setattr(q, "_first_minimal", lambda rs, roots: None)
+    monkeypatch.setattr(q, "_minimal_sets", lambda rs, roots, first=False: [])
     with pytest.raises(AssertionError, match="found no minimal set"):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
 
