@@ -17,7 +17,11 @@ process pays only for those: ``roots`` loads ``exact`` and ``rootsys`` alone.
 Beyond the modules that Python's start-up already loads, every command adds
 only ``json`` and ``fractions`` (with ``decimal`` and ``numbers``): argv is read
 off one command table, not by ``argparse``, and the read-only classes are plain
-classes, so no class decorator pulls in ``inspect`` and its imports.
+classes, so no class decorator pulls in ``inspect`` and its imports.  An
+input file is read by raw ``os.read`` calls, not through a text-mode file
+object, and decoded as strict UTF-8; every error reading it names the file
+and exits 2, nesting too deep to decode included.  The subalgebra spec of
+one ``(--family, --rank, --psi)`` is built once per process.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -42,6 +47,8 @@ SEED_ENV = "LIECERT_SEED"
 # inner-match's window W only has to hold the degrees of the terms
 MAX_RANK = 20
 MAX_WINDOW = 50
+# input files are read as bytes: O_BINARY stops a text-mode C runtime from translating them
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 
 
 def parse_psi(text: str):
@@ -57,18 +64,30 @@ def parse_psi(text: str):
     return tuple(out)
 
 
-def _root_system(args):
+def _rank(args) -> int:
     if args.rank > MAX_RANK:
         raise ValueError(f"rank {args.rank} is out of range: at most {MAX_RANK}")
-    return build_root_system(args.family, args.rank)
+    return args.rank
+
+
+def _root_system(args):
+    return build_root_system(args.family, _rank(args))
 
 
 def _spec_from_args(args):
+    # the rank check stays outside the memo, so a refused rank raises on every call
+    return _spec(args.family, _rank(args), args.psi)
+
+
+@lru_cache(maxsize=32)
+def _spec(family: str, rank: int, psi: str):
+    """The subalgebra spec of one ``(--family, --rank, --psi)``, built once, like
+    ``chevalley._extract``; an argv that it refuses is not kept and raises again."""
     from .chevalley import SubalgebraSpec
 
-    rs = _root_system(args)
+    rs = build_root_system(family, rank)
     named = {"all": rs.roots, "positive": rs.positive_roots}
-    return SubalgebraSpec(rs, named[args.psi] if args.psi in named else parse_psi(args.psi))
+    return SubalgebraSpec(rs, named[psi] if psi in named else parse_psi(psi))
 
 
 def _inputs(spec, **extra) -> dict:
@@ -89,19 +108,40 @@ def _seed(args) -> int:
 
 
 def _load_json(path: str) -> dict:
-    """The JSON object in ``path``; ValueError on a key that one object
-    repeats, which ``json.load`` would read as its last value."""
+    """The JSON object in the UTF-8 file ``path``, read by raw ``os.read``
+    calls; ValueError that names the file on bytes that are not UTF-8, on
+    JSON that does not parse or nests too deep, on a key that one object
+    repeats (which ``json.loads`` would read as its last value), and on a
+    top level that is not an object.  Newlines are translated as text mode
+    does, so error offsets count ``\r\n`` as one character."""
 
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
         if len(obj) < len(pairs):
             keys = [k for k, _ in pairs]
             twice = next(k for i, k in enumerate(keys) if k in keys[:i])
-            raise ValueError(f"{path}: key {json.dumps(twice)} appears twice in one object")
+            raise ValueError(f"key {json.dumps(twice)} appears twice in one object")
         return obj
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return expect_json(json.load(fh, object_pairs_hook=unique), dict, path)
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except IsADirectoryError as exc:  # os.read leaves the path out of its message
+        raise IsADirectoryError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        obj = json.loads(text, object_pairs_hook=unique)
+    except RecursionError:  # the decoder's, on arrays or objects nested too deep
+        raise ValueError(f"{path}: JSON nested too deep to read") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+        raise ValueError(f"{path}: {exc}") from None
+    return expect_json(obj, dict, path)
 
 
 def _operator_from_json(ctx, obj):

@@ -383,7 +383,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def hermite_insert(pivots: dict[int, list[int]], vec: Sequence[int], dim: int) -> None:
     """Reduce one integer vector into ``pivots``, the rows of a row Hermite
-    form keyed by pivot column, by unimodular extended-gcd row operations.
+    form keyed by pivot column, by unimodular extended-gcd row operations,
+    or by subtracting a multiple of the pivot row where its pivot divides the entry.
 
     The rows then span the old lattice plus ``vec``.  Rows are replaced,
     never changed in place, so a shallow copy of ``pivots`` keeps the old form.
@@ -397,6 +398,10 @@ def hermite_insert(pivots: dict[int, list[int]], vec: Sequence[int], dim: int) -
         if p is None:
             pivots[c] = v if x > 0 else [-y for y in v]
             return
+        if x % p[c] == 0:  # the pivot divides the entry: keep its row, no gcd step
+            q = x // p[c]
+            v = [z - q * y for y, z in zip(p, v)]
+            continue
         # [[s, t], [-b, a]] has determinant (s*p[c] + t*x) / g = 1
         g, s, t = _xgcd(p[c], x)
         a, b = p[c] // g, x // g

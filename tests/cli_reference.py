@@ -1,12 +1,19 @@
-"""Reference command-line parser for the tests.
+"""Reference command-line parser and input reader for the tests.
 
 ``_build_parser`` is the argparse front end that ``liecert.cli`` replaced by
 its own command table and ``_parse``.  The CLI tests parse the same argv with
 both and require the same attributes, or a refusal from both.  It is not
 shipped: the package imports no ``argparse``.
+
+``load_json_text_mode`` is the input reader that ``cli._load_json`` replaced
+by raw ``os.read`` calls: a text-mode ``open`` and ``json.load``.  The CLI
+tests run the same commands on the same files with both readers and require
+the same exit code and output, apart from the file name that the new reader
+puts before the errors of decoding and parsing.
 """
 
 import argparse
+import json
 
 from liecert.cli import (
     DEFAULT_SEED,
@@ -23,6 +30,7 @@ from liecert.cli import (
     _cmd_roots,
     _cmd_selftest,
 )
+from liecert.exact import expect_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,3 +87,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default all)")
 
     return parser
+
+
+def load_json_text_mode(path: str) -> dict:
+    """The JSON object in ``path``; ValueError on a key that one object
+    repeats, which ``json.load`` would read as its last value."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValueError(f"{path}: key {json.dumps(twice)} appears twice in one object")
+        return obj
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return expect_json(json.load(fh, object_pairs_hook=unique), dict, path)

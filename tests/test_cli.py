@@ -997,3 +997,108 @@ def test_help_goes_to_out(argv, capsys):
         assert all(f"\n  {command} " in text for command in ("roots", "minimal", "certify", "dij-witness", "selftest"))
     else:
         assert text.startswith(f"usage: liecert {argv[0]} --family STR --rank INT --psi STR")
+
+
+# ---------------------------------------------------------------------------
+# the raw-read input reader against the text-mode reader it replaced
+# ---------------------------------------------------------------------------
+
+ELEMENT = Path(X_H1_DEG1).read_bytes()
+# "Expecting value" at char 40 of the text-mode text, where each newline is one character
+MALFORMED = b'{\n  "central": "0",\n  "support": {"1": [,]}\n}\n'
+# name -> (file bytes, or None for no file and "dir" for a directory;
+#          True if the new reader puts the file name before the oracle's message)
+READER_CASES = {
+    "lf": (ELEMENT, False),
+    "crlf": (ELEMENT.replace(b"\n", b"\r\n"), False),
+    "crlf-malformed": (MALFORMED.replace(b"\n", b"\r\n"), True),
+    "cr-malformed": (MALFORMED.replace(b"\n", b"\r"), True),
+    "bom": (b"\xef\xbb\xbf" + ELEMENT, True),
+    "invalid-utf8": (ELEMENT.replace(b'"0"', b'"\xff"', 1), True),
+    "empty": (b"", True),
+    "array": (b'[{"central": "0"}]', False),
+    "nested-repeated-key": (b'{"support": {"1": ["1", "0", "0", "0"]}, "extra": {"a": 1, "a": 2}}', False),
+    "directory": ("dir", False),
+    "missing": (None, False),
+}
+READER_COMMANDS = {
+    "dij-witness": ["dij-witness", *B2_MIN, "--i", "1", "--j", "1", "--x"],
+    "aid-check": ["aid-check", *B2_MIN, "--x", X_H1_DEG1, "--op"],
+}
+
+
+def _reader_input(tmp_path, name):
+    content, _ = READER_CASES[name]
+    path = tmp_path / f"{name}.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    return str(path)
+
+
+def _run_captured(argv, capsys):
+    code, _, text = invoke(argv)
+    return code, text, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", READER_COMMANDS)
+@pytest.mark.parametrize("name", READER_CASES)
+def test_reader_matches_the_text_mode_reader(tmp_path, capsys, monkeypatch, command, name):
+    from cli_reference import load_json_text_mode
+
+    from liecert import cli
+
+    path = _reader_input(tmp_path, name)
+    argv = READER_COMMANDS[command] + [path]
+    code, out, err = _run_captured(argv, capsys)
+    monkeypatch.setattr(cli, "_load_json", load_json_text_mode)
+    want_code, want_out, want_err = _run_captured(argv, capsys)
+    assert code == want_code
+    if READER_CASES[name][1]:
+        assert want_code == 2 and err == want_err.replace("error: ", f"error: {path}: ", 1)
+        assert json.loads(out) == {"error": f"{path}: {json.loads(want_out)['error']}"}
+    else:
+        assert (out, err) == (want_out, want_err)
+
+
+@pytest.mark.parametrize("name", ["crlf-malformed", "cr-malformed"])
+def test_error_offsets_count_a_translated_newline_as_one_character(tmp_path, capsys, name):
+    path = _reader_input(tmp_path, name)
+    code, doc, _ = invoke(READER_COMMANDS["dij-witness"] + [path])
+    assert code == 2 and doc == {"error": f"{path}: Expecting value: line 3 column 21 (char 40)"}
+
+
+def test_crlf_element_gives_the_lf_document(tmp_path):
+    argv = READER_COMMANDS["dij-witness"]
+    lf = invoke(argv + [_reader_input(tmp_path, "lf")])
+    assert lf[0] == 0 and lf == invoke(argv + [_reader_input(tmp_path, "crlf")])
+
+
+@pytest.mark.parametrize("command", READER_COMMANDS)
+def test_deep_nesting_exits_2_naming_the_file(tmp_path, capsys, command):
+    # the decoder recurses once per level and raises RecursionError, which exited 4
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"support": ' + "[" * depth + "]" * depth + "}")
+    code, doc, _ = invoke(READER_COMMANDS[command] + [str(path)])
+    message = f"{path}: JSON nested too deep to read"
+    assert code == 2 and doc == {"error": message}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_spec_memo_builds_one_spec_per_argv():
+    from liecert import cli
+
+    argv = ["certify", *B2_MIN]
+    assert cli._spec_from_args(_parse(argv)) is cli._spec_from_args(_parse(argv))
+    # a refused argv is not kept: it raises on every call
+    for psi, message in [("1,0;1,0", "duplicate root"), ("1,2", "not a root")]:
+        args = _parse(["certify", "--family", "B", "--rank", "2", "--psi", psi])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                cli._spec_from_args(args)
+    too_big = _parse(["certify", "--family", "A", "--rank", str(cli.MAX_RANK + 1), "--psi", "all"])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of range"):
+            cli._spec_from_args(too_big)
