@@ -20,8 +20,17 @@ off one command table, not by ``argparse``, and the read-only classes are plain
 classes, so no class decorator pulls in ``inspect`` and its imports.  An
 input file is read by raw ``os.read`` calls, not through a text-mode file
 object, and decoded as strict UTF-8; every error reading it names the file
-and exits 2, nesting too deep to decode included.  The subalgebra spec of
-one ``(--family, --rank, --psi)`` is built once per process.
+and exits 2, nesting too deep to decode included; one decoder, built at
+import, parses every file.  The subalgebra spec of one ``(--family, --rank,
+--psi)`` is built once per process.
+
+A document is written as ``json.dumps(doc, sort_keys=True, indent=2)`` would
+write it, by ``_write``.  ``der`` and ``centroid`` put their ``MatQ`` bases in
+the document as they are, and each is written from its nonzeros, a run of
+zero entries as one repeated string.  Once the matrices written pass
+``_CHUNK`` characters, the text so far goes to the output and is dropped, so
+a long document is streamed and a short one is written in one piece.
+``--json`` writes its file in full before it copies the file to the output.
 """
 
 from __future__ import annotations
@@ -107,22 +116,28 @@ def _seed(args) -> int:
         raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
 
 
+def _unique(pairs: list) -> dict:
+    """The JSON object of ``pairs``; ValueError on a key that it repeats,
+    which ``json.loads`` would read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"key {json.dumps(twice)} appears twice in one object")
+    return obj
+
+
+# one decoder for every input file: json.loads with a hook builds a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique)
+
+
 def _load_json(path: str) -> dict:
     """The JSON object in the UTF-8 file ``path``, read by raw ``os.read``
     calls; ValueError that names the file on bytes that are not UTF-8, on
     JSON that does not parse or nests too deep, on a key that one object
-    repeats (which ``json.loads`` would read as its last value), and on a
-    top level that is not an object.  Newlines are translated as text mode
-    does, so error offsets count ``\r\n`` as one character."""
-
-    def unique(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [k for k, _ in pairs]
-            twice = next(k for i, k in enumerate(keys) if k in keys[:i])
-            raise ValueError(f"key {json.dumps(twice)} appears twice in one object")
-        return obj
-
+    repeats, and on a top level that is not an object.  Newlines are
+    translated as text mode does, so error offsets count ``\r\n`` as one
+    character."""
     fd = os.open(path, _READ_FLAGS)
     try:
         chunks = []
@@ -136,7 +151,9 @@ def _load_json(path: str) -> dict:
         text = b"".join(chunks).decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        obj = json.loads(text, object_pairs_hook=unique)
+        if text[:1] == "\ufeff":  # json.loads refuses a BOM; JSONDecoder.decode does not check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except RecursionError:  # the decoder's, on arrays or objects nested too deep
         raise ValueError(f"{path}: JSON nested too deep to read") from None
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
@@ -244,9 +261,9 @@ def _cmd_der(args, seed):
             "dim_der": basis.dim_der,
             "dim_inn": basis.dim_inn,
             "dim_complement": len(basis.complement_basis),
-            "der_basis": [m.to_json() for m in basis.der_basis],
-            "inn_basis": [m.to_json() for m in basis.inn_basis],
-            "complement_basis": [m.to_json() for m in basis.complement_basis],
+            "der_basis": list(basis.der_basis),
+            "inn_basis": list(basis.inn_basis),
+            "complement_basis": list(basis.complement_basis),
         },
         seed,
     )
@@ -285,7 +302,7 @@ def _cmd_centroid(args, seed):
     doc = _envelope(
         "centroid",
         _inputs(spec),
-        {"dim": len(cent.basis), "diagonal": diagonal, "basis": [m.to_json() for m in cent.basis]},
+        {"dim": len(cent.basis), "diagonal": diagonal, "basis": list(cent.basis)},
         seed,
     )
     return doc, 0
@@ -499,18 +516,44 @@ def run(argv, out=None) -> int:
         doc, code = {"error": message}, 4
     if args.timings and isinstance(doc, dict) and "error" not in doc:
         doc["timings"] = {"wall_s": round(time.monotonic() - started, 3)}
-    payload = _dumps(doc) + "\n"
     if args.json:
-        # written before stdout, so an unwritable path sends only its error there
+        # the file is written in full before stdout, so an unwritable path sends only its error there
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                text = _send(doc, fh)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             doc, code = {"error": str(exc)}, 2
-            payload = _dumps(doc) + "\n"
-    out.write(payload)
+        else:
+            if text is not None:
+                out.write(text)
+                return code
+            with open(args.json, encoding="utf-8") as fh:  # streamed to the file: copy it
+                while text := fh.read(_CHUNK):
+                    out.write(text)
+            return code
+    _send(doc, out)
     return code
+
+
+# characters of matrix text after which the document written so far goes to its stream
+_CHUNK = 1 << 20
+
+
+class _Stream:
+    """Where a document is written as it is made: each matrix adds the length
+    of its entries, counted as zeros, to ``held``, and once that passes
+    ``_CHUNK`` the pieces so far are written to ``out`` and dropped."""
+
+    def __init__(self, out):
+        self.out, self.held, self.streamed = out, 0, False
+
+    def matrix_written(self, parts: list[str], size: int) -> None:
+        self.held += size
+        if self.held > _CHUNK:
+            self.out.write("".join(parts))
+            parts.clear()
+            self.held, self.streamed = 0, True
 
 
 _LEAVES = {
@@ -522,21 +565,25 @@ _LEAVES = {
 }
 
 
-def _write(value, parts: list[str], newline: str) -> None:
+def _write(value, parts: list[str], newline: str, stream: _Stream | None = None) -> None:
     """Append ``value`` as ``json.dumps(value, sort_keys=True, indent=2)``
-    writes it at the indentation ``newline``; TypeError on a type it does not know."""
+    writes it at the indentation ``newline``, and a ``MatQ`` as its
+    ``to_json()``, telling ``stream`` of each matrix; TypeError on a type it
+    does not know."""
     kind = type(value)
     if kind in _LEAVES:
         parts.append(_LEAVES[kind](value))
     elif kind is not dict and kind is not list:
-        raise TypeError(kind.__name__)
+        if kind is not MatQ:
+            raise TypeError(kind.__name__)
+        _write_matrix(value, parts, newline, stream)
     elif not value:
         parts.append("{}" if kind is dict else "[]")
     else:
         inner, sep = newline + "  ", "{" if kind is dict else "["
         if kind is list and type(value[0]) is str:
-            # matrix entries and element coordinates: one join, no call per item;
-            # an item that is not a str raises TypeError, and the loop below writes the list
+            # element coordinates: one join, no call per item; an item that is
+            # not a str raises TypeError, and the loop below writes the list
             try:
                 parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)), newline, "]")
                 return
@@ -547,21 +594,67 @@ def _write(value, parts: list[str], newline: str) -> None:
             if kind is dict:
                 parts += (encode_basestring_ascii(item[0]), ": ")  # TypeError unless the key is a str
                 item = item[1]
-            _write(item, parts, inner)
+            _write(item, parts, inner, stream)
             sep = ","
         parts += (newline, "}" if kind is dict else "]")
 
 
-def _dumps(doc) -> str:
+def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream | None) -> None:
+    """Append ``m.to_json()`` as ``_write`` would, from the sorted nonzeros
+    of ``m``: a run of k zero entries is one string repeated k times."""
+    inner = newline + "  "
+    n = m.rows * m.cols
+    parts += ("{", inner, '"cols": ', str(m.cols), ",", inner, '"entries": ')
+    if n:
+        item = inner + "  "
+        sep = "," + item
+        zero, at, nonzeros = '"0"' + sep, 0, m.nonzeros
+        parts += ("[", item)
+        for u in sorted(nonzeros):
+            parts.append(f'{zero * (u - at)}"{rat_to_str(nonzeros[u])}"{sep}')
+            at = u + 1
+        if at < n:
+            parts += (zero * (n - at - 1), '"0"')
+        else:
+            parts[-1] = parts[-1][: -len(sep)]  # no separator after the last entry
+        parts += (inner, "]")
+        if stream is not None:
+            stream.matrix_written(parts, n * len(zero))
+    else:
+        parts.append("[]")
+    parts += (",", inner, '"rows": ', str(m.rows), newline, "}")
+
+
+def _as_json(value) -> dict:
+    """``json.dumps``'s ``default``: a ``MatQ`` as its JSON matrix."""
+    if type(value) is not MatQ:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return value.to_json()
+
+
+def _dumps(doc, stream: _Stream | None = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, without
     the pure-Python encoder that ``indent`` forces; a document the writer
-    cannot take is left to ``json.dumps`` whole."""
+    cannot take is left to ``json.dumps`` whole.  The text that ``stream``
+    has written to its ``out`` is not returned again."""
     parts: list[str] = []
     try:
-        _write(doc, parts, "\n")
+        _write(doc, parts, "\n", stream)
     except TypeError:
-        return json.dumps(doc, sort_keys=True, indent=2)
+        if stream is not None and stream.streamed:  # the text already written cannot be taken back
+            raise
+        return json.dumps(doc, sort_keys=True, indent=2, default=_as_json)
     return "".join(parts)
+
+
+def _send(doc, out) -> str | None:
+    """Write ``doc`` and a newline to ``out``.  A document whose matrices
+    hold at most ``_CHUNK`` characters goes in one ``out.write``, and its
+    text is returned; a longer one is streamed in chunks, and None is."""
+    stream = _Stream(out)
+    text = _dumps(doc, stream) + "\n"
+    out.write(text)
+    return None if stream.streamed else text
 
 
 def main() -> int:

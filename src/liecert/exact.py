@@ -20,6 +20,7 @@ Hermite passes.  ``int_det`` (Bareiss) re-checks enumerated sets without it.
 
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -57,10 +58,11 @@ def rat_to_str(x: Rat | int) -> str:
 
 
 def rat_from_str(s: str) -> Rat | int:
-    """The rational that ``Fraction(s)`` reads, as an int when it is integral."""
+    """The rational that ``Fraction(s)`` reads, as an int when it is integral;
+    ValueError that shows ``s`` as ``_shown`` does."""
     # strings only: a JSON float would be read as its binary value, a boolean as 0 or 1
     if not isinstance(s, str):
-        raise ValueError(f"expected a rational as a string, got {s!r}")
+        raise ValueError(f"expected a rational as a string, got {_shown(s)}")
     # an ASCII integer skips the regular expression that Fraction(str) parses by
     digits = s[1:] if s[:1] == "-" else s
     if digits.isascii() and digits.isdigit():
@@ -68,8 +70,30 @@ def rat_from_str(s: str) -> Rat | int:
     try:
         x = Fraction(s)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        raise ValueError(f"zero denominator in {_shown(s)}") from None
+    except ValueError as exc:  # "Invalid literal for Fraction: " and the repr of s
+        raise ValueError(str(exc).replace(repr(s), _shown(s))) from None
     return x.numerator if x.denominator == 1 else x
+
+
+_SHOWN = 60  # the longest repr of an input value that an error message repeats
+
+
+def _shown(value) -> str:
+    """``repr(value)`` when it has at most ``_SHOWN`` characters; else the
+    JSON type of ``value`` and the start of a repr cut to six levels and six
+    items a level, so an error line stays short however large the input."""
+    if type(value) is list or type(value) is dict:
+        # no full repr of a list that may hold 100,000 items or nest 900 deep
+        text = reprlib.repr(value)
+        short = len(text) <= _SHOWN and "..." not in text
+    else:
+        text = repr(value)
+        short = len(text) <= _SHOWN
+    if short:
+        return repr(value)
+    cut = text[:_SHOWN]
+    return f"a JSON {_JSON_KINDS.get(type(value), type(value).__name__)} {cut}{'...' * (cut != text)}"
 
 
 def quotient(a: Rat | int, b: Rat | int) -> Rat | int:
@@ -80,7 +104,7 @@ def quotient(a: Rat | int, b: Rat | int) -> Rat | int:
     return q.numerator if q.denominator == 1 else q
 
 
-_JSON_KINDS = {dict: "object", list: "array", int: "integer"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", str: "string", float: "number", bool: "boolean"}
 
 
 def expect_json(value, kind: type, what: str):

@@ -460,6 +460,44 @@ def test_rat_from_str_rejects_zero_denominator():
         rat_from_str("3/0")
 
 
+def test_rat_from_str_repeats_a_short_value_as_before():
+    from liecert.exact import rat_from_str
+
+    for value, message in [
+        ([1, 2], "expected a rational as a string, got [1, 2]"),
+        ({"b": 1, "a": 2}, "expected a rational as a string, got {'b': 1, 'a': 2}"),
+        (0.1, "expected a rational as a string, got 0.1"),
+        (True, "expected a rational as a string, got True"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("y" * 55, f"Invalid literal for Fraction: {'y' * 55!r}"),
+        ("3/0", "zero denominator in '3/0'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            rat_from_str(value)
+        assert str(info.value) == message
+
+
+# an operator file whose tensor matrix holds one entry of each of these values
+LONG_ENTRIES = {
+    "long-list": ([1] * 100_000, "expected a rational as a string, got a JSON array [1, 1, 1, 1, 1, 1, ...]"),
+    "deep-list": (json.loads("[" * 900 + "]" * 900), "expected a rational as a string, got a JSON array [[[[[[[...]]]]]]]"),
+    "long-string": ("x" * 100_000, "Invalid literal for Fraction: a JSON string '" + "x" * 59 + "..."),
+    "long-zero-denominator": ("1/" + "0" * 4000, "zero denominator in a JSON string '1/" + "0" * 57 + "..."),
+}
+
+
+@pytest.mark.parametrize("name", LONG_ENTRIES)
+def test_long_input_value_gives_a_short_error_line(tmp_path, name):
+    # the error line used to repeat the whole value: 300 KB for the long list
+    entry, message = LONG_ENTRIES[name]
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"terms": [{"kind": "tensor", "f": {"0": "1"}, "matrix": {"rows": 1, "cols": 1, "entries": [entry]}}]}))
+    proc = _cli_process(["aid-check", *B2_MIN, "--x", X_H1_DEG1, "--op", str(op)])
+    assert proc.returncode == 2, proc.stderr[:300]
+    assert proc.stderr == f"error: {message}\n" and len(proc.stderr.encode()) < 200
+    assert json.loads(proc.stdout) == {"error": message}
+
+
 def test_selftest_subset():
     code, doc, _ = invoke(["selftest", "--criteria", "1,9"])
     assert code == 0
@@ -854,6 +892,129 @@ def test_document_writer_matches_json_dumps():
     for bad in (["1", Fraction(1)], ["1", Fraction(1), "2"], [Fraction(1), "1"]):
         with pytest.raises(TypeError):
             _dumps({"a": bad})
+
+
+def _random_matrices(rng):
+    """MatQ values of every edge shape and entry pattern, with int, negative and Fraction entries."""
+    from fractions import Fraction
+
+    from liecert.exact import MatQ
+
+    def value():
+        return rng.choice([1, -1, 7, -12, 10**30, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 10**20)])
+
+    out = [MatQ(0, 0, {}), MatQ(0, 3, {}), MatQ(4, 0, {}), MatQ(1, 1, {}), MatQ(1, 1, {0: 5}), MatQ(1, 1, {0: Fraction(-1, 3)})]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        n = rows * cols
+        pattern = rng.choice(["zero", "first", "last", "ends", "dense", "sparse"])
+        cells = {
+            "zero": [],
+            "first": [0],
+            "last": [n - 1],
+            "ends": [0, n - 1],
+            "dense": range(n),
+            "sparse": rng.sample(range(n), rng.randint(1, n)),
+        }[pattern]
+        out.append(MatQ(rows, cols, {u: value() for u in cells}))
+    return out
+
+
+def _as_plain_json(doc):
+    """``doc`` with each MatQ replaced by its ``to_json()``."""
+    from liecert.exact import MatQ
+
+    if type(doc) is MatQ:
+        return doc.to_json()
+    if type(doc) is dict:
+        return {k: _as_plain_json(v) for k, v in doc.items()}
+    if type(doc) is list:
+        return [_as_plain_json(v) for v in doc]
+    return doc
+
+
+def test_matrix_writer_matches_json_dumps_of_to_json(monkeypatch):
+    # a MatQ is written from its nonzeros; the bytes are those of json.dumps over to_json()
+    import random
+
+    from liecert import cli
+
+    rng = random.Random(11)
+    matrices = _random_matrices(rng)
+
+    def document(depth):
+        r = rng.random()
+        if depth > 3 or r < 0.35:
+            return rng.choice(matrices + ["s", 3, None])
+        if r < 0.7:
+            return {rng.choice("abcz") + str(rng.randint(0, 9)): document(depth + 1) for _ in range(rng.randint(0, 4))}
+        return [document(depth + 1) for _ in range(rng.randint(0, 4))]
+
+    docs = [*matrices, [matrices[:8]], {"m": {"n": [[matrices[6]]]}}] + [document(0) for _ in range(300)]
+    monkeypatch.setattr(cli, "_CHUNK", 5)  # _send streams past every matrix; _dumps never streams
+    for doc in docs:
+        want = json.dumps(_as_plain_json(doc), sort_keys=True, indent=2)
+        assert cli._dumps(doc) == want, doc
+        buf = io.StringIO()
+        assert cli._send(doc, buf) in (want + "\n", None)
+        assert buf.getvalue() == want + "\n"
+    # a document the writer does not know goes to json.dumps whole, a MatQ in it too
+    from fractions import Fraction
+
+    assert cli._dumps({"t": (1, 2), "m": matrices[5]}) == json.dumps({"t": [1, 2], "m": matrices[5].to_json()}, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps({"m": matrices[5], "x": Fraction(1)})
+
+
+A8_CHAIN = ["--family", "A", "--rank", "8", "--psi=" + ";".join(",".join("1" if k <= n else "0" for k in range(8)) for n in range(8))]
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, streams",
+    [(["der", *A8_CHAIN], True), (["centroid", *A8_CHAIN], True), (["minimal", "--family", "A", "--rank", "4"], False)],
+    ids=["der-A8", "centroid-A8", "minimal-A4"],
+)
+def test_streamed_document_is_the_one_shot_document(tmp_path, monkeypatch, argv, streams):
+    from liecert import cli
+
+    one_shot = _CountingOut()
+    assert run(argv, out=one_shot) == 0 and one_shot.writes == 1
+    monkeypatch.setattr(cli, "_CHUNK", 8)
+    out = _CountingOut()
+    assert run(argv, out=out) == 0
+    assert out.getvalue() == one_shot.getvalue()
+    assert (out.writes > 1) == streams
+    # --json writes its file in full, then the same bytes go to out
+    path = tmp_path / "doc.json"
+    out = io.StringIO()
+    assert run(["--json", str(path), *argv], out=out) == 0
+    assert path.read_text(encoding="utf-8") == out.getvalue() == one_shot.getvalue()
+
+
+def test_unwritable_json_path_streams_nothing(tmp_path, monkeypatch):
+    from liecert import cli
+
+    monkeypatch.setattr(cli, "_CHUNK", 8)
+    target = tmp_path / "missing" / "out.json"
+    code, doc, _ = invoke(["--json", str(target), "der", *A8_CHAIN])
+    assert code == 2 and list(doc) == ["error"] and str(target) in doc["error"]
+
+
+def test_input_files_share_one_decoder(monkeypatch):
+    # json.loads with a hook would build a JSONDecoder and its scanner on every call
+    monkeypatch.setattr(json, "JSONDecoder", None)
+    code, doc, _ = invoke(["dij-witness", *B2_MIN, "--i", "1", "--j", "1", "--x", X_H1_DEG1])
+    assert code == 0 and doc["verdicts"]["status"]
 
 
 def test_timings_document_is_json_dumps_output():
