@@ -27,9 +27,12 @@ import, parses every file.  The subalgebra spec of one ``(--family, --rank,
 A document is written as ``json.dumps(doc, sort_keys=True, indent=2)`` would
 write it, by ``_write``.  ``der`` and ``centroid`` put their ``MatQ`` bases in
 the document as they are, and each is written from its nonzeros, a run of
-zero entries as one repeated string.  Once the matrices written pass
-``_CHUNK`` characters, the text so far goes to the output and is dropped, so
-a long document is streamed and a short one is written in one piece.
+zero entries as one repeated string.  ``minimal`` puts each set in as its
+tuple of root tuples: the text of each root at each indentation is made once
+per document, and a set is one join of its roots' texts.  Once the matrices
+and sets written pass ``_CHUNK`` characters, the text so far goes to the
+output and is dropped, so a long document is streamed and a short one is
+written in one piece.
 ``--json`` writes its file in full before it copies the file to the output.
 """
 
@@ -40,12 +43,13 @@ import os
 import re
 import sys
 import time
+from collections import defaultdict
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
-from .exact import MatQ, expect_json, json_field, rat_from_str, rat_to_str
+from .exact import MatQ, _shown, expect_json, json_field, rat_from_str, rat_to_str
 from .rootsys import build_root_system
 
 __all__ = ["main", "run"]
@@ -189,7 +193,7 @@ def _operator_from_json(ctx, obj):
         elif kind == "diagonal-derivative":
             op = DiagonalDerivative(ctx, tuple(LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')))
         else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+            raise ValueError(f"unknown operator kind {_shown(kind)}")
         terms.append((rat_from_str(weight), op))
     return OperatorSum(ctx, tuple(terms))
 
@@ -232,7 +236,7 @@ def _cmd_minimal(args, seed):
     doc = _envelope(
         "minimal",
         {"family": rs.family, "rank": rs.rank},
-        {"count": len(specs), "minimal_subalgebras": [[list(r) for r in s.psi] for s in specs]},
+        {"count": len(specs), "minimal_subalgebras": [s.psi for s in specs]},
         seed,
     )
     return doc, 0
@@ -536,24 +540,28 @@ def run(argv, out=None) -> int:
     return code
 
 
-# characters of matrix text after which the document written so far goes to its stream
+# characters of matrix or set text after which the document written so far goes to its stream
 _CHUNK = 1 << 20
 
 
 class _Stream:
-    """Where a document is written as it is made: each matrix adds the length
-    of its entries, counted as zeros, to ``held``, and once that passes
-    ``_CHUNK`` the pieces so far are written to ``out`` and dropped."""
+    """One document as it is written: each matrix adds the length of its
+    entries, counted as zeros, and each set of roots the length of its text,
+    to ``pending``, and once that passes ``_CHUNK`` the pieces so far are
+    written to ``out`` and dropped; with no ``out`` nothing is.  ``roots``
+    maps an indentation to the text of each root written there, by identity:
+    ``(True, 0) == (1, 0)``, and the document holds its roots while it is
+    written."""
 
-    def __init__(self, out):
-        self.out, self.held, self.streamed = out, 0, False
+    def __init__(self, out=None):
+        self.out, self.pending, self.streamed, self.roots = out, 0, False, defaultdict(dict)
 
-    def matrix_written(self, parts: list[str], size: int) -> None:
-        self.held += size
-        if self.held > _CHUNK:
+    def held(self, parts: list[str], size: int) -> None:
+        self.pending += size
+        if self.pending > _CHUNK and self.out is not None:
             self.out.write("".join(parts))
             parts.clear()
-            self.held, self.streamed = 0, True
+            self.pending, self.streamed = 0, True
 
 
 _LEAVES = {
@@ -565,18 +573,21 @@ _LEAVES = {
 }
 
 
-def _write(value, parts: list[str], newline: str, stream: _Stream | None = None) -> None:
+def _write(value, parts: list[str], newline: str, stream: _Stream) -> None:
     """Append ``value`` as ``json.dumps(value, sort_keys=True, indent=2)``
-    writes it at the indentation ``newline``, and a ``MatQ`` as its
-    ``to_json()``, telling ``stream`` of each matrix; TypeError on a type it
-    does not know."""
+    writes it at the indentation ``newline``, a tuple as a list and a
+    ``MatQ`` as its ``to_json()``, telling ``stream`` of each matrix and
+    each set of roots; TypeError on a type it does not know."""
     kind = type(value)
     if kind in _LEAVES:
         parts.append(_LEAVES[kind](value))
     elif kind is not dict and kind is not list:
-        if kind is not MatQ:
+        if kind is tuple:
+            _write_tuple(value, parts, newline, stream)
+        elif kind is MatQ:
+            _write_matrix(value, parts, newline, stream)
+        else:
             raise TypeError(kind.__name__)
-        _write_matrix(value, parts, newline, stream)
     elif not value:
         parts.append("{}" if kind is dict else "[]")
     else:
@@ -599,7 +610,40 @@ def _write(value, parts: list[str], newline: str, stream: _Stream | None = None)
         parts += (newline, "}" if kind is dict else "]")
 
 
-def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream | None) -> None:
+def _write_tuple(value: tuple, parts: list[str], newline: str, stream: _Stream) -> None:
+    """Append ``value`` as ``_write`` writes ``list(value)``.  A root, a
+    tuple of ints, is written from its text in ``stream.roots``, made once
+    per indentation; a set, a tuple of roots, is one join of its roots'
+    texts, and ``stream`` is told its length."""
+    inner = newline + "  "
+    if value and type(value[0]) is tuple:
+        known = stream.roots[inner]
+        texts = [known.get(id(r)) or _root_text(r, inner, known) for r in value]
+        if None not in texts:
+            text = f"[{inner}{(',' + inner).join(texts)}{newline}]"
+            parts.append(text)
+            stream.held(parts, len(text))
+            return
+    else:
+        known = stream.roots[newline]
+        text = known.get(id(value)) or _root_text(value, newline, known)
+        if text is not None:
+            parts.append(text)
+            return
+    _write(list(value), parts, newline, stream)  # anything else: item by item
+
+
+def _root_text(root, newline: str, known: dict) -> str | None:
+    """The text of ``root`` at ``newline``, kept in ``known`` under its
+    identity, when it is a non-empty tuple of ints (no bool); else None."""
+    if type(root) is not tuple or not root or not all(type(v) is int for v in root):
+        return None
+    item = newline + "  "
+    text = known[id(root)] = f"[{item}{(',' + item).join(map(int.__repr__, root))}{newline}]"
+    return text
+
+
+def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream) -> None:
     """Append ``m.to_json()`` as ``_write`` would, from the sorted nonzeros
     of ``m``: a run of k zero entries is one string repeated k times."""
     inner = newline + "  "
@@ -618,8 +662,7 @@ def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream | Non
         else:
             parts[-1] = parts[-1][: -len(sep)]  # no separator after the last entry
         parts += (inner, "]")
-        if stream is not None:
-            stream.matrix_written(parts, n * len(zero))
+        stream.held(parts, n * len(zero))
     else:
         parts.append("[]")
     parts += (",", inner, '"rows": ', str(m.rows), newline, "}")
@@ -638,10 +681,11 @@ def _dumps(doc, stream: _Stream | None = None) -> str:
     cannot take is left to ``json.dumps`` whole.  The text that ``stream``
     has written to its ``out`` is not returned again."""
     parts: list[str] = []
+    stream = _Stream() if stream is None else stream
     try:
         _write(doc, parts, "\n", stream)
     except TypeError:
-        if stream is not None and stream.streamed:  # the text already written cannot be taken back
+        if stream.streamed:  # the text already written cannot be taken back
             raise
         return json.dumps(doc, sort_keys=True, indent=2, default=_as_json)
     return "".join(parts)
@@ -649,8 +693,9 @@ def _dumps(doc, stream: _Stream | None = None) -> str:
 
 def _send(doc, out) -> str | None:
     """Write ``doc`` and a newline to ``out``.  A document whose matrices
-    hold at most ``_CHUNK`` characters goes in one ``out.write``, and its
-    text is returned; a longer one is streamed in chunks, and None is."""
+    and sets hold at most ``_CHUNK`` characters goes in one ``out.write``,
+    and its text is returned; a longer one is streamed in chunks, and None
+    is."""
     stream = _Stream(out)
     text = _dumps(doc, stream) + "\n"
     out.write(text)
