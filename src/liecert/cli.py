@@ -27,12 +27,12 @@ import, parses every file.  The subalgebra spec of one ``(--family, --rank,
 A document is written as ``json.dumps(doc, sort_keys=True, indent=2)`` would
 write it, by ``_write``.  ``der`` and ``centroid`` put their ``MatQ`` bases in
 the document as they are, and each is written from its nonzeros, a run of
-zero entries as one repeated string.  ``minimal`` puts each set in as its
-tuple of root tuples: the text of each root at each indentation is made once
-per document, and a set is one join of its roots' texts.  Once the matrices
-and sets written pass ``_CHUNK`` characters, the text so far goes to the
-output and is dropped, so a long document is streamed and a short one is
-written in one piece.
+zero entries as one repeated string.  ``minimal`` puts in the ``RootSets``
+of ``qgraded.enumerate_minimal``, in the printed order and held as root
+indices: the text of each root at each place in a set is made once per
+document, and a block of sets is one join over their indices.  Once the
+matrices and sets written pass ``_CHUNK`` characters, the text so far goes to
+the output and is dropped: a long document is streamed, a short one written whole.
 ``--json`` writes its file in full before it copies the file to the output.
 """
 
@@ -43,14 +43,15 @@ import os
 import re
 import sys
 import time
-from collections import defaultdict
 from functools import lru_cache
+from itertools import cycle
 from json.encoder import encode_basestring_ascii
+from operator import getitem
 from types import SimpleNamespace
 
 from . import __version__
 from .exact import MatQ, _shown, expect_json, json_field, rat_from_str, rat_to_str
-from .rootsys import build_root_system
+from .rootsys import RootSets, build_root_system
 
 __all__ = ["main", "run"]
 
@@ -229,17 +230,12 @@ def _cmd_minimal(args, seed):
 
     rs = _root_system(args)
     try:
-        specs = enumerate_minimal(rs, cap=args.cap)
+        sets = enumerate_minimal(rs, cap=args.cap)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {"error": str(exc)}, 2
-    doc = _envelope(
-        "minimal",
-        {"family": rs.family, "rank": rs.rank},
-        {"count": len(specs), "minimal_subalgebras": [s.psi for s in specs]},
-        seed,
-    )
-    return doc, 0
+    verdicts = {"count": len(sets), "minimal_subalgebras": sets}
+    return _envelope("minimal", {"family": rs.family, "rank": rs.rank}, verdicts, seed), 0
 
 
 def _cmd_certify(args, seed):
@@ -257,21 +253,16 @@ def _cmd_der(args, seed):
     spec = _spec_from_args(args)
     g = extract_subalgebra(spec)
     basis = derivation_space(g)
-    doc = _envelope(
-        "der",
-        _inputs(spec),
-        {
-            "dim_l": g.dim,
-            "dim_der": basis.dim_der,
-            "dim_inn": basis.dim_inn,
-            "dim_complement": len(basis.complement_basis),
-            "der_basis": list(basis.der_basis),
-            "inn_basis": list(basis.inn_basis),
-            "complement_basis": list(basis.complement_basis),
-        },
-        seed,
-    )
-    return doc, 0
+    verdicts = {
+        "dim_l": g.dim,
+        "dim_der": basis.dim_der,
+        "dim_inn": basis.dim_inn,
+        "dim_complement": len(basis.complement_basis),
+        "der_basis": list(basis.der_basis),
+        "inn_basis": list(basis.inn_basis),
+        "complement_basis": list(basis.complement_basis),
+    }
+    return _envelope("der", _inputs(spec), verdicts, seed), 0
 
 
 def _cmd_aid(args, seed):
@@ -303,13 +294,8 @@ def _cmd_centroid(args, seed):
     cent = centroid_space(g)
     # entry u of a row-major dim x dim matrix is on the diagonal iff dim + 1 divides u
     diagonal = not any(u % (g.dim + 1) for m in cent.basis for u in m.nonzeros)
-    doc = _envelope(
-        "centroid",
-        _inputs(spec),
-        {"dim": len(cent.basis), "diagonal": diagonal, "basis": list(cent.basis)},
-        seed,
-    )
-    return doc, 0
+    verdicts = {"dim": len(cent.basis), "diagonal": diagonal, "basis": list(cent.basis)}
+    return _envelope("centroid", _inputs(spec), verdicts, seed), 0
 
 
 def _cmd_affine_bracket(args, seed):
@@ -542,19 +528,17 @@ def run(argv, out=None) -> int:
 
 # characters of matrix or set text after which the document written so far goes to its stream
 _CHUNK = 1 << 20
+_SETS = 1024  # sets of roots joined into one piece of text before the stream is told of it
 
 
 class _Stream:
     """One document as it is written: each matrix adds the length of its
-    entries, counted as zeros, and each set of roots the length of its text,
-    to ``pending``, and once that passes ``_CHUNK`` the pieces so far are
-    written to ``out`` and dropped; with no ``out`` nothing is.  ``roots``
-    maps an indentation to the text of each root written there, by identity:
-    ``(True, 0) == (1, 0)``, and the document holds its roots while it is
-    written."""
+    entries, counted as zeros, and each block of sets of roots the length of
+    its text, to ``pending``; once that passes ``_CHUNK`` the pieces so far
+    are written to ``out`` and dropped; with no ``out`` nothing is."""
 
     def __init__(self, out=None):
-        self.out, self.pending, self.streamed, self.roots = out, 0, False, defaultdict(dict)
+        self.out, self.pending, self.streamed = out, 0, False
 
     def held(self, parts: list[str], size: int) -> None:
         self.pending += size
@@ -575,15 +559,15 @@ _LEAVES = {
 
 def _write(value, parts: list[str], newline: str, stream: _Stream) -> None:
     """Append ``value`` as ``json.dumps(value, sort_keys=True, indent=2)``
-    writes it at the indentation ``newline``, a tuple as a list and a
-    ``MatQ`` as its ``to_json()``, telling ``stream`` of each matrix and
-    each set of roots; TypeError on a type it does not know."""
+    writes it at the indentation ``newline``, ``RootSets`` as a list and a
+    ``MatQ`` as its ``to_json()``, telling ``stream`` of each matrix and each
+    block of sets; TypeError on a type it does not know, a tuple included."""
     kind = type(value)
     if kind in _LEAVES:
         parts.append(_LEAVES[kind](value))
     elif kind is not dict and kind is not list:
-        if kind is tuple:
-            _write_tuple(value, parts, newline, stream)
+        if kind is RootSets:
+            _write_sets(value, parts, newline, stream)
         elif kind is MatQ:
             _write_matrix(value, parts, newline, stream)
         else:
@@ -610,37 +594,20 @@ def _write(value, parts: list[str], newline: str, stream: _Stream) -> None:
         parts += (newline, "}" if kind is dict else "]")
 
 
-def _write_tuple(value: tuple, parts: list[str], newline: str, stream: _Stream) -> None:
-    """Append ``value`` as ``_write`` writes ``list(value)``.  A root, a
-    tuple of ints, is written from its text in ``stream.roots``, made once
-    per indentation; a set, a tuple of roots, is one join of its roots'
-    texts, and ``stream`` is told its length."""
-    inner = newline + "  "
-    if value and type(value[0]) is tuple:
-        known = stream.roots[inner]
-        texts = [known.get(id(r)) or _root_text(r, inner, known) for r in value]
-        if None not in texts:
-            text = f"[{inner}{(',' + inner).join(texts)}{newline}]"
-            parts.append(text)
-            stream.held(parts, len(text))
-            return
-    else:
-        known = stream.roots[newline]
-        text = known.get(id(value)) or _root_text(value, newline, known)
-        if text is not None:
-            parts.append(text)
-            return
-    _write(list(value), parts, newline, stream)  # anything else: item by item
-
-
-def _root_text(root, newline: str, known: dict) -> str | None:
-    """The text of ``root`` at ``newline``, kept in ``known`` under its
-    identity, when it is a non-empty tuple of ints (no bool); else None."""
-    if type(root) is not tuple or not root or not all(type(v) is int for v in root):
-        return None
-    item = newline + "  "
-    text = known[id(root)] = f"[{item}{(',' + item).join(map(int.__repr__, root))}{newline}]"
-    return text
+def _write_sets(sets: RootSets, parts: list[str], newline: str, stream: _Stream) -> None:
+    """Append ``list(sets)`` as ``_write`` writes it: the text of each root at
+    each place in a set, with its separators, is made once, and each block of
+    ``_SETS`` sets is one join over the root indices; ``stream`` is told its length."""
+    inner, item = newline + "  ", newline + "    "
+    texts = [f"[{item}  {(',' + item + '  ').join(map(str, r))}{item}]" for r in sets.system.roots]
+    places = [[f",{inner}[{item}{t}" for t in texts]] + [[f",{item}{t}" for t in texts]] * (sets.size - 1)
+    places[-1] = [f"{t}{inner}]" for t in places[-1]]
+    step = _SETS * sets.size
+    for start in range(0, len(sets.indices), step):
+        block = "".join(map(getitem, cycle(places), sets.indices[start : start + step]))
+        parts.append(block if start else "[" + block[1:])
+        stream.held(parts, len(block))
+    parts += (newline, "]") if len(sets) else ("[]",)
 
 
 def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream) -> None:

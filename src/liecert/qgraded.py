@@ -9,20 +9,21 @@ subset is simultaneously closed and spanning.  By the paper's section 2, no
 two roots of a minimal set sum to a root or to zero, so one search over such
 sets, ``_minimal_sets``, decides minimality everywhere: ``is_minimal`` and
 ``certify`` run it over Psi and stop at its first set, Psi iff Psi is
-minimal; ``enumerate_minimal`` runs it over the whole root system.  It looks
-at sets of every size, so it does not assume that a minimal set has
-rank-many roots.  ``certify`` decides closure and span once each.
-``_rechecked`` re-checks every set the search finds, by other code: rank-many
-roots, closure, and span by ``det = +-1`` (``exact.int_det``).
+minimal; ``enumerate_minimal`` runs it over the whole root system and gets
+the sets in the printed order.  It looks at sets of every size, so it does
+not assume that a minimal set has rank-many roots.  ``certify`` decides
+closure and span once each.  ``_rechecked`` re-checks every set the search
+finds, by other code: rank-many roots, closure, and span by ``det = +-1``.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .chevalley import LieAlgebra, SubalgebraSpec, _closure, closure_violation, extract_subalgebra
 from .exact import Echelon, _Value, hermite_insert, int_det, invariant_factors
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSets, RootSystem
 
 __all__ = [
     "QGradedCertificate",
@@ -115,35 +116,42 @@ def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
     return factors
 
 
-def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False) -> list[tuple[Root, ...]]:
+def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False, labels=None, keep=None) -> list:
     """The minimal sets among the subsets of ``roots`` (the root system or
-    a closed Psi) in the order found; with ``first``, only the first.
+    a closed Psi) as tuples of roots, in the order found; with ``first``, only
+    the first.  With ``keep``, each goes to ``keep`` instead, as its ascending
+    indices in ``roots``, and the search stops once ``keep`` returns True.
 
     No two roots of a minimal set sum to a root or to zero (section 2), so
     each of its subsets is closed: minimal means it spans the root lattice
     over Z and no proper subset does.  The search grows sets in index order,
     taking the next root from a bitmask of the later roots that sum with no
-    chosen root to a root or to zero, in descending index order.  It carries
-    the chosen roots' Hermite pivots (``exact.hermite_insert``) and drops a
-    root that leaves their lattice unchanged: the same rank and pivots.  That
-    is exact, as each root of a minimal set lies outside the lattice of the
+    chosen root to a root or to zero, highest bit first.  It carries the
+    chosen roots' Hermite pivots (``exact.hermite_insert``) and drops a root
+    that leaves their lattice unchanged: the same rank and pivots.  That is
+    exact, as each root of a minimal set lies outside the lattice of the
     others, and each kept root raises the rank or at least halves the index.
     A set that spans is not extended; it is kept if it has rank-many roots or
-    if no set with one root fewer spans.  Sets that do not contain each other
-    come in decreasing lexicographic order of their ascending index lists, so
-    the first is the one that a walk over the closed subsets, trying "leave
-    root k" first, finds first.
+    if no set with one root fewer spans.  ``labels[b]`` is the root of bit b.
+    By default bit k is root k, and sets that do not contain each other come
+    in decreasing lexicographic order of their ascending index lists, so the
+    first is the one that a walk over the closed subsets, trying "leave root
+    k" first, finds first.  With bits in descending coordinate order, the
+    children come in ascending order; as every printed set has l roots and
+    none is a prefix of another, the sets come in the printed order.
     """
-    n, l, later = len(roots), rs.rank, _apart(rs, roots)
+    n, l, labels = len(roots), rs.rank, labels or range(len(roots))
+    later, vectors = _apart(rs, roots, labels), [roots[i] for i in labels]
     found: list[tuple[Root, ...]] = []
+    # by default each set is kept as its roots, and the search stops with first
+    keep = keep or (lambda chosen: found.append(tuple(roots[i] for i in chosen)) or first)
 
-    def grow(chosen: tuple[Root, ...], free: int, forms: tuple[dict[int, list[int]], ...]) -> bool:
+    def grow(chosen: tuple[int, ...], free: int, forms: tuple[dict[int, list[int]], ...]) -> bool:
         pivots = forms[-1]  # forms[i]: the Hermite pivots of chosen[:i]
         rank = len(pivots)
         if rank == l and all(row[c] == 1 for c, row in pivots.items()):
-            if rank == len(chosen) or not any(_spans(forms[k], chosen[k + 1 :], l) for k in range(len(chosen) - 1)):
-                found.append(chosen)
-                return first
+            if rank == len(chosen) or not any(_spans(forms[k], chosen[k + 1 :], roots, l) for k in range(len(chosen) - 1)):
+                return keep(chosen)
             return False
         todo = free
         while todo:
@@ -153,11 +161,11 @@ def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False) 
             if rank + rest.bit_count() < l - 1:
                 continue  # too few roots left to reach full rank
             grown = dict(pivots)
-            hermite_insert(grown, roots[k], l)
+            hermite_insert(grown, vectors[k], l)
             # the same rank: each pivot of grown divides the old one
             if len(grown) == rank and all(grown[c][c] == row[c] for c, row in pivots.items()):
                 continue
-            if grow(chosen + (roots[k],), rest, forms + (grown,)):
+            if grow(chosen + (labels[k],), rest, forms + (grown,)):
                 return True
         return False
 
@@ -166,22 +174,22 @@ def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False) 
 
 
 @lru_cache(maxsize=32)
-def _apart(rs: RootSystem, roots: tuple[Root, ...]) -> tuple[int, ...]:
-    """Bit j of ``later[i]`` (j > i): roots i and j sum to neither a root nor zero."""
-    later = [0] * len(roots)
+def _apart(rs: RootSystem, roots: tuple[Root, ...], labels) -> tuple[int, ...]:
+    """Bit b of ``later[a]``: root ``labels[b]`` is after ``labels[a]`` and the two sum to neither a root nor zero."""
+    bit, later = {i: b for b, i in enumerate(labels)}, [0] * len(roots)
     for i, a in enumerate(roots):
         for j in range(i + 1, len(roots)):
             s = tuple(x + y for x, y in zip(a, roots[j]))
             if any(s) and s not in rs.root_index:
-                later[i] |= 1 << j
+                later[bit[i]] |= 1 << bit[j]
     return tuple(later)
 
 
-def _spans(pivots: dict[int, list[int]], roots: tuple[Root, ...], l: int) -> bool:
-    """True iff ``roots`` and the lattice of ``pivots`` span Z^l: l pivots, all 1."""
+def _spans(pivots: dict[int, list[int]], ids: tuple[int, ...], roots: tuple[Root, ...], l: int) -> bool:
+    """True iff roots ``ids`` and the lattice of ``pivots`` span Z^l: l pivots, all 1."""
     pivots = dict(pivots)
-    for r in roots:
-        hermite_insert(pivots, r, l)
+    for i in ids:
+        hermite_insert(pivots, roots[i], l)
     return len(pivots) == l and all(row[c] == 1 for c, row in pivots.items())
 
 
@@ -192,25 +200,22 @@ def _root_sums(rs: RootSystem) -> tuple[tuple[int | None, ...], ...]:
     return tuple(tuple(rs.root_index.get(tuple(x + y for x, y in zip(a, b))) for b in rs.roots) for a in rs.roots)
 
 
-def _rechecked(rs: RootSystem, psi: tuple[Root, ...], decided: bool = False, sums: tuple | None = None) -> SubalgebraSpec:
-    """A minimal set the search found, re-checked for rank-many roots (a step
-    the search does not assume) and, unless ``decided``, for closure (from
-    ``sums`` of ``_root_sums`` if given, else by ``closure_violation``) and
-    for span by ``det = +-1`` (``exact.int_det``, not the search's pivots):
-    then it is a lattice basis, no two of its roots sum into it, and L is
-    r_2^l, which ``chevalley.normal_form`` reads off the extraction."""
-    spec = SubalgebraSpec(rs, psi)
-    if len(spec.psi) != rs.rank:
-        raise AssertionError(f"minimal set {spec.psi} fails the rank re-check: {len(spec.psi)} roots, rank {rs.rank}")
-    if not decided:
-        if sums is None:
-            closed = closure_violation(rs, spec.psi) is None
-        else:
-            ids = [rs.root_index[r] for r in spec.psi]
-            closed = all(sums[i][j] is None or sums[i][j] in ids for i in ids for j in ids)
-        if not closed or int_det(spec.psi) not in (1, -1):
-            raise AssertionError(f"enumerated set {spec.psi} fails the closure or determinant re-check")
-    return spec
+@lru_cache(maxsize=32)
+def _partners(rs: RootSystem) -> tuple[int, ...]:
+    """Bit j of ``partners[i]``: root i + root j is a root (``_root_sums``); a basis is closed iff none are partners."""
+    return tuple(sum(1 << j for j, s in enumerate(row) if s is not None) for row in _root_sums(rs))
+
+
+def _rechecked(rs: RootSystem, psi: tuple[Root, ...], closed: bool | None) -> None:
+    """A minimal set the search found, re-checked for rank-many roots (which
+    the search does not assume) and, unless ``closed`` is None (Psi itself),
+    for closure, as the caller decided it without the search, and span by
+    ``det = +-1`` (``exact.int_det``): then it is a lattice basis, no two of
+    its roots sum into it, and L is r_2^l (``chevalley.normal_form``)."""
+    if len(psi) != rs.rank:
+        raise AssertionError(f"minimal set {psi} fails the rank re-check: {len(psi)} roots, rank {rs.rank}")
+    if closed is not None and (not closed or int_det(psi) not in (1, -1)):
+        raise AssertionError(f"enumerated set {psi} fails the closure or determinant re-check")
 
 
 def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
@@ -219,8 +224,9 @@ def _smaller_minimal(spec: SubalgebraSpec) -> tuple[Root, ...] | None:
     found = _minimal_sets(spec.system, spec.psi, first=True)
     if not found:
         raise AssertionError(f"the search over the closed spanning {spec.psi} found no minimal set")
-    own = len(found[0]) == len(spec.psi)  # Psi itself, with closure and span decided
-    counter = _rechecked(spec.system, found[0], decided=own).psi
+    counter = found[0]  # ascending in index, as Psi is
+    own = len(counter) == len(spec.psi)  # Psi itself, with closure and span decided
+    _rechecked(spec.system, counter, None if own else closure_violation(spec.system, counter) is None)
     return None if own else counter
 
 
@@ -235,17 +241,31 @@ def is_minimal(spec: SubalgebraSpec) -> tuple[bool, tuple[Root, ...] | None]:
     return counter is None, counter
 
 
-def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> list[SubalgebraSpec]:
-    """All minimal Q-graded subsets, canonically ordered: the search over the
-    whole root system, each set re-checked by ``_rechecked`` with the sums of
-    ``_root_sums``.  The search is exact on every type, so ``cap``, a bound
-    on ``2^|roots|``, only bounds the cost; its default is unchanged."""
-    n = len(rs.roots)
-    if 1 << n > cap:
-        raise EnumerationCapExceeded(f"2^{n} subsets exceed the cap {cap}; certify individual subsets instead")
-    sums = _root_sums(rs)
-    minimal = [_rechecked(rs, psi, sums=sums) for psi in _minimal_sets(rs, rs.roots)]
-    return sorted(minimal, key=lambda s: (len(s.psi), s.psi))
+def enumerate_minimal(rs: RootSystem, cap: int = 1 << 24) -> RootSets:
+    """All minimal Q-graded subsets in the printed order ``(len(psi), psi)``,
+    as the search finds them, held as root indices in one ``array("H")`` (B20
+    has 800 roots).  Each is re-checked as it is found: ``_rechecked``, and
+    its indices ascend and it sorts after the set before, so none repeats.
+    ``cap``, a bound on ``2^|roots|``, only bounds the cost."""
+    roots = rs.roots
+    if 1 << len(roots) > cap:
+        raise EnumerationCapExceeded(f"2^{len(roots)} subsets exceed the cap {cap}; certify individual subsets instead")
+    partners, sets, last = _partners(rs), array("H"), ()
+
+    def keep(ids: tuple[int, ...]) -> bool:
+        nonlocal last
+        psi, mask, hits = tuple(map(roots.__getitem__, ids)), 0, 0
+        for i in ids:  # the set, and the roots that a root of it sums with to a root
+            mask, hits = mask | 1 << i, hits | partners[i]
+        _rechecked(rs, psi, not mask & hits)  # no sum is a root: closed; with det +-1 that is all closure allows
+        if psi <= last or list(ids) != sorted(set(ids)):
+            raise AssertionError(f"enumerated set {psi} fails the order re-check: it does not sort after {last}")
+        last = psi
+        sets.extend(ids)
+        return False
+
+    _minimal_sets(rs, roots, labels=tuple(sorted(range(len(roots)), key=roots.__getitem__, reverse=True)), keep=keep)
+    return RootSets(rs, rs.rank, sets)
 
 
 def derived_algebra_dim(g: LieAlgebra) -> int:

@@ -22,7 +22,7 @@ from math import gcd
 
 from .exact import Rat, _ReadOnly
 
-__all__ = ["RootSystem", "build_root_system", "height", "root_sum", "FAMILIES"]
+__all__ = ["RootSystem", "RootSets", "build_root_system", "height", "root_sum", "FAMILIES"]
 
 Root = tuple[int, ...]
 
@@ -134,9 +134,6 @@ class RootSystem(_ReadOnly):
         # filtered on first use, then kept: the system is built once per type
         return tuple(r for r in self.roots if height(r) > 0)
 
-    def contains(self, r: Root) -> bool:
-        return tuple(r) in self.root_index
-
     def check_root(self, r: Root) -> Root:
         """r as a tuple of ints; ValueError unless it is a root (``1.0`` reads
         as 1, and a non-integral coordinate is refused, not truncated)."""
@@ -177,6 +174,21 @@ class RootSystem(_ReadOnly):
 
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank, "roots": [list(r) for r in self.roots]}
+
+
+class RootSets(_ReadOnly):
+    """A read-only sequence of sets of ``size`` roots of ``system``, held as their
+    root indices in one flat sequence of ints; each item is the tuple of its roots."""
+
+    def __init__(self, system: RootSystem, size: int, indices):
+        self.__dict__.update(system=system, size=size, indices=indices)
+
+    def __len__(self) -> int:
+        return len(self.indices) // self.size
+
+    def __getitem__(self, k: int) -> tuple[Root, ...]:
+        start = range(len(self))[k] * self.size  # IndexError past the end, which ends iteration
+        return tuple(map(self.system.roots.__getitem__, self.indices[start : start + self.size]))
 
 
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:

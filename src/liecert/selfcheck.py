@@ -43,7 +43,8 @@ class CriterionResult(_Value):
 
 @lru_cache(maxsize=None)
 def _minimal(family: str, rank: int):
-    return tuple(enumerate_minimal(build_root_system(family, rank)))
+    rs = build_root_system(family, rank)
+    return tuple(SubalgebraSpec(rs, psi) for psi in enumerate_minimal(rs))
 
 
 def _b2_minimal_context():

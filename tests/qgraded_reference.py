@@ -13,6 +13,9 @@ which looks only at sets of pairwise non-summing roots: for every minimal set
 of a root system, and for the first one over a closed spanning Psi.
 
 ``closed_spanning_sample`` draws closed spanning Psi to compare the two on.
+
+``search_finding`` stands in for ``qgraded._minimal_sets`` in tests that
+hand the re-checks sets the search would never find.
 """
 
 from __future__ import annotations
@@ -184,3 +187,20 @@ def closed_spanning_sample(rs: RootSystem, seed: int, tries: int) -> list[tuple[
         if psi not in seen and spans_q(SubalgebraSpec(rs, psi))[0]:
             seen[psi] = None
     return list(seen)
+
+
+def search_finding(*sets: tuple[Root, ...]):
+    """A stand-in for ``qgraded._minimal_sets`` that finds ``sets`` (tuples
+    of roots), in this order: each goes to ``keep`` as the tuple of its
+    roots' indices in ``roots``, as given; without ``keep`` they are
+    returned, with ``first`` only the first."""
+
+    def search(rs, roots, first=False, labels=None, keep=None):
+        if keep is None:
+            return list(sets[:1] if first else sets)
+        for psi in sets:
+            if keep(tuple(roots.index(r) for r in psi)):
+                break
+        return []
+
+    return search

@@ -422,7 +422,7 @@ def bipartite_psi(rs):
 def _differential_specs():
     for family, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
         rs = build_root_system(family, rank)
-        specs = enumerate_minimal(rs)
+        specs = [SubalgebraSpec(rs, psi) for psi in enumerate_minimal(rs)]
         specs.append(SubalgebraSpec(rs, rs.positive_roots))
         if (family, rank) == ("B", 2):
             specs.append(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
@@ -499,7 +499,7 @@ def ambient_extract_reference(g: LieAlgebra, spec: SubalgebraSpec) -> LieAlgebra
 def _ambient_reference_specs():
     for family, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
         rs = build_root_system(family, rank)
-        specs = enumerate_minimal(rs) + [SubalgebraSpec(rs, rs.positive_roots)]
+        specs = [SubalgebraSpec(rs, psi) for psi in enumerate_minimal(rs)] + [SubalgebraSpec(rs, rs.positive_roots)]
         if (family, rank) == ("B", 2):
             specs.append(SubalgebraSpec(rs, ((1, 0), (-1, 0))))
         if (family, rank) == ("A", 3):

@@ -603,13 +603,15 @@ def test_only_minimal_builds_the_root_sum_memo():
     # minimal, so their counterexample is re-checked in full)
     from liecert import qgraded
 
-    qgraded._root_sums.cache_clear()
+    memos = (qgraded._root_sums, qgraded._partners)  # the partner masks are read off the sums
+    for memo in memos:
+        memo.cache_clear()
     b2_positive = ["--family", "B", "--rank", "2", "--psi", "1,0;0,1;1,1;2,1"]
     for argv, code in ((["certify", *E8_BIPARTITE], 0), (["aid", *E8_BIPARTITE], 0), (["certify", *b2_positive], 1)):
         assert invoke(argv)[0] == code, argv
-        assert qgraded._root_sums.cache_info().currsize == 0, argv
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0], argv
     assert invoke(["minimal", "--family", "B", "--rank", "2"])[0] == 0
-    assert qgraded._root_sums.cache_info().currsize == 1
+    assert [memo.cache_info().currsize for memo in memos] == [1, 1]
 
 
 @pytest.fixture
@@ -697,9 +699,10 @@ def test_non_basis_minimal_set_exits_4(monkeypatch, capsys):
     # a closed spanning B2 set of four roots, passed off as the only minimal
     # set: the rank re-check refuses it wherever a minimal set is produced
     from liecert import qgraded
+    from qgraded_reference import search_finding
 
     four = ((1, 0), (0, 1), (1, 1), (2, 1))
-    monkeypatch.setattr(qgraded, "_minimal_sets", lambda rs, roots, first=False: [four])
+    monkeypatch.setattr(qgraded, "_minimal_sets", search_finding(four))
     b2 = ["--family", "B", "--rank", "2"]
     for argv in (["minimal", *b2], ["certify", *b2, "--psi", "1,0;0,1;1,1;2,1"]):
         code, doc, _ = invoke(argv)
@@ -913,14 +916,15 @@ def test_document_writer_matches_json_dumps():
         {"e": ["\"q\"", "back\\slash", "tab\t", "é", "\U0001f600", "\x00", ""]},
     ):
         assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
-    # tuples are written as lists: a root (a tuple of ints) from its text kept
-    # for the document, a set (a tuple of roots) as one join, anything else item
-    # by item; the documents are the handlers' own, with the tuples of minimal
+    # the handlers' own minimal documents hold the RootSets of the search,
+    # whose items are tuples of roots, written as json.dumps writes the list
+    # of its items; a document with a tuple goes to json.dumps whole
     r = (1, -2, 0)
     minimal = [_handler_document(["minimal", "--family", f, "--rank", n]) for f, n in (("A", "4"), ("B", "3"), ("G", "2"))]
     assert [type(doc["verdicts"]["minimal_subalgebras"][0]) for doc in minimal] == [tuple] * 3
+    for doc in minimal:
+        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, default=list), doc
     for doc in (
-        *minimal,
         {"root": r},
         {"set": ((1, 0), (0, 1), (1, 1))},
         {"a": r, "b": [r], "c": (r, (0, 1, 0)), "d": [[r, r]], "e": ((r,),)},

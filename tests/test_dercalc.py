@@ -88,8 +88,8 @@ def test_b2_minimal_derivation_dim_and_permutation_oracle(b2_minimal):
 def test_inner_dim_equals_dim_for_enumerated_minimal():
     for family, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
-        for spec in enumerate_minimal(rs):
-            g = extract_subalgebra(spec)
+        for psi in enumerate_minimal(rs):
+            g = extract_subalgebra(SubalgebraSpec(rs, psi))
             basis = derivation_space(g)
             # center is zero since Psi spans the dual of the torus
             assert basis.dim_inn == g.dim
@@ -324,8 +324,8 @@ def test_der_aid_and_centroid_print_the_same_bytes_twice():
 
 def test_verify_aid_eq_inn_b2():
     rs = build_root_system("B", 2)
-    for spec in enumerate_minimal(rs):
-        cert = verify_aid_eq_inn(spec)
+    for psi in enumerate_minimal(rs):
+        cert = verify_aid_eq_inn(SubalgebraSpec(rs, psi))
         assert cert.ok
         assert cert.dim_der == cert.dim_inn == cert.dim_l
 

@@ -580,8 +580,8 @@ def _solver_cases():
 
     for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         rs = build_root_system(family, rank)
-        for spec in enumerate_minimal(rs):
-            yield f"{family}{rank} {spec.psi}", beta_of_h(spec)
+        for psi in enumerate_minimal(rs):
+            yield f"{family}{rank} {psi}", beta_of_h(SubalgebraSpec(rs, psi))
     a3 = build_root_system("A", 3)
     yield "A3 dependent", beta_of_h(SubalgebraSpec(a3, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
     for family, rank in [("A", 2), ("B", 2)]:

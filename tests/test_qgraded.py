@@ -23,7 +23,7 @@ from liecert.qgraded import (
 )
 from liecert.rootsys import RootSystem, build_root_system, root_sum
 from exact_reference import rref
-from qgraded_reference import closed_spanning_sample, minimal_sets_walk, smaller_qgraded
+from qgraded_reference import closed_spanning_sample, minimal_sets_walk, search_finding, smaller_qgraded
 from snf_reference import hermite_pivots, smith_factors
 
 # enumerate_minimal output of the former scan over all 2^|roots| subsets,
@@ -46,6 +46,11 @@ B2_MINIMAL = [
 @pytest.fixture(scope="module")
 def b2rs():
     return build_root_system("B", 2)
+
+
+def _specs(rs):
+    """The minimal sets of ``rs`` as subalgebra specs."""
+    return [SubalgebraSpec(rs, psi) for psi in enumerate_minimal(rs)]
 
 
 def test_is_closed_examples(b2rs):
@@ -86,7 +91,7 @@ def test_is_minimal_requires_preconditions(b2rs):
 
 
 def test_enumerate_b2_golden(b2rs):
-    found = [set(s.psi) for s in enumerate_minimal(b2rs)]
+    found = [set(psi) for psi in enumerate_minimal(b2rs)]
     assert len(found) == 8
     for want in B2_MINIMAL:
         assert want in found
@@ -94,14 +99,14 @@ def test_enumerate_b2_golden(b2rs):
 
 def test_enumerate_a2_contains_reference_families():
     rs = build_root_system("A", 2)
-    found = [set(s.psi) for s in enumerate_minimal(rs)]
+    found = [set(psi) for psi in enumerate_minimal(rs)]
     for want in [{(1, 0), (1, 1)}, {(0, 1), (1, 1)}, {(1, 0), (0, -1)}]:
         assert want in found
 
 
 def test_enumerate_a1():
     rs = build_root_system("A", 1)
-    found = [set(s.psi) for s in enumerate_minimal(rs)]
+    found = [set(psi) for psi in enumerate_minimal(rs)]
     assert found == [{(-1,)}, {(1,)}] or found == [{(1,)}, {(-1,)}]
     assert len(found) == 2
 
@@ -109,7 +114,7 @@ def test_enumerate_a1():
 def test_enumerate_members_certify_and_antichain():
     for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(family, rank)
-        specs = enumerate_minimal(rs)
+        specs = _specs(rs)
         sets = [set(s.psi) for s in specs]
         for s in specs:
             assert is_closed(s)[0]
@@ -131,7 +136,7 @@ def test_enumeration_cap():
 
 
 def test_metabelian_on_enumerated(b2rs):
-    for spec in enumerate_minimal(b2rs):
+    for spec in _specs(b2rs):
         cert = verify_metabelian(spec)
         assert cert.metabelian and cert.metabelian_witness is None
         assert cert.dims == (2, 2, 4)
@@ -152,7 +157,7 @@ def test_metabelian_extends_to_rank_three_types():
     # metabelian too, and they all have exactly rank-many roots
     for family, rank in [("B", 3), ("C", 3)]:
         rs = build_root_system(family, rank)
-        specs = enumerate_minimal(rs)
+        specs = _specs(rs)
         assert specs
         for spec in specs:
             assert len(spec.psi) == rank
@@ -193,7 +198,7 @@ def _python(args, hashseed=None, optimize=False):
 @pytest.mark.parametrize("key", sorted(FROZEN))
 def test_enumerate_matches_frozen_lists(key):
     rs = build_root_system(key[0], int(key[1:]))
-    got = [";".join(",".join(map(str, r)) for r in s.psi) for s in enumerate_minimal(rs)]
+    got = [";".join(",".join(map(str, r)) for r in psi) for psi in enumerate_minimal(rs)]
     assert got == FROZEN[key]
 
 
@@ -272,7 +277,7 @@ def _reference_minimal(rs: RootSystem) -> list[tuple]:
 @pytest.mark.parametrize("key", sorted(FROZEN))
 def test_enumerate_matches_reference_walk(key):
     rs = build_root_system(key[0], int(key[1:]))
-    assert [s.psi for s in enumerate_minimal(rs)] == _reference_minimal(rs)
+    assert list(enumerate_minimal(rs)) == _reference_minimal(rs)
 
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2"]
@@ -287,7 +292,7 @@ def test_unimodular_bases_match_the_full_walk(key):
     # A5, B4 and C4 beyond it.
     rs = build_root_system(key[0], int(key[1:]))
     walk = sorted((SubalgebraSpec(rs, psi).psi for psi in minimal_sets_walk(rs, rs.roots)), key=lambda p: (len(p), p))
-    assert [s.psi for s in enumerate_minimal(rs, cap=1 << 32)] == walk
+    assert list(enumerate_minimal(rs, cap=1 << 32)) == walk
 
 
 @pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4)])
@@ -375,23 +380,97 @@ def test_counterexample_is_rechecked(monkeypatch, b2rs):
         is_minimal(SubalgebraSpec(b2rs, b2rs.roots))
 
 
+# (the sets the search finds, in this order; the re-check that refuses them)
+RECHECK_CASES = {
+    "not-closed": ([((1, 0), (0, 1))], "closure or determinant"),  # (1,1) is a root outside
+    "det-2": ([((0, 1), (2, 1))], "closure or determinant"),  # closed, det -2
+    "one-short": ([((1, 0),)], "rank"),
+    "four-roots": ([((1, 0), (0, 1), (1, 1), (2, 1))], "rank"),  # closed and spanning
+}
+# minimal sets of B2, each passing the other re-checks, found out of the printed order
+ORDER_CASES = {
+    "out-of-order": [((1, 1), (2, 1)), ((1, 0), (2, 1))],
+    "repeated": [((1, 0), (2, 1)), ((1, 0), (2, 1))],
+    "roots-unsorted": [((2, 1), (1, 0))],  # its root indices descend
+}
+
+
 @pytest.mark.parametrize(
-    "psi, message",
+    "path, sets, message",
     [
-        (((1, 0), (0, 1)), "closure or determinant"),  # (1,1) is a root outside
-        (((0, 1), (2, 1)), "closure or determinant"),  # closed, det -2
-        (((1, 0),), "rank"),  # one root short
-    ],
-    ids=["not-closed", "det-2", "one-short"],
+        pytest.param(path, sets, message, id=f"{path}-{name}")
+        for path in ("pairwise", "root-sums")
+        for name, (sets, message) in RECHECK_CASES.items()
+    ]
+    + [pytest.param("root-sums", sets, "order", id=f"root-sums-{name}") for name, sets in ORDER_CASES.items()],
 )
-@pytest.mark.parametrize("memo", [True, False], ids=["root-sums", "pairwise"])
-def test_recheck_refuses_sets_that_are_not_minimal(b2rs, psi, message, memo):
+def test_recheck_refuses_sets_that_are_not_minimal(monkeypatch, b2rs, path, sets, message):
+    # root-sums: minimal re-checks each set the search finds on its root
+    # indices, closure from _partners and _root_sums; pairwise: certify
+    # re-checks the first set of its search over Psi = Phi(B2), closure by
+    # closure_violation.  Either exits 4 with the re-check's message.
+    import io
+
+    import liecert.qgraded as q
+    from liecert.cli import run
+
+    argv = ["minimal", "--family", "B", "--rank", "2"]
+    if path == "pairwise":
+        argv = ["certify", *argv[1:], "--psi=all"]
+    monkeypatch.setattr(q, "_minimal_sets", search_finding(*sets))
+    out = io.StringIO()
+    assert run(argv, out=out) == 4
+    assert f"{message} re-check" in json.loads(out.getvalue())["error"]
+    # a minimal set found in its place passes every re-check
+    monkeypatch.setattr(q, "_minimal_sets", search_finding(((1, 0), (2, 1))))
+    out = io.StringIO()
+    assert run(argv, out=out) == (0 if path == "root-sums" else 1)
+    verdicts = json.loads(out.getvalue())["verdicts"]
+    if path == "root-sums":
+        assert verdicts["count"] == 1 and verdicts["minimal_subalgebras"] == [[[1, 0], [2, 1]]]
+    else:
+        assert verdicts["minimal_counterexample"] == [[1, 0], [2, 1]]
+
+
+@pytest.mark.parametrize(
+    "key", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "G2"]
+)
+def test_search_finds_the_sets_in_the_printed_order(monkeypatch, key):
+    # the search that enumerate_minimal runs emits the printed order itself,
+    # (len(psi), psi), with each set's roots in index order; nothing sorts them
     import liecert.qgraded as q
 
-    sums = q._root_sums(b2rs) if memo else None
-    with pytest.raises(AssertionError, match=f"{message} re-check"):
-        q._rechecked(b2rs, psi, sums=sums)
-    assert q._rechecked(b2rs, ((1, 0), (2, 1)), sums=sums).psi == ((1, 0), (2, 1))
+    rs, real, found = build_root_system(key[0], int(key[1:])), q._minimal_sets, []
+
+    def recorded(rs, roots, first=False, labels=None, keep=None):
+        return real(rs, roots, first, labels, lambda ids: found.append(ids) or keep(ids))
+
+    monkeypatch.setattr(q, "_minimal_sets", recorded)
+    count = len(enumerate_minimal(rs, cap=1 << 60))
+    sets = [tuple(rs.roots[i] for i in ids) for ids in found]
+    assert all(list(ids) == sorted(ids) for ids in found)
+    assert sets == sorted(sets, key=lambda psi: (len(psi), psi))
+    assert len(set(sets)) == len(sets) == count
+
+
+def test_root_indices_past_a_byte_are_held(monkeypatch):
+    # the A16 chain alpha_1, alpha_1 + alpha_2, ...: root indices 151 to 271,
+    # held and written past 255; the search is a stand-in, so no A16
+    # enumeration runs
+    import io
+
+    import liecert.qgraded as q
+    from liecert.cli import run
+
+    rs = build_root_system("A", 16)
+    chain = tuple(tuple(int(k <= n) for k in range(16)) for n in range(16))
+    ids = [rs.root_index[r] for r in chain]
+    assert (ids[0], ids[-1]) == (151, 271) and sum(i > 255 for i in ids) > 1
+    monkeypatch.setattr(q, "_minimal_sets", search_finding(chain))
+    out = io.StringIO()
+    assert run(["minimal", "--family", "A", "--rank", "16", "--cap", str(2**272)], out=out) == 0
+    verdicts = json.loads(out.getvalue())["verdicts"]
+    assert verdicts["count"] == 1 and verdicts["minimal_subalgebras"] == [[list(r) for r in chain]]
 
 
 @pytest.mark.parametrize("key", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "E6"])
@@ -409,7 +488,7 @@ def test_root_sums_agree_with_root_sum(key):
 def test_derived_algebra_dim_matches_dense_rank():
     for family, rank in [("A", 1), ("B", 2), ("G", 2), ("A", 3)]:
         rs = build_root_system(family, rank)
-        for psi in [rs.roots, rs.positive_roots, *(s.psi for s in enumerate_minimal(rs))]:
+        for psi in [rs.roots, rs.positive_roots, *enumerate_minimal(rs)]:
             g = extract_subalgebra(SubalgebraSpec(rs, psi))
             rows = [[dict(entry).get(k, 0) for k in range(g.dim)] for entry in g.structure.values()]
             assert derived_algebra_dim(g) == rref(MatQ.from_rows(rows)).rank, psi
@@ -464,3 +543,29 @@ def test_enumerate_recheck_survives_python_O():
     proc = _python(["-c", script], optimize=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "closure or determinant re-check" in proc.stdout
+
+
+def test_order_recheck_survives_python_O():
+    """A repeated set is refused by explicit code, not by an assert."""
+    script = textwrap.dedent(
+        """
+        import io
+        import sys
+        import liecert.qgraded as q
+        from liecert.cli import run
+
+        assert False, "asserts must be off for this check"
+
+        def search(rs, roots, first=False, labels=None, keep=None):
+            twice = (roots.index((1, 0)), roots.index((2, 1)))
+            keep(twice)
+            keep(twice)
+
+        q._minimal_sets = search
+        out = io.StringIO()
+        print(run(["minimal", "--family", "B", "--rank", "2"], out=out), out.getvalue())
+        """
+    )
+    proc = _python(["-c", script], optimize=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("4 ") and "order re-check" in proc.stdout
