@@ -1,8 +1,9 @@
 """Loop algebra and affinization of a minimal Q-graded subalgebra.
 
 Elements of the affinization ``L (x) F[t, 1/t] + F K`` are finitely supported
-degree maps plus a central coordinate; brackets are exact, with the cocycle
-term ``m (x, y) delta_{m+n,0} K`` read off the restricted Killing form.
+degree maps plus a central coordinate; brackets are exact, summed on integer
+numerators, with the cocycle term ``m (x, y) delta_{m+n,0} K`` read off the
+restricted Killing form.
 
 Every operator is a shift symbol (the finite description of ``Der(L (x) A)``
 in Benkart-Moody 1986): ``b t^n -> sum_s (A_s + n B_s) b t^{n+s} + c_n(b) K``
@@ -18,9 +19,11 @@ of a minimal subalgebra (the torus dual to Psi and an abelian root block, so
 coordinates as Laurent polynomials ``b_k, c_k`` (on ``t_k, x_k``) and Y's as
 ``u_k, v_k``.  The x_k component of ``[X, Y]`` is ``b_k v_k - c_k u_k`` and
 its central part ``sum_k CT(t beta_k' u_k)`` with ``beta = P b``.  Extended
-Euclid in the principal ideal domain Q[t, 1/t] solves each root equation or
-names the root whose gcd does not divide the target; the central equation is
-then met along a kernel direction ``(b_k, c_k)``, or certified unreachable.
+Euclid in the principal ideal domain Q[t, 1/t] solves each root equation
+where Z has an x_k component, or names the root whose gcd does not divide
+it; the central equation is then met along a kernel direction
+``(b_k, c_k)``, or certified unreachable.  X's coordinates are read as
+degree maps; a ``LaurentPoly`` is made only for a root equation or Y.
 
 Every witness is re-verified with ``affine_bracket`` before it is returned.
 
@@ -39,8 +42,9 @@ Y = 0 matches the zero F, and no Y a nonzero one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
+from math import lcm
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import centroid_violation, leibniz_violation
@@ -353,32 +357,47 @@ def _same_ctx(a: AffineElement, b: AffineElement) -> None:
         raise ValueError("elements live over different algebras")
 
 
+def _cleared(x: AffineElement) -> tuple[int, list[tuple[int, list[int]]]]:
+    """``(d, support)``: d the lcm of the denominators of x's coordinates and
+    each ``(degree, vector)`` of x times d, an int vector."""
+    d = lcm(*(a.denominator for vec in x.support.values() for a in vec))
+    return d, [(m, [a.numerator * (d // a.denominator) for a in vec]) for m, vec in x.support.items()]
+
+
 def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
     """``[v(x)t^m, w(x)t^n] = [v,w](x)t^{m+n} + m (v,w) delta_{m+n,0} K``,
-    summed straight from the structure table over the nonzero coordinates."""
+    summed straight from the structure table over the nonzero coordinates,
+    on x and y with their denominators cleared; each output coordinate is
+    divided by the two lcms once."""
     _same_ctx(x, y)
     ctx = x.ctx
-    g = ctx.algebra
+    g, dim = ctx.algebra, ctx.dim
     table = g._table
-    ys = [(n, yv, [(j, b) for j, b in enumerate(yv) if b]) for n, yv in y.support.items()]
-    out: dict[int, list[Rat]] = {}
+    dx, xs = _cleared(x)
+    dy, ys = _cleared(y)
+    ys = [(n, yv, [(j, b) for j, b in enumerate(yv) if b]) for n, yv in ys]
+    out: dict[int, list[int]] = {}
     central = 0
-    for m, xv in x.support.items():
-        xs = [(table[i], a) for i, a in enumerate(xv) if a]
+    for m, xv in xs:
+        xi = [(table[i], a) for i, a in enumerate(xv) if a]
         for n, yv, yj in ys:
             acc = out.get(m + n)
-            for row, a in xs:
+            for row, a in xi:
                 for j, b in yj:
                     entry = row.get(j)
                     if entry:
                         if acc is None:
-                            acc = out[m + n] = [0] * ctx.dim
+                            acc = out[m + n] = [0] * dim
                         ab = a * b
                         for k, c in entry:
                             acc[k] += ab * c
             if m + n == 0 and m != 0:
-                central += m * g.form_value(xv, yv)
-    return AffineElement(ctx, {d: tuple(v) for d, v in out.items()}, central)
+                for u, f in g.form.nonzeros.items():
+                    a, b = xv[u // dim], yv[u % dim]
+                    if a and b:
+                        central += m * a * f * b
+    d = dx * dy
+    return AffineElement(ctx, {n: tuple(quotient(v, d) for v in acc) for n, acc in out.items()}, quotient(central, d))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +444,19 @@ class LoopOperator(_ReadOnly):
     def apply(self, x: AffineElement) -> AffineElement:
         if x.ctx is not self.ctx:
             raise ValueError("element and operator live over different algebras")
-        sym = self._symbol
-        parts: dict[int, list[tuple[int, Vec]]] = {}
+        sym, dim = self._symbol, self.ctx.dim
+        parts: dict[int, list[Rat]] = {}
         central = 0
         for n, vec in x.support.items():
             for s, (a, b) in sym.loop.items():
-                parts.setdefault(n + s, []).extend([(1, a.mul_vec(vec)), (n, b.mul_vec(vec))])
+                acc = parts.setdefault(n + s, [0] * dim)
+                for w, block in ((1, a), (n, b)):
+                    for u, c in block.nonzeros.items() if w else ():
+                        v = vec[u % dim]
+                        if v:
+                            acc[u // dim] += w * c * v
             central += sum(u * v for u, v in zip(sym.central.get(n, ()), vec) if u and v)
-        return AffineElement(self.ctx, {d: _combine(self.ctx.dim, p) for d, p in parts.items()}, central)
+        return AffineElement(self.ctx, {d: tuple(p) for d, p in parts.items()}, central)
 
     __call__ = apply
 
@@ -448,11 +472,10 @@ class Inner(LoopOperator):
         return self.y.ctx
 
     def symbol(self) -> Symbol:
-        g, zero = self.ctx.algebra, MatQ(self.ctx.dim, self.ctx.dim, {})
-        return Symbol(
-            {s: (g.ad(v), zero) for s, v in self.y.support.items()},
-            {-s: tuple(s * u for u in g.form.mul_vec(v)) for s, v in self.y.support.items()},
-        )
+        g, zero, ys = self.ctx.algebra, MatQ(self.ctx.dim, self.ctx.dim, {}), self.y.support.items()
+        # (y_s, .) from mul_vec is all Fractions; an integral one is kept as ints
+        pairings = {s: [u.numerator if u.denominator == 1 else u for u in g.form.mul_vec(v)] for s, v in ys}
+        return Symbol({s: (g.ad(v), zero) for s, v in ys}, {-s: tuple(s * u for u in pairings[s]) for s, _ in ys})
 
 
 class TensorDerivation(LoopOperator):
@@ -627,63 +650,67 @@ class WitnessResult(_Value):
         self.__dict__.update(status=status, y=y, detail=detail)
 
 
-def _coordinates(x: AffineElement) -> list[LaurentPoly]:
-    """The coordinate polynomials of x, one per basis vector, read in one pass over its support."""
-    degrees = x.degrees()
-    columns = zip(*map(x.support.get, degrees))  # coordinate k at each degree, for each k
-    return [LaurentPoly._of(dict(zip(degrees, col))) for col in columns] or [LaurentPoly.zero()] * x.ctx.dim
+def _degree_maps(x: AffineElement) -> list[dict[int, Rat]]:
+    """The coordinates of x, one ``{degree: coefficient}`` map of the nonzeros
+    per basis vector, read in one pass over its support."""
+    maps: list[dict[int, Rat]] = [{} for _ in range(x.ctx.dim)]
+    for deg, vec in x.support.items():
+        for k, a in enumerate(vec):
+            if a:
+                maps[k][deg] = a
+    return maps
 
 
-def _constant_term(p: LaurentPoly, q: LaurentPoly) -> Rat:
-    qd = q.to_dict()
-    return sum(a * qd[-m] for m, a in p.coeffs if -m in qd)
+def _t_beta(form: MatQ, b: list[dict[int, Rat]], k: int) -> dict[int, Rat]:
+    """``t beta_k'`` with ``beta = P b``, P the form on the torus, as a degree map."""
+    d: dict[int, Rat] = {}
+    for j, bj in enumerate(b):
+        pkj = form.at(k, j)
+        for deg, a in bj.items() if pkj else ():
+            if deg:
+                w = pkj * deg * a
+                d[deg] = d[deg] + w if deg in d else w
+    return d
 
 
 def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
     """Solve ``[X, Y] = Z`` root by root, then the central equation (see the
-    module docstring); Z has no torus loop component."""
+    module docstring); Z has no torus loop component.  X's coordinates are
+    degree maps; a Laurent polynomial is made only for a root where Z has a
+    component, and for the witness."""
     l, form = ctx.l, ctx.algebra.form
-    xs, zs = _coordinates(x), _coordinates(z)
+    xs = _degree_maps(x)
     b, c = xs[:l], xs[l:]
     u, v = [LaurentPoly.zero()] * l, [LaurentPoly.zero()] * l
-    for k in range(l):
-        zk = zs[l + k]
-        if zk.is_zero:
+    for k, zk in enumerate(_degree_maps(z)[l:]):
+        if not zk:
             continue
-        if b[k].is_zero and c[k].is_zero:
-            g, q = LaurentPoly.zero(), None
-        else:
-            g, s, r = _bezout(b[k], c[k])
+        zk = LaurentPoly._of(zk)
+        if b[k] or c[k]:
+            g, s, r = _bezout(LaurentPoly._of(b[k]), LaurentPoly._of(c[k]))
             q = laurent_div(zk, g)
+        else:
+            g, q = LaurentPoly.zero(), None
         if q is None:
             reason = "the gcd of the t_k and x_k coordinates of X does not divide the x_k component"
             detail = {"reason": reason, "root": k + 1, "gcd": g.to_json(), "component": zk.to_json()}
             return WitnessResult("root-obstruction", None, detail)
         u[k], v[k] = -(r * q), s * q
-
-    @cache
-    def t_beta(k: int) -> LaurentPoly:
-        # t beta_k' with beta = P b, P the form on the torus; built once, and only for the roots read
-        d: dict[int, Rat] = {}
-        for j in range(l):
-            pkj = form.at(k, j)
-            for deg, a in b[j].coeffs if pkj else ():
-                w = pkj * deg * a
-                d[deg] = d[deg] + w if deg in d else w
-        return LaurentPoly._of(d)
-
-    gap = z.central - sum(_constant_term(t_beta(k), u[k]) for k in range(l) if not u[k].is_zero)
+    # t beta_k' only for the roots read: those the central term of u reaches, then the kernel direction taken
+    tb = {k: _t_beta(form, b, k) for k in range(l) if not u[k].is_zero}
+    gap = z.central - sum(a * tb[k][-m] for k in tb for m, a in u[k].coeffs if -m in tb[k])
     if gap:
         for k in range(l):
             # the kernel of root k's equation is spanned by (b_k, c_k), or is everything when both vanish
-            du, dv = (LaurentPoly.one(), LaurentPoly.zero()) if b[k].is_zero and c[k].is_zero else (b[k], c[k])
-            if du.is_zero:
+            du, dv = (b[k], c[k]) if b[k] or c[k] else ({0: 1}, {})
+            if not du:
                 continue
-            p = t_beta(k) * du
+            du, dv = LaurentPoly._of(du), LaurentPoly._of(dv)
+            p = LaurentPoly._of(tb[k] if k in tb else _t_beta(form, b, k)) * du
             if not p.is_zero:
                 e, pe = p.coeffs[0]
-                w = LaurentPoly.monomial(-e, quotient(gap, pe))
-                u[k], v[k] = u[k] + w * du, v[k] + w * dv
+                w = quotient(gap, pe)  # times t^-e
+                u[k], v[k] = u[k] + du.scale(w).shift(-e), v[k] + dv.scale(w).shift(-e)
                 break
         else:
             reason = "no component of X at nonzero degree pairs with L under the form"

@@ -6,9 +6,12 @@ windowed ``inner-match`` search built on it.  The package decides
 ``inner-match`` by the center argument instead, so these live here as
 oracles: a None from them only means "nothing inside this window".
 
-``normal_form_solve`` is the per-root Bezout solver with the central term
-``t beta_k'`` built for every root before it is read, which
-``liecert.loopalg._normal_form_solve`` builds only for the roots it reads.
+``normal_form_solve`` is the per-root Bezout solver on Laurent polynomials
+throughout, with the central term ``t beta_k'`` built for every root before
+it is read.  ``liecert.loopalg._normal_form_solve`` reads X's coordinates as
+degree maps, builds ``t beta_k'`` only for the roots it reads, and makes a
+Laurent polynomial only for a root where Z has a component and for the
+witness.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from liecert.loopalg import (
     ToralToCenter,
     WitnessResult,
     _bezout,
-    _constant_term,
     affine_bracket,
     laurent_div,
 )
@@ -35,6 +37,12 @@ Vec = tuple[Fraction, ...]
 def _coordinate(x: AffineElement, k: int) -> LaurentPoly:
     """The k-th coordinate of x as a Laurent polynomial in t."""
     return LaurentPoly.from_dict({deg: vec[k] for deg, vec in x.support.items()})
+
+
+def _constant_term(p: LaurentPoly, q: LaurentPoly) -> Fraction | int:
+    """The constant term of ``p q``."""
+    qd = q.to_dict()
+    return sum(a * qd[-m] for m, a in p.coeffs if -m in qd)
 
 
 def _check_window(window: tuple[int, int]) -> None:

@@ -988,6 +988,43 @@ def test_exact_witness_recheck_survives_python_O():
     assert "exact solver returned a non-witness" in proc.stdout
 
 
+def test_witness_with_its_denominators_dropped_is_refused_under_python_O():
+    """A solver that lost its witness's denominators, as a denominator-clearing
+    bug would, is caught by the re-check: dij-witness exits 4 under -O."""
+    x_path = Path(__file__).resolve().parent / "golden" / "inputs" / "x_h1_deg1.json"
+    script = textwrap.dedent(
+        """
+        import io, sys
+        from fractions import Fraction
+        from liecert import loopalg
+        from liecert.cli import run
+
+        assert False, "asserts must be off for this check"
+        solve = loopalg._normal_form_solve
+
+        def dropped(ctx, x, z):
+            res = solve(ctx, x, z)
+            vecs = list(res.y.support.values())
+            if not any(type(a) is Fraction for vec in vecs for a in vec):
+                sys.exit("the true witness is integral, so dropping its denominators changes nothing")
+            support = {d: tuple(a.numerator for a in vec) for d, vec in res.y.support.items()}
+            return loopalg.WitnessResult(res.status, ctx.element(support), res.detail)
+
+        loopalg._normal_form_solve = dropped
+        out = io.StringIO()
+        argv = ["dij-witness", "--family", "B", "--rank", "2", "--psi", "1,0;2,1", "--i", "1", "--j", "1", "--x"]
+        print("exit", run(argv + [sys.argv[1]], out=out))
+        print(out.getvalue())
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(x_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("exit 4\n"), proc.stdout
+    assert "exact solver returned a non-witness" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # the exact Leibniz decision against the sampled check it replaced
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 ``MatQ.mul_vec`` and ``LieAlgebra.form_value`` walk the nonzero entries of
 the matrix, ``affine_bracket`` walks the structure table over the nonzero
-coordinates, and ``LoopOperator.apply`` reads the symbol through
-``mul_vec``.  Each is compared with a dense double loop over every index, on
-int and ``Fraction`` inputs and on vectors holding the shared zero.  Every
-coordinate that ``mul_vec`` and ``form_value`` give back must be a
-``Fraction``; the loop layer keeps integral scalars as ints, so its
-coordinates must be ints or ``Fraction``s, never bools or floats.  The
+coordinates with each side's denominators cleared, and
+``LoopOperator.apply`` reads the nonzeros of each symbol block.  Each is
+compared with a dense double loop over every index, on int and ``Fraction``
+inputs and on vectors holding the shared zero.  Every coordinate that
+``mul_vec`` and ``form_value`` give back must be a ``Fraction``; the loop
+layer keeps integral scalars as ints, so its coordinates must be ints or
+``Fraction``s, never bools or floats, and on integral inputs ints.  The
 per-root solver builds its central term only for the roots it reads; it is
 compared with the solver that builds it for every root up front, and the
 witness searches on ints with the reference solver on an all-``Fraction``
@@ -17,6 +18,7 @@ copy of the input.
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,7 +32,6 @@ from liecert.loopalg import (
     TensorDerivation,
     ToralToCenter,
     _bezout,
-    _coordinates,
     _normal_form_solve,
     affine_bracket,
     aid_obstruction_check,
@@ -39,7 +40,7 @@ from liecert.loopalg import (
     torus_component_obstruction,
 )
 from liecert.rootsys import build_root_system
-from loopalg_reference import normal_form_solve
+from loopalg_reference import _coordinate as coordinate_poly, normal_form_solve
 
 
 def _chain(rank):
@@ -276,10 +277,65 @@ def test_witness_searches_on_ints_against_the_all_fraction_reference_hypothesis(
             xf = ctx.element({d: tuple(map(Fraction, v)) for d, v in x.support.items()}, Fraction(x.central))
             assert _result_json(got) == _result_json(normal_form_solve(ctx, xf, op(xf)))
         scalars = [*_element_scalars(x), *_element_scalars(z), *(_element_scalars(got.y) if got.y else ())]
-        coords = _coordinates(x)
+        coords = [coordinate_poly(x, k) for k in range(dim)]
         for b, c in zip(coords[:l], coords[l:]):
             if not (b.is_zero and c.is_zero):
                 scalars += [a for p in _bezout(b, c) for _, a in p.coeffs]
         assert all(type(a) in SCALARS for a in scalars), {type(a) for a in scalars}
 
     check()
+
+
+def test_affine_bracket_clears_denominators_against_the_dense_bracket(ctx):
+    # each side is cleared by the lcm of its own denominators: coprime and
+    # large ones on the two sides, an all-int side, the zero element and a
+    # central-only element, in both orders
+    rng = random.Random(37)
+    big = 2**61 - 1
+
+    def element(pool, degrees, central=0):
+        return ctx.element({d: tuple(rng.choice(pool) for _ in range(ctx.dim)) for d in degrees}, central)
+
+    seen = set()
+    for _ in range(6):
+        small = element([0, Fraction(1, 2), Fraction(-1, 3), 1], (-1, 1, 2))
+        large_pool = [0, Fraction(1, 5), Fraction(7, 4), Fraction(-1, big), Fraction(3, big)]
+        large = element(large_pool, (-2, -1, 1), Fraction(1, 3))
+        ints = element([0, 1, -2, 3], (-1, 0, 1), 5)
+        for x, y in product([small, large, ints, ctx.zero(), ctx.central(Fraction(7, 4))], repeat=2):
+            got, want = affine_bracket(x, y), dense_affine_bracket(x, y)
+            assert got == want and got.to_json() == want.to_json()
+            scalars = list(_element_scalars(got))
+            assert all(type(a) in SCALARS and not (type(a) is Fraction and a.denominator == 1) for a in scalars)
+            seen.update(type(a) is Fraction and a.denominator % big == 0 for a in scalars)
+            seen.add(("central", bool(got.central)))
+    assert seen == {False, True, ("central", False), ("central", True)}, seen
+
+
+@pytest.mark.parametrize("name", ["B2", "A3-chain", "A4-chain"])
+def test_integral_inputs_give_int_scalars(name):
+    # with all-int X, Y and operator data, every scalar of the bracket and of
+    # op(X) is an int: never a Fraction, not even one with denominator 1
+    c = ctx_of(name)
+    l, dim = c.l, c.dim
+    rng = random.Random(38)
+
+    def element():
+        degrees = rng.sample(range(-2, 3), rng.randint(1, 3))
+        return c.element({d: tuple(rng.randint(-3, 3) for _ in range(dim)) for d in degrees}, rng.randint(-2, 2))
+
+    h1 = c.basis_at(0, 1)
+    central = affine_bracket(h1, c.basis_at(0, -1)).central
+    assert type(central) is int and central == c.algebra.form.at(0, 0)
+    for _ in range(10):
+        x, y = element(), element()
+        tensor = MatQ(dim, dim, {u: rng.randint(-2, 2) for u in range(dim * dim) if rng.random() < 0.3})
+        ops = [
+            Inner(y),
+            ToralToCenter(c, rng.randint(1, l), rng.randint(-2, 2)),
+            TensorDerivation(c, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 3)})),
+            DiagonalDerivative(c, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
+        ]
+        ops.append(OperatorSum(c, tuple((rng.randint(-2, 2), op) for op in ops)))
+        for z in [affine_bracket(x, y), *(op(x) for op in ops)]:
+            assert all(type(a) is int for a in _element_scalars(z)), z.to_json()
