@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .exact import MatQ, Rat, Solver, _ReadOnly, _Value, inverse
+from .exact import MatQ, Rat, Solver, _ReadOnly, _Value, inverse, quotient
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -234,8 +234,8 @@ def _positive_pair_constants(rs: RootSystem):
         d = _add(x, y)
         # cyclic relations for x + y - d = 0, normalised by root norms
         if height(d) > 0:
-            return -norm[d] / norm[x] * npos[(_neg(y), d)]
-        return norm[d] / norm[y] * npos[(_neg(d), x)]
+            return quotient(-norm[d] * npos[(_neg(y), d)], norm[x])
+        return quotient(norm[d] * npos[(_neg(d), x)], norm[y])
 
     for g in pos:
         if height(g) == 1:
@@ -250,7 +250,7 @@ def _positive_pair_constants(rs: RootSystem):
         if not pairs:
             continue
         a1, b1 = pairs[0]  # extraspecial: minimal first member
-        put(a1, b1, Fraction(rs.string_down_length(b1, a1) + 1))
+        put(a1, b1, rs.string_down_length(b1, a1) + 1)
         ngma1 = -npos[(a1, b1)] * norm[b1] / norm[g]  # N_{g, -a1}
         for a, b in pairs[1:]:
             t = Fraction(0)
@@ -262,7 +262,7 @@ def _positive_pair_constants(rs: RootSystem):
             expected = rs.string_down_length(b, a) + 1
             if val.denominator != 1 or abs(val) != expected:
                 raise AssertionError(f"structure constant for {a}+{b}={g} came out {val}, |.| should be {expected}")
-            put(a, b, val)
+            put(a, b, val.numerator)
 
     return nlook
 
@@ -380,7 +380,7 @@ def _extract(spec: SubalgebraSpec) -> LieAlgebra:
         for j in range(l):
             for b, row in enumerate(pair):
                 if row[j]:
-                    structure[(j, l + b)] = ((l + b, Fraction(row[j])),)
+                    structure[(j, l + b)] = ((l + b, row[j]),)
     local = {beta: l + b for b, beta in enumerate(spec.psi)}
     opposite = [local.get(_neg(beta)) for beta in spec.psi]  # the local index of -beta, if in Psi
     lookup = None  # the pair constants, built only when some sum lies in Psi
@@ -394,7 +394,7 @@ def _extract(spec: SubalgebraSpec) -> LieAlgebra:
             elif opposite[a] == l + b:
                 # the coroot: Psi holds a and -a, so it is not independent and
                 # the torus basis is the simple coroots
-                structure[(l + a, l + b)] = tuple((k, Fraction(c)) for k, c in enumerate(coroots[a]) if c)
+                structure[(l + a, l + b)] = tuple((k, c) for k, c in enumerate(coroots[a]) if c)
 
     # entry (i, j) of the l x l torus block is entry i * dim + j of the form, an int when integral
     form = {u // l * dim + u % l: x.numerator if x.denominator == 1 else x for u, x in torus_block.nonzeros.items()}

@@ -5,8 +5,9 @@ Exit codes: 0 a verified positive, 1 a checked property violated (or a
 certified obstruction), 2 invalid input, 3 only from ``inner-match``: its
 decided non-match keeps the status ``no-inner-match-in-window`` until the
 benchmark accepts ``not-inner``, 4 internal error (any other exception,
-including a failed re-check or a minimal set that is not r_2^l; the
-document is then ``{"error": ...}``).
+including a failed re-check, a minimal set that is not r_2^l, or a document
+holding a value that the writer does not take; the document is then
+``{"error": ...}`` unless part of the first was already written).
 
 Identical inputs and seed produce byte-identical output; wall-clock timings
 are therefore reported only on request (``--timings``) and excluded from the
@@ -33,7 +34,8 @@ indices: the text of each root at each place in a set is made once per
 document, and a block of sets is one join over their indices.  Once the
 matrices and sets written pass ``_CHUNK`` characters, the text so far goes to
 the output and is dropped: a long document is streamed, a short one written whole.
-``--json`` writes its file in full before it copies the file to the output.
+``--json`` writes the document to its file in full, then writes it again to
+the output; it never reads the file back.
 """
 
 from __future__ import annotations
@@ -199,10 +201,10 @@ def _operator_from_json(ctx, obj):
     return OperatorSum(ctx, tuple(terms))
 
 
-def _envelope(command: str, inputs: dict, verdicts, seed: int, timings=None) -> dict:
+def _envelope(command: str, inputs: dict, verdicts, seed: int) -> dict:
     from .chevalley import CONVENTION
 
-    doc = {
+    return {
         "toolkit": "liecert",
         "toolkit_version": __version__,
         "convention": CONVENTION,
@@ -211,9 +213,6 @@ def _envelope(command: str, inputs: dict, verdicts, seed: int, timings=None) -> 
         "seed": seed,
         "verdicts": verdicts,
     }
-    if timings is not None:
-        doc["timings"] = timings
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +225,10 @@ def _cmd_roots(args, seed):
 
 
 def _cmd_minimal(args, seed):
-    from .qgraded import EnumerationCapExceeded, enumerate_minimal
+    from .qgraded import enumerate_minimal
 
     rs = _root_system(args)
-    try:
-        sets = enumerate_minimal(rs, cap=args.cap)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return {"error": str(exc)}, 2
+    sets = enumerate_minimal(rs, cap=args.cap)  # EnumerationCapExceeded is a ValueError: exit 2
     verdicts = {"count": len(sets), "minimal_subalgebras": sets}
     return _envelope("minimal", {"family": rs.family, "rank": rs.rank}, verdicts, seed), 0
 
@@ -484,6 +479,14 @@ def _help(command) -> str:
     return "\n".join([" ".join(words), about, *[_PSI_NOTE] * ("--psi" in options), ""])
 
 
+def _failed(exc: Exception, code: int) -> tuple[dict, int]:
+    """Print the ``error:`` line of ``exc``; its document and exit ``code``:
+    2 for invalid input, 4 for a crash, which must never read as 1, "violated"."""
+    message = f"internal error: {type(exc).__name__}: {exc}" if code == 4 else str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return {"error": message}, code
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
@@ -498,32 +501,19 @@ def run(argv, out=None) -> int:
     try:
         doc, code = args.handler(args, _seed(args))
     except (ValueError, OSError) as exc:  # OSError: an input path that cannot be read
-        print(f"error: {exc}", file=sys.stderr)
-        doc, code = {"error": str(exc)}, 2
-    except Exception as exc:  # a crash must never read as exit 1, "violated"
-        message = f"internal error: {type(exc).__name__}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        doc, code = {"error": message}, 4
-    if args.timings and isinstance(doc, dict) and "error" not in doc:
+        doc, code = _failed(exc, 2)
+    except Exception as exc:
+        doc, code = _failed(exc, 4)
+    if args.timings and "error" not in doc:
         doc["timings"] = {"wall_s": round(time.monotonic() - started, 3)}
     if args.json:
         # the file is written in full before stdout, so an unwritable path sends only its error there
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                text = _send(doc, fh)
+                doc, code = _send(doc, code, fh)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            doc, code = {"error": str(exc)}, 2
-        else:
-            if text is not None:
-                out.write(text)
-                return code
-            with open(args.json, encoding="utf-8") as fh:  # streamed to the file: copy it
-                while text := fh.read(_CHUNK):
-                    out.write(text)
-            return code
-    _send(doc, out)
-    return code
+            doc, code = _failed(exc, 2)
+    return _send(doc, code, out)[1]
 
 
 # characters of matrix or set text after which the document written so far goes to its stream
@@ -535,14 +525,14 @@ class _Stream:
     """One document as it is written: each matrix adds the length of its
     entries, counted as zeros, and each block of sets of roots the length of
     its text, to ``pending``; once that passes ``_CHUNK`` the pieces so far
-    are written to ``out`` and dropped; with no ``out`` nothing is."""
+    are written to ``out`` and dropped."""
 
-    def __init__(self, out=None):
+    def __init__(self, out):
         self.out, self.pending, self.streamed = out, 0, False
 
     def held(self, parts: list[str], size: int) -> None:
         self.pending += size
-        if self.pending > _CHUNK and self.out is not None:
+        if self.pending > _CHUNK:
             self.out.write("".join(parts))
             parts.clear()
             self.pending, self.streamed = 0, True
@@ -571,7 +561,7 @@ def _write(value, parts: list[str], newline: str, stream: _Stream) -> None:
         elif kind is MatQ:
             _write_matrix(value, parts, newline, stream)
         else:
-            raise TypeError(kind.__name__)
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     elif not value:
         parts.append("{}" if kind is dict else "[]")
     else:
@@ -635,38 +625,23 @@ def _write_matrix(m: MatQ, parts: list[str], newline: str, stream: _Stream) -> N
     parts += (",", inner, '"rows": ', str(m.rows), newline, "}")
 
 
-def _as_json(value) -> dict:
-    """``json.dumps``'s ``default``: a ``MatQ`` as its JSON matrix."""
-    if type(value) is not MatQ:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return value.to_json()
-
-
-def _dumps(doc, stream: _Stream | None = None) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, without
-    the pure-Python encoder that ``indent`` forces; a document the writer
-    cannot take is left to ``json.dumps`` whole.  The text that ``stream``
-    has written to its ``out`` is not returned again."""
+def _send(doc, code: int, out) -> tuple[dict, int]:
+    """Write ``doc`` and a newline to ``out``; the document written and its
+    exit code.  A document whose matrices and sets hold at most ``_CHUNK``
+    characters goes in one ``out.write``, a longer one in chunks.  A value
+    that the writer does not take is a handler's fault, exit 4: its
+    ``{"error": ...}`` document is written instead, unless part of ``doc``
+    already was."""
     parts: list[str] = []
-    stream = _Stream() if stream is None else stream
+    stream = _Stream(out)
     try:
         _write(doc, parts, "\n", stream)
-    except TypeError:
-        if stream.streamed:  # the text already written cannot be taken back
-            raise
-        return json.dumps(doc, sort_keys=True, indent=2, default=_as_json)
-    return "".join(parts)
-
-
-def _send(doc, out) -> str | None:
-    """Write ``doc`` and a newline to ``out``.  A document whose matrices
-    and sets hold at most ``_CHUNK`` characters goes in one ``out.write``,
-    and its text is returned; a longer one is streamed in chunks, and None
-    is."""
-    stream = _Stream(out)
-    text = _dumps(doc, stream) + "\n"
-    out.write(text)
-    return None if stream.streamed else text
+    except TypeError as exc:
+        doc, code = _failed(exc, 4)
+        return (doc, code) if stream.streamed else _send(doc, code, out)
+    parts.append("\n")
+    out.write("".join(parts))
+    return doc, code
 
 
 def main() -> int:

@@ -57,6 +57,17 @@ def rat_to_str(x: Rat | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_SCALARS = (int, Fraction)
+
+
+def _scalar(v: Rat | int) -> Rat | int:
+    """``v`` as given if it is an int or a Fraction; TypeError for anything
+    else, a float or a bool among them, since a float is not exact."""
+    if type(v) in _SCALARS:
+        return v
+    raise TypeError(f"scalar {v!r} is a {type(v).__name__}, not an int or a Fraction")
+
+
 def rat_from_str(s: str) -> Rat | int:
     """The rational that ``Fraction(s)`` reads, as an int when it is integral;
     ValueError that shows ``s`` as ``_shown`` does."""
@@ -184,8 +195,7 @@ class MatQ(_Value):
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        cells = ((i * c + j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
-        return MatQ(len(rows), c, {u: v if isinstance(v, Fraction) else Fraction(v) for u, v in cells})
+        return MatQ(len(rows), c, {i * c + j: _scalar(v) for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     @staticmethod
     def identity(n: int) -> "MatQ":

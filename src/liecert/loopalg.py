@@ -41,14 +41,13 @@ Y = 0 matches the zero F, and no Y a nonzero one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
 from .dercalc import centroid_violation, leibniz_violation
-from .exact import MatQ, Rat, _ReadOnly, _Value, expect_json, quotient, rat_from_str, rat_to_str
+from .exact import MatQ, Rat, _ReadOnly, _scalar, _Value, expect_json, quotient, rat_from_str, rat_to_str
 
 __all__ = [
     "LaurentPoly",
@@ -72,17 +71,6 @@ __all__ = [
 ]
 
 Vec = tuple[Rat, ...]
-_SCALARS = (int, Fraction)
-
-
-def _scalar(v: Rat | int) -> Rat | int:
-    """``v`` as given if it is an int or a Fraction; TypeError for anything
-    else, a float or a bool among them, since a float is not exact."""
-    if type(v) in _SCALARS:
-        return v
-    raise TypeError(f"scalar {v!r} is a {type(v).__name__}, not an int or a Fraction")
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------

@@ -869,14 +869,26 @@ def _handler_document(argv):
     return args.handler(args, 0)[0]
 
 
+def _sent(doc):
+    """The text that ``cli._send`` writes for ``doc``, once whole and once
+    streamed in chunks of five characters; the two must be the same."""
+    from liecert import cli
+
+    texts = []
+    for chunk in (cli._CHUNK, 5):
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CHUNK", chunk)
+            assert cli._send(doc, 0, buf) == (doc, 0)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1], doc
+    return texts[0]
+
+
 def test_document_writer_matches_json_dumps():
     # every document is written as json.dumps(doc, sort_keys=True, indent=2)
-    # would write it, byte for byte; a float goes through json.dumps, and a
-    # type or key that the writer does not know sends the whole document there
+    # would write it, byte for byte, and a newline; a float goes through json.dumps
     import random
-    from fractions import Fraction
-
-    from liecert.cli import _dumps
 
     rng = random.Random(5)
     leaves = ["", "a", "\u00e9\n\"\\", "x\u2028", 0, -7, 10**40, True, False, None, 0.125, -0.0, 1e300, float("inf")]
@@ -891,9 +903,7 @@ def test_document_writer_matches_json_dumps():
 
     for _ in range(500):
         doc = document(0)
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
-    for doc in ({"a": (1, [2])}, {2: "b", 1: "a"}, {"a": {"b": [1, (2,)]}}):
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        assert _sent(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
     # lists of strings are written with one join: a one-item list, a list that
     # mixes str and int either way round, escapes, and real documents
     a8 = "--psi=" + ";".join(",".join("1" if k <= n else "0" for k in range(8)) for n in range(8))
@@ -915,34 +925,14 @@ def test_document_writer_matches_json_dumps():
         {"e": [["a", "b"], ["c"], []]},
         {"e": ["\"q\"", "back\\slash", "tab\t", "é", "\U0001f600", "\x00", ""]},
     ):
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
+        assert _sent(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
     # the handlers' own minimal documents hold the RootSets of the search,
     # whose items are tuples of roots, written as json.dumps writes the list
-    # of its items; a document with a tuple goes to json.dumps whole
-    r = (1, -2, 0)
+    # of its items
     minimal = [_handler_document(["minimal", "--family", f, "--rank", n]) for f, n in (("A", "4"), ("B", "3"), ("G", "2"))]
     assert [type(doc["verdicts"]["minimal_subalgebras"][0]) for doc in minimal] == [tuple] * 3
     for doc in minimal:
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, default=list), doc
-    for doc in (
-        {"root": r},
-        {"set": ((1, 0), (0, 1), (1, 1))},
-        {"a": r, "b": [r], "c": (r, (0, 1, 0)), "d": [[r, r]], "e": ((r,),)},
-        {"e": ()},
-        {"e": ((), (1,))},
-        {"e": (1, True)},
-        {"e": (1, "a")},
-        {"e": ((1, 0), (0, 1.5))},
-        # (True, 0) == (1, 0), yet each is written as its own items
-        {"a": (1, 0), "b": (True, 0), "c": ((1, 0), (True, False)), "d": ((1.0, 0), (1, 0))},
-        {"e": [(1, 0), [(1, 0)], ((1, 0), [2])]},
-    ):
-        assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=2), doc
-    with pytest.raises(TypeError):
-        _dumps({"a": Fraction(1)})
-    for bad in (["1", Fraction(1)], ["1", Fraction(1), "2"], [Fraction(1), "1"]):
-        with pytest.raises(TypeError):
-            _dumps({"a": bad})
+        assert _sent(doc) == json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n", doc
 
 
 def _random_matrices(rng):
@@ -984,11 +974,9 @@ def _as_plain_json(doc):
     return doc
 
 
-def test_matrix_writer_matches_json_dumps_of_to_json(monkeypatch):
+def test_matrix_writer_matches_json_dumps_of_to_json():
     # a MatQ is written from its nonzeros; the bytes are those of json.dumps over to_json()
     import random
-
-    from liecert import cli
 
     rng = random.Random(11)
     matrices = _random_matrices(rng)
@@ -1002,23 +990,8 @@ def test_matrix_writer_matches_json_dumps_of_to_json(monkeypatch):
         return [document(depth + 1) for _ in range(rng.randint(0, 4))]
 
     docs = [*matrices, [matrices[:8]], {"m": {"n": [[matrices[6]]]}}] + [document(0) for _ in range(300)]
-    monkeypatch.setattr(cli, "_CHUNK", 5)  # _send streams past every matrix; _dumps never streams
     for doc in docs:
-        want = json.dumps(_as_plain_json(doc), sort_keys=True, indent=2)
-        assert cli._dumps(doc) == want, doc
-        buf = io.StringIO()
-        assert cli._send(doc, buf) in (want + "\n", None)
-        assert buf.getvalue() == want + "\n"
-    # a document the writer does not know goes to json.dumps whole, a MatQ in it too
-    from collections import OrderedDict
-    from fractions import Fraction
-
-    t = OrderedDict([("b", 1), ("a", 2)])  # a dict subclass: json.dumps takes it, the writer does not
-    assert cli._dumps({"t": t, "m": matrices[5]}) == json.dumps({"t": dict(t), "m": matrices[5].to_json()}, sort_keys=True, indent=2)
-    with pytest.raises(TypeError):
-        cli._dumps({"m": matrices[5], "x": frozenset()})
-    with pytest.raises(TypeError):
-        cli._dumps({"m": matrices[5], "x": Fraction(1)})
+        assert _sent(doc) == json.dumps(_as_plain_json(doc), sort_keys=True, indent=2) + "\n", doc
 
 
 A8_CHAIN = ["--family", "A", "--rank", "8", "--psi=" + ";".join(",".join("1" if k <= n else "0" for k in range(8)) for n in range(8))]
@@ -1063,6 +1036,74 @@ def test_unwritable_json_path_streams_nothing(tmp_path, monkeypatch):
     target = tmp_path / "missing" / "out.json"
     code, doc, _ = invoke(["--json", str(target), "der", *A8_CHAIN])
     assert code == 2 and list(doc) == ["error"] and str(target) in doc["error"]
+
+
+# a handler whose document holds a value that the writer does not take, with a
+# MatQ streamed ahead of it or not, in a fresh process: argv is the value's
+# name, "streamed" or "whole", then the liecert argv
+_BAD_DOCUMENT = textwrap.dedent(
+    """
+    import sys
+    from collections import OrderedDict
+    from fractions import Fraction
+    from liecert import cli
+    from liecert.exact import MatQ
+
+    bad = {
+        "fraction": Fraction(1, 2),
+        "fraction-after-str": ["1", Fraction(1, 2)],
+        "tuple": (1, 2),
+        "int-key": {1: "a"},
+        "set": {1},
+        "dict-subclass": OrderedDict(a=1),
+    }
+    value, where = bad[sys.argv.pop(1)], sys.argv.pop(1)
+
+    def handler(args, seed):
+        return {"a": MatQ.identity(3), "b": value} if where == "streamed" else {"b": value}, 0
+
+    cli._CHUNK = 5
+    cli._COMMANDS["roots"] = (handler, *cli._COMMANDS["roots"][1:])
+    sys.exit(cli.main())
+    """
+)
+
+
+@pytest.mark.parametrize("bad", ["fraction", "fraction-after-str", "tuple", "int-key", "set", "dict-subclass"])
+def test_document_the_writer_cannot_take_exits_4(tmp_path, bad):
+    # a handler's fault, never exit 1 and never a traceback; json.dumps used to
+    # write a tuple, an int key and a dict subclass, and the rest crashed with exit 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    path = tmp_path / "doc.json"
+    for where in ("whole", "streamed"):
+        for front in ([], ["--json", str(path)]):
+            argv = [sys.executable, "-c", _BAD_DOCUMENT, bad, where, *front, "roots", "--family", "A", "--rank", "1"]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert proc.returncode == 4, (where, front, proc.stderr)
+            assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: internal error: TypeError: ")
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            if where == "streamed" and not front:  # the text already written cannot be taken back
+                assert proc.stdout.startswith('{\n  "a": {\n    "cols": 3,')
+                continue
+            # nothing of the document reached stdout: only its error
+            assert json.loads(proc.stdout) == {"error": proc.stderr[len("error: ") : -1]}
+            if front and where == "whole":
+                assert path.read_text(encoding="utf-8") == proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_json_to_dev_stdout_in_a_pipe_finishes():
+    # --json writes its file, then the document again to stdout; it never reads
+    # the file back, which here would be the reading end of stdout's own pipe
+    script = "import sys; from liecert import cli; cli._CHUNK = 5; sys.exit(cli.main())"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-c", script, "--json", "/dev/stdout", "der", *B2_MIN]
+    proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60)
+    code, _, text = invoke(["der", *B2_MIN])
+    assert (proc.returncode, proc.stderr) == (code, "") == (0, "")
+    assert proc.stdout == text + text
 
 
 def test_input_files_share_one_decoder(monkeypatch):

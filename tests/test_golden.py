@@ -144,34 +144,6 @@ def test_goldens_in_one_process_forward_then_reverse(monkeypatch):
     assert chevalley._extract.cache_info().hits > 0
 
 
-def test_no_document_reaches_the_json_dumps_fallback(monkeypatch, tmp_path):
-    # a document is streamed once its matrices pass cli._CHUNK, and a TypeError
-    # after the first chunk can no longer fall back to json.dumps: every golden
-    # and every seed-1 benchmark document has to be written by cli._write alone
-    import json
-
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import WORKLOADS, make_jobs, write_inputs
-
-    dumps, fallbacks = json.dumps, []
-
-    def spy(obj, **kwargs):
-        if "indent" in kwargs:
-            fallbacks.append(name)
-        return dumps(obj, **kwargs)
-
-    monkeypatch.delenv(SEED_ENV, raising=False)
-    monkeypatch.chdir(INPUTS)
-    monkeypatch.setattr(json, "dumps", spy)
-    jobs = {name: CASES[name][0] for name in sorted(CASES)}
-    for workload in WORKLOADS:
-        for n, job in enumerate(write_inputs(make_jobs(workload, 1), str(tmp_path))):
-            jobs[f"{workload}-{n}"] = job["argv"]
-    for name, argv in jobs.items():
-        run(argv, out=io.StringIO())
-    assert fallbacks == []
-
-
 def test_no_orphan_goldens():
     # every frozen document and every input file belongs to a case
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)

@@ -339,3 +339,19 @@ def test_integral_inputs_give_int_scalars(name):
         ops.append(OperatorSum(c, tuple((rng.randint(-2, 2), op) for op in ops)))
         for z in [affine_bracket(x, y), *(op(x) for op in ops)]:
             assert all(type(a) is int for a in _element_scalars(z)), z.to_json()
+
+
+def test_matrix_rows_keep_their_scalars():
+    # MatQ.from_rows keeps int and Fraction entries as given and refuses any
+    # other scalar, a float or a bool among them, since a float is not exact
+    m = MatQ.from_rows([[2, Fraction(1, 2), 0], [0, Fraction(3), -1]])
+    assert [(u, type(v)) for u, v in sorted(m.nonzeros.items())] == [(0, int), (1, Fraction), (4, Fraction), (5, int)]
+    for bad in (0.1, 0.0, True, False, "1", None):
+        with pytest.raises(TypeError):
+            MatQ.from_rows([[1, bad]])
+    # so a tensor derivation built from identity rows maps x1 t to itself, on ints
+    c = ctx_of("B2")
+    x = c.basis_at(c.l, 1)
+    identity = MatQ.from_rows([[int(r == q) for q in range(c.dim)] for r in range(c.dim)])
+    y = TensorDerivation(c, identity, LaurentPoly.one())(x)
+    assert y.to_json() == x.to_json() and all(type(a) is int for a in _element_scalars(y)), y.to_json()

@@ -257,8 +257,6 @@ def test_keyword_constructors_and_defaults(b2):
 # scalars goes through exact.quotient (an int when the quotient is integral,
 # else a Fraction); a new "/" fails here until it is listed or replaced.
 FRACTION_DIVISIONS = {
-    ("chevalley.py", "-norm[d] / norm[x]"): "root norms are RootSystem.inner values, Fractions",
-    ("chevalley.py", "norm[d] / norm[y]"): "root norms are RootSystem.inner values, Fractions",
     ("chevalley.py", "-npos[a1, b1] * norm[b1] / norm[g]"): "npos holds Fractions, and norm[g] is one",
     ("chevalley.py", "-t / ngma1"): "t starts as Fraction(0), and ngma1 is a Fraction",
     ("chevalley.py", "rs.inner(alpha, alpha) / 2"): "RootSystem.inner returns a Fraction",
