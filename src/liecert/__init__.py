@@ -29,7 +29,6 @@ _EXPORTS = {
         "spans_q",
         "is_minimal",
         "enumerate_minimal",
-        "verify_metabelian",
         "certify",
     ),
 }

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from operator import add
 from types import MappingProxyType
 
-from .exact import MatQ, Rat, Solver, _ReadOnly, _Value, inverse, quotient
+from .exact import MatQ, Rat, _ReadOnly, _Value, inverse, quotient
 from .rootsys import Root, RootSystem, height
 
 __all__ = [
@@ -109,31 +109,6 @@ class LieAlgebra(_ReadOnly):
             if any(weights[k] != weight for k, _ in entry):
                 raise ValueError(f"[{labels[i]}, {labels[j]}] is not homogeneous for the torus")
         return tuple(weights)
-
-    @cached_property
-    def _pairs_by_column(self) -> tuple[tuple[int, ...], ...]:
-        """For each basis column c, the pairs ``i <= j`` whose Leibniz rows
-        read column c of a map D (c is i, j or in the support of
-        ``[b_i, b_j]``), each as ``i * dim + j``, ascending.  Built on first
-        use and kept with the algebra; a pair is listed under i, j and its
-        bracket's support, so a few entries per pair (256 on the A8 chain)."""
-        dim, table = self.dim, self._table
-        index: list[list[int]] = [[] for _ in range(dim)]
-        for i in range(dim):
-            row = table[i]
-            for j in range(i, dim):
-                for c in {i, j}.union(k for k, _ in row.get(j, ())):
-                    index[c].append(i * dim + j)
-        return tuple(map(tuple, index))
-
-    @cached_property
-    def torus_solver(self) -> Solver:
-        """The weights of the basis vectors past the torus, the
-        ``(dim - torus) x torus`` matrix ``beta_i(h_j)``, factored once:
-        ``torus_solver.solve(a)`` is the torus vector h with
-        ``beta_i(h) = a_i`` with the free variables zero, or None."""
-        rows = self.weights[self.torus :]
-        return Solver(MatQ.from_rows(rows) if rows else MatQ(0, self.torus, {}))
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self._table[i].get(j, ())
@@ -316,8 +291,8 @@ def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAl
     specs name the same system and the same sorted Psi) and kept in a memo
     of at most 32 entries, least recently used first out; the returned
     algebra is shared and read-only.  The largest entry, the extraction
-    over all of Phi(E8), holds about 12 MB under tracemalloc with all that
-    is kept on it, so the memo holds at most about 380 MB.
+    over all of Phi(E8), holds about 9 MB under tracemalloc with all that
+    is kept on it, so the memo holds at most about 290 MB.
     """
     if check_closed:
         violation = _closure(spec)
@@ -396,11 +371,12 @@ def _extract(spec: SubalgebraSpec) -> LieAlgebra:
                 # the torus basis is the simple coroots
                 structure[(l + a, l + b)] = tuple((k, c) for k, c in enumerate(coroots[a]) if c)
 
-    # entry (i, j) of the l x l torus block is entry i * dim + j of the form, an int when integral
-    form = {u // l * dim + u % l: x.numerator if x.denominator == 1 else x for u, x in torus_block.nonzeros.items()}
+    # entry (i, j) of the l x l torus block is entry i * dim + j of the form
+    form = {u // l * dim + u % l: x for u, x in torus_block.nonzeros.items()}
     for a, b in enumerate(opposite):
         if b is not None:
             form[(l + a) * dim + b] = _opposite_pair_form(kh, coroots[a])
+    form = {u: x.numerator if x.denominator == 1 else x for u, x in form.items()}  # an int when integral
 
     labels = tuple(f"h{i + 1}" for i in range(l)) + tuple(f"x{i + 1}" for i in range(m))
     return LieAlgebra(dim=dim, labels=labels, structure=structure, form=MatQ(dim, dim, form), torus=l)

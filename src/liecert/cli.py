@@ -566,14 +566,6 @@ def _write(value, parts: list[str], newline: str, stream: _Stream) -> None:
         parts.append("{}" if kind is dict else "[]")
     else:
         inner, sep = newline + "  ", "{" if kind is dict else "["
-        if kind is list and type(value[0]) is str:
-            # element coordinates: one join, no call per item; an item that is
-            # not a str raises TypeError, and the loop below writes the list
-            try:
-                parts += ("[", inner, ("," + inner).join(map(encode_basestring_ascii, value)), newline, "]")
-                return
-            except TypeError:
-                pass
         for item in sorted(value.items()) if kind is dict else value:
             parts += (sep, inner)
             if kind is dict:

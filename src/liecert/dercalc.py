@@ -3,9 +3,7 @@
 The Leibniz identity has one encoding, ``_leibniz_rows``: the sparse rows of
 ``D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j]`` over the unknowns of D.
 ``derivation_space`` and ``centroid_space`` solve them; ``leibniz_violation``
-and ``centroid_violation`` evaluate them at one matrix, at the pairs whose
-rows read a nonzero column of it (``LieAlgebra._pairs_by_column``, built once
-per algebra).
+and ``centroid_violation`` evaluate them at one matrix, pair by pair.
 
 The rows are built only where the torus weights match.  The torus H acts
 diagonally on the basis (``LieAlgebra.weights``), so the unknown ``D[s][t]``
@@ -36,8 +34,7 @@ that does not refute raises.
 
 Every step reads the torus off the algebra: H is its first ``g.torus``
 basis vectors, and ``beta_i(h_j)`` is ``g.weights[g.torus + i][j]``.  Step
-(iii) uses ``LieAlgebra.torus_solver``, those weights factored once per
-algebra.
+(iii) is one ``exact.solve`` over those weights.
 
 ``verify_aid_eq_inn`` proves almost inner = inner on a minimal L, which is
 r_2^l (``chevalley.normal_form``), from ``Der = Inn`` alone, as ``Inn <= Aid
@@ -51,11 +48,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import add, sub
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
-from .exact import _ZERO, Echelon, MatQ, Rat, Solver, _Value, kernel_basis
+from .exact import _ZERO, Echelon, MatQ, Rat, _Value, kernel_basis, solve
 from .qgraded import is_minimal
 
 __all__ = [
@@ -179,29 +176,17 @@ def _weight_zero_kernel(g: LieAlgebra, pairs, sides) -> tuple[MatQ, ...]:
     return tuple(MatQ(dim, dim, dict(zip(unknowns, vec))) for vec in system.kernel(len(unknowns)))
 
 
-def _touched_pairs(g: LieAlgebra, d: MatQ, ordered: bool):
-    """The pairs whose Leibniz rows read a nonzero column of D, from
-    ``LieAlgebra._pairs_by_column``: ``i < j`` in ``combinations`` order, or
-    with ``ordered`` every ``(i, j)`` in ``product`` order."""
-    dim, index = g.dim, g._pairs_by_column
-    touched = set().union(*(index[c] for c in {u % dim for u in d.nonzeros}))  # i * dim + j with i <= j
-    if ordered:
-        touched.update([(p % dim) * dim + p // dim for p in touched])
-    else:
-        touched.difference_update(range(0, dim * dim, dim + 1))  # the pairs i == j
-    return (divmod(p, dim) for p in sorted(touched))
-
-
 def _first_violation(g: LieAlgebra, d: MatQ, ordered: bool, right: bool) -> tuple[int, int] | None:
-    """First pair (of ``_touched_pairs``) whose ``left=True`` Leibniz rows do
-    not vanish on ``d``; a pair it leaves out reads only zero columns of D.
-    Only the rows of D's own weights are evaluated: a row of any other weight
-    reads only unknowns that are zero in D."""
+    """First pair, ``i < j`` in ``combinations`` order or with ``ordered``
+    every ``(i, j)`` in ``product`` order, whose ``left=True`` Leibniz rows do
+    not vanish on ``d``.  Only the rows of D's own weights are evaluated: a
+    row of any other weight reads only unknowns that are zero in D."""
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
     dim, weights, nz = g.dim, g.weights, d.nonzeros
     shifts = {tuple(map(sub, weights[u // dim], weights[u % dim])) for u in nz}
-    for i, j, rows in _graded_rows(g, _touched_pairs(g, d, ordered), [(True, right)], shifts):
+    pairs = product(range(dim), repeat=2) if ordered else combinations(range(dim), 2)
+    for i, j, rows in _graded_rows(g, pairs, [(True, right)], shifts):
         for row in rows:
             if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
@@ -360,8 +345,7 @@ def _reduce(g: LieAlgebra, d: MatQ, scalars: tuple[Rat, ...]):
 def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
     """Exact decision procedure for almost-inner membership on a minimal L.
 
-    The one place on this path that checks Leibniz, once per candidate; the
-    scalar system is solved by ``g.torus_solver``, factored once per algebra."""
+    The one place on this path that checks Leibniz, once per candidate."""
     viol = leibniz_violation(g, d)
     if viol is not None:
         return AidVerdict(status="not-derivation", data={"pair": viol})
@@ -370,18 +354,20 @@ def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
     scalars = data["scalars"]
     z, _, a = _reduce(g, d, scalars)
-    h = g.torus_solver.solve(a)
+    l = g.torus
+    # the (dim - l) x l matrix beta_i(h_j), of that shape with no root vectors too
+    system = MatQ(g.dim - l, l, {i * l + j: w for i, row in enumerate(g.weights[l:]) for j, w in enumerate(row)})
+    h = solve(system, a)
     if h is None:
         # the almost-inner condition fails at x = sum_i x_i if the root vectors
         # commute; explicit, so that it runs under python -O
-        l = g.torus
         x = (Fraction(0),) * l + (Fraction(1),) * (g.dim - l)
-        if Solver(g.ad(x)).solve(d.mul_vec(x)) is not None:
+        if solve(g.ad(x), d.mul_vec(x)) is not None:
             raise AssertionError("the scalar system is infeasible, but D(x) lies in [x, L] at x = sum x_i")
         return AidVerdict(
             status="not-aid",
             reason="scalar-system",
-            data={"system": MatQ.from_rows(g.weights[l:]), "rhs": a, "fails_at": x, "reduction_z": z},
+            data={"system": system, "rhs": a, "fails_at": x, "reduction_z": z},
         )
     # h - z, as h lives on the torus and z = sum_i c_i x_i off it
     witness = h + tuple(-c for c in scalars)

@@ -5,11 +5,10 @@ no floating point anywhere.  A scalar is an int or a Fraction, never a float
 or a bool; integral inputs and constants stay ints.  A matrix, :class:`MatQ`,
 holds only its nonzero entries, by row-major index.  One sparse elimination
 engine, :class:`Echelon`, sits behind ``kernel_basis``, ``inverse`` and
-:class:`Solver`.
-It is fraction-free: an added row has its denominators cleared and is kept
-as a primitive integer row, and the ``Fraction``s of a result are made only
-when it is read out of the unique reduced row echelon form, with free
-variables zeroed, so they do not depend on elimination order.
+``solve``.  It is fraction-free: an added row has its denominators cleared
+and is kept as a primitive integer row, and the ``Fraction``s of a result
+are made only when it is read out of the unique reduced row echelon form,
+with free variables zeroed, so they do not depend on elimination order.
 Downstream certificates are therefore reproducible byte-for-byte.
 
 Lattices over Z have one engine of their own, ``hermite_insert``: the
@@ -36,7 +35,7 @@ __all__ = [
     "Echelon",
     "kernel_basis",
     "inverse",
-    "Solver",
+    "solve",
     "hermite_insert",
     "invariant_factors",
     "rat_to_str",
@@ -366,42 +365,23 @@ def inverse(m: MatQ) -> MatQ | None:
     return MatQ(n, n, {c * n + j - n: x for c, row in ech.reduced().items() for j, x in row.items() if j >= n})
 
 
-class Solver(_ReadOnly):
-    """``m x = b`` for one matrix m and any number of right-hand sides b.
-
-    ``[m | I]`` is reduced once.  Its rows with a pivot c in m are
-    ``[R_c | E_c]``, where R is the reduced row echelon form of m and E the
-    row operations that give it; its other rows are ``[0 | y]`` with
-    ``y m = 0``, and they span the left null space.  So ``m x = b`` is
-    consistent iff ``y . b = 0`` for each such y, and then ``[R | E b]`` is
-    the unique reduced form of ``[m | b]``: ``solve`` returns
-    ``x[c] = E_c . b`` at each pivot c and zero elsewhere."""
-
-    def __init__(self, m: MatQ):
-        rows, cols = m.rows, m.cols
-        ech = Echelon()
-        for i, row in enumerate(m.row_dicts()):
-            ech.add({**row, cols + i: _ONE})
-        # each reduced row as the pairs (i, coefficient of b_i) of its right half
-        red = {c: tuple((j - cols, v) for j, v in row.items() if j >= cols) for c, row in ech.reduced().items()}
-        self.__dict__.update(
-            rows=rows,
-            cols=cols,
-            pivots=tuple((c, e) for c, e in red.items() if c < cols),
-            checks=tuple(y for c, y in red.items() if c >= cols),
-        )
-
-    def solve(self, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
-        """One solution of ``m x = b`` with the free variables zero, or None
-        when it is inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        if any(sum(v * b[i] for i, v in y if b[i]) for y in self.checks):
-            return None
-        x = [_ZERO] * self.cols
-        for c, e in self.pivots:
-            x[c] = sum((v * b[i] for i, v in e if b[i]), _ZERO)
-        return tuple(x)
+def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
+    """One solution of ``m x = b`` with the free variables zero, or None when
+    it is inconsistent: ``[m | b]`` is reduced in one :class:`Echelon`, and a
+    pivot in its last column means no solution; otherwise x is that column
+    of the unique reduced form at each pivot."""
+    n = m.cols
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    ech = Echelon()
+    for row, v in zip(m.row_dicts(), b):
+        ech.add({**row, n: v})
+    if n in ech._rows:
+        return None
+    x = [_ZERO] * n
+    for c, row in ech.reduced().items():
+        x[c] = row.get(n, _ZERO)
+    return tuple(x)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -31,7 +31,6 @@ __all__ = [
     "spans_q",
     "is_minimal",
     "enumerate_minimal",
-    "verify_metabelian",
     "certify",
     "EnumerationCapExceeded",
 ]
@@ -105,15 +104,13 @@ def spans_q(spec: SubalgebraSpec) -> tuple[bool, tuple[int, ...]]:
     return (len(factors) == l and all(x == 1 for x in factors)), factors
 
 
-def _require_closed_spanning(spec: SubalgebraSpec) -> tuple[int, ...]:
-    """The invariant factors of a closed spanning Psi; ValueError otherwise."""
+def _require_closed_spanning(spec: SubalgebraSpec) -> None:
+    """ValueError unless Psi is closed and spans the root lattice."""
     closed, w = is_closed(spec)
     if not closed:
         raise ValueError(f"Psi is not closed: {w[0]} + {w[1]} = {w[2]} lies outside Psi")
-    spanning, factors = spans_q(spec)
-    if not spanning:
+    if not spans_q(spec)[0]:
         raise ValueError("Psi does not span the root lattice")
-    return factors
 
 
 def _minimal_sets(rs: RootSystem, roots: tuple[Root, ...], first: bool = False, labels=None, keep=None) -> list:
@@ -276,25 +273,35 @@ def derived_algebra_dim(g: LieAlgebra) -> int:
     return span.rank
 
 
-def verify_metabelian(spec: SubalgebraSpec) -> QGradedCertificate:
-    """Check [L,L] = sum of the root spaces and that it is abelian.
+def certify(spec: SubalgebraSpec) -> QGradedCertificate:
+    """Full certificate: closure, span, minimality, metabelian, dimensions.
 
-    Precondition: spec closed and spanning (ValueError if not).  The
-    certificate records the derived-algebra dimensions and, on failure, a
-    nonzero bracket pair.
+    Closure and span are each decided once.  For a closed spanning Psi the
+    certificate records the derived-algebra dimensions, whether ``[L, L]`` is
+    the sum of the root spaces and abelian, and on failure a nonzero bracket
+    pair.  Otherwise minimality and the metabelian check are not run, and
+    their fields stay None.
     """
-    return _metabelian_certificate(spec, _require_closed_spanning(spec))
-
-
-def _metabelian_certificate(spec: SubalgebraSpec, factors: tuple[int, ...]) -> QGradedCertificate:
-    """``verify_metabelian`` once closure and span are decided."""
+    closed, cw = is_closed(spec)
+    spanning, factors = spans_q(spec)
+    if not (closed and spanning):
+        return QGradedCertificate(
+            spec=spec,
+            closed=closed,
+            closure_witness=cw,
+            spans=spanning,
+            invariant_factors=factors,
+            minimal=None,
+            minimal_counterexample=None,
+            metabelian=None,
+            metabelian_witness=None,
+            dims=None,
+        )
     sub = extract_subalgebra(spec, check_closed=False)
     l, m = spec.system.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
     nonzero = ((a, b) for a in range(m) for b in range(a + 1, m) if any(c for _, c in sub.bracket_basis(l + a, l + b)))
     witness = next(((spec.psi[a], spec.psi[b]) for a, b in nonzero), None)
-    abelian = witness is None and ddim == m
-
     counter = _smaller_minimal(spec)
     return QGradedCertificate(
         spec=spec,
@@ -304,32 +311,7 @@ def _metabelian_certificate(spec: SubalgebraSpec, factors: tuple[int, ...]) -> Q
         invariant_factors=factors,
         minimal=counter is None,
         minimal_counterexample=counter,
-        metabelian=abelian,
+        metabelian=witness is None and ddim == m,
         metabelian_witness=witness,
         dims=(l, ddim, sub.dim),
-    )
-
-
-def certify(spec: SubalgebraSpec) -> QGradedCertificate:
-    """Full certificate: closure, span, minimality, metabelian, dimensions.
-
-    Closure and span are each decided once.  For a closed spanning Psi this
-    is ``verify_metabelian``'s certificate.  Otherwise minimality and the
-    metabelian check are not run, and their fields stay None.
-    """
-    closed, cw = is_closed(spec)
-    spanning, factors = spans_q(spec)
-    if closed and spanning:
-        return _metabelian_certificate(spec, factors)
-    return QGradedCertificate(
-        spec=spec,
-        closed=closed,
-        closure_witness=cw,
-        spans=spanning,
-        invariant_factors=factors,
-        minimal=None,
-        minimal_counterexample=None,
-        metabelian=None,
-        metabelian_witness=None,
-        dims=None,
     )

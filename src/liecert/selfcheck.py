@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .chevalley import SubalgebraSpec, extract_subalgebra
 from .dercalc import aid_membership, centroid_space, diagonal_map, diagonal_toral_algebra, leibniz_violation, verify_aid_eq_inn
-from .exact import _Value
+from .exact import MatQ, _Value, solve
 from .loopalg import (
     DiagonalDerivative,
     Inner,
@@ -30,7 +30,7 @@ from .loopalg import (
     loop_context,
     toral_center_witness,
 )
-from .qgraded import certify, enumerate_minimal, is_closed, verify_metabelian
+from .qgraded import certify, enumerate_minimal, is_closed
 from .rootsys import build_root_system
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criteria"]
@@ -154,7 +154,7 @@ def criterion_3(seed: int) -> tuple[bool, str]:
     total = 0
     for family, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]:
         for spec in _minimal(family, rank):
-            cert = verify_metabelian(spec)
+            cert = certify(spec)
             if not cert.metabelian or cert.metabelian_witness is not None:
                 return False, f"violation at {family}{rank} psi={spec.psi}"
             total += 1
@@ -179,7 +179,7 @@ def criterion_5(seed: int) -> tuple[bool, str]:
     # overweight (three positive roots of rank-2 type A): scalars (1, 0, 0)
     g = extract_subalgebra(SubalgebraSpec(build_root_system("A", 2), ((1, 0), (0, 1), (1, 1))))
     v = aid_membership(g, diagonal_map(g, [1, 0, 0]))
-    if v.status != "not-derivation" or g.torus_solver.solve([1, 0, 0]) is not None:
+    if v.status != "not-derivation" or solve(MatQ.from_rows(g.weights[g.torus :]), [1, 0, 0]) is not None:
         return False, f"overweight case not rejected: {v}"
     notes.append(
         "scalars (1,0,0) on the three-positive-root subalgebra: 3x2 scalar system "

@@ -156,7 +156,7 @@ def torus_reference(g: LieAlgebra, spec: SubalgebraSpec) -> SimpleNamespace:
     e_pairs = [g.form.at(l + rs.root_index[beta], l + rs.root_index[_neg(beta)]) for beta in spec.psi]
     gram = MatQ.from_rows(
         [
-            [sum(c * pair.at(a, k) for k, c in enumerate(hb) if c) / eb for hb, eb in zip(coroots, e_pairs)]
+            [Fraction(sum(c * pair.at(a, k) for k, c in enumerate(hb) if c), eb) for hb, eb in zip(coroots, e_pairs)]
             for a in range(m)
         ]
     )

@@ -7,13 +7,12 @@ system in all dim^2 unknowns of D, and ``leibniz_violation`` and
 ``centroid_violation`` evaluate every row of a pair, whatever its weight;
 all four take the rows from the package's builder at every output
 coordinate, which ``test_leibniz_rows_are_the_touched_coordinates_only``
-checks against the dense bracket; ``touched_pairs`` is the pair filter that
-``LieAlgebra._pairs_by_column`` replaced.  ``aid_precondition`` and ``reduce`` read D
+checks against the dense bracket.  ``aid_precondition`` and ``reduce`` read D
 entry by entry with ``MatQ.at`` and add ``ad(z)`` to every entry, and ``mul``
 is the row-by-row dense product.  ``aid_membership`` is the decision
-procedure wired to them; it shares ``leibniz_violation``,
-``_torus_kernel_vector``, ``Solver``, ``LieAlgebra.ad`` and
-``LieAlgebra.weights`` (as ``beta_of_h``) with the package, which other
+procedure wired to them, solving with ``exact_reference.solve_sparse``; it
+shares ``leibniz_violation``, ``_torus_kernel_vector``, ``LieAlgebra.ad``
+and ``LieAlgebra.weights`` (as ``beta_of_h``) with the package, which other
 tests check on their own.
 """
 
@@ -24,8 +23,8 @@ from itertools import combinations, combinations_with_replacement, product
 
 from liecert.chevalley import LieAlgebra
 from liecert.dercalc import AidVerdict, CentroidBasis, DerivationBasis, _leibniz_rows, _torus_kernel_vector, leibniz_violation
-from liecert.exact import Echelon, MatQ, Rat, Solver
-from exact_reference import dense
+from liecert.exact import Echelon, MatQ, Rat
+from exact_reference import dense, solve_sparse
 
 
 def _rows(g: LieAlgebra, i: int, j: int, left: bool, right: bool) -> list[dict[int, Rat]]:
@@ -69,14 +68,6 @@ def _first_violation(g: LieAlgebra, d: MatQ, pairs, right: bool) -> tuple[int, i
             if sum(c * nz[u] for u, c in row.items() if u in nz):
                 return i, j
     return None
-
-
-def touched_pairs(g: LieAlgebra, d: MatQ, pairs) -> list[tuple[int, int]]:
-    """The pairs of ``pairs`` whose rows read a nonzero column of D: i, j or a
-    coordinate of ``[b_i, b_j]``; the filter ``_first_violation`` applied to
-    every pair before the column index replaced it."""
-    live = {u % d.cols for u in _nonzeros(d)}
-    return [(i, j) for i, j in pairs if not live.isdisjoint([i, j, *(k for k, _ in g.bracket_basis(i, j))])]
 
 
 def leibniz_violation_rows(g: LieAlgebra, d: MatQ) -> tuple[int, int] | None:
@@ -155,7 +146,7 @@ def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
     z, dt, a = reduce(g, d, data["scalars"])
     l, m = g.torus, g.dim - g.torus
-    h = Solver(beta_of_h(g)).solve(list(a))
+    h = solve_sparse([dict(enumerate(row)) for row in dense(beta_of_h(g)).to_rows()], a, l)
     if h is None:
         x = (Fraction(0),) * l + (Fraction(1),) * m
         return AidVerdict(

@@ -5,11 +5,11 @@ columns off ``liecert.exact.Echelon``.  No command needs the dense form, so
 it lives here, where tests use it for ranks and as the engine's read-out
 against sympy and the ``Fraction`` reference engine.
 
-``solve_sparse`` is ``liecert.exact.solve`` for ``{column: value}`` rows, as
-it was before ``exact.Solver``: the right-hand side is one more column of the
-elimination.  Its only caller in the package was the windowed ``inner-match``
-search, now the oracle in ``loopalg_reference``; on the rows of a ``MatQ`` it
-is the oracle for ``Solver`` and ``solve``.
+``solve_sparse`` solves ``{column: value}`` rows with the right-hand side as
+one more column of the elimination, and stops at the first inconsistent row.
+Its only caller in the package was the windowed ``inner-match`` search, now
+the oracle in ``loopalg_reference``; on the rows of a ``MatQ`` it is the
+oracle for ``liecert.exact.solve``, and ``dercalc_reference`` solves with it.
 
 ``DenseMatQ`` is ``liecert.exact.MatQ`` as it was while it stored every
 entry in a row-major tuple, and ``dense_kernel_basis``, ``dense_inverse``

@@ -18,7 +18,7 @@ from liecert.chevalley import (
     extract_subalgebra,
     normal_form,
 )
-from liecert.exact import MatQ, Solver, inverse
+from liecert.exact import MatQ, inverse, solve
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 from chevalley_reference import build_semisimple as reference_semisimple
@@ -299,6 +299,19 @@ def test_extract_opposite_pair(b2):
     assert jacobi_violations(sub) == []
 
 
+def test_form_entries_are_ints_where_integral():
+    # (e_a, e_-a) is stored as an int when it is integral, as the torus block is
+    forms = []
+    for family, rank in [("B", 2), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        forms += [(f"{family}{rank}", build_semisimple(rs).form)]
+    b2 = build_root_system("B", 2)
+    forms += [("B2 minimal", extract_subalgebra(SubalgebraSpec(b2, ((1, 0), (2, 1)))).form)]
+    for name, form in forms:
+        for x in form.nonzeros.values():
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), (name, x)
+
+
 def test_extracted_subalgebra_jacobi(b2):
     rs, g = b2
     sub = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
@@ -376,7 +389,7 @@ def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
     pair_rows = [[Fraction(rs.pairing(beta, j)) for j in range(l)] for beta in spec.psi]
     torus = [tuple(u) for u in unit]
     if m == l and rref(MatQ.from_rows(pair_rows)).rank == l:
-        torus = [tuple(Solver(MatQ.from_rows(pair_rows)).solve(u)) for u in unit]
+        torus = [tuple(solve(MatQ.from_rows(pair_rows), u)) for u in unit]
     basis = [tuple(t) + (Fraction(0),) * (amb - l) for t in torus]
     basis += [g.basis_vector(l + rs.root_index[beta]) for beta in spec.psi]
     bt = MatQ.from_rows([[basis[j][i] for j in range(dim)] for i in range(amb)])
@@ -385,7 +398,7 @@ def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
         for j in range(i + 1, dim):
             w = bracket(g, basis[i], basis[j])
             if any(w):
-                coords = Solver(bt).solve(w)
+                coords = solve(bt, w)
                 assert coords is not None
                 entry = tuple((k, c) for k, c in enumerate(coords) if c)
                 if entry:
@@ -397,8 +410,8 @@ def dense_extract_reference(g: LieAlgebra, spec: SubalgebraSpec):
     torus_gram = MatQ.from_rows([row[:l] for row in form_rows[:l]])
     dual = gram = None
     if rref(torus_gram).rank == l:
-        dual = tuple(tuple(Solver(torus_gram).solve(u)) + (Fraction(0),) * m for u in unit)
-        tvecs = [Solver(torus_gram).solve(list(dense(beta_of_h).row(b))) for b in range(m)]
+        dual = tuple(tuple(solve(torus_gram, u)) + (Fraction(0),) * m for u in unit)
+        tvecs = [solve(torus_gram, list(dense(beta_of_h).row(b))) for b in range(m)]
         gram = MatQ.from_rows(
             [[sum(beta_of_h.at(a, i) * tvecs[b][i] for i in range(l)) for b in range(m)] for a in range(m)]
         )

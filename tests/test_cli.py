@@ -904,8 +904,8 @@ def test_document_writer_matches_json_dumps():
     for _ in range(500):
         doc = document(0)
         assert _sent(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", doc
-    # lists of strings are written with one join: a one-item list, a list that
-    # mixes str and int either way round, escapes, and real documents
+    # lists of strings: a one-item list, a list that mixes str and int either
+    # way round, escapes, and real documents
     a8 = "--psi=" + ";".join(",".join("1" if k <= n else "0" for k in range(8)) for n in range(8))
     _, der_a8, _ = invoke(["der", "--family", "A", "--rank", "8", a8])
     _, minimal_a4, _ = invoke(["minimal", "--family", "A", "--rank", "4"])

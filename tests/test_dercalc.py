@@ -7,7 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from liecert.dercalc import (
     leibniz_violation,
     verify_aid_eq_inn,
 )
-from liecert.exact import Echelon, MatQ
+from liecert.exact import Echelon, MatQ, solve
 from liecert.qgraded import enumerate_minimal
 from liecert.rootsys import build_root_system
 
@@ -253,30 +253,11 @@ A4_CHAIN = ["--family", "A", "--rank", "4", "--psi", "1,0,0,0;1,1,0,0;1,1,1,0;1,
 
 def test_each_algebra_solves_der_and_its_centroid_once(monkeypatch):
     # Der and the centroid are kept on the algebra, and aid decides from Der
-    # alone: no candidate is checked, so neither the pair index nor the
-    # factored root weights are built
-    from functools import cached_property
-
+    # alone: no candidate is checked, so no scalar system is solved
     from liecert import chevalley
     from liecert.cli import run
 
-    counts = {"solves": 0, "candidates": 0, "index": 0, "solver": 0}
-    real_index = LieAlgebra.__dict__["_pairs_by_column"].func
-
-    def index(self):
-        counts["index"] += 1
-        return real_index(self)
-
-    counted = cached_property(index)
-    counted.__set_name__(LieAlgebra, "_pairs_by_column")
-    monkeypatch.setattr(LieAlgebra, "_pairs_by_column", counted)
-
-    class CountingSolver(chevalley.Solver):
-        def __init__(self, m):
-            counts["solver"] += 1
-            super().__init__(m)
-
-    monkeypatch.setattr(chevalley, "Solver", CountingSolver)
+    counts = {"solves": 0, "candidates": 0, "scalar_systems": 0}
 
     def counting(name, real):
         def call(*args):
@@ -287,13 +268,14 @@ def test_each_algebra_solves_der_and_its_centroid_once(monkeypatch):
 
     counting("candidates", dercalc.aid_membership)
     counting("solves", dercalc._weight_zero_kernel)
+    counting("scalar_systems", dercalc.solve)
     chevalley._extract.cache_clear()  # a fresh algebra
     for command in ("der", "aid", "aid"):
         assert run([command, *A4_CHAIN], out=io.StringIO()) == 0
-    assert counts == {"solves": 1, "candidates": 0, "index": 0, "solver": 0}
+    assert counts == {"solves": 1, "candidates": 0, "scalar_systems": 0}
     for _ in range(2):
         assert run(["centroid", *A4_CHAIN], out=io.StringIO()) == 0
-    assert counts == {"solves": 2, "candidates": 0, "index": 0, "solver": 0}
+    assert counts == {"solves": 2, "candidates": 0, "scalar_systems": 0}
     chevalley._extract.cache_clear()  # leave nothing built under the patches in the memo
 
 
@@ -349,7 +331,7 @@ def test_scalar_derivation_verdict_dichotomy():
     # square case: every diagonal derivation is inner
     rs = build_root_system("B", 2)
     g = extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
-    assert g.torus_solver.solve([3, -2]) is not None
+    assert solve(MatQ.from_rows(g.weights[g.torus :]), [3, -2]) is not None
     assert aid_membership(g, diagonal_map(g, [3, -2])).is_inner
     # overweight case on the true A2 positive-root subalgebra: (1,0,0) fails
     # Leibniz (the derived algebra is not abelian) and the 3x2 system is
@@ -357,7 +339,7 @@ def test_scalar_derivation_verdict_dichotomy():
     rs2 = build_root_system("A", 2)
     g2 = extract_subalgebra(SubalgebraSpec(rs2, ((1, 0), (0, 1), (1, 1))))
     assert aid_membership(g2, diagonal_map(g2, [1, 0, 0])).status == "not-derivation"
-    assert g2.torus_solver.solve([1, 0, 0]) is None
+    assert solve(MatQ.from_rows(g2.weights[g2.torus :]), [1, 0, 0]) is None
     # additive scalars do give a derivation there, and it is inner
     assert aid_membership(g2, diagonal_map(g2, [1, 2, 3])).is_inner
 
@@ -727,10 +709,12 @@ def _evaluator_algebras():
 
 
 def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
+    # the matrix units E_0c, one nonzero column each, then mixed weights
     rng = random.Random(13)
     outcomes = {"leibniz": set(), "centroid": set()}
     for name, g in _evaluator_algebras():
-        for d in _mixed_weight_matrices(g, rng):
+        units = [MatQ(g.dim, g.dim, {c: Fraction(1)}) for c in range(g.dim)]
+        for d in [*units, *_mixed_weight_matrices(g, rng)]:
             for key, graded, full in [
                 ("leibniz", leibniz_violation, dercalc_reference.leibniz_violation_rows),
                 ("centroid", centroid_violation, dercalc_reference.centroid_violation_rows),
@@ -739,20 +723,6 @@ def test_graded_evaluators_find_the_first_pair_of_the_full_rows():
                 assert got == full(g, d), (name, key, d)
                 outcomes[key].add(got is None)
     assert outcomes == {"leibniz": {True, False}, "centroid": {True, False}}
-
-
-def test_pair_index_gives_the_pairs_of_the_filter():
-    # the column index yields exactly the pairs that the per-pair filter keeps,
-    # in combinations order for Leibniz and product order for the centroid
-    # (one column at a time, through a matrix unit, and then many at once)
-    rng = random.Random(13)
-    for name, g in _evaluator_algebras():
-        units = [MatQ(g.dim, g.dim, {c: Fraction(1)}) for c in range(g.dim)]
-        for d in [*units, *_mixed_weight_matrices(g, rng)]:
-            for ordered, pairs in [(False, combinations(range(g.dim), 2)), (True, product(range(g.dim), repeat=2))]:
-                got = list(dercalc._touched_pairs(g, d, ordered))
-                assert got == dercalc_reference.touched_pairs(g, d, pairs), (name, ordered, d)
-        assert all(list(col) == sorted(set(col)) for col in g._pairs_by_column)
 
 
 def _graded_algebra(structure, torus=1, dim=3):

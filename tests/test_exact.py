@@ -13,7 +13,6 @@ from liecert.dercalc import _leibniz_rows, diagonal_toral_algebra
 from liecert.exact import (
     Echelon,
     MatQ,
-    Solver,
     hermite_insert,
     int_det,
     inverse,
@@ -21,6 +20,7 @@ from liecert.exact import (
     kernel_basis,
     rat_from_str,
     rat_to_str,
+    solve,
 )
 from liecert.rootsys import build_root_system
 from exact_reference import dense, rref, solve_sparse
@@ -157,15 +157,15 @@ def test_kernel_vectors_annihilate():
 
 def test_solve_identity():
     m = MatQ.identity(3)
-    assert Solver(m).solve([1, 2, 3]) == (1, 2, 3)
+    assert solve(m, [1, 2, 3]) == (1, 2, 3)
 
 
 def test_solve_free_variable_zeroed():
-    assert Solver(MatQ.from_rows([[1, 1]])).solve([1]) == (1, 0)
+    assert solve(MatQ.from_rows([[1, 1]]), [1]) == (1, 0)
 
 
 def test_solve_inconsistent():
-    assert Solver(MatQ.from_rows([[1], [1]])).solve([0, 1]) is None
+    assert solve(MatQ.from_rows([[1], [1]]), [0, 1]) is None
 
 
 def test_solve_random_consistent_systems():
@@ -174,7 +174,7 @@ def test_solve_random_consistent_systems():
         m = random_matq(rng, 4, 5, -3, 3)
         xtrue = [Fraction(rng.randint(-3, 3)) for _ in range(5)]
         b = m.mul_vec(xtrue)
-        x = Solver(m).solve(b)
+        x = solve(m, b)
         assert x is not None
         assert m.mul_vec(x) == b
 
@@ -197,7 +197,7 @@ def test_solve_sparse_agrees_with_dense_on_feasibility():
             [[rows[i].get(j, Fraction(0)) for j in range(nc)] for i in range(nr)]
         )
         got = solve_sparse(rows, b, nc)
-        assert got == Solver(dense).solve(b)
+        assert got == solve(dense, b)
         if got is not None:
             assert dense.mul_vec(got) == tuple(b)
 
@@ -277,7 +277,7 @@ def test_rref_kernel_solve_match_sympy():
                 x[c] = frac(aug[r, m.cols])
             want = tuple(x)
             feasible += 1
-        assert Solver(m).solve(b) == want
+        assert solve(m, b) == want
         assert solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, m.cols) == want
 
         if m.rows == m.cols:
@@ -554,12 +554,11 @@ def test_matq_rejects_negative_shapes(rows, cols, entries):
 
 def test_solve_rejects_bad_shape():
     with pytest.raises(ValueError):
-        Solver(MatQ.identity(2)).solve([1, 2, 3])
+        solve(MatQ.identity(2), [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
-# Solver: one factorization, many right-hand sides, against the elimination
-# of [m | b] (``_augmented_solve``)
+# solve against the reference elimination of [m | b] (``_augmented_solve``)
 # ---------------------------------------------------------------------------
 
 
@@ -597,13 +596,12 @@ def test_solver_matches_solve_on_torus_systems():
     names = []
     for name, m in _solver_cases():
         names.append(name)
-        solver = Solver(m)
         # seeded right-hand sides: images m h, which are feasible, and free draws,
         # which are infeasible wherever m has more rows than rank
         for _ in range(12):
             h = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.cols)]
             for rhs in (m.mul_vec(h), [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rows)], [0] * m.rows):
-                got = solver.solve(rhs)
+                got = solve(m, rhs)
                 assert got == _augmented_solve(m, rhs), (name, rhs)
                 assert got is None or all(type(x) is Fraction for x in got)
                 outcomes.add(got is None)
@@ -623,10 +621,11 @@ def test_solver_matches_solve_on_random_systems():
                 m = MatQ(rows, cols, dict(enumerate(
                     dense(m).entries[:cols] + dense(m).entries[:cols] + dense(m).entries[2 * cols :]
                 )))
-            solver = Solver(m)
             for _ in range(6):
                 rhs = [Fraction(rng.randint(-3, 3)) for _ in range(rows)]
                 for b in (rhs, m.mul_vec([rng.randint(-2, 2) for _ in range(cols)])):
-                    assert solver.solve(b) == _augmented_solve(m, b), (m, b)
+                    assert solve(m, b) == _augmented_solve(m, b), (m, b)
     with pytest.raises(ValueError, match="length mismatch"):
-        Solver(MatQ.identity(2)).solve([1])
+        solve(MatQ.identity(2), [1])
+    # no equations: every x solves, and the free variables are zero
+    assert solve(MatQ(0, 3, {}), []) == (0, 0, 0) == _augmented_solve(MatQ(0, 3, {}), [])

@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from liecert.exact import Echelon, MatQ, Solver, inverse, kernel_basis
+from liecert.exact import Echelon, MatQ, inverse, kernel_basis, solve
 from exact_reference import dense, rref, solve_sparse
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -155,7 +155,7 @@ def _check_against_reference(rng, rows):
     outcomes = []
     for b in ([Fraction(rng.randint(-3, 3)) for _ in range(m.rows)], list(m.mul_vec(hidden))):
         want = ref_solve(sparse, b, m.cols)
-        got = Solver(m).solve(b)
+        got = solve(m, b)
         assert got == want and solve_sparse(sparse, b, m.cols) == want
         if got is not None:
             assert _all_fractions(got) and m.mul_vec(got) == tuple(b)
@@ -214,7 +214,7 @@ def test_engine_matches_sympy_on_large_entries():
                 x[c] = frac(aug[r, m.cols])
             want = tuple(x)
         infeasible += want is None
-        assert Solver(m).solve(b) == want
+        assert solve(m, b) == want
         assert solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, m.cols) == want
         checked += 1
     assert checked > 20 and infeasible

@@ -43,7 +43,7 @@ PUBLIC = [
     "RootSystem", "build_root_system", "height", "root_sum",
     "CONVENTION", "LieAlgebra", "SubalgebraSpec",
     "build_semisimple", "extract_subalgebra",
-    "QGradedCertificate", "is_closed", "spans_q", "is_minimal", "enumerate_minimal", "verify_metabelian", "certify",
+    "QGradedCertificate", "is_closed", "spans_q", "is_minimal", "enumerate_minimal", "certify",
 ]
 
 

@@ -19,7 +19,6 @@ from liecert.qgraded import (
     is_closed,
     is_minimal,
     spans_q,
-    verify_metabelian,
 )
 from liecert.rootsys import RootSystem, build_root_system, root_sum
 from exact_reference import rref
@@ -137,7 +136,7 @@ def test_enumeration_cap():
 
 def test_metabelian_on_enumerated(b2rs):
     for spec in _specs(b2rs):
-        cert = verify_metabelian(spec)
+        cert = certify(spec)
         assert cert.metabelian and cert.metabelian_witness is None
         assert cert.dims == (2, 2, 4)
         assert cert.minimal
@@ -145,7 +144,7 @@ def test_metabelian_on_enumerated(b2rs):
 
 def test_metabelian_fails_for_positive_roots(b2rs):
     spec = SubalgebraSpec(b2rs, ((1, 0), (0, 1), (1, 1), (2, 1)))
-    cert = verify_metabelian(spec)
+    cert = certify(spec)
     assert not cert.minimal
     assert not cert.metabelian
     a, b = cert.metabelian_witness
@@ -161,13 +160,13 @@ def test_metabelian_extends_to_rank_three_types():
         assert specs
         for spec in specs:
             assert len(spec.psi) == rank
-            assert verify_metabelian(spec).metabelian
+            assert certify(spec).metabelian
 
 
 def test_metabelian_a1_full_system():
     # {a, -a} in A1 is closed and spanning but the derived algebra is all of L
     rs = build_root_system("A", 1)
-    cert = verify_metabelian(SubalgebraSpec(rs, ((1,), (-1,))))
+    cert = certify(SubalgebraSpec(rs, ((1,), (-1,))))
     assert not cert.metabelian
     assert cert.dims[1] == 3  # [L, L] = L for sl2
 
