@@ -19,22 +19,19 @@ element C has weight 0, since ``[h, Cx] = C[h, x] = alpha(h) Cx``, so the
 centroid is the kernel of the weight-0 block.  An algebra with no torus has
 one weight, and its one block is the whole system.
 
-A derivation D of a minimal Q-graded subalgebra is almost inner iff
-``D(x) in [x, L]`` for every single x.  The decision runs in three exact
-steps: (i) the torus precondition - ``D(h) in [h, L]`` for all torus h, which
-reduces to "no torus component" plus "each root-coefficient functional is a
-scalar multiple c_i of beta_i"; (ii) subtracting ``ad(sum c_i x_i)`` to reach
-an operator that kills the torus and scales each root vector by some a_i;
-(iii) solvability of ``beta_i(h) = a_i`` over the torus.  Solvable means the
-derivation is ``ad`` of an explicit witness.  Unsolvable refutes the
-almost-inner condition at ``x = sum x_i`` only where the root vectors
-commute, as then ``[x, L]`` is the span of ``sum_i beta_i(h) x_i``; so that
-point is re-checked by one exact solve of ``ad(x) y = D(x)``, and a point
-that does not refute raises.
-
-Every step reads the torus off the algebra: H is its first ``g.torus``
-basis vectors, and ``beta_i(h_j)`` is ``g.weights[g.torus + i][j]``.  Step
-(iii) is one ``exact.solve`` over those weights.
+A map D is almost inner iff ``D(x) in [x, L]`` for every single x, and
+``Inn <= Aid <= Der``, so ``aid_membership`` decides in this order: (i) one
+exact solve of ``ad(z) = D`` in the dim unknowns of z, whose solution is the
+witness of "inner"; (ii) the Leibniz rows, as a D that is not a derivation
+is not almost inner either; (iii) the torus precondition - ``D(h) in [h, L]``
+for all torus h, which reduces to "no torus component" plus "each
+root-coefficient functional is a scalar multiple of beta_i", where H is the
+first ``g.torus`` basis vectors and ``beta_i(h_j)`` is
+``g.weights[g.torus + i][j]``; (iv) the point ``x = sum x_i``, where one
+exact solve of ``ad(x) y = D(x)`` must fail.  Where the root vectors
+commute, ``[x, L]`` is the span of ``sum_i beta_i(h) x_i``, so a derivation
+that passes (iii) and is not inner is refuted there; a point that does not
+refute raises.
 
 ``verify_aid_eq_inn`` proves almost inner = inner on a minimal L, which is
 r_2^l (``chevalley.normal_form``), from ``Der = Inn`` alone, as ``Inn <= Aid
@@ -97,9 +94,8 @@ class AidVerdict(_Value):
 
     For "inner", ``witness`` is z with D = ad(z) exactly.  For "not-aid",
     ``reason`` is "precondition" (with the failing torus element) or
-    "scalar-system" (with the infeasible system data and the element
-    ``sum x_i`` at which the almost-inner condition fails, re-checked by an
-    exact solve).
+    "scalar-system" (with the element ``sum x_i`` at which the almost-inner
+    condition fails, re-checked by an exact solve).
     """
 
     def __init__(self, status: str, witness: Vec | None = None, reason: str | None = None, data: dict | None = None):
@@ -282,10 +278,9 @@ def aid_precondition(g: LieAlgebra, d: MatQ) -> tuple[bool, dict]:
     """Decide ``D(h) in [h, L]`` for every torus element h, exactly.
 
     This is a statement about any linear map D, so Leibniz is not checked.
-    On success returns the scalars c_i with (x_i-coefficient of D(h)) =
-    c_i * beta_i(h).  On failure returns a concrete torus witness h with
-    ``D(h)`` outside ``[h, L]`` and the offending component.  A D that is
-    not ``g.dim x g.dim`` raises ValueError.
+    On success returns ``(True, {})``.  On failure returns a concrete torus
+    witness h with ``D(h)`` outside ``[h, L]`` and the offending component.
+    A D that is not ``g.dim x g.dim`` raises ValueError.
     """
     if (d.rows, d.cols) != (g.dim, g.dim):
         raise ValueError("shape mismatch")
@@ -303,7 +298,6 @@ def aid_precondition(g: LieAlgebra, d: MatQ) -> tuple[bool, dict]:
     if torus:
         j = min(torus)
         return False, {"witness_h": tuple(Fraction(1 if k == j else 0) for k in range(l)), "component": "torus"}
-    scalars = [_ZERO] * (dim - l)  # c_i = 0 where the functional is zero
     for i in sorted(psi):
         row = psi[i]
         beta_row = {j: b for j, b in enumerate(weights[l + i]) if b}  # beta_i(h_j), by its nonzeros
@@ -315,65 +309,39 @@ def aid_precondition(g: LieAlgebra, d: MatQ) -> tuple[bool, dict]:
             if witness is None:
                 raise AssertionError("no torus element separates the functional from beta_i")
             return False, {"witness_h": witness, "component": i}
-        scalars[i] = c
-    return True, {"scalars": tuple(scalars)}
-
-
-def _reduce(g: LieAlgebra, d: MatQ, scalars: tuple[Rat, ...]):
-    """Subtract an inner derivation so the result kills H and scales each x_i:
-    ``(z, Dt, a)`` with ``Dt = D + ad(z)``, ``Dt(H) = 0`` and
-    ``Dt(x_i) = a_i x_i``, where z is the closed form ``sum c_i x_i`` of the
-    precondition's scalars c_i.  Raises when the reduction fails."""
-    l, dim, table = g.torus, g.dim, g._table
-    z = (_ZERO,) * l + scalars
-    # Dt = D + ad(z), and ad(z) = sum_i c_i ad(x_i) has column j holding c_i [x_i, b_j]
-    entries = dict(d.nonzeros)
-    for i, c in enumerate(scalars, l):
-        if c:
-            for j, entry in table[i].items():
-                for k, x in entry:
-                    u = k * dim + j
-                    entries[u] = entries.get(u, 0) + c * x
-    dt = MatQ(dim, dim, entries)
-    if any(u % dim < l for u in dt.nonzeros):
-        raise AssertionError("reduction failed to kill the torus")
-    if any(u % (dim + 1) for u in dt.nonzeros):
-        raise AssertionError("reduced derivation is not diagonal on the root vectors")
-    return z, dt, tuple(dt.at(u, u) for u in range(l, dim))
+    return True, {}
 
 
 def aid_membership(g: LieAlgebra, d: MatQ) -> AidVerdict:
     """Exact decision procedure for almost-inner membership on a minimal L.
 
-    The one place on this path that checks Leibniz, once per candidate."""
+    "inner" is one solve of ``ad(z) = D``, whose column i is ``ad(b_i)``
+    read off the structure table; Leibniz is checked only when it fails."""
+    if (d.rows, d.cols) != (g.dim, g.dim):
+        raise ValueError("shape mismatch")
+    dim, nz = g.dim, d.nonzeros
+    # entry (k, j) of ad(b_i) is the b_k-coefficient of [b_i, b_j]
+    columns = {
+        (k * dim + j) * dim + i: c for i, row in enumerate(g._table) for j, entry in row.items() for k, c in entry
+    }
+    z = solve(MatQ(dim * dim, dim, columns), [nz.get(u, _ZERO) for u in range(dim * dim)])
+    if z is not None:
+        # explicit, so that it runs under python -O
+        if g.ad(z) != d:
+            raise AssertionError("inner witness does not reproduce the derivation")
+        return AidVerdict(status="inner", witness=z)
     viol = leibniz_violation(g, d)
     if viol is not None:
         return AidVerdict(status="not-derivation", data={"pair": viol})
     ok, data = aid_precondition(g, d)
     if not ok:
         return AidVerdict(status="not-aid", reason="precondition", data=data)
-    scalars = data["scalars"]
-    z, _, a = _reduce(g, d, scalars)
-    l = g.torus
-    # the (dim - l) x l matrix beta_i(h_j), of that shape with no root vectors too
-    system = MatQ(g.dim - l, l, {i * l + j: w for i, row in enumerate(g.weights[l:]) for j, w in enumerate(row)})
-    h = solve(system, a)
-    if h is None:
-        # the almost-inner condition fails at x = sum_i x_i if the root vectors
-        # commute; explicit, so that it runs under python -O
-        x = (Fraction(0),) * l + (Fraction(1),) * (g.dim - l)
-        if solve(g.ad(x), d.mul_vec(x)) is not None:
-            raise AssertionError("the scalar system is infeasible, but D(x) lies in [x, L] at x = sum x_i")
-        return AidVerdict(
-            status="not-aid",
-            reason="scalar-system",
-            data={"system": system, "rhs": a, "fails_at": x, "reduction_z": z},
-        )
-    # h - z, as h lives on the torus and z = sum_i c_i x_i off it
-    witness = h + tuple(-c for c in scalars)
-    if g.ad(witness) != d:
-        raise AssertionError("inner witness does not reproduce the derivation")
-    return AidVerdict(status="inner", witness=witness, data={"reduction_z": z, "scalars": a, "torus_part": h})
+    # the almost-inner condition fails at x = sum_i x_i if the root vectors
+    # commute; explicit, so that it runs under python -O
+    x = (Fraction(0),) * g.torus + (Fraction(1),) * (dim - g.torus)
+    if solve(g.ad(x), d.mul_vec(x)) is not None:
+        raise AssertionError("the scalar system is infeasible, but D(x) lies in [x, L] at x = sum x_i")
+    return AidVerdict(status="not-aid", reason="scalar-system", data={"fails_at": x})
 
 
 class AidEqInnCertificate(_Value):

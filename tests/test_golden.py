@@ -49,6 +49,13 @@ CASES = {
         ["aid", "--family", "B", "--rank", "2", "--psi", "1,0", "--matrix", "d_b2_nonminimal_outer.json"],
         1,
     ),
+    # four commuting root vectors over a rank-3 torus: scaling x_1 alone is a
+    # derivation, and D(x) is outside [x, L] at x = sum x_i
+    "aid-A3-abelian-ideal-scalar-system": (
+        ["aid", "--family", "A", "--rank", "3", "--psi", "0,1,0;1,1,0;0,1,1;1,1,1"]
+        + ["--matrix", "d_a3_abelian_ideal_diagonal.json"],
+        1,
+    ),
     "affine-bracket-B2": (["affine-bracket"] + B2_MIN + ["--x", "x_division_fails.json", "--y", "y_b2_mixed.json"], 0),
     "centroid-A4-chain": (["centroid"] + A4_CHAIN, 0),
     "centroid-B2-nonminimal": (["centroid", "--family", "B", "--rank", "2", "--psi", "1,0"], 0),
