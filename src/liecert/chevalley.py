@@ -276,29 +276,28 @@ def build_semisimple(rs: RootSystem) -> LieAlgebra:
     """The semisimple Lie algebra of ``rs`` with Chevalley structure constants
     and its Killing form: the extraction over all of Phi (whose torus is the
     simple coroots), on the basis labelled ``h1..hl`` and ``e[root]``."""
-    g = extract_subalgebra(SubalgebraSpec(rs, rs.roots), check_closed=False)
+    g = extract_subalgebra(SubalgebraSpec(rs, rs.roots))
     labels = g.labels[: rs.rank] + tuple("e" + repr(list(r)).replace(" ", "") for r in rs.roots)
     return LieAlgebra(dim=g.dim, labels=labels, structure=g.structure, form=g.form, torus=g.torus)
 
 
-def extract_subalgebra(spec: SubalgebraSpec, check_closed: bool = True) -> LieAlgebra:
+def extract_subalgebra(spec: SubalgebraSpec) -> LieAlgebra:
     """``H + sum_{beta in Psi} L_beta`` with the Killing form restricted to it.
 
-    Requires Psi closed under root addition; ``check_closed=False`` skips
-    that check for a caller that has already decided it.  Closure is decided
-    once per spec (``_closure``), but a Psi that is not closed raises on every
-    call.  The construction itself is built once per process for each spec (equal
+    Requires Psi closed under root addition.  Closure is decided once per
+    spec (``_closure``), so a caller that has decided it already pays one
+    lookup, but a Psi that is not closed raises on every call.  The
+    construction itself is built once per process for each spec (equal
     specs name the same system and the same sorted Psi) and kept in a memo
     of at most 32 entries, least recently used first out; the returned
     algebra is shared and read-only.  The largest entry, the extraction
     over all of Phi(E8), holds about 9 MB under tracemalloc with all that
     is kept on it, so the memo holds at most about 290 MB.
     """
-    if check_closed:
-        violation = _closure(spec)
-        if violation is not None:
-            a, b, s = violation
-            raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
+    violation = _closure(spec)
+    if violation is not None:
+        a, b, s = violation
+        raise ValueError(f"Psi is not closed under root addition: {a} + {b} = {s} is a root outside Psi")
     return _extract(spec)
 
 

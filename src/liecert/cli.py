@@ -168,7 +168,7 @@ def _load_json(path: str) -> dict:
     return expect_json(obj, dict, path)
 
 
-def _operator_from_json(ctx, obj):
+def _operator_from_json(g, obj):
     """Operator schema: {"terms": [{"weight": "p/q", "kind": ..., ...}]}.
 
     Kinds: "dij" (fields i, j), "inner" (field y: affine element),
@@ -188,17 +188,17 @@ def _operator_from_json(ctx, obj):
             return json_field(term, key, f"{kind} term")
 
         if kind == "dij":
-            op = ToralToCenter(ctx, expect_json(field("i"), int, '"i"'), expect_json(field("j"), int, '"j"'))
+            op = ToralToCenter(g, expect_json(field("i"), int, '"i"'), expect_json(field("j"), int, '"j"'))
         elif kind == "inner":
-            op = Inner(AffineElement.from_json(ctx, field("y")))
+            op = Inner(AffineElement.from_json(g, field("y")))
         elif kind == "tensor":
-            op = TensorDerivation(ctx, MatQ.from_json(field("matrix")), LaurentPoly.from_json(field("f")))
+            op = TensorDerivation(g, MatQ.from_json(field("matrix")), LaurentPoly.from_json(field("f")))
         elif kind == "diagonal-derivative":
-            op = DiagonalDerivative(ctx, tuple(LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')))
+            op = DiagonalDerivative(g, tuple(LaurentPoly.from_json(f) for f in expect_json(field("fs"), list, '"fs"')))
         else:
             raise ValueError(f"unknown operator kind {_shown(kind)}")
         terms.append((rat_from_str(weight), op))
-    return OperatorSum(ctx, tuple(terms))
+    return OperatorSum(g, tuple(terms))
 
 
 def _envelope(command: str, inputs: dict, verdicts, seed: int) -> dict:
@@ -297,9 +297,9 @@ def _cmd_affine_bracket(args, seed):
     from .loopalg import AffineElement, affine_bracket, loop_context
 
     spec = _spec_from_args(args)
-    ctx = loop_context(spec)
-    x = AffineElement.from_json(ctx, _load_json(args.x))
-    y = AffineElement.from_json(ctx, _load_json(args.y))
+    g = loop_context(spec)
+    x = AffineElement.from_json(g, _load_json(args.x))
+    y = AffineElement.from_json(g, _load_json(args.y))
     return _envelope("affine-bracket", _inputs(spec), {"bracket": affine_bracket(x, y).to_json()}, seed), 0
 
 
@@ -307,9 +307,9 @@ def _cmd_dij_witness(args, seed):
     from .loopalg import AffineElement, loop_context, toral_center_witness
 
     spec = _spec_from_args(args)
-    ctx = loop_context(spec)
-    x = AffineElement.from_json(ctx, _load_json(args.x))
-    res = toral_center_witness(ctx, args.i, args.j, x)
+    g = loop_context(spec)
+    x = AffineElement.from_json(g, _load_json(args.x))
+    res = toral_center_witness(g, args.i, args.j, x)
     verdicts = {
         "status": res.status,
         "witness": res.y.to_json() if res.y is not None else None,
@@ -325,10 +325,10 @@ def _cmd_aid_check(args, seed):
     from .loopalg import AffineElement, aid_obstruction_check, loop_context
 
     spec = _spec_from_args(args)
-    ctx = loop_context(spec)
-    x = AffineElement.from_json(ctx, _load_json(args.x))
-    op = _operator_from_json(ctx, _load_json(args.op))
-    res = aid_obstruction_check(ctx, op, x)
+    g = loop_context(spec)
+    x = AffineElement.from_json(g, _load_json(args.x))
+    op = _operator_from_json(g, _load_json(args.op))
+    res = aid_obstruction_check(g, op, x)
     flags = []
     if res.status == "central-obstruction":
         flags.append(
@@ -352,12 +352,12 @@ def _cmd_inner_match(args, seed):
     if abs(args.window) > MAX_WINDOW:
         raise ValueError(f"window {args.window} is out of range: |W| is at most {MAX_WINDOW}")
     spec = _spec_from_args(args)
-    ctx = loop_context(spec)
-    op = _operator_from_json(ctx, _load_json(args.op))
+    g = loop_context(spec)
+    op = _operator_from_json(g, _load_json(args.op))
     if not all(isinstance(t, ToralToCenter) for _, t in op.terms):
         raise ValueError("inner-match expects a sum of dij terms")
     coefficients = {(t.i, t.j): w for w, t in op.terms}
-    y = global_inner_match(ctx, coefficients, (-args.window, args.window))
+    y = global_inner_match(g, coefficients, (-args.window, args.window))
     verdicts = {
         "status": "matched" if y is not None else "no-inner-match-in-window",
         "witness": y.to_json() if y is not None else None,

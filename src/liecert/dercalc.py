@@ -375,7 +375,7 @@ def verify_aid_eq_inn(spec: SubalgebraSpec) -> AidEqInnCertificate:
     # is_minimal raises unless Psi is closed and spanning
     if not is_minimal(spec)[0]:
         raise ValueError("the procedure applies to minimal Q-graded subalgebras only")
-    g = extract_subalgebra(spec, check_closed=False)
+    g = extract_subalgebra(spec)
     basis = derivation_space(g)
     if not normal_form(g) or basis.complement_basis:
         raise AssertionError(f"the minimal subalgebra of {spec.psi} is not r_2^l with Der = Inn")

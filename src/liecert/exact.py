@@ -346,7 +346,8 @@ def kernel_basis(m: MatQ) -> list[tuple[Rat, ...]]:
     """Basis of the right null space, one vector per free column, ascending."""
     ech = Echelon()
     for row in m.row_dicts():
-        ech.add(row)
+        if row:
+            ech.add(row)
     return ech.kernel(m.cols)
 
 
@@ -369,13 +370,15 @@ def solve(m: MatQ, b: Sequence[Rat | int]) -> tuple[Rat, ...] | None:
     """One solution of ``m x = b`` with the free variables zero, or None when
     it is inconsistent: ``[m | b]`` is reduced in one :class:`Echelon`, and a
     pivot in its last column means no solution; otherwise x is that column
-    of the unique reduced form at each pivot."""
+    of the unique reduced form at each pivot.  A zero row with a zero
+    right-hand side is skipped."""
     n = m.cols
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     ech = Echelon()
     for row, v in zip(m.row_dicts(), b):
-        ech.add({**row, n: v})
+        if row or v:
+            ech.add({**row, n: v})
     if n in ech._rows:
         return None
     x = [_ZERO] * n

@@ -26,6 +26,8 @@ it; the central equation is then met along a kernel direction
 degree maps; a ``LaurentPoly`` is made only for a root equation or Y.
 
 Every witness is re-verified with ``affine_bracket`` before it is returned.
+Only ``leibniz_check`` and ``decompose_derivation`` import ``dercalc``, inside
+the function, so the loop commands do not load it.
 
 Scalars are ints or Fractions, never floats or bools: integral inputs and
 constants stay ints, and every division goes through ``exact.quotient``.
@@ -46,7 +48,6 @@ from itertools import product
 from math import lcm
 
 from .chevalley import LieAlgebra, SubalgebraSpec, extract_subalgebra, normal_form
-from .dercalc import centroid_violation, leibniz_violation
 from .exact import MatQ, Rat, _ReadOnly, _scalar, _Value, expect_json, quotient, rat_from_str, rat_to_str
 
 __all__ = [
@@ -55,8 +56,8 @@ __all__ = [
     "AffineElement",
     "Symbol",
     "LoopOperator",
-    "LoopContext",
     "loop_context",
+    "basis_at",
     "Inner",
     "TensorDerivation",
     "DiagonalDerivative",
@@ -223,73 +224,29 @@ def _bezout(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, L
 # ---------------------------------------------------------------------------
 
 
-class LoopContext(_ReadOnly):
-    """A minimal Q-graded subalgebra packaged for loop/affine computations.
-
-    The basis order is ``(h_1..h_l, x_1..x_m)``, with l the algebra's torus
-    size; the restricted Killing form must be present for the affinization
-    cocycle.
-    """
-
-    def __init__(self, algebra: LieAlgebra):
-        if algebra.form is None:
-            raise ValueError("affinization needs the restricted Killing form")
-        self.__dict__.update(algebra=algebra)
-
-    @property
-    def l(self) -> int:
-        return self.algebra.torus
-
-    @property
-    def m(self) -> int:
-        return self.algebra.dim - self.algebra.torus
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    def zero(self) -> "AffineElement":
-        return AffineElement(self)
-
-    def element(self, support: dict[int, Vec], central: Rat | int = 0) -> "AffineElement":
-        return AffineElement(self, support, central)
-
-    def basis_at(self, index: int, degree: int) -> "AffineElement":
-        return self.element({degree: self.algebra.basis_vector(index)})
-
-    def central(self, c: Rat | int = 1) -> "AffineElement":
-        return AffineElement(self, {}, c)
-
-    def square(self) -> bool:
-        return self.l == self.m
-
-
-def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> LoopContext:
-    """Build the loop/affine context for a subalgebra spec.
-
+def loop_context(spec: SubalgebraSpec, ambient: LieAlgebra | None = None) -> LieAlgebra:
+    """``extract_subalgebra(spec)``, the shared algebra the loop layer runs on.
     ``ambient`` is ignored: the subalgebra is read off the root data.  It is
-    still accepted because the benchmark's checker passes one.
-    """
-    return LoopContext(extract_subalgebra(spec))
+    still accepted because the benchmark's checker passes one."""
+    return extract_subalgebra(spec)
 
 
 class AffineElement(_ReadOnly):
-    """Finitely supported element of ``L (x) F[t,1/t] + F K``; ``support``
-    None means the empty map."""
+    """Finitely supported element of ``L (x) F[t,1/t] + F K`` over g, which
+    carries the form the cocycle reads; ``support`` None means the empty map."""
 
-    def __init__(self, ctx: LoopContext, support: dict[int, Vec] | None = None, central: Rat | int = 0):
+    def __init__(self, g: LieAlgebra, support: dict[int, Vec] | None = None, central: Rat | int = 0):
+        if g.form is None:
+            raise ValueError("affinization needs the restricted Killing form")
         clean = {}
         for deg, vec in (support or {}).items():
             vec = tuple(map(_scalar, vec))
-            if len(vec) != ctx.dim:
+            if len(vec) != g.dim:
                 raise ValueError("component length does not match the algebra dimension")
             if any(vec):
                 clean[int(deg)] = vec
         central = _scalar(central)
-        self.__dict__.update(ctx=ctx, support=clean, central=central)
-
-    def component(self, degree: int) -> Vec:
-        return self.support.get(degree, (0,) * self.ctx.dim)
+        self.__dict__.update(algebra=g, support=clean, central=central)
 
     def degrees(self) -> list[int]:
         return sorted(self.support)
@@ -298,17 +255,11 @@ class AffineElement(_ReadOnly):
     def is_zero(self) -> bool:
         return not self.support and self.central == 0
 
-    def loop_part(self) -> "AffineElement":
-        return AffineElement(self.ctx, dict(self.support))
-
-    def loop_equal(self, other: "AffineElement") -> bool:
-        return self.support == other.support
-
     def __add__(self, other: "AffineElement") -> "AffineElement":
-        _same_ctx(self, other)
+        _same_algebra(self, other)
         a, b = self.support, other.support
-        d = {k: _combine(self.ctx.dim, [(1, a.get(k, ())), (1, b.get(k, ()))]) for k in {**a, **b}}
-        return AffineElement(self.ctx, d, self.central + other.central)
+        d = {k: _combine(self.algebra.dim, [(1, a.get(k, ())), (1, b.get(k, ()))]) for k in {**a, **b}}
+        return AffineElement(self.algebra, d, self.central + other.central)
 
     def __neg__(self) -> "AffineElement":
         return self.scale(-1)
@@ -319,13 +270,13 @@ class AffineElement(_ReadOnly):
     def scale(self, c: Rat | int) -> "AffineElement":
         c = _scalar(c)
         return AffineElement(
-            self.ctx, {deg: tuple(c * v for v in vec) for deg, vec in self.support.items()}, c * self.central
+            self.algebra, {deg: tuple(c * v for v in vec) for deg, vec in self.support.items()}, c * self.central
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineElement):
             return NotImplemented
-        return self.ctx is other.ctx and self.support == other.support and self.central == other.central
+        return self.algebra is other.algebra and self.support == other.support and self.central == other.central
 
     def to_json(self) -> dict:
         return {
@@ -334,14 +285,19 @@ class AffineElement(_ReadOnly):
         }
 
     @staticmethod
-    def from_json(ctx: LoopContext, obj: dict) -> "AffineElement":
+    def from_json(g: LieAlgebra, obj: dict) -> "AffineElement":
         support = expect_json(expect_json(obj, dict, "affine element").get("support", {}), dict, "support")
         vecs = _by_degree(support, lambda v: tuple(map(rat_from_str, expect_json(v, list, "component"))), "support")
-        return AffineElement(ctx, vecs, rat_from_str(obj.get("central", "0")))
+        return AffineElement(g, vecs, rat_from_str(obj.get("central", "0")))
 
 
-def _same_ctx(a: AffineElement, b: AffineElement) -> None:
-    if a.ctx is not b.ctx:
+def basis_at(g: LieAlgebra, index: int, degree: int) -> AffineElement:
+    """The basis vector ``b_index (x) t^degree``."""
+    return AffineElement(g, {degree: g.basis_vector(index)})
+
+
+def _same_algebra(a: AffineElement, b: AffineElement) -> None:
+    if a.algebra is not b.algebra:
         raise ValueError("elements live over different algebras")
 
 
@@ -357,10 +313,9 @@ def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
     summed straight from the structure table over the nonzero coordinates,
     on x and y with their denominators cleared; each output coordinate is
     divided by the two lcms once."""
-    _same_ctx(x, y)
-    ctx = x.ctx
-    g, dim = ctx.algebra, ctx.dim
-    table = g._table
+    _same_algebra(x, y)
+    g = x.algebra
+    dim, table = g.dim, g._table
     dx, xs = _cleared(x)
     dy, ys = _cleared(y)
     ys = [(n, yv, [(j, b) for j, b in enumerate(yv) if b]) for n, yv in ys]
@@ -385,7 +340,7 @@ def affine_bracket(x: AffineElement, y: AffineElement) -> AffineElement:
                     if a and b:
                         central += m * a * f * b
     d = dx * dy
-    return AffineElement(ctx, {n: tuple(quotient(v, d) for v in acc) for n, acc in out.items()}, quotient(central, d))
+    return AffineElement(g, {n: tuple(quotient(v, d) for v in acc) for n, acc in out.items()}, quotient(central, d))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +375,7 @@ def _combine(size: int, weighted) -> Vec:
 class LoopOperator(_ReadOnly):
     """Linear operator on affine elements, given by its shift symbol."""
 
-    ctx: LoopContext
+    algebra: LieAlgebra
 
     def symbol(self) -> Symbol:
         raise NotImplementedError
@@ -430,9 +385,9 @@ class LoopOperator(_ReadOnly):
         return self.symbol()
 
     def apply(self, x: AffineElement) -> AffineElement:
-        if x.ctx is not self.ctx:
+        if x.algebra is not self.algebra:
             raise ValueError("element and operator live over different algebras")
-        sym, dim = self._symbol, self.ctx.dim
+        sym, dim = self._symbol, self.algebra.dim
         parts: dict[int, list[Rat]] = {}
         central = 0
         for n, vec in x.support.items():
@@ -444,7 +399,7 @@ class LoopOperator(_ReadOnly):
                         if v:
                             acc[u // dim] += w * c * v
             central += sum(u * v for u, v in zip(sym.central.get(n, ()), vec) if u and v)
-        return AffineElement(self.ctx, {d: tuple(p) for d, p in parts.items()}, central)
+        return AffineElement(self.algebra, {d: tuple(p) for d, p in parts.items()}, central)
 
     __call__ = apply
 
@@ -456,11 +411,12 @@ class Inner(LoopOperator):
         self.__dict__["y"] = y
 
     @property
-    def ctx(self) -> LoopContext:
-        return self.y.ctx
+    def algebra(self) -> LieAlgebra:
+        return self.y.algebra
 
     def symbol(self) -> Symbol:
-        g, zero, ys = self.ctx.algebra, MatQ(self.ctx.dim, self.ctx.dim, {}), self.y.support.items()
+        g, ys = self.algebra, self.y.support.items()
+        zero = MatQ(g.dim, g.dim, {})
         # (y_s, .) from mul_vec is all Fractions; an integral one is kept as ints
         pairings = {s: [u.numerator if u.denominator == 1 else u for u in g.form.mul_vec(v)] for s, v in ys}
         return Symbol({s: (g.ad(v), zero) for s, v in ys}, {-s: tuple(s * u for u in pairings[s]) for s, _ in ys})
@@ -473,13 +429,13 @@ class TensorDerivation(LoopOperator):
     cocycle, so affine-level identities hold only modulo the center.
     """
 
-    def __init__(self, ctx: LoopContext, matrix: MatQ, f: LaurentPoly):
-        if (matrix.rows, matrix.cols) != (ctx.dim, ctx.dim):
-            raise ValueError(f"tensor matrix must be {ctx.dim} x {ctx.dim}")
-        self.__dict__.update(ctx=ctx, matrix=matrix, f=f)
+    def __init__(self, g: LieAlgebra, matrix: MatQ, f: LaurentPoly):
+        if (matrix.rows, matrix.cols) != (g.dim, g.dim):
+            raise ValueError(f"tensor matrix must be {g.dim} x {g.dim}")
+        self.__dict__.update(algebra=g, matrix=matrix, f=f)
 
     def symbol(self) -> Symbol:
-        dim = self.ctx.dim
+        dim = self.algebra.dim
         zero, nz = MatQ(dim, dim, {}), self.matrix.nonzeros
         return Symbol({s: (MatQ(dim, dim, {u: c * v for u, v in nz.items()}), zero) for s, c in self.f.coeffs}, {})
 
@@ -489,13 +445,13 @@ class DiagonalDerivative(LoopOperator):
     ``B_{d-1} = diag(f_{k mod l, d})``; kills ``L(x)1`` and K.  These are
     exactly the derivations of the loop algebra vanishing on ``L(x)1``."""
 
-    def __init__(self, ctx: LoopContext, fs: tuple[LaurentPoly, ...]):
-        if not ctx.square() or len(fs) != ctx.l:
+    def __init__(self, g: LieAlgebra, fs: tuple[LaurentPoly, ...]):
+        if g.dim != 2 * g.torus or len(fs) != g.torus:
             raise ValueError("need one Laurent weight per torus index")
-        self.__dict__.update(ctx=ctx, fs=fs)
+        self.__dict__.update(algebra=g, fs=fs)
 
     def symbol(self) -> Symbol:
-        dim, l = self.ctx.dim, self.ctx.l
+        dim, l = self.algebra.dim, self.algebra.torus
         shifts = {d - 1 for f in self.fs for d in f.degrees()}
         diag = {s: MatQ(dim, dim, {k * (dim + 1): self.fs[k % l].coeff(s + 1) for k in range(dim)}) for s in shifts}
         return Symbol({s: (MatQ(dim, dim, {}), b) for s, b in diag.items()}, {})
@@ -506,26 +462,26 @@ class ToralToCenter(LoopOperator):
     toral mode: ``c_j`` is the ``h_i`` coordinate.  Indices are 1-based to
     match the CLI surface."""
 
-    def __init__(self, ctx: LoopContext, i: int, j: int):
-        if not (1 <= i <= ctx.l):
-            raise ValueError(f"torus index must be in 1..{ctx.l}")
-        self.__dict__.update(ctx=ctx, i=i, j=j)
+    def __init__(self, g: LieAlgebra, i: int, j: int):
+        if not (1 <= i <= g.torus):
+            raise ValueError(f"torus index must be in 1..{g.torus}")
+        self.__dict__.update(algebra=g, i=i, j=j)
 
     def symbol(self) -> Symbol:
-        return Symbol({}, {self.j: self.ctx.algebra.basis_vector(self.i - 1)})
+        return Symbol({}, {self.j: self.algebra.basis_vector(self.i - 1)})
 
 
 class OperatorSum(LoopOperator):
     """Finite weighted sum; its symbol is the weighted sum of the symbols."""
 
-    def __init__(self, ctx: LoopContext, terms: tuple[tuple[Rat, LoopOperator], ...]):
+    def __init__(self, g: LieAlgebra, terms: tuple[tuple[Rat, LoopOperator], ...]):
         for _, op in terms:
-            if op.ctx is not ctx:
+            if op.algebra is not g:
                 raise ValueError("operator sum mixes algebras")
-        self.__dict__.update(ctx=ctx, terms=terms)
+        self.__dict__.update(algebra=g, terms=terms)
 
     def symbol(self) -> Symbol:
-        dim, syms = self.ctx.dim, [(w, op._symbol) for w, op in self.terms]
+        dim, syms = self.algebra.dim, [(w, op._symbol) for w, op in self.terms]
 
         def mat(s: int, side: int) -> MatQ:
             out: dict[int, Rat] = {}
@@ -568,18 +524,20 @@ def leibniz_check(
     by m = 0, 1, 2.  A failure comes with a basis pair ``(b_i t^m, b_j t^n)``
     whose defect is nonzero.
     """
-    ctx, g, sym = op.ctx, op.ctx.algebra, op._symbol
+    from .dercalc import centroid_violation, leibniz_violation
+
+    g, sym = op.algebra, op._symbol
     for a, b in sym.loop.values():
         viol = leibniz_violation(g, a)
         if viol is not None:
-            return False, (ctx.basis_at(viol[0], 0), ctx.basis_at(viol[1], 0))
+            return False, (basis_at(g, viol[0], 0), basis_at(g, viol[1], 0))
         viol = centroid_violation(g, b)
         if viol is not None:
-            return False, (ctx.basis_at(viol[0], 1), ctx.basis_at(viol[1], 0))
+            return False, (basis_at(g, viol[0], 1), basis_at(g, viol[1], 0))
     if include_central:
         for d in sorted({-s for s in sym.loop} | set(sym.central)):
-            for m, i, j in product((0, 1, 2), range(ctx.dim), range(ctx.dim)):
-                x, y = ctx.basis_at(i, m), ctx.basis_at(j, d - m)
+            for m, i, j in product((0, 1, 2), range(g.dim), range(g.dim)):
+                x, y = basis_at(g, i, m), basis_at(g, j, d - m)
                 if (op(affine_bracket(x, y)) - affine_bracket(op(x), y) - affine_bracket(x, op(y))).central:
                     return False, (x, y)
     return True, None
@@ -590,8 +548,7 @@ class Decomposition(_Value):
         self.__dict__.update(tensor_terms=tensor_terms, residual=residual)
 
     def tensor_sum(self) -> OperatorSum:
-        ctx = self.residual.ctx
-        return OperatorSum(ctx, tuple((1, t) for t in self.tensor_terms))
+        return OperatorSum(self.residual.algebra, tuple((1, t) for t in self.tensor_terms))
 
 
 def decompose_derivation(op: LoopOperator) -> Decomposition:
@@ -601,18 +558,20 @@ def decompose_derivation(op: LoopOperator) -> Decomposition:
     ``A_s (x) t^s`` of the symbol, each A_s verified to satisfy Leibniz on L,
     and the residual ``op - sum`` kills ``L (x) 1`` exactly.
     """
-    ctx = op.ctx
+    from .dercalc import leibniz_violation
+
+    g = op.algebra
     if 0 in op._symbol.central:
         raise ValueError("operator emits a central part on L(x)1; not a loop derivation")
     terms = []
     for s, (a, _) in op._symbol.loop.items():
         if not a.nonzeros:
             continue
-        viol = leibniz_violation(ctx.algebra, a)
+        viol = leibniz_violation(g, a)
         if viol is not None:
             raise ValueError(f"degree-{s} component is not a derivation of L (pair {viol})")
-        terms.append(TensorDerivation(ctx, a, LaurentPoly.monomial(s)))
-    residual = OperatorSum(ctx, ((1, op),) + tuple((-1, t) for t in terms))
+        terms.append(TensorDerivation(g, a, LaurentPoly.monomial(s)))
+    residual = OperatorSum(g, ((1, op),) + tuple((-1, t) for t in terms))
     if any(a.nonzeros for a, _ in residual._symbol.loop.values()) or 0 in residual._symbol.central:
         raise AssertionError("residual fails to kill L(x)1")
     return Decomposition(tensor_terms=tuple(terms), residual=residual)
@@ -623,7 +582,7 @@ def torus_component_obstruction(z: AffineElement) -> tuple[int, int] | None:
     component, and the first torus index there (0-based), else None.  No
     bracket value has one: every bracket lands in the span of the root
     vectors tensor Laurent polynomials."""
-    return next(((deg, k) for deg in z.degrees() for k in range(z.ctx.l) if z.support[deg][k]), None)
+    return next(((deg, k) for deg in z.degrees() for k in range(z.algebra.torus) if z.support[deg][k]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +600,7 @@ class WitnessResult(_Value):
 def _degree_maps(x: AffineElement) -> list[dict[int, Rat]]:
     """The coordinates of x, one ``{degree: coefficient}`` map of the nonzeros
     per basis vector, read in one pass over its support."""
-    maps: list[dict[int, Rat]] = [{} for _ in range(x.ctx.dim)]
+    maps: list[dict[int, Rat]] = [{} for _ in range(x.algebra.dim)]
     for deg, vec in x.support.items():
         for k, a in enumerate(vec):
             if a:
@@ -661,12 +620,12 @@ def _t_beta(form: MatQ, b: list[dict[int, Rat]], k: int) -> dict[int, Rat]:
     return d
 
 
-def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+def _normal_form_solve(g: LieAlgebra, x: AffineElement, z: AffineElement) -> WitnessResult:
     """Solve ``[X, Y] = Z`` root by root, then the central equation (see the
     module docstring); Z has no torus loop component.  X's coordinates are
     degree maps; a Laurent polynomial is made only for a root where Z has a
     component, and for the witness."""
-    l, form = ctx.l, ctx.algebra.form
+    l, form = g.torus, g.form
     xs = _degree_maps(x)
     b, c = xs[:l], xs[l:]
     u, v = [LaurentPoly.zero()] * l, [LaurentPoly.zero()] * l
@@ -675,13 +634,13 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
             continue
         zk = LaurentPoly._of(zk)
         if b[k] or c[k]:
-            g, s, r = _bezout(LaurentPoly._of(b[k]), LaurentPoly._of(c[k]))
-            q = laurent_div(zk, g)
+            gcd, s, r = _bezout(LaurentPoly._of(b[k]), LaurentPoly._of(c[k]))
+            q = laurent_div(zk, gcd)
         else:
-            g, q = LaurentPoly.zero(), None
+            gcd, q = LaurentPoly.zero(), None
         if q is None:
             reason = "the gcd of the t_k and x_k coordinates of X does not divide the x_k component"
-            detail = {"reason": reason, "root": k + 1, "gcd": g.to_json(), "component": zk.to_json()}
+            detail = {"reason": reason, "root": k + 1, "gcd": gcd.to_json(), "component": zk.to_json()}
             return WitnessResult("root-obstruction", None, detail)
         u[k], v[k] = -(r * q), s * q
     # t beta_k' only for the roots read: those the central term of u reaches, then the kernel direction taken
@@ -707,31 +666,31 @@ def _normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> 
     for k in range(l):
         for index, poly in ((k, u[k]), (l + k, v[k])):
             for deg, a in poly.coeffs:
-                support.setdefault(deg, [0] * ctx.dim)[index] = a
-    return WitnessResult("witnessed", ctx.element({deg: tuple(vec) for deg, vec in support.items()}))
+                support.setdefault(deg, [0] * g.dim)[index] = a
+    return WitnessResult("witnessed", AffineElement(g, {deg: tuple(vec) for deg, vec in support.items()}))
 
 
-def _require_normal_form(ctx: LoopContext) -> None:
-    if not normal_form(ctx.algebra):
+def _require_normal_form(g: LieAlgebra) -> None:
+    if not normal_form(g):
         raise ValueError(
             "the exact witness solver needs Psi in normal form: |Psi| = rank, "
             "linearly independent, and no sum of two roots of Psi in Psi"
         )
 
 
-def _exact_witness(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
-    _require_normal_form(ctx)
+def _exact_witness(g: LieAlgebra, x: AffineElement, z: AffineElement) -> WitnessResult:
+    _require_normal_form(g)
     torus = torus_component_obstruction(z)
     if torus is not None:
         reason = "the target has a torus loop component, which no bracket has"
         return WitnessResult("torus-obstruction", None, {"reason": reason, "degree": torus[0], "index": torus[1] + 1})
-    res = _normal_form_solve(ctx, x, z)
+    res = _normal_form_solve(g, x, z)
     if res.y is not None and affine_bracket(x, res.y) != z:
         raise AssertionError("exact solver returned a non-witness")
     return res
 
 
-def toral_center_witness(ctx: LoopContext, i: int, j: int, x: AffineElement) -> WitnessResult:
+def toral_center_witness(g: LieAlgebra, i: int, j: int, x: AffineElement) -> WitnessResult:
     """Find Y with ``[X, Y] = (coefficient of h_i (x) t^j in X) K``.
 
     Requires ``j != 0`` (the degree-zero operator is obstructed; see
@@ -741,20 +700,20 @@ def toral_center_witness(ctx: LoopContext, i: int, j: int, x: AffineElement) -> 
     """
     if j == 0:
         raise ValueError("degree 0 has no bracket witness; use aid-check")
-    return _exact_witness(ctx, x, ToralToCenter(ctx, i, j)(x))
+    return _exact_witness(g, x, ToralToCenter(g, i, j)(x))
 
 
-def aid_obstruction_check(ctx: LoopContext, op: LoopOperator, x: AffineElement) -> WitnessResult:
+def aid_obstruction_check(g: LieAlgebra, op: LoopOperator, x: AffineElement) -> WitnessResult:
     """Decide ``op(X) in [X, affinization]`` exactly: a witness Y, the root
     whose gcd does not divide its component of ``op(X)``, a torus component
     of ``op(X)`` (its lowest degree and torus index), or a central
     obstruction (no component of X at nonzero degree pairs with L, so no
     bracket against X reaches the center)."""
-    return _exact_witness(ctx, x, op(x))
+    return _exact_witness(g, x, op(x))
 
 
 def global_inner_match(
-    ctx: LoopContext,
+    g: LieAlgebra,
     coefficients: dict[tuple[int, int], Rat | int],
     window: tuple[int, int],
 ) -> AffineElement | None:
@@ -765,19 +724,19 @@ def global_inner_match(
     ``--window`` would name degrees that miss a term.  Psi outside the
     normal form is invalid input.
     """
-    if not ctx.square():
+    if g.dim != 2 * g.torus:
         raise ValueError("needs dim L = 2 dim [L,L]")
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]: the lower degree exceeds the upper")
-    terms = [ToralToCenter(ctx, i, j) for (i, j), w in sorted(coefficients.items()) if w]
+    terms = [ToralToCenter(g, i, j) for (i, j), w in sorted(coefficients.items()) if w]
     for t in terms:
         if not lo <= t.j <= hi:
             raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")
-    _require_normal_form(ctx)
+    _require_normal_form(g)
     if not terms:
-        return ctx.element({})
-    l, weights = ctx.l, ctx.algebra.weights
+        return AffineElement(g)
+    l, weights = g.torus, g.weights
     # explicit, so that it runs under python -O: the weight of x_k is the k-th unit vector
     if any(weights[l + k] != tuple(int(j == k) for j in range(l)) for k in range(l)):
         raise AssertionError("the torus weights of Psi do not have rank l, so Z(L) is not zero")

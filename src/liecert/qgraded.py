@@ -297,7 +297,7 @@ def certify(spec: SubalgebraSpec) -> QGradedCertificate:
             metabelian_witness=None,
             dims=None,
         )
-    sub = extract_subalgebra(spec, check_closed=False)
+    sub = extract_subalgebra(spec)
     l, m = spec.system.rank, len(spec.psi)
     ddim = derived_algebra_dim(sub)
     nonzero = ((a, b) for a in range(m) for b in range(a + 1, m) if any(c for _, c in sub.bracket_basis(l + a, l + b)))

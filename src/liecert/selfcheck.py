@@ -16,6 +16,7 @@ from .chevalley import SubalgebraSpec, extract_subalgebra
 from .dercalc import aid_membership, centroid_space, diagonal_map, diagonal_toral_algebra, leibniz_violation, verify_aid_eq_inn
 from .exact import MatQ, _Value, solve
 from .loopalg import (
+    AffineElement,
     DiagonalDerivative,
     Inner,
     LaurentPoly,
@@ -24,10 +25,10 @@ from .loopalg import (
     ToralToCenter,
     affine_bracket,
     aid_obstruction_check,
+    basis_at,
     decompose_derivation,
     global_inner_match,
     leibniz_check,
-    loop_context,
     toral_center_witness,
 )
 from .qgraded import certify, enumerate_minimal, is_closed
@@ -47,9 +48,9 @@ def _minimal(family: str, rank: int):
     return tuple(SubalgebraSpec(rs, psi) for psi in enumerate_minimal(rs))
 
 
-def _b2_minimal_context():
+def _b2_minimal():
     rs = build_root_system("B", 2)
-    return loop_context(SubalgebraSpec(rs, ((1, 0), (2, 1))))
+    return extract_subalgebra(SubalgebraSpec(rs, ((1, 0), (2, 1))))
 
 
 B2_REFERENCE_MINIMAL = [
@@ -236,9 +237,8 @@ def _random_laurent(rng: random.Random, span: int = 2) -> LaurentPoly:
     )
 
 
-def loop_operator_cases(ctx, seed: int):
+def loop_operator_cases(g, seed: int):
     """Criterion 7's 100 seeded operator sums as ``(op, fs, with_derivative)``."""
-    g = ctx.algebra
     rng = random.Random(seed)
     for case in range(100):
         terms = []
@@ -246,61 +246,61 @@ def loop_operator_cases(ctx, seed: int):
         tensor_parts = rng.randint(0, 2)
         for _ in range(tensor_parts):
             w = tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim))
-            terms.append((Fraction(1), TensorDerivation(ctx, g.ad(w), _random_laurent(rng))))
+            terms.append((Fraction(1), TensorDerivation(g, g.ad(w), _random_laurent(rng))))
         for _ in range(inner_parts):
             support = {
                 deg: tuple(Fraction(rng.randint(-2, 2)) for _ in range(g.dim))
                 for deg in rng.sample(range(-2, 3), rng.randint(1, 2))
             }
-            terms.append((Fraction(rng.randint(1, 2)), Inner(ctx.element(support))))
+            terms.append((Fraction(rng.randint(1, 2)), Inner(AffineElement(g, support))))
         fs = [LaurentPoly.zero(), LaurentPoly.zero()]
         with_derivative = case % 2 == 1
         if with_derivative:
             fs = [_random_laurent(rng), _random_laurent(rng)]
-            terms.append((Fraction(1), DiagonalDerivative(ctx, tuple(fs))))
-        yield OperatorSum(ctx, tuple(terms)), fs, with_derivative
+            terms.append((Fraction(1), DiagonalDerivative(g, tuple(fs))))
+        yield OperatorSum(g, tuple(terms)), fs, with_derivative
 
 
-def tensor_witness(ctx, terms):
+def tensor_witness(g, terms):
     """Y with ``Inner(Y)`` equal to the sum of the tensor derivations
     ``A (x) f`` in ``terms`` modulo the center, read off the witness w of
     ``aid_membership`` on each A (``A = ad(w)``, so the term is
     ``ad(sum_s f_s w t^s)``); None when some A is not inner."""
     support = {}
     for term in terms:
-        verdict = aid_membership(ctx.algebra, term.matrix)
+        verdict = aid_membership(g, term.matrix)
         if not verdict.is_inner:
             return None
         for deg, c in term.f.coeffs:
-            prev = support.get(deg, (0,) * ctx.dim)
+            prev = support.get(deg, (0,) * g.dim)
             support[deg] = tuple(p + c * w for p, w in zip(prev, verdict.witness))
-    return ctx.element(support)
+    return AffineElement(g, support)
 
 
 def criterion_7(seed: int) -> tuple[bool, str]:
     """Loop-operator decomposition on 100 seeded random operator sums."""
-    ctx = _b2_minimal_context()
+    g = _b2_minimal()
     checked_inner_witness = checked_derivative_refuted = 0
-    for case, (op, fs, with_derivative) in enumerate(loop_operator_cases(ctx, seed)):
+    for case, (op, fs, with_derivative) in enumerate(loop_operator_cases(g, seed)):
         ok, pair = leibniz_check(op)
         if not ok:
             return False, f"case {case}: operator fails Leibniz at {pair[0].to_json()}, {pair[1].to_json()}"
         dec = decompose_derivation(op)
-        for k in range(ctx.dim):
-            if not dec.residual(ctx.basis_at(k, 0)).is_zero:
+        for k in range(g.dim):
+            if not dec.residual(basis_at(g, k, 0)).is_zero:
                 return False, f"case {case}: residual does not kill L(x)1"
-        for probe in [ctx.basis_at(k, d) for k in range(ctx.dim) for d in (-2, 0, 1, 3)]:
+        for probe in [basis_at(g, k, d) for k in range(g.dim) for d in (-2, 0, 1, 3)]:
             lhs = dec.tensor_sum()(probe) + dec.residual(probe)
             if lhs != op(probe):
                 return False, f"case {case}: decomposition does not reassemble the operator"
-        y = tensor_witness(ctx, dec.tensor_terms)
+        y = tensor_witness(g, dec.tensor_terms)
         if y is None or Inner(y)._symbol.loop != dec.tensor_sum()._symbol.loop:
             return False, f"case {case}: tensor components of an inner/ad sum must be inner"
         checked_inner_witness += 1
         # h_k (x) t -> h_k (x) f_k has a torus component, which no bracket has
         k = next((k for k, f in enumerate(fs) if not f.is_zero), None)
         if k is not None:
-            res = aid_obstruction_check(ctx, DiagonalDerivative(ctx, tuple(fs)), ctx.basis_at(k, 1))
+            res = aid_obstruction_check(g, DiagonalDerivative(g, tuple(fs)), basis_at(g, k, 1))
             if res.status != "torus-obstruction":
                 return False, f"case {case}: nonzero weighted derivative not refuted"
             checked_derivative_refuted += 1
@@ -312,7 +312,7 @@ def criterion_7(seed: int) -> tuple[bool, str]:
 
 def criterion_8(seed: int) -> tuple[bool, str]:
     """Toral-to-center witnesses on the rank-2 type B minimal subalgebra."""
-    ctx = _b2_minimal_context()
+    g = _b2_minimal()
     rng = random.Random(seed)
     solved = 0
     for i in (1, 2):
@@ -320,38 +320,36 @@ def criterion_8(seed: int) -> tuple[bool, str]:
             for _ in range(50):
                 support = {}
                 for deg in rng.sample(range(-3, 4), rng.randint(1, 3)):
-                    support[deg] = tuple(Fraction(rng.randint(-3, 3)) for _ in range(ctx.dim))
+                    support[deg] = tuple(Fraction(rng.randint(-3, 3)) for _ in range(g.dim))
                 if rng.random() < 0.7:
-                    vec = list(support.get(j, (Fraction(0),) * ctx.dim))
+                    vec = list(support.get(j, (Fraction(0),) * g.dim))
                     vec[i - 1] = Fraction(rng.randint(1, 3))
                     support[j] = tuple(vec)
-                x = ctx.element(support)
-                res = toral_center_witness(ctx, i, j, x)
+                x = AffineElement(g, support)
+                res = toral_center_witness(g, i, j, x)
                 if res.status != "witnessed":
                     return False, f"no witness for i={i} j={j} x={x.to_json()}"
-                if affine_bracket(x, res.y) != ToralToCenter(ctx, i, j)(x):
+                if affine_bracket(x, res.y) != ToralToCenter(g, i, j)(x):
                     return False, "witness bracket mismatch"
                 solved += 1
     # t + t^2 on h_1 does not divide the unit x_1 part; the central equation
     # is met along the kernel direction of root 1 instead
-    x = ctx.element(
-        {1: (Fraction(1), 0, 0, 0), 2: (Fraction(1), 0, 0, 0), 0: (0, 0, Fraction(1), 0)}
-    )
-    res = toral_center_witness(ctx, 1, 1, x)
+    x = AffineElement(g, {1: (Fraction(1), 0, 0, 0), 2: (Fraction(1), 0, 0, 0), 0: (0, 0, Fraction(1), 0)})
+    res = toral_center_witness(g, 1, 1, x)
     if res.status != "witnessed":
         return False, f"divisibility example mis-handled: {res}"
-    if affine_bracket(x, res.y) != ctx.central(1):
+    if affine_bracket(x, res.y) != AffineElement(g, {}, 1):
         return False, "divisibility example witness is wrong"
     return True, f"{solved} witnesses verified by direct bracket, and the divisibility example"
 
 
 def criterion_9(seed: int) -> tuple[bool, str]:
     """Degree zero is centrally obstructed, flagged in the certificate."""
-    ctx = _b2_minimal_context()
+    g = _b2_minimal()
     for i in (1, 2):
-        op = ToralToCenter(ctx, i, 0)
-        x = ctx.basis_at(i - 1, 0)
-        res = aid_obstruction_check(ctx, op, x)
+        op = ToralToCenter(g, i, 0)
+        x = basis_at(g, i - 1, 0)
+        res = aid_obstruction_check(g, op, x)
         if res.status != "central-obstruction":
             return False, f"expected a central obstruction at degree 0, got {res.status}"
     return True, (
@@ -363,9 +361,9 @@ def criterion_9(seed: int) -> tuple[bool, str]:
 
 def criterion_10(seed: int) -> tuple[bool, str]:
     """No single inner match for nonzero toral-to-center combinations."""
-    ctx = _b2_minimal_context()
+    g = _b2_minimal()
     rng = random.Random(seed)
-    y = global_inner_match(ctx, {}, (-2, 2))
+    y = global_inner_match(g, {}, (-2, 2))
     if y is None or not y.is_zero:
         return False, "zero combination should match Y = 0"
     for case in range(20):
@@ -378,7 +376,7 @@ def criterion_10(seed: int) -> tuple[bool, str]:
             j = rng.randint(window[0], window[1])
             w = rng.choice([-3, -2, -1, 1, 2, 3])
             coeffs[(i, j)] = w
-        got = global_inner_match(ctx, coeffs, window)
+        got = global_inner_match(g, coeffs, window)
         if got is not None:
             return False, f"case {case}: unexpected inner match for {coeffs}"
     return True, (

@@ -19,15 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from exact_reference import dense, solve_sparse
+from liecert.chevalley import LieAlgebra
 from liecert.loopalg import (
     AffineElement,
     LaurentPoly,
-    LoopContext,
     OperatorSum,
     ToralToCenter,
     WitnessResult,
     _bezout,
     affine_bracket,
+    basis_at,
     laurent_div,
 )
 
@@ -52,7 +53,7 @@ def _check_window(window: tuple[int, int]) -> None:
 
 
 def bracket_match(
-    ctx: LoopContext,
+    g: LieAlgebra,
     pairs: list[tuple[AffineElement, AffineElement]],
     window: tuple[int, int],
 ) -> AffineElement | None:
@@ -66,7 +67,7 @@ def bracket_match(
     """
     _check_window(window)
     lo, hi = window
-    g, dim = ctx.algebra, ctx.dim
+    dim = g.dim
     # unknown (deg, k) is column (deg - lo) * dim + k; one block of sparse
     # equations per pair, keyed by output (degree, coordinate), plus the
     # central equation
@@ -108,7 +109,7 @@ def bracket_match(
         vec = sol[(deg - lo) * dim : (deg - lo + 1) * dim]
         if any(vec):
             support[deg] = vec
-    y = ctx.element(support)
+    y = AffineElement(g, support)
     for x, z in pairs:
         if affine_bracket(x, y) != z:
             raise AssertionError("solver returned a non-witness")
@@ -116,7 +117,7 @@ def bracket_match(
 
 
 def global_inner_match(
-    ctx: LoopContext,
+    g: LieAlgebra,
     coefficients: dict[tuple[int, int], Fraction | int],
     window: tuple[int, int],
 ) -> AffineElement | None:
@@ -127,25 +128,25 @@ def global_inner_match(
     The window must contain the degree j of every nonzero term, or no probe
     would see that term and a match would be vacuous.
     """
-    if not ctx.square():
+    if g.dim != 2 * g.torus:
         raise ValueError("needs dim L = 2 dim [L,L]")
     _check_window(window)
     terms = tuple(
-        (Fraction(w), ToralToCenter(ctx, i, j)) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0
+        (Fraction(w), ToralToCenter(g, i, j)) for (i, j), w in sorted(coefficients.items()) if Fraction(w) != 0
     )
     lo, hi = window
     for _, t in terms:
         if not lo <= t.j <= hi:
             raise ValueError(f"window [{lo}, {hi}] misses degree {t.j} of the term d_{{{t.i},{t.j}}}")
-    op = OperatorSum(ctx, terms)
-    probes = [ctx.basis_at(k, j) for k in range(ctx.dim) for j in range(lo, hi + 1)]
-    return bracket_match(ctx, [(p, op(p)) for p in probes], window)
+    op = OperatorSum(g, terms)
+    probes = [basis_at(g, k, j) for k in range(g.dim) for j in range(lo, hi + 1)]
+    return bracket_match(g, [(p, op(p)) for p in probes], window)
 
 
-def normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> WitnessResult:
+def normal_form_solve(g: LieAlgebra, x: AffineElement, z: AffineElement) -> WitnessResult:
     """``_normal_form_solve`` with ``tb[k] = sum_j P[k][j] t b_j'`` built for
     every root k up front, as scaled and added Laurent polynomials."""
-    l, form = ctx.l, ctx.algebra.form
+    l, form = g.torus, g.form
     b = [_coordinate(x, k) for k in range(l)]
     c = [_coordinate(x, l + k) for k in range(l)]
     u, v = [LaurentPoly.zero()] * l, [LaurentPoly.zero()] * l
@@ -154,10 +155,10 @@ def normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> W
         if zk.is_zero:
             continue
         if b[k].is_zero and c[k].is_zero:
-            g, q = LaurentPoly.zero(), None
+            gcd, q = LaurentPoly.zero(), None
         else:
-            g, s, r = _bezout(b[k], c[k])
-            q = laurent_div(zk, g)
+            gcd, s, r = _bezout(b[k], c[k])
+            q = laurent_div(zk, gcd)
         if q is None:
             return WitnessResult(
                 "root-obstruction",
@@ -165,7 +166,7 @@ def normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> W
                 {
                     "reason": "the gcd of the t_k and x_k coordinates of X does not divide the x_k component",
                     "root": k + 1,
-                    "gcd": g.to_json(),
+                    "gcd": gcd.to_json(),
                     "component": zk.to_json(),
                 },
             )
@@ -192,5 +193,5 @@ def normal_form_solve(ctx: LoopContext, x: AffineElement, z: AffineElement) -> W
     for k in range(l):
         for index, poly in ((k, u[k]), (l + k, v[k])):
             for deg, a in poly.coeffs:
-                support.setdefault(deg, [Fraction(0)] * ctx.dim)[index] = a
-    return WitnessResult("witnessed", ctx.element({deg: tuple(vec) for deg, vec in support.items()}))
+                support.setdefault(deg, [Fraction(0)] * g.dim)[index] = a
+    return WitnessResult("witnessed", AffineElement(g, {deg: tuple(vec) for deg, vec in support.items()}))

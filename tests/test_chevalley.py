@@ -239,11 +239,13 @@ def test_extract_rejects_non_closed(b2):
 
 
 def test_extract_rejects_non_closed_on_every_call(b2):
-    # closure is checked outside the memo: a build made without the check
-    # (as callers that decided closure do) leaves nothing that skips it
+    # closure is checked outside the memo: a construction already in the
+    # memo leaves nothing that skips it
+    from liecert import chevalley
+
     rs, g = b2
     spec = SubalgebraSpec(rs, ((1, 0), (0, 1)))
-    extract_subalgebra(spec, check_closed=False)
+    chevalley._extract(spec)
     for _ in range(3):
         with pytest.raises(ValueError, match=r"not closed"):
             extract_subalgebra(spec)

@@ -630,7 +630,7 @@ def cold_extraction():
 
 
 def test_torus_form_is_built_once_per_type(monkeypatch, cold_extraction):
-    # two B2 contexts, a dij-witness on one and an aid-check on the other:
+    # two B2 subalgebras, a dij-witness on one and an aid-check on the other:
     # two extractions, one torus form
     from functools import lru_cache
 

@@ -348,7 +348,7 @@ def test_scalar_system_points_are_rechecked():
     counts, confirmed, raised = {}, 0, set()
     for family, rank in [("B", 2), ("G", 2), ("A", 3)]:
         for spec in _closed_spanning(build_root_system(family, rank)):
-            g = extract_subalgebra(spec, check_closed=False)
+            g = extract_subalgebra(spec)
             x = (0,) * g.torus + (1,) * (g.dim - g.torus)
             for d in derivation_space(g).complement_basis:
                 counts[family] = counts.get(family, 0) + 1

@@ -202,6 +202,29 @@ def test_solve_sparse_agrees_with_dense_on_feasibility():
             assert dense.mul_vec(got) == tuple(b)
 
 
+def test_solve_skips_only_zero_rows_with_a_zero_right_hand_side():
+    # a zero row with a nonzero right-hand side is still 0 = b, inconsistent
+    for b in ([0, 1, 0], [0, 0, Fraction(-1, 2)]):
+        assert solve(MatQ.from_rows([[1, 2], [0, 0], [0, 0]]), b) is None
+    # zero rows with zero right-hand sides, between and around the others,
+    # leave the reference solution and the kernel as they are
+    rng = random.Random(43)
+    for _ in range(20):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
+        x = [rng.randint(-2, 2) for _ in range(nc)]
+        b = list(MatQ.from_rows(rows).mul_vec(x))
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, len(rows))
+            rows.insert(k, [0] * nc)
+            b.insert(k, 0)
+        m = MatQ.from_rows(rows)
+        got = solve(m, b)
+        assert got == solve_sparse([{j: v for j, v in enumerate(r) if v} for r in rows], b, nc)
+        assert got is not None and m.mul_vec(got) == tuple(b)
+        assert kernel_basis(m) == kernel_basis(MatQ.from_rows([r for r in rows if any(r)] or [[0] * nc]))
+
+
 def test_solve_sparse_deterministic():
     rows = [{0: Fraction(1), 1: Fraction(1)}]
     assert solve_sparse(rows, [Fraction(1)], 3) == solve_sparse(rows, [Fraction(1)], 3)

@@ -25,6 +25,7 @@ import pytest
 from liecert.chevalley import SubalgebraSpec, extract_subalgebra
 from liecert.exact import _ZERO, MatQ
 from liecert.loopalg import (
+    AffineElement,
     DiagonalDerivative,
     Inner,
     LaurentPoly,
@@ -35,6 +36,7 @@ from liecert.loopalg import (
     _normal_form_solve,
     affine_bracket,
     aid_obstruction_check,
+    basis_at,
     loop_context,
     toral_center_witness,
     torus_component_obstruction,
@@ -55,14 +57,14 @@ CONTEXTS = {
 }
 
 
-def ctx_of(name):
+def algebra_of(name):
     family, rank, psi = CONTEXTS[name]
     return loop_context(SubalgebraSpec(build_root_system(family, rank), psi))
 
 
 @pytest.fixture(scope="module", params=sorted(CONTEXTS))
-def ctx(request):
-    return ctx_of(request.param)
+def g(request):
+    return algebra_of(request.param)
 
 
 def _coordinate(rng):
@@ -104,33 +106,33 @@ def dense_bracket(g, x, y):
 
 
 def dense_affine_bracket(x, y):
-    c, g = x.ctx, x.ctx.algebra
+    g = x.algebra
     support, central = {}, Fraction(0)
     for m, xv in x.support.items():
         for n, yv in y.support.items():
-            acc = support.setdefault(m + n, [Fraction(0)] * c.dim)
+            acc = support.setdefault(m + n, [Fraction(0)] * g.dim)
             for k, v in enumerate(dense_bracket(g, xv, yv)):
                 acc[k] += v
             if m + n == 0:
                 central += m * dense_form_value(g, xv, yv)
-    return c.element({d: tuple(v) for d, v in support.items()}, central)
+    return AffineElement(g, {d: tuple(v) for d, v in support.items()}, central)
 
 
 def dense_apply(op, x):
-    c, sym = op.ctx, op._symbol
+    g, sym = op.algebra, op._symbol
     support, central = {}, Fraction(0)
     for n, vec in x.support.items():
         for s, (a, b) in sym.loop.items():
-            acc = support.setdefault(n + s, [Fraction(0)] * c.dim)
-            for i in range(c.dim):
-                acc[i] += sum(((a.at(i, j) + n * b.at(i, j)) * vec[j] for j in range(c.dim)), Fraction(0))
-        central += sum((u * v for u, v in zip(sym.central.get(n, (0,) * c.dim), vec)), Fraction(0))
-    return c.element({d: tuple(v) for d, v in support.items()}, central)
+            acc = support.setdefault(n + s, [Fraction(0)] * g.dim)
+            for i in range(g.dim):
+                acc[i] += sum(((a.at(i, j) + n * b.at(i, j)) * vec[j] for j in range(g.dim)), Fraction(0))
+        central += sum((u * v for u, v in zip(sym.central.get(n, (0,) * g.dim), vec)), Fraction(0))
+    return AffineElement(g, {d: tuple(v) for d, v in support.items()}, central)
 
 
-def _element(c, rng, span=2):
-    support = {d: _vector(rng, c.dim) for d in rng.sample(range(-span, span + 1), rng.randint(1, 3))}
-    return c.element(support, rng.randint(-2, 2))
+def _element(g, rng, span=2):
+    support = {d: _vector(rng, g.dim) for d in rng.sample(range(-span, span + 1), rng.randint(1, 3))}
+    return AffineElement(g, support, rng.randint(-2, 2))
 
 
 def test_mul_vec_against_the_dense_product():
@@ -165,54 +167,54 @@ def test_form_value_against_the_dense_sum():
         assert g.form_value(x, y) == dense_form_value(g, x, y)
 
 
-def test_affine_bracket_against_the_dense_bracket(ctx):
+def test_affine_bracket_against_the_dense_bracket(g):
     rng = random.Random(33)
     for _ in range(15):
-        x, y = _element(ctx, rng), _element(ctx, rng)
+        x, y = _element(g, rng), _element(g, rng)
         got, want = affine_bracket(x, y), dense_affine_bracket(x, y)
         assert got == want and got.to_json() == want.to_json()
         assert type(got.central) in SCALARS and all(type(a) in SCALARS for v in got.support.values() for a in v)
 
 
-def test_apply_against_the_dense_symbol(ctx):
+def test_apply_against_the_dense_symbol(g):
     rng = random.Random(34)
-    l = ctx.l
+    l = g.torus
     for _ in range(8):
-        x = _element(ctx, rng)
+        x = _element(g, rng)
         diag = [0] * l + [rng.choice([-2, -1, 1, 2]) for _ in range(l)]
-        tensor = MatQ.from_rows([[diag[r] if r == q else 0 for q in range(ctx.dim)] for r in range(ctx.dim)])
+        tensor = MatQ.from_rows([[diag[r] if r == q else 0 for q in range(g.dim)] for r in range(g.dim)])
         ops = [
-            Inner(_element(ctx, rng)),
-            ToralToCenter(ctx, rng.randint(1, l), rng.randint(-2, 2)),
-            TensorDerivation(ctx, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 2)})),
-            DiagonalDerivative(ctx, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
+            Inner(_element(g, rng)),
+            ToralToCenter(g, rng.randint(1, l), rng.randint(-2, 2)),
+            TensorDerivation(g, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 2)})),
+            DiagonalDerivative(g, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
         ]
-        ops.append(OperatorSum(ctx, tuple((Fraction(rng.randint(-2, 2), 2), op) for op in ops)))
+        ops.append(OperatorSum(g, tuple((Fraction(rng.randint(-2, 2), 2), op) for op in ops)))
         for op in ops:
             got, want = op(x), dense_apply(op, x)
             assert got == want and got.to_json() == want.to_json()
             assert type(got.central) in SCALARS and all(type(a) in SCALARS for v in got.support.values() for a in v)
 
 
-def test_normal_form_solve_against_the_eager_central_term(ctx):
+def test_normal_form_solve_against_the_eager_central_term(g):
     rng = random.Random(35)
-    l = ctx.l
+    l = g.torus
     statuses = set()
     for case in range(40):
-        x = _element(ctx, rng)
+        x = _element(g, rng)
         if case % 5 == 0:  # degree 0 only: no bracket reaches the center
-            x = ctx.element({0: _vector(rng, ctx.dim)})
+            x = AffineElement(g, {0: _vector(rng, g.dim)})
         kind = case % 4
         if kind == 0:
-            z = ToralToCenter(ctx, rng.randint(1, l), rng.choice([-2, -1, 1, 2]))(x)
+            z = ToralToCenter(g, rng.randint(1, l), rng.choice([-2, -1, 1, 2]))(x)
         elif kind == 1:
-            z = Inner(_element(ctx, rng))(x)
+            z = Inner(_element(g, rng))(x)
         elif kind == 2:  # a root-block target, often not divisible
-            z = ctx.element({rng.randint(-2, 2): (0,) * l + _vector(rng, l)}, rng.randint(-1, 1))
+            z = AffineElement(g, {rng.randint(-2, 2): (0,) * l + _vector(rng, l)}, rng.randint(-1, 1))
         else:
-            z = affine_bracket(x, _element(ctx, rng)) + ctx.central(rng.randint(-2, 2))
-        z = ctx.element({d: (0,) * l + v[l:] for d, v in z.support.items()}, z.central)  # no torus component
-        got, want = _normal_form_solve(ctx, x, z), normal_form_solve(ctx, x, z)
+            z = affine_bracket(x, _element(g, rng)) + AffineElement(g, {}, rng.randint(-2, 2))
+        z = AffineElement(g, {d: (0,) * l + v[l:] for d, v in z.support.items()}, z.central)  # no torus component
+        got, want = _normal_form_solve(g, x, z), normal_form_solve(g, x, z)
         assert got.status == want.status and got.detail == want.detail, case
         assert (got.y is None) == (want.y is None)
         if got.y is not None:
@@ -239,43 +241,43 @@ def test_witness_searches_on_ints_against_the_all_fraction_reference_hypothesis(
     # scalar of X, Y, Z and of the Bezout cofactors is an int or a Fraction
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    contexts = {name: ctx_of(name) for name in ("B2", "A3-chain", "A4-chain")}
+    contexts = {name: algebra_of(name) for name in ("B2", "A3-chain", "A4-chain")}
     scalar = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
     sparse = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(st.data())
     def check(data):
-        ctx = contexts[data.draw(st.sampled_from(sorted(contexts)))]
-        l, dim = ctx.l, ctx.dim
+        g = contexts[data.draw(st.sampled_from(sorted(contexts)))]
+        l, dim = g.torus, g.dim
         vector = st.lists(scalar, min_size=dim, max_size=dim).map(tuple)
         # degree 0 alone as well: no bracket against such an X reaches the center
         degrees = data.draw(st.one_of(st.just([0]), st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True)))
-        x = ctx.element({d: data.draw(vector) for d in degrees})
+        x = AffineElement(g, {d: data.draw(vector) for d in degrees})
         kind = data.draw(st.sampled_from(["witness", "dij", "inner", "tensor"]))
         i = data.draw(st.integers(1, l))
         if kind == "witness":
-            op = ToralToCenter(ctx, i, data.draw(st.sampled_from([-2, -1, 1, 2])))
-            got = toral_center_witness(ctx, op.i, op.j, x)
+            op = ToralToCenter(g, i, data.draw(st.sampled_from([-2, -1, 1, 2])))
+            got = toral_center_witness(g, op.i, op.j, x)
         else:
             if kind == "dij":
-                op = ToralToCenter(ctx, i, data.draw(st.sampled_from(degrees)))
+                op = ToralToCenter(g, i, data.draw(st.sampled_from(degrees)))
             elif kind == "inner":
-                op = Inner(ctx.element({data.draw(st.integers(-2, 2)): data.draw(vector)}))
+                op = Inner(AffineElement(g, {data.draw(st.integers(-2, 2)): data.draw(vector)}))
             else:
                 # any matrix, so that the obstructions are drawn too; one into the root block has no torus part
                 f = LaurentPoly.from_dict({data.draw(st.integers(-1, 1)): data.draw(scalar)})
                 rows = data.draw(st.lists(st.lists(sparse, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
                 if data.draw(st.booleans()):
                     rows[:l] = [[0] * dim] * l
-                op = TensorDerivation(ctx, MatQ.from_rows(rows), f)
-            got = aid_obstruction_check(ctx, op, x)
+                op = TensorDerivation(g, MatQ.from_rows(rows), f)
+            got = aid_obstruction_check(g, op, x)
         z = op(x)
         if got.status == "torus-obstruction":
             assert torus_component_obstruction(z) is not None
         else:
-            xf = ctx.element({d: tuple(map(Fraction, v)) for d, v in x.support.items()}, Fraction(x.central))
-            assert _result_json(got) == _result_json(normal_form_solve(ctx, xf, op(xf)))
+            xf = AffineElement(g, {d: tuple(map(Fraction, v)) for d, v in x.support.items()}, Fraction(x.central))
+            assert _result_json(got) == _result_json(normal_form_solve(g, xf, op(xf)))
         scalars = [*_element_scalars(x), *_element_scalars(z), *(_element_scalars(got.y) if got.y else ())]
         coords = [coordinate_poly(x, k) for k in range(dim)]
         for b, c in zip(coords[:l], coords[l:]):
@@ -286,7 +288,7 @@ def test_witness_searches_on_ints_against_the_all_fraction_reference_hypothesis(
     check()
 
 
-def test_affine_bracket_clears_denominators_against_the_dense_bracket(ctx):
+def test_affine_bracket_clears_denominators_against_the_dense_bracket(g):
     # each side is cleared by the lcm of its own denominators: coprime and
     # large ones on the two sides, an all-int side, the zero element and a
     # central-only element, in both orders
@@ -294,7 +296,7 @@ def test_affine_bracket_clears_denominators_against_the_dense_bracket(ctx):
     big = 2**61 - 1
 
     def element(pool, degrees, central=0):
-        return ctx.element({d: tuple(rng.choice(pool) for _ in range(ctx.dim)) for d in degrees}, central)
+        return AffineElement(g, {d: tuple(rng.choice(pool) for _ in range(g.dim)) for d in degrees}, central)
 
     seen = set()
     for _ in range(6):
@@ -302,7 +304,7 @@ def test_affine_bracket_clears_denominators_against_the_dense_bracket(ctx):
         large_pool = [0, Fraction(1, 5), Fraction(7, 4), Fraction(-1, big), Fraction(3, big)]
         large = element(large_pool, (-2, -1, 1), Fraction(1, 3))
         ints = element([0, 1, -2, 3], (-1, 0, 1), 5)
-        for x, y in product([small, large, ints, ctx.zero(), ctx.central(Fraction(7, 4))], repeat=2):
+        for x, y in product([small, large, ints, AffineElement(g), AffineElement(g, {}, Fraction(7, 4))], repeat=2):
             got, want = affine_bracket(x, y), dense_affine_bracket(x, y)
             assert got == want and got.to_json() == want.to_json()
             scalars = list(_element_scalars(got))
@@ -316,27 +318,27 @@ def test_affine_bracket_clears_denominators_against_the_dense_bracket(ctx):
 def test_integral_inputs_give_int_scalars(name):
     # with all-int X, Y and operator data, every scalar of the bracket and of
     # op(X) is an int: never a Fraction, not even one with denominator 1
-    c = ctx_of(name)
-    l, dim = c.l, c.dim
+    g = algebra_of(name)
+    l, dim = g.torus, g.dim
     rng = random.Random(38)
 
     def element():
         degrees = rng.sample(range(-2, 3), rng.randint(1, 3))
-        return c.element({d: tuple(rng.randint(-3, 3) for _ in range(dim)) for d in degrees}, rng.randint(-2, 2))
+        return AffineElement(g, {d: tuple(rng.randint(-3, 3) for _ in range(dim)) for d in degrees}, rng.randint(-2, 2))
 
-    h1 = c.basis_at(0, 1)
-    central = affine_bracket(h1, c.basis_at(0, -1)).central
-    assert type(central) is int and central == c.algebra.form.at(0, 0)
+    h1 = basis_at(g, 0, 1)
+    central = affine_bracket(h1, basis_at(g, 0, -1)).central
+    assert type(central) is int and central == g.form.at(0, 0)
     for _ in range(10):
         x, y = element(), element()
         tensor = MatQ(dim, dim, {u: rng.randint(-2, 2) for u in range(dim * dim) if rng.random() < 0.3})
         ops = [
             Inner(y),
-            ToralToCenter(c, rng.randint(1, l), rng.randint(-2, 2)),
-            TensorDerivation(c, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 3)})),
-            DiagonalDerivative(c, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
+            ToralToCenter(g, rng.randint(1, l), rng.randint(-2, 2)),
+            TensorDerivation(g, tensor, LaurentPoly.from_dict({rng.randint(-1, 1): rng.randint(1, 3)})),
+            DiagonalDerivative(g, tuple(LaurentPoly.monomial(rng.randint(-1, 2), rng.randint(1, 2)) for _ in range(l))),
         ]
-        ops.append(OperatorSum(c, tuple((rng.randint(-2, 2), op) for op in ops)))
+        ops.append(OperatorSum(g, tuple((rng.randint(-2, 2), op) for op in ops)))
         for z in [affine_bracket(x, y), *(op(x) for op in ops)]:
             assert all(type(a) is int for a in _element_scalars(z)), z.to_json()
 
@@ -350,8 +352,8 @@ def test_matrix_rows_keep_their_scalars():
         with pytest.raises(TypeError):
             MatQ.from_rows([[1, bad]])
     # so a tensor derivation built from identity rows maps x1 t to itself, on ints
-    c = ctx_of("B2")
-    x = c.basis_at(c.l, 1)
-    identity = MatQ.from_rows([[int(r == q) for q in range(c.dim)] for r in range(c.dim)])
-    y = TensorDerivation(c, identity, LaurentPoly.one())(x)
+    g = algebra_of("B2")
+    x = basis_at(g, g.torus, 1)
+    identity = MatQ.from_rows([[int(r == q) for q in range(g.dim)] for r in range(g.dim)])
+    y = TensorDerivation(g, identity, LaurentPoly.one())(x)
     assert y.to_json() == x.to_json() and all(type(a) is int for a in _element_scalars(y)), y.to_json()

@@ -72,7 +72,7 @@ OP = str(INPUTS / "op_d11.json")
 ROOTS = {"liecert", "liecert.cli", "liecert.exact", "liecert.rootsys"}
 GRADED = ROOTS | {"liecert.chevalley", "liecert.qgraded"}
 DERIVATIONS = GRADED | {"liecert.dercalc"}
-LOOP = DERIVATIONS | {"liecert.loopalg"}
+LOOP = ROOTS | {"liecert.chevalley", "liecert.loopalg"}
 
 # argv, exit code, the liecert modules that the command loads
 BOUNDARY = [
@@ -86,7 +86,7 @@ BOUNDARY = [
     (["dij-witness", *B2_MIN, "--i", "1", "--j", "1", "--x", X], 0, LOOP),
     (["aid-check", *B2_MIN, "--op", OP, "--x", X], 0, LOOP),
     (["inner-match", *B2_MIN, "--op", OP, "--window", "1"], 3, LOOP),
-    (["selftest", "--criteria", "1"], 0, LOOP | {"liecert.selfcheck"}),
+    (["selftest", "--criteria", "1"], 0, DERIVATIONS | {"liecert.loopalg", "liecert.selfcheck"}),
 ]
 
 
@@ -136,27 +136,28 @@ def _instances(b2):
         TensorDerivation,
         ToralToCenter,
         aid_obstruction_check,
+        basis_at,
         decompose_derivation,
     )
     from liecert.qgraded import certify
     from liecert.selfcheck import CriterionResult
 
-    rs, spec, ctx = b2
-    x, one = ctx.basis_at(0, 1), LaurentPoly.one()
-    op = ToralToCenter(ctx, 1, 1)
+    rs, spec, g = b2
+    x, one = basis_at(g, 0, 1), LaurentPoly.one()
+    op = ToralToCenter(g, 1, 1)
     decomposition = decompose_derivation(op)
     return [
-        MatQ.identity(2), rs, spec, ctx.algebra, certify(spec),
-        derivation_space(ctx.algebra), centroid_space(ctx.algebra), AidVerdict("inner"), verify_aid_eq_inn(spec),
-        one, ctx, x, op._symbol, op, Inner(x), TensorDerivation(ctx, MatQ.identity(4), one),
-        DiagonalDerivative(ctx, (one, one)), decomposition.residual, decomposition,
-        aid_obstruction_check(ctx, op, x), CriterionResult(1, "name", True, "", 0.0),
+        MatQ.identity(2), rs, spec, g, certify(spec),
+        derivation_space(g), centroid_space(g), AidVerdict("inner"), verify_aid_eq_inn(spec),
+        one, x, op._symbol, op, Inner(x), TensorDerivation(g, MatQ.identity(4), one),
+        DiagonalDerivative(g, (one, one)), decomposition.residual, decomposition,
+        aid_obstruction_check(g, op, x), CriterionResult(1, "name", True, "", 0.0),
     ]
 
 
 def test_attributes_cannot_be_assigned_or_deleted(b2):
     instances = _instances(b2)
-    assert len({type(obj) for obj in instances}) == len(instances) == 21
+    assert len({type(obj) for obj in instances}) == len(instances) == 20
     for obj in instances:
         name = next(iter(vars(obj)))
         with pytest.raises(AttributeError, match="read-only"):
@@ -212,18 +213,16 @@ def test_values_compare_by_value():
 
 def test_structures_compare_by_identity(b2):
     from liecert.chevalley import LieAlgebra
-    from liecert.loopalg import LoopContext
+    from liecert.loopalg import basis_at
     from liecert.rootsys import RootSystem
 
-    rs, _, ctx = b2
+    rs, _, g = b2
     fields = ("family", "rank", "cartan", "roots", "root_index", "symmetrizer")
     assert RootSystem(*(getattr(rs, f) for f in fields)) != rs
     assert LieAlgebra(1, ("a",), {}) != LieAlgebra(1, ("a",), {})
-    same = LoopContext(algebra=ctx.algebra)
-    assert same != ctx and same == same
-    assert ctx.basis_at(0, 1) == ctx.basis_at(0, 1)  # AffineElement keeps its own value equality
+    assert basis_at(g, 0, 1) == basis_at(g, 0, 1)  # AffineElement keeps its own value equality
     with pytest.raises(TypeError):
-        hash(ctx.basis_at(0, 1))
+        hash(basis_at(g, 0, 1))
 
 
 def test_cached_properties_still_cache(b2):
@@ -238,17 +237,16 @@ def test_cached_properties_still_cache(b2):
 
 def test_keyword_constructors_and_defaults(b2):
     from liecert.dercalc import AidVerdict
-    from liecert.loopalg import AffineElement, LoopContext, WitnessResult
+    from liecert.loopalg import AffineElement, WitnessResult
 
-    _, _, ctx = b2
+    _, _, g = b2
     verdict = AidVerdict(status="not-aid")
     assert (verdict.status, verdict.witness, verdict.reason, verdict.data) == ("not-aid", None, None, None)
     assert AidVerdict(status="inner", reason="r") == AidVerdict("inner", None, "r", None)
     assert repr(verdict) == "AidVerdict(status='not-aid', witness=None, reason=None, data=None)"
-    assert LoopContext(algebra=ctx.algebra).dim == ctx.dim
-    empty = AffineElement(ctx=ctx)
-    assert empty.support == {} and empty.central == 0 and type(empty.central) is int
-    assert AffineElement(ctx, None, 2).central == Fraction(2)
+    empty = AffineElement(g=g)
+    assert empty.algebra is g and empty.support == {} and empty.central == 0 and type(empty.central) is int
+    assert AffineElement(g, None, 2).central == Fraction(2)
     assert WitnessResult(status="witnessed", y=None).detail is None
 
 
